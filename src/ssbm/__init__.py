@@ -6,9 +6,9 @@ SDP, test for community structure below the Kesten-Stigum threshold, and
 drive seeded Monte Carlo sweeps from the CLI (``ssbm --help``).
 """
 
-from .census import (CensusMargin, EstimateReport, binomial_gap_oracle,
-                     census_estimate, census_margin, census_success_bound,
-                     delta_gap, overlap_lower_curve, predict_accuracy_erf)
+from .census import (EstimateReport, binomial_gap_oracle, census_estimate,
+                     census_success_bound, delta_gap, overlap_lower_curve,
+                     predict_accuracy_erf)
 from .csdp import (AggregatedOperator, CsdpSolution, SandwichReport, TestOutcome,
                    aggregate, detection_test, estimate_unrevealed,
                    sandwich_check, solve_csdp)
@@ -19,22 +19,21 @@ from .model import (Graph, Labels, MatrixOperator, ModelParams, RevealedLabels,
                     write_instance)
 from .sdp import (DualCertificate, GrothendieckReport, NumericError, SdpSolution,
                   SolverConfig, certify_dual, cut_norm_concentration_trial,
-                  cut_norm_exact, grothendieck_check, leading_eigenvalue,
-                  round_leading_eigvec, solve_elliptope)
+                  cut_norm_exact, grothendieck_check, round_leading_eigvec,
+                  solve_elliptope)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregatedOperator", "CensusMargin", "CsdpSolution", "DualCertificate",
-    "EstimateReport", "ExperimentConfig", "Graph", "GrothendieckReport",
-    "Labels", "MatrixOperator", "ModelParams", "NumericError", "ResultRecord",
+    "AggregatedOperator", "CsdpSolution", "DualCertificate", "EstimateReport",
+    "ExperimentConfig", "Graph", "GrothendieckReport", "Labels",
+    "MatrixOperator", "ModelParams", "NumericError", "ResultRecord",
     "RevealedLabels", "SandwichReport", "SdpSolution", "SolverConfig",
     "TestOutcome", "aggregate", "best_threshold_accuracy",
-    "binomial_gap_oracle", "census_estimate", "census_margin",
-    "census_success_bound", "centered_adjacency", "certify_dual",
-    "cut_norm_concentration_trial", "cut_norm_exact", "delta_gap",
-    "detection_test", "estimate_unrevealed", "grothendieck_check",
-    "leading_eigenvalue", "oracle_suite", "overlap_lower_curve",
+    "binomial_gap_oracle", "census_estimate", "census_success_bound",
+    "centered_adjacency", "certify_dual", "cut_norm_concentration_trial",
+    "cut_norm_exact", "delta_gap", "detection_test", "estimate_unrevealed",
+    "grothendieck_check", "oracle_suite", "overlap_lower_curve",
     "predict_accuracy_erf", "read_instance", "round_leading_eigvec",
     "run_sweep", "sample_instance", "sandwich_check", "snr", "solve_csdp",
     "solve_elliptope", "summarize", "write_instance",

@@ -2,35 +2,23 @@
 
 An unrevealed vertex v is labeled by the sign of the sum of revealed labels
 over the vertices at shortest-path distance exactly t from v (default t = 1),
-with a fair coin on ties.  Alongside the estimator live its closed-form
-accuracy predictions and the exact binomial oracles backing them.
+with a fair coin on ties.  The distance-t shells of all vertices come from
+boolean sparse products, with no per-vertex search.  Alongside the estimator
+live its closed-form accuracy predictions and the exact binomial oracles
+backing them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
-from .model import Graph, RevealedLabels, snr
+from .model import Graph, Labels, RevealedLabels, snr
 from .rng import coin
-
-
-@dataclass(frozen=True)
-class CensusMargin:
-    """Vote tally for one vertex at one depth.
-
-    margin is the signed sum of revealed labels at distance exactly ``depth``;
-    support counts the revealed voters, so |margin| <= support.
-    """
-
-    vertex: int
-    depth: int
-    margin: int
-    support: int
 
 
 @dataclass(frozen=True)
@@ -59,68 +47,32 @@ class EstimateReport:
         })
 
 
-def _distance_shell(g: Graph, v: int, t: int) -> np.ndarray:
-    """Vertices at shortest-path distance exactly t from v (BFS, truncated)."""
-    dist = np.full(g.n, -1, dtype=np.int32)
-    dist[v] = 0
-    frontier = deque([v])
-    shell = []
-    while frontier:
-        u = frontier.popleft()
-        du = dist[u]
-        if du == t:
-            break
-        for w in g.neighbors(u):
-            if dist[w] < 0:
-                dist[w] = du + 1
-                if du + 1 == t:
-                    shell.append(w)
-                else:
-                    frontier.append(w)
-    return np.asarray(shell, dtype=np.int64)
+def overlap(estimates: np.ndarray, labels: Labels, rev: RevealedLabels) -> float:
+    """|<x, x_hat>| / (n - m) over the unrevealed vertices (0 if there are none)."""
+    unrev = rev.unrevealed()
+    truth = labels.values[unrev].astype(np.int64)
+    return abs(int(truth @ estimates[unrev].astype(np.int64))) / max(unrev.size, 1)
 
 
 def margins_at_depth(g: Graph, votes: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
     """Signed vote sums and voter counts at distance exactly t, all vertices.
 
     ``votes`` is any length-n vector in {+1, 0, -1}; zeros do not vote.  The
-    t = 1 case is a sparse matrix-vector product; t >= 2 runs one truncated
-    BFS per vertex.
+    boolean shell_s holds the pairs at distance exactly s: shell_1 is the
+    adjacency A, and shell_{s+1} is the pattern of shell_s A outside
+    ball_s = ball_{s-1} + shell_s (the pairs within distance s, ball_0 = I).
+    The tallies are the products of shell_t with the votes.
     """
     if t < 1:
         raise ValueError("depth t must be >= 1")
-    votes = np.asarray(votes)
-    if t == 1:
-        heads = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
-        margins = np.zeros(g.n, dtype=np.int64)
-        support = np.zeros(g.n, dtype=np.int64)
-        np.add.at(margins, heads, votes[g.indices].astype(np.int64))
-        np.add.at(support, heads, (votes[g.indices] != 0).astype(np.int64))
-        return margins, support
-    margins = np.zeros(g.n, dtype=np.int64)
-    support = np.zeros(g.n, dtype=np.int64)
-    for v in range(g.n):
-        shell = _distance_shell(g, v, t)
-        if shell.size:
-            sv = votes[shell]
-            margins[v] = int(sv.sum())
-            support[v] = int(np.count_nonzero(sv))
-    return margins, support
-
-
-def census_margin(g: Graph, rev: RevealedLabels, v: int, t: int) -> CensusMargin:
-    """Vote tally of revealed labels at distance exactly t from an unrevealed v."""
-    if t < 1:
-        raise ValueError("depth t must be >= 1")
-    if rev.values[v] != 0:
-        raise ValueError(f"vertex {v} is revealed; census only estimates unrevealed vertices")
-    shell = _distance_shell(g, v, t)
-    if shell.size:
-        sv = rev.values[shell].astype(np.int64)
-        margin, support = int(sv.sum()), int(np.count_nonzero(sv))
-    else:
-        margin, support = 0, 0
-    return CensusMargin(vertex=v, depth=t, margin=margin, support=support)
+    votes = np.asarray(votes).astype(np.int64)
+    adj = scipy.sparse.csr_matrix(
+        (np.ones(g.indices.size, dtype=bool), g.indices, g.indptr), shape=(g.n, g.n))
+    ball, shell = scipy.sparse.identity(g.n, dtype=bool, format="csr"), adj
+    for _ in range(t - 1):
+        ball = ball + shell
+        shell = (shell @ adj) > ball
+    return shell @ votes, shell @ (votes != 0).astype(np.int64)
 
 
 def census_estimate(g: Graph, rev: RevealedLabels, t: int = 1, seed: int = 0) -> EstimateReport:
@@ -143,9 +95,8 @@ def census_estimate(g: Graph, rev: RevealedLabels, t: int = 1, seed: int = 0) ->
         estimates[v] = coin(seed, "census-tie", v)
     nonzero = unrev[signs != 0]
     estimates[nonzero] = signs[signs != 0]
-    truth = g.labels.values[unrev].astype(np.int64)
-    overlap = abs(int(truth @ estimates[unrev].astype(np.int64))) / unrev.size
-    return EstimateReport(estimates=estimates, ties_broken=int(ties.size), overlap=overlap)
+    return EstimateReport(estimates=estimates, ties_broken=int(ties.size),
+                          overlap=overlap(estimates, g.labels, rev))
 
 
 def delta_gap(a: float, b: float) -> float:

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .census import census_estimate
+from .census import census_estimate, overlap
 from .csdp import detection_test, estimate_unrevealed, solve_csdp
 from .harness import ExperimentConfig, oracle_suite, run_sweep
 from .model import ModelParams, centered_adjacency, sample_instance, write_instance
@@ -38,10 +38,13 @@ def _add_model_args(p, lists=False):
 
 
 def _add_solver_args(p):
-    p.add_argument("--rank", type=int, default=None, help="factor width (default: sqrt rule)")
-    p.add_argument("--tol", type=float, default=1e-6, help="relative per-sweep stopping change")
-    p.add_argument("--max-sweeps", type=int, default=2000)
-    p.add_argument("--restarts", type=int, default=3)
+    defaults = SolverConfig()
+    p.add_argument("--rank", type=int, default=defaults.rank,
+                   help="factor width (default: sqrt rule)")
+    p.add_argument("--tol", type=float, default=defaults.tol,
+                   help="relative per-sweep stopping change")
+    p.add_argument("--max-sweeps", type=int, default=defaults.max_sweeps)
+    p.add_argument("--restarts", type=int, default=defaults.restarts)
 
 
 def _solver_from(args) -> SolverConfig:
@@ -128,10 +131,9 @@ def _cmd_sdp(args) -> int:
     params = _params_from(args, erm=args.model == "erm")
     g, rev = sample_instance(params)
     sol = solve_elliptope(centered_adjacency(g, params.d), _solver_from(args))
-    est = round_leading_eigvec(sol, seed=args.seed)
-    unrev = rev.unrevealed()
-    overlap = abs(int(g.labels.values[unrev].astype(int) @ est[unrev].astype(int))) / max(unrev.size, 1)
-    _emit(args, {**json.loads(sol.to_json()), "overlap_unrevealed": overlap})
+    est = round_leading_eigvec(sol)
+    _emit(args, {**json.loads(sol.to_json()),
+                 "overlap_unrevealed": overlap(est, g.labels, rev)})
     return 0
 
 

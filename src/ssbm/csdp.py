@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import EstimateReport
+from .census import EstimateReport, overlap
 from .model import Graph, Labels, MatrixOperator, RevealedLabels, centered_adjacency
 from .rng import coin
 from .sdp import SdpSolution, SolverConfig, round_leading_eigvec, solve_elliptope
@@ -175,10 +175,8 @@ def estimate_unrevealed(
     reveal the unsupervised rounding is used instead, whose overall sign is
     arbitrary (overlap takes the absolute value either way).
     """
-    n = rev.n
-    unrev = rev.unrevealed()
     if sol.sigma0 is None or sol.aggregated is None:
-        estimates = round_leading_eigvec(sol.inner, seed=seed)
+        estimates = round_leading_eigvec(sol.inner)
         ties = 0
     else:
         estimates = rev.values.copy()
@@ -189,9 +187,8 @@ def estimate_unrevealed(
         for j in np.flatnonzero(signs == 0).tolist():
             signs[j] = coin(seed, "csdp-tie", int(verts[j]))
         estimates[verts] = signs.astype(np.int8)
-    truth = labels.values[unrev].astype(np.int64)
-    overlap = abs(int(truth @ estimates[unrev].astype(np.int64))) / max(unrev.size, 1)
-    return EstimateReport(estimates=estimates, ties_broken=ties, overlap=overlap)
+    return EstimateReport(estimates=estimates, ties_broken=ties,
+                          overlap=overlap(estimates, labels, rev))
 
 
 def detection_test(

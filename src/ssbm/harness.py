@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import (binomial_gap_oracle, census_estimate, delta_gap,
+from .census import (binomial_gap_oracle, census_estimate, delta_gap, overlap,
                      overlap_lower_curve, predict_accuracy_erf)
 from .csdp import aggregate, detection_test, estimate_unrevealed, sandwich_check, solve_csdp
-from .model import (Labels, MatrixOperator, ModelParams, RevealedLabels,
+from .model import (MatrixOperator, ModelParams, RevealedLabels,
                     centered_adjacency, sample_instance, snr)
 from .rng import derive_key, stream
 from .sdp import (SolverConfig, cut_norm_exact, grothendieck_check,
@@ -165,6 +165,9 @@ class ExperimentConfig:
         raw = json.loads(text)
         params = raw.get("params", {})
         solver = raw.get("solver", {})
+        unknown = set(solver) - {f.name for f in dataclasses.fields(SolverConfig)}
+        if unknown:
+            raise ValueError(f"unknown solver settings: {', '.join(sorted(unknown))}")
         return cls(
             kind=raw["kind"],
             n=tuple(params.get("n", ())),
@@ -172,13 +175,7 @@ class ExperimentConfig:
             b=tuple(params.get("b", ())),
             rho=tuple(params.get("rho", ())),
             reps=raw.get("reps", 1),
-            solver=SolverConfig(
-                rank=solver.get("rank"),
-                tol=solver.get("tol", 1e-6),
-                max_sweeps=solver.get("max_sweeps", 2000),
-                restarts=solver.get("restarts", 3),
-                seed=solver.get("seed", 0),
-            ),
+            solver=SolverConfig(**solver),
             out_dir=raw["out_dir"],
             seed=raw.get("seed", 0),
             t=raw.get("t", 1),
@@ -191,20 +188,12 @@ class ExperimentConfig:
             "params": {"n": list(self.n), "a": list(self.a),
                        "b": list(self.b), "rho": list(self.rho)},
             "reps": self.reps,
-            "solver": {"rank": self.solver.rank, "tol": self.solver.tol,
-                       "max_sweeps": self.solver.max_sweeps,
-                       "restarts": self.solver.restarts, "seed": self.solver.seed},
+            "solver": dataclasses.asdict(self.solver),
             "out_dir": self.out_dir,
             "seed": self.seed,
             "t": self.t,
             "workers": self.workers,
         }, indent=2)
-
-
-def _overlap_unrevealed(estimates: np.ndarray, labels: Labels, rev: RevealedLabels) -> float:
-    unrev = rev.unrevealed()
-    truth = labels.values[unrev].astype(np.int64)
-    return abs(int(truth @ estimates[unrev].astype(np.int64))) / max(unrev.size, 1)
 
 
 def _cell_task(cfg: ExperimentConfig, ci: int, cell, rep: int):
@@ -284,10 +273,10 @@ def _solve_pair(g, rev, cell, iseed, base, solver, truth_model):
 
     t0 = time.perf_counter()
     sdp_sol = solve_elliptope(M, solver)
-    est = round_leading_eigvec(sdp_sol, seed=iseed)
+    est = round_leading_eigvec(sdp_sol)
     out.append(ResultRecord(
         seed=iseed, algorithm="sdp",
-        overlap_unrevealed=_overlap_unrevealed(est, g.labels, rev),
+        overlap_unrevealed=overlap(est, g.labels, rev),
         sdp_value=sdp_sol.value, csdp_value=None, margin00=None,
         test_decision=None, truth_model=truth_model,
         runtime_ms=(time.perf_counter() - t0) * 1e3, **base))
@@ -381,14 +370,11 @@ def best_threshold_accuracy(positive: list[float], negative: list[float]) -> flo
     """Best achievable accuracy of the rule 'declare positive iff value >= t'."""
     if not positive or not negative:
         raise ValueError("both samples must be non-empty")
-    cuts = sorted(set(positive) | set(negative))
-    thresholds = [cuts[0] - 1.0] + [0.5 * (u + v) for u, v in zip(cuts, cuts[1:])] + [cuts[-1] + 1.0]
-    total = len(positive) + len(negative)
-    best = 0.0
-    for th in thresholds:
-        hits = sum(1 for v in positive if v >= th) + sum(1 for v in negative if v < th)
-        best = max(best, hits / total)
-    return best
+    pos, neg = np.sort(positive), np.sort(negative)
+    # every rule is 'value >= c' for a sample value c, or declares nothing
+    cuts = np.concatenate([pos, neg])
+    hits = pos.size - np.searchsorted(pos, cuts) + np.searchsorted(neg, cuts)
+    return max(int(hits.max()), neg.size) / (pos.size + neg.size)
 
 
 def summarize(records: list[ResultRecord], t: int = 1) -> dict:
@@ -396,7 +382,8 @@ def summarize(records: list[ResultRecord], t: int = 1) -> dict:
 
     Detection cells (both truth models present) additionally report the
     separation score min(SBM) - max(ERM) and the best-threshold accuracy for
-    each solver statistic, plus the test threshold and rho0.
+    each solver statistic, plus the test threshold, rho0 and ``test_proven``
+    (rho > rho0, the range in which the test's decisions are proven).
     """
     if not records:
         raise ValueError("cannot summarize an empty record set")
@@ -444,6 +431,7 @@ def summarize(records: list[ResultRecord], t: int = 1) -> dict:
                 probe = detection_test(0.0, n, a, b)
                 detection["threshold"] = probe.threshold
                 detection["rho0"] = probe.rho0
+                detection["test_proven"] = rho > probe.rho0
             entry["detection"] = detection
         out_cells.append(entry)
     return {"cells": out_cells}

@@ -123,33 +123,44 @@ class Graph:
         if self.labels.n != self.n:
             raise ValueError("label vector length does not match vertex count")
 
+    @classmethod
+    def from_edges(cls, n: int, ei, ej, labels: Labels) -> "Graph":
+        """Graph on n vertices with the undirected edges (ei[k], ej[k]).
+
+        A repeated edge stays repeated; :meth:`validate` rejects it.
+        """
+        ei, ej = np.asarray(ei, dtype=np.int64), np.asarray(ej, dtype=np.int64)
+        adj = _symmetric_csr(n, ei, ej, np.ones(ei.size, dtype=bool))
+        return cls(n, adj.indptr, adj.indices, labels)
+
     @property
     def num_edges(self) -> int:
         return self.indices.size // 2
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
+    def _heads(self) -> np.ndarray:
+        """Row index of every stored entry."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
 
     def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Unique edges as (i, j) arrays with i < j."""
-        heads = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        heads = self._heads()
         keep = heads < self.indices
         return heads[keep], self.indices[keep]
 
     def validate(self) -> None:
-        """Full structural check: symmetric, simple, sorted neighbor lists."""
-        heads = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
-        if np.any(heads == self.indices):
+        """Full structural check: indices in range, no self-loops, strictly
+        sorted neighbor lists (so no repeated edge), symmetric adjacency."""
+        idx = self.indices
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
+            raise ValueError("neighbor index out of range")
+        heads = self._heads()
+        if np.any(heads == idx):
             raise ValueError("self-loop found")
-        for v in range(self.n):
-            nbr = self.neighbors(v)
-            if nbr.size and (np.any(np.diff(nbr) <= 0)):
-                raise ValueError(f"neighbor list of {v} not strictly sorted")
-        fwd = set(zip(heads.tolist(), self.indices.tolist()))
-        if any((j, i) not in fwd for i, j in fwd):
+        unsorted = np.flatnonzero((heads[1:] == heads[:-1]) & (idx[1:] <= idx[:-1]))
+        if unsorted.size:
+            raise ValueError(f"neighbor list of {heads[unsorted[0]]} not strictly sorted")
+        # rows are strictly sorted, so the forward keys are sorted and distinct
+        if not np.array_equal(heads * self.n + idx, np.sort(idx * self.n + heads)):
             raise ValueError("adjacency not symmetric")
 
 
@@ -258,21 +269,10 @@ class MatrixOperator:
         return cls(M.shape[0], r, c, M[r, c])
 
     @cached_property
-    def _offdiag_csr(self):
-        """(indptr, indices, weights) of the symmetrized off-diagonal sparse part."""
-        off = self.rows != self.cols
-        heads = np.concatenate([self.rows[off], self.cols[off]])
-        tails = np.concatenate([self.cols[off], self.rows[off]])
-        w = np.concatenate([self.weights[off], self.weights[off]])
-        order = np.lexsort((tails, heads))
-        heads, tails, w = heads[order], tails[order], w[order]
-        indptr = np.searchsorted(heads, np.arange(self.dim + 1))
-        return indptr, tails, w
-
-    @cached_property
     def _offdiag_matrix(self) -> scipy.sparse.csr_matrix:
-        indptr, tails, w = self._offdiag_csr
-        return scipy.sparse.csr_matrix((w, tails, indptr), shape=(self.dim, self.dim))
+        """The symmetrized off-diagonal sparse part, columns sorted in each row."""
+        off = self.rows != self.cols
+        return _symmetric_csr(self.dim, self.rows[off], self.cols[off], self.weights[off])
 
     @cached_property
     def sparse_diag(self) -> np.ndarray:
@@ -302,18 +302,6 @@ class MatrixOperator:
         if self.diag_shift:
             y += self.diag_shift * v
         return y
-
-    def matmat(self, V: np.ndarray) -> np.ndarray:
-        """Product against an (dim, k) block, column by column semantics."""
-        V = np.asarray(V, dtype=np.float64)
-        Y = self._offdiag_matrix @ V
-        Y += self.sparse_diag[:, None] * V
-        if self.rank1 is not None:
-            u, c = self.rank1
-            Y += np.outer(u, c * (u @ V))
-        if self.diag_shift:
-            Y += self.diag_shift * V
-        return Y
 
     def quadratic_form(self, S: np.ndarray) -> float:
         """<M, S S^T> for an (dim, k) factor S."""
@@ -362,21 +350,19 @@ class MatrixOperator:
             diag_shift=self.diag_shift,
         )
 
-    def abs_offdiag_rowsums(self) -> np.ndarray:
-        """Upper bound on the row sums of |off-diagonal entries|.
 
-        Bounds |S_ij + c u_i u_j| by |S_ij| + |c u_i u_j|; good enough for
-        Gershgorin-style spectral envelopes.
-        """
-        r = np.zeros(self.dim)
-        off = self.rows != self.cols
-        np.add.at(r, self.rows[off], np.abs(self.weights[off]))
-        np.add.at(r, self.cols[off], np.abs(self.weights[off]))
-        if self.rank1 is not None:
-            u, c = self.rank1
-            au = np.abs(u)
-            r += abs(c) * au * (au.sum() - au)
-        return r
+def _symmetric_csr(n: int, ei, ej, w) -> scipy.sparse.csr_matrix:
+    """n x n CSR matrix holding w[k] at (ei[k], ej[k]) and at (ej[k], ei[k]).
+
+    Columns are sorted within each row (the summation order of every product
+    against it); repeated pairs stay separate entries.
+    """
+    heads = np.concatenate([ei, ej])
+    tails = np.concatenate([ej, ei])
+    order = np.lexsort((tails, heads))
+    indptr = np.searchsorted(heads[order], np.arange(n + 1))
+    data = np.concatenate([w, w])[order]
+    return scipy.sparse.csr_matrix((data, tails[order], indptr), shape=(n, n))
 
 
 def _bernoulli_hits(rng: np.random.Generator, count: int, p: float) -> np.ndarray:
@@ -450,12 +436,7 @@ def sample_instance(params: ModelParams) -> tuple[Graph, RevealedLabels]:
     ei = np.concatenate(ei_chunks)
     ej = np.concatenate(ej_chunks)
 
-    heads = np.concatenate([ei, ej])
-    tails = np.concatenate([ej, ei])
-    order = np.lexsort((tails, heads))
-    heads, tails = heads[order], tails[order]
-    indptr = np.searchsorted(heads, np.arange(n + 1))
-    graph = Graph(n, indptr, tails, labels)
+    graph = Graph.from_edges(n, ei, ej, labels)
 
     m = params.m
     rng = stream(params.seed, "reveal")
@@ -491,41 +472,47 @@ def write_instance(path, g: Graph, rev: RevealedLabels) -> None:
     ei, ej = g.edge_pairs()
     with open(path, "w") as fh:
         fh.write(f"{g.n} {ei.size}\n")
-        for i, j in zip(ei.tolist(), ej.tolist()):
-            fh.write(f"{i} {j}\n")
-        fh.write("L " + " ".join(str(v) for v in g.labels.values.tolist()) + "\n")
-        fh.write("R " + " ".join(str(v) for v in rev.values.tolist()) + "\n")
+        np.savetxt(fh, np.column_stack([ei, ej]), fmt="%d")
+        fh.write("L " + " ".join(map(str, g.labels.values.tolist())) + "\n")
+        fh.write("R " + " ".join(map(str, rev.values.tolist())) + "\n")
 
 
 def read_instance(path) -> tuple[Graph, RevealedLabels]:
-    """Parse the plain-text exchange format written by :func:`write_instance`."""
+    """Parse the plain-text exchange format written by :func:`write_instance`.
+
+    Rejects edge lines that are not ``i j`` with 0 <= i < j < n, repeated
+    edges, label or reveal lines of the wrong length or outside {+1, 0, -1},
+    untruthful reveals, and any non-empty line after the ``R`` line.
+    """
     with open(path) as fh:
-        tokens = fh.read().split("\n")
-    header = tokens[0].split()
+        lines = fh.read().split("\n")
+    header = lines[0].split()
     if len(header) != 2:
         raise ValueError("bad header, expected 'n m_edges'")
     n, m_edges = int(header[0]), int(header[1])
-    ei = np.empty(m_edges, dtype=np.int64)
-    ej = np.empty(m_edges, dtype=np.int64)
-    for k in range(m_edges):
-        i_str, j_str = tokens[1 + k].split()
-        i, j = int(i_str), int(j_str)
-        if not (0 <= i < j < n):
-            raise ValueError(f"bad edge line: {tokens[1 + k]!r}")
-        ei[k], ej[k] = i, j
-    label_line = tokens[1 + m_edges].split()
-    reveal_line = tokens[2 + m_edges].split()
-    if label_line[0] != "L" or reveal_line[0] != "R":
+    if len(lines) < m_edges + 3:
+        raise ValueError("header does not match the file length")
+    edges = np.array([ln.split() for ln in lines[1:1 + m_edges]] or np.empty((0, 2)),
+                     dtype=np.int64)
+    if edges.shape != (m_edges, 2):
+        raise ValueError("bad edge lines, expected 'i j'")
+    ei, ej = edges[:, 0], edges[:, 1]
+    if np.any(ei < 0) or np.any(ei >= ej) or np.any(ej >= n):
+        raise ValueError("bad edge line, expected 0 <= i < j < n")
+    label_line = lines[1 + m_edges].split()
+    reveal_line = lines[2 + m_edges].split()
+    if label_line[:1] != ["L"] or reveal_line[:1] != ["R"]:
         raise ValueError("missing L/R companion lines")
-    labels = Labels(np.array([int(v) for v in label_line[1:]], dtype=np.int8))
-    rv = np.array([int(v) for v in reveal_line[1:]], dtype=np.int8)
-    if labels.n != n or rv.size != n:
+    if any(ln.strip() for ln in lines[3 + m_edges:]):
+        raise ValueError("unexpected content after the R line")
+    lv = np.array(label_line[1:], dtype=np.int64)
+    rv = np.array(reveal_line[1:], dtype=np.int64)
+    if lv.size != n or rv.size != n:
         raise ValueError("label/reveal line length does not match n")
-    heads = np.concatenate([ei, ej])
-    tails = np.concatenate([ej, ei])
-    order = np.lexsort((tails, heads))
-    indptr = np.searchsorted(heads[order], np.arange(n + 1))
-    g = Graph(n, indptr, tails[order], labels)
+    if np.any(np.abs(lv) > 1) or np.any(np.abs(rv) > 1):
+        raise ValueError("labels and reveals must lie in {+1, 0, -1}")
+    g = Graph.from_edges(n, ei, ej, Labels(lv))
+    g.validate()
     rev = RevealedLabels(rv, np.flatnonzero(rv))
-    rev.check_truthful(labels)
+    rev.check_truthful(g.labels)
     return g, rev

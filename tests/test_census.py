@@ -3,22 +3,20 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from ssbm import (Graph, Labels, ModelParams, RevealedLabels, binomial_gap_oracle,
-                  census_estimate, census_margin, census_success_bound, delta_gap,
+                  census_estimate, census_success_bound, delta_gap,
                   overlap_lower_curve, predict_accuracy_erf, sample_instance)
 from ssbm.census import (binomial_difference_stats, binomial_pmf, margins_at_depth,
                          vote_accuracy_exact)
 
 
 def _graph_from_edges(n, edges, labels):
-    ei = np.array([e[0] for e in edges], dtype=np.int64)
-    ej = np.array([e[1] for e in edges], dtype=np.int64)
-    heads = np.concatenate([ei, ej])
-    tails = np.concatenate([ej, ei])
-    order = np.lexsort((tails, heads))
-    indptr = np.searchsorted(heads[order], np.arange(n + 1))
-    return Graph(n, indptr, tails[order], Labels(np.asarray(labels, dtype=np.int8)))
+    ei = [e[0] for e in edges]
+    ej = [e[1] for e in edges]
+    return Graph.from_edges(n, ei, ej, Labels(np.asarray(labels, dtype=np.int8)))
 
 
 def _reveal(values):
@@ -30,35 +28,34 @@ def test_margin_direct_neighbors():
     # v=0 with revealed 1-neighbors {+1, +1, -1} -> margin +1, support 3
     g = _graph_from_edges(6, [(0, 1), (0, 2), (0, 3)], [1, 1, 1, -1, -1, -1])
     rev = _reveal([0, 1, 1, -1, -1, 0])
-    cm = census_margin(g, rev, 0, 1)
-    assert (cm.margin, cm.support) == (1, 3)
-    assert abs(cm.margin) <= cm.support <= rev.m
+    margins, support = margins_at_depth(g, rev.values, 1)
+    assert (margins[0], support[0]) == (1, 3)
+    assert np.all(np.abs(margins) <= support) and np.all(support <= rev.m)
 
 
 def test_margin_isolated_vertex():
     g = _graph_from_edges(4, [(1, 2)], [1, 1, -1, -1])
     rev = _reveal([0, 1, -1, 0])
-    cm = census_margin(g, rev, 0, 1)
-    assert (cm.margin, cm.support) == (0, 0)
+    for t in (1, 2):
+        margins, support = margins_at_depth(g, rev.values, t)
+        assert (margins[0], support[0]) == (0, 0)
 
 
 def test_margin_path_depth_two():
     # path p0-p1-p2-p3-p4 with reveals +1 at p0, -1 at p4; from p2 at t=2
     g = _graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4)], [1, 1, 1, -1, -1, -1])
     rev = _reveal([1, 0, 0, 0, -1, 0])
-    cm = census_margin(g, rev, 2, 2)
-    assert (cm.margin, cm.support) == (0, 2)
-    cm1 = census_margin(g, rev, 2, 1)
-    assert (cm1.margin, cm1.support) == (0, 0)
+    margins, support = margins_at_depth(g, rev.values, 2)
+    assert (margins[2], support[2]) == (0, 2)
+    margins, support = margins_at_depth(g, rev.values, 1)
+    assert (margins[2], support[2]) == (0, 0)
 
 
-def test_margin_requires_unrevealed_vertex():
-    g = _graph_from_edges(4, [(0, 1)], [1, 1, -1, -1])
-    rev = _reveal([1, 0, -1, 0])
-    with pytest.raises(ValueError):
-        census_margin(g, rev, 0, 1)
-    with pytest.raises(ValueError):
-        census_margin(g, rev, 1, 0)
+def _margins_by_distance(g, votes, t):
+    """Reference tallies from all-pairs unweighted shortest paths."""
+    adj = csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(g.n, g.n))
+    shell = shortest_path(adj, unweighted=True, directed=False) == t
+    return shell @ votes.astype(np.int64), shell @ (votes != 0).astype(np.int64)
 
 
 def test_margins_at_depth_uses_exact_distance():
@@ -69,6 +66,17 @@ def test_margins_at_depth_uses_exact_distance():
     assert m2[3] == 0 and s2[3] == 2
     m1, s1 = margins_at_depth(g, votes, 1)
     assert m1[3] == 0 and s1[3] == 0
+    with pytest.raises(ValueError):
+        margins_at_depth(g, votes, 0)
+    # sampled sparse graphs (d = 2, so many isolated vertices) against
+    # breadth-first distances, at every depth the census sweeps use
+    for seed in range(3):
+        g, rev = sample_instance(ModelParams(n=120, a=3, b=1, rho=0.5, seed=seed))
+        assert np.any(np.diff(g.indptr) == 0)
+        for t in (1, 2, 3):
+            got = margins_at_depth(g, rev.values, t)
+            ref = _margins_by_distance(g, rev.values, t)
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
 
 def test_estimate_trivial_overlaps():

@@ -39,6 +39,11 @@ def test_config_validation(tmp_path):
         bad.cells()
     grid = _cfg(tmp_path, kind="phase-grid", a=(3.0, 6.0), b=(4.0,))
     assert grid.cells() == [(60, 6.0, 4.0, 0.3), (60, 6.0, 4.0, 0.6)]
+    # an unknown solver setting is a config error, not a crash
+    raw = json.loads(_cfg(tmp_path).to_json())
+    raw["solver"]["max_sweep"] = 10
+    with pytest.raises(ValueError):
+        ExperimentConfig.from_json(json.dumps(raw))
 
 
 def test_census_sweep_records_and_summary(tmp_path):
@@ -123,7 +128,8 @@ def test_detection_sweep_shape(tmp_path):
     det = cell["detection"]
     assert "csdp" in det and "sdp" in det
     assert det["threshold"] == 60 * ((6 - 2) / 2 - (6 - 2) / 40)
-    assert "rho0" in det
+    # rho0 = 1 - 4 / (30 * 5) is far above rho = 0.25: decisions unproven
+    assert det["rho0"] == 1 - 4 / 150 and det["test_proven"] is False
     assert (tmp_path / "out" / "figure.svg").exists()
     for rec in result.records:
         if rec.algorithm == "csdp" and rec.truth_model == "sbm":

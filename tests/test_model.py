@@ -138,8 +138,6 @@ def test_operator_dense_matches_matvec_against_basis():
     # quadratic form agrees with dense
     S = rng.standard_normal((n, 5))
     assert abs(op.quadratic_form(S) - np.einsum("ij,ik,jk->", ref, S, S)) < 1e-8
-    # matmat consistent with matvec
-    assert np.allclose(op.matmat(S), ref @ S, atol=1e-10)
 
 
 def test_operator_coalesces_duplicates_and_restricts():
@@ -203,6 +201,16 @@ def test_read_instance_rejects_garbage(tmp_path):
     lying.write_text("4 1\n0 1\nL 1 1 -1 -1\nR -1 0 0 1\n")
     with pytest.raises(ValueError):
         read_instance(lying)
+    # a repeated edge line would make a multigraph (operator weight 2)
+    repeated = tmp_path / "repeated.txt"
+    repeated.write_text("4 2\n0 1\n0 1\nL 1 1 -1 -1\nR 0 0 0 0\n")
+    with pytest.raises(ValueError):
+        read_instance(repeated)
+    # nothing may follow the R line
+    trailing = tmp_path / "trailing.txt"
+    trailing.write_text("4 1\n0 1\nL 1 1 -1 -1\nR 0 0 0 0\n2 3\n")
+    with pytest.raises(ValueError):
+        read_instance(trailing)
 
 
 def test_from_dense_requires_symmetry():
