@@ -14,7 +14,8 @@ from .census import census_estimate, overlap
 from .csdp import detection_test, estimate_unrevealed, solve_csdp
 from .harness import ExperimentConfig, oracle_suite, run_sweep
 from .model import ModelParams, centered_adjacency, sample_instance, write_instance
-from .sdp import NumericError, SolverConfig, round_leading_eigvec, solve_elliptope
+from .sdp import (STALL_WINDOW, NumericError, SolverConfig, round_leading_eigvec,
+                  solve_elliptope)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,8 +43,10 @@ def _add_solver_args(p):
     p.add_argument("--rank", type=int, default=defaults.rank,
                    help="factor width (default: sqrt rule)")
     p.add_argument("--tol", type=float, default=defaults.tol,
-                   help="relative per-sweep stopping change")
-    p.add_argument("--max-sweeps", type=int, default=defaults.max_sweeps)
+                   help=f"stop when the objective moves by at most this (relative) "
+                        f"over {STALL_WINDOW} sweeps; a sweep is one batch step")
+    p.add_argument("--max-sweeps", type=int, default=defaults.max_sweeps,
+                   help="batch steps per restart at most")
     p.add_argument("--restarts", type=int, default=defaults.restarts)
 
 

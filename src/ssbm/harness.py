@@ -165,15 +165,18 @@ class ExperimentConfig:
         raw = json.loads(text)
         params = raw.get("params", {})
         solver = raw.get("solver", {})
+        if not (isinstance(params, dict) and isinstance(solver, dict)):
+            raise ValueError("'params' and 'solver' must be JSON objects")
+        grid = {key: params.get(key, []) for key in ("n", "a", "b", "rho")}
+        bad = sorted(key for key, values in grid.items() if not isinstance(values, list))
+        if bad:
+            raise ValueError(f"params must be lists: {', '.join(bad)}")
         unknown = set(solver) - {f.name for f in dataclasses.fields(SolverConfig)}
         if unknown:
             raise ValueError(f"unknown solver settings: {', '.join(sorted(unknown))}")
         return cls(
             kind=raw["kind"],
-            n=tuple(params.get("n", ())),
-            a=tuple(params.get("a", ())),
-            b=tuple(params.get("b", ())),
-            rho=tuple(params.get("rho", ())),
+            **{key: tuple(values) for key, values in grid.items()},
             reps=raw.get("reps", 1),
             solver=SolverConfig(**solver),
             out_dir=raw["out_dir"],

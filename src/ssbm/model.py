@@ -85,11 +85,13 @@ class Labels:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.int8)
+        raw = np.asarray(self.values)
+        v = np.ascontiguousarray(raw, dtype=np.int8)
+        # compared with the input, so a value that int8 wraps or truncates fails
+        if v.ndim != 1 or v.size == 0 or not np.array_equal(v, raw) or not np.all(np.abs(v) == 1):
+            raise ValueError("labels must be a nonempty vector with entries +-1")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        if v.ndim != 1 or v.size == 0 or not np.all(np.abs(v) == 1):
-            raise ValueError("labels must be a nonempty vector with entries +-1")
         if int(v.sum(dtype=np.int64)) != 0:
             raise ValueError("labels must be balanced (equal community sizes)")
 
@@ -172,7 +174,10 @@ class RevealedLabels:
     revealed_set: np.ndarray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.int8)
+        raw = np.asarray(self.values)
+        v = np.ascontiguousarray(raw, dtype=np.int8)
+        if not np.array_equal(v, raw) or np.any((v < -1) | (v > 1)):
+            raise ValueError("reveal values must lie in {+1, 0, -1}")
         r = np.ascontiguousarray(self.revealed_set, dtype=np.int64)
         v.setflags(write=False)
         r.setflags(write=False)
@@ -509,8 +514,6 @@ def read_instance(path) -> tuple[Graph, RevealedLabels]:
     rv = np.array(reveal_line[1:], dtype=np.int64)
     if lv.size != n or rv.size != n:
         raise ValueError("label/reveal line length does not match n")
-    if np.any(np.abs(lv) > 1) or np.any(np.abs(rv) > 1):
-        raise ValueError("labels and reveals must lie in {+1, 0, -1}")
     g = Graph.from_edges(n, ei, ej, Labels(lv))
     g.validate()
     rev = RevealedLabels(rv, np.flatnonzero(rv))

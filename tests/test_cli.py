@@ -94,6 +94,14 @@ def test_sweep_missing_flags_is_usage_error():
     assert main(["sweep", "--kind", "census-sweep"]) == 1
 
 
+def test_sweep_malformed_config_is_usage_error(tmp_path):
+    cfg = {"kind": "census-sweep", "params": {"n": 60, "a": [6.0], "b": [2.0], "rho": [0.5]},
+           "out_dir": str(tmp_path / "out")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(path)]) == 1
+
+
 def test_sdp_command_erm_model(capsys):
     code = main(["sdp", "--n", "60", "--a", "8", "--b", "2", "--seed", "1",
                  "--restarts", "1", "--model", "erm"])

@@ -44,6 +44,10 @@ def test_config_validation(tmp_path):
     raw["solver"]["max_sweep"] = 10
     with pytest.raises(ValueError):
         ExperimentConfig.from_json(json.dumps(raw))
+    # so are a scalar where a parameter list belongs and a non-object solver
+    for key, value in (("params", {**raw["params"], "n": 3000}), ("solver", None)):
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_json(json.dumps({**raw, "solver": {}, key: value}))
 
 
 def test_census_sweep_records_and_summary(tmp_path):

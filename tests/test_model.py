@@ -44,6 +44,11 @@ def test_labels_and_reveals_validate():
         RevealedLabels(np.array([1, 1, 0, 0], dtype=np.int8), np.array([0, 1]))  # unbalanced
     with pytest.raises(ValueError):
         RevealedLabels(np.array([1, -1, 0, 0], dtype=np.int8), np.array([0, 2]))  # wrong set
+    # out-of-range values are refused, not wrapped through int8
+    with pytest.raises(ValueError):
+        Labels(np.array([257, 1, -1, -1]))  # 257 would wrap to 1
+    with pytest.raises(ValueError):
+        RevealedLabels(np.array([255, 0, 1, 0]), np.array([0, 2]))  # 255 would wrap to -1
 
 
 def test_trivial_instances():
