@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse
 
 from .model import Graph, Labels, RevealedLabels, snr
-from .rng import coin
+from .rng import coins
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,10 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int) -> tuple[np.ndarray, n
 def census_estimate(g: Graph, rev: RevealedLabels, t: int = 1, seed: int = 0) -> EstimateReport:
     """Estimate every unrevealed label by its depth-t census.
 
-    Ties (zero margin) are resolved by a fair coin from a stream keyed by the
-    vertex index, so no vertex's coin perturbs another's.  Revealed labels are
-    copied through; overlap is computed on the unrevealed vertices only.
+    Ties (zero margin) get the fair coin ``coin(seed, "census-tie", v)`` keyed
+    by the vertex index, so no vertex's coin perturbs another's; :func:`coins`
+    draws them all in one array operation.  Revealed labels are copied through;
+    overlap is computed on the unrevealed vertices only.
     """
     if t < 1:
         raise ValueError("depth t must be >= 1")
@@ -91,8 +92,7 @@ def census_estimate(g: Graph, rev: RevealedLabels, t: int = 1, seed: int = 0) ->
     estimates = rev.values.copy()
     signs = np.sign(margins[unrev]).astype(np.int8)
     ties = unrev[signs == 0]
-    for v in ties.tolist():
-        estimates[v] = coin(seed, "census-tie", v)
+    estimates[ties] = coins(seed, "census-tie", ties)
     nonzero = unrev[signs != 0]
     estimates[nonzero] = signs[signs != 0]
     return EstimateReport(estimates=estimates, ties_broken=int(ties.size),

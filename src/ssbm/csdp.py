@@ -18,7 +18,7 @@ import numpy as np
 
 from .census import EstimateReport, overlap
 from .model import Graph, Labels, MatrixOperator, RevealedLabels, centered_adjacency
-from .rng import coin
+from .rng import coins
 from .sdp import SdpSolution, SolverConfig, round_leading_eigvec, solve_elliptope
 
 
@@ -170,10 +170,11 @@ def estimate_unrevealed(
     """Labels from the factor: x_hat_j = sign(sigma_0 . sigma_j).
 
     sigma_0 is the direction shared by every revealed +1 vertex, so the signs
-    are anchored and no global-flip alignment is needed.  Zero dot products
-    fall to the same per-vertex fair coin as the census.  With an empty
-    reveal the unsupervised rounding is used instead, whose overall sign is
-    arbitrary (overlap takes the absolute value either way).
+    are anchored and no global-flip alignment is needed.  A zero dot product
+    falls to the fair coin ``coin(seed, "csdp-tie", v)`` of the original vertex
+    v, all drawn at once as in the census.  With an empty reveal the
+    unsupervised rounding is used instead, whose overall sign is arbitrary
+    (overlap takes the absolute value either way).
     """
     if sol.sigma0 is None or sol.aggregated is None:
         estimates = round_leading_eigvec(sol.inner)
@@ -182,10 +183,10 @@ def estimate_unrevealed(
         estimates = rev.values.copy()
         dots = sol.inner.factor[1:] @ sol.sigma0
         signs = np.sign(dots)
-        ties = int(np.count_nonzero(signs == 0))
+        tied = signs == 0
+        ties = int(np.count_nonzero(tied))
         verts = sol.aggregated.index_map
-        for j in np.flatnonzero(signs == 0).tolist():
-            signs[j] = coin(seed, "csdp-tie", int(verts[j]))
+        signs[tied] = coins(seed, "csdp-tie", verts[tied])
         estimates[verts] = signs.astype(np.int8)
     return EstimateReport(estimates=estimates, ties_broken=ties,
                           overlap=overlap(estimates, labels, rev))

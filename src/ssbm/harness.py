@@ -163,6 +163,11 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError("a config must be a JSON object")
+        missing = sorted({"kind", "out_dir"} - set(raw))
+        if missing:
+            raise ValueError(f"config lacks required keys: {', '.join(missing)}")
         params = raw.get("params", {})
         solver = raw.get("solver", {})
         if not (isinstance(params, dict) and isinstance(solver, dict)):

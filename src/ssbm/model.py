@@ -360,12 +360,15 @@ def _symmetric_csr(n: int, ei, ej, w) -> scipy.sparse.csr_matrix:
     """n x n CSR matrix holding w[k] at (ei[k], ej[k]) and at (ej[k], ei[k]).
 
     Columns are sorted within each row (the summation order of every product
-    against it); repeated pairs stay separate entries.
+    against it); repeated pairs stay separate entries.  One unstable sort of the
+    keys row * n + column orders them, which equals the stable order only where
+    equal keys carry equal entries; every caller meets that, as graph entries
+    are all True and the operator's pairs are coalesced.
     """
     heads = np.concatenate([ei, ej])
     tails = np.concatenate([ej, ei])
-    order = np.lexsort((tails, heads))
-    indptr = np.searchsorted(heads[order], np.arange(n + 1))
+    order = np.argsort(heads * n + tails)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=n))])
     data = np.concatenate([w, w])[order]
     return scipy.sparse.csr_matrix((data, tails[order], indptr), shape=(n, n))
 
@@ -385,7 +388,8 @@ def _bernoulli_hits(rng: np.random.Generator, count: int, p: float) -> np.ndarra
     chunks = []
     pos = -1
     while True:
-        steps = pos + np.cumsum(rng.geometric(p, size=batch))
+        # a gap past the end ends the scan; clipped, saturated gaps (tiny p) cannot wrap int64
+        steps = pos + np.cumsum(np.minimum(rng.geometric(p, size=batch), count + 1))
         if steps[-1] >= count:
             chunks.append(steps[steps < count])
             break

@@ -5,6 +5,8 @@ Every random decision in the library draws from a stream identified by
 64-bit key with the SplitMix64 finalizer, and the key seeds an independent
 PCG64 generator.  Distinct tuples give statistically independent streams, so
 replications may run in any order, or concurrently, without sharing state.
+A fair coin is one bit of the key itself; :func:`coins` draws the coins of
+many last indices at once, folding them in numpy uint64 arithmetic.
 """
 
 import numpy as np
@@ -13,9 +15,10 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix64(z: int) -> int:
-    """SplitMix64 output function."""
-    z &= _MASK64
+def _mix64(z):
+    """SplitMix64 output function, on an int or elementwise on a uint64 array
+    (whose arithmetic wraps modulo 2**64, as the masks do for ints)."""
+    z = z & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
@@ -53,3 +56,14 @@ def stream(seed: int, *keys) -> np.random.Generator:
 def coin(seed: int, *keys) -> int:
     """A single fair +-1 coin drawn from the stream ``(seed, *keys)``."""
     return 1 if (derive_key(seed, *keys) >> 32) & 1 else -1
+
+
+def coins(seed: int, purpose: str, indices) -> np.ndarray:
+    """``coin(seed, purpose, i)`` for every i in the integer 1-d ``indices``, as int8.
+
+    The prefix ``(seed, purpose)`` is folded once; the last fold step runs
+    on all indices together, so the result equals the scalar calls bit for bit.
+    """
+    state = np.uint64((derive_key(seed, purpose) + _GOLDEN) & _MASK64)
+    keys = _mix64(np.asarray(indices).astype(np.uint64) ^ state)
+    return np.where((keys >> 32) & 1, 1, -1).astype(np.int8)

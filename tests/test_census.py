@@ -11,6 +11,7 @@ from ssbm import (Graph, Labels, ModelParams, RevealedLabels, binomial_gap_oracl
                   overlap_lower_curve, predict_accuracy_erf, sample_instance)
 from ssbm.census import (binomial_difference_stats, binomial_pmf, margins_at_depth,
                          vote_accuracy_exact)
+from ssbm.rng import coin
 
 
 def _graph_from_edges(n, edges, labels):
@@ -116,6 +117,25 @@ def test_tie_coins_are_per_vertex_and_deterministic():
     assert r1.ties_broken == 4
     r3 = census_estimate(g, rev, t=1, seed=10)
     assert r3.ties_broken == 4
+
+
+def test_census_ties_match_scalar_coin_loop():
+    # reference: the per-vertex loop, one scalar coin per tied vertex
+    for t in (1, 2):
+        for rho in (0.1, 0.5):
+            g, rev = sample_instance(ModelParams(n=3000, a=5, b=2, rho=rho, seed=31))
+            margins, _ = margins_at_depth(g, rev.values, t)
+            expected, ties = rev.values.copy(), 0
+            for v in rev.unrevealed().tolist():
+                if margins[v] == 0:
+                    expected[v] = coin(17, "census-tie", v)
+                    ties += 1
+                else:
+                    expected[v] = np.sign(margins[v])
+            report = census_estimate(g, rev, t=t, seed=17)
+            assert ties > 0
+            assert report.ties_broken == ties
+            assert np.array_equal(report.estimates, expected)
 
 
 def test_delta_gap_values():

@@ -100,6 +100,11 @@ def test_sweep_malformed_config_is_usage_error(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["sweep", "--config", str(path)]) == 1
+    # a config without its "kind", or a top-level list, is a usage error too
+    cfg["params"]["n"] = [60]
+    for bad in ({k: v for k, v in cfg.items() if k != "kind"}, [cfg]):
+        path.write_text(json.dumps(bad))
+        assert main(["sweep", "--config", str(path)]) == 1
 
 
 def test_sdp_command_erm_model(capsys):

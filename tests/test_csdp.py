@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ssbm import (AggregatedOperator, CsdpSolution, Labels, MatrixOperator,
                   ModelParams, RevealedLabels, SdpSolution, SolverConfig,
@@ -9,6 +11,7 @@ from ssbm import (AggregatedOperator, CsdpSolution, Labels, MatrixOperator,
                   estimate_unrevealed, sample_instance, sandwich_check,
                   solve_csdp, solve_elliptope)
 from ssbm.harness import aggregate_dense_reference
+from ssbm.rng import coin
 
 
 def _reveal(values):
@@ -84,6 +87,34 @@ def test_aggregate_matches_dense_reference_with_rank_one():
     # rank-one representation is supported off index 0
     u, c = agg.op.rank1
     assert u[0] == 0.0 and np.allclose(u[1:], 1.0) and c == -p.d / p.n
+
+
+@given(st.data())
+def test_aggregate_matches_dense_reference_on_random_matrices(data):
+    half = data.draw(st.integers(1, 5))
+    n = 2 * half
+    entries = st.one_of(st.just(0.0), st.floats(-10, 10, allow_nan=False))
+    upper = np.array(data.draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    base = MatrixOperator.from_dense(upper + upper.T)
+    rank1 = None
+    if data.draw(st.booleans()):
+        u = np.array(data.draw(st.lists(st.floats(-2, 2, allow_nan=False),
+                                        min_size=n, max_size=n)))
+        rank1 = (u, data.draw(st.floats(-1, 1, allow_nan=False)))
+    M = MatrixOperator(n, base.rows, base.cols, base.weights, rank1=rank1)
+    labels = np.array(data.draw(st.permutations([1] * half + [-1] * half)), dtype=np.int8)
+    k = data.draw(st.integers(0, half))  # revealed per community
+    rv = np.zeros(n, dtype=np.int8)
+    for side in (1, -1):
+        members = np.flatnonzero(labels == side)
+        picked = data.draw(st.permutations(members.tolist()))[:k]
+        rv[picked] = side
+    rev = _reveal(rv)
+    agg = aggregate(M, rev)
+    ref = aggregate_dense_reference(M.to_dense(), rev.values)
+    assert agg.op.dim == n - 2 * k + 1
+    assert np.allclose(agg.op.to_dense(), ref, rtol=0, atol=1e-9)
+    assert abs(agg.margin00 - ref[0, 0]) <= 1e-9
 
 
 def test_embedding_identity_on_random_feasible_points():
@@ -171,6 +202,9 @@ def test_estimate_orthogonal_factor_resolves_by_coin():
     sol = CsdpSolution(value=0.0, inner=inner, sigma0=sigma0, aggregated=agg)
     report = estimate_unrevealed(sol, rev, labels, seed=3)
     assert report.ties_broken == n - 2
+    # each tied vertex gets the coin keyed by its original index
+    unrev = rev.unrevealed()
+    assert report.estimates[unrev].tolist() == [coin(3, "csdp-tie", v) for v in unrev.tolist()]
     assert report.overlap <= 6.0 / math.sqrt(n - 2)  # O(1/sqrt) fluctuation
 
 

@@ -48,6 +48,11 @@ def test_config_validation(tmp_path):
     for key, value in (("params", {**raw["params"], "n": 3000}), ("solver", None)):
         with pytest.raises(ValueError):
             ExperimentConfig.from_json(json.dumps({**raw, "solver": {}, key: value}))
+    # and a config without its required keys, or one that is not an object
+    good = json.loads(_cfg(tmp_path).to_json())
+    for bad in ({k: v for k, v in good.items() if k not in ("kind", "out_dir")}, [good]):
+        with pytest.raises(ValueError, match="kind, out_dir|JSON object"):
+            ExperimentConfig.from_json(json.dumps(bad))
 
 
 def test_census_sweep_records_and_summary(tmp_path):

@@ -1,12 +1,17 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ssbm import (Graph, Labels, MatrixOperator, ModelParams, RevealedLabels,
                   centered_adjacency, read_instance, sample_instance, snr,
                   write_instance)
-from ssbm.model import _bernoulli_hits, _pair_decode
+from ssbm.model import _bernoulli_hits, _pair_decode, _symmetric_csr
 from ssbm.rng import stream
 
 
@@ -117,6 +122,8 @@ def test_bernoulli_hits_matches_dense_sampling_stats():
     hits = _bernoulli_hits(stream(1, "hits"), 50, 1.0)
     assert np.array_equal(hits, np.arange(50))
     assert _bernoulli_hits(stream(1, "hits"), 50, 0.0).size == 0
+    # gaps at a tiny p saturate at the int64 maximum; their sum must not wrap
+    assert _bernoulli_hits(stream(1, "hits"), 50, 1e-300).size == 0
 
 
 def test_pair_decode_exhaustive():
@@ -194,6 +201,61 @@ def test_serialization_round_trip(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == f"{g.n} {g.num_edges}"
     assert text[-2].startswith("L ") and text[-1].startswith("R ")
+
+
+@given(st.integers(1, 40), st.floats(0, 1), st.floats(0, 1), st.floats(0, 1),
+       st.integers(0, 2**64 - 1))
+def test_serialization_round_trip_on_drawn_instances(half, a_frac, b_frac, rho, seed):
+    n = 2 * half
+    a = a_frac * min(n, 12)
+    p = ModelParams(n=n, a=a, b=b_frac * a, rho=rho, seed=seed)
+    g, rev = sample_instance(p)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.txt"
+        write_instance(path, g, rev)
+        g2, rev2 = read_instance(path)
+    assert g2.n == g.n
+    assert np.array_equal(g2.indptr, g.indptr)
+    assert np.array_equal(g2.indices, g.indices)
+    assert np.array_equal(g2.labels.values, g.labels.values)
+    assert np.array_equal(rev2.values, rev.values)
+    assert np.array_equal(rev2.revealed_set, rev.revealed_set)
+
+
+def _lexsort_csr(n, ei, ej, w):
+    """The stable two-key builder that the one-argsort ``_symmetric_csr`` replaced."""
+    heads = np.concatenate([ei, ej])
+    tails = np.concatenate([ej, ei])
+    order = np.lexsort((tails, heads))
+    indptr = np.searchsorted(heads[order], np.arange(n + 1))
+    data = np.concatenate([w, w])[order]
+    return scipy.sparse.csr_matrix((data, tails[order], indptr), shape=(n, n))
+
+
+def test_symmetric_csr_matches_lexsort_builder():
+    rng = np.random.default_rng(8)
+    cases = []
+    for n in (2, 9, 300):
+        # shuffled distinct pairs with float weights, as the operator passes them
+        pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)])
+        pick = rng.permutation(pairs.shape[0])[: max(1, pairs.shape[0] // 5)]
+        cases.append((n, pairs[pick, 0], pairs[pick, 1], rng.standard_normal(pick.size)))
+        # repeated boolean pairs, in either orientation, as a multigraph edge list
+        ei = rng.integers(0, n, size=3 * n)
+        ej = (ei + rng.integers(1, n, size=ei.size)) % n
+        cases.append((n, ei, ej, np.ones(ei.size, dtype=bool)))
+    empty = np.empty(0, dtype=np.int64)
+    cases += [(5, empty, empty, np.empty(0)), (1, empty, empty, np.empty(0, dtype=bool)),
+              (1, np.array([0]), np.array([0]), np.ones(1, dtype=bool))]
+    op = MatrixOperator(50, rng.integers(0, 50, 400), rng.integers(0, 50, 400),
+                        rng.standard_normal(400))
+    off = op.rows != op.cols
+    cases.append((50, op.rows[off], op.cols[off], op.weights[off]))
+    for n, ei, ej, w in cases:
+        got, ref = _symmetric_csr(n, ei, ej, w), _lexsort_csr(n, ei, ej, w)
+        for name in ("indptr", "indices", "data"):
+            x, y = getattr(got, name), getattr(ref, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), (n, name)
 
 
 def test_read_instance_rejects_garbage(tmp_path):
