@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: generate, census, sdp, csdp, test, sweep, oracles.  Exit codes:
-0 success, 1 usage error, 2 numeric/solver failure, 3 oracle-suite failure.
+0 success, 1 usage error, 2 numeric/solver failure (and a sweep with failed
+replications), 3 oracle-suite failure.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 
 from .census import census_estimate, overlap
 from .csdp import detection_test, estimate_unrevealed, solve_csdp
-from .harness import ExperimentConfig, oracle_suite, run_sweep
+from .harness import SWEEP_KINDS, ExperimentConfig, oracle_suite, run_sweep
 from .model import ModelParams, centered_adjacency, sample_instance, write_instance
 from .sdp import (STALL_WINDOW, NumericError, SolverConfig, round_leading_eigvec,
                   solve_elliptope)
@@ -97,8 +98,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="run a Monte Carlo sweep")
     p.add_argument("--config", default=None, help="JSON config file (overrides flags)")
-    p.add_argument("--kind", choices=("census-sweep", "phase-grid", "detection-boxes",
-                                      "sandwich-audit", "oracle-suite"), default=None)
+    p.add_argument("--kind", choices=SWEEP_KINDS, default=None)
     p.add_argument("--n", type=int, nargs="+", default=None)
     p.add_argument("--a", type=float, nargs="+", default=None)
     p.add_argument("--b", type=float, nargs="+", default=None)
@@ -167,23 +167,23 @@ def _cmd_sweep(args) -> int:
         with open(args.config) as fh:
             cfg = ExperimentConfig.from_json(fh.read())
     else:
-        missing = [f for f in ("kind", "out") if getattr(args, f) is None]
-        if args.kind != "oracle-suite":
-            missing += [f for f in ("n", "a", "b", "rho") if getattr(args, f) is None]
+        missing = [f for f in ("kind", "out", "n", "a", "b", "rho") if getattr(args, f) is None]
         if missing:
             raise ValueError(f"sweep needs --config or flags: missing {', '.join('--' + f for f in missing)}")
         cfg = ExperimentConfig(
             kind=args.kind,
-            n=tuple(args.n or ()), a=tuple(args.a or ()),
-            b=tuple(args.b or ()), rho=tuple(args.rho or ()),
+            n=tuple(args.n), a=tuple(args.a), b=tuple(args.b), rho=tuple(args.rho),
             reps=args.reps, solver=_solver_from(args), out_dir=args.out,
             seed=args.seed, t=args.t, workers=args.workers,
         )
     result = run_sweep(cfg)
     print(f"wrote {len(result.records)} records to {result.csv_path}")
     print(f"summary: {result.summary_path}")
-    if cfg.kind == "oracle-suite" and not result.summary.get("passed", False):
-        return 3
+    errors = result.summary.get("errors", [])
+    if errors:
+        print(f"ssbm: {len(errors)} replication(s) failed; first: {errors[0]['error']}",
+              file=sys.stderr)
+        return 2
     return 0
 
 

@@ -3,9 +3,11 @@
 Pinning X_ij = x_i x_j on revealed pairs collapses all revealed rows/columns,
 signed by their labels, into one margin row: the constrained program on an
 n x n matrix equals the plain elliptope SDP of the (n-m+1) x (n-m+1)
-aggregated matrix.  This module builds that matrix (keeping the
-sparse + rank-one structure), solves it, reads label estimates off the
-factor, and implements the detection test and the sandwich diagnostics.
+aggregated matrix P^T M P, for the signed assignment P that folds the
+revealed vertices into index 0.  This module builds that matrix through
+``MatrixOperator.congruence`` (which keeps the sparse + rank-one
+structure), solves it, reads label estimates off the factor, and implements
+the detection test and the sandwich diagnostics.
 """
 
 from __future__ import annotations
@@ -70,76 +72,24 @@ class TestOutcome:
 def aggregate(M: MatrixOperator, rev: RevealedLabels) -> AggregatedOperator:
     """Collapse revealed rows/columns of M, signed by revealed labels.
 
-    Requires a balanced reveal (sum of revealed labels zero); that is what
-    cancels the all-ones rank-one part out of the margin row for centered
-    adjacency input.  The reduction is exact entrywise: the sparse block maps
-    to sparse entries, and a rank-one part c u u^T maps to c v v^T with
-    v = (sum_{i in R} x_i u_i, u restricted to unrevealed vertices).
+    This is the congruence P^T M P (:meth:`MatrixOperator.congruence`) for the
+    assignment P that sends every revealed vertex i to index 0 with sign x_i
+    and the unrevealed vertices, in sorted order, to indices 1..n-m.  So the
+    reduction is exact entrywise, and a rank-one part c u u^T maps to
+    c v v^T with v = (sum_{i in R} x_i u_i, u restricted to unrevealed
+    vertices).  Requires a balanced reveal (sum of revealed labels zero); that
+    is what cancels the all-ones rank-one part out of the margin row for
+    centered adjacency input.
     """
     if M.dim != rev.n:
         raise ValueError("operator and reveal dimensions differ")
-    x = rev.values.astype(np.float64)
     if int(rev.values.sum(dtype=np.int64)) != 0:
         raise ValueError("aggregation requires a balanced reveal")
     unrev = rev.unrevealed()
-    m = rev.m
-    dim = M.dim - m + 1
-
-    # column position of each original vertex in the aggregated matrix:
-    # 0 for revealed (they all fold into the margin row), 1..n-m otherwise
     col = np.zeros(M.dim, dtype=np.int64)
     col[unrev] = 1 + np.arange(unrev.size)
-
-    r, c_, w = M.rows, M.cols, M.weights
-    rev_r = col[r] == 0
-    rev_c = col[c_] == 0
-
-    both = rev_r & rev_c
-    diag = r == c_
-    # ordered pairs over R count off-diagonal stored entries twice
-    margin_sparse = float(
-        np.sum(w[both] * x[r[both]] * x[c_[both]] * np.where(diag[both], 1.0, 2.0))
-    )
-
-    one = rev_r ^ rev_c
-    rev_end = np.where(rev_r[one], r[one], c_[one])
-    other_end = np.where(rev_r[one], c_[one], r[one])
-    agg_rows = [np.zeros(one.sum(), dtype=np.int64)]
-    agg_cols = [col[other_end]]
-    agg_w = [w[one] * x[rev_end]]
-
-    inner = ~rev_r & ~rev_c
-    agg_rows.append(col[r[inner]])
-    agg_cols.append(col[c_[inner]])
-    agg_w.append(w[inner])
-
-    v = None
-    coeff = 0.0
-    margin_rank1 = 0.0
-    if M.rank1 is not None:
-        u, coeff = M.rank1
-        v = np.empty(dim)
-        v[0] = float(x @ u)
-        v[1:] = u[unrev]
-        margin_rank1 = coeff * v[0] ** 2
-
-    margin00 = float(margin_sparse + margin_rank1 + M.diag_shift * m)
-
-    # the representation puts c v_0^2 + diag_shift at (0,0); top up with an
-    # explicit sparse entry so the dense (0,0) equals margin00 exactly
-    agg_rows.append(np.zeros(1, dtype=np.int64))
-    agg_cols.append(np.zeros(1, dtype=np.int64))
-    agg_w.append(np.array([margin_sparse + M.diag_shift * (m - 1)]))
-
-    op = MatrixOperator(
-        dim,
-        np.concatenate(agg_rows),
-        np.concatenate(agg_cols),
-        np.concatenate(agg_w),
-        rank1=None if v is None else (v, coeff),
-        diag_shift=M.diag_shift,
-    )
-    return AggregatedOperator(op=op, margin00=margin00, index_map=unrev)
+    op = M.congruence(col, np.where(rev.values == 0, 1, rev.values), unrev.size + 1)
+    return AggregatedOperator(op=op, margin00=float(op.diagonal()[0]), index_map=unrev)
 
 
 def solve_csdp(
@@ -234,13 +184,6 @@ class SandwichReport:
     holds: bool
     margin_nonneg: bool
     submatrix_ok: bool
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "lower": self.lower, "mid": self.mid, "upper": self.upper,
-            "margin00": self.margin00, "tau": self.tau, "holds": self.holds,
-            "margin_nonneg": self.margin_nonneg, "submatrix_ok": self.submatrix_ok,
-        })
 
 
 def sandwich_check(

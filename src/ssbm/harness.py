@@ -31,7 +31,7 @@ from .rng import derive_key, stream
 from .sdp import (SolverConfig, cut_norm_exact, grothendieck_check,
                   round_leading_eigvec, solve_elliptope)
 
-SWEEP_KINDS = ("census-sweep", "phase-grid", "detection-boxes", "sandwich-audit", "oracle-suite")
+SWEEP_KINDS = ("census-sweep", "phase-grid", "detection-boxes", "sandwich-audit")
 
 RESULT_FIELDS = (
     "seed", "rep", "n", "a", "b", "rho", "snr", "algorithm",
@@ -140,7 +140,7 @@ class ExperimentConfig:
         object.__setattr__(self, "a", tuple(float(v) for v in self.a))
         object.__setattr__(self, "b", tuple(float(v) for v in self.b))
         object.__setattr__(self, "rho", tuple(float(v) for v in self.rho))
-        if self.kind != "oracle-suite" and not (self.n and self.a and self.b and self.rho):
+        if not (self.n and self.a and self.b and self.rho):
             raise ValueError("parameter grid must be non-empty")
 
     def cells(self) -> list[tuple[int, float, float, float]]:
@@ -156,7 +156,7 @@ class ExperimentConfig:
                     continue
                 raise
             out.append((n, a, b, rho))
-        if not out and self.kind != "oracle-suite":
+        if not out:
             raise ValueError("parameter grid contains no valid cell")
         return out
 
@@ -321,13 +321,6 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "records.csv")
     summary_path = os.path.join(cfg.out_dir, "summary.json")
-
-    if cfg.kind == "oracle-suite":
-        report = oracle_suite(seed=cfg.seed)
-        with open(summary_path, "w") as fh:
-            fh.write(report.to_json())
-        write_csv(csv_path, [])
-        return SweepResult([], json.loads(report.to_json()), csv_path, summary_path)
 
     cells = cfg.cells()
     tasks = [(ci, cell, rep) for ci, cell in enumerate(cells) for rep in range(cfg.reps)]

@@ -129,9 +129,12 @@ class Graph:
     def from_edges(cls, n: int, ei, ej, labels: Labels) -> "Graph":
         """Graph on n vertices with the undirected edges (ei[k], ej[k]).
 
-        A repeated edge stays repeated; :meth:`validate` rejects it.
+        An endpoint outside [0, n) raises ValueError; a repeated edge stays
+        repeated, and :meth:`validate` rejects it.
         """
         ei, ej = np.asarray(ei, dtype=np.int64), np.asarray(ej, dtype=np.int64)
+        if ei.size and (min(ei.min(), ej.min()) < 0 or max(ei.max(), ej.max()) >= n):
+            raise ValueError(f"edge endpoint out of range [0, {n})")
         adj = _symmetric_csr(n, ei, ej, np.ones(ei.size, dtype=bool))
         return cls(n, adj.indptr, adj.indices, labels)
 
@@ -308,23 +311,6 @@ class MatrixOperator:
             y += self.diag_shift * v
         return y
 
-    def quadratic_form(self, S: np.ndarray) -> float:
-        """<M, S S^T> for an (dim, k) factor S."""
-        S = np.asarray(S, dtype=np.float64)
-        off = self.rows != self.cols
-        total = 2.0 * float(
-            self.weights[off] @ np.einsum("ij,ij->i", S[self.rows[off]], S[self.cols[off]])
-        )
-        row_sq = np.einsum("ij,ij->i", S, S)
-        total += float(self.sparse_diag @ row_sq)
-        if self.rank1 is not None:
-            u, c = self.rank1
-            z = u @ S
-            total += c * float(z @ z)
-        if self.diag_shift:
-            total += self.diag_shift * float(row_sq.sum())
-        return total
-
     def to_dense(self) -> np.ndarray:
         D = np.zeros((self.dim, self.dim))
         D[self.rows, self.cols] = self.weights
@@ -336,24 +322,41 @@ class MatrixOperator:
             D[np.diag_indices(self.dim)] += self.diag_shift
         return D
 
+    def congruence(self, col, sign, dim: int) -> "MatrixOperator":
+        """P^T M P for the signed assignment P that sends vertex v to index
+        ``col[v]`` with sign ``sign[v]`` (+1 throughout when ``sign`` is None)
+        and drops v where ``col[v] < 0``.
+
+        Stored pairs are relabelled and left to the constructor to coalesce; an
+        off-diagonal pair whose ends land on one index counts twice there, once
+        per ordered pair.  The rank-one vector maps to P^T u and the shift I to
+        the diagonal P^T P, which counts the vertices sent to each index.
+        """
+        col = np.asarray(col, dtype=np.int64)
+        s = np.ones(self.dim) if sign is None else np.asarray(sign, dtype=np.float64)
+        r, c = col[self.rows], col[self.cols]
+        kept = (r >= 0) & (c >= 0)
+        rows, cols, r, c = self.rows[kept], self.cols[kept], r[kept], c[kept]
+        w = self.weights[kept] * s[rows] * s[cols]
+        w[(r == c) & (rows != cols)] *= 2.0
+        on = col >= 0
+        r1 = None
+        if self.rank1 is not None:
+            u, coeff = self.rank1
+            r1 = (np.bincount(col[on], weights=(s * u)[on], minlength=dim), coeff)
+        if self.diag_shift:
+            counts = np.bincount(col[on], minlength=dim)
+            stacked = np.flatnonzero(counts != 1)
+            r, c = np.concatenate([r, stacked]), np.concatenate([c, stacked])
+            w = np.concatenate([w, self.diag_shift * (counts[stacked] - 1.0)])
+        return MatrixOperator(dim, r, c, w, rank1=r1, diag_shift=self.diag_shift)
+
     def restrict(self, keep: np.ndarray) -> "MatrixOperator":
         """Principal submatrix on the sorted index set ``keep``."""
         keep = np.asarray(keep, dtype=np.int64)
-        pos = np.full(self.dim, -1, dtype=np.int64)
-        pos[keep] = np.arange(keep.size)
-        inside = (pos[self.rows] >= 0) & (pos[self.cols] >= 0)
-        r1 = None
-        if self.rank1 is not None:
-            u, c = self.rank1
-            r1 = (u[keep], c)
-        return MatrixOperator(
-            keep.size,
-            pos[self.rows[inside]],
-            pos[self.cols[inside]],
-            self.weights[inside],
-            rank1=r1,
-            diag_shift=self.diag_shift,
-        )
+        col = np.full(self.dim, -1, dtype=np.int64)
+        col[keep] = np.arange(keep.size)
+        return self.congruence(col, None, keep.size)
 
 
 def _symmetric_csr(n: int, ei, ej, w) -> scipy.sparse.csr_matrix:

@@ -287,14 +287,6 @@ class GrothendieckReport:
     ratio: float
     passed: bool
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "sdp_value": self.sdp_value,
-            "cut_norm": self.cut_norm,
-            "ratio": self.ratio,
-            "pass": self.passed,
-        })
-
 
 def grothendieck_check(M, cfg: SolverConfig | None = None) -> GrothendieckReport:
     """Check SDP(M) <= 1.783 * ||M||_{inf->1} + 1e-6 on a small dense matrix."""
@@ -320,13 +312,6 @@ class CutNormTrialReport:
     bound: float
     max_norm: float
     violations: int
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "n": self.n, "d": self.d, "samples": self.samples,
-            "bound": self.bound, "max_norm": self.max_norm,
-            "violations": self.violations,
-        })
 
 
 def cut_norm_concentration_trial(

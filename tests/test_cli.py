@@ -90,6 +90,18 @@ def test_sweep_with_config_file(tmp_path):
     assert len(rows) == 2 + 4  # comment, header, 4 records
 
 
+def test_sweep_with_error_rows_exits_two(tmp_path, capsys):
+    # at rho = 1 the census has nothing to estimate, so each replication fails
+    out = tmp_path / "errout"
+    code = main(["sweep", "--kind", "census-sweep", "--n", "40", "--a", "6", "--b", "2",
+                 "--rho", "0.5", "1.0", "--reps", "2", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "2 replication(s) failed" in err and "nothing to estimate" in err
+    rows = (out / "records.csv").read_text().splitlines()
+    assert sum(row.count(",error,") for row in rows) == 2
+
+
 def test_sweep_missing_flags_is_usage_error():
     assert main(["sweep", "--kind", "census-sweep"]) == 1
 

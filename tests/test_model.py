@@ -147,9 +147,27 @@ def test_operator_dense_matches_matvec_against_basis():
     assert np.allclose(op.to_dense(), ref, atol=1e-12)
     cols = np.stack([op.matvec(np.eye(n)[i]) for i in range(n)], axis=1)
     assert np.allclose(cols, ref, atol=1e-12)
-    # quadratic form agrees with dense
-    S = rng.standard_normal((n, 5))
-    assert abs(op.quadratic_form(S) - np.einsum("ij,ik,jk->", ref, S, S)) < 1e-8
+
+
+@given(st.data())
+def test_operator_matvec_and_restrict_match_dense(data):
+    n = data.draw(st.integers(1, 8))
+    values = st.floats(-10, 10, allow_nan=False)
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), values),
+                               max_size=3 * n))
+    rows, cols, weights = (np.array(v) for v in zip(*pairs)) if pairs else ([], [], [])
+    rank1 = None
+    if data.draw(st.booleans()):
+        u = np.array(data.draw(st.lists(st.floats(-2, 2, allow_nan=False), min_size=n, max_size=n)))
+        rank1 = (u, data.draw(st.floats(-1, 1, allow_nan=False)))
+    op = MatrixOperator(n, rows, cols, weights, rank1=rank1,
+                        diag_shift=data.draw(st.floats(-3, 3, allow_nan=False)))
+    dense = op.to_dense()
+    assert np.array_equal(dense, dense.T)
+    v = np.array(data.draw(st.lists(st.floats(-5, 5, allow_nan=False), min_size=n, max_size=n)))
+    assert np.allclose(op.matvec(v), dense @ v, rtol=0, atol=1e-9)
+    keep = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
+    assert np.allclose(op.restrict(keep).to_dense(), dense[np.ix_(keep, keep)], rtol=0, atol=1e-9)
 
 
 def test_operator_coalesces_duplicates_and_restricts():
@@ -256,6 +274,13 @@ def test_symmetric_csr_matches_lexsort_builder():
         for name in ("indptr", "indices", "data"):
             x, y = getattr(got, name), getattr(ref, name)
             assert x.dtype == y.dtype and np.array_equal(x, y), (n, name)
+
+
+def test_from_edges_rejects_out_of_range_endpoints():
+    labels = Labels([1, -1, 1, -1])
+    for ei, ej in (([0], [4]), ([0], [-1])):
+        with pytest.raises(ValueError, match=r"edge endpoint out of range \[0, 4\)"):
+            Graph.from_edges(4, ei, ej, labels)
 
 
 def test_read_instance_rejects_garbage(tmp_path):
