@@ -15,7 +15,7 @@ from .census import census_estimate, overlap
 from .csdp import detection_test, estimate_unrevealed, solve_csdp
 from .harness import SWEEP_KINDS, ExperimentConfig, oracle_suite, run_sweep
 from .model import ModelParams, centered_adjacency, sample_instance, write_instance
-from .sdp import (STALL_WINDOW, NumericError, SolverConfig, round_leading_eigvec,
+from .sdp import (CERT_GAP, STALL_WINDOW, NumericError, SolverConfig, round_leading_eigvec,
                   solve_elliptope)
 
 
@@ -48,7 +48,9 @@ def _add_solver_args(p):
                         f"over {STALL_WINDOW} sweeps; a sweep is one batch step")
     p.add_argument("--max-sweeps", type=int, default=defaults.max_sweeps,
                    help="batch steps per restart at most")
-    p.add_argument("--restarts", type=int, default=defaults.restarts)
+    p.add_argument("--restarts", type=int, default=defaults.restarts,
+                   help=f"independent restarts at most: the next one runs only while the "
+                        f"dual-certified relative gap exceeds {CERT_GAP:g}")
 
 
 def _solver_from(args) -> SolverConfig:

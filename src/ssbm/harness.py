@@ -10,11 +10,13 @@ produced the graph.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import datetime
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -28,7 +30,7 @@ from .csdp import aggregate, detection_test, estimate_unrevealed, sandwich_check
 from .model import (MatrixOperator, ModelParams, RevealedLabels,
                     centered_adjacency, sample_instance, snr)
 from .rng import derive_key, stream
-from .sdp import (SolverConfig, cut_norm_exact, grothendieck_check,
+from .sdp import (SolverConfig, cut_norm_exact, grothendieck_check, require_ints,
                   round_leading_eigvec, solve_elliptope)
 
 SWEEP_KINDS = ("census-sweep", "phase-grid", "detection-boxes", "sandwich-audit")
@@ -132,6 +134,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in SWEEP_KINDS:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
+        require_ints(self, ("reps", "seed", "t", "workers"))
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.t < 1 or self.workers < 1:
@@ -290,14 +293,19 @@ def _solve_pair(g, rev, cell, iseed, base, solver, truth_model):
         runtime_ms=(time.perf_counter() - t0) * 1e3, **base))
 
     t0 = time.perf_counter()
-    csol = solve_csdp(g, rev, d, solver)
-    report = estimate_unrevealed(csol, rev, g.labels, seed=iseed)
-    decision = detection_test(csol.value, n, a, b).decision if a > b else None
+    if rev.m == 0:
+        # nothing revealed: solve_csdp would repeat this SDP solve bit for bit
+        # and round it the same way, so the csdp row reuses both
+        value, overlap_csdp, margin00 = sdp_sol.value, out[0].overlap_unrevealed, None
+    else:
+        csol = solve_csdp(g, rev, d, solver)
+        value, margin00 = csol.value, csol.aggregated.margin00
+        overlap_csdp = estimate_unrevealed(csol, rev, g.labels, seed=iseed).overlap
+    decision = detection_test(value, n, a, b).decision if a > b else None
     out.append(ResultRecord(
         seed=iseed, algorithm="csdp",
-        overlap_unrevealed=report.overlap,
-        sdp_value=None, csdp_value=csol.value,
-        margin00=csol.aggregated.margin00 if csol.aggregated else None,
+        overlap_unrevealed=overlap_csdp,
+        sdp_value=None, csdp_value=value, margin00=margin00,
         test_decision=decision, truth_model=truth_model,
         runtime_ms=(time.perf_counter() - t0) * 1e3, **base))
     return out
@@ -309,6 +317,29 @@ class SweepResult:
     summary: dict
     csv_path: str
     summary_path: str
+
+
+# The worker pool already spreads a sweep over the CPUs; a BLAS thread pool in
+# every worker on top of it only oversubscribes them, and its spinning threads
+# made the dense certificates of a workers=4 sweep on 2 CPUs 2-3x slower.
+_CHILD_BLAS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+@contextlib.contextmanager
+def _one_blas_thread_in_children():
+    """Processes started in this block read one BLAS thread from their
+    environment (BLAS fixes its thread count when it loads); this process's
+    own environment is restored on exit."""
+    saved = {key: os.environ.get(key) for key in _CHILD_BLAS}
+    os.environ.update(_CHILD_BLAS)
+    try:
+        yield
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key)
+            else:
+                os.environ[key] = value
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
@@ -325,10 +356,13 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     cells = cfg.cells()
     tasks = [(ci, cell, rep) for ci, cell in enumerate(cells) for rep in range(cfg.reps)]
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_cell_task, itertools.repeat(cfg),
-                                    *zip(*((ci, cell, rep) for ci, cell, rep in tasks)),
-                                    chunksize=1))
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=cfg.workers, mp_context=spawn) as pool:
+            with _one_blas_thread_in_children():  # map submits every task: all workers start
+                pending = pool.map(_cell_task, itertools.repeat(cfg),
+                                   *zip(*((ci, cell, rep) for ci, cell, rep in tasks)),
+                                   chunksize=1)
+            results = list(pending)
     else:
         results = [_cell_task(cfg, ci, cell, rep) for ci, cell, rep in tasks]
 

@@ -312,12 +312,16 @@ class MatrixOperator:
         return y
 
     def to_dense(self) -> np.ndarray:
+        """The dense matrix, built in place: one dim x dim array, plus one
+        temporary of that size for a rank-one part."""
         D = np.zeros((self.dim, self.dim))
         D[self.rows, self.cols] = self.weights
-        D = D + np.triu(D, 1).T
+        D[self.cols, self.rows] = self.weights
         if self.rank1 is not None:
             u, c = self.rank1
-            D += c * np.outer(u, u)
+            uu = np.outer(u, u)
+            uu *= c
+            D += uu
         if self.diag_shift:
             D[np.diag_indices(self.dim)] += self.diag_shift
         return D

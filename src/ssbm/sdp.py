@@ -5,18 +5,24 @@ with unit-norm rows.  A sweep is one batch step that moves every row at once
 to its normalized shifted gradient: one sparse product, O((nnz + dim) k)
 work, and a monotone ascent because the Gershgorin shift makes the iterated
 matrix positive semidefinite (the batch form of the low-rank coordinate
-scheme of the Mixing method, Wang, Chang & Kolter 2017).  The dual certificate
-takes the smallest eigenvalue of diag(y) - M by Lanczos iteration; rounding
-reads the exact leading eigenvector of S S^T off the k x k matrix S^T S.
-Exact small-instance oracles (cut norm enumeration, Grothendieck bound) live
-here too.
+scheme of the Mixing method, Wang, Chang & Kolter 2017).  Every restart is
+dual-certified on the solve path, and the solver stops at the first restart
+whose certified gap is within ``CERT_GAP``: at rank >= sqrt(2 dim) the
+factorized problem has no spurious second-order critical points for generic
+costs (Boumal, Voroninski & Bandeira 2016), so further restarts only hedge a
+risk the certificate rules out instance by instance.  The certificate takes
+the smallest eigenvalue of diag(y) - M exactly from the dense matrix up to
+``DENSE_CERT_MAX`` rows and by Lanczos iteration above; rounding reads the
+exact leading eigenvector of S S^T off the k x k matrix S^T S.  Exact
+small-instance oracles (cut norm enumeration, Grothendieck bound) live here
+too.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +34,16 @@ class NumericError(RuntimeError):
     """Non-finite input or numerical breakdown inside the solver."""
 
 
+def require_ints(obj, names) -> None:
+    """Raise ValueError unless every named field of ``obj`` is an integer
+    (numpy's included; bool is not one), so that a config holding "2" is a
+    usage error rather than a failure deep inside a comparison."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for :func:`solve_elliptope`.
@@ -36,7 +52,9 @@ class SolverConfig:
     Barvinok-Pataki width at which the factorized problem admits the SDP
     optimum.  A sweep is one batch step; ``tol`` is the relative change of
     the objective over ``STALL_WINDOW`` sweeps at which a restart stops, and
-    ``max_sweeps`` caps the steps of each restart.
+    ``max_sweeps`` caps the steps of each restart.  ``restarts`` is a cap:
+    restart r+1 runs only when restart r's certified relative gap exceeds
+    ``CERT_GAP``.
     """
 
     rank: int | None = None
@@ -46,6 +64,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_ints(self, ("max_sweeps", "restarts", "seed")
+                     + (() if self.rank is None else ("rank",)))
+        if isinstance(self.tol, bool) or not isinstance(self.tol, (int, float)):
+            raise ValueError("tol must be a number")
         if self.rank is not None and self.rank < 2:
             raise ValueError("rank must be >= 2")
         if self.tol <= 0:
@@ -65,7 +87,10 @@ class SdpSolution:
 
     Every row of ``factor`` has unit norm; ``value`` equals
     <M, factor factor^T>; ``objective_history`` holds the per-sweep objective
-    of the winning restart (monotone nondecreasing).
+    of the winning restart (monotone nondecreasing).  ``converged`` only says
+    that the objective stalled; ``certificate`` is the dual certificate of
+    ``factor`` (None on solutions not built by :func:`solve_elliptope`), so a
+    caller can flag a value whose gap is too wide without certifying again.
     """
 
     factor: np.ndarray
@@ -74,6 +99,7 @@ class SdpSolution:
     converged: bool
     best_of: int
     objective_history: np.ndarray
+    certificate: DualCertificate | None = None
 
     def to_json(self) -> str:
         return json.dumps({
@@ -87,8 +113,9 @@ class SdpSolution:
 class DualCertificate:
     """Feasibility-corrected dual bound: for any y, subtracting
     n * min(0, lambda_min(diag(y) - M)) from 1^T y gives a valid upper bound
-    on the SDP value.  ``power_converged`` is true when the residual of the
-    eigenvector behind ``lambda_min`` met the requested tolerance."""
+    on the SDP value.  ``power_converged`` is true when ``lambda_min`` met
+    the requested tolerance: always on the exact dense path, and on the
+    Lanczos path when the residual of its eigenvector did."""
 
     y: np.ndarray
     upper_bound: float
@@ -98,6 +125,13 @@ class DualCertificate:
 
 
 STALL_WINDOW = 10  # the stall test compares objectives this many sweeps apart
+CERT_GAP = 1e-3  # certified relative gap at which no further restart runs
+# certify_dual's exact dense path up to this dim.  On one core of a 2-CPU
+# Xeon VM a certificate takes ~2 ms at dim 200 and ~70-120 ms at 1000; at
+# 1000 its two dense matrices (B and eigvalsh's copy) lift the peak RSS of a
+# one-solve process from 56 to 72 MB, and the cost grows as dim^2 in memory
+# and dim^3 in time, so the Lanczos path takes over above it.
+DENSE_CERT_MAX = 1000
 
 
 def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSolution:
@@ -108,10 +142,12 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
     the off-diagonal part B of M, summed over its sparse and rank-one parts
     apart (so at least the radius of B).  B + diag(lam) is diagonally
     dominant, hence PSD, so the objective is convex in S and no step can
-    lower it.  Runs
-    ``cfg.restarts`` independent sphere-uniform initializations, stops when
+    lower it.  Each restart starts from a sphere-uniform factor, stops when
     the objective moves by at most ``cfg.tol`` (relative) over
-    ``STALL_WINDOW`` sweeps, and returns the best restart.
+    ``STALL_WINDOW`` sweeps, and is certified by :func:`certify_dual`.  The
+    next restart runs only while the certified gap exceeds ``CERT_GAP``
+    relative (to max(1, |value|)), up to ``cfg.restarts`` in all.  Returns
+    the best restart run, with its certificate attached.
     """
     cfg = cfg or SolverConfig()
     n = M.dim
@@ -159,8 +195,11 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
             best_of=r,
             objective_history=np.asarray(history),
         )
+        sol = replace(sol, certificate=certify_dual(M, sol))
         if best is None or sol.value > best.value:
             best = sol
+        if sol.certificate.gap <= CERT_GAP * max(1.0, abs(val)):
+            break
     return best
 
 
@@ -181,18 +220,41 @@ def gradient_matrix(M: MatrixOperator, S: np.ndarray, shift=None, buf=None) -> n
 def certify_dual(M: MatrixOperator, sol: SdpSolution, tol: float = 1e-6) -> DualCertificate:
     """Dual upper bound at the solver's fixed point.
 
-    Takes y_i = ||sum_{j != i} M_ij sigma_j|| + M_ii, estimates
-    lambda_min(diag(y) - M) by Lanczos iteration (ARPACK), and subtracts the
-    residual of the returned vector so the reported bound stays an upper
-    bound even short of full convergence.  ``power_converged`` says whether
-    that residual met ``tol * max(1, |theta|)``.
+    Takes y_i = ||sum_{j != i} M_ij sigma_j|| + M_ii and lambda_min of
+    B = diag(y) - M.  Up to ``DENSE_CERT_MAX`` rows lambda_min comes from
+    ``np.linalg.eigvalsh`` on the dense B: exact up to rounding, so the bound
+    is valid and ``power_converged`` is true.  Above it, Lanczos iteration
+    (ARPACK) gives a Ritz pair and the bound subtracts its residual, which
+    keeps it an upper bound short of full convergence as long as the Ritz
+    value belongs to the lowest eigenvalue; ``power_converged`` then says
+    whether that residual met ``tol * max(1, |theta|)``.
     """
+    y = np.linalg.norm(gradient_matrix(M, sol.factor), axis=1) + M.diagonal()
+    n = M.dim
+    if n <= DENSE_CERT_MAX:
+        B = M.to_dense()
+        np.negative(B, out=B)
+        B[np.diag_indices(n)] += y
+        lambda_min, converged = float(np.linalg.eigvalsh(B)[0]), True
+    else:
+        lambda_min, converged = _lanczos_lambda_min(M, y, tol)
+    upper = float(y.sum()) - n * min(0.0, lambda_min)
+    return DualCertificate(
+        y=y,
+        upper_bound=upper,
+        gap=upper - sol.value,
+        lambda_min=lambda_min,
+        power_converged=converged,
+    )
+
+
+def _lanczos_lambda_min(M: MatrixOperator, y: np.ndarray, tol: float) -> tuple[float, bool]:
+    """Residual-corrected Lanczos estimate of lambda_min(diag(y) - M), and
+    whether the residual met ``tol * max(1, |theta|)``."""
     # imported here: at module level scipy.sparse.linalg adds ~0.15 s and
     # ~8.5 MB to `import ssbm`, which every sweep worker and CLI call pays
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    S = sol.factor
-    y = np.linalg.norm(gradient_matrix(M, S), axis=1) + M.diagonal()
     n = M.dim
 
     def bmat(v):  # B v for B = diag(y) - M, whose diagonal is >= 0
@@ -217,15 +279,7 @@ def certify_dual(M: MatrixOperator, sol: SdpSolution, tol: float = 1e-6) -> Dual
     theta = float(v @ bv)
     res = float(np.linalg.norm(bv - theta * v))
     # some eigenvalue lies within res of theta; Lanczos targets the lowest
-    lambda_min = theta - res
-    upper = float(y.sum()) - n * min(0.0, lambda_min)
-    return DualCertificate(
-        y=y,
-        upper_bound=upper,
-        gap=upper - sol.value,
-        lambda_min=lambda_min,
-        power_converged=res <= tol * max(1.0, abs(theta)),
-    )
+    return theta - res, res <= tol * max(1.0, abs(theta))
 
 
 def round_leading_eigvec(sol: SdpSolution) -> np.ndarray:

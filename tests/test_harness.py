@@ -50,6 +50,10 @@ def test_config_validation(tmp_path):
     for key, value in (("params", {**raw["params"], "n": 3000}), ("solver", None)):
         with pytest.raises(ValueError):
             ExperimentConfig.from_json(json.dumps({**raw, "solver": {}, key: value}))
+    # and a count that is not an integer, or a tolerance that is not a number
+    for key, value in (("reps", "2"), ("solver", {"restarts": "2"}), ("solver", {"tol": "1e-6"})):
+        with pytest.raises(ValueError, match="must be an integer|must be a number"):
+            ExperimentConfig.from_json(json.dumps({**raw, "solver": {}, key: value}))
     # and a config without its required keys, or one that is not an object
     good = json.loads(_cfg(tmp_path).to_json())
     for bad in ({k: v for k, v in good.items() if k not in ("kind", "out_dir")}, [good]):
@@ -128,6 +132,24 @@ def test_parallel_matches_serial(tmp_path):
     assert strip(serial.records) == strip(parallel.records)
 
 
+def test_sweep_workers_start_with_one_blas_thread(monkeypatch):
+    # BLAS fixes its thread count when it loads, so run_sweep spawns its
+    # workers with one thread set; this process keeps its own settings
+    import multiprocessing
+    import os
+    from concurrent.futures import ProcessPoolExecutor
+
+    from ssbm.harness import _one_blas_thread_in_children
+
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        with _one_blas_thread_in_children():
+            child = pool.submit(os.getenv, "OPENBLAS_NUM_THREADS")
+        assert child.result(timeout=60) == "1"
+    assert os.environ["OMP_NUM_THREADS"] == "3" and "OPENBLAS_NUM_THREADS" not in os.environ
+
+
 def test_detection_sweep_shape(tmp_path):
     result = run_sweep(_cfg(tmp_path, kind="detection-boxes", rho=(0.25,), reps=2))
     # per rep: sdp + csdp rows for sbm and erm
@@ -148,11 +170,29 @@ def test_detection_sweep_shape(tmp_path):
             assert rec.test_decision in (0, 1)
 
 
-def test_unsupervised_cell_sdp_equals_csdp(tmp_path):
-    result = run_sweep(_cfg(tmp_path, kind="phase-grid", rho=(0.0,), reps=2))
-    sdp_vals = sorted(r.sdp_value for r in result.records if r.algorithm == "sdp")
-    csdp_vals = sorted(r.csdp_value for r in result.records if r.algorithm == "csdp")
-    assert sdp_vals == csdp_vals  # bit-identical degenerate sweep
+def test_unsupervised_cell_sdp_equals_csdp(tmp_path, monkeypatch):
+    # with nothing revealed the csdp row reuses the sdp solve and its rounding
+    import ssbm.csdp
+    import ssbm.harness
+
+    dims = []
+    real = ssbm.harness.solve_elliptope
+
+    def counting(M, cfg=None):
+        dims.append(M.dim)
+        return real(M, cfg)
+
+    monkeypatch.setattr(ssbm.harness, "solve_elliptope", counting)
+    monkeypatch.setattr(ssbm.csdp, "solve_elliptope", counting)
+    result = run_sweep(_cfg(tmp_path, kind="phase-grid", rho=(0.0, 0.2), reps=2))
+    # two reps at rho = 0 solve once each; two at rho = 0.2 solve SDP and CSDP
+    assert sorted(dims) == [49] * 2 + [60] * 4
+    rows = {(r.rho, r.rep, r.algorithm): r for r in result.records}
+    for rep in range(2):
+        sdp_row, csdp_row = rows[0.0, rep, "sdp"], rows[0.0, rep, "csdp"]
+        assert csdp_row.csdp_value == sdp_row.sdp_value  # bit-identical degenerate cell
+        assert csdp_row.overlap_unrevealed == sdp_row.overlap_unrevealed
+        assert csdp_row.margin00 is None
 
 
 def test_sandwich_audit_sweep(tmp_path):

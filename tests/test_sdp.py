@@ -10,8 +10,9 @@ from ssbm import (MatrixOperator, ModelParams, NumericError, SolverConfig, aggre
                   centered_adjacency, certify_dual, solve_csdp, cut_norm_concentration_trial,
                   cut_norm_exact, grothendieck_check, round_leading_eigvec,
                   sample_instance, solve_elliptope)
+from ssbm import sdp
 from ssbm.rng import stream
-from ssbm.sdp import GROTHENDIECK_BOUND, gradient_matrix
+from ssbm.sdp import CERT_GAP, GROTHENDIECK_BOUND, gradient_matrix
 
 
 def _wigner(n, seed):
@@ -219,6 +220,94 @@ def test_dual_certificate_tiny_operators():
         assert cert.power_converged
         assert cert.upper_bound >= sol.value - 1e-9
         assert cert.gap <= 1e-6
+
+
+def _detection_operators():
+    """The SDP and the aggregated CSDP operator of one detection-boxes
+    instance (n=200, (5, 2), rho=0.25), the setting of criterion 9."""
+    p = ModelParams(n=200, a=5, b=2, rho=0.25, seed=3)
+    g, rev = sample_instance(p)
+    M = centered_adjacency(g, p.d)
+    return M, aggregate(M, rev).op
+
+
+def _count_certificates(monkeypatch):
+    """Values of the solutions certify_dual is called on, in call order."""
+    values = []
+    real = sdp.certify_dual
+
+    def counting(M, sol, *args, **kwargs):
+        values.append(sol.value)
+        return real(M, sol, *args, **kwargs)
+
+    monkeypatch.setattr(sdp, "certify_dual", counting)
+    return values
+
+
+def test_restarts_stop_at_the_first_certified_restart(monkeypatch):
+    values = _count_certificates(monkeypatch)
+    for M in _detection_operators():
+        values.clear()
+        sol = solve_elliptope(M, SolverConfig(restarts=3, seed=3))
+        assert len(values) == 1 and sol.best_of == 0
+        cert = sol.certificate
+        assert cert.upper_bound >= sol.value
+        assert cert.gap <= CERT_GAP * abs(sol.value)
+
+
+def test_every_restart_runs_while_uncertified(monkeypatch):
+    # three sweeps leave the gap far above target: the cap is reached, and the
+    # best restart is returned with its own certificate
+    values = _count_certificates(monkeypatch)
+    M, _ = _detection_operators()
+    sol = solve_elliptope(M, SolverConfig(restarts=3, max_sweeps=3, seed=3))
+    assert len(values) == 3
+    assert sol.value == max(values) and sol.best_of == values.index(max(values))
+    assert sol.certificate.gap > CERT_GAP * abs(sol.value)
+    assert sol.certificate.gap == sol.certificate.upper_bound - sol.value
+
+
+def _random_operator(rng, n):
+    """A sparse symmetric part, diagonal included, and half the time a
+    rank-one part."""
+    upper = np.triu(rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3))
+    r, c = np.nonzero(upper)
+    rank1 = (rng.standard_normal(n), float(rng.standard_normal())) if rng.random() < 0.5 else None
+    return MatrixOperator(n, r, c, upper[r, c], rank1=rank1)
+
+
+def _dense_by_matvec(M):
+    """The dense matrix column by column through matvec, not to_dense."""
+    return np.column_stack([M.matvec(e) for e in np.eye(M.dim)])
+
+
+def test_dense_certificate_is_exact_on_small_operators():
+    rng = np.random.default_rng(2024)
+    for trial in range(300):
+        M = _random_operator(rng, int(rng.integers(1, 13)))
+        sol = solve_elliptope(M, SolverConfig(restarts=1, seed=trial))
+        cert = sol.certificate
+        dense = _dense_by_matvec(M)
+        scale = max(1.0, float(np.abs(dense).sum()))
+        exact = float(np.linalg.eigvalsh(np.diag(cert.y) - dense)[0])
+        assert cert.power_converged
+        assert abs(cert.lambda_min - exact) <= 1e-12 * scale
+        assert cert.upper_bound >= sol.value - 1e-12 * scale
+
+
+def test_lanczos_certificate_agrees_with_dense(monkeypatch):
+    # every solve below DENSE_CERT_MAX takes the dense path; a zero cutoff
+    # sends the same solutions through Lanczos, above ARPACK's 40 vectors too
+    rng = np.random.default_rng(7)
+    ops = list(_detection_operators())
+    ops += [_random_operator(rng, int(rng.integers(2, 61))) for _ in range(60)]
+    sols = [solve_elliptope(M, SolverConfig(restarts=1, seed=i)) for i, M in enumerate(ops)]
+    monkeypatch.setattr(sdp, "DENSE_CERT_MAX", 0)
+    for M, sol in zip(ops, sols):
+        dense, lanczos = sol.certificate, certify_dual(M, sol)
+        assert lanczos.power_converged
+        assert abs(lanczos.lambda_min - dense.lambda_min) <= 1e-5 * max(1.0, abs(dense.lambda_min))
+        assert lanczos.upper_bound >= sol.value - 1e-9 * max(1.0, abs(sol.value))
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded():
