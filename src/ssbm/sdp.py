@@ -2,20 +2,21 @@
 
 Solves max{ <M, X> : X >= 0, X_ii = 1 } through the factorization X = S S^T
 with unit-norm rows.  A sweep is one batch step that moves every row at once
-to its normalized shifted gradient: one sparse product, O((nnz + dim) k)
-work, and a monotone ascent because the Gershgorin shift makes the iterated
-matrix positive semidefinite (the batch form of the low-rank coordinate
-scheme of the Mixing method, Wang, Chang & Kolter 2017).  Every restart is
-dual-certified on the solve path, and the solver stops at the first restart
-whose certified gap is within ``CERT_GAP``: at rank >= sqrt(2 dim) the
-factorized problem has no spurious second-order critical points for generic
-costs (Boumal, Voroninski & Bandeira 2016), so further restarts only hedge a
-risk the certificate rules out instance by instance.  The certificate takes
-the smallest eigenvalue of diag(y) - M exactly from the dense matrix up to
-``DENSE_CERT_MAX`` rows and by Lanczos iteration above; rounding reads the
-exact leading eigenvector of S S^T off the k x k matrix S^T S.  Exact
-small-instance oracles (cut norm enumeration, Grothendieck bound) live here
-too.
+to its normalized shifted gradient: one CSR product of the sweep matrix,
+built once per solve with the Gershgorin shift and the rank-one part folded
+in, with [S; c u^T S].  That is O((nnz + dim) k) work, and a monotone ascent
+because the shift makes the iterated matrix positive semidefinite (the batch
+form of the low-rank coordinate scheme of the Mixing method, Wang, Chang &
+Kolter 2017).  Every restart is dual-certified on the solve path, and the
+solver stops at the first restart whose certified gap is within
+``CERT_GAP``: at rank >= sqrt(2 dim) the factorized problem has no spurious
+second-order critical points for generic costs (Boumal, Voroninski &
+Bandeira 2016), so further restarts only hedge a risk the certificate rules
+out instance by instance.  The certificate takes the smallest eigenvalue of
+diag(y) - M exactly from the dense matrix up to ``DENSE_CERT_MAX`` rows and
+by Lanczos iteration above; rounding reads the exact leading eigenvector of
+S S^T off the k x k matrix S^T S.  Exact small-instance oracles (cut norm
+enumeration, Grothendieck bound) live here too.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse
 
 from .model import MatrixOperator
 from .rng import stream
@@ -137,17 +139,19 @@ DENSE_CERT_MAX = 1000
 def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSolution:
     """Maximize <M, X> over the elliptope by the shifted batch iteration.
 
-    A sweep is one batch step S <- rownormalise(G + diag(lam) S) with G from
-    :func:`gradient_matrix`, where lam_i is the Gershgorin radius of row i of
-    the off-diagonal part B of M, summed over its sparse and rank-one parts
-    apart (so at least the radius of B).  B + diag(lam) is diagonally
-    dominant, hence PSD, so the objective is convex in S and no step can
-    lower it.  Each restart starts from a sphere-uniform factor, stops when
-    the objective moves by at most ``cfg.tol`` (relative) over
-    ``STALL_WINDOW`` sweeps, and is certified by :func:`certify_dual`.  The
-    next restart runs only while the certified gap exceeds ``CERT_GAP``
-    relative (to max(1, |value|)), up to ``cfg.restarts`` in all.  Returns
-    the best restart run, with its certificate attached.
+    A sweep is one batch step S <- rownormalise((B + diag(lam)) S), with B
+    the off-diagonal part of M and lam_i the Gershgorin radius of row i of B,
+    summed over its sparse and rank-one parts apart (so at least the radius
+    of B).  The step is one CSR product W [S; c u^T S] with the sweep matrix
+    W of :func:`_sweep_matrix`, built once per solve, plus three row
+    reductions.  B + diag(lam) is diagonally dominant, hence PSD, so the
+    objective is convex in S and no step can lower it.  Each restart starts
+    from a sphere-uniform factor, stops when the objective moves by at most
+    ``cfg.tol`` (relative) over ``STALL_WINDOW`` sweeps, and is certified by
+    :func:`certify_dual`.  The next restart runs only while the certified gap
+    exceeds ``CERT_GAP`` relative (to max(1, |value|)), up to
+    ``cfg.restarts`` in all.  Returns the best restart run, with its
+    certificate attached.
     """
     cfg = cfg or SolverConfig()
     n = M.dim
@@ -159,36 +163,43 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
         raise NumericError("operator rank-one part has non-finite entries")
 
     k = cfg.rank_for(n)
-    lam = abs(M._offdiag_matrix) @ np.ones(n)
-    if M.rank1 is not None:
-        au, c = np.abs(M.rank1[0]), abs(M.rank1[1])
-        lam += c * au * (au.sum() - au)
-    offset = M.diagonal() - lam  # value = <S, G + diag(lam) S> + offset . |S_i|^2
-    buf = np.empty((n, k))
+    W, lam = _sweep_matrix(M)
+    # Every row of S stays unit: the draw is normalised once an all-zero row
+    # (an event of probability zero) is set to e_1, and a step normalises each
+    # row or, where its gradient is exactly zero, keeps it.  So |S_i|^2 = 1
+    # and <M, S S^T> = <S, (B + diag(lam)) S> + sum_i (M_ii - lam_i).
+    offset = float(np.sum(M.diagonal() - lam))
+    buf = np.zeros((n + 1, k))  # [S; c u^T S]; the last row stays 0 without a rank-one part
+    S = buf[:n]
+    u, c = (None, 0.0) if M.rank1 is None else M.rank1
 
     best = None
     for r in range(cfg.restarts):
-        S = stream(cfg.seed, "sdp-init", r).standard_normal((n, k))
-        norms = np.linalg.norm(S, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        S /= norms
+        S[:] = stream(cfg.seed, "sdp-init", r).standard_normal((n, k))
+        S[~S.any(axis=1), 0] = 1.0
+        S /= np.linalg.norm(S, axis=1, keepdims=True)
         history = []
         converged = False
         for sweeps in range(cfg.max_sweeps + 1):
-            P = gradient_matrix(M, S, lam, buf)
-            val = float(np.einsum("ij,ij->", S, P) + offset @ np.einsum("ij,ij->i", S, S))
+            if u is not None:
+                np.multiply(c, u @ S, out=buf[n])
+            P = W @ buf
+            val = float(np.einsum("ij,ij->", S, P)) + offset
             history.append(val)
             if sweeps >= STALL_WINDOW and (
                     abs(val - history[-1 - STALL_WINDOW]) <= cfg.tol * max(1.0, abs(val))):
                 converged = True
                 break
             if sweeps < cfg.max_sweeps:
-                nrm = np.sqrt(np.einsum("ij,ij->i", P, P))[:, None]
-                np.divide(P, nrm, out=S, where=nrm > 0.0)  # a zero row stays put
+                nrm = np.sqrt(np.einsum("ij,ij->i", P, P))
+                zero = nrm == 0.0
+                if zero.any():  # a zero gradient row stays put
+                    P[zero], nrm[zero] = S[zero], 1.0
+                np.divide(P, nrm[:, None], out=S)
         if not math.isfinite(val):
             raise NumericError("objective diverged to a non-finite value")
         sol = SdpSolution(
-            factor=S,
+            factor=S.copy(),
             value=val,
             sweeps_used=sweeps,
             converged=converged,
@@ -203,17 +214,46 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
     return best
 
 
-def gradient_matrix(M: MatrixOperator, S: np.ndarray, shift=None, buf=None) -> np.ndarray:
-    """Row gradients G_i = sum_{j != i} M_ij S_j (diagonal excluded), plus
-    shift_i S_i when ``shift`` is given; ``buf``, shaped like S, is scratch."""
-    G = M._offdiag_matrix @ S
-    buf = np.empty_like(G) if buf is None else buf
-    d = np.zeros(M.dim) if shift is None else shift
+def _sweep_matrix(M: MatrixOperator) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
+    """The sweep matrix W of :func:`solve_elliptope` and its Gershgorin radii lam.
+
+    With B the off-diagonal sparse part of M and c u u^T its rank-one part,
+    W = [B + diag(lam - c u*u) | u] is dim x (dim + 1), its last column
+    empty without a rank-one part, so that W [S; c u^T S] equals
+    (B + diag(lam)) S.  lam_i is the Gershgorin radius of row i of B's
+    sparse and rank-one parts taken apart (so at least B's own radius).  Each
+    row holds B's entries in column order, then u_i, then the diagonal entry,
+    so the product adds B S, u (c u^T S) and diag(lam - c u*u) S term by term
+    in that order: the same bits as those three products summed one after
+    another.
+    """
+    n = M.dim
+    B = M._offdiag_matrix
+    idx = np.arange(n)
+    heads = np.repeat(idx, np.diff(B.indptr))  # row of every entry of B
+    lam = np.bincount(heads, weights=np.abs(B.data), minlength=n)
+    diag, u = lam, np.empty(0)
     if M.rank1 is not None:
         u, c = M.rank1
-        G += np.outer(u, c * (u @ S), out=buf)
-        d = d - c * u * u
-    G += np.multiply(d[:, None], S, out=buf)
+        au = np.abs(u)
+        lam = lam + abs(c) * au * (au.sum() - au)
+        diag = lam - c * u * u
+    rows = np.concatenate([heads, idx[:u.size], idx])
+    order = np.argsort(rows, kind="stable")
+    cols = np.concatenate([B.indices, np.full(u.size, n), idx])[order]
+    data = np.concatenate([B.data, u, diag])[order]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return scipy.sparse.csr_matrix((data, cols, indptr), shape=(n, n + 1)), lam
+
+
+def gradient_matrix(M: MatrixOperator, S: np.ndarray) -> np.ndarray:
+    """Row gradients G_i = sum_{j != i} M_ij S_j: the diagonal of the rank-one
+    part, which its outer product carries, is taken back out."""
+    G = M._offdiag_matrix @ S
+    if M.rank1 is not None:
+        u, c = M.rank1
+        G += np.outer(u, c * (u @ S))
+        G -= (c * u * u)[:, None] * S
     return G
 
 

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ssbm import (MatrixOperator, ModelParams, NumericError, SolverConfig, aggregate,
                   centered_adjacency, certify_dual, solve_csdp, cut_norm_concentration_trial,
@@ -67,18 +69,27 @@ def test_objective_history_is_monotone():
         assert abs(sol.value - h[-1]) < 1e-12 * max(1.0, abs(sol.value))
 
 
+def _offdiag(A):
+    return A - np.diag(np.diag(A))
+
+
+def _dense_shift(M):
+    """The off-diagonal part B of M and the solver's Gershgorin radii lam, from
+    dense algebra: the radii of the sparse part and of the rest (rank one),
+    taken apart."""
+    dense = M.to_dense()
+    sparse = MatrixOperator(M.dim, M.rows, M.cols, M.weights).to_dense()
+    lam = np.abs(_offdiag(sparse)).sum(axis=1) + np.abs(_offdiag(dense - sparse)).sum(axis=1)
+    return _offdiag(dense), lam
+
+
 def _dense_replay(M, cfg, steps, shifted=True):
     """Objectives of the solver's first restart, one batch step at a time, from
     dense algebra: S <- rownormalise((B + diag(lam)) S), with B the off-diagonal
     part of M and lam the solver's Gershgorin radii (lam = 0 if not shifted)."""
-    def offdiag(A):
-        return A - np.diag(np.diag(A))
-
     dense = M.to_dense()
-    sparse = MatrixOperator(M.dim, M.rows, M.cols, M.weights).to_dense()
-    # Gershgorin radii of the sparse part and of the rest (rank one), apart
-    lam = np.abs(offdiag(sparse)).sum(axis=1) + np.abs(offdiag(dense - sparse)).sum(axis=1)
-    P = offdiag(dense) + np.diag(lam) if shifted else offdiag(dense)
+    B, lam = _dense_shift(M)
+    P = B + np.diag(lam) if shifted else B
     S = stream(cfg.seed, "sdp-init", 0).standard_normal((M.dim, cfg.rank_for(M.dim)))
     S /= np.linalg.norm(S, axis=1, keepdims=True)
     values = [float(np.einsum("ij,ik,jk->", dense, S, S))]
@@ -92,9 +103,11 @@ def _dense_replay(M, cfg, steps, shifted=True):
 def _replay_instances():
     p = ModelParams(n=200, a=5, b=2, rho=0.25, seed=3)
     g, rev = sample_instance(p)
-    # a Wigner matrix, and an aggregated CSDP operator: sparse part, margin
-    # row and rank-one part
-    return _wigner(12, 3), aggregate(centered_adjacency(g, p.d), rev).op
+    M = centered_adjacency(g, p.d)
+    # a Wigner matrix (no rank-one part), the centered adjacency (rank one
+    # with u = 1, the SDP side of detection) and its aggregated CSDP operator
+    # (sparse part, margin row and rank-one part)
+    return _wigner(12, 3), M, aggregate(M, rev).op
 
 
 def _drops(values):
@@ -116,10 +129,10 @@ def test_every_batch_step_is_nondecreasing():
 def test_unshifted_batch_step_can_decrease_the_objective():
     # without the shift the step is no ascent: on the same instances it
     # lowers the objective (at once on the Wigner matrix, after ~150 steps
-    # on the aggregated operator)
-    cfg = SolverConfig(restarts=1, seed=0)
-    for M in _replay_instances():
-        values, _ = _dense_replay(M, cfg, 300, shifted=False)
+    # on the aggregated operator).  On the centered adjacency the start of
+    # seed 0 climbs for 3000 steps, while that of seed 2 falls at once.
+    for M, seed in zip(_replay_instances(), (0, 2, 0)):
+        values, _ = _dense_replay(M, SolverConfig(restarts=1, seed=seed), 300, shifted=False)
         assert _drops(values).any()
 
 
@@ -176,6 +189,52 @@ def test_scaling_equivariance():
     v1 = solve_elliptope(M, SolverConfig(restarts=2, seed=3)).value
     v3 = solve_elliptope(scaled, SolverConfig(restarts=2, seed=3)).value
     assert abs(v3 - 3.0 * v1) < 1e-9 * max(1.0, abs(v3))
+
+
+@given(st.data())
+def test_sweep_matrix_matches_dense_algebra(data):
+    # W [S; c u^T S] = (B + diag(lam)) S on sparse pairs with duplicates and
+    # diagonal entries, rows past `live` empty, a nonzero shift, and with and
+    # without a rank-one part
+    n = data.draw(st.integers(1, 8))
+    live = data.draw(st.integers(1, n))
+    index = st.integers(0, live - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index, st.floats(-10, 10, allow_nan=False)),
+                               max_size=3 * n))
+    rows, cols, weights = (np.array(v) for v in zip(*pairs)) if pairs else ([], [], [])
+    rank1 = None
+    if data.draw(st.booleans()):
+        u = np.array(data.draw(st.lists(st.floats(-2, 2, allow_nan=False), min_size=n, max_size=n)))
+        rank1 = (u, data.draw(st.floats(-1, 1, allow_nan=False)))
+    shift = data.draw(st.floats(-3, 3, allow_nan=False).filter(bool))
+    M = MatrixOperator(n, rows, cols, weights, rank1=rank1, diag_shift=shift)
+    k = data.draw(st.integers(1, 4))
+    S = np.array(data.draw(st.lists(st.floats(-2, 2, allow_nan=False),
+                                    min_size=n * k, max_size=n * k))).reshape(n, k)
+    W, lam = sdp._sweep_matrix(M)
+    B, ref_lam = _dense_shift(M)
+    scale = max(1.0, float((np.abs(B).sum(axis=1) + ref_lam).max()))
+    assert W.shape == (n, n + 1)
+    assert np.allclose(lam, ref_lam, rtol=0, atol=1e-12 * scale)
+    top = np.zeros((1, k)) if rank1 is None else rank1[1] * (rank1[0] @ S)
+    assert np.allclose(W @ np.vstack([S, top]), (B + np.diag(ref_lam)) @ S,
+                       rtol=0, atol=1e-12 * scale)
+
+
+def test_zero_gradient_rows_stay_put():
+    # every row of the zero matrix, and vertex 2 of the second operator
+    # (isolated: only a diagonal entry, no rank-one part), has an exactly zero
+    # gradient at every step, so each keeps its normalised initial row
+    cases = ((MatrixOperator.from_dense(np.zeros((3, 3))), [0, 1, 2]),
+             (MatrixOperator(4, [0, 1, 2, 0], [1, 3, 2, 3], [1.0, -2.0, 4.0, 0.5],
+                             diag_shift=0.5), [2]))
+    cfg = SolverConfig(seed=0)
+    for M, isolated in cases:
+        sol = solve_elliptope(M, cfg)
+        assert np.max(np.abs(np.linalg.norm(sol.factor, axis=1) - 1.0)) < 1e-12
+        S0 = stream(cfg.seed, "sdp-init", sol.best_of).standard_normal(sol.factor.shape)
+        S0 /= np.linalg.norm(S0, axis=1, keepdims=True)
+        assert np.array_equal(sol.factor[isolated], S0[isolated])
 
 
 def test_gradient_matrix_excludes_diagonal():
@@ -257,14 +316,18 @@ def test_restarts_stop_at_the_first_certified_restart(monkeypatch):
 
 def test_every_restart_runs_while_uncertified(monkeypatch):
     # three sweeps leave the gap far above target: the cap is reached, and the
-    # best restart is returned with its own certificate
+    # best restart is returned with its own factor and certificate
     values = _count_certificates(monkeypatch)
     M, _ = _detection_operators()
-    sol = solve_elliptope(M, SolverConfig(restarts=3, max_sweeps=3, seed=3))
-    assert len(values) == 3
-    assert sol.value == max(values) and sol.best_of == values.index(max(values))
-    assert sol.certificate.gap > CERT_GAP * abs(sol.value)
-    assert sol.certificate.gap == sol.certificate.upper_bound - sol.value
+    for seed in (3, 4):  # the best restart is the last one, then the first
+        values.clear()
+        sol = solve_elliptope(M, SolverConfig(restarts=3, max_sweeps=3, seed=seed))
+        assert len(values) == 3
+        assert sol.value == max(values) and sol.best_of == values.index(max(values))
+        ref = float(np.einsum("ij,ik,jk->", M.to_dense(), sol.factor, sol.factor))
+        assert abs(sol.value - ref) <= 1e-9 * abs(sol.value)
+        assert sol.certificate.gap > CERT_GAP * abs(sol.value)
+        assert sol.certificate.gap == sol.certificate.upper_bound - sol.value
 
 
 def _random_operator(rng, n):
