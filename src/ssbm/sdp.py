@@ -3,20 +3,22 @@
 Solves max{ <M, X> : X >= 0, X_ii = 1 } through the factorization X = S S^T
 with unit-norm rows.  A sweep is one batch step that moves every row at once
 to its normalized shifted gradient: one CSR product of the sweep matrix,
-built once per solve with the Gershgorin shift and the rank-one part folded
-in, with [S; c u^T S].  That is O((nnz + dim) k) work, and a monotone ascent
-because the shift makes the iterated matrix positive semidefinite (the batch
-form of the low-rank coordinate scheme of the Mixing method, Wang, Chang &
-Kolter 2017).  Every restart is dual-certified on the solve path, and the
-solver stops at the first restart whose certified gap is within
-``CERT_GAP``: at rank >= sqrt(2 dim) the factorized problem has no spurious
-second-order critical points for generic costs (Boumal, Voroninski &
-Bandeira 2016), so further restarts only hedge a risk the certificate rules
-out instance by instance.  The certificate takes the smallest eigenvalue of
-diag(y) - M exactly from the dense matrix up to ``DENSE_CERT_MAX`` rows and
-by Lanczos iteration above; rounding reads the exact leading eigenvector of
-S S^T off the k x k matrix S^T S.  Exact small-instance oracles (cut norm
-enumeration, Grothendieck bound) live here too.
+built once per solve with the rank-one part folded in, with [S; u^T S], and a
+per-row shift recomputed from the gradient every sweep.  That is
+O((nnz + dim) k) work, and a monotone ascent: a row's shift is at least half
+its Gershgorin radius less half its alignment with its gradient, which is
+all ascent needs (the batch form of the low-rank coordinate scheme of the
+Mixing method, Wang, Chang & Kolter 2017).  Every restart is dual-certified
+on the solve path, and the solver stops at the first restart whose
+certified gap is within ``CERT_GAP``: at rank >= sqrt(2 dim) the factorized
+problem has no spurious second-order critical points for generic costs
+(Boumal, Voroninski & Bandeira 2016), so further restarts only hedge a risk
+the certificate rules out instance by instance.  The certificate takes the
+smallest eigenvalue of diag(y) - M exactly from the dense matrix up to
+``DENSE_CERT_MAX`` rows and by Lanczos iteration above; rounding reads the
+exact leading eigenvector of S S^T off the k x k matrix S^T S.  Exact
+small-instance oracles (cut norm enumeration, Grothendieck bound) live here
+too.
 """
 
 from __future__ import annotations
@@ -139,13 +141,16 @@ DENSE_CERT_MAX = 1000
 def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSolution:
     """Maximize <M, X> over the elliptope by the shifted batch iteration.
 
-    A sweep is one batch step S <- rownormalise((B + diag(lam)) S), with B
-    the off-diagonal part of M and lam_i the Gershgorin radius of row i of B,
-    summed over its sparse and rank-one parts apart (so at least the radius
-    of B).  The step is one CSR product W [S; c u^T S] with the sweep matrix
-    W of :func:`_sweep_matrix`, built once per solve, plus three row
-    reductions.  B + diag(lam) is diagonally dominant, hence PSD, so the
-    objective is convex in S and no step can lower it.  Each restart starts
+    A sweep is one batch step S <- rownormalise(G + diag(sigma) S), with
+    G = B S for B the off-diagonal part of M, t_i = <s_i, g_i> and the
+    per-row shift sigma_i = max((lam_i - t_i) / 2, lam_i / 4) of
+    :func:`_ascent_step`, lam_i the Gershgorin radius of row i of B summed
+    over its sparse and rank-one parts apart (so at least the radius of B).
+    G is one CSR product W [S; u^T S] with the sweep matrix W of
+    :func:`_sweep_matrix`, built once per solve; t also gives the objective,
+    sum_i t_i + sum_i M_ii.  No step can lower the objective (the proof is in
+    :func:`_ascent_step`), and the fixed points are those of the Gershgorin
+    shift, rows with g_i parallel to s_i.  Each restart starts
     from a sphere-uniform factor, stops when the objective moves by at most
     ``cfg.tol`` (relative) over ``STALL_WINDOW`` sweeps, and is certified by
     :func:`certify_dual`.  The next restart runs only while the certified gap
@@ -166,12 +171,12 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
     W, lam = _sweep_matrix(M)
     # Every row of S stays unit: the draw is normalised once an all-zero row
     # (an event of probability zero) is set to e_1, and a step normalises each
-    # row or, where its gradient is exactly zero, keeps it.  So |S_i|^2 = 1
-    # and <M, S S^T> = <S, (B + diag(lam)) S> + sum_i (M_ii - lam_i).
-    offset = float(np.sum(M.diagonal() - lam))
-    buf = np.zeros((n + 1, k))  # [S; c u^T S]; the last row stays 0 without a rank-one part
+    # row or, where its shifted gradient is exactly zero, keeps it.  So
+    # <M, S S^T> = sum_i t_i + sum_i M_ii with t_i = <s_i, g_i>.
+    diag_sum = float(M.diagonal().sum())
+    buf = np.zeros((n + 1, k))  # [S; u^T S]; the last row stays 0 without a rank-one part
     S = buf[:n]
-    u, c = (None, 0.0) if M.rank1 is None else M.rank1
+    u = None if M.rank1 is None else M.rank1[0]
 
     best = None
     for r in range(cfg.restarts):
@@ -182,20 +187,17 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
         converged = False
         for sweeps in range(cfg.max_sweeps + 1):
             if u is not None:
-                np.multiply(c, u @ S, out=buf[n])
-            P = W @ buf
-            val = float(np.einsum("ij,ij->", S, P)) + offset
+                np.matmul(u, S, out=buf[n])
+            G = W @ buf
+            t = np.einsum("ij,ij->i", S, G)
+            val = float(t.sum()) + diag_sum
             history.append(val)
             if sweeps >= STALL_WINDOW and (
                     abs(val - history[-1 - STALL_WINDOW]) <= cfg.tol * max(1.0, abs(val))):
                 converged = True
                 break
             if sweeps < cfg.max_sweeps:
-                nrm = np.sqrt(np.einsum("ij,ij->i", P, P))
-                zero = nrm == 0.0
-                if zero.any():  # a zero gradient row stays put
-                    P[zero], nrm[zero] = S[zero], 1.0
-                np.divide(P, nrm[:, None], out=S)
+                _ascent_step(S, G, t, lam)
         if not math.isfinite(val):
             raise NumericError("objective diverged to a non-finite value")
         sol = SdpSolution(
@@ -214,36 +216,52 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
     return best
 
 
+def _ascent_step(S: np.ndarray, G: np.ndarray, t: np.ndarray, lam: np.ndarray) -> None:
+    """One batch step in place: S <- rownormalise(G + diag(sigma) S), with
+    G = B S the off-diagonal gradient (overwritten), t_i = <s_i, g_i> and
+    sigma_i = max((lam_i - t_i) / 2, lam_i / 4) for Gershgorin radii lam of B.
+
+    For unit rows, p_i = g_i + sigma_i s_i and D = S' - S, the objective rises
+    by sum_i (|p_i| + sigma_i) |D_i|^2 + <D, B D>, which is at least
+    sum_i (|p_i| + sigma_i - lam_i) |D_i|^2; as |p_i| >= t_i + sigma_i, any
+    sigma_i >= (lam_i - t_i) / 2 makes the step an ascent: half the
+    Gershgorin shift where t_i = 0, and less where t_i > 0.  The floor
+    lam_i / 4 keeps rows with t_i near lam_i moving: without it the 2 x 2
+    operator [[0, 1], [1, 0]] only creeps, and ends 2000 sweeps at a
+    certified gap of 5e-4.  A row whose p_i is exactly zero keeps s_i.
+    """
+    G += np.maximum(0.5 * (lam - t), 0.25 * lam)[:, None] * S
+    nrm = np.sqrt(np.einsum("ij,ij->i", G, G))
+    if not nrm.all():
+        zero = nrm == 0.0
+        G[zero], nrm[zero] = S[zero], 1.0
+    np.divide(G, nrm[:, None], out=S)
+
+
 def _sweep_matrix(M: MatrixOperator) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
     """The sweep matrix W of :func:`solve_elliptope` and its Gershgorin radii lam.
 
-    With B the off-diagonal sparse part of M and c u u^T its rank-one part,
-    W = [B + diag(lam - c u*u) | u] is dim x (dim + 1), its last column
-    empty without a rank-one part, so that W [S; c u^T S] equals
-    (B + diag(lam)) S.  lam_i is the Gershgorin radius of row i of B's
-    sparse and rank-one parts taken apart (so at least B's own radius).  Each
-    row holds B's entries in column order, then u_i, then the diagonal entry,
-    so the product adds B S, u (c u^T S) and diag(lam - c u*u) S term by term
-    in that order: the same bits as those three products summed one after
-    another.
+    With B_s the off-diagonal sparse part of M and c u u^T its rank-one part,
+    W = [B_s - diag(c u*u) | c u] is dim x (dim + 1), its last column empty
+    without a rank-one part, so that W [S; u^T S] equals B S for B the
+    off-diagonal part of M.  lam_i is the Gershgorin radius of row i of B's
+    sparse and rank-one parts taken apart (so at least B's own radius).
     """
     n = M.dim
     B = M._offdiag_matrix
-    idx = np.arange(n)
-    heads = np.repeat(idx, np.diff(B.indptr))  # row of every entry of B
+    heads = np.repeat(np.arange(n), np.diff(B.indptr))  # row of every entry of B
     lam = np.bincount(heads, weights=np.abs(B.data), minlength=n)
-    diag, u = lam, np.empty(0)
+    rows, cols, data = [heads], [B.indices], [B.data]
     if M.rank1 is not None:
         u, c = M.rank1
         au = np.abs(u)
         lam = lam + abs(c) * au * (au.sum() - au)
-        diag = lam - c * u * u
-    rows = np.concatenate([heads, idx[:u.size], idx])
-    order = np.argsort(rows, kind="stable")
-    cols = np.concatenate([B.indices, np.full(u.size, n), idx])[order]
-    data = np.concatenate([B.data, u, diag])[order]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    return scipy.sparse.csr_matrix((data, cols, indptr), shape=(n, n + 1)), lam
+        idx = np.arange(n)
+        rows += [idx, idx]
+        cols += [idx, np.full(n, n)]
+        data += [-c * u * u, c * u]
+    entries = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
+    return scipy.sparse.csr_matrix(entries, shape=(n, n + 1)), lam
 
 
 def gradient_matrix(M: MatrixOperator, S: np.ndarray) -> np.ndarray:

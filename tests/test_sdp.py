@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from ssbm import (MatrixOperator, ModelParams, NumericError, SolverConfig, aggregate,
@@ -85,17 +85,21 @@ def _dense_shift(M):
 
 def _dense_replay(M, cfg, steps, shifted=True):
     """Objectives of the solver's first restart, one batch step at a time, from
-    dense algebra: S <- rownormalise((B + diag(lam)) S), with B the off-diagonal
-    part of M and lam the solver's Gershgorin radii (lam = 0 if not shifted)."""
+    dense algebra: S <- rownormalise(G + diag(sigma) S), with G = B S for B the
+    off-diagonal part of M, sigma_i = max((lam_i - t_i) / 2, lam_i / 4) for the
+    solver's Gershgorin radii lam and t_i = <s_i, g_i> (sigma = 0 if not
+    shifted)."""
     dense = M.to_dense()
     B, lam = _dense_shift(M)
-    P = B + np.diag(lam) if shifted else B
     S = stream(cfg.seed, "sdp-init", 0).standard_normal((M.dim, cfg.rank_for(M.dim)))
     S /= np.linalg.norm(S, axis=1, keepdims=True)
     values = [float(np.einsum("ij,ik,jk->", dense, S, S))]
     for _ in range(steps):
-        S = P @ S
-        S /= np.linalg.norm(S, axis=1, keepdims=True)
+        G = B @ S
+        if shifted:
+            t = np.einsum("ij,ij->i", S, G)
+            G += np.maximum((lam - t) / 2, lam / 4)[:, None] * S
+        S = G / np.linalg.norm(G, axis=1, keepdims=True)
         values.append(float(np.einsum("ij,ik,jk->", dense, S, S)))
     return np.array(values), S
 
@@ -193,7 +197,7 @@ def test_scaling_equivariance():
 
 @given(st.data())
 def test_sweep_matrix_matches_dense_algebra(data):
-    # W [S; c u^T S] = (B + diag(lam)) S on sparse pairs with duplicates and
+    # W [S; u^T S] = B S, and lam the radii, on sparse pairs with duplicates and
     # diagonal entries, rows past `live` empty, a nonzero shift, and with and
     # without a rank-one part
     n = data.draw(st.integers(1, 8))
@@ -216,9 +220,52 @@ def test_sweep_matrix_matches_dense_algebra(data):
     scale = max(1.0, float((np.abs(B).sum(axis=1) + ref_lam).max()))
     assert W.shape == (n, n + 1)
     assert np.allclose(lam, ref_lam, rtol=0, atol=1e-12 * scale)
-    top = np.zeros((1, k)) if rank1 is None else rank1[1] * (rank1[0] @ S)
-    assert np.allclose(W @ np.vstack([S, top]), (B + np.diag(ref_lam)) @ S,
+    top = np.zeros((1, k)) if rank1 is None else rank1[0] @ S
+    assert np.allclose(W @ np.vstack([S, top]), B @ S,
                        rtol=0, atol=1e-12 * scale)
+
+
+def _entries(bound):
+    """Floats in [-bound, bound], zero or at least 1e-3 in size: squares of
+    smaller products underflow, and a row norm of a subnormal is inexact."""
+    return st.floats(-bound, bound).filter(lambda w: w == 0 or abs(w) >= 1e-3)
+
+
+@settings(max_examples=500)
+@given(st.data())
+def test_one_step_never_lowers_the_objective(data):
+    # one _ascent_step from arbitrary unit rows (so t_i < 0 on some) on a
+    # sparse plus rank-one operator, c of either sign; rows past `live` are
+    # isolated, with zero gradient, and must keep their rows.  A shift that is
+    # too small lowers the objective on about 1% of such cases, so the search
+    # is steered towards the largest drop and runs more examples than usual.
+    n = data.draw(st.integers(1, 8))
+    live = data.draw(st.integers(1, n))
+    index = st.integers(0, live - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index, _entries(10)), max_size=3 * n))
+    rows, cols, weights = (np.array(v) for v in zip(*pairs)) if pairs else ([], [], [])
+    rank1 = None
+    if data.draw(st.booleans()):
+        u = np.zeros(n)
+        u[:live] = data.draw(st.lists(_entries(2), min_size=live, max_size=live))
+        rank1 = (u, data.draw(_entries(2)))
+    M = MatrixOperator(n, rows, cols, weights, rank1=rank1)
+    k = data.draw(st.integers(1, 4))
+    S = np.array(data.draw(st.lists(st.floats(-1, 1, allow_nan=False),
+                                    min_size=n * k, max_size=n * k))).reshape(n, k)
+    S[np.linalg.norm(S, axis=1) < 1e-3] = np.eye(1, k)
+    S /= np.linalg.norm(S, axis=1, keepdims=True)
+    dense = M.to_dense()
+    G = gradient_matrix(M, S)
+    _, lam = sdp._sweep_matrix(M)
+    S1 = S.copy()
+    sdp._ascent_step(S1, G, np.einsum("ij,ij->i", S, G), lam)
+    scale = max(1.0, float(np.abs(dense).sum()))
+    before, after = (float(np.einsum("ij,ik,jk->", dense, X, X)) for X in (S, S1))
+    target((before - after) / scale)
+    assert after >= before - 1e-12 * scale
+    assert np.allclose(np.linalg.norm(S1, axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.array_equal(S1[live:], S[live:])
 
 
 def test_zero_gradient_rows_stay_put():
