@@ -6,6 +6,15 @@ SDP, test for community structure below the Kesten-Stigum threshold, and
 drive seeded Monte Carlo sweeps from the CLI (``ssbm --help``).
 """
 
+import os
+
+# One BLAS thread per process unless the caller set one: BLAS fixes its thread
+# count when numpy loads, so this must run before any submodule imports it, and
+# a sweep's worker processes (spawned, so they inherit this environment) already
+# share out the CPUs; a second BLAS thread only spins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .census import (EstimateReport, binomial_gap_oracle, census_estimate,
                      census_success_bound, delta_gap, overlap_lower_curve,
                      predict_accuracy_erf)

@@ -28,14 +28,11 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _add_model_args(p, lists=False):
-    nargs = "+" if lists else None
-    typ = float
-    p.add_argument("--n", type=int, nargs=nargs, required=True, help="vertex count (even)")
-    p.add_argument("--a", type=typ, nargs=nargs, required=True, help="within-community rate")
-    p.add_argument("--b", type=typ, nargs=nargs, required=True, help="cross-community rate")
-    p.add_argument("--rho", type=typ, nargs=nargs, default=[0.0] if lists else 0.0,
-                   help="reveal ratio in [0,1]")
+def _add_model_args(p):
+    p.add_argument("--n", type=int, required=True, help="vertex count (even)")
+    p.add_argument("--a", type=float, required=True, help="within-community rate")
+    p.add_argument("--b", type=float, required=True, help="cross-community rate")
+    p.add_argument("--rho", type=float, default=0.0, help="reveal ratio in [0,1]")
     p.add_argument("--seed", type=int, default=0, help="master seed")
 
 

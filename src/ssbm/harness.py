@@ -10,7 +10,6 @@ produced the graph.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import datetime
 import itertools
@@ -147,17 +146,14 @@ class ExperimentConfig:
             raise ValueError("parameter grid must be non-empty")
 
     def cells(self) -> list[tuple[int, float, float, float]]:
-        """Grid cells (n, a, b, rho).  The phase-grid kind silently skips
-        infeasible b > a combinations; other kinds reject them."""
+        """Grid cells (n, a, b, rho).  The phase-grid kind skips its b > a
+        combinations; every other invalid cell raises ValueError."""
         out = []
         for n, a, b, rho in itertools.product(self.n, self.a, self.b, self.rho):
-            try:
-                ModelParams(n=n, a=a, b=b, rho=rho)
-                snr(a, b)
-            except ValueError:
-                if self.kind == "phase-grid":
-                    continue
-                raise
+            if self.kind == "phase-grid" and b > a:
+                continue
+            ModelParams(n=n, a=a, b=b, rho=rho)
+            snr(a, b)
             out.append((n, a, b, rho))
         if not out:
             raise ValueError("parameter grid contains no valid cell")
@@ -319,29 +315,6 @@ class SweepResult:
     summary_path: str
 
 
-# The worker pool already spreads a sweep over the CPUs; a BLAS thread pool in
-# every worker on top of it only oversubscribes them, and its spinning threads
-# made the dense certificates of a workers=4 sweep on 2 CPUs 2-3x slower.
-_CHILD_BLAS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-
-
-@contextlib.contextmanager
-def _one_blas_thread_in_children():
-    """Processes started in this block read one BLAS thread from their
-    environment (BLAS fixes its thread count when it loads); this process's
-    own environment is restored on exit."""
-    saved = {key: os.environ.get(key) for key in _CHILD_BLAS}
-    os.environ.update(_CHILD_BLAS)
-    try:
-        yield
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key)
-            else:
-                os.environ[key] = value
-
-
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Execute a sweep and write records.csv + summary.json (+ figure SVG).
 
@@ -358,11 +331,8 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     if cfg.workers > 1:
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=cfg.workers, mp_context=spawn) as pool:
-            with _one_blas_thread_in_children():  # map submits every task: all workers start
-                pending = pool.map(_cell_task, itertools.repeat(cfg),
-                                   *zip(*((ci, cell, rep) for ci, cell, rep in tasks)),
-                                   chunksize=1)
-            results = list(pending)
+            results = list(pool.map(_cell_task, itertools.repeat(cfg), *zip(*tasks),
+                                    chunksize=1))
     else:
         results = [_cell_task(cfg, ci, cell, rep) for ci, cell, rep in tasks]
 

@@ -129,10 +129,13 @@ class Graph:
     def from_edges(cls, n: int, ei, ej, labels: Labels) -> "Graph":
         """Graph on n vertices with the undirected edges (ei[k], ej[k]).
 
-        An endpoint outside [0, n) raises ValueError; a repeated edge stays
-        repeated, and :meth:`validate` rejects it.
+        Endpoint arrays of unequal length, or an endpoint outside [0, n), raise
+        ValueError; a repeated edge stays repeated, and :meth:`validate`
+        rejects it.
         """
         ei, ej = np.asarray(ei, dtype=np.int64), np.asarray(ej, dtype=np.int64)
+        if ei.shape != ej.shape:
+            raise ValueError(f"endpoint arrays differ in length: {ei.size} and {ej.size}")
         if ei.size and (min(ei.min(), ej.min()) < 0 or max(ei.max(), ej.max()) >= n):
             raise ValueError(f"edge endpoint out of range [0, {n})")
         adj = _symmetric_csr(n, ei, ej, np.ones(ei.size, dtype=bool))

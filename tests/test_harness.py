@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -41,6 +44,10 @@ def test_config_validation(tmp_path):
         bad.cells()
     grid = _cfg(tmp_path, kind="phase-grid", a=(3.0, 6.0), b=(4.0,))
     assert grid.cells() == [(60, 6.0, 4.0, 0.3), (60, 6.0, 4.0, 0.6)]
+    # phase-grid skips only b > a: an odd n or a rho outside [0, 1] still raises
+    for over, match in (({"n": (60, 61)}, "even"), ({"rho": (0.2, 1.5)}, "rho")):
+        with pytest.raises(ValueError, match=match):
+            _cfg(tmp_path, kind="phase-grid", a=(3.0, 6.0), b=(4.0,), **over).cells()
     # an unknown solver setting is a config error, not a crash
     raw = json.loads(_cfg(tmp_path).to_json())
     raw["solver"]["max_sweep"] = 10
@@ -132,22 +139,40 @@ def test_parallel_matches_serial(tmp_path):
     assert strip(serial.records) == strip(parallel.records)
 
 
-def test_sweep_workers_start_with_one_blas_thread(monkeypatch):
-    # BLAS fixes its thread count when it loads, so run_sweep spawns its
-    # workers with one thread set; this process keeps its own settings
-    import multiprocessing
-    import os
-    from concurrent.futures import ProcessPoolExecutor
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-    from ssbm.harness import _one_blas_thread_in_children
 
-    monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
-        with _one_blas_thread_in_children():
-            child = pool.submit(os.getenv, "OPENBLAS_NUM_THREADS")
-        assert child.result(timeout=60) == "1"
-    assert os.environ["OMP_NUM_THREADS"] == "3" and "OPENBLAS_NUM_THREADS" not in os.environ
+def _run_python(code, **preset):
+    """stdout of a fresh interpreter running code, with none of the BLAS
+    thread variables set apart from preset."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env.update(preset, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env, timeout=120).stdout.split()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_import_defaults_to_one_blas_thread():
+    # BLAS fixes its thread count when numpy loads, so `import ssbm` sets it first
+    out = _run_python("import os, ssbm\n"
+                      f"print(*(os.environ[v] for v in {_BLAS_VARS!r}))\n"
+                      "print(len(os.listdir('/proc/self/task')))")
+    assert out == ["1", "1", "1", "1"]
+
+
+def test_import_keeps_a_preset_blas_thread_count():
+    out = _run_python("import os, ssbm\nprint(os.environ['OPENBLAS_NUM_THREADS'])",
+                      OPENBLAS_NUM_THREADS="2")
+    assert out == ["2"]
+
+
+def test_spawned_sweep_workers_inherit_one_blas_thread():
+    out = _run_python("import multiprocessing, os, ssbm\n"
+                      "from concurrent.futures import ProcessPoolExecutor\n"
+                      "spawn = multiprocessing.get_context('spawn')\n"
+                      "with ProcessPoolExecutor(1, mp_context=spawn) as pool:\n"
+                      f"    print(*pool.map(os.getenv, {_BLAS_VARS!r}))")
+    assert out == ["1", "1", "1"]
 
 
 def test_detection_sweep_shape(tmp_path):

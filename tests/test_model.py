@@ -283,6 +283,12 @@ def test_from_edges_rejects_out_of_range_endpoints():
             Graph.from_edges(4, ei, ej, labels)
 
 
+def test_from_edges_rejects_endpoint_arrays_of_unequal_length():
+    # unchecked, the CSR build paired the arrays up into an asymmetric adjacency
+    with pytest.raises(ValueError, match="differ in length: 2 and 1"):
+        Graph.from_edges(4, [0, 1], [2], Labels([1, -1, 1, -1]))
+
+
 def test_read_instance_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("4 1\n2 1\nL 1 1 -1 -1\nR 0 0 0 0\n")  # edge with i > j
