@@ -15,8 +15,8 @@ from .census import census_estimate, overlap
 from .csdp import detection_test, estimate_unrevealed, solve_csdp
 from .harness import SWEEP_KINDS, ExperimentConfig, oracle_suite, run_sweep
 from .model import ModelParams, centered_adjacency, sample_instance, write_instance
-from .sdp import (CERT_GAP, STALL_WINDOW, NumericError, SolverConfig, round_leading_eigvec,
-                  solve_elliptope)
+from .sdp import (CERT_GAP, DENSE_CERT_MAX, STALL_WINDOW, NumericError, SolverConfig,
+                  round_leading_eigvec, solve_elliptope)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,8 +41,11 @@ def _add_solver_args(p):
     p.add_argument("--rank", type=int, default=defaults.rank,
                    help="factor width (default: sqrt rule)")
     p.add_argument("--tol", type=float, default=defaults.tol,
-                   help=f"stop when the objective moves by at most this (relative) "
-                        f"over {STALL_WINDOW} sweeps; a sweep is one batch step")
+                   help=f"stop a restart when the objective moves by at most this "
+                        f"(relative) over {STALL_WINDOW} sweeps; up to dim "
+                        f"{DENSE_CERT_MAX} it stops sooner once a check proves the dual "
+                        f"gap within {CERT_GAP:g} * min(1, tol / 1e-6) (relative); a "
+                        f"sweep is one batch step")
     p.add_argument("--max-sweeps", type=int, default=defaults.max_sweeps,
                    help="batch steps per restart at most")
     p.add_argument("--restarts", type=int, default=defaults.restarts,

@@ -8,12 +8,15 @@ per-row shift recomputed from the gradient every sweep.  That is
 O((nnz + dim) k) work, and a monotone ascent: a row's shift is at least half
 its Gershgorin radius less half its alignment with its gradient, which is
 all ascent needs (the batch form of the low-rank coordinate scheme of the
-Mixing method, Wang, Chang & Kolter 2017).  Every restart is dual-certified
-on the solve path, and the solver stops at the first restart whose
-certified gap is within ``CERT_GAP``: at rank >= sqrt(2 dim) the factorized
-problem has no spurious second-order critical points for generic costs
-(Boumal, Voroninski & Bandeira 2016), so further restarts only hedge a risk
-the certificate rules out instance by instance.  The certificate takes the
+Mixing method, Wang, Chang & Kolter 2017).  Up to ``DENSE_CERT_MAX`` rows
+a restart stops as soon as a Cholesky factorisation, scheduled in the
+loop, proves its dual gap within target, without waiting for the objective
+to stall.  Every restart is dual-certified on the solve path, and the
+solver stops at the first restart whose certified gap is within
+``CERT_GAP``: at rank >= sqrt(2 dim) the factorized problem has no
+spurious second-order critical points for generic costs (Boumal,
+Voroninski & Bandeira 2016), so further restarts only hedge a risk the
+certificate rules out instance by instance.  The certificate takes the
 smallest eigenvalue of diag(y) - M exactly from the dense matrix up to
 ``DENSE_CERT_MAX`` rows and by Lanczos iteration above; rounding reads the
 exact leading eigenvector of S S^T off the k x k matrix S^T S.  Exact
@@ -54,11 +57,15 @@ class SolverConfig:
 
     rank=None picks ceil(sqrt(2 dim)) + 1 (capped at dim), above the
     Barvinok-Pataki width at which the factorized problem admits the SDP
-    optimum.  A sweep is one batch step; ``tol`` is the relative change of
-    the objective over ``STALL_WINDOW`` sweeps at which a restart stops, and
-    ``max_sweeps`` caps the steps of each restart.  ``restarts`` is a cap:
-    restart r+1 runs only when restart r's certified relative gap exceeds
-    ``CERT_GAP``.
+    optimum.  A sweep is one batch step, and ``max_sweeps`` caps the steps
+    of each restart.  A restart stops at the first of two tests.  The stall
+    test: the objective moved by at most ``tol`` (relative) over
+    ``STALL_WINDOW`` sweeps.  The certified stop, up to ``DENSE_CERT_MAX``
+    rows: a scheduled in-loop check proves the certified relative gap within
+    ``CERT_GAP * min(1, tol / 1e-6)``, so ``CERT_GAP`` at the default ``tol``
+    and proportionally tighter below it.  ``tol`` is not itself a target
+    gap.  ``restarts`` is a cap: restart r+1 runs only when restart r's
+    certified relative gap exceeds ``CERT_GAP``.
     """
 
     rank: int | None = None
@@ -74,8 +81,8 @@ class SolverConfig:
             raise ValueError("tol must be a number")
         if self.rank is not None and self.rank < 2:
             raise ValueError("rank must be >= 2")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_sweeps < 1 or self.restarts < 1:
             raise ValueError("max_sweeps and restarts must be >= 1")
 
@@ -91,8 +98,9 @@ class SdpSolution:
 
     Every row of ``factor`` has unit norm; ``value`` equals
     <M, factor factor^T>; ``objective_history`` holds the per-sweep objective
-    of the winning restart (monotone nondecreasing).  ``converged`` only says
-    that the objective stalled; ``certificate`` is the dual certificate of
+    of the winning restart (monotone nondecreasing).  ``converged`` says that
+    the restart stopped on a certificate or a stall, not on ``max_sweeps``;
+    ``certificate`` is the dual certificate of
     ``factor`` (None on solutions not built by :func:`solve_elliptope`), so a
     caller can flag a value whose gap is too wide without certifying again.
     """
@@ -151,12 +159,22 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
     sum_i t_i + sum_i M_ii.  No step can lower the objective (the proof is in
     :func:`_ascent_step`), and the fixed points are those of the Gershgorin
     shift, rows with g_i parallel to s_i.  Each restart starts
-    from a sphere-uniform factor, stops when the objective moves by at most
-    ``cfg.tol`` (relative) over ``STALL_WINDOW`` sweeps, and is certified by
-    :func:`certify_dual`.  The next restart runs only while the certified gap
-    exceeds ``CERT_GAP`` relative (to max(1, |value|)), up to
-    ``cfg.restarts`` in all.  Returns the best restart run, with its
-    certificate attached.
+    from a sphere-uniform factor and stops at the first of two tests.  The
+    certified stop, up to ``DENSE_CERT_MAX`` rows: once the free first-order
+    gap sum_i (|g_i| - t_i) at a sweep s is within half the target
+    ``CERT_GAP * min(1, cfg.tol / 1e-6)`` (relative to max(1, |value|)),
+    :func:`_cholesky_certifies` runs on the sweep's own G at sweep
+    max(s + max(20, dim // 8), floor(1.25 s)), and again that far after each
+    check that fails while the first-order gap stays within half the
+    target; the restart stops at the first check that proves the certified
+    gap within the target.  The schedule depends on sweep counts and dim
+    only, so solves stay deterministic.  The
+    stall test, at every dim: the objective moved by at most ``cfg.tol``
+    (relative) over ``STALL_WINDOW`` sweeps.  Either way the restart is then
+    certified exactly by :func:`certify_dual`.  The next restart runs only
+    while the certified gap exceeds ``CERT_GAP`` relative (to
+    max(1, |value|)), up to ``cfg.restarts`` in all.  Returns the best
+    restart run, with its certificate attached.
     """
     cfg = cfg or SolverConfig()
     n = M.dim
@@ -177,6 +195,14 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
     buf = np.zeros((n + 1, k))  # [S; u^T S]; the last row stays 0 without a rank-one part
     S = buf[:n]
     u = None if M.rank1 is None else M.rank1[0]
+    # -M off the diagonal, for the in-loop check; only where certify_dual
+    # takes its dense path too
+    negB = None
+    if n <= DENSE_CERT_MAX:
+        negB = M.to_dense()
+        np.negative(negB, out=negB)
+    target = CERT_GAP * min(1.0, cfg.tol / 1e-6)
+    spacing = max(20, n // 8)  # a check at dim 1000 costs about 70 sweeps
 
     best = None
     for r in range(cfg.restarts):
@@ -185,6 +211,9 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
         S /= np.linalg.norm(S, axis=1, keepdims=True)
         history = []
         converged = False
+        # next sweep to test: 0 until the first-order gap first falls within
+        # half the budget, which schedules the first Cholesky check
+        check = 0
         for sweeps in range(cfg.max_sweeps + 1):
             if u is not None:
                 np.matmul(u, S, out=buf[n])
@@ -196,6 +225,15 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
                     abs(val - history[-1 - STALL_WINDOW]) <= cfg.tol * max(1.0, abs(val))):
                 converged = True
                 break
+            if negB is not None and sweeps >= check:
+                g = np.sqrt(np.einsum("ij,ij->i", G, G))
+                budget = target * max(1.0, abs(val))
+                slack = budget - float((g - t).sum())
+                if slack >= budget / 2:
+                    if check and _cholesky_certifies(negB, g, slack):
+                        converged = True
+                        break
+                    check = max(sweeps + spacing, int(1.25 * sweeps))
             if sweeps < cfg.max_sweeps:
                 _ascent_step(S, G, t, lam)
         if not math.isfinite(val):
@@ -216,6 +254,31 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
     return best
 
 
+def _cholesky_certifies(negB: np.ndarray, g: np.ndarray, slack: float) -> bool:
+    """Whether a Cholesky factorisation proves certify_dual's gap within the
+    budget, at a factor whose gradient rows G = B S have norms g.
+
+    certify_dual's point y_i = g_i + M_ii has the gap
+    sum_i (g_i - t_i) - dim min(0, lambda_min(diag(g) - B)), and ``slack`` is
+    the budget less that first-order sum.  A factorisation of
+    diag(g) - B + (0.9 slack / dim) I that succeeds proves lambda_min above
+    -0.9 slack / dim, so the gap is within the budget with 10% of the slack
+    to spare for rounding.  ``negB`` holds -B off its diagonal; the diagonal
+    is overwritten.
+    """
+    negB[np.diag_indices(len(g))] = g + 0.9 * slack / len(g)
+    try:
+        np.linalg.cholesky(negB)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+# Row norms above this have sums of squares of at least tiny / eps^2, next to
+# which the squares that underflow (each below tiny) are lost in rounding.
+_SQUARES_EXACT = math.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
+
+
 def _ascent_step(S: np.ndarray, G: np.ndarray, t: np.ndarray, lam: np.ndarray) -> None:
     """One batch step in place: S <- rownormalise(G + diag(sigma) S), with
     G = B S the off-diagonal gradient (overwritten), t_i = <s_i, g_i> and
@@ -228,13 +291,19 @@ def _ascent_step(S: np.ndarray, G: np.ndarray, t: np.ndarray, lam: np.ndarray) -
     Gershgorin shift where t_i = 0, and less where t_i > 0.  The floor
     lam_i / 4 keeps rows with t_i near lam_i moving: without it the 2 x 2
     operator [[0, 1], [1, 0]] only creeps, and ends 2000 sweeps at a
-    certified gap of 5e-4.  A row whose p_i is exactly zero keeps s_i.
+    certified gap of 5e-4.  A row whose p_i is exactly zero keeps s_i.  A
+    row whose norm is too small for its squares to add up exactly (below
+    ``_SQUARES_EXACT``) is scaled by its largest entry before it is normalised.
     """
     G += np.maximum(0.5 * (lam - t), 0.25 * lam)[:, None] * S
     nrm = np.sqrt(np.einsum("ij,ij->i", G, G))
-    if not nrm.all():
-        zero = nrm == 0.0
+    if not (nrm > _SQUARES_EXACT).all():
+        small = np.flatnonzero(nrm <= _SQUARES_EXACT)
+        peak = np.abs(G[small]).max(axis=1)
+        zero, tiny = small[peak == 0.0], small[peak > 0.0]
         G[zero], nrm[zero] = S[zero], 1.0
+        G[tiny] /= peak[peak > 0.0, None]
+        nrm[tiny] = np.sqrt(np.einsum("ij,ij->i", G[tiny], G[tiny]))
     np.divide(G, nrm[:, None], out=S)
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,9 @@ def test_config_validation():
         SolverConfig(rank=1)
     with pytest.raises(ValueError):
         SolverConfig(tol=0)
+    for tol in (math.nan, math.inf):  # no stall, or a stop after STALL_WINDOW sweeps
+        with pytest.raises(ValueError):
+            SolverConfig(tol=tol)
     with pytest.raises(ValueError):
         SolverConfig(restarts=0)
     assert SolverConfig().rank_for(50) == math.ceil(math.sqrt(100)) + 1
@@ -226,9 +230,9 @@ def test_sweep_matrix_matches_dense_algebra(data):
 
 
 def _entries(bound):
-    """Floats in [-bound, bound], zero or at least 1e-3 in size: squares of
-    smaller products underflow, and a row norm of a subnormal is inexact."""
-    return st.floats(-bound, bound).filter(lambda w: w == 0 or abs(w) >= 1e-3)
+    """Floats in [-bound, bound], zero or at least 1e-300 in size, so that
+    some rows have squares that underflow."""
+    return st.floats(-bound, bound).filter(lambda w: w == 0 or abs(w) >= 1e-300)
 
 
 @settings(max_examples=500)
@@ -266,6 +270,18 @@ def test_one_step_never_lowers_the_objective(data):
     assert after >= before - 1e-12 * scale
     assert np.allclose(np.linalg.norm(S1, axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.array_equal(S1[live:], S[live:])
+
+
+def test_ascent_step_normalises_rows_below_the_underflow_limit():
+    # gradients near 1e-160 have squares below the smallest normal float, so
+    # the square root of their sum is no exact row norm
+    M = MatrixOperator(3, [0, 1], [1, 2], [1e-160, -3e-161])
+    S = np.random.default_rng(5).standard_normal((3, 2))
+    S /= np.linalg.norm(S, axis=1, keepdims=True)
+    G = gradient_matrix(M, S)
+    _, lam = sdp._sweep_matrix(M)
+    sdp._ascent_step(S, G, np.einsum("ij,ij->i", S, G), lam)
+    assert np.allclose(np.linalg.norm(S, axis=1), 1.0, rtol=0, atol=1e-15)
 
 
 def test_zero_gradient_rows_stay_put():
@@ -420,19 +436,109 @@ def test_lanczos_certificate_agrees_with_dense(monkeypatch):
         assert lanczos.upper_bound >= sol.value - 1e-9 * max(1.0, abs(sol.value))
 
 
+@settings(max_examples=300)
+@given(st.data())
+def test_cholesky_check_passes_only_within_the_exact_gap(data):
+    # on small operators, with and without a rank-one part, and unit factors
+    # moved by up to 40 ascent steps towards the optimum (so that the check
+    # meets gaps on both sides of the target): a check the solver would run
+    # passes only where certify_dual's exact gap is within the target
+    n = data.draw(st.integers(1, 8))
+    index = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index, st.floats(-10, 10)), max_size=3 * n))
+    rows, cols, weights = (np.array(v) for v in zip(*pairs)) if pairs else ([], [], [])
+    rank1 = None
+    if data.draw(st.booleans()):
+        u = np.array(data.draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n)))
+        rank1 = (u, data.draw(st.floats(-1, 1)))
+    M = MatrixOperator(n, rows, cols, weights, rank1=rank1)
+    k = data.draw(st.integers(1, 4))
+    S = stream(data.draw(st.integers(0, 2**16)), "check-test").standard_normal((n, k))
+    S /= np.linalg.norm(S, axis=1, keepdims=True)
+    _, lam = sdp._sweep_matrix(M)
+    for _ in range(data.draw(st.integers(0, 40))):
+        G = gradient_matrix(M, S)
+        sdp._ascent_step(S, G, np.einsum("ij,ij->i", S, G), lam)
+    G = gradient_matrix(M, S)
+    g, t = np.linalg.norm(G, axis=1), np.einsum("ij,ij->i", S, G)
+    value = float(t.sum() + M.diagonal().sum())
+    budget = 10 ** data.draw(st.floats(-6, 0)) * max(1.0, abs(value))
+    slack = budget - float((g - t).sum())
+    if slack >= budget / 2 and sdp._cholesky_certifies(-M.to_dense(), g, slack):
+        y = g + M.diagonal()
+        lambda_min = float(np.linalg.eigvalsh(np.diag(y) - _dense_by_matvec(M))[0])
+        gap = y.sum() - n * min(0.0, lambda_min) - value
+        target(gap / budget)
+        assert gap <= budget
+
+
+def _record_checks(monkeypatch):
+    """Results of the solver's in-loop checks, in call order."""
+    results = []
+    real = sdp._cholesky_certifies
+
+    def recording(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(sdp, "_cholesky_certifies", recording)
+    return results
+
+
+def _solve_all(ops, cfg, checks):
+    """Solves of ``ops`` at solver seeds 0, 1, ..., and for each whether it
+    stopped on the in-loop check (the last check it ran passed)."""
+    sols, stopped = [], []
+    for i, M in enumerate(ops):
+        checks.clear()
+        sols.append(solve_elliptope(M, replace(cfg, seed=i)))
+        stopped.append(bool(checks) and checks[-1])
+    return sols, stopped
+
+
+def test_certified_stop_is_within_target(monkeypatch):
+    # every solve that stops on the in-loop check is certified by its first
+    # restart, exactly within the target; the two detection operators and
+    # most random ones stop that way
+    rng = np.random.default_rng(7)
+    ops = list(_detection_operators())
+    ops += [_random_operator(rng, int(rng.integers(2, 61))) for _ in range(60)]
+    sols, stopped = _solve_all(ops, SolverConfig(), _record_checks(monkeypatch))
+    assert stopped[:2] == [True, True] and sum(stopped) >= 50
+    for sol, checked in zip(sols, stopped):
+        if checked:
+            assert sol.converged and sol.best_of == 0
+            assert sol.certificate.power_converged
+            assert sol.certificate.gap <= CERT_GAP * max(1.0, abs(sol.value))
+
+
+def test_certified_stop_saves_sweeps(monkeypatch):
+    # without the in-loop check (a zero dense cutoff) the detection solves
+    # run to the stall, which takes at least 1.5x the sweeps
+    ops, checks = _detection_operators(), _record_checks(monkeypatch)
+    checked, stopped = _solve_all(ops, SolverConfig(), checks)
+    monkeypatch.setattr(sdp, "DENSE_CERT_MAX", 0)
+    stalled, none = _solve_all(ops, SolverConfig(), checks)
+    assert stopped == [True, True] and none == [False, False]
+    for a, b in zip(checked, stalled):
+        assert b.converged and b.sweeps_used >= 1.5 * a.sweeps_used
+        assert abs(a.value - b.value) <= CERT_GAP * abs(b.value)
+
+
 def test_import_leaves_heavy_scipy_modules_unloaded():
     # scipy.sparse.linalg (only certify_dual needs it) added 0.15 s and 8.5 MB
     # to `import ssbm` when measured, past the benchmark's 25% setup_s and 5%
-    # peak_rss_mb bounds; scipy.sparse.csgraph costs the same kind of load.
-    # The solves must not load them either.
+    # peak_rss_mb bounds; scipy.sparse.csgraph costs the same kind of load,
+    # and scipy.linalg about 7 MB.  The solves, whose in-loop check runs at
+    # n = 40, must not load them either.
     code = ("import sys, ssbm\n"
             "p = ssbm.ModelParams(n=40, a=8, b=2, rho=0.25, seed=1)\n"
             "g, rev = ssbm.sample_instance(p)\n"
             "cfg = ssbm.SolverConfig(restarts=1)\n"
             "ssbm.solve_elliptope(ssbm.centered_adjacency(g, p.d), cfg)\n"
             "ssbm.solve_csdp(g, rev, p.d, cfg)\n"
-            "print(sorted(m for m in ('scipy.sparse.linalg', 'scipy.sparse.csgraph')"
-            " if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg',"
+            " 'scipy.sparse.csgraph') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "[]"
