@@ -175,9 +175,14 @@ class ExperimentConfig:
         bad = sorted(key for key, values in grid.items() if not isinstance(values, list))
         if bad:
             raise ValueError(f"params must be lists: {', '.join(bad)}")
-        unknown = set(solver) - {f.name for f in dataclasses.fields(SolverConfig)}
-        if unknown:
-            raise ValueError(f"unknown solver settings: {', '.join(sorted(unknown))}")
+        # a misspelt key would otherwise fall back to its default unseen
+        top = {f.name for f in dataclasses.fields(cls)} - set(grid) | {"params"}
+        solver_keys = {f.name for f in dataclasses.fields(SolverConfig)}
+        for what, given, known in (("config keys", raw, top), ("params", params, grid),
+                                   ("solver settings", solver, solver_keys)):
+            unknown = sorted(given.keys() - known)
+            if unknown:
+                raise ValueError(f"unknown {what}: {', '.join(unknown)}")
         return cls(
             kind=raw["kind"],
             **{key: tuple(values) for key, values in grid.items()},

@@ -11,15 +11,18 @@ all ascent needs (the batch form of the low-rank coordinate scheme of the
 Mixing method, Wang, Chang & Kolter 2017).  Up to ``DENSE_CERT_MAX`` rows
 a restart stops as soon as a Cholesky factorisation, scheduled in the
 loop, proves its dual gap within target, without waiting for the objective
-to stall.  Every restart is dual-certified on the solve path, and the
+to stall; that proof is all the solve path certifies of it.  Every other
+restart (stopped on a stall or at ``max_sweeps``, or above
+``DENSE_CERT_MAX`` rows) is dual-certified exactly on the solve path.  The
 solver stops at the first restart whose certified gap is within
 ``CERT_GAP``: at rank >= sqrt(2 dim) the factorized problem has no
 spurious second-order critical points for generic costs (Boumal,
 Voroninski & Bandeira 2016), so further restarts only hedge a risk the
-certificate rules out instance by instance.  The certificate takes the
-smallest eigenvalue of diag(y) - M exactly from the dense matrix up to
-``DENSE_CERT_MAX`` rows and by Lanczos iteration above; rounding reads the
-exact leading eigenvector of S S^T off the k x k matrix S^T S.  Exact
+certificate rules out instance by instance.  The exact certificate of a
+solution is computed when ``SdpSolution.certificate`` is first read.  It
+takes the smallest eigenvalue of diag(y) - M exactly from the dense matrix
+up to ``DENSE_CERT_MAX`` rows and by Lanczos iteration above.  Rounding
+reads the exact leading eigenvector of S S^T off the k x k matrix S^T S.  Exact
 small-instance oracles (cut norm enumeration, Grothendieck bound) live here
 too.
 """
@@ -28,7 +31,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -99,10 +103,9 @@ class SdpSolution:
     Every row of ``factor`` has unit norm; ``value`` equals
     <M, factor factor^T>; ``objective_history`` holds the per-sweep objective
     of the winning restart (monotone nondecreasing).  ``converged`` says that
-    the restart stopped on a certificate or a stall, not on ``max_sweeps``;
-    ``certificate`` is the dual certificate of
-    ``factor`` (None on solutions not built by :func:`solve_elliptope`), so a
-    caller can flag a value whose gap is too wide without certifying again.
+    the restart stopped on a certificate or a stall, not on ``max_sweeps``.
+    ``operator`` is the M that :func:`solve_elliptope` solved (None on
+    solutions built by hand), kept so that ``certificate`` can be computed.
     """
 
     factor: np.ndarray
@@ -111,13 +114,24 @@ class SdpSolution:
     converged: bool
     best_of: int
     objective_history: np.ndarray
-    certificate: DualCertificate | None = None
+    operator: MatrixOperator | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def certificate(self) -> DualCertificate | None:
+        """The exact dual certificate :func:`certify_dual` gives ``factor``,
+        computed on first read and kept (None without an ``operator``), so a
+        caller can flag a value whose gap is too wide without certifying
+        again.  The solver reads it only for restarts that its in-loop check
+        did not certify."""
+        return None if self.operator is None else certify_dual(self.operator, self)
 
     def to_json(self) -> str:
+        cert = self.certificate
         return json.dumps({
             "value": self.value,
             "sweeps": self.sweeps_used,
             "converged": self.converged,
+            "certified_rel_gap": None if cert is None else cert.gap / max(1.0, abs(self.value)),
         })
 
 
@@ -170,11 +184,14 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
     gap within the target.  The schedule depends on sweep counts and dim
     only, so solves stay deterministic.  The
     stall test, at every dim: the objective moved by at most ``cfg.tol``
-    (relative) over ``STALL_WINDOW`` sweeps.  Either way the restart is then
-    certified exactly by :func:`certify_dual`.  The next restart runs only
-    while the certified gap exceeds ``CERT_GAP`` relative (to
-    max(1, |value|)), up to ``cfg.restarts`` in all.  Returns the best
-    restart run, with its certificate attached.
+    (relative) over ``STALL_WINDOW`` sweeps.  A restart that stops on a
+    passing check ends the restarts, since the check proves its certified
+    gap within the target, at most ``CERT_GAP``.  Any other restart is
+    certified exactly by :func:`certify_dual`, and the next restart runs
+    only while that gap exceeds ``CERT_GAP`` relative (to max(1, |value|)),
+    up to ``cfg.restarts`` in all.  Returns the best restart run; its exact
+    ``certificate`` is computed on first read, or was already computed for
+    the restart rule.
     """
     cfg = cfg or SolverConfig()
     n = M.dim
@@ -210,7 +227,7 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
         S[~S.any(axis=1), 0] = 1.0
         S /= np.linalg.norm(S, axis=1, keepdims=True)
         history = []
-        converged = False
+        converged = certified = False
         # next sweep to test: 0 until the first-order gap first falls within
         # half the budget, which schedules the first Cholesky check
         check = 0
@@ -231,7 +248,7 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
                 slack = budget - float((g - t).sum())
                 if slack >= budget / 2:
                     if check and _cholesky_certifies(negB, g, slack):
-                        converged = True
+                        converged = certified = True
                         break
                     check = max(sweeps + spacing, int(1.25 * sweeps))
             if sweeps < cfg.max_sweeps:
@@ -245,11 +262,12 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
             converged=converged,
             best_of=r,
             objective_history=np.asarray(history),
+            operator=M,
         )
-        sol = replace(sol, certificate=certify_dual(M, sol))
         if best is None or sol.value > best.value:
             best = sol
-        if sol.certificate.gap <= CERT_GAP * max(1.0, abs(val)):
+        # a passing check has proved the gap within target <= CERT_GAP
+        if certified or sol.certificate.gap <= CERT_GAP * max(1.0, abs(val)):
             break
     return best
 

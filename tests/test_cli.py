@@ -5,6 +5,7 @@ import pytest
 
 from ssbm import read_instance
 from ssbm.cli import main
+from ssbm.sdp import CERT_GAP
 
 
 def test_generate_writes_readable_instance(tmp_path):
@@ -34,13 +35,16 @@ def test_sdp_and_csdp_commands(capsys):
                  "--seed", "2", "--restarts", "1"])
     assert code == 0
     sdp_payload = json.loads(capsys.readouterr().out)
-    assert {"value", "sweeps", "converged", "overlap_unrevealed"} == set(sdp_payload)
+    assert {"value", "sweeps", "converged", "certified_rel_gap",
+            "overlap_unrevealed"} == set(sdp_payload)
+    assert 0 <= sdp_payload["certified_rel_gap"] <= CERT_GAP
 
     code = main(["csdp", "--n", "60", "--a", "8", "--b", "2", "--rho", "0.2",
                  "--seed", "2", "--restarts", "1"])
     assert code == 0
     csdp_payload = json.loads(capsys.readouterr().out)
     assert "margin00" in csdp_payload
+    assert 0 <= csdp_payload["certified_rel_gap"] <= CERT_GAP
     assert csdp_payload["value"] <= sdp_payload["value"] + 1e-3 * 60 * 3
 
 

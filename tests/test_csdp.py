@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -179,6 +180,9 @@ def test_estimate_aligned_factor_gives_overlap_one():
     agg = aggregate(MatrixOperator(n, [0], [1], [1.0]), rev)
     inner = SdpSolution(factor=factor, value=0.0, sweeps_used=1, converged=True,
                         best_of=0, objective_history=np.array([0.0]))
+    # a hand-built solution has no operator, so nothing to certify
+    assert inner.certificate is None
+    assert json.loads(inner.to_json())["certified_rel_gap"] is None
     sol = CsdpSolution(value=0.0, inner=inner, sigma0=sigma0, aggregated=agg)
     report = estimate_unrevealed(sol, rev, labels, seed=0)
     assert report.overlap == 1.0

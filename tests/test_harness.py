@@ -53,6 +53,13 @@ def test_config_validation(tmp_path):
     raw["solver"]["max_sweep"] = 10
     with pytest.raises(ValueError):
         ExperimentConfig.from_json(json.dumps(raw))
+    # and so is a misspelt top-level or params key, which would otherwise run
+    # with the default in its place
+    raw["solver"] = {}
+    for key, value, name in (("rep", 50, "rep"), ("worker", 4, "worker"),
+                             ("params", {**raw["params"], "rhos": [0.9]}, "rhos")):
+        with pytest.raises(ValueError, match=f"unknown .*: {name}$"):
+            ExperimentConfig.from_json(json.dumps({**raw, key: value}))
     # so are a scalar where a parameter list belongs and a non-object solver
     for key, value in (("params", {**raw["params"], "n": 3000}), ("solver", None)):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -366,13 +366,35 @@ def _count_certificates(monkeypatch):
     return values
 
 
+def _count_restarts(monkeypatch):
+    """Keys of the "sdp-init" streams the solver draws, one per restart run."""
+    keys = []
+    real = sdp.stream
+
+    def counting(seed, *key):
+        if key[0] == "sdp-init":
+            keys.append(key)
+        return real(seed, *key)
+
+    monkeypatch.setattr(sdp, "stream", counting)
+    return keys
+
+
 def test_restarts_stop_at_the_first_certified_restart(monkeypatch):
-    values = _count_certificates(monkeypatch)
+    # the first restart stops on the in-loop check, whose proof ends the
+    # restarts; the exact certificate is computed once, when first read
+    restarts, values = _count_restarts(monkeypatch), _count_certificates(monkeypatch)
     for M in _detection_operators():
+        restarts.clear()
         values.clear()
         sol = solve_elliptope(M, SolverConfig(restarts=3, seed=3))
-        assert len(values) == 1 and sol.best_of == 0
+        assert len(restarts) == 1 and sol.best_of == 0
+        assert values == []
         cert = sol.certificate
+        assert sol.certificate is cert and values == [sol.value]
+        ref = certify_dual(M, sol)
+        for f in fields(cert):
+            assert np.array_equal(getattr(cert, f.name), getattr(ref, f.name))
         assert cert.upper_bound >= sol.value
         assert cert.gap <= CERT_GAP * abs(sol.value)
 
@@ -428,9 +450,10 @@ def test_lanczos_certificate_agrees_with_dense(monkeypatch):
     ops = list(_detection_operators())
     ops += [_random_operator(rng, int(rng.integers(2, 61))) for _ in range(60)]
     sols = [solve_elliptope(M, SolverConfig(restarts=1, seed=i)) for i, M in enumerate(ops)]
+    denses = [sol.certificate for sol in sols]  # read before the cutoff moves
     monkeypatch.setattr(sdp, "DENSE_CERT_MAX", 0)
-    for M, sol in zip(ops, sols):
-        dense, lanczos = sol.certificate, certify_dual(M, sol)
+    for M, sol, dense in zip(ops, sols, denses):
+        lanczos = certify_dual(M, sol)
         assert lanczos.power_converged
         assert abs(lanczos.lambda_min - dense.lambda_min) <= 1e-5 * max(1.0, abs(dense.lambda_min))
         assert lanczos.upper_bound >= sol.value - 1e-9 * max(1.0, abs(sol.value))
