@@ -54,14 +54,15 @@ def overlap(estimates: np.ndarray, labels: Labels, rev: RevealedLabels) -> float
     return abs(int(truth @ estimates[unrev].astype(np.int64))) / max(unrev.size, 1)
 
 
-def margins_at_depth(g: Graph, votes: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Signed vote sums and voter counts at distance exactly t, all vertices.
+def margins_at_depth(g: Graph, votes: np.ndarray, t: int) -> np.ndarray:
+    """Signed vote sums at distance exactly t, all vertices.
 
-    ``votes`` is any length-n vector in {+1, 0, -1}; zeros do not vote.  The
+    ``votes`` is any length-n vector in {+1, 0, -1}; zeros do not vote, and
+    ``np.abs(votes)`` gives the voter counts instead.  The
     boolean shell_s holds the pairs at distance exactly s: shell_1 is the
     adjacency A, and shell_{s+1} is the pattern of shell_s A outside
     ball_s = ball_{s-1} + shell_s (the pairs within distance s, ball_0 = I).
-    The tallies are the products of shell_t with the votes.
+    The tallies are the product of shell_t with the votes.
     """
     if t < 1:
         raise ValueError("depth t must be >= 1")
@@ -72,7 +73,7 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int) -> tuple[np.ndarray, n
     for _ in range(t - 1):
         ball = ball + shell
         shell = (shell @ adj) > ball
-    return shell @ votes, shell @ (votes != 0).astype(np.int64)
+    return shell @ votes
 
 
 def census_estimate(g: Graph, rev: RevealedLabels, t: int = 1, seed: int = 0) -> EstimateReport:
@@ -88,7 +89,7 @@ def census_estimate(g: Graph, rev: RevealedLabels, t: int = 1, seed: int = 0) ->
     unrev = rev.unrevealed()
     if unrev.size == 0:
         raise ValueError("all vertices are revealed; nothing to estimate")
-    margins, _ = margins_at_depth(g, rev.values, t)
+    margins = margins_at_depth(g, rev.values, t)
     estimates = rev.values.copy()
     signs = np.sign(margins[unrev]).astype(np.int8)
     ties = unrev[signs == 0]
@@ -110,9 +111,9 @@ def delta_gap(a: float, b: float) -> float:
     return (a - b) / (2.0 * math.exp(a + b))
 
 
-def binomial_pmf(n: int, p: float, tail: float = 1e-16) -> np.ndarray:
+def binomial_pmf(n: int, p: float) -> np.ndarray:
     """Binomial(n, p) pmf by the multiplicative recurrence, truncated once the
-    remaining upper-tail mass drops below ``tail``."""
+    remaining upper-tail mass drops below 1e-16."""
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"invalid probability {p}")
     if p == 0.0 or n == 0:
@@ -129,7 +130,7 @@ def binomial_pmf(n: int, p: float, tail: float = 1e-16) -> np.ndarray:
     cum = terms[0]
     k = 0
     mean = n * p
-    while k < n and (cum < 1.0 - tail or k < mean + 2):
+    while k < n and (cum < 1.0 - 1e-16 or k < mean + 2):
         terms.append(terms[-1] * ((n - k) / (k + 1.0)) * ratio)
         k += 1
         cum += terms[-1]

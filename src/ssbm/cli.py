@@ -145,7 +145,7 @@ def _cmd_sdp(args) -> int:
 def _cmd_csdp(args) -> int:
     params = _params_from(args, erm=args.model == "erm")
     g, rev = sample_instance(params)
-    csol = solve_csdp(g, rev, params.d, _solver_from(args))
+    csol = solve_csdp(centered_adjacency(g, params.d), rev, _solver_from(args))
     report = estimate_unrevealed(csol, rev, g.labels, seed=args.seed)
     _emit(args, {
         **json.loads(csol.inner.to_json()),
@@ -158,7 +158,7 @@ def _cmd_csdp(args) -> int:
 def _cmd_test(args) -> int:
     params = _params_from(args, erm=args.model == "erm")
     g, rev = sample_instance(params)
-    csol = solve_csdp(g, rev, params.d, _solver_from(args))
+    csol = solve_csdp(centered_adjacency(g, params.d), rev, _solver_from(args))
     outcome = detection_test(csol.value, args.n, args.a, args.b, delta=args.delta)
     _emit(args, {**json.loads(outcome.to_json()), "model": args.model})
     return 0

@@ -93,14 +93,14 @@ def aggregate(M: MatrixOperator, rev: RevealedLabels) -> AggregatedOperator:
 
 
 def solve_csdp(
-    g: Graph, rev: RevealedLabels, d: float, cfg: SolverConfig | None = None
+    M: MatrixOperator, rev: RevealedLabels, cfg: SolverConfig | None = None
 ) -> CsdpSolution:
-    """CSDP of the centered adjacency, solved as SDP of the aggregated matrix.
+    """CSDP of M (the centered adjacency, in the paper), solved as SDP of the
+    aggregated matrix.
 
-    With nothing revealed this is exactly the unsupervised solve (the raw
-    operator is passed through, so results match sdp bit for bit).
+    With nothing revealed this is exactly the unsupervised solve (M is passed
+    through, so results match sdp bit for bit).
     """
-    M = centered_adjacency(g, d)
     if rev.m == 0:
         inner = solve_elliptope(M, cfg)
         return CsdpSolution(value=inner.value, inner=inner, sigma0=None, aggregated=None)
@@ -193,7 +193,7 @@ def sandwich_check(
     M = centered_adjacency(g, d)
     unrev = rev.unrevealed()
     lower = solve_elliptope(M.restrict(unrev), cfg).value if unrev.size else 0.0
-    csol = solve_csdp(g, rev, d, cfg)
+    csol = solve_csdp(M, rev, cfg)
     upper = solve_elliptope(M, cfg).value
     margin00 = csol.aggregated.margin00 if csol.aggregated is not None else 0.0
     tau = 1e-3 * g.n * math.sqrt(max(d, 1.0))

@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -77,10 +78,10 @@ class ResultRecord:
         return ",".join(fmt(getattr(self, f)) for f in RESULT_FIELDS)
 
 
-def write_csv(path, records: list[ResultRecord], timestamp: str | None = None) -> None:
+def write_csv(path, records: list[ResultRecord]) -> None:
     """Rows in the declared field order; the leading comment line carries the
     creation timestamp and is outside the determinism contract."""
-    stamp = timestamp or datetime.datetime.now(datetime.timezone.utc).isoformat()
+    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     with open(path, "w") as fh:
         fh.write(f"# created {stamp}\n")
         fh.write(",".join(RESULT_FIELDS) + "\n")
@@ -138,6 +139,12 @@ class ExperimentConfig:
             raise ValueError("reps must be >= 1")
         if self.t < 1 or self.workers < 1:
             raise ValueError("t and workers must be >= 1")
+        # checked, not coerced: int() would sweep n = 200 for n = 200.5
+        for name in ("n", "a", "b", "rho"):
+            kind = numbers.Integral if name == "n" else numbers.Real
+            bad = [v for v in getattr(self, name) if isinstance(v, bool) or not isinstance(v, kind)]
+            if bad:
+                raise ValueError(f"{name} values must be {kind.__name__.lower()} numbers, got {bad[0]!r}")
         object.__setattr__(self, "n", tuple(int(v) for v in self.n))
         object.__setattr__(self, "a", tuple(float(v) for v in self.a))
         object.__setattr__(self, "b", tuple(float(v) for v in self.b))
@@ -299,7 +306,7 @@ def _solve_pair(g, rev, cell, iseed, base, solver, truth_model):
         # and round it the same way, so the csdp row reuses both
         value, overlap_csdp, margin00 = sdp_sol.value, out[0].overlap_unrevealed, None
     else:
-        csol = solve_csdp(g, rev, d, solver)
+        csol = solve_csdp(M, rev, solver)
         value, margin00 = csol.value, csol.aggregated.margin00
         overlap_csdp = estimate_unrevealed(csol, rev, g.labels, seed=iseed).overlap
     decision = detection_test(value, n, a, b).decision if a > b else None

@@ -220,7 +220,8 @@ class MatrixOperator:
     Dense entry: ``M[i, j] = S[i, j] + c * u[i] * u[j] + diag_shift * (i == j)``
     where S is symmetric and stored once per unordered pair (rows <= cols).
     Duplicate entries in the input are summed; exact zeros are dropped.
-    Matrix-vector products run in O(nnz + dim).
+    Every product with M goes through ``offdiag``, built once and cached:
+    M S = offdiag @ [S; u^T S] + diag(M) S, in O((nnz + dim) k) for k columns.
     """
 
     dim: int
@@ -280,39 +281,35 @@ class MatrixOperator:
         return cls(M.shape[0], r, c, M[r, c])
 
     @cached_property
-    def _offdiag_matrix(self) -> scipy.sparse.csr_matrix:
-        """The symmetrized off-diagonal sparse part, columns sorted in each row."""
+    def offdiag(self) -> scipy.sparse.csr_matrix:
+        """The off-diagonal part B of M as one dim x (dim + 1) CSR matrix
+        W = [B_s - diag(c u*u) | c u], for B_s the off-diagonal sparse part
+        and c u u^T the rank-one part (last column empty without one), so
+        that ``offdiag @ [S; u^T S] = B S``.  Columns are sorted within each
+        row, which fixes the summation order of every product against it."""
+        n = self.dim
         off = self.rows != self.cols
-        return _symmetric_csr(self.dim, self.rows[off], self.cols[off], self.weights[off])
-
-    @cached_property
-    def sparse_diag(self) -> np.ndarray:
-        """Diagonal of the sparse part alone."""
-        d = np.zeros(self.dim)
-        on = self.rows == self.cols
-        d[self.rows[on]] = self.weights[on]
-        d.setflags(write=False)
-        return d
+        r, c, w = self.rows[off], self.cols[off], self.weights[off]
+        rows, cols, data = [r, c], [c, r], [w, w]
+        if self.rank1 is not None:
+            u, coeff = self.rank1
+            idx = np.arange(n)
+            rows += [idx, idx]
+            cols += [idx, np.full(n, n)]
+            data += [-coeff * u * u, coeff * u]
+        entries = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
+        return scipy.sparse.csr_matrix(entries, shape=(n, n + 1))
 
     def diagonal(self) -> np.ndarray:
         """Full matrix diagonal: sparse + rank-one + shift contributions."""
-        d = self.sparse_diag.copy()
+        d = np.zeros(self.dim)
+        on = self.rows == self.cols
+        d[self.rows[on]] = self.weights[on]
         if self.rank1 is not None:
             u, c = self.rank1
             d += c * u * u
         d += self.diag_shift
         return d
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        y = self._offdiag_matrix @ v
-        y += self.sparse_diag * v
-        if self.rank1 is not None:
-            u, c = self.rank1
-            y += (c * (u @ v)) * u
-        if self.diag_shift:
-            y += self.diag_shift * v
-        return y
 
     def to_dense(self) -> np.ndarray:
         """The dense matrix, built in place: one dim x dim array, plus one
@@ -369,11 +366,10 @@ class MatrixOperator:
 def _symmetric_csr(n: int, ei, ej, w) -> scipy.sparse.csr_matrix:
     """n x n CSR matrix holding w[k] at (ei[k], ej[k]) and at (ej[k], ei[k]).
 
-    Columns are sorted within each row (the summation order of every product
-    against it); repeated pairs stay separate entries.  One unstable sort of the
-    keys row * n + column orders them, which equals the stable order only where
-    equal keys carry equal entries; every caller meets that, as graph entries
-    are all True and the operator's pairs are coalesced.
+    Columns are sorted within each row; repeated pairs stay separate entries.
+    One unstable sort of the keys row * n + column orders them, which equals
+    the stable order only where equal keys carry equal entries.  The one
+    caller, :meth:`Graph.from_edges`, meets that: its entries are all True.
     """
     heads = np.concatenate([ei, ej])
     tails = np.concatenate([ej, ei])

@@ -2,12 +2,12 @@
 
 Solves max{ <M, X> : X >= 0, X_ii = 1 } through the factorization X = S S^T
 with unit-norm rows.  A sweep is one batch step that moves every row at once
-to its normalized shifted gradient: one CSR product of the sweep matrix,
-built once per solve with the rank-one part folded in, with [S; u^T S], and a
-per-row shift recomputed from the gradient every sweep.  That is
-O((nnz + dim) k) work, and a monotone ascent: a row's shift is at least half
-its Gershgorin radius less half its alignment with its gradient, which is
-all ascent needs (the batch form of the low-rank coordinate scheme of the
+to its normalized shifted gradient: one CSR product of the operator's
+cached ``MatrixOperator.offdiag``, which folds the rank-one part in, with
+[S; u^T S], and a per-row shift recomputed from the gradient every sweep.
+That is O((nnz + dim) k) work, and a monotone ascent: a row's shift is at
+least half its Gershgorin radius less half its alignment with its
+gradient, which is all ascent needs (the batch form of the low-rank coordinate scheme of the
 Mixing method, Wang, Chang & Kolter 2017).  Up to ``DENSE_CERT_MAX`` rows
 a restart stops as soon as a Cholesky factorisation, scheduled in the
 loop, proves its dual gap within target, without waiting for the objective
@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
 
 from .model import MatrixOperator
 from .rng import stream
@@ -140,7 +139,7 @@ class DualCertificate:
     """Feasibility-corrected dual bound: for any y, subtracting
     n * min(0, lambda_min(diag(y) - M)) from 1^T y gives a valid upper bound
     on the SDP value.  ``power_converged`` is true when ``lambda_min`` met
-    the requested tolerance: always on the exact dense path, and on the
+    its tolerance: always on the exact dense path, and on the
     Lanczos path when the residual of its eigenvector did."""
 
     y: np.ndarray
@@ -158,6 +157,8 @@ CERT_GAP = 1e-3  # certified relative gap at which no further restart runs
 # one-solve process from 56 to 72 MB, and the cost grows as dim^2 in memory
 # and dim^3 in time, so the Lanczos path takes over above it.
 DENSE_CERT_MAX = 1000
+# Lanczos residual tolerance, relative to max(1, |theta|), above DENSE_CERT_MAX
+LANCZOS_TOL = 1e-6
 
 
 def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSolution:
@@ -168,8 +169,8 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
     per-row shift sigma_i = max((lam_i - t_i) / 2, lam_i / 4) of
     :func:`_ascent_step`, lam_i the Gershgorin radius of row i of B summed
     over its sparse and rank-one parts apart (so at least the radius of B).
-    G is one CSR product W [S; u^T S] with the sweep matrix W of
-    :func:`_sweep_matrix`, built once per solve; t also gives the objective,
+    G is one CSR product W [S; u^T S] with W = ``M.offdiag``, built once per
+    operator and cached on it; t also gives the objective,
     sum_i t_i + sum_i M_ii.  No step can lower the objective (the proof is in
     :func:`_ascent_step`), and the fixed points are those of the Gershgorin
     shift, rows with g_i parallel to s_i.  Each restart starts
@@ -203,7 +204,7 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
         raise NumericError("operator rank-one part has non-finite entries")
 
     k = cfg.rank_for(n)
-    W, lam = _sweep_matrix(M)
+    W, lam = M.offdiag, _gershgorin_radii(M)
     # Every row of S stays unit: the draw is normalised once an all-zero row
     # (an event of probability zero) is set to e_1, and a step normalises each
     # row or, where its shifted gradient is exactly zero, keeps it.  So
@@ -325,44 +326,25 @@ def _ascent_step(S: np.ndarray, G: np.ndarray, t: np.ndarray, lam: np.ndarray) -
     np.divide(G, nrm[:, None], out=S)
 
 
-def _sweep_matrix(M: MatrixOperator) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
-    """The sweep matrix W of :func:`solve_elliptope` and its Gershgorin radii lam.
+def _gershgorin_radii(M: MatrixOperator) -> np.ndarray:
+    """Gershgorin radii lam of B, the off-diagonal part of M, summed over its
+    sparse and rank-one parts apart (so at least B's own radii).
 
-    With B_s the off-diagonal sparse part of M and c u u^T its rank-one part,
-    W = [B_s - diag(c u*u) | c u] is dim x (dim + 1), its last column empty
-    without a rank-one part, so that W [S; u^T S] equals B S for B the
-    off-diagonal part of M.  lam_i is the Gershgorin radius of row i of B's
-    sparse and rank-one parts taken apart (so at least B's own radius).
+    lam_i adds the sparse entries |B_ij| of row i of ``M.offdiag`` in CSR
+    order, and |c| |u_i| sum_{j != i} |u_j| for a rank-one part c u u^T.
     """
-    n = M.dim
-    B = M._offdiag_matrix
-    heads = np.repeat(np.arange(n), np.diff(B.indptr))  # row of every entry of B
-    lam = np.bincount(heads, weights=np.abs(B.data), minlength=n)
-    rows, cols, data = [heads], [B.indices], [B.data]
+    W, n = M.offdiag, M.dim
+    heads = np.repeat(np.arange(n), np.diff(W.indptr))  # row of every entry of W
+    sparse = (W.indices != heads) & (W.indices != n)
+    lam = np.bincount(heads[sparse], weights=np.abs(W.data[sparse]), minlength=n)
     if M.rank1 is not None:
         u, c = M.rank1
         au = np.abs(u)
         lam = lam + abs(c) * au * (au.sum() - au)
-        idx = np.arange(n)
-        rows += [idx, idx]
-        cols += [idx, np.full(n, n)]
-        data += [-c * u * u, c * u]
-    entries = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
-    return scipy.sparse.csr_matrix(entries, shape=(n, n + 1)), lam
+    return lam
 
 
-def gradient_matrix(M: MatrixOperator, S: np.ndarray) -> np.ndarray:
-    """Row gradients G_i = sum_{j != i} M_ij S_j: the diagonal of the rank-one
-    part, which its outer product carries, is taken back out."""
-    G = M._offdiag_matrix @ S
-    if M.rank1 is not None:
-        u, c = M.rank1
-        G += np.outer(u, c * (u @ S))
-        G -= (c * u * u)[:, None] * S
-    return G
-
-
-def certify_dual(M: MatrixOperator, sol: SdpSolution, tol: float = 1e-6) -> DualCertificate:
+def certify_dual(M: MatrixOperator, sol: SdpSolution) -> DualCertificate:
     """Dual upper bound at the solver's fixed point.
 
     Takes y_i = ||sum_{j != i} M_ij sigma_j|| + M_ii and lambda_min of
@@ -372,9 +354,12 @@ def certify_dual(M: MatrixOperator, sol: SdpSolution, tol: float = 1e-6) -> Dual
     (ARPACK) gives a Ritz pair and the bound subtracts its residual, which
     keeps it an upper bound short of full convergence as long as the Ritz
     value belongs to the lowest eigenvalue; ``power_converged`` then says
-    whether that residual met ``tol * max(1, |theta|)``.
+    whether that residual met ``LANCZOS_TOL * max(1, |theta|)``.  The row
+    gradients come from one product with ``M.offdiag``.
     """
-    y = np.linalg.norm(gradient_matrix(M, sol.factor), axis=1) + M.diagonal()
+    S = sol.factor
+    u = np.zeros(M.dim) if M.rank1 is None else M.rank1[0]
+    y = np.linalg.norm(M.offdiag @ np.vstack([S, u @ S]), axis=1) + M.diagonal()
     n = M.dim
     if n <= DENSE_CERT_MAX:
         B = M.to_dense()
@@ -382,7 +367,7 @@ def certify_dual(M: MatrixOperator, sol: SdpSolution, tol: float = 1e-6) -> Dual
         B[np.diag_indices(n)] += y
         lambda_min, converged = float(np.linalg.eigvalsh(B)[0]), True
     else:
-        lambda_min, converged = _lanczos_lambda_min(M, y, tol)
+        lambda_min, converged = _lanczos_lambda_min(M, y)
     upper = float(y.sum()) - n * min(0.0, lambda_min)
     return DualCertificate(
         y=y,
@@ -393,17 +378,19 @@ def certify_dual(M: MatrixOperator, sol: SdpSolution, tol: float = 1e-6) -> Dual
     )
 
 
-def _lanczos_lambda_min(M: MatrixOperator, y: np.ndarray, tol: float) -> tuple[float, bool]:
+def _lanczos_lambda_min(M: MatrixOperator, y: np.ndarray) -> tuple[float, bool]:
     """Residual-corrected Lanczos estimate of lambda_min(diag(y) - M), and
-    whether the residual met ``tol * max(1, |theta|)``."""
+    whether the residual met ``LANCZOS_TOL * max(1, |theta|)``."""
     # imported here: at module level scipy.sparse.linalg adds ~0.15 s and
     # ~8.5 MB to `import ssbm`, which every sweep worker and CLI call pays
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    n = M.dim
+    n, W = M.dim, M.offdiag
+    u = np.zeros(n) if M.rank1 is None else M.rank1[0]
+    shift = y - M.diagonal()
 
-    def bmat(v):  # B v for B = diag(y) - M, whose diagonal is >= 0
-        return y * v - M.matvec(v)
+    def bmat(v):  # (diag(y) - M) v = (y - diag M) v - B v; y - diag M is >= 0
+        return shift * v - W @ np.append(v, u @ v)
 
     v = stream(0, "dual-init").standard_normal(n)
     if n > 1:  # ARPACK needs dim > 1; at dim 1 any unit vector is exact
@@ -414,7 +401,7 @@ def _lanczos_lambda_min(M: MatrixOperator, y: np.ndarray, tol: float) -> tuple[f
         # solves of the criterion-9 sweep; 40 converged on all of them.
         shifted = LinearOperator((n, n), matvec=lambda v: bmat(v) + v, dtype=np.float64)
         try:
-            _, vecs = eigsh(shifted, k=1, which="SA", v0=v, tol=tol, ncv=min(n, 40))
+            _, vecs = eigsh(shifted, k=1, which="SA", v0=v, tol=LANCZOS_TOL, ncv=min(n, 40))
             v = vecs[:, 0]
         except ArpackNoConvergence as exc:  # keep the Ritz vector, if any
             if exc.eigenvectors.size:
@@ -424,7 +411,7 @@ def _lanczos_lambda_min(M: MatrixOperator, y: np.ndarray, tol: float) -> tuple[f
     theta = float(v @ bv)
     res = float(np.linalg.norm(bv - theta * v))
     # some eigenvalue lies within res of theta; Lanczos targets the lowest
-    return theta - res, res <= tol * max(1.0, abs(theta))
+    return theta - res, res <= LANCZOS_TOL * max(1.0, abs(theta))
 
 
 def round_leading_eigvec(sol: SdpSolution) -> np.ndarray:
@@ -447,7 +434,7 @@ def round_leading_eigvec(sol: SdpSolution) -> np.ndarray:
     return np.where(v >= 0, 1, -1).astype(np.int8)
 
 
-def cut_norm_exact(M, chunk_bits: int = 14) -> float:
+def cut_norm_exact(M) -> float:
     """Exact infinity-to-one norm max_{s,t in {+-1}^n} s^T M t, for dim <= 20.
 
     Enumerates the 2^(n-1) sign vectors s (global flip is free); the inner
@@ -464,7 +451,7 @@ def cut_norm_exact(M, chunk_bits: int = 14) -> float:
     free = rows - 1
     best = 0.0
     total = 1 << free
-    step = 1 << min(chunk_bits, free)
+    step = 1 << min(14, free)  # sign vectors scored per batch
     bit_cols = np.arange(free, dtype=np.uint32)
     for start in range(0, total, step):
         codes = np.arange(start, min(start + step, total), dtype=np.uint32)

@@ -29,7 +29,7 @@ def test_margin_direct_neighbors():
     # v=0 with revealed 1-neighbors {+1, +1, -1} -> margin +1, support 3
     g = _graph_from_edges(6, [(0, 1), (0, 2), (0, 3)], [1, 1, 1, -1, -1, -1])
     rev = _reveal([0, 1, 1, -1, -1, 0])
-    margins, support = margins_at_depth(g, rev.values, 1)
+    margins, support = (margins_at_depth(g, v, 1) for v in (rev.values, np.abs(rev.values)))
     assert (margins[0], support[0]) == (1, 3)
     assert np.all(np.abs(margins) <= support) and np.all(support <= rev.m)
 
@@ -38,7 +38,7 @@ def test_margin_isolated_vertex():
     g = _graph_from_edges(4, [(1, 2)], [1, 1, -1, -1])
     rev = _reveal([0, 1, -1, 0])
     for t in (1, 2):
-        margins, support = margins_at_depth(g, rev.values, t)
+        margins, support = (margins_at_depth(g, v, t) for v in (rev.values, np.abs(rev.values)))
         assert (margins[0], support[0]) == (0, 0)
 
 
@@ -46,26 +46,25 @@ def test_margin_path_depth_two():
     # path p0-p1-p2-p3-p4 with reveals +1 at p0, -1 at p4; from p2 at t=2
     g = _graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4)], [1, 1, 1, -1, -1, -1])
     rev = _reveal([1, 0, 0, 0, -1, 0])
-    margins, support = margins_at_depth(g, rev.values, 2)
-    assert (margins[2], support[2]) == (0, 2)
-    margins, support = margins_at_depth(g, rev.values, 1)
-    assert (margins[2], support[2]) == (0, 0)
+    for t, expected in ((2, (0, 2)), (1, (0, 0))):
+        margins, support = (margins_at_depth(g, v, t) for v in (rev.values, np.abs(rev.values)))
+        assert (margins[2], support[2]) == expected
 
 
 def _margins_by_distance(g, votes, t):
     """Reference tallies from all-pairs unweighted shortest paths."""
     adj = csr_matrix((np.ones(g.indices.size), g.indices, g.indptr), shape=(g.n, g.n))
     shell = shortest_path(adj, unweighted=True, directed=False) == t
-    return shell @ votes.astype(np.int64), shell @ (votes != 0).astype(np.int64)
+    return shell @ votes.astype(np.int64)
 
 
 def test_margins_at_depth_uses_exact_distance():
     # triangle plus pendant: from vertex 3, distance to 1 and 2 is exactly 2
     g = _graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)], [1, 1, -1, -1])
     votes = np.array([0, 1, -1, 0], dtype=np.int8)
-    m2, s2 = margins_at_depth(g, votes, 2)
+    m2, s2 = (margins_at_depth(g, v, 2) for v in (votes, np.abs(votes)))
     assert m2[3] == 0 and s2[3] == 2
-    m1, s1 = margins_at_depth(g, votes, 1)
+    m1, s1 = (margins_at_depth(g, v, 1) for v in (votes, np.abs(votes)))
     assert m1[3] == 0 and s1[3] == 0
     with pytest.raises(ValueError):
         margins_at_depth(g, votes, 0)
@@ -75,9 +74,8 @@ def test_margins_at_depth_uses_exact_distance():
         g, rev = sample_instance(ModelParams(n=120, a=3, b=1, rho=0.5, seed=seed))
         assert np.any(np.diff(g.indptr) == 0)
         for t in (1, 2, 3):
-            got = margins_at_depth(g, rev.values, t)
-            ref = _margins_by_distance(g, rev.values, t)
-            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+            for v in (rev.values, np.abs(rev.values)):
+                assert np.array_equal(margins_at_depth(g, v, t), _margins_by_distance(g, v, t))
 
 
 def test_estimate_trivial_overlaps():
@@ -124,7 +122,7 @@ def test_census_ties_match_scalar_coin_loop():
     for t in (1, 2):
         for rho in (0.1, 0.5):
             g, rev = sample_instance(ModelParams(n=3000, a=5, b=2, rho=rho, seed=31))
-            margins, _ = margins_at_depth(g, rev.values, t)
+            margins = margins_at_depth(g, rev.values, t)
             expected, ties = rev.values.copy(), 0
             for v in rev.unrevealed().tolist():
                 if margins[v] == 0:
@@ -249,8 +247,8 @@ def test_sign_estimates_depend_only_on_revealed_multiset():
     g2 = _graph_from_edges(g.n, list(zip(perm[ei].tolist(), perm[ej].tolist())),
                            g.labels.values[inv])
     rev2 = _reveal(rev.values[inv])
-    m1, s1 = margins_at_depth(g, rev.values, 2)
-    m2, s2 = margins_at_depth(g2, rev2.values, 2)
+    m1, s1 = (margins_at_depth(g, v, 2) for v in (rev.values, np.abs(rev.values)))
+    m2, s2 = (margins_at_depth(g2, v, 2) for v in (rev2.values, np.abs(rev2.values)))
     assert np.array_equal(m1, m2[perm])
     assert np.array_equal(s1, s2[perm])
 
@@ -262,8 +260,8 @@ def test_global_sign_equivariance():
     g, rev = sample_instance(p)
     flipped = Graph(g.n, g.indptr, g.indices, Labels(-g.labels.values))
     rev_f = _reveal(-rev.values)
-    m1, _ = margins_at_depth(g, rev.values, 1)
-    m2, _ = margins_at_depth(flipped, rev_f.values, 1)
+    m1 = margins_at_depth(g, rev.values, 1)
+    m2 = margins_at_depth(flipped, rev_f.values, 1)
     assert np.array_equal(m1, -m2)
     r1 = census_estimate(g, rev, t=1, seed=0)
     r2 = census_estimate(flipped, rev_f, t=1, seed=0)

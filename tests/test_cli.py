@@ -121,8 +121,9 @@ def test_sweep_malformed_config_is_usage_error(tmp_path):
     for bad in ({k: v for k, v in cfg.items() if k != "kind"}, [cfg]):
         path.write_text(json.dumps(bad))
         assert main(["sweep", "--config", str(path)]) == 1
-    # and so is a count that is not an integer
-    for bad in ({**cfg, "reps": "2"}, {**cfg, "solver": {"restarts": "2"}}):
+    # and so is a count that is not an integer, or a grid n that is not one
+    for bad in ({**cfg, "reps": "2"}, {**cfg, "solver": {"restarts": "2"}},
+                {**cfg, "params": {**cfg["params"], "n": [60.5]}}):
         path.write_text(json.dumps(bad))
         assert main(["sweep", "--config", str(path)]) == 1
 

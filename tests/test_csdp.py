@@ -149,7 +149,7 @@ def test_solve_csdp_unsupervised_special_case_is_bitwise():
     g, rev = sample_instance(p)
     cfg = SolverConfig(restarts=2, seed=9)
     direct = solve_elliptope(centered_adjacency(g, p.d), cfg)
-    via_csdp = solve_csdp(g, rev, p.d, cfg)
+    via_csdp = solve_csdp(centered_adjacency(g, p.d), rev, cfg)
     assert via_csdp.value == direct.value
     assert np.array_equal(via_csdp.inner.factor, direct.factor)
     assert via_csdp.sigma0 is None
@@ -161,10 +161,10 @@ def test_witness_and_submatrix_bounds_on_sbm():
         g, rev = sample_instance(p)
         cfg = SolverConfig(restarts=2, seed=seed)
         M = centered_adjacency(g, p.d)
-        csol = solve_csdp(g, rev, p.d, cfg)
+        csol = solve_csdp(M, rev, cfg)
         tau = 1e-3 * g.n * math.sqrt(max(p.d, 1.0))
         x = g.labels.values.astype(float)
-        witness = float(x @ M.matvec(x))
+        witness = float(x @ M.to_dense() @ x)
         assert csol.value >= witness - tau
         lower = solve_elliptope(M.restrict(rev.unrevealed()), cfg).value
         assert lower <= csol.value - csol.aggregated.margin00 + tau
@@ -216,7 +216,7 @@ def test_estimate_orthogonal_factor_resolves_by_coin():
 def test_estimate_empty_reveal_falls_back_to_rounding():
     p = ModelParams(n=200, a=12, b=3, rho=0.0, seed=2)
     g, rev = sample_instance(p)
-    csol = solve_csdp(g, rev, p.d, SolverConfig(restarts=1, seed=0))
+    csol = solve_csdp(centered_adjacency(g, p.d), rev, SolverConfig(restarts=1, seed=0))
     report = estimate_unrevealed(csol, rev, g.labels, seed=0)
     assert set(np.unique(report.estimates)) <= {-1, 1}
     assert 0.0 <= report.overlap <= 1.0
@@ -260,7 +260,7 @@ def test_csdp_value_per_vertex_reaches_half_gap_at_scale():
     # the ground-truth witness keeps value/n near (a-b)/2 on a planted graph
     p = ModelParams(n=1000, a=12, b=5, rho=0.2, seed=17)
     g, rev = sample_instance(p)
-    csol = solve_csdp(g, rev, p.d, SolverConfig(restarts=1, seed=1))
+    csol = solve_csdp(centered_adjacency(g, p.d), rev, SolverConfig(restarts=1, seed=1))
     eps = 0.35  # witness fluctuation, std sqrt((a+b)/n) ~ 0.13
     assert csol.value / p.n >= (p.a - p.b) / 2 - eps
 

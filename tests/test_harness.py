@@ -68,6 +68,11 @@ def test_config_validation(tmp_path):
     for key, value in (("reps", "2"), ("solver", {"restarts": "2"}), ("solver", {"tol": "1e-6"})):
         with pytest.raises(ValueError, match="must be an integer|must be a number"):
             ExperimentConfig.from_json(json.dumps({**raw, "solver": {}, key: value}))
+    # grid values are checked, not coerced: n = 200.5 would sweep n = 200
+    for key, value in (("n", [200.5]), ("n", ["300"]), ("rho", ["0.5"]), ("a", [True])):
+        with pytest.raises(ValueError, match=f"{key} values must be"):
+            ExperimentConfig.from_json(json.dumps({**raw, "solver": {},
+                                                   "params": {**raw["params"], key: value}}))
     # and a config without its required keys, or one that is not an object
     good = json.loads(_cfg(tmp_path).to_json())
     for bad in ({k: v for k, v in good.items() if k not in ("kind", "out_dir")}, [good]):

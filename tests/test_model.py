@@ -145,12 +145,12 @@ def test_operator_dense_matches_matvec_against_basis():
     op = MatrixOperator(n, op.rows, op.cols, op.weights, rank1=(u, 0.7), diag_shift=-0.3)
     ref = dense + 0.7 * np.outer(u, u) - 0.3 * np.eye(n)
     assert np.allclose(op.to_dense(), ref, atol=1e-12)
-    cols = np.stack([op.matvec(np.eye(n)[i]) for i in range(n)], axis=1)
+    cols = op.offdiag @ np.vstack([np.eye(n), u]) + np.diag(op.diagonal())
     assert np.allclose(cols, ref, atol=1e-12)
 
 
 @given(st.data())
-def test_operator_matvec_and_restrict_match_dense(data):
+def test_operator_products_and_restrict_match_dense(data):
     n = data.draw(st.integers(1, 8))
     values = st.floats(-10, 10, allow_nan=False)
     pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), values),
@@ -164,8 +164,21 @@ def test_operator_matvec_and_restrict_match_dense(data):
                         diag_shift=data.draw(st.floats(-3, 3, allow_nan=False)))
     dense = op.to_dense()
     assert np.array_equal(dense, dense.T)
+    u = np.zeros(n) if rank1 is None else rank1[0]
     v = np.array(data.draw(st.lists(st.floats(-5, 5, allow_nan=False), min_size=n, max_size=n)))
-    assert np.allclose(op.matvec(v), dense @ v, rtol=0, atol=1e-9)
+    product = op.offdiag @ np.append(v, u @ v) + op.diagonal() * v
+    assert np.allclose(product, dense @ v, rtol=0, atol=1e-9)
+    # offdiag @ [S; u^T S] = B S for the off-diagonal part B, up to rounding
+    # bounded by the row sums of the sparse part and of the rest taken apart
+    k = data.draw(st.integers(1, 4))
+    S = np.array(data.draw(st.lists(st.floats(-2, 2, allow_nan=False),
+                                    min_size=n * k, max_size=n * k))).reshape(n, k)
+    sparse = MatrixOperator(n, op.rows, op.cols, op.weights).to_dense()
+    scale = max(1.0, float((np.abs(sparse).sum(axis=1) + np.abs(dense - sparse).sum(axis=1)).max()))
+    assert op.offdiag.shape == (n, n + 1)
+    assert np.allclose(op.offdiag @ np.vstack([S, u @ S]), (dense - np.diag(np.diag(dense))) @ S,
+                       rtol=0, atol=1e-12 * scale)
+    assert np.allclose(op.diagonal(), np.diag(dense), rtol=0, atol=1e-12 * scale)
     keep = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
     assert np.allclose(op.restrict(keep).to_dense(), dense[np.ix_(keep, keep)], rtol=0, atol=1e-9)
 
@@ -195,7 +208,7 @@ def test_centered_adjacency_row_sums_concentrate():
     for s in range(20):
         g, _ = sample_instance(ModelParams(n=1000, a=12, b=5, seed=s))
         M = centered_adjacency(g, 8.5)
-        means.append(M.matvec(np.ones(1000)).mean())
+        means.append(M.to_dense().sum(axis=1).mean())
     assert abs(np.mean(means)) < 0.15
 
 

@@ -15,7 +15,7 @@ from ssbm import (MatrixOperator, ModelParams, NumericError, SolverConfig, aggre
                   sample_instance, solve_elliptope)
 from ssbm import sdp
 from ssbm.rng import stream
-from ssbm.sdp import CERT_GAP, GROTHENDIECK_BOUND, gradient_matrix
+from ssbm.sdp import CERT_GAP, GROTHENDIECK_BOUND
 
 
 def _wigner(n, seed):
@@ -75,6 +75,12 @@ def test_objective_history_is_monotone():
 
 def _offdiag(A):
     return A - np.diag(np.diag(A))
+
+
+def _gradient(M, S):
+    """G = B S for the off-diagonal part B of M: one product with M.offdiag."""
+    u = np.zeros(M.dim) if M.rank1 is None else M.rank1[0]
+    return M.offdiag @ np.vstack([S, u @ S])
 
 
 def _dense_shift(M):
@@ -200,10 +206,10 @@ def test_scaling_equivariance():
 
 
 @given(st.data())
-def test_sweep_matrix_matches_dense_algebra(data):
-    # W [S; u^T S] = B S, and lam the radii, on sparse pairs with duplicates and
-    # diagonal entries, rows past `live` empty, a nonzero shift, and with and
-    # without a rank-one part
+def test_gershgorin_radii_match_dense_algebra(data):
+    # the solver's radii lam on sparse pairs with duplicates and diagonal
+    # entries, rows past `live` empty, a nonzero shift, and with and without
+    # a rank-one part (test_model checks the product with M.offdiag)
     n = data.draw(st.integers(1, 8))
     live = data.draw(st.integers(1, n))
     index = st.integers(0, live - 1)
@@ -216,17 +222,9 @@ def test_sweep_matrix_matches_dense_algebra(data):
         rank1 = (u, data.draw(st.floats(-1, 1, allow_nan=False)))
     shift = data.draw(st.floats(-3, 3, allow_nan=False).filter(bool))
     M = MatrixOperator(n, rows, cols, weights, rank1=rank1, diag_shift=shift)
-    k = data.draw(st.integers(1, 4))
-    S = np.array(data.draw(st.lists(st.floats(-2, 2, allow_nan=False),
-                                    min_size=n * k, max_size=n * k))).reshape(n, k)
-    W, lam = sdp._sweep_matrix(M)
     B, ref_lam = _dense_shift(M)
     scale = max(1.0, float((np.abs(B).sum(axis=1) + ref_lam).max()))
-    assert W.shape == (n, n + 1)
-    assert np.allclose(lam, ref_lam, rtol=0, atol=1e-12 * scale)
-    top = np.zeros((1, k)) if rank1 is None else rank1[0] @ S
-    assert np.allclose(W @ np.vstack([S, top]), B @ S,
-                       rtol=0, atol=1e-12 * scale)
+    assert np.allclose(sdp._gershgorin_radii(M), ref_lam, rtol=0, atol=1e-12 * scale)
 
 
 def _entries(bound):
@@ -260,8 +258,8 @@ def test_one_step_never_lowers_the_objective(data):
     S[np.linalg.norm(S, axis=1) < 1e-3] = np.eye(1, k)
     S /= np.linalg.norm(S, axis=1, keepdims=True)
     dense = M.to_dense()
-    G = gradient_matrix(M, S)
-    _, lam = sdp._sweep_matrix(M)
+    G = _gradient(M, S)
+    lam = sdp._gershgorin_radii(M)
     S1 = S.copy()
     sdp._ascent_step(S1, G, np.einsum("ij,ij->i", S, G), lam)
     scale = max(1.0, float(np.abs(dense).sum()))
@@ -278,8 +276,8 @@ def test_ascent_step_normalises_rows_below_the_underflow_limit():
     M = MatrixOperator(3, [0, 1], [1, 2], [1e-160, -3e-161])
     S = np.random.default_rng(5).standard_normal((3, 2))
     S /= np.linalg.norm(S, axis=1, keepdims=True)
-    G = gradient_matrix(M, S)
-    _, lam = sdp._sweep_matrix(M)
+    G = _gradient(M, S)
+    lam = sdp._gershgorin_radii(M)
     sdp._ascent_step(S, G, np.einsum("ij,ij->i", S, G), lam)
     assert np.allclose(np.linalg.norm(S, axis=1), 1.0, rtol=0, atol=1e-15)
 
@@ -300,15 +298,6 @@ def test_zero_gradient_rows_stay_put():
         assert np.array_equal(sol.factor[isolated], S0[isolated])
 
 
-def test_gradient_matrix_excludes_diagonal():
-    M = _wigner(10, 4)
-    S = np.random.default_rng(0).standard_normal((10, 3))
-    G = gradient_matrix(M, S)
-    dense = M.to_dense()
-    ref = (dense - np.diag(np.diag(dense))) @ S
-    assert np.allclose(G, ref, atol=1e-12)
-
-
 def test_dual_certificate_on_wigner_ensemble():
     # regression bound recorded from pilot runs: relative gap stays below 1e-2
     for seed in range(5):
@@ -326,7 +315,7 @@ def test_dual_certificate_converges_on_detection_instance():
     g, rev = sample_instance(p)
     cfg = SolverConfig(restarts=2, seed=3)
     M = centered_adjacency(g, p.d)
-    csol = solve_csdp(g, rev, p.d, cfg)
+    csol = solve_csdp(M, rev, cfg)
     for op, sol in ((M, solve_elliptope(M, cfg)), (csol.aggregated.op, csol.inner)):
         cert = certify_dual(op, sol)
         assert cert.power_converged
@@ -424,9 +413,10 @@ def _random_operator(rng, n):
     return MatrixOperator(n, r, c, upper[r, c], rank1=rank1)
 
 
-def _dense_by_matvec(M):
-    """The dense matrix column by column through matvec, not to_dense."""
-    return np.column_stack([M.matvec(e) for e in np.eye(M.dim)])
+def _dense_by_products(M):
+    """The dense matrix through M.offdiag and diagonal(), not to_dense."""
+    u = np.zeros(M.dim) if M.rank1 is None else M.rank1[0]
+    return M.offdiag @ np.vstack([np.eye(M.dim), u]) + np.diag(M.diagonal())
 
 
 def test_dense_certificate_is_exact_on_small_operators():
@@ -435,7 +425,7 @@ def test_dense_certificate_is_exact_on_small_operators():
         M = _random_operator(rng, int(rng.integers(1, 13)))
         sol = solve_elliptope(M, SolverConfig(restarts=1, seed=trial))
         cert = sol.certificate
-        dense = _dense_by_matvec(M)
+        dense = _dense_by_products(M)
         scale = max(1.0, float(np.abs(dense).sum()))
         exact = float(np.linalg.eigvalsh(np.diag(cert.y) - dense)[0])
         assert cert.power_converged
@@ -478,18 +468,18 @@ def test_cholesky_check_passes_only_within_the_exact_gap(data):
     k = data.draw(st.integers(1, 4))
     S = stream(data.draw(st.integers(0, 2**16)), "check-test").standard_normal((n, k))
     S /= np.linalg.norm(S, axis=1, keepdims=True)
-    _, lam = sdp._sweep_matrix(M)
+    lam = sdp._gershgorin_radii(M)
     for _ in range(data.draw(st.integers(0, 40))):
-        G = gradient_matrix(M, S)
+        G = _gradient(M, S)
         sdp._ascent_step(S, G, np.einsum("ij,ij->i", S, G), lam)
-    G = gradient_matrix(M, S)
+    G = _gradient(M, S)
     g, t = np.linalg.norm(G, axis=1), np.einsum("ij,ij->i", S, G)
     value = float(t.sum() + M.diagonal().sum())
     budget = 10 ** data.draw(st.floats(-6, 0)) * max(1.0, abs(value))
     slack = budget - float((g - t).sum())
     if slack >= budget / 2 and sdp._cholesky_certifies(-M.to_dense(), g, slack):
         y = g + M.diagonal()
-        lambda_min = float(np.linalg.eigvalsh(np.diag(y) - _dense_by_matvec(M))[0])
+        lambda_min = float(np.linalg.eigvalsh(np.diag(y) - _dense_by_products(M))[0])
         gap = y.sum() - n * min(0.0, lambda_min) - value
         target(gap / budget)
         assert gap <= budget
@@ -558,8 +548,9 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
             "p = ssbm.ModelParams(n=40, a=8, b=2, rho=0.25, seed=1)\n"
             "g, rev = ssbm.sample_instance(p)\n"
             "cfg = ssbm.SolverConfig(restarts=1)\n"
-            "ssbm.solve_elliptope(ssbm.centered_adjacency(g, p.d), cfg)\n"
-            "ssbm.solve_csdp(g, rev, p.d, cfg)\n"
+            "M = ssbm.centered_adjacency(g, p.d)\n"
+            "ssbm.solve_elliptope(M, cfg)\n"
+            "ssbm.solve_csdp(M, rev, cfg)\n"
             "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg',"
             " 'scipy.sparse.csgraph') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
