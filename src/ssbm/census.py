@@ -67,8 +67,7 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int) -> np.ndarray:
     if t < 1:
         raise ValueError("depth t must be >= 1")
     votes = np.asarray(votes).astype(np.int64)
-    adj = scipy.sparse.csr_matrix(
-        (np.ones(g.indices.size, dtype=bool), g.indices, g.indptr), shape=(g.n, g.n))
+    adj = g.adjacency()
     ball, shell = scipy.sparse.identity(g.n, dtype=bool, format="csr"), adj
     for _ in range(t - 1):
         ball = ball + shell
@@ -90,14 +89,22 @@ def census_estimate(g: Graph, rev: RevealedLabels, t: int = 1, seed: int = 0) ->
     if unrev.size == 0:
         raise ValueError("all vertices are revealed; nothing to estimate")
     margins = margins_at_depth(g, rev.values, t)
+    return _vote_report(margins[unrev], unrev, rev, g.labels, seed, "census-tie")
+
+
+def _vote_report(scores: np.ndarray, verts: np.ndarray, rev: RevealedLabels,
+                 labels: Labels, seed: int, purpose: str) -> EstimateReport:
+    """The vote rule both estimators share: the sorted unrevealed vertex
+    ``verts[k]`` gets the sign of ``scores[k]``, or the fair coin
+    ``coin(seed, purpose, verts[k])`` when that is zero; revealed labels are
+    copied through, and the overlap is taken on the unrevealed vertices."""
+    signs = np.sign(scores).astype(np.int8)
+    tied = signs == 0
+    signs[tied] = coins(seed, purpose, verts[tied])
     estimates = rev.values.copy()
-    signs = np.sign(margins[unrev]).astype(np.int8)
-    ties = unrev[signs == 0]
-    estimates[ties] = coins(seed, "census-tie", ties)
-    nonzero = unrev[signs != 0]
-    estimates[nonzero] = signs[signs != 0]
-    return EstimateReport(estimates=estimates, ties_broken=int(ties.size),
-                          overlap=overlap(estimates, g.labels, rev))
+    estimates[verts] = signs
+    return EstimateReport(estimates=estimates, ties_broken=int(np.count_nonzero(tied)),
+                          overlap=overlap(estimates, labels, rev))
 
 
 def delta_gap(a: float, b: float) -> float:

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import EstimateReport, overlap
+from .census import EstimateReport, _vote_report, overlap
 from .model import Graph, Labels, MatrixOperator, RevealedLabels, centered_adjacency
-from .rng import coins
 from .sdp import SdpSolution, SolverConfig, round_leading_eigvec, solve_elliptope
 
 
@@ -128,18 +127,10 @@ def estimate_unrevealed(
     """
     if sol.sigma0 is None or sol.aggregated is None:
         estimates = round_leading_eigvec(sol.inner)
-        ties = 0
-    else:
-        estimates = rev.values.copy()
-        dots = sol.inner.factor[1:] @ sol.sigma0
-        signs = np.sign(dots)
-        tied = signs == 0
-        ties = int(np.count_nonzero(tied))
-        verts = sol.aggregated.index_map
-        signs[tied] = coins(seed, "csdp-tie", verts[tied])
-        estimates[verts] = signs.astype(np.int8)
-    return EstimateReport(estimates=estimates, ties_broken=ties,
-                          overlap=overlap(estimates, labels, rev))
+        return EstimateReport(estimates=estimates, ties_broken=0,
+                              overlap=overlap(estimates, labels, rev))
+    dots = sol.inner.factor[1:] @ sol.sigma0
+    return _vote_report(dots, sol.aggregated.index_map, rev, labels, seed, "csdp-tie")
 
 
 def detection_test(
@@ -192,9 +183,13 @@ def sandwich_check(
     """Solve all three programs on one instance and audit the inequalities."""
     M = centered_adjacency(g, d)
     unrev = rev.unrevealed()
-    lower = solve_elliptope(M.restrict(unrev), cfg).value if unrev.size else 0.0
     csol = solve_csdp(M, rev, cfg)
-    upper = solve_elliptope(M, cfg).value
+    if rev.m == 0:
+        # nothing revealed: all three programs are the SDP of M, solved once
+        lower = upper = csol.value
+    else:
+        lower = solve_elliptope(M.restrict(unrev), cfg).value if unrev.size else 0.0
+        upper = solve_elliptope(M, cfg).value
     margin00 = csol.aggregated.margin00 if csol.aggregated is not None else 0.0
     tau = 1e-3 * g.n * math.sqrt(max(d, 1.0))
     return SandwichReport(

@@ -90,27 +90,36 @@ def write_csv(path, records: list[ResultRecord]) -> None:
 
 
 def read_csv(path) -> list[ResultRecord]:
-    records = []
+    """Records from a file written by :func:`write_csv`.  A file without the
+    header, or a row that is cut short, overlong or unparsable, raises
+    ValueError naming its line."""
     with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
-    header = lines[0].split(",")
-    if tuple(header) != RESULT_FIELDS:
-        raise ValueError("unexpected CSV header")
-    for ln in lines[1:]:
+        lines = [(no, ln) for no, ln in enumerate(fh.read().splitlines(), 1)
+                 if ln and not ln.startswith("#")]
+    if not lines or tuple(lines[0][1].split(",")) != RESULT_FIELDS:
+        where = f"line {lines[0][0]}" if lines else "end of file"
+        raise ValueError(f"{path}, {where}: expected the CSV header")
+    records = []
+    for no, ln in lines[1:]:
         parts = ln.split(",")
-        vals = dict(zip(RESULT_FIELDS, parts))
-        records.append(ResultRecord(
-            seed=int(vals["seed"]), rep=int(vals["rep"]), n=int(vals["n"]),
-            a=float(vals["a"]), b=float(vals["b"]), rho=float(vals["rho"]),
-            snr=float(vals["snr"]), algorithm=vals["algorithm"],
-            overlap_unrevealed=float(vals["overlap_unrevealed"]) if vals["overlap_unrevealed"] else None,
-            sdp_value=float(vals["sdp_value"]) if vals["sdp_value"] else None,
-            csdp_value=float(vals["csdp_value"]) if vals["csdp_value"] else None,
-            margin00=float(vals["margin00"]) if vals["margin00"] else None,
-            test_decision=int(vals["test_decision"]) if vals["test_decision"] else None,
-            truth_model=vals["truth_model"],
-            runtime_ms=float(vals["runtime_ms"]),
-        ))
+        try:
+            if len(parts) != len(RESULT_FIELDS):
+                raise ValueError(f"{len(parts)} fields, expected {len(RESULT_FIELDS)}")
+            vals = dict(zip(RESULT_FIELDS, parts))
+            records.append(ResultRecord(
+                seed=int(vals["seed"]), rep=int(vals["rep"]), n=int(vals["n"]),
+                a=float(vals["a"]), b=float(vals["b"]), rho=float(vals["rho"]),
+                snr=float(vals["snr"]), algorithm=vals["algorithm"],
+                overlap_unrevealed=float(vals["overlap_unrevealed"]) if vals["overlap_unrevealed"] else None,
+                sdp_value=float(vals["sdp_value"]) if vals["sdp_value"] else None,
+                csdp_value=float(vals["csdp_value"]) if vals["csdp_value"] else None,
+                margin00=float(vals["margin00"]) if vals["margin00"] else None,
+                test_decision=int(vals["test_decision"]) if vals["test_decision"] else None,
+                truth_model=vals["truth_model"],
+                runtime_ms=float(vals["runtime_ms"]),
+            ))
+        except ValueError as err:
+            raise ValueError(f"{path}, line {no}: {err}") from err
     return records
 
 

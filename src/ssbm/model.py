@@ -4,7 +4,9 @@ Two balanced hidden communities over n vertices; within-community pairs are
 edges with probability a/n, cross pairs with probability b/n, and a balanced
 subset of m = 2*floor(rho*n/2) true labels is revealed.  This module holds the
 parameter/instance types, the seeded sampler, and the centered adjacency
-operator A - (d/n) 11^T used by the SDP machinery.
+operator A - (d/n) 11^T used by the SDP machinery.  It is the one module that
+knows how a graph (a sorted edge list) and an operator are stored; the others
+reach the graph through ``Graph.adjacency`` and ``centered_adjacency``.
 """
 
 from __future__ import annotations
@@ -102,74 +104,62 @@ class Labels:
 
 @dataclass(frozen=True)
 class Graph:
-    """Sparse undirected simple graph with ground-truth labels.
+    """Sparse undirected simple graph with ground-truth labels, stored as its
+    edge list.
 
-    Adjacency is stored CSR-style: the sorted neighbor list of vertex v is
-    ``indices[indptr[v]:indptr[v+1]]``.
+    ``ei`` and ``ej`` hold every edge once, as read-only int64 arrays with
+    ``ei < ej``, sorted by (ei, ej).  The constructor takes the edges in any
+    order and orientation and raises ValueError on endpoint arrays that are
+    not 1-D of equal length, an endpoint outside [0, n), a self-loop or a
+    repeated edge (in either orientation), so every Graph is simple by
+    construction.
     """
 
     n: int
-    indptr: np.ndarray
-    indices: np.ndarray
+    ei: np.ndarray
+    ej: np.ndarray
     labels: Labels
 
     def __post_init__(self):
-        indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
-        indices = np.ascontiguousarray(self.indices, dtype=np.int64)
-        indptr.setflags(write=False)
-        indices.setflags(write=False)
-        object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "indices", indices)
-        if indptr.size != self.n + 1 or indptr[0] != 0 or indptr[-1] != indices.size:
-            raise ValueError("inconsistent CSR arrays")
+        ei, ej = np.asarray(self.ei, dtype=np.int64), np.asarray(self.ej, dtype=np.int64)
+        if ei.ndim != 1 or ei.shape != ej.shape:
+            raise ValueError(f"endpoint arrays must be 1-D of equal length, got shapes "
+                             f"{ei.shape} and {ej.shape}")
+        if ei.size and (min(ei.min(), ej.min()) < 0 or max(ei.max(), ej.max()) >= self.n):
+            raise ValueError(f"edge endpoint out of range [0, {self.n})")
+        lo, hi = np.minimum(ei, ej), np.maximum(ei, ej)
+        if np.any(lo == hi):
+            raise ValueError(f"self-loop at vertex {lo[lo == hi][0]}")
+        keys = lo * self.n + hi
+        order = np.argsort(keys)  # keys are distinct unless an edge repeats
+        keys = keys[order]
+        repeated = np.flatnonzero(keys[1:] == keys[:-1])
+        if repeated.size:
+            k = keys[repeated[0]]
+            raise ValueError(f"repeated edge ({k // self.n}, {k % self.n})")
+        lo, hi = lo[order], hi[order]
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        object.__setattr__(self, "ei", lo)
+        object.__setattr__(self, "ej", hi)
         if self.labels.n != self.n:
             raise ValueError("label vector length does not match vertex count")
 
-    @classmethod
-    def from_edges(cls, n: int, ei, ej, labels: Labels) -> "Graph":
-        """Graph on n vertices with the undirected edges (ei[k], ej[k]).
-
-        Endpoint arrays of unequal length, or an endpoint outside [0, n), raise
-        ValueError; a repeated edge stays repeated, and :meth:`validate`
-        rejects it.
-        """
-        ei, ej = np.asarray(ei, dtype=np.int64), np.asarray(ej, dtype=np.int64)
-        if ei.shape != ej.shape:
-            raise ValueError(f"endpoint arrays differ in length: {ei.size} and {ej.size}")
-        if ei.size and (min(ei.min(), ej.min()) < 0 or max(ei.max(), ej.max()) >= n):
-            raise ValueError(f"edge endpoint out of range [0, {n})")
-        adj = _symmetric_csr(n, ei, ej, np.ones(ei.size, dtype=bool))
-        return cls(n, adj.indptr, adj.indices, labels)
-
     @property
     def num_edges(self) -> int:
-        return self.indices.size // 2
+        return self.ei.size
 
-    def _heads(self) -> np.ndarray:
-        """Row index of every stored entry."""
-        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+    def adjacency(self) -> scipy.sparse.csr_matrix:
+        """The n x n boolean adjacency matrix, with sorted columns in each row:
+        one COO to CSR conversion of the edges in both orientations.
 
-    def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unique edges as (i, j) arrays with i < j."""
-        heads = self._heads()
-        keep = heads < self.indices
-        return heads[keep], self.indices[keep]
-
-    def validate(self) -> None:
-        """Full structural check: indices in range, no self-loops, strictly
-        sorted neighbor lists (so no repeated edge), symmetric adjacency."""
-        idx = self.indices
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
-            raise ValueError("neighbor index out of range")
-        heads = self._heads()
-        if np.any(heads == idx):
-            raise ValueError("self-loop found")
-        unsorted = np.flatnonzero((heads[1:] == heads[:-1]) & (idx[1:] <= idx[:-1]))
-        if unsorted.size:
-            raise ValueError(f"neighbor list of {heads[unsorted[0]]} not strictly sorted")
-        # rows are strictly sorted, so the forward keys are sorted and distinct
-        if not np.array_equal(heads * self.n + idx, np.sort(idx * self.n + heads)):
-            raise ValueError("adjacency not symmetric")
+        The conversion keeps input order within a row, so listing the
+        lower-triangle entries (ej, ei) first, both halves in edge-list
+        order, leaves every row sorted and scipy does not sort again."""
+        rows = np.concatenate([self.ej, self.ei])
+        cols = np.concatenate([self.ei, self.ej])
+        entries = (np.ones(rows.size, dtype=bool), (rows, cols))
+        return scipy.sparse.csr_matrix(entries, shape=(self.n, self.n))
 
 
 @dataclass(frozen=True)
@@ -363,22 +353,6 @@ class MatrixOperator:
         return self.congruence(col, None, keep.size)
 
 
-def _symmetric_csr(n: int, ei, ej, w) -> scipy.sparse.csr_matrix:
-    """n x n CSR matrix holding w[k] at (ei[k], ej[k]) and at (ej[k], ei[k]).
-
-    Columns are sorted within each row; repeated pairs stay separate entries.
-    One unstable sort of the keys row * n + column orders them, which equals
-    the stable order only where equal keys carry equal entries.  The one
-    caller, :meth:`Graph.from_edges`, meets that: its entries are all True.
-    """
-    heads = np.concatenate([ei, ej])
-    tails = np.concatenate([ej, ei])
-    order = np.argsort(heads * n + tails)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=n))])
-    data = np.concatenate([w, w])[order]
-    return scipy.sparse.csr_matrix((data, tails[order], indptr), shape=(n, n))
-
-
 def _bernoulli_hits(rng: np.random.Generator, count: int, p: float) -> np.ndarray:
     """Positions in [0, count) selected by independent Bernoulli(p) trials.
 
@@ -451,7 +425,7 @@ def sample_instance(params: ModelParams) -> tuple[Graph, RevealedLabels]:
     ei = np.concatenate(ei_chunks)
     ej = np.concatenate(ej_chunks)
 
-    graph = Graph.from_edges(n, ei, ej, labels)
+    graph = Graph(n, ei, ej, labels)
 
     m = params.m
     rng = stream(params.seed, "reveal")
@@ -470,9 +444,8 @@ def centered_adjacency(g: Graph, d: float) -> MatrixOperator:
     all-ones correction with coefficient -d/n."""
     if d < 0:
         raise ValueError("average degree d must be nonnegative")
-    ei, ej = g.edge_pairs()
     return MatrixOperator(
-        g.n, ei, ej, np.ones(ei.size),
+        g.n, g.ei, g.ej, np.ones(g.num_edges),
         rank1=(np.ones(g.n), -d / g.n),
     )
 
@@ -484,10 +457,9 @@ def write_instance(path, g: Graph, rev: RevealedLabels) -> None:
     ``L`` line with the n ground-truth labels and an ``R`` line with the n
     revealed values in {+1, 0, -1}.
     """
-    ei, ej = g.edge_pairs()
     with open(path, "w") as fh:
-        fh.write(f"{g.n} {ei.size}\n")
-        np.savetxt(fh, np.column_stack([ei, ej]), fmt="%d")
+        fh.write(f"{g.n} {g.num_edges}\n")
+        np.savetxt(fh, np.column_stack([g.ei, g.ej]), fmt="%d")
         fh.write("L " + " ".join(map(str, g.labels.values.tolist())) + "\n")
         fh.write("R " + " ".join(map(str, rev.values.tolist())) + "\n")
 
@@ -496,7 +468,7 @@ def read_instance(path) -> tuple[Graph, RevealedLabels]:
     """Parse the plain-text exchange format written by :func:`write_instance`.
 
     Rejects edge lines that are not ``i j`` with 0 <= i < j < n, repeated
-    edges, label or reveal lines of the wrong length or outside {+1, 0, -1},
+    edges (through the :class:`Graph` constructor), label or reveal lines of the wrong length or outside {+1, 0, -1},
     untruthful reveals, and any non-empty line after the ``R`` line.
     """
     with open(path) as fh:
@@ -524,8 +496,7 @@ def read_instance(path) -> tuple[Graph, RevealedLabels]:
     rv = np.array(reveal_line[1:], dtype=np.int64)
     if lv.size != n or rv.size != n:
         raise ValueError("label/reveal line length does not match n")
-    g = Graph.from_edges(n, ei, ej, Labels(lv))
-    g.validate()
+    g = Graph(n, ei, ej, Labels(lv))
     rev = RevealedLabels(rv, np.flatnonzero(rv))
     rev.check_truthful(g.labels)
     return g, rev

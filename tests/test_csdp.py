@@ -11,6 +11,7 @@ from ssbm import (AggregatedOperator, CsdpSolution, Labels, MatrixOperator,
                   aggregate, centered_adjacency, detection_test,
                   estimate_unrevealed, sample_instance, sandwich_check,
                   solve_csdp, solve_elliptope)
+from ssbm import csdp
 from ssbm.harness import aggregate_dense_reference
 from ssbm.rng import coin
 
@@ -245,6 +246,28 @@ def test_sandwich_unsupervised_collapses():
     assert rep.holds
     assert abs(rep.lower - rep.upper) <= 2 * rep.tau
     assert abs(rep.mid - rep.upper) <= 2 * rep.tau
+
+
+def test_sandwich_solves_once_when_nothing_is_revealed(monkeypatch):
+    # at rho = 0 the lower, middle and upper programs are all the SDP of M
+    p = ModelParams(n=80, a=8, b=3, rho=0.0, seed=3)
+    g, rev = sample_instance(p)
+    cfg = SolverConfig(restarts=2, seed=1)
+    M = centered_adjacency(g, p.d)
+    lower = solve_elliptope(M.restrict(rev.unrevealed()), cfg).value
+    upper = solve_elliptope(M, cfg).value
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].dim)
+        return solve_elliptope(*args, **kwargs)
+
+    monkeypatch.setattr(csdp, "solve_elliptope", counted)
+    rep = sandwich_check(g, rev, p.d, cfg)
+    assert calls == [p.n]
+    # the three-solve report, field for field
+    assert (rep.lower, rep.mid, rep.upper) == (lower, upper, upper)
+    assert (rep.margin00, rep.holds, rep.margin_nonneg, rep.submatrix_ok) == (0.0, True, True, True)
 
 
 def test_sandwich_fully_revealed():

@@ -110,6 +110,21 @@ def test_csv_round_trip(tmp_path):
     assert back == result.records
 
 
+def test_read_csv_names_the_malformed_line(tmp_path):
+    run_sweep(_cfg(tmp_path))
+    lines = (tmp_path / "out" / "records.csv").read_text().splitlines()
+    path = tmp_path / "bad.csv"
+    cases = (
+        (lines[:1], "end of file: expected the CSV header"),  # comment line only
+        (lines[:3] + [lines[3].rsplit(",", 2)[0]], "line 4: 13 fields, expected 15"),  # cut off
+        (lines[:2] + [lines[2] + ",7"], "line 3: 16 fields, expected 15"),  # one field too many
+    )
+    for text, match in cases:
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(ValueError, match=match):
+            read_csv(path)
+
+
 def test_csv_schema_and_snr_recompute(tmp_path):
     result = run_sweep(_cfg(tmp_path))
     lines = (tmp_path / "out" / "records.csv").read_text().splitlines()

@@ -11,8 +11,17 @@ from hypothesis import strategies as st
 from ssbm import (Graph, Labels, MatrixOperator, ModelParams, RevealedLabels,
                   centered_adjacency, read_instance, sample_instance, snr,
                   write_instance)
-from ssbm.model import _bernoulli_hits, _pair_decode, _symmetric_csr
+from ssbm.model import _bernoulli_hits, _pair_decode
 from ssbm.rng import stream
+
+
+def _assert_simple(g):
+    """The edge list is read-only int64, in range, with ei < ej, and strictly
+    sorted by (ei, ej), so no edge repeats."""
+    for arr in (g.ei, g.ej):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+    assert np.all(0 <= g.ei) and np.all(g.ei < g.ej) and np.all(g.ej < g.n)
+    assert np.all(np.diff(g.ei * g.n + g.ej) > 0)
 
 
 def test_snr_values():
@@ -63,13 +72,13 @@ def test_trivial_instances():
     assert g.num_edges == 6  # complete K4
     assert rev.m == 4
     assert np.array_equal(rev.values, g.labels.values)
-    g.validate()
+    _assert_simple(g)
 
 
 def test_instance_structure_and_determinism():
     p = ModelParams(n=300, a=8, b=3, rho=0.4, seed=99)
     g, rev = sample_instance(p)
-    g.validate()
+    _assert_simple(g)
     rev.check_truthful(g.labels)
     assert int(g.labels.values.sum()) == 0
     # reveal balanced within each community
@@ -77,8 +86,8 @@ def test_instance_structure_and_determinism():
     plus = int(np.sum(rev.values == 1))
     assert plus == p.m // 2
     g2, rev2 = sample_instance(p)
-    assert np.array_equal(g.indptr, g2.indptr)
-    assert np.array_equal(g.indices, g2.indices)
+    assert np.array_equal(g.ei, g2.ei)
+    assert np.array_equal(g.ej, g2.ej)
     assert np.array_equal(g.labels.values, g2.labels.values)
     assert np.array_equal(rev.revealed_set, rev2.revealed_set)
 
@@ -93,8 +102,7 @@ def test_edge_counts_match_binomial_moments():
     tot_w = tot_c = 0
     for s in range(reps):
         g, _ = sample_instance(ModelParams(n=n, a=a, b=b, seed=s))
-        ei, ej = g.edge_pairs()
-        same = g.labels.values[ei] == g.labels.values[ej]
+        same = g.labels.values[g.ei] == g.labels.values[g.ej]
         tot_w += int(np.sum(same))
         tot_c += int(np.sum(~same))
     for total, pairs, rate in ((tot_w, within_pairs, a / n), (tot_c, cross_pairs, b / n)):
@@ -225,8 +233,8 @@ def test_serialization_round_trip(tmp_path):
     write_instance(path, g, rev)
     g2, rev2 = read_instance(path)
     assert g2.n == g.n
-    assert np.array_equal(g2.indptr, g.indptr)
-    assert np.array_equal(g2.indices, g.indices)
+    assert np.array_equal(g2.ei, g.ei)
+    assert np.array_equal(g2.ej, g.ej)
     assert np.array_equal(g2.labels.values, g.labels.values)
     assert np.array_equal(rev2.values, rev.values)
     text = path.read_text().splitlines()
@@ -246,15 +254,15 @@ def test_serialization_round_trip_on_drawn_instances(half, a_frac, b_frac, rho, 
         write_instance(path, g, rev)
         g2, rev2 = read_instance(path)
     assert g2.n == g.n
-    assert np.array_equal(g2.indptr, g.indptr)
-    assert np.array_equal(g2.indices, g.indices)
+    assert np.array_equal(g2.ei, g.ei)
+    assert np.array_equal(g2.ej, g.ej)
     assert np.array_equal(g2.labels.values, g.labels.values)
     assert np.array_equal(rev2.values, rev.values)
     assert np.array_equal(rev2.revealed_set, rev.revealed_set)
 
 
 def _lexsort_csr(n, ei, ej, w):
-    """The stable two-key builder that the one-argsort ``_symmetric_csr`` replaced."""
+    """A stable two-key symmetric CSR builder, the reference for ``adjacency``."""
     heads = np.concatenate([ei, ej])
     tails = np.concatenate([ej, ei])
     order = np.lexsort((tails, heads))
@@ -263,43 +271,71 @@ def _lexsort_csr(n, ei, ej, w):
     return scipy.sparse.csr_matrix((data, tails[order], indptr), shape=(n, n))
 
 
-def test_symmetric_csr_matches_lexsort_builder():
+def test_adjacency_matches_lexsort_builder():
     rng = np.random.default_rng(8)
+    labels = {n: Labels(np.tile([1, -1], n // 2)) for n in (2, 10, 300)}
     cases = []
-    for n in (2, 9, 300):
-        # shuffled distinct pairs with float weights, as the operator passes them
+    for n in labels:
+        # shuffled distinct pairs, in either orientation
         pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)])
         pick = rng.permutation(pairs.shape[0])[: max(1, pairs.shape[0] // 5)]
-        cases.append((n, pairs[pick, 0], pairs[pick, 1], rng.standard_normal(pick.size)))
-        # repeated boolean pairs, in either orientation, as a multigraph edge list
-        ei = rng.integers(0, n, size=3 * n)
-        ej = (ei + rng.integers(1, n, size=ei.size)) % n
-        cases.append((n, ei, ej, np.ones(ei.size, dtype=bool)))
-    empty = np.empty(0, dtype=np.int64)
-    cases += [(5, empty, empty, np.empty(0)), (1, empty, empty, np.empty(0, dtype=bool)),
-              (1, np.array([0]), np.array([0]), np.ones(1, dtype=bool))]
-    op = MatrixOperator(50, rng.integers(0, 50, 400), rng.integers(0, 50, 400),
-                        rng.standard_normal(400))
-    off = op.rows != op.cols
-    cases.append((50, op.rows[off], op.cols[off], op.weights[off]))
-    for n, ei, ej, w in cases:
-        got, ref = _symmetric_csr(n, ei, ej, w), _lexsort_csr(n, ei, ej, w)
+        flip = rng.random(pick.size) < 0.5
+        ei, ej = pairs[pick, 0], pairs[pick, 1]
+        cases.append(Graph(n, np.where(flip, ej, ei), np.where(flip, ei, ej), labels[n]))
+        cases.append(Graph(n, [], [], labels[n]))
+    cases += [sample_instance(ModelParams(n=300, a=9, b=2, seed=s))[0] for s in range(3)]
+    for g in cases:
+        got = g.adjacency()
+        ref = _lexsort_csr(g.n, g.ei, g.ej, np.ones(g.num_edges, dtype=bool))
+        assert got.shape == (g.n, g.n)
         for name in ("indptr", "indices", "data"):
             x, y = getattr(got, name), getattr(ref, name)
-            assert x.dtype == y.dtype and np.array_equal(x, y), (n, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), (g.n, name)
 
 
-def test_from_edges_rejects_out_of_range_endpoints():
+@given(st.data())
+def test_graph_canonicalises_any_order_and_orientation(data):
+    n = 2 * data.draw(st.integers(1, 6))
+    pairs = sorted(data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                                     .filter(lambda p: p[0] < p[1]))))
+    edges = data.draw(st.permutations(pairs))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    ei = [j if f else i for (i, j), f in zip(edges, flips)]
+    ej = [i if f else j for (i, j), f in zip(edges, flips)]
+    g = Graph(n, ei, ej, Labels(np.tile([1, -1], n // 2)))
+    _assert_simple(g)
+    assert g.ei.tolist() == [i for i, _ in pairs] and g.ej.tolist() == [j for _, j in pairs]
+    assert g.num_edges == len(pairs)
+    dense = np.zeros((n, n), dtype=bool)
+    for i, j in pairs:
+        dense[i, j] = dense[j, i] = True
+    adj = g.adjacency()
+    assert adj.dtype == bool and np.array_equal(adj.toarray(), dense)
+
+
+def test_graph_rejects_self_loops_and_repeated_edges():
+    labels = Labels([1, -1, 1, -1])
+    with pytest.raises(ValueError, match="self-loop at vertex 2"):
+        Graph(4, [0, 2], [1, 2], labels)
+    for ei, ej in (([0, 1, 0], [3, 2, 3]), ([0, 1, 3], [3, 2, 0])):
+        with pytest.raises(ValueError, match=r"repeated edge \(0, 3\)"):
+            Graph(4, ei, ej, labels)
+
+
+def test_graph_rejects_out_of_range_endpoints():
     labels = Labels([1, -1, 1, -1])
     for ei, ej in (([0], [4]), ([0], [-1])):
         with pytest.raises(ValueError, match=r"edge endpoint out of range \[0, 4\)"):
-            Graph.from_edges(4, ei, ej, labels)
+            Graph(4, ei, ej, labels)
 
 
-def test_from_edges_rejects_endpoint_arrays_of_unequal_length():
-    # unchecked, the CSR build paired the arrays up into an asymmetric adjacency
-    with pytest.raises(ValueError, match="differ in length: 2 and 1"):
-        Graph.from_edges(4, [0, 1], [2], Labels([1, -1, 1, -1]))
+def test_graph_rejects_endpoint_arrays_of_unequal_length():
+    # unchecked, the arrays would pair up into a wrong edge list; scalars and
+    # 2-D arrays are refused too
+    for ei, ej, shapes in (([0, 1], [2], r"\(2,\) and \(1,\)"), (0, 1, r"\(\) and \(\)"),
+                           ([[0], [1]], [[2], [3]], r"\(2, 1\) and \(2, 1\)")):
+        with pytest.raises(ValueError, match=f"1-D of equal length, got shapes {shapes}"):
+            Graph(4, ei, ej, Labels([1, -1, 1, -1]))
 
 
 def test_read_instance_rejects_garbage(tmp_path):
