@@ -2,10 +2,11 @@
 
 An unrevealed vertex v is labeled by the sign of the sum of revealed labels
 over the vertices at shortest-path distance exactly t from v (default t = 1),
-with a fair coin on ties.  The distance-t shells of all vertices come from
-boolean sparse products, with no per-vertex search.  Alongside the estimator
-live its closed-form accuracy predictions and the exact binomial oracles
-backing them.
+with a fair coin on ties.  The tallies cover the rows asked for (the
+unrevealed vertices) and come from boolean sparse products over those rows
+only, with no per-vertex search; the last product keeps only the voter
+(revealed) columns.  Alongside the estimator live its closed-form accuracy
+predictions and the exact binomial oracles backing them.
 """
 
 from __future__ import annotations
@@ -54,25 +55,35 @@ def overlap(estimates: np.ndarray, labels: Labels, rev: RevealedLabels) -> float
     return abs(int(truth @ estimates[unrev].astype(np.int64))) / max(unrev.size, 1)
 
 
-def margins_at_depth(g: Graph, votes: np.ndarray, t: int) -> np.ndarray:
-    """Signed vote sums at distance exactly t, all vertices.
+def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> np.ndarray:
+    """Signed vote sums at distance exactly t, for the vertices ``rows``.
 
     ``votes`` is any length-n vector in {+1, 0, -1}; zeros do not vote, and
-    ``np.abs(votes)`` gives the voter counts instead.  The
-    boolean shell_s holds the pairs at distance exactly s: shell_1 is the
-    adjacency A, and shell_{s+1} is the pattern of shell_s A outside
-    ball_s = ball_{s-1} + shell_s (the pairs within distance s, ball_0 = I).
-    The tallies are the product of shell_t with the votes.
+    ``np.abs(votes)`` gives the voter counts instead.  ``rows`` are the
+    sorted vertices whose tallies are wanted, returned in that order.  At
+    t = 1 the tallies are A @ votes.  Above it, the boolean shell_s holds the
+    pairs (row, vertex) at distance exactly s: shell_1 is A[rows], and
+    shell_{s+1} is the pattern of shell_s A outside ball_s = ball_{s-1} +
+    shell_s (the pairs within distance s, ball_0 = I[rows]).  The last step
+    keeps only the voter columns R = nonzero(votes): the tallies are
+    ((shell_{t-1} A[:, R]) > ball_{t-1}[:, R]) @ votes[R].
     """
     if t < 1:
         raise ValueError("depth t must be >= 1")
     votes = np.asarray(votes).astype(np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
     adj = g.adjacency()
-    ball, shell = scipy.sparse.identity(g.n, dtype=bool, format="csr"), adj
-    for _ in range(t - 1):
+    if t == 1:
+        return (adj @ votes)[rows]
+    identity = (np.ones(rows.size, dtype=bool), rows, np.arange(rows.size + 1))
+    ball = scipy.sparse.csr_matrix(identity, shape=(rows.size, g.n))
+    shell = adj[rows]
+    for _ in range(t - 2):
         ball = ball + shell
         shell = (shell @ adj) > ball
-    return shell @ votes
+    ball = ball + shell
+    voters = np.flatnonzero(votes)
+    return ((shell @ adj[:, voters]) > ball[:, voters]) @ votes[voters]
 
 
 def census_estimate(g: Graph, rev: RevealedLabels, t: int = 1, seed: int = 0) -> EstimateReport:
@@ -88,8 +99,8 @@ def census_estimate(g: Graph, rev: RevealedLabels, t: int = 1, seed: int = 0) ->
     unrev = rev.unrevealed()
     if unrev.size == 0:
         raise ValueError("all vertices are revealed; nothing to estimate")
-    margins = margins_at_depth(g, rev.values, t)
-    return _vote_report(margins[unrev], unrev, rev, g.labels, seed, "census-tie")
+    margins = margins_at_depth(g, rev.values, t, unrev)
+    return _vote_report(margins, unrev, rev, g.labels, seed, "census-tie")
 
 
 def _vote_report(scores: np.ndarray, verts: np.ndarray, rev: RevealedLabels,

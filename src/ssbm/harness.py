@@ -406,6 +406,8 @@ def best_threshold_accuracy(positive: list[float], negative: list[float]) -> flo
 def summarize(records: list[ResultRecord], t: int = 1) -> dict:
     """Per-cell statistics over every value column each group carries.
 
+    Each cell with a + b > 0 carries the depth-t erf accuracy as a reference,
+    and at t = 1 also the overlap lower curve, a bound for t = 1 only.
     Detection cells (both truth models present) additionally report the
     separation score min(SBM) - max(ERM) and the best-threshold accuracy for
     each solver statistic, plus the test threshold, rho0 and ``test_proven``
@@ -426,10 +428,9 @@ def summarize(records: list[ResultRecord], t: int = 1) -> dict:
             "groups": [],
         }
         if a + b > 0:
-            entry["reference"] = {
-                "overlap_lower_curve": overlap_lower_curve(a, b, rho),
-                "erf_accuracy": predict_accuracy_erf(a, b, rho, t),
-            }
+            reference = {"overlap_lower_curve": overlap_lower_curve(a, b, rho)} if t == 1 else {}
+            reference["erf_accuracy"] = predict_accuracy_erf(a, b, rho, t)
+            entry["reference"] = reference
         for (algorithm, truth_model), recs in sorted(groups.items()):
             gstat = {"algorithm": algorithm, "truth_model": truth_model, "count": len(recs)}
             for field in ("overlap_unrevealed", "sdp_value", "csdp_value", "margin00"):
@@ -486,7 +487,7 @@ def _census_svg(summary, t) -> str:
         for grp in cell["groups"]:
             if grp["algorithm"].startswith("census") and "overlap_unrevealed" in grp:
                 pts.append((rho, grp["overlap_unrevealed"]["mean"]))
-        if "reference" in cell:
+        if "overlap_lower_curve" in cell.get("reference", {}):
             ref.append((rho, cell["reference"]["overlap_lower_curve"]))
     pts.sort()
     ref.sort()

@@ -374,7 +374,7 @@ def test_criterion_11_erf_prediction_matches_fully_revealed_census():
     for gidx in range(graphs):
         seed = derive_key(SEED, "c11", gidx)
         g, _ = sample_instance(ModelParams(n=n, a=a, b=b, rho=0.0, seed=seed))
-        margins = margins_at_depth(g, g.labels.values, 1)
+        margins = margins_at_depth(g, g.labels.values, 1, np.arange(g.n))
         signs = np.sign(margins).astype(np.int8)
         ties = np.flatnonzero(signs == 0)
         for v in ties.tolist():

@@ -3,6 +3,8 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
@@ -29,7 +31,8 @@ def test_margin_direct_neighbors():
     # v=0 with revealed 1-neighbors {+1, +1, -1} -> margin +1, support 3
     g = _graph_from_edges(6, [(0, 1), (0, 2), (0, 3)], [1, 1, 1, -1, -1, -1])
     rev = _reveal([0, 1, 1, -1, -1, 0])
-    margins, support = (margins_at_depth(g, v, 1) for v in (rev.values, np.abs(rev.values)))
+    margins, support = (margins_at_depth(g, v, 1, np.arange(g.n))
+                        for v in (rev.values, np.abs(rev.values)))
     assert (margins[0], support[0]) == (1, 3)
     assert np.all(np.abs(margins) <= support) and np.all(support <= rev.m)
 
@@ -38,7 +41,8 @@ def test_margin_isolated_vertex():
     g = _graph_from_edges(4, [(1, 2)], [1, 1, -1, -1])
     rev = _reveal([0, 1, -1, 0])
     for t in (1, 2):
-        margins, support = (margins_at_depth(g, v, t) for v in (rev.values, np.abs(rev.values)))
+        margins, support = (margins_at_depth(g, v, t, np.arange(g.n))
+                             for v in (rev.values, np.abs(rev.values)))
         assert (margins[0], support[0]) == (0, 0)
 
 
@@ -47,7 +51,8 @@ def test_margin_path_depth_two():
     g = _graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4)], [1, 1, 1, -1, -1, -1])
     rev = _reveal([1, 0, 0, 0, -1, 0])
     for t, expected in ((2, (0, 2)), (1, (0, 0))):
-        margins, support = (margins_at_depth(g, v, t) for v in (rev.values, np.abs(rev.values)))
+        margins, support = (margins_at_depth(g, v, t, np.arange(g.n))
+                             for v in (rev.values, np.abs(rev.values)))
         assert (margins[2], support[2]) == expected
 
 
@@ -62,12 +67,12 @@ def test_margins_at_depth_uses_exact_distance():
     # triangle plus pendant: from vertex 3, distance to 1 and 2 is exactly 2
     g = _graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)], [1, 1, -1, -1])
     votes = np.array([0, 1, -1, 0], dtype=np.int8)
-    m2, s2 = (margins_at_depth(g, v, 2) for v in (votes, np.abs(votes)))
+    m2, s2 = (margins_at_depth(g, v, 2, np.arange(g.n)) for v in (votes, np.abs(votes)))
     assert m2[3] == 0 and s2[3] == 2
-    m1, s1 = (margins_at_depth(g, v, 1) for v in (votes, np.abs(votes)))
+    m1, s1 = (margins_at_depth(g, v, 1, np.arange(g.n)) for v in (votes, np.abs(votes)))
     assert m1[3] == 0 and s1[3] == 0
     with pytest.raises(ValueError):
-        margins_at_depth(g, votes, 0)
+        margins_at_depth(g, votes, 0, np.arange(g.n))
     # sampled sparse graphs (d = 2, so many isolated vertices) against
     # breadth-first distances, at every depth the census sweeps use
     for seed in range(3):
@@ -75,7 +80,27 @@ def test_margins_at_depth_uses_exact_distance():
         assert np.any(np.diff(g.adjacency().indptr) == 0)
         for t in (1, 2, 3):
             for v in (rev.values, np.abs(rev.values)):
-                assert np.array_equal(margins_at_depth(g, v, t), _margins_by_distance(g, v, t))
+                assert np.array_equal(margins_at_depth(g, v, t, np.arange(g.n)),
+                                      _margins_by_distance(g, v, t))
+
+
+@given(st.data())
+def test_margins_at_depth_over_rows_match_distances(data):
+    # any simple graph, votes in {-1, 0, 1} (all zero included) and sorted
+    # rows (empty, or holding voters, whose I[rows] entries lie in the ball)
+    half = data.draw(st.integers(1, 20))
+    n = 2 * half
+    pairs = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3 * n))
+    edges = sorted({(min(i, j), max(i, j)) for i, j in pairs if i != j})
+    g = _graph_from_edges(n, edges, [1] * half + [-1] * half)
+    votes = np.array(data.draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n)))
+    if data.draw(st.booleans()):
+        votes[:] = 0
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
+    t = data.draw(st.integers(1, 4))
+    for v in (votes, np.abs(votes)):
+        assert np.array_equal(margins_at_depth(g, v, t, rows), _margins_by_distance(g, v, t)[rows])
 
 
 def test_estimate_trivial_overlaps():
@@ -122,7 +147,7 @@ def test_census_ties_match_scalar_coin_loop():
     for t in (1, 2):
         for rho in (0.1, 0.5):
             g, rev = sample_instance(ModelParams(n=3000, a=5, b=2, rho=rho, seed=31))
-            margins = margins_at_depth(g, rev.values, t)
+            margins = margins_at_depth(g, rev.values, t, np.arange(g.n))
             expected, ties = rev.values.copy(), 0
             for v in rev.unrevealed().tolist():
                 if margins[v] == 0:
@@ -246,8 +271,9 @@ def test_sign_estimates_depend_only_on_revealed_multiset():
     g2 = _graph_from_edges(g.n, list(zip(perm[g.ei].tolist(), perm[g.ej].tolist())),
                            g.labels.values[inv])
     rev2 = _reveal(rev.values[inv])
-    m1, s1 = (margins_at_depth(g, v, 2) for v in (rev.values, np.abs(rev.values)))
-    m2, s2 = (margins_at_depth(g2, v, 2) for v in (rev2.values, np.abs(rev2.values)))
+    m1, s1 = (margins_at_depth(g, v, 2, np.arange(g.n)) for v in (rev.values, np.abs(rev.values)))
+    m2, s2 = (margins_at_depth(g2, v, 2, np.arange(g.n))
+              for v in (rev2.values, np.abs(rev2.values)))
     assert np.array_equal(m1, m2[perm])
     assert np.array_equal(s1, s2[perm])
 
@@ -259,8 +285,8 @@ def test_global_sign_equivariance():
     g, rev = sample_instance(p)
     flipped = Graph(g.n, g.ei, g.ej, Labels(-g.labels.values))
     rev_f = _reveal(-rev.values)
-    m1 = margins_at_depth(g, rev.values, 1)
-    m2 = margins_at_depth(flipped, rev_f.values, 1)
+    m1 = margins_at_depth(g, rev.values, 1, np.arange(g.n))
+    m2 = margins_at_depth(flipped, rev_f.values, 1, np.arange(g.n))
     assert np.array_equal(m1, -m2)
     r1 = census_estimate(g, rev, t=1, seed=0)
     r2 = census_estimate(flipped, rev_f, t=1, seed=0)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,21 @@ def test_census_command_json(tmp_path, capsys):
     assert len(payload["estimates"]) == 60
     on_disk = json.loads((tmp_path / "r.json").read_text())
     assert on_disk == payload
+
+
+def test_python_dash_m_runs_the_cli():
+    # `python -m ssbm` reaches the CLI without an install, exit codes included
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    args = [sys.executable, "-m", "ssbm", "census", "--n", "60", "--a", "7", "--b", "2",
+            "--seed", "1", "--t", "1", "--rho"]
+    ok = subprocess.run(args + ["0.4"], env=env, capture_output=True, text=True)
+    assert ok.returncode == 0, ok.stderr
+    assert len(json.loads(ok.stdout)["estimates"]) == 60
+    everything_revealed = subprocess.run(args + ["1.0"], env=env, capture_output=True, text=True)
+    assert everything_revealed.returncode == 1
+    assert "nothing to estimate" in everything_revealed.stderr
 
 
 def test_sdp_and_csdp_commands(capsys):

@@ -101,7 +101,17 @@ def test_census_sweep_records_and_summary(tmp_path):
     assert (tmp_path / "out" / "summary.json").exists()
     assert (tmp_path / "out" / "figure.svg").exists()
     svg = (tmp_path / "out" / "figure.svg").read_text()
-    assert svg.startswith("<svg") and "polyline" in svg
+    assert svg.startswith("<svg") and svg.count("<polyline") == 2
+
+
+def test_census_sweep_at_depth_two_draws_no_t1_lower_curve(tmp_path):
+    # the lower curve bounds the t = 1 census only: a t = 2 figure draws the data alone
+    result = run_sweep(_cfg(tmp_path, t=2))
+    for cell in result.summary["cells"]:
+        assert "overlap_lower_curve" not in cell["reference"]
+        assert "erf_accuracy" in cell["reference"]
+    svg = (tmp_path / "out" / "figure.svg").read_text()
+    assert svg.count("<polyline") == 1
 
 
 def test_csv_round_trip(tmp_path):
