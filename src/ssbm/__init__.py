@@ -15,35 +15,29 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .census import (EstimateReport, binomial_gap_oracle, census_estimate,
-                     census_success_bound, delta_gap, overlap_lower_curve,
+from .census import (EstimateReport, census_estimate, overlap_lower_curve,
                      predict_accuracy_erf)
 from .csdp import (AggregatedOperator, CsdpSolution, SandwichReport, TestOutcome,
                    aggregate, detection_test, estimate_unrevealed,
                    sandwich_check, solve_csdp)
 from .harness import (ExperimentConfig, ResultRecord, best_threshold_accuracy,
-                      oracle_suite, run_sweep, summarize)
+                      run_sweep, summarize)
 from .model import (Graph, Labels, MatrixOperator, ModelParams, RevealedLabels,
                     centered_adjacency, read_instance, sample_instance, snr,
                     write_instance)
-from .sdp import (DualCertificate, GrothendieckReport, NumericError, SdpSolution,
-                  SolverConfig, certify_dual, cut_norm_concentration_trial,
-                  cut_norm_exact, grothendieck_check, round_leading_eigvec,
-                  solve_elliptope)
+from .sdp import (DualCertificate, NumericError, SdpSolution, SolverConfig,
+                  certify_dual, round_leading_eigvec, solve_elliptope)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AggregatedOperator", "CsdpSolution", "DualCertificate", "EstimateReport",
-    "ExperimentConfig", "Graph", "GrothendieckReport", "Labels",
-    "MatrixOperator", "ModelParams", "NumericError", "ResultRecord",
-    "RevealedLabels", "SandwichReport", "SdpSolution", "SolverConfig",
-    "TestOutcome", "aggregate", "best_threshold_accuracy",
-    "binomial_gap_oracle", "census_estimate", "census_success_bound",
-    "centered_adjacency", "certify_dual", "cut_norm_concentration_trial",
-    "cut_norm_exact", "delta_gap", "detection_test", "estimate_unrevealed",
-    "grothendieck_check", "oracle_suite", "overlap_lower_curve",
-    "predict_accuracy_erf", "read_instance", "round_leading_eigvec",
-    "run_sweep", "sample_instance", "sandwich_check", "snr", "solve_csdp",
-    "solve_elliptope", "summarize", "write_instance",
+    "ExperimentConfig", "Graph", "Labels", "MatrixOperator", "ModelParams",
+    "NumericError", "ResultRecord", "RevealedLabels", "SandwichReport",
+    "SdpSolution", "SolverConfig", "TestOutcome", "aggregate",
+    "best_threshold_accuracy", "census_estimate", "centered_adjacency",
+    "certify_dual", "detection_test", "estimate_unrevealed",
+    "overlap_lower_curve", "predict_accuracy_erf", "read_instance",
+    "round_leading_eigvec", "run_sweep", "sample_instance", "sandwich_check",
+    "snr", "solve_csdp", "solve_elliptope", "summarize", "write_instance",
 ]

@@ -6,7 +6,7 @@ with a fair coin on ties.  The tallies cover the rows asked for (the
 unrevealed vertices) and come from boolean sparse products over those rows
 only, with no per-vertex search; the last product keeps only the voter
 (revealed) columns.  Alongside the estimator live its closed-form accuracy
-predictions and the exact binomial oracles backing them.
+predictions.
 """
 
 from __future__ import annotations
@@ -118,80 +118,6 @@ def _vote_report(scores: np.ndarray, verts: np.ndarray, rev: RevealedLabels,
                           overlap=overlap(estimates, labels, rev))
 
 
-def delta_gap(a: float, b: float) -> float:
-    """The constant (a - b) / (2 e^{a+b}) bounding the binomial sign gap.
-
-    For X ~ Bin(N, a/N) and Y ~ Bin(N, b/N) independent with a > b, the gap
-    P(X > Y) - P(X < Y) stays above this value for all large N.
-    """
-    if not (0 <= b <= a):
-        raise ValueError(f"rates must satisfy a >= b >= 0, got a={a}, b={b}")
-    return (a - b) / (2.0 * math.exp(a + b))
-
-
-def binomial_pmf(n: int, p: float) -> np.ndarray:
-    """Binomial(n, p) pmf by the multiplicative recurrence, truncated once the
-    remaining upper-tail mass drops below 1e-16."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"invalid probability {p}")
-    if p == 0.0 or n == 0:
-        return np.array([1.0])
-    if p == 1.0:
-        out = np.zeros(n + 1)
-        out[n] = 1.0
-        return out
-    q = 1.0 - p
-    ratio = p / q
-    terms = [q ** n]
-    if terms[0] == 0.0:
-        raise ValueError("pmf underflow: mean n*p too large for the recurrence")
-    cum = terms[0]
-    k = 0
-    mean = n * p
-    while k < n and (cum < 1.0 - 1e-16 or k < mean + 2):
-        terms.append(terms[-1] * ((n - k) / (k + 1.0)) * ratio)
-        k += 1
-        cum += terms[-1]
-    return np.asarray(terms)
-
-
-def binomial_difference_stats(
-    nx: int, px: float, ny: int, py: float
-) -> tuple[float, float, float]:
-    """(P(X > Y), P(X = Y), P(X < Y)) for independent X ~ Bin(nx, px) and
-    Y ~ Bin(ny, py), exact up to truncated tail mass < 1e-12."""
-    fx = binomial_pmf(nx, px)
-    fy = binomial_pmf(ny, py)
-    k = max(fx.size, fy.size)
-    fx = np.pad(fx, (0, k - fx.size))
-    fy = np.pad(fy, (0, k - fy.size))
-    p_eq = float(fx @ fy)
-    p_less = float(fy[1:] @ np.cumsum(fx)[:-1])  # sum_y P(Y=y) P(X <= y-1)
-    p_greater = float(fx[1:] @ np.cumsum(fy)[:-1])
-    return p_greater, p_eq, p_less
-
-
-def binomial_gap_oracle(trials: int, a: float, b: float) -> float:
-    """Exact P(X > Y) - P(X < Y) for X ~ Bin(trials, a/trials),
-    Y ~ Bin(trials, b/trials); the independent check of :func:`delta_gap`."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if a / trials > 1 or b / trials > 1 or a < 0 or b < 0:
-        raise ValueError("a/trials and b/trials must be valid probabilities")
-    p_greater, _, p_less = binomial_difference_stats(trials, a / trials, trials, b / trials)
-    return p_greater - p_less
-
-
-def vote_accuracy_exact(k_same: int, k_cross: int, pa: float, pb: float) -> float:
-    """Exact probability that a signed vote recovers the vertex label.
-
-    The margin is Bin(k_same, pa) - Bin(k_cross, pb); ties recover with
-    probability 1/2 (the fair coin).
-    """
-    p_greater, p_eq, _ = binomial_difference_stats(k_same, pa, k_cross, pb)
-    return p_greater + 0.5 * p_eq
-
-
 def predict_accuracy_erf(a: float, b: float, rho: float, t: int = 1) -> float:
     """Asymptotic per-vertex accuracy 1/2 + 1/2 erf(sqrt(rho SNR^t / 2))."""
     if not (0.0 <= rho <= 1.0):
@@ -201,19 +127,6 @@ def predict_accuracy_erf(a: float, b: float, rho: float, t: int = 1) -> float:
     if rho == 0.0:
         return 0.5
     return 0.5 + 0.5 * math.erf(math.sqrt(rho * snr(a, b) ** t / 2.0))
-
-
-def census_success_bound(a: float, b: float, rho: float, n: int) -> tuple[float, float]:
-    """Guaranteed overlap threshold and success probability of the t=1 census.
-
-    Returns (delta/2, 1 - exp(-delta^2 (1-rho) n / 8)) with the rescaled
-    constant delta = rho (a-b) / (2 e^{rho (a+b)}): the overlap exceeds the
-    threshold with at least the returned probability.
-    """
-    if not (0.0 < rho < 1.0):
-        raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    delta = delta_gap(rho * a, rho * b)
-    return delta / 2.0, 1.0 - math.exp(-(delta ** 2) * (1.0 - rho) * n / 8.0)
 
 
 def overlap_lower_curve(a: float, b: float, rho: float) -> float:

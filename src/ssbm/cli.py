@@ -1,8 +1,7 @@
 """Command-line front end.
 
-Subcommands: generate, census, sdp, csdp, test, sweep, oracles.  Exit codes:
-0 success, 1 usage error, 2 numeric/solver failure (and a sweep with failed
-replications), 3 oracle-suite failure.
+Subcommands: generate, census, sdp, csdp, test, sweep.  Exit codes: 0 success,
+1 usage error, 2 numeric/solver failure (and a sweep with failed replications).
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import sys
 
 from .census import census_estimate, overlap
 from .csdp import detection_test, estimate_unrevealed, solve_csdp
-from .harness import SWEEP_KINDS, ExperimentConfig, oracle_suite, run_sweep
+from .harness import SWEEP_KINDS, ExperimentConfig, run_sweep
 from .model import ModelParams, centered_adjacency, sample_instance, write_instance
 from .sdp import (CERT_GAP, DENSE_CERT_MAX, STALL_WINDOW, NumericError, SolverConfig,
                   round_leading_eigvec, solve_elliptope)
@@ -96,7 +95,7 @@ def build_parser() -> _Parser:
         p.add_argument("--out", default=None)
         if name == "test":
             p.add_argument("--delta", type=float, default=None,
-                           help="test margin (default (a-b)/40)")
+                           help="test margin, in (0, (a-b)/2) (default (a-b)/40)")
 
     p = sub.add_parser("sweep", help="run a Monte Carlo sweep")
     p.add_argument("--config", default=None, help="JSON config file (overrides flags)")
@@ -111,10 +110,6 @@ def build_parser() -> _Parser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="output directory")
     _add_solver_args(p)
-
-    p = sub.add_parser("oracles", help="run the exact-oracle self-check suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     return top
 
 
@@ -189,16 +184,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_oracles(args) -> int:
-    report = oracle_suite(seed=args.seed)
-    text = report.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
-    return 0 if report.passed else 3
-
-
 _COMMANDS = {
     "generate": _cmd_generate,
     "census": _cmd_census,
@@ -206,7 +191,6 @@ _COMMANDS = {
     "csdp": _cmd_csdp,
     "test": _cmd_test,
     "sweep": _cmd_sweep,
-    "oracles": _cmd_oracles,
 }
 
 

@@ -139,13 +139,18 @@ def detection_test(
     """Threshold test for community structure given the model rates.
 
     Declares a planted bisection (decision 1) iff stat >= n ((a-b)/2 - delta);
-    the default margin is delta = (a-b)/40.  Also reports rho0, the reveal
-    ratio at which the test is proven to work: 1 - (a-b)/(30 (1+d)).
+    the default margin is delta = (a-b)/40, and any other must be finite with
+    0 < delta < (a-b)/2, so that the threshold is positive.  Also reports
+    rho0, the reveal ratio at which the test is proven to work:
+    1 - (a-b)/(30 (1+d)).
     """
     if a <= b:
         raise ValueError("detection test requires a > b")
     if delta is None:
         delta = (a - b) / 40.0
+    elif not (0.0 < delta < (a - b) / 2.0):  # also False for nan
+        raise ValueError(f"margin delta must lie in (0, (a-b)/2) = (0, {(a - b) / 2.0:g}), "
+                         f"got {delta}")
     d = 0.5 * (a + b)
     threshold = n * ((a - b) / 2.0 - delta)
     return TestOutcome(

@@ -24,14 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import (binomial_gap_oracle, census_estimate, delta_gap, overlap,
-                     overlap_lower_curve, predict_accuracy_erf)
-from .csdp import aggregate, detection_test, estimate_unrevealed, sandwich_check, solve_csdp
-from .model import (MatrixOperator, ModelParams, RevealedLabels,
-                    centered_adjacency, sample_instance, snr)
-from .rng import derive_key, stream
-from .sdp import (SolverConfig, cut_norm_exact, grothendieck_check, require_ints,
-                  round_leading_eigvec, solve_elliptope)
+from .census import census_estimate, overlap, overlap_lower_curve, predict_accuracy_erf
+from .csdp import detection_test, estimate_unrevealed, sandwich_check, solve_csdp
+from .model import ModelParams, centered_adjacency, sample_instance, snr
+from .rng import derive_key
+from .sdp import SolverConfig, require_ints, round_leading_eigvec, solve_elliptope
 
 SWEEP_KINDS = ("census-sweep", "phase-grid", "detection-boxes", "sandwich-audit")
 
@@ -547,157 +544,3 @@ def _boxes_svg(summary) -> str:
         svg += (f'<text x="{cx}" y="{h-20}" text-anchor="middle" font-size="9" '
                 f'transform="rotate(25 {cx} {h-20})">{label}</text>\n')
     return svg + "</svg>\n"
-
-
-# ----------------------------------------------------------- oracle suite --
-
-@dataclass(frozen=True)
-class OracleCheck:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    checks: tuple
-    passed: bool
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "passed": self.passed,
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                       for c in self.checks],
-        }, indent=2)
-
-
-def aggregate_dense_reference(M: np.ndarray, reveal_values: np.ndarray) -> np.ndarray:
-    """Aggregated matrix built directly from its defining equations.
-
-    Independent of :func:`ssbm.csdp.aggregate`: plain loops over a dense M.
-    Row/column 0 collects the label-signed revealed entries; the interior is
-    M restricted to unrevealed vertices in sorted order.
-    """
-    M = np.asarray(M, dtype=np.float64)
-    x = np.asarray(reveal_values, dtype=np.float64)
-    revealed = np.flatnonzero(x != 0)
-    unrev = np.flatnonzero(x == 0)
-    dim = unrev.size + 1
-    out = np.zeros((dim, dim))
-    for i in revealed:
-        for j in revealed:
-            out[0, 0] += M[i, j] * x[i] * x[j]
-    for jj, p in enumerate(unrev, start=1):
-        s = 0.0
-        for i in revealed:
-            s += x[i] * M[i, p]
-        out[0, jj] = out[jj, 0] = s
-    for ii, p in enumerate(unrev, start=1):
-        for jj, q in enumerate(unrev, start=1):
-            out[ii, jj] = M[p, q]
-    return out
-
-
-def _random_feasible_objectives(M: np.ndarray, rev: RevealedLabels, agg_dense: np.ndarray,
-                                rng: np.random.Generator, points: int = 20) -> float:
-    """Max |objective(full constrained point) - objective(mapped point)|."""
-    x = rev.values.astype(np.float64)
-    unrev = rev.unrevealed()
-    n = M.shape[0]
-    k = 5
-    worst = 0.0
-    for _ in range(points):
-        tau = rng.standard_normal((unrev.size + 1, k))
-        tau /= np.linalg.norm(tau, axis=1, keepdims=True)
-        full = np.empty((n, k))
-        full[rev.revealed_set] = np.outer(x[rev.revealed_set], tau[0])
-        full[unrev] = tau[1:]
-        obj_full = float(np.einsum("ij,ik,jk->", M, full, full))
-        obj_agg = float(np.einsum("ij,ik,jk->", agg_dense, tau, tau))
-        worst = max(worst, abs(obj_full - obj_agg))
-    return worst
-
-
-def _check(name, passed, detail) -> OracleCheck:
-    return OracleCheck(name=name, passed=bool(passed), detail=detail)
-
-
-def oracle_suite(seed: int = 0) -> OracleReport:
-    """Fixed-seed battery of every exact-oracle property plus mutation
-    canaries that prove the checks can fail."""
-    checks = []
-
-    # binomial gap bound: exact DP gap dominates the closed-form constant
-    grid = [(a, b, trials) for a in (3, 5, 9) for b in (1, 2)
-            for trials in (100, 1000)]
-    worst = min(binomial_gap_oracle(trials, a, b) - delta_gap(a, b)
-                for a, b, trials in grid)
-    checks.append(_check("binomial-gap-bound", worst >= 0,
-                         f"min oracle-minus-delta over grid = {worst:.3e}"))
-
-    # canary: breaking the exponential damping must violate the bound
-    tampered = max(binomial_gap_oracle(trials, a, b) - (a - b) * math.exp(a + b) / 2.0
-                   for a, b, trials in grid)
-    checks.append(_check("binomial-gap-canary", tampered < 0,
-                         "sign-flipped exponent is detected" if tampered < 0
-                         else "tampered constant slipped through"))
-
-    d52 = delta_gap(5, 2)
-    checks.append(_check("delta-gap-value", abs(d52 - 3.0 / (2.0 * math.e ** 7)) < 1e-15,
-                         f"delta(5,2) = {d52:.6e}"))
-
-    cn = cut_norm_exact(np.diag([1.0, -1.0]))
-    ones = cut_norm_exact(np.ones((4, 4)))
-    zero = cut_norm_exact(np.zeros((3, 3)))
-    checks.append(_check("cut-norm-exact", cn == 2.0 and ones == 16.0 and zero == 0.0,
-                         f"diag->{cn}, ones->{ones}, zero->{zero}"))
-
-    rng = stream(seed, "oracle-grothendieck")
-    g_ok = True
-    worst_ratio = 0.0
-    for _ in range(10):
-        M = rng.choice([-1.0, 1.0], size=(10, 10))
-        M = np.triu(M) + np.triu(M, 1).T
-        rep = grothendieck_check(M, SolverConfig(restarts=2, seed=int(rng.integers(2**32))))
-        g_ok &= rep.passed
-        if math.isfinite(rep.ratio):
-            worst_ratio = max(worst_ratio, rep.ratio)
-    checks.append(_check("grothendieck-bound", g_ok, f"max sdp/cut ratio = {worst_ratio:.4f}"))
-
-    sw_ok, sub_ok = True, True
-    for s in range(3):
-        g, rev = sample_instance(ModelParams(n=120, a=9, b=2, rho=0.3, seed=derive_key(seed, "oracle-sw", s)))
-        rep = sandwich_check(g, rev, 5.5, SolverConfig(restarts=2, seed=s))
-        sub_ok &= rep.submatrix_ok
-        if rep.margin_nonneg:
-            sw_ok &= rep.holds
-    checks.append(_check("sandwich-submatrix", sw_ok and sub_ok,
-                         "sandwich and submatrix inequalities hold on seeded instances"))
-
-    # embedding identity: operator aggregation == defining equations, and the
-    # feasible-point objectives of the two formulations coincide
-    rng = stream(seed, "oracle-embed")
-    n, m = 20, 6
-    Mdense = rng.standard_normal((n, n))
-    Mdense = 0.5 * (Mdense + Mdense.T)
-    labels = np.array([1] * (n // 2) + [-1] * (n // 2), dtype=np.int8)
-    rng.shuffle(labels)
-    plus = np.flatnonzero(labels == 1)[: m // 2]
-    minus = np.flatnonzero(labels == -1)[: m // 2]
-    rv = np.zeros(n, dtype=np.int8)
-    rv[plus], rv[minus] = 1, -1
-    rev = RevealedLabels(rv, np.sort(np.concatenate([plus, minus])))
-    agg = aggregate(MatrixOperator.from_dense(Mdense), rev)
-    ref = aggregate_dense_reference(Mdense, rv)
-    ent_err = float(np.max(np.abs(agg.op.to_dense() - ref)))
-    obj_err = _random_feasible_objectives(Mdense, rev, ref, rng)
-    checks.append(_check("embedding-identity", ent_err < 1e-12 and obj_err < 1e-9,
-                         f"entry error {ent_err:.2e}, objective error {obj_err:.2e}"))
-
-    tampered_ref = ref.copy()
-    tampered_ref[0, 0] += 1e-3
-    obj_bad = _random_feasible_objectives(Mdense, rev, tampered_ref, rng)
-    checks.append(_check("embedding-canary", obj_bad > 1e-9,
-                         f"margin tampering detected ({obj_bad:.2e})"))
-
-    return OracleReport(checks=tuple(checks), passed=all(c.passed for c in checks))

@@ -22,9 +22,7 @@ certificate rules out instance by instance.  The exact certificate of a
 solution is computed when ``SdpSolution.certificate`` is first read.  It
 takes the smallest eigenvalue of diag(y) - M exactly from the dense matrix
 up to ``DENSE_CERT_MAX`` rows and by Lanczos iteration above.  Rounding
-reads the exact leading eigenvector of S S^T off the k x k matrix S^T S.  Exact
-small-instance oracles (cut norm enumeration, Grothendieck bound) live here
-too.
+reads the exact leading eigenvector of S S^T off the k x k matrix S^T S.
 """
 
 from __future__ import annotations
@@ -432,97 +430,3 @@ def round_leading_eigvec(sol: SdpSolution) -> np.ndarray:
     if nz.size and v[nz[0]] < 0:
         v = -v
     return np.where(v >= 0, 1, -1).astype(np.int8)
-
-
-def cut_norm_exact(M) -> float:
-    """Exact infinity-to-one norm max_{s,t in {+-1}^n} s^T M t, for dim <= 20.
-
-    Enumerates the 2^(n-1) sign vectors s (global flip is free); the inner
-    maximum over t is the closed form sum_j |(M^T s)_j|.
-    """
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2:
-        raise ValueError("expected a matrix")
-    rows, _ = M.shape
-    if max(M.shape) > 20:
-        raise ValueError("exact cut norm enumeration is limited to dim <= 20")
-    if rows == 0 or M.size == 0:
-        return 0.0
-    free = rows - 1
-    best = 0.0
-    total = 1 << free
-    step = 1 << min(14, free)  # sign vectors scored per batch
-    bit_cols = np.arange(free, dtype=np.uint32)
-    for start in range(0, total, step):
-        codes = np.arange(start, min(start + step, total), dtype=np.uint32)
-        signs = np.empty((codes.size, rows))
-        signs[:, 0] = 1.0
-        signs[:, 1:] = 1.0 - 2.0 * ((codes[:, None] >> bit_cols) & 1)
-        vals = np.abs(signs @ M).sum(axis=1)
-        best = max(best, float(vals.max()))
-    return best
-
-
-GROTHENDIECK_BOUND = 1.783  # just above pi / (2 ln(1 + sqrt 2)) = 1.7822...
-
-
-@dataclass(frozen=True)
-class GrothendieckReport:
-    sdp_value: float
-    cut_norm: float
-    ratio: float
-    passed: bool
-
-
-def grothendieck_check(M, cfg: SolverConfig | None = None) -> GrothendieckReport:
-    """Check SDP(M) <= 1.783 * ||M||_{inf->1} + 1e-6 on a small dense matrix."""
-    M = np.asarray(M, dtype=np.float64)
-    if max(M.shape) > 20:
-        raise ValueError("grothendieck check is limited to dim <= 20")
-    cut = cut_norm_exact(M)
-    sol = solve_elliptope(MatrixOperator.from_dense(M), cfg or SolverConfig())
-    ratio = sol.value / cut if cut > 0 else float("nan")
-    return GrothendieckReport(
-        sdp_value=sol.value,
-        cut_norm=cut,
-        ratio=ratio,
-        passed=sol.value <= GROTHENDIECK_BOUND * cut + 1e-6,
-    )
-
-
-@dataclass(frozen=True)
-class CutNormTrialReport:
-    n: int
-    d: float
-    samples: int
-    bound: float
-    max_norm: float
-    violations: int
-
-
-def cut_norm_concentration_trial(
-    n: int, d: float, samples: int, seed: int = 0
-) -> CutNormTrialReport:
-    """Sample Erdos-Renyi G(n, d/n) matrices and test the concentration bound
-    ||A - E A||_{inf->1} <= 6 (1 + d) n by exact enumeration (n <= 20)."""
-    if n > 20:
-        raise ValueError("exact trial is limited to n <= 20")
-    p = d / n
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("d/n must be a valid probability")
-    expected = p * (np.ones((n, n)) - np.eye(n))
-    bound = 6.0 * (1.0 + d) * n
-    max_norm = 0.0
-    violations = 0
-    for s in range(samples):
-        rng = stream(seed, "cutnorm-trial", s)
-        upper = np.triu(rng.random((n, n)) < p, k=1)
-        A = (upper | upper.T).astype(np.float64)
-        norm = cut_norm_exact(A - expected)
-        max_norm = max(max_norm, norm)
-        if norm > bound:
-            violations += 1
-    return CutNormTrialReport(
-        n=n, d=d, samples=samples, bound=bound,
-        max_norm=max_norm, violations=violations,
-    )

@@ -15,12 +15,14 @@ from scipy.stats import ks_2samp
 
 from ssbm import (ExperimentConfig, MatrixOperator, ModelParams, RevealedLabels,
                   SolverConfig, aggregate, best_threshold_accuracy,
-                  binomial_gap_oracle, centered_adjacency, certify_dual,
-                  cut_norm_concentration_trial, delta_gap, grothendieck_check,
-                  overlap_lower_curve, predict_accuracy_erf, run_sweep,
-                  sample_instance, solve_elliptope)
-from ssbm.census import margins_at_depth, vote_accuracy_exact
+                  centered_adjacency, certify_dual, overlap_lower_curve,
+                  predict_accuracy_erf, run_sweep, sample_instance,
+                  solve_elliptope)
+from ssbm.census import margins_at_depth
 from ssbm.rng import coin, derive_key, stream
+
+from oracles import (binomial_gap_oracle, cut_norm_concentration_trial, delta_gap,
+                     grothendieck_check, vote_accuracy_exact)
 
 SEED = 0
 WORKERS = 4

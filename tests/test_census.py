@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from ssbm import (Graph, Labels, ModelParams, RevealedLabels, binomial_gap_oracle,
-                  census_estimate, census_success_bound, delta_gap,
+from ssbm import (Graph, Labels, ModelParams, RevealedLabels, census_estimate,
                   overlap_lower_curve, predict_accuracy_erf, sample_instance)
-from ssbm.census import (binomial_difference_stats, binomial_pmf, margins_at_depth,
-                         vote_accuracy_exact)
+from ssbm.census import margins_at_depth
 from ssbm.rng import coin
+
+from oracles import (binomial_difference_stats, binomial_gap_oracle, binomial_pmf,
+                     census_success_bound, delta_gap, vote_accuracy_exact)
 
 
 def _graph_from_edges(n, edges, labels):
@@ -195,7 +196,11 @@ def test_gap_oracle_regression_value():
 def test_gap_oracle_dominates_delta_on_grid(trials):
     for a in range(2, 11):
         for b in range(0, a):
-            assert binomial_gap_oracle(trials, a, b) >= delta_gap(a, b)
+            gap = binomial_gap_oracle(trials, a, b)
+            assert gap >= delta_gap(a, b)
+            # the canary, on a grid holding criterion 2's: the check fails on
+            # the constant with its exponent's sign flipped
+            assert gap < (a - b) * math.exp(a + b) / 2.0
 
 
 def test_difference_stats_sum_to_one():

@@ -75,6 +75,9 @@ def test_test_command_reports_decision(capsys):
     assert payload["threshold"] == 80 * (3.5 - 7 / 40)
     assert payload["decision"] in (0, 1)
     assert payload["model"] == "sbm"
+    # a margin that makes the threshold NaN or non-positive is a usage error
+    assert main(["test", "--n", "80", "--a", "9", "--b", "2", "--rho", "0.25",
+                 "--restarts", "1", "--delta", "nan"]) == 1
 
 
 def test_usage_errors_exit_one(capsys):
@@ -84,6 +87,10 @@ def test_usage_errors_exit_one(capsys):
     # bad parameter values are usage errors too (exit 1, no traceback)
     assert main(["census", "--n", "61", "--a", "7", "--b", "2"]) == 1
     assert main(["sdp", "--n", "40", "--a", "3", "--b", "5"]) == 1
+    # the retired `oracles` subcommand is an unknown choice
+    with pytest.raises(SystemExit) as exc:
+        main(["oracles"])
+    assert exc.value.code == 1
 
 
 def test_sweep_with_flags(tmp_path, capsys):
@@ -173,11 +180,3 @@ def test_sweep_unwritable_out_dir_is_io_error(tmp_path):
                  "--b", "2", "--rho", "0.5", "--reps", "1",
                  "--out", str(blocker / "sub")])
     assert code == 1
-
-
-def test_oracles_command(tmp_path, capsys):
-    code = main(["oracles", "--seed", "0", "--out", str(tmp_path / "oracle.json")])
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["passed"] is True
-    assert (tmp_path / "oracle.json").exists()

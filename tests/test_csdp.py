@@ -12,8 +12,9 @@ from ssbm import (AggregatedOperator, CsdpSolution, Labels, MatrixOperator,
                   estimate_unrevealed, sample_instance, sandwich_check,
                   solve_csdp, solve_elliptope)
 from ssbm import csdp
-from ssbm.harness import aggregate_dense_reference
 from ssbm.rng import coin
+
+from oracles import aggregate_dense_reference
 
 
 def _reveal(values):
@@ -133,6 +134,8 @@ def test_embedding_identity_on_random_feasible_points():
     rev = _reveal(rv)
     agg = aggregate(MatrixOperator.from_dense(Md), rev)
     agg_dense = agg.op.to_dense()
+    tampered = agg_dense.copy()  # the canary: a margin off by 1e-3 must show
+    tampered[0, 0] += 1e-3
     unrev = rev.unrevealed()
     for _ in range(100):
         tau = rng.standard_normal((n - m + 1, k))
@@ -143,6 +146,7 @@ def test_embedding_identity_on_random_feasible_points():
         obj_full = float(np.einsum("ij,ik,jk->", Md, full, full))
         obj_agg = float(np.einsum("ij,ik,jk->", agg_dense, tau, tau))
         assert abs(obj_full - obj_agg) < 1e-9
+        assert abs(obj_full - float(np.einsum("ij,ik,jk->", tampered, tau, tau))) > 1e-9
 
 
 def test_solve_csdp_unsupervised_special_case_is_bitwise():
@@ -234,6 +238,11 @@ def test_detection_test_paper_constants():
     assert detection_test(665.0, 200, 9, 2).decision == 1  # boundary inclusive
     with pytest.raises(ValueError):
         detection_test(1.0, 200, 2, 2)
+    # a margin must keep the threshold positive and finite: 0 < delta < (a-b)/2
+    assert detection_test(700.0, 200, 9, 2, delta=1.0).threshold == 500.0
+    for bad in (math.nan, math.inf, -math.inf, -1.0, 0.0, 3.5, 4.0):
+        with pytest.raises(ValueError, match="delta"):
+            detection_test(700.0, 200, 9, 2, delta=bad)
     text = out.to_json()
     assert '"statistic"' in text and '"rho0"' in text
 

@@ -7,9 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+import ssbm
 from ssbm import (ExperimentConfig, ResultRecord, SolverConfig,
-                  best_threshold_accuracy, oracle_suite, run_sweep, snr,
-                  summarize)
+                  best_threshold_accuracy, run_sweep, snr, summarize)
 from ssbm.harness import RESULT_FIELDS, read_csv, write_csv
 
 
@@ -30,7 +30,7 @@ def test_config_json_round_trip(tmp_path):
 
 
 def test_config_validation(tmp_path):
-    # the oracle suite runs through `ssbm oracles`, not as a sweep kind
+    # the exact oracles are test code (tests/oracles.py), never a sweep kind
     for kind in ("nonsense", "oracle-suite"):
         with pytest.raises(ValueError):
             _cfg(tmp_path, kind=kind)
@@ -203,6 +203,15 @@ def test_import_keeps_a_preset_blas_thread_count():
     assert out == ["2"]
 
 
+def test_public_names_resolve_and_star_import_runs():
+    # a name left in __all__ after its definition moved breaks `import *`
+    assert len(set(ssbm.__all__)) == len(ssbm.__all__)
+    assert all(hasattr(ssbm, name) for name in ssbm.__all__)
+    namespace = {}
+    exec("from ssbm import *", namespace)
+    assert set(ssbm.__all__) <= namespace.keys()
+
+
 def test_spawned_sweep_workers_inherit_one_blas_thread():
     out = _run_python("import multiprocessing, os, ssbm\n"
                       "from concurrent.futures import ProcessPoolExecutor\n"
@@ -310,14 +319,3 @@ def test_shipped_configs_parse():
         assert cfg.cells()
     grid = ExperimentConfig.from_json((cfg_dir / "phase-grid.json").read_text())
     assert all(b <= a for _, a, b, _ in grid.cells())
-
-
-def test_oracle_suite_report():
-    report = oracle_suite(seed=0)
-    assert report.passed
-    names = {c.name for c in report.checks}
-    assert {"binomial-gap-bound", "binomial-gap-canary", "cut-norm-exact",
-            "grothendieck-bound", "sandwich-submatrix", "embedding-identity",
-            "embedding-canary"} <= names
-    payload = json.loads(report.to_json())
-    assert all(c["passed"] for c in payload["checks"])

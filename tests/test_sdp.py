@@ -10,12 +10,14 @@ from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from ssbm import (MatrixOperator, ModelParams, NumericError, SolverConfig, aggregate,
-                  centered_adjacency, certify_dual, solve_csdp, cut_norm_concentration_trial,
-                  cut_norm_exact, grothendieck_check, round_leading_eigvec,
+                  centered_adjacency, certify_dual, solve_csdp, round_leading_eigvec,
                   sample_instance, solve_elliptope)
 from ssbm import sdp
 from ssbm.rng import stream
-from ssbm.sdp import CERT_GAP, GROTHENDIECK_BOUND
+from ssbm.sdp import CERT_GAP
+
+from oracles import (GROTHENDIECK_BOUND, cut_norm_concentration_trial, cut_norm_exact,
+                     grothendieck_check)
 
 
 def _wigner(n, seed):
