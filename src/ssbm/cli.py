@@ -11,7 +11,7 @@ import json
 import sys
 
 from .census import census_estimate, overlap
-from .csdp import detection_test, estimate_unrevealed, solve_csdp
+from .csdp import detection_margin, detection_test, estimate_unrevealed, solve_csdp
 from .harness import SWEEP_KINDS, ExperimentConfig, run_sweep
 from .model import ModelParams, centered_adjacency, sample_instance, write_instance
 from .sdp import (CERT_GAP, DENSE_CERT_MAX, STALL_WINDOW, NumericError, SolverConfig,
@@ -41,12 +41,12 @@ def _add_solver_args(p):
                    help="factor width (default: sqrt rule)")
     p.add_argument("--tol", type=float, default=defaults.tol,
                    help=f"stop a restart when the objective moves by at most this "
-                        f"(relative) over {STALL_WINDOW} sweeps; up to dim "
+                        f"(relative) over {STALL_WINDOW} steps; up to dim "
                         f"{DENSE_CERT_MAX} it stops sooner once a check proves the dual "
-                        f"gap within {CERT_GAP:g} * min(1, tol / 1e-6) (relative); a "
-                        f"sweep is one batch step")
+                        f"gap within {CERT_GAP:g} * min(1, tol / 1e-6) (relative)")
     p.add_argument("--max-sweeps", type=int, default=defaults.max_sweeps,
-                   help="batch steps per restart at most")
+                   help="operator products per restart at most (one per step, and one "
+                        "per rejected mixed candidate)")
     p.add_argument("--restarts", type=int, default=defaults.restarts,
                    help=f"independent restarts at most: the next one runs only while the "
                         f"dual-certified relative gap exceeds {CERT_GAP:g}")
@@ -152,9 +152,10 @@ def _cmd_csdp(args) -> int:
 
 def _cmd_test(args) -> int:
     params = _params_from(args, erm=args.model == "erm")
+    delta = detection_margin(args.a, args.b, args.delta)  # before any sampling or solving
     g, rev = sample_instance(params)
     csol = solve_csdp(centered_adjacency(g, params.d), rev, _solver_from(args))
-    outcome = detection_test(csol.value, args.n, args.a, args.b, delta=args.delta)
+    outcome = detection_test(csol.value, args.n, args.a, args.b, delta=delta)
     _emit(args, {**json.loads(outcome.to_json()), "model": args.model})
     return 0
 

@@ -133,6 +133,21 @@ def estimate_unrevealed(
     return _vote_report(dots, sol.aggregated.index_map, rev, labels, seed, "csdp-tie")
 
 
+def detection_margin(a: float, b: float, delta: float | None = None) -> float:
+    """The margin :func:`detection_test` uses: (a-b)/40 by default, or
+    ``delta``, which must be finite with 0 < delta < (a-b)/2.  Raises
+    ValueError unless a > b and the margin is valid, so that a caller can
+    check its arguments before it samples or solves anything."""
+    if a <= b:
+        raise ValueError("detection test requires a > b")
+    if delta is None:
+        return (a - b) / 40.0
+    if not (0.0 < delta < (a - b) / 2.0):  # also False for nan
+        raise ValueError(f"margin delta must lie in (0, (a-b)/2) = (0, {(a - b) / 2.0:g}), "
+                         f"got {delta}")
+    return delta
+
+
 def detection_test(
     stat: float, n: int, a: float, b: float, delta: float | None = None
 ) -> TestOutcome:
@@ -144,13 +159,7 @@ def detection_test(
     rho0, the reveal ratio at which the test is proven to work:
     1 - (a-b)/(30 (1+d)).
     """
-    if a <= b:
-        raise ValueError("detection test requires a > b")
-    if delta is None:
-        delta = (a - b) / 40.0
-    elif not (0.0 < delta < (a - b) / 2.0):  # also False for nan
-        raise ValueError(f"margin delta must lie in (0, (a-b)/2) = (0, {(a - b) / 2.0:g}), "
-                         f"got {delta}")
+    delta = detection_margin(a, b, delta)
     d = 0.5 * (a + b)
     threshold = n * ((a - b) / 2.0 - delta)
     return TestOutcome(

@@ -1,14 +1,19 @@
 """Elliptope SDP engine.
 
 Solves max{ <M, X> : X >= 0, X_ii = 1 } through the factorization X = S S^T
-with unit-norm rows.  A sweep is one batch step that moves every row at once
-to its normalized shifted gradient: one CSR product of the operator's
-cached ``MatrixOperator.offdiag``, which folds the rank-one part in, with
-[S; u^T S], and a per-row shift recomputed from the gradient every sweep.
+with unit-norm rows.  The plain step F moves every row at once to its
+normalized shifted gradient: one CSR product of the operator's cached
+``MatrixOperator.offdiag``, which folds the rank-one part in, with
+[S; u^T S], and a per-row shift recomputed from the gradient every step.
 That is O((nnz + dim) k) work, and a monotone ascent: a row's shift is at
 least half its Gershgorin radius less half its alignment with its
 gradient, which is all ascent needs (the batch form of the low-rank coordinate scheme of the
-Mixing method, Wang, Chang & Kolter 2017).  Up to ``DENSE_CERT_MAX`` rows
+Mixing method, Wang, Chang & Kolter 2017).  The solver speeds F's slow tail
+up by type-II Anderson mixing over its last ``ANDERSON_MEMORY`` steps
+(Walker & Ni 2011), with an objective safeguard in the spirit of Zhang,
+O'Donoghue & Boyd (2020): a mixed candidate is kept only where it does not
+lower the objective, and the plain step is taken instead where it would.
+A sweep is one operator product, a rejected candidate's included.  Up to ``DENSE_CERT_MAX`` rows
 a restart stops as soon as a Cholesky factorisation, scheduled in the
 loop, proves its dual gap within target, without waiting for the objective
 to stall; that proof is all the solve path certifies of it.  Every other
@@ -58,10 +63,11 @@ class SolverConfig:
 
     rank=None picks ceil(sqrt(2 dim)) + 1 (capped at dim), above the
     Barvinok-Pataki width at which the factorized problem admits the SDP
-    optimum.  A sweep is one batch step, and ``max_sweeps`` caps the steps
+    optimum.  A sweep is one product with the operator: one step, plain or
+    mixed, or one rejected mixed candidate; ``max_sweeps`` caps the sweeps
     of each restart.  A restart stops at the first of two tests.  The stall
     test: the objective moved by at most ``tol`` (relative) over
-    ``STALL_WINDOW`` sweeps.  The certified stop, up to ``DENSE_CERT_MAX``
+    ``STALL_WINDOW`` steps.  The certified stop, up to ``DENSE_CERT_MAX``
     rows: a scheduled in-loop check proves the certified relative gap within
     ``CERT_GAP * min(1, tol / 1e-6)``, so ``CERT_GAP`` at the default ``tol``
     and proportionally tighter below it.  ``tol`` is not itself a target
@@ -98,8 +104,11 @@ class SdpSolution:
     """A feasible factor and its objective value.
 
     Every row of ``factor`` has unit norm; ``value`` equals
-    <M, factor factor^T>; ``objective_history`` holds the per-sweep objective
-    of the winning restart (monotone nondecreasing).  ``converged`` says that
+    <M, factor factor^T>; ``objective_history`` holds the objective at the
+    start and after every step of the winning restart, and is monotone
+    nondecreasing, since a mixed candidate that would lower it is rejected.
+    ``sweeps_used`` counts that restart's operator products after the one at
+    its start, rejected candidates included.  ``converged`` says that
     the restart stopped on a certificate or a stall, not on ``max_sweeps``.
     ``operator`` is the M that :func:`solve_elliptope` solved (None on
     solutions built by hand), kept so that ``certificate`` can be computed.
@@ -147,7 +156,8 @@ class DualCertificate:
     power_converged: bool
 
 
-STALL_WINDOW = 10  # the stall test compares objectives this many sweeps apart
+STALL_WINDOW = 10  # the stall test compares objectives this many steps apart
+ANDERSON_MEMORY = 4  # differences the mixing keeps (m)
 CERT_GAP = 1e-3  # certified relative gap at which no further restart runs
 # certify_dual's exact dense path up to this dim.  On one core of a 2-CPU
 # Xeon VM a certificate takes ~2 ms at dim 200 and ~70-120 ms at 1000; at
@@ -160,35 +170,44 @@ LANCZOS_TOL = 1e-6
 
 
 def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSolution:
-    """Maximize <M, X> over the elliptope by the shifted batch iteration.
+    """Maximize <M, X> over the elliptope by the mixed shifted batch iteration.
 
-    A sweep is one batch step S <- rownormalise(G + diag(sigma) S), with
+    The plain step is S <- F(S) = rownormalise(G + diag(sigma) S), with
     G = B S for B the off-diagonal part of M, t_i = <s_i, g_i> and the
     per-row shift sigma_i = max((lam_i - t_i) / 2, lam_i / 4) of
     :func:`_ascent_step`, lam_i the Gershgorin radius of row i of B summed
     over its sparse and rank-one parts apart (so at least the radius of B).
     G is one CSR product W [S; u^T S] with W = ``M.offdiag``, built once per
     operator and cached on it; t also gives the objective,
-    sum_i t_i + sum_i M_ii.  No step can lower the objective (the proof is in
-    :func:`_ascent_step`), and the fixed points are those of the Gershgorin
-    shift, rows with g_i parallel to s_i.  Each restart starts
-    from a sphere-uniform factor and stops at the first of two tests.  The
-    certified stop, up to ``DENSE_CERT_MAX`` rows: once the free first-order
-    gap sum_i (|g_i| - t_i) at a sweep s is within half the target
-    ``CERT_GAP * min(1, cfg.tol / 1e-6)`` (relative to max(1, |value|)),
-    :func:`_cholesky_certifies` runs on the sweep's own G at sweep
-    max(s + max(20, dim // 8), floor(1.25 s)), and again that far after each
-    check that fails while the first-order gap stays within half the
-    target; the restart stops at the first check that proves the certified
-    gap within the target.  The schedule depends on sweep counts and dim
-    only, so solves stay deterministic.  The
-    stall test, at every dim: the objective moved by at most ``cfg.tol``
-    (relative) over ``STALL_WINDOW`` sweeps.  A restart that stops on a
-    passing check ends the restarts, since the check proves its certified
-    gap within the target, at most ``CERT_GAP``.  Any other restart is
-    certified exactly by :func:`certify_dual`, and the next restart runs
-    only while that gap exceeds ``CERT_GAP`` relative (to max(1, |value|)),
-    up to ``cfg.restarts`` in all.  Returns the best restart run; its exact
+    sum_i t_i + sum_i M_ii.  No plain step can lower the objective (the proof
+    is in :func:`_ascent_step`), and the fixed points are those of the
+    Gershgorin shift, rows with g_i parallel to s_i.  Each step mixes F by
+    type-II Anderson acceleration (:class:`_Mixing`): with the differences
+    dF and dR of the F-values and residuals R = F(S) - S of the last
+    ``ANDERSON_MEMORY`` + 1 steps, gamma = argmin |R - dR gamma| and the
+    candidate is Z = rownormalise(F(S) - dF gamma).  The product at Z is the
+    next sweep's, and Z is accepted iff <M, Z Z^T> is at least the current
+    value.  Otherwise the memory is cleared and the plain step F(S) taken,
+    at one more product; so the objective history is monotone, and a sweep
+    is one product, rejected candidates included.  The last step before
+    ``cfg.max_sweeps`` is plain, so no fallback runs past it.  Each restart
+    starts from a sphere-uniform factor and stops at the first of two tests.
+    The certified stop, up to ``DENSE_CERT_MAX`` rows: once the free
+    first-order gap sum_i (|g_i| - t_i) at a sweep s is within half the
+    target ``CERT_GAP * min(1, cfg.tol / 1e-6)`` (relative to
+    max(1, |value|)), :func:`_cholesky_certifies` runs on the sweep's own G
+    at sweep max(s + max(10, dim // 16), floor(1.25 s)), and again that far
+    after each check that fails while the first-order gap stays within half
+    the target; the restart stops at the first check that proves the
+    certified gap within the target.  The schedule depends on sweep counts
+    and dim only, so solves stay deterministic.  The stall test, at every
+    dim: the objective moved by at most ``cfg.tol`` (relative) over
+    ``STALL_WINDOW`` steps.  A restart that stops on a passing check ends
+    the restarts, since the check proves its certified gap within the
+    target, at most ``CERT_GAP``.  Any other restart is certified exactly by
+    :func:`certify_dual`, and the next restart runs only while that gap
+    exceeds ``CERT_GAP`` relative (to max(1, |value|)), up to
+    ``cfg.restarts`` in all.  Returns the best restart run; its exact
     ``certificate`` is computed on first read, or was already computed for
     the restart rule.
     """
@@ -204,8 +223,9 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
     k = cfg.rank_for(n)
     W, lam = M.offdiag, _gershgorin_radii(M)
     # Every row of S stays unit: the draw is normalised once an all-zero row
-    # (an event of probability zero) is set to e_1, and a step normalises each
-    # row or, where its shifted gradient is exactly zero, keeps it.  So
+    # (an event of probability zero) is set to e_1, a plain step normalises
+    # each row or, where its shifted gradient is exactly zero, keeps it, and a
+    # mixed candidate normalises each row it moves.  So
     # <M, S S^T> = sum_i t_i + sum_i M_ii with t_i = <s_i, g_i>.
     diag_sum = float(M.diagonal().sum())
     buf = np.zeros((n + 1, k))  # [S; u^T S]; the last row stays 0 without a rank-one part
@@ -218,15 +238,18 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
         negB = M.to_dense()
         np.negative(negB, out=negB)
     target = CERT_GAP * min(1.0, cfg.tol / 1e-6)
-    spacing = max(20, n // 8)  # a check at dim 1000 costs about 70 sweeps
+    spacing = max(10, n // 16)  # a check at dim 1000 costs about 30 sweeps
+    mixing = _Mixing(n * k)
+    flat = S.reshape(-1)  # a view: S is the leading rows of buf
 
     best = None
     for r in range(cfg.restarts):
         S[:] = stream(cfg.seed, "sdp-init", r).standard_normal((n, k))
         S[~S.any(axis=1), 0] = 1.0
         S /= np.linalg.norm(S, axis=1, keepdims=True)
+        mixing.reset()
         history = []
-        converged = certified = False
+        converged = certified = mixed = False
         # next sweep to test: 0 until the first-order gap first falls within
         # half the budget, which schedules the first Cholesky check
         check = 0
@@ -236,8 +259,15 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
             G = W @ buf
             t = np.einsum("ij,ij->i", S, G)
             val = float(t.sum()) + diag_sum
+            if mixed and not val >= history[-1]:
+                # a rejected candidate: back to the plain step, whose product
+                # is the next sweep
+                S[:] = mixing.F.reshape(n, k)
+                mixing.reset()
+                mixed = False
+                continue
             history.append(val)
-            if sweeps >= STALL_WINDOW and (
+            if len(history) > STALL_WINDOW and (
                     abs(val - history[-1 - STALL_WINDOW]) <= cfg.tol * max(1.0, abs(val))):
                 converged = True
                 break
@@ -250,8 +280,13 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
                         converged = certified = True
                         break
                     check = max(sweeps + spacing, int(1.25 * sweeps))
-            if sweeps < cfg.max_sweeps:
-                _ascent_step(S, G, t, lam)
+            if sweeps == cfg.max_sweeps:
+                break
+            mixing.start[:] = flat
+            _ascent_step(S, G, t, lam)
+            mixing.push(flat)
+            # a candidate rejected at the cap would need one sweep past it
+            mixed = sweeps + 2 <= cfg.max_sweeps and mixing.extrapolate(S)
         if not math.isfinite(val):
             raise NumericError("objective diverged to a non-finite value")
         sol = SdpSolution(
@@ -269,6 +304,70 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
         if certified or sol.certificate.gap <= CERT_GAP * max(1.0, abs(val)):
             break
     return best
+
+
+class _Mixing:
+    """Type-II Anderson mixing over the plain steps (Walker & Ni 2011).
+
+    Holds the F-value F(S) and the residual R = F(S) - S of the last step,
+    and ring buffers of the differences dF and dR between the last
+    ``ANDERSON_MEMORY`` + 1 consecutive steps, with the Gram matrix dR dR^T,
+    one row of which each step updates.  Factors are flattened row-major;
+    the caller copies the factor a step starts from into ``start``.
+    """
+
+    def __init__(self, size: int):
+        m = ANDERSON_MEMORY
+        self.dF, self.dR = np.empty((m, size)), np.empty((m, size))
+        self.gram, self.eye = np.empty((m, m)), np.eye(m)
+        self.F, self.R, self.start = np.empty(size), np.empty(size), np.empty(size)
+        self.steps = 0
+
+    def reset(self) -> None:
+        """Forget every step."""
+        self.steps = 0
+
+    def push(self, F: np.ndarray) -> None:
+        """Record the step from ``start`` to the F-value ``F``."""
+        R = self.start
+        np.subtract(F, R, out=R)
+        if self.steps:
+            j = (self.steps - 1) % ANDERSON_MEMORY
+            np.subtract(F, self.F, out=self.dF[j])
+            np.subtract(R, self.R, out=self.dR[j])
+            c = min(self.steps, ANDERSON_MEMORY)
+            self.gram[j, :c] = self.gram[:c, j] = self.dR[:c] @ self.dR[j]
+        self.F[:] = F
+        self.R, self.start = R, self.R
+        self.steps += 1
+
+    def extrapolate(self, S: np.ndarray) -> bool:
+        """Move S, which holds the last F-value, to the candidate
+        rownormalise(F - dF gamma) with gamma = argmin |R - dR gamma|, solved
+        with a ridge of 1e-10 trace(dR dR^T).  Rows that the mixing does not
+        move (a row of dF gamma whose squares sum to zero, as at an isolated
+        vertex) keep their F rows bit for bit, and so do rows that it cancels.
+        False, with S untouched, while no difference is held or the Gram
+        matrix is zero.
+        """
+        c = min(self.steps - 1, ANDERSON_MEMORY)
+        gram = self.gram[:c, :c]
+        # 1e-10 written as a quotient: Hypothesis draws the float literals of
+        # the code under test, and that literal here made a property test in
+        # tests/test_sdp.py run about 40 times longer
+        ridge = gram.trace() / 1e10
+        if not 0.0 < ridge < math.inf:
+            return False
+        gamma = np.linalg.solve(gram + ridge * self.eye[:c, :c], self.dR[:c] @ self.R)
+        step = (gamma @ self.dF[:c]).reshape(S.shape)
+        S -= step
+        nrm = np.sqrt(np.einsum("ij,ij->i", S, S))
+        moved = (np.einsum("ij,ij->i", step, step) > 0.0) & (nrm > _SQUARES_EXACT)
+        if not moved.all():
+            S[~moved] = self.F.reshape(S.shape)[~moved]
+            nrm[~moved] = 1.0
+        S /= nrm[:, None]
+        return True
 
 
 def _cholesky_certifies(negB: np.ndarray, g: np.ndarray, slack: float) -> bool:

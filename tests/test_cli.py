@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ssbm import read_instance
+from ssbm import cli
 from ssbm.cli import main
 from ssbm.sdp import CERT_GAP
 
@@ -78,6 +79,17 @@ def test_test_command_reports_decision(capsys):
     # a margin that makes the threshold NaN or non-positive is a usage error
     assert main(["test", "--n", "80", "--a", "9", "--b", "2", "--rho", "0.25",
                  "--restarts", "1", "--delta", "nan"]) == 1
+
+
+def test_test_command_checks_the_margin_before_solving(monkeypatch, capsys):
+    # an invalid margin exits 1 before any sample or solve is paid for
+    def refuse(*args, **kwargs):
+        raise RuntimeError("solve_csdp ran")
+
+    monkeypatch.setattr(cli, "solve_csdp", refuse)
+    assert main(["test", "--n", "2000", "--a", "9", "--b", "2", "--rho", "0.25",
+                 "--restarts", "1", "--delta", "nan"]) == 1
+    assert "margin delta must lie in" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one(capsys):
