@@ -25,26 +25,31 @@ from .sdp import SdpSolution, SolverConfig, round_leading_eigvec, solve_elliptop
 
 @dataclass(frozen=True)
 class AggregatedOperator:
-    """The reduced matrix: index 0 is the aggregated revealed margin.
-
+    """The reduced matrix: index 0 is the aggregated revealed margin, and
     ``index_map[j]`` is the original vertex behind row j+1 (sorted unrevealed
-    order); ``margin00`` is the (0,0) entry sum_{i,j in R} M_ij x_i x_j.
-    """
+    order)."""
 
     op: MatrixOperator
-    margin00: float
     index_map: np.ndarray
+
+    @property
+    def margin00(self) -> float:
+        """The (0,0) entry sum_{i,j in R} M_ij x_i x_j."""
+        return float(self.op.diagonal()[0])
 
 
 @dataclass(frozen=True)
 class CsdpSolution:
-    """Constrained optimum: the value, the inner solve on the aggregated
-    matrix, and sigma0, the common direction of all revealed +1 vertices."""
+    """Constrained optimum: the inner solve on the aggregated matrix (None
+    when nothing is revealed, and the inner solve is of M itself).  Row 0 of
+    its factor is sigma0, the common direction of all revealed +1 vertices."""
 
-    value: float
     inner: SdpSolution
-    sigma0: np.ndarray | None
     aggregated: AggregatedOperator | None
+
+    @property
+    def value(self) -> float:
+        return self.inner.value
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,7 @@ def aggregate(M: MatrixOperator, rev: RevealedLabels) -> AggregatedOperator:
     col = np.zeros(M.dim, dtype=np.int64)
     col[unrev] = 1 + np.arange(unrev.size)
     op = M.congruence(col, np.where(rev.values == 0, 1, rev.values), unrev.size + 1)
-    return AggregatedOperator(op=op, margin00=float(op.diagonal()[0]), index_map=unrev)
+    return AggregatedOperator(op=op, index_map=unrev)
 
 
 def solve_csdp(
@@ -101,16 +106,9 @@ def solve_csdp(
     through, so results match sdp bit for bit).
     """
     if rev.m == 0:
-        inner = solve_elliptope(M, cfg)
-        return CsdpSolution(value=inner.value, inner=inner, sigma0=None, aggregated=None)
+        return CsdpSolution(inner=solve_elliptope(M, cfg), aggregated=None)
     agg = aggregate(M, rev)
-    inner = solve_elliptope(agg.op, cfg)
-    return CsdpSolution(
-        value=inner.value,
-        inner=inner,
-        sigma0=inner.factor[0].copy(),
-        aggregated=agg,
-    )
+    return CsdpSolution(inner=solve_elliptope(agg.op, cfg), aggregated=agg)
 
 
 def estimate_unrevealed(
@@ -118,18 +116,19 @@ def estimate_unrevealed(
 ) -> EstimateReport:
     """Labels from the factor: x_hat_j = sign(sigma_0 . sigma_j).
 
-    sigma_0 is the direction shared by every revealed +1 vertex, so the signs
-    are anchored and no global-flip alignment is needed.  A zero dot product
-    falls to the fair coin ``coin(seed, "csdp-tie", v)`` of the original vertex
-    v, all drawn at once as in the census.  With an empty reveal the
+    sigma_0, row 0 of the inner factor, is the direction shared by every
+    revealed +1 vertex, so the signs are anchored and no global-flip alignment
+    is needed.  A zero dot product falls to the fair coin
+    ``coin(seed, "csdp-tie", v)`` of the original vertex v, all drawn at once
+    as in the census.  With an empty reveal the
     unsupervised rounding is used instead, whose overall sign is arbitrary
     (overlap takes the absolute value either way).
     """
-    if sol.sigma0 is None or sol.aggregated is None:
+    if sol.aggregated is None:
         estimates = round_leading_eigvec(sol.inner)
         return EstimateReport(estimates=estimates, ties_broken=0,
                               overlap=overlap(estimates, labels, rev))
-    dots = sol.inner.factor[1:] @ sol.sigma0
+    dots = sol.inner.factor[1:] @ sol.inner.factor[0]
     return _vote_report(dots, sol.aggregated.index_map, rev, labels, seed, "csdp-tie")
 
 

@@ -19,6 +19,7 @@ import multiprocessing
 import numbers
 import os
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -32,16 +33,12 @@ from .sdp import SolverConfig, require_ints, round_leading_eigvec, solve_ellipto
 
 SWEEP_KINDS = ("census-sweep", "phase-grid", "detection-boxes", "sandwich-audit")
 
-RESULT_FIELDS = (
-    "seed", "rep", "n", "a", "b", "rho", "snr", "algorithm",
-    "overlap_unrevealed", "sdp_value", "csdp_value", "margin00",
-    "test_decision", "truth_model", "runtime_ms",
-)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ResultRecord:
-    """One measurement row; optional fields are None when not applicable."""
+    """One measurement row, and the records.csv schema: the columns are the
+    fields in this order.  The optional value columns default to None, for
+    the rows they do not apply to."""
 
     seed: int
     rep: int
@@ -51,11 +48,11 @@ class ResultRecord:
     rho: float
     snr: float
     algorithm: str
-    overlap_unrevealed: float | None
-    sdp_value: float | None
-    csdp_value: float | None
-    margin00: float | None
-    test_decision: int | None
+    overlap_unrevealed: float | None = None
+    sdp_value: float | None = None
+    csdp_value: float | None = None
+    margin00: float | None = None
+    test_decision: int | None = None
     truth_model: str
     runtime_ms: float
 
@@ -75,6 +72,21 @@ class ResultRecord:
         return ",".join(fmt(getattr(self, f)) for f in RESULT_FIELDS)
 
 
+RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(ResultRecord))
+
+
+def _parser(hint):
+    """The parser of a column annotated ``hint``; where the annotation
+    allows None (``float | None``), an empty column reads as None."""
+    kinds = typing.get_args(hint)
+    if not kinds:
+        return hint
+    return lambda text: None if text == "" else kinds[0](text)
+
+
+_PARSERS = tuple(map(_parser, map(typing.get_type_hints(ResultRecord).get, RESULT_FIELDS)))
+
+
 def write_csv(path, records: list[ResultRecord]) -> None:
     """Rows in the declared field order; the leading comment line carries the
     creation timestamp and is outside the determinism contract."""
@@ -87,9 +99,9 @@ def write_csv(path, records: list[ResultRecord]) -> None:
 
 
 def read_csv(path) -> list[ResultRecord]:
-    """Records from a file written by :func:`write_csv`.  A file without the
-    header, or a row that is cut short, overlong or unparsable, raises
-    ValueError naming its line."""
+    """Records from a file written by :func:`write_csv`, each column parsed
+    by the type of its field.  A file without the header, or a row that is
+    cut short, overlong or unparsable, raises ValueError naming its line."""
     with open(path) as fh:
         lines = [(no, ln) for no, ln in enumerate(fh.read().splitlines(), 1)
                  if ln and not ln.startswith("#")]
@@ -102,19 +114,8 @@ def read_csv(path) -> list[ResultRecord]:
         try:
             if len(parts) != len(RESULT_FIELDS):
                 raise ValueError(f"{len(parts)} fields, expected {len(RESULT_FIELDS)}")
-            vals = dict(zip(RESULT_FIELDS, parts))
-            records.append(ResultRecord(
-                seed=int(vals["seed"]), rep=int(vals["rep"]), n=int(vals["n"]),
-                a=float(vals["a"]), b=float(vals["b"]), rho=float(vals["rho"]),
-                snr=float(vals["snr"]), algorithm=vals["algorithm"],
-                overlap_unrevealed=float(vals["overlap_unrevealed"]) if vals["overlap_unrevealed"] else None,
-                sdp_value=float(vals["sdp_value"]) if vals["sdp_value"] else None,
-                csdp_value=float(vals["csdp_value"]) if vals["csdp_value"] else None,
-                margin00=float(vals["margin00"]) if vals["margin00"] else None,
-                test_decision=int(vals["test_decision"]) if vals["test_decision"] else None,
-                truth_model=vals["truth_model"],
-                runtime_ms=float(vals["runtime_ms"]),
-            ))
+            records.append(ResultRecord(**{
+                name: parse(text) for name, parse, text in zip(RESULT_FIELDS, _PARSERS, parts)}))
         except ValueError as err:
             raise ValueError(f"{path}, line {no}: {err}") from err
     return records
@@ -207,19 +208,6 @@ class ExperimentConfig:
             workers=raw.get("workers", 1),
         )
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "kind": self.kind,
-            "params": {"n": list(self.n), "a": list(self.a),
-                       "b": list(self.b), "rho": list(self.rho)},
-            "reps": self.reps,
-            "solver": dataclasses.asdict(self.solver),
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-            "t": self.t,
-            "workers": self.workers,
-        }, indent=2)
-
 
 def _cell_task(cfg: ExperimentConfig, ci: int, cell, rep: int):
     """All records (and summary extras) for one (cell, rep) replication.
@@ -233,10 +221,8 @@ def _cell_task(cfg: ExperimentConfig, ci: int, cell, rep: int):
     try:
         return _cell_task_inner(cfg, ci, cell, rep, iseed, base)
     except Exception as exc:
-        row = ResultRecord(
-            seed=iseed, algorithm="error", overlap_unrevealed=None,
-            sdp_value=None, csdp_value=None, margin00=None, test_decision=None,
-            truth_model="sbm", runtime_ms=0.0, **base)
+        row = ResultRecord(seed=iseed, algorithm="error", truth_model="sbm",
+                           runtime_ms=0.0, **base)
         return [row], {"type": "error", "cell": ci, "rep": rep, "error": str(exc)}
 
 
@@ -253,10 +239,8 @@ def _cell_task_inner(cfg: ExperimentConfig, ci: int, cell, rep: int, iseed: int,
         t0 = time.perf_counter()
         report = census_estimate(g, rev, t=cfg.t, seed=iseed)
         records.append(ResultRecord(
-            seed=iseed, algorithm=f"census-{cfg.t}",
-            overlap_unrevealed=report.overlap, sdp_value=None, csdp_value=None,
-            margin00=None, test_decision=None, truth_model="sbm",
-            runtime_ms=(time.perf_counter() - t0) * 1e3, **base))
+            seed=iseed, algorithm=f"census-{cfg.t}", overlap_unrevealed=report.overlap,
+            truth_model="sbm", runtime_ms=(time.perf_counter() - t0) * 1e3, **base))
 
     elif cfg.kind == "phase-grid":
         g, rev = sbm_instance()
@@ -276,10 +260,8 @@ def _cell_task_inner(cfg: ExperimentConfig, ci: int, cell, rep: int, iseed: int,
         d = 0.5 * (a + b)
         t0 = time.perf_counter()
         report = sandwich_check(g, rev, d, solver)
-        csol_value = report.mid
         records.append(ResultRecord(
-            seed=iseed, algorithm="csdp",
-            overlap_unrevealed=None, sdp_value=report.upper, csdp_value=csol_value,
+            seed=iseed, algorithm="csdp", sdp_value=report.upper, csdp_value=report.mid,
             margin00=report.margin00, test_decision=int(report.holds), truth_model="sbm",
             runtime_ms=(time.perf_counter() - t0) * 1e3, **base))
         extras = {"type": "sandwich", "cell": ci, "rep": rep, **dataclasses.asdict(report)}
@@ -300,10 +282,8 @@ def _solve_pair(g, rev, cell, iseed, base, solver, truth_model):
     sdp_sol = solve_elliptope(M, solver)
     est = round_leading_eigvec(sdp_sol)
     out.append(ResultRecord(
-        seed=iseed, algorithm="sdp",
-        overlap_unrevealed=overlap(est, g.labels, rev),
-        sdp_value=sdp_sol.value, csdp_value=None, margin00=None,
-        test_decision=None, truth_model=truth_model,
+        seed=iseed, algorithm="sdp", overlap_unrevealed=overlap(est, g.labels, rev),
+        sdp_value=sdp_sol.value, truth_model=truth_model,
         runtime_ms=(time.perf_counter() - t0) * 1e3, **base))
 
     t0 = time.perf_counter()
@@ -317,11 +297,9 @@ def _solve_pair(g, rev, cell, iseed, base, solver, truth_model):
         overlap_csdp = estimate_unrevealed(csol, rev, g.labels, seed=iseed).overlap
     decision = detection_test(value, n, a, b).decision if a > b else None
     out.append(ResultRecord(
-        seed=iseed, algorithm="csdp",
-        overlap_unrevealed=overlap_csdp,
-        sdp_value=None, csdp_value=value, margin00=margin00,
-        test_decision=decision, truth_model=truth_model,
-        runtime_ms=(time.perf_counter() - t0) * 1e3, **base))
+        seed=iseed, algorithm="csdp", overlap_unrevealed=overlap_csdp,
+        csdp_value=value, margin00=margin00, test_decision=decision,
+        truth_model=truth_model, runtime_ms=(time.perf_counter() - t0) * 1e3, **base))
     return out
 
 

@@ -12,7 +12,7 @@ reach the graph through ``Graph.adjacency`` and ``centered_adjacency``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -164,24 +164,22 @@ class Graph:
 
 @dataclass(frozen=True)
 class RevealedLabels:
-    """Ternary reveal vector: +-1 on the revealed set, 0 elsewhere."""
+    """Ternary reveal vector: +-1 on the revealed set, 0 elsewhere.  The
+    revealed set is derived: the sorted nonzero positions, read-only int64."""
 
     values: np.ndarray
-    revealed_set: np.ndarray
+    revealed_set: np.ndarray = field(init=False)
 
     def __post_init__(self):
         raw = np.asarray(self.values)
         v = np.ascontiguousarray(raw, dtype=np.int8)
         if not np.array_equal(v, raw) or np.any((v < -1) | (v > 1)):
             raise ValueError("reveal values must lie in {+1, 0, -1}")
-        r = np.ascontiguousarray(self.revealed_set, dtype=np.int64)
+        r = np.flatnonzero(v)
         v.setflags(write=False)
         r.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "revealed_set", r)
-        nz = np.flatnonzero(v)
-        if r.size != nz.size or np.any(np.sort(r) != nz):
-            raise ValueError("revealed_set must be exactly the nonzero positions")
         if int(v.sum(dtype=np.int64)) != 0:
             raise ValueError("reveal must be balanced across communities")
 
@@ -401,8 +399,6 @@ def sample_instance(params: ModelParams) -> tuple[Graph, RevealedLabels]:
     edges given the partition.
     """
     n, a, b = params.n, params.a, params.b
-    if a > n or b > n:
-        raise ValueError("edge probabilities a/n, b/n must not exceed 1")
     half = n // 2
 
     perm = stream(params.seed, "partition").permutation(n)
@@ -433,10 +429,9 @@ def sample_instance(params: ModelParams) -> tuple[Graph, RevealedLabels]:
         rng.choice(s1, size=m // 2, replace=False),
         rng.choice(s2, size=m // 2, replace=False),
     ])
-    revealed.sort()
     rv = np.zeros(n, dtype=np.int8)
     rv[revealed] = labels.values[revealed]
-    return graph, RevealedLabels(rv, revealed)
+    return graph, RevealedLabels(rv)
 
 
 def centered_adjacency(g: Graph, d: float) -> MatrixOperator:
@@ -467,9 +462,10 @@ def write_instance(path, g: Graph, rev: RevealedLabels) -> None:
 def read_instance(path) -> tuple[Graph, RevealedLabels]:
     """Parse the plain-text exchange format written by :func:`write_instance`.
 
-    Rejects edge lines that are not ``i j`` with 0 <= i < j < n, repeated
-    edges (through the :class:`Graph` constructor), label or reveal lines of the wrong length or outside {+1, 0, -1},
-    untruthful reveals, and any non-empty line after the ``R`` line.
+    Rejects edge lines that are not ``i j`` with 0 <= i < j < n, naming the
+    first, repeated edges (through the :class:`Graph` constructor), label or
+    reveal lines of the wrong length or outside {+1, 0, -1}, untruthful
+    reveals, and any non-empty line after the ``R`` line.
     """
     with open(path) as fh:
         lines = fh.read().split("\n")
@@ -479,13 +475,15 @@ def read_instance(path) -> tuple[Graph, RevealedLabels]:
     n, m_edges = int(header[0]), int(header[1])
     if len(lines) < m_edges + 3:
         raise ValueError("header does not match the file length")
-    edges = np.array([ln.split() for ln in lines[1:1 + m_edges]] or np.empty((0, 2)),
-                     dtype=np.int64)
-    if edges.shape != (m_edges, 2):
-        raise ValueError("bad edge lines, expected 'i j'")
+    rows = [ln.split() for ln in lines[1:1 + m_edges]]
+    ragged = [no for no, row in enumerate(rows, 2) if len(row) != 2]
+    if ragged:
+        raise ValueError(f"line {ragged[0]}: bad edge line, expected 'i j'")
+    edges = np.array(rows, dtype=np.int64).reshape(m_edges, 2)
     ei, ej = edges[:, 0], edges[:, 1]
-    if np.any(ei < 0) or np.any(ei >= ej) or np.any(ej >= n):
-        raise ValueError("bad edge line, expected 0 <= i < j < n")
+    bad = np.flatnonzero((ei < 0) | (ei >= ej) | (ej >= n))
+    if bad.size:
+        raise ValueError(f"line {bad[0] + 2}: bad edge line, expected 0 <= i < j < n")
     label_line = lines[1 + m_edges].split()
     reveal_line = lines[2 + m_edges].split()
     if label_line[:1] != ["L"] or reveal_line[:1] != ["R"]:
@@ -497,6 +495,6 @@ def read_instance(path) -> tuple[Graph, RevealedLabels]:
     if lv.size != n or rv.size != n:
         raise ValueError("label/reveal line length does not match n")
     g = Graph(n, ei, ej, Labels(lv))
-    rev = RevealedLabels(rv, np.flatnonzero(rv))
+    rev = RevealedLabels(rv)
     rev.check_truthful(g.labels)
     return g, rev

@@ -210,7 +210,7 @@ def test_criterion_07_embedding_identity_and_solver_agreement():
         rv = np.zeros(n, dtype=np.int8)
         rv[np.flatnonzero(labels == 1)[: m // 2]] = 1
         rv[np.flatnonzero(labels == -1)[: m // 2]] = -1
-        rev = RevealedLabels(rv, np.flatnonzero(rv))
+        rev = RevealedLabels(rv)
         agg = aggregate(MatrixOperator.from_dense(Md), rev)
         agg_dense = agg.op.to_dense()
         unrev = rev.unrevealed()

@@ -25,7 +25,7 @@ def _graph_from_edges(n, edges, labels):
 
 def _reveal(values):
     values = np.asarray(values, dtype=np.int8)
-    return RevealedLabels(values, np.flatnonzero(values))
+    return RevealedLabels(values)
 
 
 def test_margin_direct_neighbors():

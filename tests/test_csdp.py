@@ -19,7 +19,7 @@ from oracles import aggregate_dense_reference
 
 def _reveal(values):
     values = np.asarray(values, dtype=np.int8)
-    return RevealedLabels(values, np.flatnonzero(values))
+    return RevealedLabels(values)
 
 
 def _empty_reveal(n):
@@ -157,7 +157,7 @@ def test_solve_csdp_unsupervised_special_case_is_bitwise():
     via_csdp = solve_csdp(centered_adjacency(g, p.d), rev, cfg)
     assert via_csdp.value == direct.value
     assert np.array_equal(via_csdp.inner.factor, direct.factor)
-    assert via_csdp.sigma0 is None
+    assert via_csdp.aggregated is None
 
 
 def test_witness_and_submatrix_bounds_on_sbm():
@@ -188,7 +188,7 @@ def test_estimate_aligned_factor_gives_overlap_one():
     # a hand-built solution has no operator, so nothing to certify
     assert inner.certificate is None
     assert json.loads(inner.to_json())["certified_rel_gap"] is None
-    sol = CsdpSolution(value=0.0, inner=inner, sigma0=sigma0, aggregated=agg)
+    sol = CsdpSolution(inner=inner, aggregated=agg)
     report = estimate_unrevealed(sol, rev, labels, seed=0)
     assert report.overlap == 1.0
     assert report.ties_broken == 0
@@ -209,7 +209,7 @@ def test_estimate_orthogonal_factor_resolves_by_coin():
     agg = aggregate(MatrixOperator(n, [0], [1], [1.0]), rev)
     inner = SdpSolution(factor=factor, value=0.0, sweeps_used=1, converged=True,
                         best_of=0, objective_history=np.array([0.0]))
-    sol = CsdpSolution(value=0.0, inner=inner, sigma0=sigma0, aggregated=agg)
+    sol = CsdpSolution(inner=inner, aggregated=agg)
     report = estimate_unrevealed(sol, rev, labels, seed=3)
     assert report.ties_broken == n - 2
     # each tied vertex gets the coin keyed by its original index

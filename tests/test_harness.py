@@ -3,9 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ssbm
 from ssbm import (ExperimentConfig, ResultRecord, SolverConfig,
@@ -21,12 +24,6 @@ def _cfg(tmp_path, **over):
     )
     base.update(over)
     return ExperimentConfig(**base)
-
-
-def test_config_json_round_trip(tmp_path):
-    cfg = _cfg(tmp_path, kind="detection-boxes", rho=(0.25,))
-    clone = ExperimentConfig.from_json(cfg.to_json())
-    assert clone == cfg
 
 
 def test_config_validation(tmp_path):
@@ -49,8 +46,11 @@ def test_config_validation(tmp_path):
         with pytest.raises(ValueError, match=match):
             _cfg(tmp_path, kind="phase-grid", a=(3.0, 6.0), b=(4.0,), **over).cells()
     # an unknown solver setting is a config error, not a crash
-    raw = json.loads(_cfg(tmp_path).to_json())
-    raw["solver"]["max_sweep"] = 10
+    good = {"kind": "census-sweep", "params": {"n": [60], "a": [6.0], "b": [2.0], "rho": [0.3, 0.6]},
+            "reps": 3, "solver": {"restarts": 1, "seed": 0}, "out_dir": str(tmp_path / "out"),
+            "seed": 11, "t": 1, "workers": 1}
+    assert ExperimentConfig.from_json(json.dumps(good)) == _cfg(tmp_path)
+    raw = {**good, "solver": {"restarts": 1, "max_sweep": 10}}
     with pytest.raises(ValueError):
         ExperimentConfig.from_json(json.dumps(raw))
     # and so is a misspelt top-level or params key, which would otherwise run
@@ -74,7 +74,6 @@ def test_config_validation(tmp_path):
             ExperimentConfig.from_json(json.dumps({**raw, "solver": {},
                                                    "params": {**raw["params"], key: value}}))
     # and a config without its required keys, or one that is not an object
-    good = json.loads(_cfg(tmp_path).to_json())
     for bad in ({k: v for k, v in good.items() if k not in ("kind", "out_dir")}, [good]):
         with pytest.raises(ValueError, match="kind, out_dir|JSON object"):
             ExperimentConfig.from_json(json.dumps(bad))
@@ -118,6 +117,46 @@ def test_csv_round_trip(tmp_path):
     result = run_sweep(_cfg(tmp_path))
     back = read_csv(tmp_path / "out" / "records.csv")
     assert back == result.records
+
+
+def test_result_fields_pin_the_csv_columns():
+    # the columns are ResultRecord's fields in order, so reordering the
+    # fields would reorder every records.csv unseen
+    assert RESULT_FIELDS == (
+        "seed", "rep", "n", "a", "b", "rho", "snr", "algorithm",
+        "overlap_unrevealed", "sdp_value", "csdp_value", "margin00",
+        "test_decision", "truth_model", "runtime_ms",
+    )
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e-300])
+
+
+@st.composite
+def _records(draw):
+    a = draw(st.floats(0, 1e100, exclude_min=True) | st.sampled_from([1e-300]))
+    b = draw(st.sampled_from([-0.0]) | st.floats(0, 1).map(lambda frac: frac * a))
+    values = dict(overlap_unrevealed=st.floats(0, 1) | st.sampled_from([-0.0, 1e-300]),
+                  sdp_value=_FINITE, csdp_value=_FINITE, margin00=_FINITE,
+                  test_decision=st.integers(0, 1))
+    error = draw(st.booleans())
+    return ResultRecord(
+        seed=draw(st.integers(0, 2**64 - 1)), rep=draw(st.integers(0, 10**6)),
+        n=draw(st.integers(2, 10**9)), a=a, b=b, rho=draw(_FINITE), snr=snr(a, b),
+        algorithm="error" if error else draw(st.sampled_from(["census-1", "census-2", "sdp", "csdp"])),
+        truth_model=draw(st.sampled_from(["sbm", "erm"])), runtime_ms=draw(_FINITE),
+        **{} if error else {name: draw(st.none() | kind) for name, kind in values.items()})
+
+
+@given(st.lists(_records(), max_size=6))
+def test_read_csv_inverts_write_csv(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "records.csv")
+        write_csv(path, records)
+        back = read_csv(path)
+    assert back == records
+    # equality forgives -0.0 for 0.0 and 1.0 for 1; the written rows do not
+    assert [r.csv_row() for r in back] == [r.csv_row() for r in records]
 
 
 def test_read_csv_names_the_malformed_line(tmp_path):

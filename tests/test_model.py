@@ -55,14 +55,12 @@ def test_labels_and_reveals_validate():
     with pytest.raises(ValueError):
         Labels(np.array([1, 0, -1, 1]))  # zero entry
     with pytest.raises(ValueError):
-        RevealedLabels(np.array([1, 1, 0, 0], dtype=np.int8), np.array([0, 1]))  # unbalanced
-    with pytest.raises(ValueError):
-        RevealedLabels(np.array([1, -1, 0, 0], dtype=np.int8), np.array([0, 2]))  # wrong set
+        RevealedLabels(np.array([1, 1, 0, 0], dtype=np.int8))  # unbalanced
     # out-of-range values are refused, not wrapped through int8
     with pytest.raises(ValueError):
         Labels(np.array([257, 1, -1, -1]))  # 257 would wrap to 1
     with pytest.raises(ValueError):
-        RevealedLabels(np.array([255, 0, 1, 0]), np.array([0, 2]))  # 255 would wrap to -1
+        RevealedLabels(np.array([255, 0, 1, 0]))  # 255 would wrap to -1
 
 
 def test_trivial_instances():
@@ -358,6 +356,18 @@ def test_read_instance_rejects_garbage(tmp_path):
     trailing.write_text("4 1\n0 1\nL 1 1 -1 -1\nR 0 0 0 0\n2 3\n")
     with pytest.raises(ValueError):
         read_instance(trailing)
+
+
+def test_read_instance_names_a_bad_edge_line(tmp_path):
+    # a line with one or three fields is named, not left to numpy's shape error
+    path = tmp_path / "ragged.txt"
+    for edges, line in (("0 1\n2\n", 3), ("0 1 2\n1 3\n", 2), ("3\n1 2\n", 2)):
+        path.write_text(f"4 2\n{edges}L 1 1 -1 -1\nR 0 0 0 0\n")
+        with pytest.raises(ValueError, match=f"line {line}: bad edge line, expected 'i j'"):
+            read_instance(path)
+    path.write_text("4 2\n0 1\n3 2\nL 1 1 -1 -1\nR 0 0 0 0\n")
+    with pytest.raises(ValueError, match="line 3: bad edge line, expected 0 <= i < j < n"):
+        read_instance(path)
 
 
 def test_from_dense_requires_symmetry():
