@@ -3,10 +3,11 @@
 An unrevealed vertex v is labeled by the sign of the sum of revealed labels
 over the vertices at shortest-path distance exactly t from v (default t = 1),
 with a fair coin on ties.  The tallies cover the rows asked for (the
-unrevealed vertices) and come from boolean sparse products over those rows
-only, with no per-vertex search; the last product keeps only the voter
-(revealed) columns.  Alongside the estimator live its closed-form accuracy
-predictions.
+unrevealed vertices), with no per-vertex search.  At t = 1 they are two
+bincounts over the edge list, one per orientation.  Above it they come from
+boolean sparse products over those rows only; the last product keeps only
+the voter (revealed) columns.  Alongside the estimator live its closed-form
+accuracy predictions.
 """
 
 from __future__ import annotations
@@ -61,20 +62,26 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> n
     ``votes`` is any length-n vector in {+1, 0, -1}; zeros do not vote, and
     ``np.abs(votes)`` gives the voter counts instead.  ``rows`` are the
     sorted vertices whose tallies are wanted, returned in that order.  At
-    t = 1 the tallies are A @ votes.  Above it, the boolean shell_s holds the
-    pairs (row, vertex) at distance exactly s: shell_1 is A[rows], and
-    shell_{s+1} is the pattern of shell_s A outside ball_s = ball_{s-1} +
-    shell_s (the pairs within distance s, ball_0 = I[rows]).  The last step
-    keeps only the voter columns R = nonzero(votes): the tallies are
+    t = 1 the tallies are A @ votes, taken on the edge list as two bincounts
+    (one per orientation) with no adjacency matrix built.  Above it, the
+    boolean shell_s holds the pairs (row, vertex) at distance exactly s:
+    shell_1 is A[rows], and shell_{s+1} is the pattern of shell_s A outside
+    ball_s = ball_{s-1} + shell_s (the pairs within distance s, ball_0 =
+    I[rows]).  The last step keeps only the voter columns R = nonzero(votes):
+    the tallies are
     ((shell_{t-1} A[:, R]) > ball_{t-1}[:, R]) @ votes[R].
     """
     if t < 1:
         raise ValueError("depth t must be >= 1")
     votes = np.asarray(votes).astype(np.int64)
     rows = np.asarray(rows, dtype=np.int64)
-    adj = g.adjacency()
     if t == 1:
-        return (adj @ votes)[rows]
+        # each edge (i, j) once: j votes at i and i at j; the float sums are
+        # exact, |tally| <= n - 1 < 2**53
+        tally = np.bincount(g.ei, weights=votes[g.ej], minlength=g.n)
+        tally += np.bincount(g.ej, weights=votes[g.ei], minlength=g.n)
+        return tally[rows].astype(np.int64)
+    adj = g.adjacency()
     identity = (np.ones(rows.size, dtype=bool), rows, np.arange(rows.size + 1))
     ball = scipy.sparse.csr_matrix(identity, shape=(rows.size, g.n))
     shell = adj[rows]

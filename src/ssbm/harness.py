@@ -84,7 +84,10 @@ def _parser(hint):
     return lambda text: None if text == "" else kinds[0](text)
 
 
-_PARSERS = tuple(map(_parser, map(typing.get_type_hints(ResultRecord).get, RESULT_FIELDS)))
+_HINTS = typing.get_type_hints(ResultRecord)
+_PARSERS = tuple(_parser(_HINTS[name]) for name in RESULT_FIELDS)
+# the columns summarize() rolls up into statistics, in field order
+_VALUE_FIELDS = tuple(name for name in RESULT_FIELDS if _HINTS[name] == float | None)
 
 
 def write_csv(path, records: list[ResultRecord]) -> None:
@@ -379,7 +382,8 @@ def best_threshold_accuracy(positive: list[float], negative: list[float]) -> flo
 
 
 def summarize(records: list[ResultRecord], t: int = 1) -> dict:
-    """Per-cell statistics over every value column each group carries.
+    """Per-cell statistics over every value column each group carries: the
+    ``float | None`` fields of :class:`ResultRecord`, in field order.
 
     Each cell with a + b > 0 carries the depth-t erf accuracy as a reference,
     and at t = 1 also the overlap lower curve, a bound for t = 1 only.
@@ -408,7 +412,7 @@ def summarize(records: list[ResultRecord], t: int = 1) -> dict:
             entry["reference"] = reference
         for (algorithm, truth_model), recs in sorted(groups.items()):
             gstat = {"algorithm": algorithm, "truth_model": truth_model, "count": len(recs)}
-            for field in ("overlap_unrevealed", "sdp_value", "csdp_value", "margin00"):
+            for field in _VALUE_FIELDS:
                 values = [getattr(r, field) for r in recs if getattr(r, field) is not None]
                 if values:
                     gstat[field] = _stats(values)

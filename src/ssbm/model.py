@@ -130,14 +130,12 @@ class Graph:
         lo, hi = np.minimum(ei, ej), np.maximum(ei, ej)
         if np.any(lo == hi):
             raise ValueError(f"self-loop at vertex {lo[lo == hi][0]}")
-        keys = lo * self.n + hi
-        order = np.argsort(keys)  # keys are distinct unless an edge repeats
-        keys = keys[order]
+        keys = np.sort(lo * self.n + hi)  # distinct unless an edge repeats
         repeated = np.flatnonzero(keys[1:] == keys[:-1])
         if repeated.size:
             k = keys[repeated[0]]
             raise ValueError(f"repeated edge ({k // self.n}, {k % self.n})")
-        lo, hi = lo[order], hi[order]
+        lo, hi = np.divmod(keys, self.n)
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "ei", lo)
@@ -377,16 +375,12 @@ def _bernoulli_hits(rng: np.random.Generator, count: int, p: float) -> np.ndarra
 
 
 def _pair_decode(k: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
-    """Invert the row-major enumeration of pairs (i < j) over h items."""
-
-    def offset(i):
-        return i * (2 * h - i - 1) // 2
-
-    i = np.floor((2 * h - 1 - np.sqrt((2.0 * h - 1.0) ** 2 - 8.0 * k)) / 2.0).astype(np.int64)
-    # float sqrt can land one row off at triangular boundaries
-    i = np.where(offset(i + 1) <= k, i + 1, i)
-    i = np.where(offset(i) > k, i - 1, i)
-    j = k - offset(i) + i + 1
+    """Invert the row-major enumeration of pairs (i < j) over h items: row i
+    starts at key i (2h - i - 1) / 2, found by an exact integer search."""
+    r = np.arange(h, dtype=np.int64)
+    starts = r * (2 * h - r - 1) // 2
+    i = np.searchsorted(starts, k, side="right") - 1
+    j = k - starts[i] + i + 1
     return i, j
 
 
@@ -459,27 +453,42 @@ def write_instance(path, g: Graph, rev: RevealedLabels) -> None:
         fh.write("R " + " ".join(map(str, rev.values.tolist())) + "\n")
 
 
+def _int_rows(rows: list[list[str]], first: int, message: str) -> np.ndarray:
+    """The token rows (equal lengths, the first on line ``first``) as one
+    int64 array; a token that int() rejects raises ``line N: message``."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except ValueError:
+        for no, row in enumerate(rows, first):
+            try:
+                list(map(int, row))
+            except ValueError:
+                raise ValueError(f"line {no}: {message}") from None
+        raise
+
+
 def read_instance(path) -> tuple[Graph, RevealedLabels]:
     """Parse the plain-text exchange format written by :func:`write_instance`.
 
     Rejects edge lines that are not ``i j`` with 0 <= i < j < n, naming the
     first, repeated edges (through the :class:`Graph` constructor), label or
     reveal lines of the wrong length or outside {+1, 0, -1}, untruthful
-    reveals, and any non-empty line after the ``R`` line.
+    reveals, and any non-empty line after the ``R`` line.  A token that is
+    not an integer is reported with its line.
     """
     with open(path) as fh:
         lines = fh.read().split("\n")
     header = lines[0].split()
     if len(header) != 2:
         raise ValueError("bad header, expected 'n m_edges'")
-    n, m_edges = int(header[0]), int(header[1])
+    n, m_edges = _int_rows([header], 1, "bad header, expected 'n m_edges'")[0].tolist()
     if len(lines) < m_edges + 3:
         raise ValueError("header does not match the file length")
     rows = [ln.split() for ln in lines[1:1 + m_edges]]
     ragged = [no for no, row in enumerate(rows, 2) if len(row) != 2]
     if ragged:
         raise ValueError(f"line {ragged[0]}: bad edge line, expected 'i j'")
-    edges = np.array(rows, dtype=np.int64).reshape(m_edges, 2)
+    edges = _int_rows(rows, 2, "bad edge line, expected 'i j'").reshape(m_edges, 2)
     ei, ej = edges[:, 0], edges[:, 1]
     bad = np.flatnonzero((ei < 0) | (ei >= ej) | (ej >= n))
     if bad.size:
@@ -490,8 +499,8 @@ def read_instance(path) -> tuple[Graph, RevealedLabels]:
         raise ValueError("missing L/R companion lines")
     if any(ln.strip() for ln in lines[3 + m_edges:]):
         raise ValueError("unexpected content after the R line")
-    lv = np.array(label_line[1:], dtype=np.int64)
-    rv = np.array(reveal_line[1:], dtype=np.int64)
+    lv = _int_rows([label_line[1:]], 2 + m_edges, "bad label line, expected integers")[0]
+    rv = _int_rows([reveal_line[1:]], 3 + m_edges, "bad reveal line, expected integers")[0]
     if lv.size != n or rv.size != n:
         raise ValueError("label/reveal line length does not match n")
     g = Graph(n, ei, ej, Labels(lv))

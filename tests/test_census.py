@@ -47,6 +47,20 @@ def test_margin_isolated_vertex():
         assert (margins[0], support[0]) == (0, 0)
 
 
+def test_margins_at_depth_one_match_the_adjacency_product():
+    # the t = 1 tallies come from the edge list, not from A; they must be
+    # A @ votes exactly, in int64, with or without edges
+    labels = [1, -1] * 4
+    votes = np.array([1, 0, -1, 1, 0, 0, -1, 1], dtype=np.int8)
+    rows = np.array([0, 1, 4, 5, 7])
+    for edges in ([], [(0, 1), (1, 2), (2, 7), (1, 7)]):  # vertices 3 to 6 isolated
+        g = _graph_from_edges(8, edges, labels)
+        for v in (votes, np.abs(votes)):
+            margins = margins_at_depth(g, v, 1, rows)
+            assert margins.dtype == np.int64
+            assert np.array_equal(margins, (g.adjacency() @ v.astype(np.int64))[rows])
+
+
 def test_margin_path_depth_two():
     # path p0-p1-p2-p3-p4 with reveals +1 at p0, -1 at p4; from p2 at t=2
     g = _graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4)], [1, 1, 1, -1, -1, -1])

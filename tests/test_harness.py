@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -323,6 +324,11 @@ def test_summarize_conventions():
     grp = summary["cells"][0]["groups"][0]
     assert grp["overlap_unrevealed"]["stderr"] == 0.0
     assert grp["overlap_unrevealed"]["mean"] == 0.5
+    # every float | None column is rolled up, in field order; an int column is not
+    full = dataclasses.replace(rec, sdp_value=1.0, csdp_value=1.0, margin00=1.0, test_decision=1)
+    grp = summarize([full])["cells"][0]["groups"][0]
+    assert list(grp) == ["algorithm", "truth_model", "count", "overlap_unrevealed", "sdp_value",
+                         "csdp_value", "margin00", "decision_rate"]
     with pytest.raises(ValueError):
         summarize([])
 

@@ -140,6 +140,19 @@ def test_pair_decode_exhaustive():
         assert list(zip(i.tolist(), j.tolist())) == expected
 
 
+def test_pair_decode_row_boundaries_at_large_h():
+    # first and last key of rows 0, 1, a middle row and h - 2 (the last row
+    # with a pair), where keys near 5e11 sit between rows' integer starts
+    h = 10**6
+    rows = np.array([0, 1, h // 2, h - 2], dtype=np.int64)
+    starts = rows * (2 * h - rows - 1) // 2
+    keys = np.stack([starts, starts + h - rows - 2], axis=1).ravel()
+    i, j = _pair_decode(keys, h)
+    assert np.array_equal(i, np.repeat(rows, 2))
+    assert np.array_equal(j, np.stack([rows + 1, np.full(4, h - 1)], axis=1).ravel())
+    assert keys[-1] == h * (h - 1) // 2 - 1
+
+
 def test_operator_dense_matches_matvec_against_basis():
     rng = np.random.default_rng(3)
     n = 40
@@ -368,6 +381,15 @@ def test_read_instance_names_a_bad_edge_line(tmp_path):
     path.write_text("4 2\n0 1\n3 2\nL 1 1 -1 -1\nR 0 0 0 0\n")
     with pytest.raises(ValueError, match="line 3: bad edge line, expected 0 <= i < j < n"):
         read_instance(path)
+    # a token that is not an integer is named by its line, not by int()'s message
+    for text, message in (
+            ("4 2\n0 1\n0 x\nL 1 1 -1 -1\nR 0 0 0 0\n", "line 3: bad edge line, expected 'i j'"),
+            ("4 1.5\n0 1\nL 1 1 -1 -1\nR 0 0 0 0\n", "line 1: bad header, expected 'n m_edges'"),
+            ("4 1\n0 1\nL 1 1 -1 one\nR 0 0 0 0\n", "line 3: bad label line, expected integers"),
+            ("4 1\n0 1\nL 1 1 -1 -1\nR 0 0.0 0 0\n", "line 4: bad reveal line, expected integers")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_instance(path)
 
 
 def test_from_dense_requires_symmetry():
