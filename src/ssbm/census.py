@@ -12,14 +12,13 @@ accuracy predictions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 
-from .model import Graph, Labels, RevealedLabels, snr
+from .model import Graph, Labels, RevealedLabels, _store, snr
 from .rng import coins
 
 
@@ -37,16 +36,7 @@ class EstimateReport:
     overlap: float
 
     def __post_init__(self):
-        e = np.ascontiguousarray(self.estimates, dtype=np.int8)
-        e.setflags(write=False)
-        object.__setattr__(self, "estimates", e)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "overlap": self.overlap,
-            "ties": self.ties_broken,
-            "estimates": self.estimates.tolist(),
-        })
+        _store(self, "estimates", np.array(self.estimates, dtype=np.int8))
 
 
 def overlap(estimates: np.ndarray, labels: Labels, rev: RevealedLabels) -> float:

@@ -65,6 +65,16 @@ def _params_from(args, erm=False) -> ModelParams:
     return ModelParams(n=args.n, a=a, b=b, rho=args.rho, seed=args.seed)
 
 
+def _solution_payload(sol) -> dict:
+    """What ``ssbm sdp`` and ``ssbm csdp`` report of a solve."""
+    return {
+        "value": sol.value,
+        "sweeps": sol.sweeps_used,
+        "converged": sol.converged,
+        "certified_rel_gap": sol.certificate.gap / max(1.0, abs(sol.value)),
+    }
+
+
 def _emit(args, payload: dict) -> None:
     text = json.dumps(payload, indent=2)
     if getattr(args, "out", None):
@@ -123,7 +133,8 @@ def _cmd_generate(args) -> int:
 def _cmd_census(args) -> int:
     g, rev = sample_instance(_params_from(args))
     report = census_estimate(g, rev, t=args.t, seed=args.seed)
-    _emit(args, json.loads(report.to_json()))
+    _emit(args, {"overlap": report.overlap, "ties": report.ties_broken,
+                 "estimates": report.estimates.tolist()})
     return 0
 
 
@@ -132,8 +143,7 @@ def _cmd_sdp(args) -> int:
     g, rev = sample_instance(params)
     sol = solve_elliptope(centered_adjacency(g, params.d), _solver_from(args))
     est = round_leading_eigvec(sol)
-    _emit(args, {**json.loads(sol.to_json()),
-                 "overlap_unrevealed": overlap(est, g.labels, rev)})
+    _emit(args, {**_solution_payload(sol), "overlap_unrevealed": overlap(est, g.labels, rev)})
     return 0
 
 
@@ -143,7 +153,7 @@ def _cmd_csdp(args) -> int:
     csol = solve_csdp(centered_adjacency(g, params.d), rev, _solver_from(args))
     report = estimate_unrevealed(csol, rev, g.labels, seed=args.seed)
     _emit(args, {
-        **json.loads(csol.inner.to_json()),
+        **_solution_payload(csol.inner),
         "margin00": csol.aggregated.margin00 if csol.aggregated else 0.0,
         "overlap_unrevealed": report.overlap,
     })
@@ -156,7 +166,9 @@ def _cmd_test(args) -> int:
     g, rev = sample_instance(params)
     csol = solve_csdp(centered_adjacency(g, params.d), rev, _solver_from(args))
     outcome = detection_test(csol.value, args.n, args.a, args.b, delta=delta)
-    _emit(args, {**json.loads(outcome.to_json()), "model": args.model})
+    _emit(args, {"statistic": outcome.statistic, "threshold": outcome.threshold,
+                 "decision": outcome.decision, "delta": outcome.delta_used,
+                 "rho0": outcome.rho0, "model": args.model})
     return 0
 
 

@@ -12,7 +12,6 @@ the detection test and the sandwich diagnostics.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -62,15 +61,6 @@ class TestOutcome:
     decision: int
     delta_used: float
     rho0: float
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "decision": self.decision,
-            "delta": self.delta_used,
-            "rho0": self.rho0,
-        })
 
 
 def aggregate(M: MatrixOperator, rev: RevealedLabels) -> AggregatedOperator:

@@ -351,7 +351,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     write_csv(csv_path, records)
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2)
-    svg = _figure_svg(cfg, records, summary)
+    svg = _figure_svg(cfg, summary)
     if svg is not None:
         with open(os.path.join(cfg.out_dir, "figure.svg"), "w") as fh:
             fh.write(svg)
@@ -451,7 +451,7 @@ def _svg_header(w, h, title):
             f'<text x="{w/2}" y="18" text-anchor="middle" font-size="14">{title}</text>\n')
 
 
-def _figure_svg(cfg: ExperimentConfig, records, summary) -> str | None:
+def _figure_svg(cfg: ExperimentConfig, summary) -> str | None:
     if cfg.kind == "census-sweep":
         return _census_svg(summary, cfg.t)
     if cfg.kind == "detection-boxes":

@@ -21,6 +21,14 @@ import scipy.sparse
 from .rng import stream
 
 
+def _store(obj, name: str, arr: np.ndarray, *rest) -> np.ndarray:
+    """Store ``arr``, a fresh array no caller holds, read-only as the field
+    ``name`` of the frozen dataclass ``obj`` (as ``(arr, *rest)`` given ``rest``)."""
+    arr.setflags(write=False)
+    object.__setattr__(obj, name, (arr, *rest) if rest else arr)
+    return arr
+
+
 def snr(a: float, b: float) -> float:
     """Signal-to-noise ratio (a - b)^2 / (2 (a + b)).
 
@@ -88,12 +96,10 @@ class Labels:
 
     def __post_init__(self):
         raw = np.asarray(self.values)
-        v = np.ascontiguousarray(raw, dtype=np.int8)
+        v = _store(self, "values", raw.astype(np.int8))
         # compared with the input, so a value that int8 wraps or truncates fails
         if v.ndim != 1 or v.size == 0 or not np.array_equal(v, raw) or not np.all(np.abs(v) == 1):
             raise ValueError("labels must be a nonempty vector with entries +-1")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
         if int(v.sum(dtype=np.int64)) != 0:
             raise ValueError("labels must be balanced (equal community sizes)")
 
@@ -136,10 +142,8 @@ class Graph:
             k = keys[repeated[0]]
             raise ValueError(f"repeated edge ({k // self.n}, {k % self.n})")
         lo, hi = np.divmod(keys, self.n)
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "ei", lo)
-        object.__setattr__(self, "ej", hi)
+        _store(self, "ei", lo)
+        _store(self, "ej", hi)
         if self.labels.n != self.n:
             raise ValueError("label vector length does not match vertex count")
 
@@ -170,14 +174,10 @@ class RevealedLabels:
 
     def __post_init__(self):
         raw = np.asarray(self.values)
-        v = np.ascontiguousarray(raw, dtype=np.int8)
+        v = _store(self, "values", raw.astype(np.int8))
         if not np.array_equal(v, raw) or np.any((v < -1) | (v > 1)):
             raise ValueError("reveal values must lie in {+1, 0, -1}")
-        r = np.flatnonzero(v)
-        v.setflags(write=False)
-        r.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "revealed_set", r)
+        _store(self, "revealed_set", np.flatnonzero(v))
         if int(v.sum(dtype=np.int64)) != 0:
             raise ValueError("reveal must be balanced across communities")
 
@@ -204,10 +204,13 @@ class MatrixOperator:
     """Symmetric matrix in sparse + rank-one + diagonal-shift form.
 
     Dense entry: ``M[i, j] = S[i, j] + c * u[i] * u[j] + diag_shift * (i == j)``
-    where S is symmetric and stored once per unordered pair (rows <= cols).
-    Duplicate entries in the input are summed; exact zeros are dropped.
-    Every product with M goes through ``offdiag``, built once and cached:
-    M S = offdiag @ [S; u^T S] + diag(M) S, in O((nnz + dim) k) for k columns.
+    where S is symmetric and stored once per unordered pair (rows <= cols),
+    sorted by (rows, cols), in read-only arrays of the operator's own.
+    Duplicate entries in the input are summed in input order; exact zeros
+    are dropped.  Every product with M goes through ``offdiag``, built once
+    and cached: M S = offdiag @ [S; u^T S] + diag(M) S, in O((nnz + dim) k)
+    for k columns; ``offdiag_radii`` gives the Gershgorin radii of its
+    off-diagonal part.
     """
 
     dim: int
@@ -220,40 +223,29 @@ class MatrixOperator:
     def __post_init__(self):
         if self.dim < 0:
             raise ValueError("dimension must be nonnegative")
-        r = np.ascontiguousarray(self.rows, dtype=np.int64)
-        c = np.ascontiguousarray(self.cols, dtype=np.int64)
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
+        r = np.asarray(self.rows, dtype=np.int64)
+        c = np.asarray(self.cols, dtype=np.int64)
+        w = np.asarray(self.weights, dtype=np.float64)
         if not (r.shape == c.shape == w.shape):
             raise ValueError("rows/cols/weights must have equal length")
-        if r.size:
-            lo, hi = np.minimum(r, c), np.maximum(r, c)
-            if np.any(lo < 0) or np.any(hi >= self.dim):
-                raise ValueError("sparse entry out of range")
-            order = np.lexsort((hi, lo))
-            lo, hi, w = lo[order], hi[order], w[order]
-            # coalesce duplicates
-            keys = lo * self.dim + hi
-            first = np.empty(keys.size, dtype=bool)
-            first[0] = True
-            np.not_equal(keys[1:], keys[:-1], out=first[1:])
-            idx = np.flatnonzero(first)
-            w = np.add.reduceat(w, idx)
-            lo, hi = lo[idx], hi[idx]
-            nz = w != 0.0
-            lo, hi, w = lo[nz], hi[nz], w[nz]
-            r, c = lo, hi
-        for arr in (r, c, w):
-            arr.setflags(write=False)
-        object.__setattr__(self, "rows", r)
-        object.__setattr__(self, "cols", c)
-        object.__setattr__(self, "weights", w)
+        lo, hi = np.minimum(r, c), np.maximum(r, c)
+        if r.size and (lo.min() < 0 or hi.max() >= self.dim):
+            raise ValueError("sparse entry out of range")
+        # coalesce duplicates, each pair's weights summed in input order
+        keys = lo * self.dim + hi
+        order = np.argsort(keys, kind="stable")
+        keys, first = np.unique(keys[order], return_index=True)
+        w = np.add.reduceat(w[order], first)
+        nz = w != 0.0
+        lo, hi = np.divmod(keys[nz], self.dim)
+        _store(self, "rows", lo)
+        _store(self, "cols", hi)
+        _store(self, "weights", w[nz])
         if self.rank1 is not None:
             u, coeff = self.rank1
-            u = np.ascontiguousarray(u, dtype=np.float64)
-            u.setflags(write=False)
+            u = _store(self, "rank1", np.array(u, dtype=np.float64), float(coeff))
             if u.size != self.dim:
                 raise ValueError("rank-one vector length does not match dim")
-            object.__setattr__(self, "rank1", (u, float(coeff)))
 
     @classmethod
     def from_dense(cls, M) -> "MatrixOperator":
@@ -296,6 +288,20 @@ class MatrixOperator:
             d += c * u * u
         d += self.diag_shift
         return d
+
+    def offdiag_radii(self) -> np.ndarray:
+        """Gershgorin radii of B, the off-diagonal part of M, summed over its
+        sparse and rank-one parts apart (so at least B's own radii):
+        sum_{j != i} |S_ij| + |c| |u_i| sum_{j != i} |u_j|."""
+        off = self.rows != self.cols
+        w = np.abs(self.weights[off])
+        lam = (np.bincount(self.rows[off], weights=w, minlength=self.dim)
+               + np.bincount(self.cols[off], weights=w, minlength=self.dim))
+        if self.rank1 is not None:
+            u, c = self.rank1
+            au = np.abs(u)
+            lam = lam + abs(c) * au * (au.sum() - au)
+        return lam
 
     def to_dense(self) -> np.ndarray:
         """The dense matrix, built in place: one dim x dim array, plus one

@@ -32,7 +32,6 @@ reads the exact leading eigenvector of S S^T off the k x k matrix S^T S.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -131,15 +130,6 @@ class SdpSolution:
         did not certify."""
         return None if self.operator is None else certify_dual(self.operator, self)
 
-    def to_json(self) -> str:
-        cert = self.certificate
-        return json.dumps({
-            "value": self.value,
-            "sweeps": self.sweeps_used,
-            "converged": self.converged,
-            "certified_rel_gap": None if cert is None else cert.gap / max(1.0, abs(self.value)),
-        })
-
 
 @dataclass(frozen=True)
 class DualCertificate:
@@ -175,8 +165,8 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
     The plain step is S <- F(S) = rownormalise(G + diag(sigma) S), with
     G = B S for B the off-diagonal part of M, t_i = <s_i, g_i> and the
     per-row shift sigma_i = max((lam_i - t_i) / 2, lam_i / 4) of
-    :func:`_ascent_step`, lam_i the Gershgorin radius of row i of B summed
-    over its sparse and rank-one parts apart (so at least the radius of B).
+    :func:`_ascent_step`, lam = ``M.offdiag_radii()`` the Gershgorin radii
+    of B summed over its sparse and rank-one parts apart.
     G is one CSR product W [S; u^T S] with W = ``M.offdiag``, built once per
     operator and cached on it; t also gives the objective,
     sum_i t_i + sum_i M_ii.  No plain step can lower the objective (the proof
@@ -221,7 +211,7 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
         raise NumericError("operator rank-one part has non-finite entries")
 
     k = cfg.rank_for(n)
-    W, lam = M.offdiag, _gershgorin_radii(M)
+    W, lam = M.offdiag, M.offdiag_radii()
     # Every row of S stays unit: the draw is normalised once an all-zero row
     # (an event of probability zero) is set to e_1, a plain step normalises
     # each row or, where its shifted gradient is exactly zero, keeps it, and a
@@ -423,24 +413,6 @@ def _ascent_step(S: np.ndarray, G: np.ndarray, t: np.ndarray, lam: np.ndarray) -
     np.divide(G, nrm[:, None], out=S)
 
 
-def _gershgorin_radii(M: MatrixOperator) -> np.ndarray:
-    """Gershgorin radii lam of B, the off-diagonal part of M, summed over its
-    sparse and rank-one parts apart (so at least B's own radii).
-
-    lam_i adds the sparse entries |B_ij| of row i of ``M.offdiag`` in CSR
-    order, and |c| |u_i| sum_{j != i} |u_j| for a rank-one part c u u^T.
-    """
-    W, n = M.offdiag, M.dim
-    heads = np.repeat(np.arange(n), np.diff(W.indptr))  # row of every entry of W
-    sparse = (W.indices != heads) & (W.indices != n)
-    lam = np.bincount(heads[sparse], weights=np.abs(W.data[sparse]), minlength=n)
-    if M.rank1 is not None:
-        u, c = M.rank1
-        au = np.abs(u)
-        lam = lam + abs(c) * au * (au.sum() - au)
-    return lam
-
-
 def certify_dual(M: MatrixOperator, sol: SdpSolution) -> DualCertificate:
     """Dual upper bound at the solver's fixed point.
 
@@ -448,10 +420,10 @@ def certify_dual(M: MatrixOperator, sol: SdpSolution) -> DualCertificate:
     B = diag(y) - M.  Up to ``DENSE_CERT_MAX`` rows lambda_min comes from
     ``np.linalg.eigvalsh`` on the dense B: exact up to rounding, so the bound
     is valid and ``power_converged`` is true.  Above it, Lanczos iteration
-    (ARPACK) gives a Ritz pair and the bound subtracts its residual, which
-    keeps it an upper bound short of full convergence as long as the Ritz
-    value belongs to the lowest eigenvalue; ``power_converged`` then says
-    whether that residual met ``LANCZOS_TOL * max(1, |theta|)``.  The row
+    (ARPACK) gives a Ritz pair and the bound subtracts its residual;
+    ``power_converged`` then says whether that residual met
+    ``LANCZOS_TOL * max(1, |theta|)``, and where it did not, the Gershgorin
+    bound caps lambda_min, so the upper bound stays valid.  The row
     gradients come from one product with ``M.offdiag``.
     """
     S = sol.factor
@@ -508,7 +480,11 @@ def _lanczos_lambda_min(M: MatrixOperator, y: np.ndarray) -> tuple[float, bool]:
     theta = float(v @ bv)
     res = float(np.linalg.norm(bv - theta * v))
     # some eigenvalue lies within res of theta; Lanczos targets the lowest
-    return theta - res, res <= LANCZOS_TOL * max(1.0, abs(theta))
+    if res <= LANCZOS_TOL * max(1.0, abs(theta)):
+        return theta - res, True
+    # short of it (a stale Ritz vector, or the start) that eigenvalue need not
+    # be the lowest; Gershgorin's min_i (y_i - M_ii - lam_i) bounds it anyway
+    return min(theta - res, float((shift - M.offdiag_radii()).min())), False
 
 
 def round_leading_eigvec(sol: SdpSolution) -> np.ndarray:

@@ -138,14 +138,6 @@ def test_estimate_errors_when_everything_revealed():
         census_estimate(g, _reveal([1, -1]), t=1)
 
 
-def test_estimate_report_json():
-    g = _graph_from_edges(4, [(0, 2)], [1, 1, -1, -1])
-    rev = _reveal([1, 0, -1, 0])
-    report = census_estimate(g, rev, t=1, seed=3)
-    payload = report.to_json()
-    assert '"overlap"' in payload and '"ties"' in payload and '"estimates"' in payload
-
-
 def test_tie_coins_are_per_vertex_and_deterministic():
     g = _graph_from_edges(6, [], [1, 1, 1, -1, -1, -1])
     rev = _reveal([1, 0, 0, 0, 0, -1])

@@ -35,6 +35,26 @@ def test_census_command_json(tmp_path, capsys):
     assert on_disk == payload
 
 
+def test_payload_keys_and_order(capsys):
+    # each subcommand's JSON report, key for key and in order
+    model = ["--n", "60", "--a", "8", "--b", "2", "--seed", "2"]
+    solve = model + ["--restarts", "1"]
+    solution = ["value", "sweeps", "converged", "certified_rel_gap"]
+    payloads = []
+    for argv, keys in ((["census", "--rho", "0.4"] + model, ["overlap", "ties", "estimates"]),
+                       (["sdp"] + solve, solution + ["overlap_unrevealed"]),
+                       (["csdp", "--rho", "0.2"] + solve,
+                        solution + ["margin00", "overlap_unrevealed"]),
+                       (["csdp"] + solve, solution + ["margin00", "overlap_unrevealed"]),
+                       (["test", "--rho", "0.25"] + solve,
+                        ["statistic", "threshold", "decision", "delta", "rho0", "model"])):
+        assert main(argv) == 0
+        payloads.append(json.loads(capsys.readouterr().out))
+        assert list(payloads[-1]) == keys
+    assert payloads[3]["margin00"] == 0.0  # at rho = 0 nothing is aggregated
+    assert payloads[4]["delta"] == 6 / 40 and payloads[4]["model"] == "sbm"
+
+
 def test_python_dash_m_runs_the_cli():
     # `python -m ssbm` reaches the CLI without an install, exit codes included
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -187,7 +186,6 @@ def test_estimate_aligned_factor_gives_overlap_one():
                         best_of=0, objective_history=np.array([0.0]))
     # a hand-built solution has no operator, so nothing to certify
     assert inner.certificate is None
-    assert json.loads(inner.to_json())["certified_rel_gap"] is None
     sol = CsdpSolution(inner=inner, aggregated=agg)
     report = estimate_unrevealed(sol, rev, labels, seed=0)
     assert report.overlap == 1.0
@@ -243,8 +241,6 @@ def test_detection_test_paper_constants():
     for bad in (math.nan, math.inf, -math.inf, -1.0, 0.0, 3.5, 4.0):
         with pytest.raises(ValueError, match="delta"):
             detection_test(700.0, 200, 9, 2, delta=bad)
-    text = out.to_json()
-    assert '"statistic"' in text and '"rho0"' in text
 
 
 def test_sandwich_unsupervised_collapses():

@@ -8,7 +8,7 @@ import scipy.sparse
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ssbm import (Graph, Labels, MatrixOperator, ModelParams, RevealedLabels,
+from ssbm import (EstimateReport, Graph, Labels, MatrixOperator, ModelParams, RevealedLabels,
                   centered_adjacency, read_instance, sample_instance, snr,
                   write_instance)
 from ssbm.model import _bernoulli_hits, _pair_decode
@@ -132,6 +132,28 @@ def test_bernoulli_hits_matches_dense_sampling_stats():
     assert _bernoulli_hits(stream(1, "hits"), 50, 1e-300).size == 0
 
 
+class _CyclingGaps:
+    """A generator stub whose geometric gaps cycle through 1, 2, 3, restarting
+    at each call, and which records every batch it draws."""
+
+    def __init__(self):
+        self.draws = []
+
+    def geometric(self, p, size):
+        self.draws.append(np.resize([1, 2, 3], size))
+        return self.draws[-1]
+
+
+def test_bernoulli_hits_scans_past_its_first_batch():
+    # small gaps use up the first batch (27 draws at count * p = 1) well
+    # before the end, so a second batch continues the scan
+    rng = _CyclingGaps()
+    hits = _bernoulli_hits(rng, 100, 0.01)
+    positions = np.cumsum(np.concatenate(rng.draws)) - 1
+    assert len(rng.draws) == 2
+    assert np.array_equal(hits, positions[positions < 100])
+
+
 def test_pair_decode_exhaustive():
     for h in (2, 3, 7, 31):
         total = h * (h - 1) // 2
@@ -200,6 +222,38 @@ def test_operator_products_and_restrict_match_dense(data):
     assert np.allclose(op.diagonal(), np.diag(dense), rtol=0, atol=1e-12 * scale)
     keep = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
     assert np.allclose(op.restrict(keep).to_dense(), dense[np.ix_(keep, keep)], rtol=0, atol=1e-9)
+
+
+def test_operator_rejects_malformed_input():
+    with pytest.raises(ValueError, match="dimension must be nonnegative"):
+        MatrixOperator(-1, [], [], [])
+    with pytest.raises(ValueError, match="must have equal length"):
+        MatrixOperator(3, [0, 1], [1], [1.0, 1.0])
+    for r, c in (([0], [3]), ([-1], [1])):
+        with pytest.raises(ValueError, match="sparse entry out of range"):
+            MatrixOperator(3, r, c, [1.0])
+    with pytest.raises(ValueError, match="rank-one vector length does not match dim"):
+        MatrixOperator(3, [0], [1], [1.0], rank1=(np.ones(2), 1.0))
+
+
+def test_value_types_keep_their_own_arrays():
+    # each type stores a copy: writing to the caller's arrays afterwards
+    # changes none of them, and leaves those arrays writable
+    ints = np.array([1, -1, 1, -1, 1, 0, 0, -1], dtype=np.int8)
+    pairs = np.array([0, 1, 1, 1])
+    floats = np.array([2.0, 3.0, 1.0, 1.0])
+    views = (ints[:4], ints[4:], pairs[:2], pairs[2:], floats[:2], floats[2:])
+    labels, rev = Labels(views[0]), RevealedLabels(views[1])
+    report = EstimateReport(views[0], ties_broken=0, overlap=1.0)
+    op = MatrixOperator(2, views[2], views[3], views[4], rank1=(views[5], 0.5))
+    assert op.diagonal().tolist() == [0.5, 3.5]
+    ints[:], pairs[:], floats[:] = 0, 0, 7.0
+    assert labels.values.tolist() == report.estimates.tolist() == [1, -1, 1, -1]
+    assert rev.values.tolist() == [1, 0, 0, -1] and rev.revealed_set.tolist() == [0, 3]
+    assert op.rows.tolist() == [0, 1] and op.cols.tolist() == [1, 1]
+    assert op.weights.tolist() == [2.0, 3.0] and op.rank1[0].tolist() == [1.0, 1.0]
+    assert op.diagonal().tolist() == [0.5, 3.5]
+    assert all(v.flags.writeable for v in views)
 
 
 def test_operator_coalesces_duplicates_and_restricts():
@@ -349,6 +403,11 @@ def test_graph_rejects_endpoint_arrays_of_unequal_length():
             Graph(4, ei, ej, Labels([1, -1, 1, -1]))
 
 
+def test_graph_rejects_a_label_vector_of_the_wrong_length():
+    with pytest.raises(ValueError, match="label vector length does not match vertex count"):
+        Graph(6, [0], [1], Labels([1, -1, 1, -1]))
+
+
 def test_read_instance_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("4 1\n2 1\nL 1 1 -1 -1\nR 0 0 0 0\n")  # edge with i > j
@@ -387,6 +446,22 @@ def test_read_instance_names_a_bad_edge_line(tmp_path):
             ("4 1.5\n0 1\nL 1 1 -1 -1\nR 0 0 0 0\n", "line 1: bad header, expected 'n m_edges'"),
             ("4 1\n0 1\nL 1 1 -1 one\nR 0 0 0 0\n", "line 3: bad label line, expected integers"),
             ("4 1\n0 1\nL 1 1 -1 -1\nR 0 0.0 0 0\n", "line 4: bad reveal line, expected integers")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_instance(path)
+
+
+def test_read_instance_rejects_malformed_structure(tmp_path):
+    path = tmp_path / "bad.txt"
+    for text, message in (
+            ("4\n0 1\nL 1 1 -1 -1\nR 0 0 0 0\n", "bad header, expected 'n m_edges'"),
+            ("4 1 0\n0 1\nL 1 1 -1 -1\nR 0 0 0 0\n", "bad header, expected 'n m_edges'"),
+            ("4 3\n0 1\nL 1 1 -1 -1\nR 0 0 0 0\n", "header does not match the file length"),
+            ("4 1\n0 1\nR 0 0 0 0\nL 1 1 -1 -1\n", "missing L/R companion lines"),
+            ("4 1\n0 1\nL 1 1 -1 -1\n\n", "missing L/R companion lines"),
+            ("4 1\n0 1\nL 1 1 -1\nR 0 0 0 0\n", "label/reveal line length does not match n"),
+            ("4 1\n0 1\nL 1 1 -1 -1\nR 0 0 0 0 0\n",
+             "label/reveal line length does not match n")):
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{message}$"):
             read_instance(path)
