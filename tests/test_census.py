@@ -1,3 +1,4 @@
+import json
 import math
 from decimal import Decimal, getcontext
 
@@ -11,6 +12,7 @@ from scipy.sparse.csgraph import shortest_path
 from ssbm import (Graph, Labels, ModelParams, RevealedLabels, census_estimate,
                   overlap_lower_curve, predict_accuracy_erf, sample_instance)
 from ssbm.census import margins_at_depth
+from ssbm.cli import main
 from ssbm.rng import coin
 
 from oracles import (binomial_difference_stats, binomial_gap_oracle, binomial_pmf,
@@ -136,6 +138,17 @@ def test_estimate_errors_when_everything_revealed():
     g = _graph_from_edges(2, [(0, 1)], [1, -1])
     with pytest.raises(ValueError):
         census_estimate(g, _reveal([1, -1]), t=1)
+
+
+def test_estimate_report_json(capsys):
+    # `ssbm census` reports the EstimateReport of its instance, field for field
+    argv = ["census", "--n", "60", "--a", "7", "--b", "2", "--rho", "0.4", "--seed", "3"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    g, rev = sample_instance(ModelParams(n=60, a=7, b=2, rho=0.4, seed=3))
+    report = census_estimate(g, rev, t=1, seed=3)
+    assert payload == {"overlap": report.overlap, "ties": report.ties_broken,
+                       "estimates": report.estimates.tolist()}
 
 
 def test_tie_coins_are_per_vertex_and_deterministic():

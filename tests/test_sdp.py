@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -13,6 +14,7 @@ from ssbm import (MatrixOperator, ModelParams, NumericError, SolverConfig, aggre
                   centered_adjacency, certify_dual, solve_csdp, round_leading_eigvec,
                   sample_instance, solve_elliptope)
 from ssbm import sdp
+from ssbm.cli import _solution_payload
 from ssbm.rng import stream
 from ssbm.sdp import CERT_GAP
 
@@ -673,6 +675,15 @@ def test_rounding_recovers_plant_in_easy_regime():
         est = round_leading_eigvec(sol)
         overlaps.append(abs(int(est.astype(int) @ g.labels.values.astype(int))) / 1000)
     assert float(np.mean(overlaps)) > 0.5
+
+
+def test_solution_json():
+    # the report `ssbm sdp` and `ssbm csdp` give of a solve is plain JSON
+    sol = solve_elliptope(MatrixOperator.from_dense(np.eye(3)), SolverConfig(seed=0))
+    payload = json.loads(json.dumps(_solution_payload(sol)))
+    assert payload == {"value": sol.value, "sweeps": sol.sweeps_used,
+                       "converged": sol.converged,
+                       "certified_rel_gap": sol.certificate.gap / max(1.0, abs(sol.value))}
 
 
 def test_cut_norm_exact_small_cases():
