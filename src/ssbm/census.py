@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
-from .model import Graph, Labels, RevealedLabels, _store, snr
+from .model import Graph, Labels, RevealedLabels, _csr, _store, snr
 from .rng import coins
 
 
@@ -73,7 +72,7 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> n
         return tally[rows].astype(np.int64)
     adj = g.adjacency()
     identity = (np.ones(rows.size, dtype=bool), rows, np.arange(rows.size + 1))
-    ball = scipy.sparse.csr_matrix(identity, shape=(rows.size, g.n))
+    ball = _csr(identity, (rows.size, g.n))
     shell = adj[rows]
     for _ in range(t - 2):
         ball = ball + shell

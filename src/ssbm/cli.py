@@ -154,7 +154,7 @@ def _cmd_csdp(args) -> int:
     report = estimate_unrevealed(csol, rev, g.labels, seed=args.seed)
     _emit(args, {
         **_solution_payload(csol.inner),
-        "margin00": csol.aggregated.margin00 if csol.aggregated else 0.0,
+        "margin00": csol.margin00,
         "overlap_unrevealed": report.overlap,
     })
     return 0

@@ -50,6 +50,11 @@ class CsdpSolution:
     def value(self) -> float:
         return self.inner.value
 
+    @property
+    def margin00(self) -> float:
+        """The aggregated margin entry, 0.0 when nothing is revealed."""
+        return self.aggregated.margin00 if self.aggregated is not None else 0.0
+
 
 @dataclass(frozen=True)
 class TestOutcome:
@@ -193,7 +198,7 @@ def sandwich_check(
     else:
         lower = solve_elliptope(M.restrict(unrev), cfg).value if unrev.size else 0.0
         upper = solve_elliptope(M, cfg).value
-    margin00 = csol.aggregated.margin00 if csol.aggregated is not None else 0.0
+    margin00 = csol.margin00
     tau = 1e-3 * g.n * math.sqrt(max(d, 1.0))
     return SandwichReport(
         lower=float(lower),

@@ -15,12 +15,10 @@ import datetime
 import itertools
 import json
 import math
-import multiprocessing
 import numbers
 import os
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,7 +294,7 @@ def _solve_pair(g, rev, cell, iseed, base, solver, truth_model):
         value, overlap_csdp, margin00 = sdp_sol.value, out[0].overlap_unrevealed, None
     else:
         csol = solve_csdp(M, rev, solver)
-        value, margin00 = csol.value, csol.aggregated.margin00
+        value, margin00 = csol.value, csol.margin00
         overlap_csdp = estimate_unrevealed(csol, rev, g.labels, seed=iseed).overlap
     decision = detection_test(value, n, a, b).decision if a > b else None
     out.append(ResultRecord(
@@ -328,6 +326,10 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     cells = cfg.cells()
     tasks = [(ci, cell, rep) for ci, cell in enumerate(cells) for rep in range(cfg.reps)]
     if cfg.workers > 1:
+        # imported here: a run at workers = 1, and every worker process,
+        # needs no process pool
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=cfg.workers, mp_context=spawn) as pool:
             results = list(pool.map(_cell_task, itertools.repeat(cfg), *zip(*tasks),

@@ -6,7 +6,9 @@ subset of m = 2*floor(rho*n/2) true labels is revealed.  This module holds the
 parameter/instance types, the seeded sampler, and the centered adjacency
 operator A - (d/n) 11^T used by the SDP machinery.  It is the one module that
 knows how a graph (a sorted edge list) and an operator are stored; the others
-reach the graph through ``Graph.adjacency`` and ``centered_adjacency``.
+reach the graph through ``Graph.adjacency`` and ``centered_adjacency``.  Every
+CSR matrix is built by ``_csr``, which imports ``scipy.sparse`` at its first
+call.
 """
 
 from __future__ import annotations
@@ -14,11 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
 
 from .rng import stream
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 
 def _store(obj, name: str, arr: np.ndarray, *rest) -> np.ndarray:
@@ -27,6 +32,16 @@ def _store(obj, name: str, arr: np.ndarray, *rest) -> np.ndarray:
     arr.setflags(write=False)
     object.__setattr__(obj, name, (arr, *rest) if rest else arr)
     return arr
+
+
+def _csr(entries, shape: tuple[int, int]) -> scipy.sparse.csr_matrix:
+    """``scipy.sparse.csr_matrix(entries, shape=shape)``: every CSR matrix
+    the package builds is built here."""
+    # imported here: at module level scipy.sparse adds ~0.12 s to `import
+    # ssbm`, which every sweep worker and CLI call pays, and a t = 1 census
+    # never builds a CSR matrix
+    import scipy.sparse
+    return scipy.sparse.csr_matrix(entries, shape=shape)
 
 
 def snr(a: float, b: float) -> float:
@@ -161,7 +176,7 @@ class Graph:
         rows = np.concatenate([self.ej, self.ei])
         cols = np.concatenate([self.ei, self.ej])
         entries = (np.ones(rows.size, dtype=bool), (rows, cols))
-        return scipy.sparse.csr_matrix(entries, shape=(self.n, self.n))
+        return _csr(entries, (self.n, self.n))
 
 
 @dataclass(frozen=True)
@@ -175,6 +190,8 @@ class RevealedLabels:
     def __post_init__(self):
         raw = np.asarray(self.values)
         v = _store(self, "values", raw.astype(np.int8))
+        if v.ndim != 1:
+            raise ValueError(f"reveal values must be a vector, got shape {v.shape}")
         if not np.array_equal(v, raw) or np.any((v < -1) | (v > 1)):
             raise ValueError("reveal values must lie in {+1, 0, -1}")
         _store(self, "revealed_set", np.flatnonzero(v))
@@ -276,7 +293,7 @@ class MatrixOperator:
             cols += [idx, np.full(n, n)]
             data += [-coeff * u * u, coeff * u]
         entries = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
-        return scipy.sparse.csr_matrix(entries, shape=(n, n + 1))
+        return _csr(entries, (n, n + 1))
 
     def diagonal(self) -> np.ndarray:
         """Full matrix diagonal: sparse + rank-one + shift contributions."""

@@ -1,18 +1,27 @@
 """Fixed-seed outputs pinned by digest.
 
-Each digest is SHA-256 over the raw bytes of a sampled instance (``ei``,
-``ej``, labels, reveal) or of its census (estimates and ties at t = 1 and
-t = 2), as computed at commit b2fef7c.  A change to the sampler, the edge
-list's canonical order, the tallies or the tie coins that moves any sampled
-edge, estimate or coin fails here; a speed-up must leave them all in place.
+Each instance digest is SHA-256 over the raw bytes of a sampled instance
+(``ei``, ``ej``, labels, reveal) or of its census (estimates and ties at
+t = 1 and t = 2), as computed at commit b2fef7c.  A change to the sampler,
+the edge list's canonical order, the tallies or the tie coins that moves any
+sampled edge, estimate or coin fails here; a speed-up must leave them all in
+place.
+
+Each sweep digest is SHA-256 over the ``records.csv`` and ``summary.json``
+of one small sweep, as computed at commit 8c44982: the CSV without its
+timestamp comment and its wall-clock ``runtime_ms`` column, the summary
+whole.  The solver sweeps' floats are those of one numpy and BLAS build at
+one BLAS thread; another build may round them differently.
 """
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
-from ssbm import ModelParams, census_estimate, sample_instance
+from ssbm import (ExperimentConfig, ModelParams, SolverConfig, census_estimate, run_sweep,
+                  sample_instance)
 
 
 def _digest(*arrays) -> str:
@@ -39,3 +48,31 @@ def test_fixed_seed_instances_and_census_are_bit_identical(params, sample_digest
     reports = [census_estimate(g, rev, t=t, seed=params.seed) for t in (1, 2)]
     ties = np.array([r.ties_broken for r in reports], dtype=np.int64)
     assert _digest(*(r.estimates for r in reports), ties) == census_digest
+
+
+@pytest.mark.parametrize("kind, grid, t, digest", [
+    # the rho = 1.0 cell's replications are error rows: nothing to estimate
+    ("census-sweep", dict(n=(200,), a=(5.0,), b=(2.0,), rho=(0.3, 1.0)), 1,
+     "26c3eb8bcbc48b9a0eae418e4ecc3bf5b8b27f9a9510c5be23d06ef2b414c040"),
+    ("census-sweep", dict(n=(200,), a=(5.0,), b=(2.0,), rho=(0.3,)), 2,
+     "89b50b2c3a94b138f903462986138c0d11fce672f30d439a2eb22a25f7115c1e"),
+    ("detection-boxes", dict(n=(40,), a=(9.0,), b=(2.0,), rho=(0.25,)), 1,
+     "d67e58c46aa0793d257f582d3f26a446f7416b566b88bebcedd1c2e8069fc251"),
+    ("phase-grid", dict(n=(40,), a=(6.0,), b=(1.0, 2.0), rho=(0.0, 0.25)), 1,
+     "0d05fcb99131f6e42c51cb546508cc92b1301f31643f132cefe23020ec046b01"),
+    ("sandwich-audit", dict(n=(40,), a=(8.0,), b=(2.0,), rho=(0.0, 0.25)), 1,
+     "6f54d6303c0228d28a134396f30f66b5741571e405f31cfb2d1e7bc3fce7fb7e"),
+], ids=["census-t1", "census-t2", "detection-boxes", "phase-grid", "sandwich-audit"])
+def test_fixed_seed_sweeps_are_byte_identical(tmp_path, kind, grid, t, digest):
+    cfg = ExperimentConfig(kind=kind, **grid, reps=2, solver=SolverConfig(restarts=2),
+                           out_dir=str(tmp_path), seed=5, t=t)
+    run_sweep(cfg)
+    with open(os.path.join(tmp_path, "records.csv")) as fh:
+        lines = [ln.split(",") for ln in fh.read().splitlines() if not ln.startswith("#")]
+    col = lines[0].index("runtime_ms")
+    records = "\n".join(",".join(row[:col] + row[col + 1:]) for row in lines)
+    with open(os.path.join(tmp_path, "summary.json"), "rb") as fh:
+        summary = fh.read()
+    h = hashlib.sha256(records.encode())
+    h.update(summary)
+    assert h.hexdigest() == digest

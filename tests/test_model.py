@@ -63,6 +63,14 @@ def test_labels_and_reveals_validate():
         RevealedLabels(np.array([255, 0, 1, 0]))  # 255 would wrap to -1
 
 
+@pytest.mark.parametrize("values", [np.zeros((2, 2), dtype=np.int8), np.int8(0)],
+                         ids=["2x2", "0-d"])
+def test_reveals_must_be_a_vector(values):
+    # both are balanced entries in {+1, 0, -1}; only the shape is wrong
+    with pytest.raises(ValueError, match="vector"):
+        RevealedLabels(values)
+
+
 def test_trivial_instances():
     g, rev = sample_instance(ModelParams(n=4, a=0, b=0, rho=0.0, seed=1))
     assert g.num_edges == 0 and rev.m == 0

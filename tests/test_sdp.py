@@ -649,6 +649,28 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_t1_census_sweep_loads_neither_scipy_nor_a_process_pool(tmp_path):
+    # `import scipy.sparse` was 0.12 s of a 0.27 s `import ssbm` when
+    # measured, and a t = 1 census builds no CSR matrix; a sweep at
+    # workers = 1 starts no pool.  The solve afterwards shows the import is
+    # deferred to the first CSR build, not lost.
+    code = ("import sys, ssbm\n"
+            "cfg = ssbm.ExperimentConfig(kind='census-sweep', n=(200,), a=(5.0,), b=(2.0,),\n"
+            "    rho=(0.1, 0.5), reps=2, solver=ssbm.SolverConfig(), out_dir=sys.argv[1],\n"
+            "    seed=3, t=1, workers=1)\n"
+            "ssbm.run_sweep(cfg)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "             or m == 'concurrent.futures.process'))\n"
+            "p = ssbm.ModelParams(n=40, a=8, b=2, seed=1)\n"
+            "g, rev = ssbm.sample_instance(p)\n"
+            "ssbm.solve_elliptope(ssbm.centered_adjacency(g, p.d), ssbm.SolverConfig(restarts=1))\n"
+            "print('scipy.sparse' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.split("\n")[:2] == ["[]", "True"]
+
+
 def test_round_leading_eigvec_conventions():
     x = np.random.default_rng(3).choice([-1.0, 1.0], size=30)
     x[0] = 1.0
