@@ -34,6 +34,17 @@ def _store(obj, name: str, arr: np.ndarray, *rest) -> np.ndarray:
     return arr
 
 
+def _indices(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array; ValueError where the cast would change a
+    value (0.7, nan, "1").  Integer input is cast with no pass over it: a
+    uint64 above 2**63 - 1 wraps negative, for the caller's range check."""
+    raw = np.asarray(values)
+    idx = raw.astype(np.int64, copy=False)
+    if raw.dtype.kind not in "biu" and not np.array_equal(idx, raw):
+        raise ValueError(f"{what} must be integers")
+    return idx
+
+
 def _csr(entries, shape: tuple[int, int]) -> scipy.sparse.csr_matrix:
     """``scipy.sparse.csr_matrix(entries, shape=shape)``: every CSR matrix
     the package builds is built here."""
@@ -131,9 +142,9 @@ class Graph:
     ``ei`` and ``ej`` hold every edge once, as read-only int64 arrays with
     ``ei < ej``, sorted by (ei, ej).  The constructor takes the edges in any
     order and orientation and raises ValueError on endpoint arrays that are
-    not 1-D of equal length, an endpoint outside [0, n), a self-loop or a
-    repeated edge (in either orientation), so every Graph is simple by
-    construction.
+    not 1-D of equal length, an endpoint that is not an integer (2.2) or lies
+    outside [0, n), a self-loop or a repeated edge (in either orientation),
+    so every Graph is simple by construction.
     """
 
     n: int
@@ -142,7 +153,7 @@ class Graph:
     labels: Labels
 
     def __post_init__(self):
-        ei, ej = np.asarray(self.ei, dtype=np.int64), np.asarray(self.ej, dtype=np.int64)
+        ei, ej = _indices(self.ei, "edge endpoints"), _indices(self.ej, "edge endpoints")
         if ei.ndim != 1 or ei.shape != ej.shape:
             raise ValueError(f"endpoint arrays must be 1-D of equal length, got shapes "
                              f"{ei.shape} and {ej.shape}")
@@ -240,8 +251,8 @@ class MatrixOperator:
     def __post_init__(self):
         if self.dim < 0:
             raise ValueError("dimension must be nonnegative")
-        r = np.asarray(self.rows, dtype=np.int64)
-        c = np.asarray(self.cols, dtype=np.int64)
+        r = _indices(self.rows, "sparse indices")
+        c = _indices(self.cols, "sparse indices")
         w = np.asarray(self.weights, dtype=np.float64)
         if not (r.shape == c.shape == w.shape):
             raise ValueError("rows/cols/weights must have equal length")
@@ -345,7 +356,7 @@ class MatrixOperator:
         per ordered pair.  The rank-one vector maps to P^T u and the shift I to
         the diagonal P^T P, which counts the vertices sent to each index.
         """
-        col = np.asarray(col, dtype=np.int64)
+        col = _indices(col, "target indices")
         s = np.ones(self.dim) if sign is None else np.asarray(sign, dtype=np.float64)
         r, c = col[self.rows], col[self.cols]
         kept = (r >= 0) & (c >= 0)
@@ -366,7 +377,7 @@ class MatrixOperator:
 
     def restrict(self, keep: np.ndarray) -> "MatrixOperator":
         """Principal submatrix on the sorted index set ``keep``."""
-        keep = np.asarray(keep, dtype=np.int64)
+        keep = _indices(keep, "kept indices")
         col = np.full(self.dim, -1, dtype=np.int64)
         col[keep] = np.arange(keep.size)
         return self.congruence(col, None, keep.size)

@@ -13,21 +13,19 @@ up by type-II Anderson mixing over its last ``ANDERSON_MEMORY`` steps
 (Walker & Ni 2011), with an objective safeguard in the spirit of Zhang,
 O'Donoghue & Boyd (2020): a mixed candidate is kept only where it does not
 lower the objective, and the plain step is taken instead where it would.
-A sweep is one operator product, a rejected candidate's included.  Up to ``DENSE_CERT_MAX`` rows
-a restart stops as soon as a Cholesky factorisation, scheduled in the
-loop, proves its dual gap within target, without waiting for the objective
-to stall; that proof is all the solve path certifies of it.  Every other
-restart (stopped on a stall or at ``max_sweeps``, or above
-``DENSE_CERT_MAX`` rows) is dual-certified exactly on the solve path.  The
-solver stops at the first restart whose certified gap is within
-``CERT_GAP``: at rank >= sqrt(2 dim) the factorized problem has no
-spurious second-order critical points for generic costs (Boumal,
-Voroninski & Bandeira 2016), so further restarts only hedge a risk the
-certificate rules out instance by instance.  The exact certificate of a
-solution is computed when ``SdpSolution.certificate`` is first read.  It
-takes the smallest eigenvalue of diag(y) - M exactly from the dense matrix
-up to ``DENSE_CERT_MAX`` rows and by Lanczos iteration above.  Rounding
-reads the exact leading eigenvector of S S^T off the k x k matrix S^T S.
+A sweep is one operator product, a rejected candidate's included.  A solve
+certifies through one private certifier built from M.  Up to
+``DENSE_CERT_MAX`` rows it holds the solve's one dense -M: a Cholesky check
+on it, scheduled in the loop, stops a restart once it proves the dual gap
+within target, and ``eigvalsh`` on it certifies exactly.  Above, Lanczos
+iteration certifies, and a restart stops on a stall or at ``max_sweeps``.
+The solver stops at the first restart whose certified gap is within
+``CERT_GAP``: at rank >= sqrt(2 dim) the factorized problem has no spurious
+second-order critical points for generic costs (Boumal, Voroninski &
+Bandeira 2016), so further restarts only hedge a risk the certificate rules
+out instance by instance.  ``SdpSolution.certificate`` is exact, computed
+on first read unless the restart rule already has.  Rounding reads the
+exact leading eigenvector of S S^T off the k x k matrix S^T S.
 """
 
 from __future__ import annotations
@@ -126,8 +124,8 @@ class SdpSolution:
         """The exact dual certificate :func:`certify_dual` gives ``factor``,
         computed on first read and kept (None without an ``operator``), so a
         caller can flag a value whose gap is too wide without certifying
-        again.  The solver reads it only for restarts that its in-loop check
-        did not certify."""
+        again.  The solver fills it in, through its own certifier, for each
+        restart that its in-loop check did not certify."""
         return None if self.operator is None else certify_dual(self.operator, self)
 
 
@@ -149,11 +147,11 @@ class DualCertificate:
 STALL_WINDOW = 10  # the stall test compares objectives this many steps apart
 ANDERSON_MEMORY = 4  # differences the mixing keeps (m)
 CERT_GAP = 1e-3  # certified relative gap at which no further restart runs
-# certify_dual's exact dense path up to this dim.  On one core of a 2-CPU
-# Xeon VM a certificate takes ~2 ms at dim 200 and ~70-120 ms at 1000; at
-# 1000 its two dense matrices (B and eigvalsh's copy) lift the peak RSS of a
-# one-solve process from 56 to 72 MB, and the cost grows as dim^2 in memory
-# and dim^3 in time, so the Lanczos path takes over above it.
+# The certifier's dense path up to this dim.  On one core of a 2-CPU Xeon VM a
+# certificate takes ~2 ms at dim 200 and ~100-125 ms at 1000, where a one-solve
+# process peaks at 74 MB RSS if it certifies exactly (-M, eigvalsh's copy) and
+# 83 MB if the Cholesky check passes (-M, cholesky's two), from 52 MB before
+# the solve.  Memory grows as dim^2 and time as dim^3, so Lanczos takes over above.
 DENSE_CERT_MAX = 1000
 # Lanczos residual tolerance, relative to max(1, |theta|), above DENSE_CERT_MAX
 LANCZOS_TOL = 1e-6
@@ -185,7 +183,7 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
     The certified stop, up to ``DENSE_CERT_MAX`` rows: once the free
     first-order gap sum_i (|g_i| - t_i) at a sweep s is within half the
     target ``CERT_GAP * min(1, cfg.tol / 1e-6)`` (relative to
-    max(1, |value|)), :func:`_cholesky_certifies` runs on the sweep's own G
+    max(1, |value|)), the certifier's Cholesky check runs on the sweep's G
     at sweep max(s + max(10, dim // 16), floor(1.25 s)), and again that far
     after each check that fails while the first-order gap stays within half
     the target; the restart stops at the first check that proves the
@@ -195,7 +193,7 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
     ``STALL_WINDOW`` steps.  A restart that stops on a passing check ends
     the restarts, since the check proves its certified gap within the
     target, at most ``CERT_GAP``.  Any other restart is certified exactly by
-    :func:`certify_dual`, and the next restart runs only while that gap
+    the same certifier, and the next restart runs only while that gap
     exceeds ``CERT_GAP`` relative (to max(1, |value|)), up to
     ``cfg.restarts`` in all.  Returns the best restart run; its exact
     ``certificate`` is computed on first read, or was already computed for
@@ -221,12 +219,7 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
     buf = np.zeros((n + 1, k))  # [S; u^T S]; the last row stays 0 without a rank-one part
     S = buf[:n]
     u = None if M.rank1 is None else M.rank1[0]
-    # -M off the diagonal, for the in-loop check; only where certify_dual
-    # takes its dense path too
-    negB = None
-    if n <= DENSE_CERT_MAX:
-        negB = M.to_dense()
-        np.negative(negB, out=negB)
+    certifier = _Certifier(M)
     target = CERT_GAP * min(1.0, cfg.tol / 1e-6)
     spacing = max(10, n // 16)  # a check at dim 1000 costs about 30 sweeps
     mixing = _Mixing(n * k)
@@ -261,12 +254,12 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
                     abs(val - history[-1 - STALL_WINDOW]) <= cfg.tol * max(1.0, abs(val))):
                 converged = True
                 break
-            if negB is not None and sweeps >= check:
+            if certifier.negM is not None and sweeps >= check:
                 g = np.sqrt(np.einsum("ij,ij->i", G, G))
                 budget = target * max(1.0, abs(val))
                 slack = budget - float((g - t).sum())
                 if slack >= budget / 2:
-                    if check and _cholesky_certifies(negB, g, slack):
+                    if check and certifier.check(g, slack):
                         converged = certified = True
                         break
                     check = max(sweeps + spacing, int(1.25 * sweeps))
@@ -290,8 +283,10 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
         )
         if best is None or sol.value > best.value:
             best = sol
-        # a passing check has proved the gap within target <= CERT_GAP
-        if certified or sol.certificate.gap <= CERT_GAP * max(1.0, abs(val)):
+        if certified:  # the check has proved the gap within target <= CERT_GAP
+            break
+        cert = vars(sol)["certificate"] = certifier.certify(sol)  # the cached property
+        if cert.gap <= CERT_GAP * max(1.0, abs(val)):
             break
     return best
 
@@ -360,26 +355,6 @@ class _Mixing:
         return True
 
 
-def _cholesky_certifies(negB: np.ndarray, g: np.ndarray, slack: float) -> bool:
-    """Whether a Cholesky factorisation proves certify_dual's gap within the
-    budget, at a factor whose gradient rows G = B S have norms g.
-
-    certify_dual's point y_i = g_i + M_ii has the gap
-    sum_i (g_i - t_i) - dim min(0, lambda_min(diag(g) - B)), and ``slack`` is
-    the budget less that first-order sum.  A factorisation of
-    diag(g) - B + (0.9 slack / dim) I that succeeds proves lambda_min above
-    -0.9 slack / dim, so the gap is within the budget with 10% of the slack
-    to spare for rounding.  ``negB`` holds -B off its diagonal; the diagonal
-    is overwritten.
-    """
-    negB[np.diag_indices(len(g))] = g + 0.9 * slack / len(g)
-    try:
-        np.linalg.cholesky(negB)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 # Row norms above this have sums of squares of at least tiny / eps^2, next to
 # which the squares that underflow (each below tiny) are lost in rounding.
 _SQUARES_EXACT = math.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
@@ -426,65 +401,91 @@ def certify_dual(M: MatrixOperator, sol: SdpSolution) -> DualCertificate:
     bound caps lambda_min, so the upper bound stays valid.  The row
     gradients come from one product with ``M.offdiag``.
     """
-    S = sol.factor
-    u = np.zeros(M.dim) if M.rank1 is None else M.rank1[0]
-    y = np.linalg.norm(M.offdiag @ np.vstack([S, u @ S]), axis=1) + M.diagonal()
-    n = M.dim
-    if n <= DENSE_CERT_MAX:
-        B = M.to_dense()
-        np.negative(B, out=B)
-        B[np.diag_indices(n)] += y
-        lambda_min, converged = float(np.linalg.eigvalsh(B)[0]), True
-    else:
-        lambda_min, converged = _lanczos_lambda_min(M, y)
-    upper = float(y.sum()) - n * min(0.0, lambda_min)
-    return DualCertificate(
-        y=y,
-        upper_bound=upper,
-        gap=upper - sol.value,
-        lambda_min=lambda_min,
-        power_converged=converged,
-    )
+    return _Certifier(M).certify(sol)
 
 
-def _lanczos_lambda_min(M: MatrixOperator, y: np.ndarray) -> tuple[float, bool]:
-    """Residual-corrected Lanczos estimate of lambda_min(diag(y) - M), and
-    whether the residual met ``LANCZOS_TOL * max(1, |theta|)``."""
-    # imported here: at module level scipy.sparse.linalg adds ~0.15 s and
-    # ~8.5 MB to `import ssbm`, which every sweep worker and CLI call pays
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+class _Certifier:
+    """The dual certificates of one operator M.  Up to ``DENSE_CERT_MAX``
+    rows its in-loop :meth:`check` and its exact :meth:`certify` share one
+    dense -M, the only dense copy of M a solve makes; above, it holds none."""
 
-    n, W = M.dim, M.offdiag
-    u = np.zeros(n) if M.rank1 is None else M.rank1[0]
-    shift = y - M.diagonal()
+    def __init__(self, M: MatrixOperator):
+        self.M = M
+        self.u = np.zeros(M.dim) if M.rank1 is None else M.rank1[0]
+        self.negM = None  # -M, whose diagonal each method overwrites
+        if M.dim <= DENSE_CERT_MAX:
+            self.negM = M.to_dense()
+            np.negative(self.negM, out=self.negM)
+            self.negdiag = self.negM.diagonal().copy()
 
-    def bmat(v):  # (diag(y) - M) v = (y - diag M) v - B v; y - diag M is >= 0
-        return shift * v - W @ np.append(v, u @ v)
-
-    v = stream(0, "dual-init").standard_normal(n)
-    if n > 1:  # ARPACK needs dim > 1; at dim 1 any unit vector is exact
-        # ARPACK's stopping test is relative to |theta|, which is near 0 at an
-        # optimum; on B + I it becomes the absolute test applied below.  The
-        # lowest eigenvalues of B cluster near 0 (one per factor direction),
-        # and ARPACK's default 20 Lanczos vectors stalled on 3 of the 400
-        # solves of the criterion-9 sweep; 40 converged on all of them.
-        shifted = LinearOperator((n, n), matvec=lambda v: bmat(v) + v, dtype=np.float64)
+    def check(self, g: np.ndarray, slack: float) -> bool:
+        """Whether a Cholesky factorisation proves the gap of :meth:`certify`
+        within budget at a factor whose gradient rows G = B S have norms g.
+        Its point y_i = g_i + M_ii has the gap
+        sum_i (g_i - t_i) - dim min(0, lambda_min(diag(g) - B)), and ``slack``
+        is the budget less that first-order sum.  A factorisation of
+        diag(g) - B + (0.9 slack / dim) I that succeeds proves lambda_min
+        above -0.9 slack / dim, so the gap is within the budget with 10% of
+        the slack to spare for rounding."""
+        self.negM[np.diag_indices(len(g))] = g + 0.9 * slack / len(g)
         try:
-            _, vecs = eigsh(shifted, k=1, which="SA", v0=v, tol=LANCZOS_TOL, ncv=min(n, 40))
-            v = vecs[:, 0]
-        except ArpackNoConvergence as exc:  # keep the Ritz vector, if any
-            if exc.eigenvectors.size:
-                v = exc.eigenvectors[:, 0]
-    v = v / np.linalg.norm(v)
-    bv = bmat(v)
-    theta = float(v @ bv)
-    res = float(np.linalg.norm(bv - theta * v))
-    # some eigenvalue lies within res of theta; Lanczos targets the lowest
-    if res <= LANCZOS_TOL * max(1.0, abs(theta)):
-        return theta - res, True
-    # short of it (a stale Ritz vector, or the start) that eigenvalue need not
-    # be the lowest; Gershgorin's min_i (y_i - M_ii - lam_i) bounds it anyway
-    return min(theta - res, float((shift - M.offdiag_radii()).min())), False
+            np.linalg.cholesky(self.negM)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    def certify(self, sol: SdpSolution) -> DualCertificate:
+        """:func:`certify_dual` of ``sol``: by ``eigvalsh`` on -M with y added
+        to its diagonal, or by :meth:`_lanczos` above ``DENSE_CERT_MAX``."""
+        M, n, S = self.M, self.M.dim, sol.factor
+        y = np.linalg.norm(M.offdiag @ np.vstack([S, self.u @ S]), axis=1) + M.diagonal()
+        if self.negM is not None:
+            # the dense diagonal plus y: y - M.diagonal() rounds apart on a general u
+            self.negM[np.diag_indices(n)] = self.negdiag + y
+            lambda_min, converged = float(np.linalg.eigvalsh(self.negM)[0]), True
+        else:
+            lambda_min, converged = self._lanczos(y)
+        upper = float(y.sum()) - n * min(0.0, lambda_min)
+        return DualCertificate(y=y, upper_bound=upper, gap=upper - sol.value,
+                               lambda_min=lambda_min, power_converged=converged)
+
+    def _lanczos(self, y: np.ndarray) -> tuple[float, bool]:
+        """Residual-corrected Lanczos estimate of lambda_min(diag(y) - M), and
+        whether the residual met ``LANCZOS_TOL * max(1, |theta|)``."""
+        # imported here: at module level scipy.sparse.linalg adds ~0.15 s and
+        # ~8.5 MB to `import ssbm`, which every sweep worker and CLI call pays
+        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+        M, n, u = self.M, self.M.dim, self.u
+        shift = y - M.diagonal()
+
+        def bmat(v):  # (diag(y) - M) v = (y - diag M) v - B v; y - diag M is >= 0
+            return shift * v - M.offdiag @ np.append(v, u @ v)
+
+        v = stream(0, "dual-init").standard_normal(n)
+        if n > 1:  # ARPACK needs dim > 1; at dim 1 any unit vector is exact
+            # ARPACK's stopping test is relative to |theta|, which is near 0 at an
+            # optimum; on B + I it becomes the absolute test applied below.  The
+            # lowest eigenvalues of B cluster near 0 (one per factor direction),
+            # and ARPACK's default 20 Lanczos vectors stalled on 3 of the 400
+            # solves of the criterion-9 sweep; 40 converged on all of them.
+            shifted = LinearOperator((n, n), matvec=lambda v: bmat(v) + v, dtype=np.float64)
+            try:
+                _, vecs = eigsh(shifted, k=1, which="SA", v0=v, tol=LANCZOS_TOL, ncv=min(n, 40))
+                v = vecs[:, 0]
+            except ArpackNoConvergence as exc:  # keep the Ritz vector, if any
+                if exc.eigenvectors.size:
+                    v = exc.eigenvectors[:, 0]
+        v = v / np.linalg.norm(v)
+        bv = bmat(v)
+        theta = float(v @ bv)
+        res = float(np.linalg.norm(bv - theta * v))
+        # some eigenvalue lies within res of theta; Lanczos targets the lowest
+        if res <= LANCZOS_TOL * max(1.0, abs(theta)):
+            return theta - res, True
+        # short of it (a stale Ritz vector, or the start) that eigenvalue need not
+        # be the lowest; Gershgorin's min_i (y_i - M_ii - lam_i) bounds it anyway
+        return min(theta - res, float((shift - M.offdiag_radii()).min())), False
 
 
 def round_leading_eigvec(sol: SdpSolution) -> np.ndarray:

@@ -12,6 +12,12 @@ of one small sweep, as computed at commit 8c44982: the CSV without its
 timestamp comment and its wall-clock ``runtime_ms`` column, the summary
 whole.  The solver sweeps' floats are those of one numpy and BLAS build at
 one BLAS thread; another build may round them differently.
+
+Each figure digest is SHA-256 over the ``figure.svg`` of the census and
+detection-boxes sweeps above, and each CLI digest SHA-256 over the stdout of
+one ``ssbm census|sdp|csdp|test`` run through ``cli.main``, as computed at
+commit f294300.  The ``ssbm sdp`` run at n = 1200 is above
+``DENSE_CERT_MAX``, so its certificate comes from the Lanczos path.
 """
 
 import hashlib
@@ -20,6 +26,7 @@ import os
 import numpy as np
 import pytest
 
+from ssbm import cli
 from ssbm import (ExperimentConfig, ModelParams, SolverConfig, census_estimate, run_sweep,
                   sample_instance)
 
@@ -76,3 +83,38 @@ def test_fixed_seed_sweeps_are_byte_identical(tmp_path, kind, grid, t, digest):
     h = hashlib.sha256(records.encode())
     h.update(summary)
     assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind, grid, t, digest", [
+    ("census-sweep", dict(n=(200,), a=(5.0,), b=(2.0,), rho=(0.3, 1.0)), 1,
+     "dc70ff9768769d6ad201c3dad0347171f27f4d22a04d3a71c0ca1ae91bf69724"),
+    ("census-sweep", dict(n=(200,), a=(5.0,), b=(2.0,), rho=(0.3,)), 2,
+     "f5ae30d7fa65be3eff2e9e99ce2a95cfa014d80c30b11159b432656cd2984298"),
+    ("detection-boxes", dict(n=(40,), a=(9.0,), b=(2.0,), rho=(0.25,)), 1,
+     "902fdbb1d28ff8d77d09ff9484141fd04a893e8f4b3c2735ac95e9561782cfc1"),
+], ids=["census-t1", "census-t2", "detection-boxes"])
+def test_fixed_seed_figures_are_byte_identical(tmp_path, kind, grid, t, digest):
+    cfg = ExperimentConfig(kind=kind, **grid, reps=2, solver=SolverConfig(restarts=2),
+                           out_dir=str(tmp_path), seed=5, t=t)
+    run_sweep(cfg)
+    with open(os.path.join(tmp_path, "figure.svg"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("census --n 3000 --a 5 --b 2 --rho 0.1 --seed 11 --t 1",
+     "5e986cabe19278b52f111e8beb05af07fe768f48e2dc6f07e8eb4afe7c335861"),
+    ("census --n 3000 --a 5 --b 2 --rho 0.1 --seed 11 --t 2",
+     "e7f84aa3d116c2ebe958e53916b87481e32f6660a8228dd9886f91cbe0636132"),
+    ("sdp --n 1200 --a 5 --b 2 --rho 0.25 --seed 1",
+     "169a4a59069839ce1f16c7a953759f293410236eb0137a5e803b0f2522880b14"),
+    ("csdp --n 200 --a 5 --b 2 --rho 0.25 --seed 3",
+     "da8701a43cecf13d8a0984b7aae5485e8c77cb7e80106f88f8f693ae4114644b"),
+    ("csdp --n 200 --a 5 --b 2 --rho 0 --seed 3",
+     "bdfc238345d43d43a1663715f99fec7c7f354cffa65375fe458e9945c440cdce"),
+    ("test --n 200 --a 9 --b 2 --rho 0.25 --seed 3",
+     "4f395914fa944b01a59fbfebf9fa59deadf3e6842d5afccce5e888d2e5957679"),
+], ids=["census-t1", "census-t2", "sdp-n1200", "csdp-rho0.25", "csdp-rho0", "test"])
+def test_fixed_seed_cli_output_is_byte_identical(capsys, argv, digest):
+    assert cli.main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

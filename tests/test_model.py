@@ -411,6 +411,26 @@ def test_graph_rejects_endpoint_arrays_of_unequal_length():
             Graph(4, ei, ej, Labels([1, -1, 1, -1]))
 
 
+def test_index_arrays_must_hold_integers():
+    # the int64 cast once truncated these without a word: the graph got the
+    # edges (0, 1) and (2, 3), and the operator the entry (0, 1)
+    labels = Labels([1, -1, 1, -1])
+    for ei, ej in (([0.7, 2.2], [1, 3.9]), ([0, 2], [1, 3.5]), (["0"], ["1"])):
+        with pytest.raises(ValueError, match="edge endpoints must be integers"):
+            Graph(4, ei, ej, labels)
+    with pytest.raises(ValueError, match="sparse indices must be integers"):
+        MatrixOperator(3, [0.5], [1.99], [1.0])
+    with pytest.raises(ValueError, match="kept indices must be integers"):
+        MatrixOperator(3, [0], [1], [1.0]).restrict([0.5, 1.9])
+    # a uint64 index that the cast wraps turns negative, out of range
+    with pytest.raises(ValueError, match="sparse entry out of range"):
+        MatrixOperator(3, np.array([2**63], dtype=np.uint64), [1], [1.0])
+    # integral floats, other integer types and bools stand for their integers
+    g = Graph(4, [0.0, 2.0], np.array([1, 3], dtype=np.uint8), labels)
+    assert g.ei.tolist() == [0, 2] and g.ej.tolist() == [1, 3]
+    assert MatrixOperator(3, [True], [2.0], [1.0]).rows.tolist() == [1]
+
+
 def test_graph_rejects_a_label_vector_of_the_wrong_length():
     with pytest.raises(ValueError, match="label vector length does not match vertex count"):
         Graph(6, [0], [1], Labels([1, -1, 1, -1]))

@@ -368,15 +368,15 @@ def _detection_operators():
 
 
 def _count_certificates(monkeypatch):
-    """Values of the solutions certify_dual is called on, in call order."""
+    """Values of the solutions a certifier certifies exactly, in call order."""
     values = []
-    real = sdp.certify_dual
+    real = sdp._Certifier.certify
 
-    def counting(M, sol, *args, **kwargs):
+    def counting(self, sol):
         values.append(sol.value)
-        return real(M, sol, *args, **kwargs)
+        return real(self, sol)
 
-    monkeypatch.setattr(sdp, "certify_dual", counting)
+    monkeypatch.setattr(sdp._Certifier, "certify", counting)
     return values
 
 
@@ -427,6 +427,27 @@ def test_every_restart_runs_while_uncertified(monkeypatch):
         assert abs(sol.value - ref) <= 1e-9 * abs(sol.value)
         assert sol.certificate.gap > CERT_GAP * abs(sol.value)
         assert sol.certificate.gap == sol.certificate.upper_bound - sol.value
+
+
+def test_a_solve_densifies_the_operator_once(monkeypatch):
+    # the in-loop check and the exact certificates of the three uncertified
+    # restarts share one dense copy of M
+    calls, restarts = [], _count_restarts(monkeypatch)
+    real = MatrixOperator.to_dense
+
+    def counting(self):
+        calls.append(self.dim)
+        return real(self)
+
+    monkeypatch.setattr(MatrixOperator, "to_dense", counting)
+    for n in (200, 600):
+        p = ModelParams(n=n, a=5, b=2, rho=0.25, seed=3)
+        M = centered_adjacency(sample_instance(p)[0], p.d)
+        calls.clear()
+        restarts.clear()
+        sol = solve_elliptope(M, SolverConfig(restarts=3, max_sweeps=3))
+        assert len(restarts) == 3 and calls == [n]
+        assert sol.certificate.gap > CERT_GAP * abs(sol.value)
 
 
 def _count_rejections(monkeypatch):
@@ -568,7 +589,7 @@ def test_cholesky_check_passes_only_within_the_exact_gap(data):
     value = float(t.sum() + M.diagonal().sum())
     budget = 10 ** data.draw(st.floats(-6, 0)) * max(1.0, abs(value))
     slack = budget - float((g - t).sum())
-    if slack >= budget / 2 and sdp._cholesky_certifies(-M.to_dense(), g, slack):
+    if slack >= budget / 2 and sdp._Certifier(M).check(g, slack):
         y = g + M.diagonal()
         lambda_min = float(np.linalg.eigvalsh(np.diag(y) - _dense_by_products(M))[0])
         gap = y.sum() - n * min(0.0, lambda_min) - value
@@ -579,13 +600,13 @@ def test_cholesky_check_passes_only_within_the_exact_gap(data):
 def _record_checks(monkeypatch):
     """Results of the solver's in-loop checks, in call order."""
     results = []
-    real = sdp._cholesky_certifies
+    real = sdp._Certifier.check
 
-    def recording(*args):
-        results.append(real(*args))
+    def recording(self, *args):
+        results.append(real(self, *args))
         return results[-1]
 
-    monkeypatch.setattr(sdp, "_cholesky_certifies", recording)
+    monkeypatch.setattr(sdp._Certifier, "check", recording)
     return results
 
 
