@@ -5,8 +5,9 @@ over the vertices at shortest-path distance exactly t from v (default t = 1),
 with a fair coin on ties.  The tallies cover the rows asked for (the
 unrevealed vertices), with no per-vertex search.  At t = 1 they are two
 bincounts over the edge list, one per orientation.  Above it they come from
-boolean sparse products over those rows only; the last product keeps only
-the voter (revealed) columns.  Alongside the estimator live its closed-form
+one breadth-first search over the pairs (row, vertex), a level at a time,
+each level one sort of packed int64 keys; the last level reaches the voter
+(revealed) vertices only.  Alongside the estimator live its closed-form
 accuracy predictions.
 """
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Graph, Labels, RevealedLabels, _csr, _store, snr
+from .model import Graph, Labels, RevealedLabels, _store, snr
 from .rng import coins
 
 
@@ -45,6 +46,9 @@ def overlap(estimates: np.ndarray, labels: Labels, rev: RevealedLabels) -> float
     return abs(int(truth @ estimates[unrev].astype(np.int64))) / max(unrev.size, 1)
 
 
+_VERTEX = (1 << 32) - 1  # the vertex field of a key shifted right by 1
+
+
 def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> np.ndarray:
     """Signed vote sums at distance exactly t, for the vertices ``rows``.
 
@@ -52,13 +56,14 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> n
     ``np.abs(votes)`` gives the voter counts instead.  ``rows`` are the
     sorted vertices whose tallies are wanted, returned in that order.  At
     t = 1 the tallies are A @ votes, taken on the edge list as two bincounts
-    (one per orientation) with no adjacency matrix built.  Above it, the
-    boolean shell_s holds the pairs (row, vertex) at distance exactly s:
-    shell_1 is A[rows], and shell_{s+1} is the pattern of shell_s A outside
-    ball_s = ball_{s-1} + shell_s (the pairs within distance s, ball_0 =
-    I[rows]).  The last step keeps only the voter columns R = nonzero(votes):
-    the tallies are
-    ((shell_{t-1} A[:, R]) > ball_{t-1}[:, R]) @ votes[R].
+    (one per orientation) with no adjacency matrix built.  Above it a
+    breadth-first search runs over the pairs (i, x), x at distance s from
+    ``rows[i]``, one shell_s of pairs per level, from shell_0 = {(i, rows[i])}.
+    A neighbour of a vertex at distance s lies at distance s - 1, s or s + 1,
+    so shell_{s+1} is the neighbours of shell_s outside shell_{s-1} and
+    shell_s (see :func:`_next_shell`).  The last level takes only the voter
+    neighbours and excludes only the voter pairs; the tally of row i is the
+    sum of ``votes`` over its pairs in shell_t.
     """
     if t < 1:
         raise ValueError("depth t must be >= 1")
@@ -70,16 +75,46 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> n
         tally = np.bincount(g.ei, weights=votes[g.ej], minlength=g.n)
         tally += np.bincount(g.ej, weights=votes[g.ei], minlength=g.n)
         return tally[rows].astype(np.int64)
-    adj = g.adjacency()
-    identity = (np.ones(rows.size, dtype=bool), rows, np.arange(rows.size + 1))
-    ball = _csr(identity, (rows.size, g.n))
-    shell = adj[rows]
-    for _ in range(t - 2):
-        ball = ball + shell
-        shell = (shell @ adj) > ball
-    ball = ball + shell
-    voters = np.flatnonzero(votes)
-    return ((shell @ adj[:, voters]) > ball[:, voters]) @ votes[voters]
+    # a pair (i, x) is the key (i << 33) | (x << 1), so keys sort by (i, x)
+    if g.n > 1 << 32 or rows.size > 1 << 30:
+        raise ValueError("the t >= 2 census packs a row index below 2**30 and a "
+                         "vertex below 2**32 into one int64 key")
+    indptr, nbr = g.neighbours()
+    voter = votes != 0
+    prev, shell = np.empty(0, dtype=np.int64), (np.arange(rows.size) << 33) | (rows << 1)
+    tagged = (nbr << 1) | 1
+    for _ in range(t - 1):
+        prev, shell = shell, _next_shell(shell, np.concatenate([prev, shell]), indptr, tagged)
+    # the last level on the voter neighbour lists, against the voter pairs
+    on = voter[nbr]
+    vptr = np.concatenate([[0], np.cumsum(on)])[indptr]
+    excl = np.concatenate([prev, shell])
+    excl = np.compress(voter[(excl >> 1) & _VERTEX], excl)
+    last = _next_shell(shell, excl, vptr, (np.compress(on, nbr) << 1) | 1)
+    # float sums of +-1 and 0, exact as at t = 1
+    tally = np.bincount(last >> 33, weights=votes[(last >> 1) & _VERTEX], minlength=rows.size)
+    return tally.astype(np.int64)
+
+
+def _next_shell(shell: np.ndarray, excl: np.ndarray, indptr: np.ndarray,
+                tagged: np.ndarray) -> np.ndarray:
+    """The sorted keys of the pairs (i, y) outside ``excl``, for (i, x) in
+    ``shell`` and y a neighbour of x, whose key fields (y << 1) | 1 are
+    ``tagged[indptr[x]:indptr[x + 1]]``.
+
+    Each candidate is tagged 1 in bit 0 and sorted with the tag-0 keys of
+    ``excl``, which sort just before it; a candidate is kept when the key
+    before it is of another pair.  That one sort both drops repeats and
+    excludes ``excl``."""
+    x = (shell >> 1) & _VERTEX
+    start, deg = indptr[x], indptr[x + 1] - indptr[x]
+    pos = np.arange(deg.sum()) + np.repeat(start - np.cumsum(deg) + deg, deg)
+    keys = np.concatenate([np.repeat(shell >> 33 << 33, deg) | tagged[pos], excl])
+    keys.sort()  # in place: np.sort would copy
+    keep = (keys & 1).astype(bool)
+    keep[1:] &= (keys[:-1] | 1) != keys[1:]
+    # np.compress: about twice as fast as a boolean index here
+    return np.compress(keep, keys) ^ 1
 
 
 def census_estimate(g: Graph, rev: RevealedLabels, t: int = 1, seed: int = 0) -> EstimateReport:

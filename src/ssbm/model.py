@@ -6,9 +6,9 @@ subset of m = 2*floor(rho*n/2) true labels is revealed.  This module holds the
 parameter/instance types, the seeded sampler, and the centered adjacency
 operator A - (d/n) 11^T used by the SDP machinery.  It is the one module that
 knows how a graph (a sorted edge list) and an operator are stored; the others
-reach the graph through ``Graph.adjacency`` and ``centered_adjacency``.  Every
-CSR matrix is built by ``_csr``, which imports ``scipy.sparse`` at its first
-call.
+reach the graph through ``Graph.neighbours`` and ``centered_adjacency``.  The
+one CSR matrix, ``MatrixOperator.offdiag``, imports ``scipy.sparse`` when it
+is first built.
 """
 
 from __future__ import annotations
@@ -43,16 +43,6 @@ def _indices(values, what: str) -> np.ndarray:
     if raw.dtype.kind not in "biu" and not np.array_equal(idx, raw):
         raise ValueError(f"{what} must be integers")
     return idx
-
-
-def _csr(entries, shape: tuple[int, int]) -> scipy.sparse.csr_matrix:
-    """``scipy.sparse.csr_matrix(entries, shape=shape)``: every CSR matrix
-    the package builds is built here."""
-    # imported here: at module level scipy.sparse adds ~0.12 s to `import
-    # ssbm`, which every sweep worker and CLI call pays, and a t = 1 census
-    # never builds a CSR matrix
-    import scipy.sparse
-    return scipy.sparse.csr_matrix(entries, shape=shape)
 
 
 def snr(a: float, b: float) -> float:
@@ -177,17 +167,15 @@ class Graph:
     def num_edges(self) -> int:
         return self.ei.size
 
-    def adjacency(self) -> scipy.sparse.csr_matrix:
-        """The n x n boolean adjacency matrix, with sorted columns in each row:
-        one COO to CSR conversion of the edges in both orientations.
-
-        The conversion keeps input order within a row, so listing the
-        lower-triangle entries (ej, ei) first, both halves in edge-list
-        order, leaves every row sorted and scipy does not sort again."""
-        rows = np.concatenate([self.ej, self.ei])
-        cols = np.concatenate([self.ei, self.ej])
-        entries = (np.ones(rows.size, dtype=bool), (rows, cols))
-        return _csr(entries, (self.n, self.n))
+    def neighbours(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted neighbour lists as ``(indptr, nbr)``: the neighbours of v
+        are ``nbr[indptr[v]:indptr[v + 1]]``, ascending, both arrays int64.
+        One sort of the edge keys v * n + w in both orientations."""
+        n = self.n
+        keys = np.concatenate([self.ei * n + self.ej, self.ej * n + self.ei])
+        keys.sort()  # in place: np.sort would copy
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
+        return indptr, keys % n
 
 
 @dataclass(frozen=True)
@@ -262,10 +250,11 @@ class MatrixOperator:
         # coalesce duplicates, each pair's weights summed in input order
         keys = lo * self.dim + hi
         order = np.argsort(keys, kind="stable")
-        keys, first = np.unique(keys[order], return_index=True)
+        keys = keys[order]
+        first = np.flatnonzero(np.diff(keys, prepend=-1))  # group starts; keys >= 0
         w = np.add.reduceat(w[order], first)
         nz = w != 0.0
-        lo, hi = np.divmod(keys[nz], self.dim)
+        lo, hi = np.divmod(keys[first[nz]], self.dim)
         _store(self, "rows", lo)
         _store(self, "cols", hi)
         _store(self, "weights", w[nz])
@@ -303,8 +292,12 @@ class MatrixOperator:
             rows += [idx, idx]
             cols += [idx, np.full(n, n)]
             data += [-coeff * u * u, coeff * u]
+        # imported here: at module level scipy.sparse adds ~0.12 s to `import
+        # ssbm`, which every sweep worker and CLI call pays, and a census
+        # never builds this matrix
+        import scipy.sparse
         entries = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
-        return _csr(entries, (n, n + 1))
+        return scipy.sparse.csr_matrix(entries, shape=(n, n + 1))
 
     def diagonal(self) -> np.ndarray:
         """Full matrix diagonal: sparse + rank-one + shift contributions."""
@@ -376,10 +369,15 @@ class MatrixOperator:
         return MatrixOperator(dim, r, c, w, rank1=r1, diag_shift=self.diag_shift)
 
     def restrict(self, keep: np.ndarray) -> "MatrixOperator":
-        """Principal submatrix on the sorted index set ``keep``."""
+        """Principal submatrix on the sorted index set ``keep``; ValueError on
+        an index outside [0, dim) or a repeated one."""
         keep = _indices(keep, "kept indices")
+        if keep.size and (keep.min() < 0 or keep.max() >= self.dim):
+            raise ValueError(f"kept index out of range [0, {self.dim})")
         col = np.full(self.dim, -1, dtype=np.int64)
         col[keep] = np.arange(keep.size)
+        if np.count_nonzero(col >= 0) != keep.size:
+            raise ValueError("kept indices must be distinct")
         return self.congruence(col, None, keep.size)
 
 

@@ -274,6 +274,20 @@ def test_operator_coalesces_duplicates_and_restricts():
     assert np.allclose(sub.to_dense(), ref)
 
 
+def test_restrict_rejects_out_of_range_and_repeated_indices():
+    # restrict([-1]) once gave vertex 2's entry, restrict([0, 0]) an empty
+    # row, and restrict([3]) numpy's IndexError
+    op = MatrixOperator(3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 3.0])
+    for keep in ([-1], [3], [0, 5]):
+        with pytest.raises(ValueError, match=r"kept index out of range \[0, 3\)"):
+            op.restrict(keep)
+    for keep in ([0, 0], [2, 1, 2]):
+        with pytest.raises(ValueError, match="kept indices must be distinct"):
+            op.restrict(keep)
+    assert op.restrict([]).dim == 0
+    assert op.restrict([2]).to_dense().tolist() == [[3.0]]
+
+
 def test_centered_adjacency_k4():
     g, _ = sample_instance(ModelParams(n=4, a=4, b=4, seed=0))
     M = centered_adjacency(g, 3.0)
@@ -335,7 +349,7 @@ def test_serialization_round_trip_on_drawn_instances(half, a_frac, b_frac, rho, 
 
 
 def _lexsort_csr(n, ei, ej, w):
-    """A stable two-key symmetric CSR builder, the reference for ``adjacency``."""
+    """A stable two-key symmetric CSR builder, the reference for ``neighbours``."""
     heads = np.concatenate([ei, ej])
     tails = np.concatenate([ej, ei])
     order = np.lexsort((tails, heads))
@@ -358,7 +372,9 @@ def test_adjacency_matches_lexsort_builder():
         cases.append(Graph(n, [], [], labels[n]))
     cases += [sample_instance(ModelParams(n=300, a=9, b=2, seed=s))[0] for s in range(3)]
     for g in cases:
-        got = g.adjacency()
+        indptr, nbr = g.neighbours()
+        got = scipy.sparse.csr_matrix((np.ones(nbr.size, dtype=bool), nbr, indptr),
+                                      shape=(g.n, g.n))
         ref = _lexsort_csr(g.n, g.ei, g.ej, np.ones(g.num_edges, dtype=bool))
         assert got.shape == (g.n, g.n)
         for name in ("indptr", "indices", "data"):
@@ -382,8 +398,10 @@ def test_graph_canonicalises_any_order_and_orientation(data):
     dense = np.zeros((n, n), dtype=bool)
     for i, j in pairs:
         dense[i, j] = dense[j, i] = True
-    adj = g.adjacency()
-    assert adj.dtype == bool and np.array_equal(adj.toarray(), dense)
+    indptr, nbr = g.neighbours()
+    got = np.zeros((n, n), dtype=bool)
+    got[np.repeat(np.arange(n), np.diff(indptr)), nbr] = True
+    assert indptr.dtype == nbr.dtype == np.int64 and np.array_equal(got, dense)
 
 
 def test_graph_rejects_self_loops_and_repeated_edges():

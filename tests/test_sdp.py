@@ -670,15 +670,16 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-def test_t1_census_sweep_loads_neither_scipy_nor_a_process_pool(tmp_path):
-    # `import scipy.sparse` was 0.12 s of a 0.27 s `import ssbm` when
-    # measured, and a t = 1 census builds no CSR matrix; a sweep at
-    # workers = 1 starts no pool.  The solve afterwards shows the import is
-    # deferred to the first CSR build, not lost.
+@pytest.mark.parametrize("t", [1, 2])
+def test_census_sweep_loads_neither_scipy_nor_a_process_pool(tmp_path, t):
+    # `import scipy.sparse` was 0.12 s of a 0.27 s `import ssbm` and 13 MB of
+    # a t = 2 census sweep's peak RSS when measured, and no census builds a
+    # CSR matrix; a sweep at workers = 1 starts no pool.  The solve afterwards
+    # shows the import is deferred to the first CSR build, not lost.
     code = ("import sys, ssbm\n"
             "cfg = ssbm.ExperimentConfig(kind='census-sweep', n=(200,), a=(5.0,), b=(2.0,),\n"
             "    rho=(0.1, 0.5), reps=2, solver=ssbm.SolverConfig(), out_dir=sys.argv[1],\n"
-            "    seed=3, t=1, workers=1)\n"
+            f"    seed=3, t={t}, workers=1)\n"
             "ssbm.run_sweep(cfg)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
             "             or m == 'concurrent.futures.process'))\n"
@@ -690,6 +691,19 @@ def test_t1_census_sweep_loads_neither_scipy_nor_a_process_pool(tmp_path):
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.split("\n")[:2] == ["[]", "True"]
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_census_cli_loads_no_scipy(t):
+    code = ("import contextlib, io, sys\n"
+            "from ssbm.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main(['census', '--n', '400', '--a', '5', '--b', '2', '--rho', '0.3',"
+            f" '--seed', '2', '--t', '{t}'])\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "0 []"
 
 
 def test_round_leading_eigvec_conventions():
