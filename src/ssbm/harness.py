@@ -125,7 +125,9 @@ def read_csv(path) -> list[ResultRecord]:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A sweep: kind, parameter grid (cartesian product of the lists),
-    replications per cell, solver settings, output directory, master seed."""
+    replications per cell, solver settings, output directory, master seed.
+    A sweep ignores ``solver.seed``: each solve's seed derives from the
+    master seed, cell and replication (the matched-null graph's too)."""
 
     kind: str
     n: tuple[int, ...]
@@ -228,15 +230,12 @@ def _cell_task(cfg: ExperimentConfig, ci: int, cell, rep: int):
 
 
 def _cell_task_inner(cfg: ExperimentConfig, ci: int, cell, rep: int, iseed: int, base: dict):
-    n, a, b, rho = cell
+    p = ModelParams(*cell, seed=iseed)
     solver = dataclasses.replace(cfg.solver, seed=derive_key(iseed, "solver"))
     records, extras = [], None
-
-    def sbm_instance():
-        return sample_instance(ModelParams(n=n, a=a, b=b, rho=rho, seed=iseed))
+    g, rev = sample_instance(p)
 
     if cfg.kind == "census-sweep":
-        g, rev = sbm_instance()
         t0 = time.perf_counter()
         report = census_estimate(g, rev, t=cfg.t, seed=iseed)
         records.append(ResultRecord(
@@ -244,23 +243,18 @@ def _cell_task_inner(cfg: ExperimentConfig, ci: int, cell, rep: int, iseed: int,
             truth_model="sbm", runtime_ms=(time.perf_counter() - t0) * 1e3, **base))
 
     elif cfg.kind == "phase-grid":
-        g, rev = sbm_instance()
-        records.extend(_solve_pair(g, rev, cell, iseed, base, solver, "sbm"))
+        records.extend(_solve_pair(g, rev, p, iseed, base, solver, "sbm"))
 
     elif cfg.kind == "detection-boxes":
-        d = 0.5 * (a + b)
-        g, rev = sbm_instance()
-        records.extend(_solve_pair(g, rev, cell, iseed, base, solver, "sbm"))
+        records.extend(_solve_pair(g, rev, p, iseed, base, solver, "sbm"))
         nseed = derive_key(cfg.seed, "sweep", ci, rep, "erm")
-        g0, rev0 = sample_instance(ModelParams(n=n, a=d, b=d, rho=rho, seed=nseed))
+        g0, rev0 = sample_instance(dataclasses.replace(p, a=p.d, b=p.d, seed=nseed))
         nsolver = dataclasses.replace(cfg.solver, seed=derive_key(nseed, "solver"))
-        records.extend(_solve_pair(g0, rev0, cell, nseed, base, nsolver, "erm"))
+        records.extend(_solve_pair(g0, rev0, p, nseed, base, nsolver, "erm"))
 
     elif cfg.kind == "sandwich-audit":
-        g, rev = sbm_instance()
-        d = 0.5 * (a + b)
         t0 = time.perf_counter()
-        report = sandwich_check(g, rev, d, solver)
+        report = sandwich_check(g, rev, p.d, solver)
         records.append(ResultRecord(
             seed=iseed, algorithm="csdp", sdp_value=report.upper, csdp_value=report.mid,
             margin00=report.margin00, test_decision=int(report.holds), truth_model="sbm",
@@ -272,11 +266,10 @@ def _cell_task_inner(cfg: ExperimentConfig, ci: int, cell, rep: int, iseed: int,
     return records, extras
 
 
-def _solve_pair(g, rev, cell, iseed, base, solver, truth_model):
-    """Unsupervised SDP and constrained CSDP rows for one instance."""
-    n, a, b, rho = cell
-    d = 0.5 * (a + b)
-    M = centered_adjacency(g, d)
+def _solve_pair(g, rev, p, iseed, base, solver, truth_model):
+    """Unsupervised SDP and constrained CSDP rows for one instance of a cell
+    whose parameters are ``p``."""
+    M = centered_adjacency(g, p.d)
     out = []
 
     t0 = time.perf_counter()
@@ -296,7 +289,7 @@ def _solve_pair(g, rev, cell, iseed, base, solver, truth_model):
         csol = solve_csdp(M, rev, solver)
         value, margin00 = csol.value, csol.margin00
         overlap_csdp = estimate_unrevealed(csol, rev, g.labels, seed=iseed).overlap
-    decision = detection_test(value, n, a, b).decision if a > b else None
+    decision = detection_test(value, p.n, p.a, p.b).decision if p.a > p.b else None
     out.append(ResultRecord(
         seed=iseed, algorithm="csdp", overlap_unrevealed=overlap_csdp,
         csdp_value=value, margin00=margin00, test_decision=decision,

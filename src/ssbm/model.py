@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
@@ -217,11 +217,12 @@ class RevealedLabels:
 
 @dataclass(frozen=True)
 class MatrixOperator:
-    """Symmetric matrix in sparse + rank-one + diagonal-shift form.
+    """Symmetric matrix in sparse + rank-one form.
 
-    Dense entry: ``M[i, j] = S[i, j] + c * u[i] * u[j] + diag_shift * (i == j)``
-    where S is symmetric and stored once per unordered pair (rows <= cols),
-    sorted by (rows, cols), in read-only arrays of the operator's own.
+    Dense entry: ``M[i, j] = S[i, j] + c * u[i] * u[j]`` where S is symmetric
+    and stored once per unordered pair (rows <= cols), sorted by (rows, cols),
+    in read-only arrays of the operator's own, and ``rank1 = (u, c)``, which
+    is (0, 0.0) when none is given.
     Duplicate entries in the input are summed in input order; exact zeros
     are dropped.  Every product with M goes through ``offdiag``, built once
     and cached: M S = offdiag @ [S; u^T S] + diag(M) S, in O((nnz + dim) k)
@@ -234,7 +235,9 @@ class MatrixOperator:
     cols: np.ndarray
     weights: np.ndarray
     rank1: tuple[np.ndarray, float] | None = None
-    diag_shift: float = 0.0
+    # not a field: 0.0 for every operator; only the solve hash of
+    # bench/run.py (repeated_solves) reads it
+    diag_shift: ClassVar[float] = 0.0
 
     def __post_init__(self):
         if self.dim < 0:
@@ -258,11 +261,10 @@ class MatrixOperator:
         _store(self, "rows", lo)
         _store(self, "cols", hi)
         _store(self, "weights", w[nz])
-        if self.rank1 is not None:
-            u, coeff = self.rank1
-            u = _store(self, "rank1", np.array(u, dtype=np.float64), float(coeff))
-            if u.size != self.dim:
-                raise ValueError("rank-one vector length does not match dim")
+        u, coeff = self.rank1 or (np.zeros(self.dim), 0)
+        u = _store(self, "rank1", np.array(u, dtype=np.float64), float(coeff))
+        if u.size != self.dim:
+            raise ValueError("rank-one vector length does not match dim")
 
     @classmethod
     def from_dense(cls, M) -> "MatrixOperator":
@@ -279,19 +281,16 @@ class MatrixOperator:
     def offdiag(self) -> scipy.sparse.csr_matrix:
         """The off-diagonal part B of M as one dim x (dim + 1) CSR matrix
         W = [B_s - diag(c u*u) | c u], for B_s the off-diagonal sparse part
-        and c u u^T the rank-one part (last column empty without one), so
+        and c u u^T the rank-one part (last column zero without one), so
         that ``offdiag @ [S; u^T S] = B S``.  Columns are sorted within each
         row, which fixes the summation order of every product against it."""
         n = self.dim
         off = self.rows != self.cols
         r, c, w = self.rows[off], self.cols[off], self.weights[off]
-        rows, cols, data = [r, c], [c, r], [w, w]
-        if self.rank1 is not None:
-            u, coeff = self.rank1
-            idx = np.arange(n)
-            rows += [idx, idx]
-            cols += [idx, np.full(n, n)]
-            data += [-coeff * u * u, coeff * u]
+        u, coeff = self.rank1
+        idx = np.arange(n)
+        rows, cols = [r, c, idx, idx], [c, r, idx, np.full(n, n)]
+        data = [w, w, -coeff * u * u, coeff * u]
         # imported here: at module level scipy.sparse adds ~0.12 s to `import
         # ssbm`, which every sweep worker and CLI call pays, and a census
         # never builds this matrix
@@ -300,14 +299,12 @@ class MatrixOperator:
         return scipy.sparse.csr_matrix(entries, shape=(n, n + 1))
 
     def diagonal(self) -> np.ndarray:
-        """Full matrix diagonal: sparse + rank-one + shift contributions."""
+        """Full matrix diagonal: sparse + rank-one contributions."""
         d = np.zeros(self.dim)
         on = self.rows == self.cols
         d[self.rows[on]] = self.weights[on]
-        if self.rank1 is not None:
-            u, c = self.rank1
-            d += c * u * u
-        d += self.diag_shift
+        u, c = self.rank1
+        d += c * u * u
         return d
 
     def offdiag_radii(self) -> np.ndarray:
@@ -318,25 +315,20 @@ class MatrixOperator:
         w = np.abs(self.weights[off])
         lam = (np.bincount(self.rows[off], weights=w, minlength=self.dim)
                + np.bincount(self.cols[off], weights=w, minlength=self.dim))
-        if self.rank1 is not None:
-            u, c = self.rank1
-            au = np.abs(u)
-            lam = lam + abs(c) * au * (au.sum() - au)
-        return lam
+        u, c = self.rank1
+        au = np.abs(u)
+        return lam + abs(c) * au * (au.sum() - au)
 
     def to_dense(self) -> np.ndarray:
         """The dense matrix, built in place: one dim x dim array, plus one
-        temporary of that size for a rank-one part."""
+        temporary of that size for the rank-one part."""
         D = np.zeros((self.dim, self.dim))
         D[self.rows, self.cols] = self.weights
         D[self.cols, self.rows] = self.weights
-        if self.rank1 is not None:
-            u, c = self.rank1
-            uu = np.outer(u, u)
-            uu *= c
-            D += uu
-        if self.diag_shift:
-            D[np.diag_indices(self.dim)] += self.diag_shift
+        u, c = self.rank1
+        uu = np.outer(u, u)
+        uu *= c
+        D += uu
         return D
 
     def congruence(self, col, sign, dim: int) -> "MatrixOperator":
@@ -346,8 +338,7 @@ class MatrixOperator:
 
         Stored pairs are relabelled and left to the constructor to coalesce; an
         off-diagonal pair whose ends land on one index counts twice there, once
-        per ordered pair.  The rank-one vector maps to P^T u and the shift I to
-        the diagonal P^T P, which counts the vertices sent to each index.
+        per ordered pair.  The rank-one vector maps to P^T u.
         """
         col = _indices(col, "target indices")
         s = np.ones(self.dim) if sign is None else np.asarray(sign, dtype=np.float64)
@@ -357,16 +348,9 @@ class MatrixOperator:
         w = self.weights[kept] * s[rows] * s[cols]
         w[(r == c) & (rows != cols)] *= 2.0
         on = col >= 0
-        r1 = None
-        if self.rank1 is not None:
-            u, coeff = self.rank1
-            r1 = (np.bincount(col[on], weights=(s * u)[on], minlength=dim), coeff)
-        if self.diag_shift:
-            counts = np.bincount(col[on], minlength=dim)
-            stacked = np.flatnonzero(counts != 1)
-            r, c = np.concatenate([r, stacked]), np.concatenate([c, stacked])
-            w = np.concatenate([w, self.diag_shift * (counts[stacked] - 1.0)])
-        return MatrixOperator(dim, r, c, w, rank1=r1, diag_shift=self.diag_shift)
+        u, coeff = self.rank1
+        r1 = (np.bincount(col[on], weights=(s * u)[on], minlength=dim), coeff)
+        return MatrixOperator(dim, r, c, w, rank1=r1)
 
     def restrict(self, keep: np.ndarray) -> "MatrixOperator":
         """Principal submatrix on the sorted index set ``keep``; ValueError on

@@ -203,10 +203,9 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
     n = M.dim
     if n == 0:
         raise ValueError("cannot solve an empty (dimension-zero) problem")
-    if not (np.all(np.isfinite(M.weights)) and math.isfinite(M.diag_shift)):
+    u, c = M.rank1
+    if not (np.all(np.isfinite(M.weights)) and np.all(np.isfinite(u)) and math.isfinite(c)):
         raise NumericError("operator has non-finite entries")
-    if M.rank1 is not None and not (np.all(np.isfinite(M.rank1[0])) and math.isfinite(M.rank1[1])):
-        raise NumericError("operator rank-one part has non-finite entries")
 
     k = cfg.rank_for(n)
     W, lam = M.offdiag, M.offdiag_radii()
@@ -216,9 +215,8 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
     # mixed candidate normalises each row it moves.  So
     # <M, S S^T> = sum_i t_i + sum_i M_ii with t_i = <s_i, g_i>.
     diag_sum = float(M.diagonal().sum())
-    buf = np.zeros((n + 1, k))  # [S; u^T S]; the last row stays 0 without a rank-one part
+    buf = np.zeros((n + 1, k))  # [S; u^T S]
     S = buf[:n]
-    u = None if M.rank1 is None else M.rank1[0]
     certifier = _Certifier(M)
     target = CERT_GAP * min(1.0, cfg.tol / 1e-6)
     spacing = max(10, n // 16)  # a check at dim 1000 costs about 30 sweeps
@@ -237,8 +235,7 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
         # half the budget, which schedules the first Cholesky check
         check = 0
         for sweeps in range(cfg.max_sweeps + 1):
-            if u is not None:
-                np.matmul(u, S, out=buf[n])
+            np.matmul(u, S, out=buf[n])
             G = W @ buf
             t = np.einsum("ij,ij->i", S, G)
             val = float(t.sum()) + diag_sum
@@ -411,7 +408,7 @@ class _Certifier:
 
     def __init__(self, M: MatrixOperator):
         self.M = M
-        self.u = np.zeros(M.dim) if M.rank1 is None else M.rank1[0]
+        self.u = M.rank1[0]
         self.negM = None  # -M, whose diagonal each method overwrites
         if M.dim <= DENSE_CERT_MAX:
             self.negM = M.to_dense()

@@ -103,8 +103,7 @@ def test_aggregate_matches_dense_reference_on_random_matrices(data):
         u = np.array(data.draw(st.lists(st.floats(-2, 2, allow_nan=False),
                                         min_size=n, max_size=n)))
         rank1 = (u, data.draw(st.floats(-1, 1, allow_nan=False)))
-    shift = data.draw(st.one_of(st.just(0.0), st.floats(-3, 3, allow_nan=False)))
-    M = MatrixOperator(n, base.rows, base.cols, base.weights, rank1=rank1, diag_shift=shift)
+    M = MatrixOperator(n, base.rows, base.cols, base.weights, rank1=rank1)
     labels = np.array(data.draw(st.permutations([1] * half + [-1] * half)), dtype=np.int8)
     k = data.draw(st.integers(0, half))  # revealed per community
     rv = np.zeros(n, dtype=np.int8)

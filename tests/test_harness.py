@@ -206,6 +206,16 @@ def test_reproducibility_byte_identical_modulo_volatile(tmp_path):
     assert text1 == text2
 
 
+def test_sweep_ignores_the_solver_seed(tmp_path):
+    # every solve, the matched null's included, seeds from the master seed
+    for name, seed in (("a", 0), ("b", 12345)):
+        run_sweep(_cfg(tmp_path / name, kind="detection-boxes", rho=(0.25,), reps=2,
+                       solver=SolverConfig(restarts=1, seed=seed)))
+    text1 = _strip_volatile(tmp_path / "a" / "out" / "records.csv")
+    text2 = _strip_volatile(tmp_path / "b" / "out" / "records.csv")
+    assert text1 == text2
+
+
 def test_parallel_matches_serial(tmp_path):
     serial = run_sweep(_cfg(tmp_path / "s", kind="detection-boxes",
                             rho=(0.25,), reps=2, workers=1))

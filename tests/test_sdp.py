@@ -83,8 +83,7 @@ def _offdiag(A):
 
 def _gradient(M, S):
     """G = B S for the off-diagonal part B of M: one product with M.offdiag."""
-    u = np.zeros(M.dim) if M.rank1 is None else M.rank1[0]
-    return M.offdiag @ np.vstack([S, u @ S])
+    return M.offdiag @ np.vstack([S, M.rank1[0] @ S])
 
 
 def _dense_shift(M):
@@ -221,8 +220,8 @@ def test_scaling_equivariance():
 @given(st.data())
 def test_gershgorin_radii_match_dense_algebra(data):
     # the solver's radii lam on sparse pairs with duplicates and diagonal
-    # entries, rows past `live` empty, a nonzero shift, and with and without
-    # a rank-one part (test_model checks the product with M.offdiag)
+    # entries, rows past `live` empty, and with and without a rank-one part
+    # (test_model checks the product with M.offdiag)
     n = data.draw(st.integers(1, 8))
     live = data.draw(st.integers(1, n))
     index = st.integers(0, live - 1)
@@ -233,8 +232,7 @@ def test_gershgorin_radii_match_dense_algebra(data):
     if data.draw(st.booleans()):
         u = np.array(data.draw(st.lists(st.floats(-2, 2, allow_nan=False), min_size=n, max_size=n)))
         rank1 = (u, data.draw(st.floats(-1, 1, allow_nan=False)))
-    shift = data.draw(st.floats(-3, 3, allow_nan=False).filter(bool))
-    M = MatrixOperator(n, rows, cols, weights, rank1=rank1, diag_shift=shift)
+    M = MatrixOperator(n, rows, cols, weights, rank1=rank1)
     B, ref_lam = _dense_shift(M)
     scale = max(1.0, float((np.abs(B).sum(axis=1) + ref_lam).max()))
     assert np.allclose(M.offdiag_radii(), ref_lam, rtol=0, atol=1e-12 * scale)
@@ -300,8 +298,7 @@ def test_zero_gradient_rows_stay_put():
     # (isolated: only a diagonal entry, no rank-one part), has an exactly zero
     # gradient at every step, so each keeps its normalised initial row
     cases = ((MatrixOperator.from_dense(np.zeros((3, 3))), [0, 1, 2]),
-             (MatrixOperator(4, [0, 1, 2, 0], [1, 3, 2, 3], [1.0, -2.0, 4.0, 0.5],
-                             diag_shift=0.5), [2]))
+             (MatrixOperator(4, [0, 1, 2, 0], [1, 3, 2, 3], [1.0, -2.0, 4.0, 0.5]), [2]))
     cfg = SolverConfig(seed=0)
     for M, isolated in cases:
         sol = solve_elliptope(M, cfg)
@@ -482,7 +479,7 @@ def test_rejected_candidates_fall_back_to_the_plain_step(monkeypatch):
         assert not _drops(sol.objective_history).any()
         assert sol.objective_history[-1] == sol.value
         assert sol.certificate.gap <= CERT_GAP * max(1.0, abs(sol.value))
-    assert randoms[5].rank1 is not None
+    assert randoms[5].rank1[1] != 0
 
 
 def test_mixing_halves_the_sweeps_on_detection_operators():
@@ -505,8 +502,7 @@ def _random_operator(rng, n):
 
 def _dense_by_products(M):
     """The dense matrix through M.offdiag and diagonal(), not to_dense."""
-    u = np.zeros(M.dim) if M.rank1 is None else M.rank1[0]
-    return M.offdiag @ np.vstack([np.eye(M.dim), u]) + np.diag(M.diagonal())
+    return M.offdiag @ np.vstack([np.eye(M.dim), M.rank1[0]]) + np.diag(M.diagonal())
 
 
 def test_dense_certificate_is_exact_on_small_operators():
