@@ -5,8 +5,9 @@ over the vertices at shortest-path distance exactly t from v (default t = 1),
 with a fair coin on ties.  The tallies cover the rows asked for (the
 unrevealed vertices), with no per-vertex search.  At t = 1 they are two
 bincounts over the edge list, one per orientation.  Above it they come from
-one breadth-first search over the pairs (row, vertex), a level at a time,
-each level one sort of packed int64 keys; the last level reaches the voter
+one breadth-first search over the pairs (row, vertex), a level at a time:
+the first level is the rows' neighbour lists as they stand, each later level
+one sort of packed int64 keys, and the last level reaches the voter
 (revealed) vertices only.  Alongside the estimator live its closed-form
 accuracy predictions.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Graph, Labels, RevealedLabels, _store, snr
+from .model import Graph, Labels, RevealedLabels, _indices, _store, snr
 from .rng import coins
 
 
@@ -54,37 +55,49 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> n
 
     ``votes`` is any length-n vector in {+1, 0, -1}; zeros do not vote, and
     ``np.abs(votes)`` gives the voter counts instead.  ``rows`` are the
-    sorted vertices whose tallies are wanted, returned in that order.  At
-    t = 1 the tallies are A @ votes, taken on the edge list as two bincounts
-    (one per orientation) with no adjacency matrix built.  Above it a
-    breadth-first search runs over the pairs (i, x), x at distance s from
-    ``rows[i]``, one shell_s of pairs per level, from shell_0 = {(i, rows[i])}.
-    A neighbour of a vertex at distance s lies at distance s - 1, s or s + 1,
-    so shell_{s+1} is the neighbours of shell_s outside shell_{s-1} and
-    shell_s (see :func:`_next_shell`).  The last level takes only the voter
-    neighbours and excludes only the voter pairs; the tally of row i is the
-    sum of ``votes`` over its pairs in shell_t.
+    sorted vertices whose tallies are wanted, returned in that order;
+    ValueError on a row that is not an integer in [0, n) or on votes of
+    another length.  At t = 1 the tallies are A @ votes, taken on the edge
+    list as two bincounts (one per orientation) with no adjacency matrix
+    built.  Above it a breadth-first search runs over the pairs (i, x), x at
+    distance s from ``rows[i]``, one shell_s of pairs per level, from
+    shell_0 = {(i, rows[i])}.  Shell_1 is the neighbour lists of the rows as
+    they stand: a simple graph's lists are sorted, hold no repeats and never
+    the vertex itself, so that level needs no sort.  A neighbour of a vertex
+    at distance s lies at distance s - 1, s or s + 1, so shell_{s+1} is the
+    neighbours of shell_s outside shell_{s-1} and shell_s (see
+    :func:`_next_shell`).  The last level takes only the voter neighbours
+    and excludes only the voter pairs; the tally of row i is the sum of
+    ``votes`` over its pairs in shell_t.
     """
     if t < 1:
         raise ValueError("depth t must be >= 1")
-    votes = np.asarray(votes).astype(np.int64)
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = _indices(rows, "rows")
+    # a pair (i, x) is the key (i << 33) | (x << 1), so keys sort by (i, x)
+    if t > 1 and (g.n > 1 << 32 or rows.size > 1 << 30):
+        raise ValueError("the t >= 2 census packs a row index below 2**30 and a "
+                         "vertex below 2**32 into one int64 key")
+    votes = np.asarray(votes)
+    if votes.shape != (g.n,):
+        raise ValueError(f"votes must be a vector of length {g.n}, got shape {votes.shape}")
+    if rows.size and (rows.min() < 0 or rows.max() >= g.n):
+        raise ValueError(f"row out of range [0, {g.n})")
+    votes = votes.astype(np.int64)
     if t == 1:
         # each edge (i, j) once: j votes at i and i at j; the float sums are
         # exact, |tally| <= n - 1 < 2**53
         tally = np.bincount(g.ei, weights=votes[g.ej], minlength=g.n)
         tally += np.bincount(g.ej, weights=votes[g.ei], minlength=g.n)
         return tally[rows].astype(np.int64)
-    # a pair (i, x) is the key (i << 33) | (x << 1), so keys sort by (i, x)
-    if g.n > 1 << 32 or rows.size > 1 << 30:
-        raise ValueError("the t >= 2 census packs a row index below 2**30 and a "
-                         "vertex below 2**32 into one int64 key")
     indptr, nbr = g.neighbours()
     voter = votes != 0
-    prev, shell = np.empty(0, dtype=np.int64), (np.arange(rows.size) << 33) | (rows << 1)
-    tagged = (nbr << 1) | 1
-    for _ in range(t - 1):
-        prev, shell = shell, _next_shell(shell, np.concatenate([prev, shell]), indptr, tagged)
+    ids = np.arange(rows.size) << 33
+    deg, pos = _segments(indptr, rows)
+    prev, shell = ids | (rows << 1), np.repeat(ids, deg) | (nbr[pos] << 1)
+    if t > 2:
+        tagged = (nbr << 1) | 1
+        for _ in range(t - 2):
+            prev, shell = shell, _next_shell(shell, np.concatenate([prev, shell]), indptr, tagged)
     # the last level on the voter neighbour lists, against the voter pairs
     on = voter[nbr]
     vptr = np.concatenate([[0], np.cumsum(on)])[indptr]
@@ -94,6 +107,15 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> n
     # float sums of +-1 and 0, exact as at t = 1
     tally = np.bincount(last >> 33, weights=votes[(last >> 1) & _VERTEX], minlength=rows.size)
     return tally.astype(np.int64)
+
+
+def _segments(indptr: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The segment lengths ``deg[k] = indptr[x[k] + 1] - indptr[x[k]]`` and
+    the positions of the segments ``indptr[x[k]]:indptr[x[k] + 1]``, laid end
+    to end in the order of ``x``."""
+    start, deg = indptr[x], indptr[x + 1] - indptr[x]
+    pos = np.arange(deg.sum()) + np.repeat(start - np.cumsum(deg) + deg, deg)
+    return deg, pos
 
 
 def _next_shell(shell: np.ndarray, excl: np.ndarray, indptr: np.ndarray,
@@ -106,9 +128,7 @@ def _next_shell(shell: np.ndarray, excl: np.ndarray, indptr: np.ndarray,
     ``excl``, which sort just before it; a candidate is kept when the key
     before it is of another pair.  That one sort both drops repeats and
     excludes ``excl``."""
-    x = (shell >> 1) & _VERTEX
-    start, deg = indptr[x], indptr[x + 1] - indptr[x]
-    pos = np.arange(deg.sum()) + np.repeat(start - np.cumsum(deg) + deg, deg)
+    deg, pos = _segments(indptr, (shell >> 1) & _VERTEX)
     keys = np.concatenate([np.repeat(shell >> 33 << 33, deg) | tagged[pos], excl])
     keys.sort()  # in place: np.sort would copy
     keep = (keys & 1).astype(bool)
@@ -123,10 +143,13 @@ def census_estimate(g: Graph, rev: RevealedLabels, t: int = 1, seed: int = 0) ->
     Ties (zero margin) get the fair coin ``coin(seed, "census-tie", v)`` keyed
     by the vertex index, so no vertex's coin perturbs another's; :func:`coins`
     draws them all in one array operation.  Revealed labels are copied through;
-    overlap is computed on the unrevealed vertices only.
+    overlap is computed on the unrevealed vertices only.  ValueError when the
+    reveal's length differs from the graph's.
     """
     if t < 1:
         raise ValueError("depth t must be >= 1")
+    if rev.n != g.n:
+        raise ValueError(f"reveal length {rev.n} does not match the graph's {g.n} vertices")
     unrev = rev.unrevealed()
     if unrev.size == 0:
         raise ValueError("all vertices are revealed; nothing to estimate")

@@ -344,8 +344,9 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     if error_extras:
         summary["errors"] = error_extras
     write_csv(csv_path, records)
+    # one write: json.dump would make about a thousand small ones
     with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2)
+        fh.write(json.dumps(summary, indent=2))
     svg = _figure_svg(cfg, summary)
     if svg is not None:
         with open(os.path.join(cfg.out_dir, "figure.svg"), "w") as fh:

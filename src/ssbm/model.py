@@ -45,6 +45,28 @@ def _indices(values, what: str) -> np.ndarray:
     return idx
 
 
+_LOW = (1 << 32) - 1  # the hi field of a key made by _pack
+
+
+def _check_size(size: int, what: str) -> None:
+    """ValueError when the indices below ``size`` would not all pack into
+    :func:`_pack`'s keys."""
+    if size > 1 << 31:
+        raise ValueError(f"{what} must be at most 2**31 for pairs to pack "
+                         f"into one int64 key, got {size}")
+
+
+def _pack(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The int64 keys ``(lo << 32) | hi`` of index pairs below 2**31, which
+    sort by (lo, hi); :func:`_unpack` reads them back."""
+    return (lo << 32) | hi
+
+
+def _unpack(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (lo, hi) of the keys made by :func:`_pack`."""
+    return keys >> 32, keys & _LOW
+
+
 def snr(a: float, b: float) -> float:
     """Signal-to-noise ratio (a - b)^2 / (2 (a + b)).
 
@@ -134,7 +156,8 @@ class Graph:
     order and orientation and raises ValueError on endpoint arrays that are
     not 1-D of equal length, an endpoint that is not an integer (2.2) or lies
     outside [0, n), a self-loop or a repeated edge (in either orientation),
-    so every Graph is simple by construction.
+    so every Graph is simple by construction; and on n above 2**31, before
+    it reads the edges, since each edge is sorted as one packed int64 key.
     """
 
     n: int
@@ -143,6 +166,7 @@ class Graph:
     labels: Labels
 
     def __post_init__(self):
+        _check_size(self.n, "vertex count")
         ei, ej = _indices(self.ei, "edge endpoints"), _indices(self.ej, "edge endpoints")
         if ei.ndim != 1 or ei.shape != ej.shape:
             raise ValueError(f"endpoint arrays must be 1-D of equal length, got shapes "
@@ -152,12 +176,12 @@ class Graph:
         lo, hi = np.minimum(ei, ej), np.maximum(ei, ej)
         if np.any(lo == hi):
             raise ValueError(f"self-loop at vertex {lo[lo == hi][0]}")
-        keys = np.sort(lo * self.n + hi)  # distinct unless an edge repeats
+        keys = _pack(lo, hi)  # distinct unless an edge repeats
+        keys.sort()  # in place: np.sort would copy
         repeated = np.flatnonzero(keys[1:] == keys[:-1])
         if repeated.size:
-            k = keys[repeated[0]]
-            raise ValueError(f"repeated edge ({k // self.n}, {k % self.n})")
-        lo, hi = np.divmod(keys, self.n)
+            raise ValueError("repeated edge ({}, {})".format(*_unpack(keys[repeated[0]])))
+        lo, hi = _unpack(keys)
         _store(self, "ei", lo)
         _store(self, "ej", hi)
         if self.labels.n != self.n:
@@ -170,12 +194,12 @@ class Graph:
     def neighbours(self) -> tuple[np.ndarray, np.ndarray]:
         """Sorted neighbour lists as ``(indptr, nbr)``: the neighbours of v
         are ``nbr[indptr[v]:indptr[v + 1]]``, ascending, both arrays int64.
-        One sort of the edge keys v * n + w in both orientations."""
-        n = self.n
-        keys = np.concatenate([self.ei * n + self.ej, self.ej * n + self.ei])
+        One sort of the packed pairs (v, w) of the edges in both orientations;
+        the degrees are two bincounts of the edge list."""
+        keys = np.concatenate([_pack(self.ei, self.ej), _pack(self.ej, self.ei)])
         keys.sort()  # in place: np.sort would copy
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
-        return indptr, keys % n
+        deg = np.bincount(self.ei, minlength=self.n) + np.bincount(self.ej, minlength=self.n)
+        return np.concatenate([[0], np.cumsum(deg)]), keys & _LOW
 
 
 @dataclass(frozen=True)
@@ -224,10 +248,11 @@ class MatrixOperator:
     in read-only arrays of the operator's own, and ``rank1 = (u, c)``, which
     is (0, 0.0) when none is given.
     Duplicate entries in the input are summed in input order; exact zeros
-    are dropped.  Every product with M goes through ``offdiag``, built once
-    and cached: M S = offdiag @ [S; u^T S] + diag(M) S, in O((nnz + dim) k)
-    for k columns; ``offdiag_radii`` gives the Gershgorin radii of its
-    off-diagonal part.
+    are dropped.  ``dim`` is at most 2**31, checked first, since each pair
+    is coalesced as one packed int64 key.  Every product with M goes
+    through ``offdiag``, built once and cached: M S = offdiag @ [S; u^T S] +
+    diag(M) S, in O((nnz + dim) k) for k columns; ``offdiag_radii`` gives
+    the Gershgorin radii of its off-diagonal part.
     """
 
     dim: int
@@ -242,6 +267,7 @@ class MatrixOperator:
     def __post_init__(self):
         if self.dim < 0:
             raise ValueError("dimension must be nonnegative")
+        _check_size(self.dim, "dimension")
         r = _indices(self.rows, "sparse indices")
         c = _indices(self.cols, "sparse indices")
         w = np.asarray(self.weights, dtype=np.float64)
@@ -251,13 +277,13 @@ class MatrixOperator:
         if r.size and (lo.min() < 0 or hi.max() >= self.dim):
             raise ValueError("sparse entry out of range")
         # coalesce duplicates, each pair's weights summed in input order
-        keys = lo * self.dim + hi
+        keys = _pack(lo, hi)
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         first = np.flatnonzero(np.diff(keys, prepend=-1))  # group starts; keys >= 0
         w = np.add.reduceat(w[order], first)
         nz = w != 0.0
-        lo, hi = np.divmod(keys[first[nz]], self.dim)
+        lo, hi = _unpack(keys[first[nz]])
         _store(self, "rows", lo)
         _store(self, "cols", hi)
         _store(self, "weights", w[nz])

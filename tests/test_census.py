@@ -132,6 +132,31 @@ def test_margins_at_depth_rejects_keys_wider_than_int64():
         margins_at_depth(Huge(), np.zeros(4, dtype=np.int8), 2, np.arange(4))
 
 
+def test_margins_at_depth_rejects_bad_rows_and_votes():
+    # a negative row once read vertex n - 1 at t = 1 and raised an IndexError
+    # at t = 2, and a fractional one was truncated to its vertex
+    g = _graph_from_edges(4, [(0, 1), (1, 2), (2, 3)], [1, 1, -1, -1])
+    votes = np.array([1, 0, 0, -1], dtype=np.int8)
+    for t in (1, 2, 3):
+        for rows in ([-1], [4], [0, 9]):
+            with pytest.raises(ValueError, match=r"row out of range \[0, 4\)"):
+                margins_at_depth(g, votes, t, rows)
+        with pytest.raises(ValueError, match="rows must be integers"):
+            margins_at_depth(g, votes, t, [0.5])
+        for bad in (votes[:3], np.zeros(5, dtype=np.int8), votes.reshape(2, 2)):
+            with pytest.raises(ValueError, match="votes must be a vector of length 4"):
+                margins_at_depth(g, bad, t, [0])
+        assert margins_at_depth(g, votes, t, np.array([], dtype=np.int64)).size == 0
+
+
+def test_estimate_rejects_a_reveal_of_another_length():
+    # a 4-long reveal on a 6-vertex graph once gave a 4-long estimate vector
+    g = _graph_from_edges(6, [(0, 1), (1, 2), (2, 3)], [1, 1, 1, -1, -1, -1])
+    for t in (1, 2):
+        with pytest.raises(ValueError, match="reveal length 4 does not match the graph's 6"):
+            census_estimate(g, _reveal([1, 0, -1, 0]), t=t)
+
+
 def test_estimate_trivial_overlaps():
     g = _graph_from_edges(4, [(1, 2), (0, 3)], [1, 1, -1, -1])
     rev = _reveal([1, 0, -1, 0])

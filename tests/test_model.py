@@ -1,5 +1,6 @@
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -463,6 +464,23 @@ def test_index_arrays_must_hold_integers():
     g = Graph(4, [0.0, 2.0], np.array([1, 3], dtype=np.uint8), labels)
     assert g.ei.tolist() == [0, 2] and g.ej.tolist() == [1, 3]
     assert MatrixOperator(3, [True], [2.0], [1.0]).rows.tolist() == [1]
+
+
+def test_sizes_whose_pairs_overflow_int64_keys_are_refused_up_front():
+    # a pair (lo, hi) is stored as the int64 key (lo << 32) | hi, so n and dim
+    # stop at 2**31; the refusal comes before any array of that length exists
+    # (the operator's zero rank-one vector alone would be 16 GiB)
+    huge = (1 << 31) + 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"vertex count must be at most 2\*\*31"):
+            Graph(huge, [0], [1], Labels([1, -1]))
+        with pytest.raises(ValueError, match=r"dimension must be at most 2\*\*31"):
+            MatrixOperator(huge, [0], [1], [1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_graph_rejects_a_label_vector_of_the_wrong_length():
