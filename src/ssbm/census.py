@@ -47,6 +47,10 @@ def overlap(estimates: np.ndarray, labels: Labels, rev: RevealedLabels) -> float
     return abs(int(truth @ estimates[unrev].astype(np.int64))) / max(unrev.size, 1)
 
 
+# census_estimate's refusal when no vertex is unrevealed (a sweep's rho = 1
+# cell raises it before sampling)
+_ALL_REVEALED = "all vertices are revealed; nothing to estimate"
+
 _VERTEX = (1 << 32) - 1  # the vertex field of a key shifted right by 1
 
 
@@ -82,7 +86,8 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> n
         raise ValueError(f"votes must be a vector of length {g.n}, got shape {votes.shape}")
     if rows.size and (rows.min() < 0 or rows.max() >= g.n):
         raise ValueError(f"row out of range [0, {g.n})")
-    votes = votes.astype(np.int64)
+    # float64 once, the weights' type for every bincount below
+    votes = votes.astype(np.float64)
     if t == 1:
         # each edge (i, j) once: j votes at i and i at j; the float sums are
         # exact, |tally| <= n - 1 < 2**53
@@ -152,7 +157,7 @@ def census_estimate(g: Graph, rev: RevealedLabels, t: int = 1, seed: int = 0) ->
         raise ValueError(f"reveal length {rev.n} does not match the graph's {g.n} vertices")
     unrev = rev.unrevealed()
     if unrev.size == 0:
-        raise ValueError("all vertices are revealed; nothing to estimate")
+        raise ValueError(_ALL_REVEALED)
     margins = margins_at_depth(g, rev.values, t, unrev)
     return _vote_report(margins, unrev, rev, g.labels, seed, "census-tie")
 

@@ -23,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import census_estimate, overlap, overlap_lower_curve, predict_accuracy_erf
+from .census import (_ALL_REVEALED, census_estimate, overlap, overlap_lower_curve,
+                     predict_accuracy_erf)
 from .csdp import detection_test, estimate_unrevealed, sandwich_check, solve_csdp
-from .model import ModelParams, centered_adjacency, sample_instance, snr
+from .model import ModelParams, centered_adjacency, require_ints, sample_instance, snr
 from .rng import derive_key
-from .sdp import SolverConfig, require_ints, round_leading_eigvec, solve_elliptope
+from .sdp import SolverConfig, round_leading_eigvec, solve_elliptope
 
 SWEEP_KINDS = ("census-sweep", "phase-grid", "detection-boxes", "sandwich-audit")
 
@@ -231,18 +232,22 @@ def _cell_task(cfg: ExperimentConfig, ci: int, cell, rep: int):
 
 def _cell_task_inner(cfg: ExperimentConfig, ci: int, cell, rep: int, iseed: int, base: dict):
     p = ModelParams(*cell, seed=iseed)
+    if cfg.kind == "census-sweep":
+        # the refusal census_estimate would raise, before any draw is made
+        if p.m == p.n:
+            raise ValueError(_ALL_REVEALED)
+        g, rev = sample_instance(p)
+        t0 = time.perf_counter()
+        report = census_estimate(g, rev, t=cfg.t, seed=iseed)
+        return [ResultRecord(
+            seed=iseed, algorithm=f"census-{cfg.t}", overlap_unrevealed=report.overlap,
+            truth_model="sbm", runtime_ms=(time.perf_counter() - t0) * 1e3, **base)], None
+
     solver = dataclasses.replace(cfg.solver, seed=derive_key(iseed, "solver"))
     records, extras = [], None
     g, rev = sample_instance(p)
 
-    if cfg.kind == "census-sweep":
-        t0 = time.perf_counter()
-        report = census_estimate(g, rev, t=cfg.t, seed=iseed)
-        records.append(ResultRecord(
-            seed=iseed, algorithm=f"census-{cfg.t}", overlap_unrevealed=report.overlap,
-            truth_model="sbm", runtime_ms=(time.perf_counter() - t0) * 1e3, **base))
-
-    elif cfg.kind == "phase-grid":
+    if cfg.kind == "phase-grid":
         records.extend(_solve_pair(g, rev, p, iseed, base, solver, "sbm"))
 
     elif cfg.kind == "detection-boxes":

@@ -67,6 +67,16 @@ def _unpack(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys >> 32, keys & _LOW
 
 
+def require_ints(obj, names) -> None:
+    """Raise ValueError unless every named field of ``obj`` is an integer
+    (numpy's included; bool is not one), so that a config holding "2" is a
+    usage error rather than a failure deep inside a comparison."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer")
+
+
 def snr(a: float, b: float) -> float:
     """Signal-to-noise ratio (a - b)^2 / (2 (a + b)).
 
@@ -85,11 +95,11 @@ class ModelParams:
     """Complete parameter set for one semi-supervised planted bisection instance.
 
     Attributes:
-        n: vertex count, positive and even.
+        n: vertex count, a positive even integer.
         a: within-community rate; edge probability is a/n.
         b: cross-community rate, 0 <= b <= a; edge probability is b/n.
         rho: fraction of labels to reveal, in [0, 1].
-        seed: 64-bit unsigned seed; every random choice derives from it.
+        seed: 64-bit unsigned integer seed; every random choice derives from it.
     """
 
     n: int
@@ -99,6 +109,7 @@ class ModelParams:
     seed: int = 0
 
     def __post_init__(self):
+        require_ints(self, ("n", "seed"))
         if self.n <= 0 or self.n % 2:
             raise ValueError(f"n must be a positive even integer, got {self.n}")
         if not (0 <= self.b <= self.a):
@@ -171,9 +182,9 @@ class Graph:
         if ei.ndim != 1 or ei.shape != ej.shape:
             raise ValueError(f"endpoint arrays must be 1-D of equal length, got shapes "
                              f"{ei.shape} and {ej.shape}")
-        if ei.size and (min(ei.min(), ej.min()) < 0 or max(ei.max(), ej.max()) >= self.n):
-            raise ValueError(f"edge endpoint out of range [0, {self.n})")
         lo, hi = np.minimum(ei, ej), np.maximum(ei, ej)
+        if ei.size and (lo.min() < 0 or hi.max() >= self.n):
+            raise ValueError(f"edge endpoint out of range [0, {self.n})")
         if np.any(lo == hi):
             raise ValueError(f"self-loop at vertex {lo[lo == hi][0]}")
         keys = _pack(lo, hi)  # distinct unless an edge repeats
@@ -406,24 +417,34 @@ def _bernoulli_hits(rng: np.random.Generator, count: int, p: float) -> np.ndarra
     chunks = []
     pos = -1
     while True:
-        # a gap past the end ends the scan; clipped, saturated gaps (tiny p) cannot wrap int64
-        steps = pos + np.cumsum(np.minimum(rng.geometric(p, size=batch), count + 1))
-        if steps[-1] >= count:
-            chunks.append(steps[steps < count])
+        # clipped, saturated gaps (tiny p) cannot wrap int64; np.minimum makes
+        # the array the running sums overwrite, so the generator's is left as is
+        steps = np.minimum(rng.geometric(p, size=batch), count + 1)
+        np.cumsum(steps, out=steps)
+        steps += pos
+        # the positions rise, so those in range are a prefix; a gap past the
+        # end ends the scan
+        end = int(np.searchsorted(steps, count))
+        if end < batch:
+            chunks.append(steps[:end])
             break
         chunks.append(steps)
         pos = int(steps[-1])
-    return np.concatenate(chunks)
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def _pair_decode(k: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
-    """Invert the row-major enumeration of pairs (i < j) over h items: row i
-    starts at key i (2h - i - 1) / 2, found by an exact integer search."""
-    r = np.arange(h, dtype=np.int64)
-    starts = r * (2 * h - r - 1) // 2
-    i = np.searchsorted(starts, k, side="right") - 1
-    j = k - starts[i] + i + 1
-    return i, j
+    """Invert the row-major enumeration of pairs (i < j) over h items, exactly
+    for h <= 2**30.  Row i starts at key i (b - i) / 2 with b = 2h - 1, so the
+    row of key k is the floor of the smaller root (b - sqrt(b**2 - 8k)) / 2.
+    The int64 radicand is exact, so the float root is within one of the true
+    row, and one integer correction each way makes it exact."""
+    b = 2 * h - 1
+    i = ((b - np.sqrt(b * b - 8 * k)) / 2).astype(np.int64)
+    # the row starts are halved by a shift: their products are even and >= 0
+    i -= k < (i * (b - i) >> 1)
+    i += k >= ((i + 1) * (b - i - 1) >> 1)
+    return i, k - (i * (b - i) >> 1) + i + 1
 
 
 def sample_instance(params: ModelParams) -> tuple[Graph, RevealedLabels]:
@@ -438,10 +459,11 @@ def sample_instance(params: ModelParams) -> tuple[Graph, RevealedLabels]:
     half = n // 2
 
     perm = stream(params.seed, "partition").permutation(n)
-    s1 = np.sort(perm[:half])
-    s2 = np.sort(perm[half:])
     values = np.full(n, -1, dtype=np.int8)
-    values[s1] = 1
+    values[perm[:half]] = 1
+    # each community's vertices in ascending order, read off the label mask
+    in_first = values > 0
+    s1, s2 = np.flatnonzero(in_first), np.flatnonzero(~in_first)
     labels = Labels(values)
 
     pairs_within = half * (half - 1) // 2
@@ -452,8 +474,9 @@ def sample_instance(params: ModelParams) -> tuple[Graph, RevealedLabels]:
         ei_chunks.append(comm[li])
         ej_chunks.append(comm[lj])
     hits = _bernoulli_hits(stream(params.seed, "edges-cross"), half * half, b / n)
-    ei_chunks.append(s1[hits // half])
-    ej_chunks.append(s2[hits % half])
+    li, lj = np.divmod(hits, half)
+    ei_chunks.append(s1[li])
+    ej_chunks.append(s2[lj])
     ei = np.concatenate(ei_chunks)
     ej = np.concatenate(ej_chunks)
 

@@ -13,15 +13,16 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# the shifts and multipliers of _mix64 as uint64 scalars, for coins()
+_S1, _S27, _S30, _S31, _S32 = (np.uint64(s) for s in (1, 27, 30, 31, 32))
+_MUL1, _MUL2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
-def _mix64(z):
-    """SplitMix64 output function, on an int or elementwise on a uint64 array
-    (whose arithmetic wraps modulo 2**64, as the masks do for ints)."""
-    z = z & _MASK64
+def _mix64(z: int) -> int:
+    """SplitMix64 output function on a 64-bit int."""
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+    return z ^ (z >> 31)
 
 
 def _word(key) -> int:
@@ -64,6 +65,12 @@ def coins(seed: int, purpose: str, indices) -> np.ndarray:
     The prefix ``(seed, purpose)`` is folded once; the last fold step runs
     on all indices together, so the result equals the scalar calls bit for bit.
     """
-    state = np.uint64((derive_key(seed, purpose) + _GOLDEN) & _MASK64)
-    keys = _mix64(np.asarray(indices).astype(np.uint64) ^ state)
-    return np.where((keys >> 32) & 1, 1, -1).astype(np.int8)
+    z = np.asarray(indices).astype(np.uint64)
+    z ^= np.uint64((derive_key(seed, purpose) + _GOLDEN) & _MASK64)
+    # _mix64 in place, with no masks: uint64 arithmetic wraps modulo 2**64
+    z ^= z >> _S30
+    z *= _MUL1
+    z ^= z >> _S27
+    z *= _MUL2
+    z ^= z >> _S31
+    return np.where((z >> _S32) & _S1, 1, -1).astype(np.int8)

@@ -36,22 +36,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import MatrixOperator
+from .model import MatrixOperator, require_ints
 from .rng import stream
 
 
 class NumericError(RuntimeError):
     """Non-finite input or numerical breakdown inside the solver."""
-
-
-def require_ints(obj, names) -> None:
-    """Raise ValueError unless every named field of ``obj`` is an integer
-    (numpy's included; bool is not one), so that a config holding "2" is a
-    usage error rather than a failure deep inside a comparison."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ import ssbm
 from ssbm import (ExperimentConfig, ResultRecord, SolverConfig,
                   best_threshold_accuracy, run_sweep, snr, summarize)
 from ssbm.harness import RESULT_FIELDS, read_csv, write_csv
+from ssbm.model import sample_instance
+from ssbm.rng import derive_key
 
 
 def _cfg(tmp_path, **over):
@@ -102,6 +104,27 @@ def test_census_sweep_records_and_summary(tmp_path):
     assert (tmp_path / "out" / "figure.svg").exists()
     svg = (tmp_path / "out" / "figure.svg").read_text()
     assert svg.startswith("<svg") and svg.count("<polyline") == 2
+
+
+def test_census_sweep_samples_nothing_for_a_rho_one_cell(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return sample_instance(p)
+
+    monkeypatch.setattr(ssbm.harness, "sample_instance", counting)
+    res = run_sweep(_cfg(tmp_path, rho=(0.5, 1.0), reps=2))
+    assert [p.rho for p in calls] == [0.5, 0.5]
+    refusal = "all vertices are revealed; nothing to estimate"
+    assert res.summary["errors"] == [{"type": "error", "cell": 1, "rep": rep, "error": refusal}
+                                     for rep in range(2)]
+    errors = [r for r in res.records if r.algorithm == "error"]
+    assert [(r.rho, r.rep, r.seed, r.runtime_ms, r.truth_model) for r in errors] == [
+        (1.0, rep, derive_key(11, "sweep", 1, rep), 0.0, "sbm") for rep in range(2)]
+    assert all(getattr(r, f) is None for r in errors
+               for f in ("overlap_unrevealed", "sdp_value", "csdp_value", "margin00",
+                         "test_decision"))
 
 
 def test_census_sweep_at_depth_two_draws_no_t1_lower_curve(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tempfile
 import tracemalloc
@@ -48,6 +49,23 @@ def test_params_validation():
     assert p.d == 3.5
     assert p.m == 900  # guards against 0.3*1500 rounding down in floats
     assert ModelParams(n=10, a=1, b=0, rho=0.99).m == 8
+
+
+@pytest.mark.parametrize("kwargs", [dict(n=200.0), dict(n="200"), dict(n=200, seed=1.5),
+                                    dict(n=200, seed=True)],
+                         ids=["float-n", "str-n", "float-seed", "bool-seed"])
+def test_params_require_integer_n_and_seed(kwargs):
+    # a float n once failed later inside numpy, and seed 1.5 or True sampled seed 1
+    with pytest.raises(ValueError, match="must be an integer"):
+        ModelParams(a=5, b=2, **kwargs)
+
+
+def test_params_accept_numpy_integers():
+    p = ModelParams(n=np.int64(20), a=5, b=2, rho=0.5, seed=np.uint64(3))
+    g, rev = sample_instance(p)
+    g2, rev2 = sample_instance(ModelParams(n=20, a=5, b=2, rho=0.5, seed=3))
+    assert np.array_equal(g.ei, g2.ei) and np.array_equal(g.ej, g2.ej)
+    assert np.array_equal(rev.values, rev2.values)
 
 
 def test_labels_and_reveals_validate():
@@ -182,6 +200,70 @@ def test_pair_decode_row_boundaries_at_large_h():
     assert np.array_equal(i, np.repeat(rows, 2))
     assert np.array_equal(j, np.stack([rows + 1, np.full(4, h - 1)], axis=1).ravel())
     assert keys[-1] == h * (h - 1) // 2 - 1
+
+
+def _pair_row(k: int, h: int) -> int:
+    """The row of key k: the last i with i (2h - i - 1) / 2 <= k, by a binary
+    search in exact Python integers."""
+    lo, hi = 0, h - 2
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid * (2 * h - mid - 1) // 2 <= k:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+@given(st.data())
+def test_pair_decode_matches_an_exact_reference_up_to_h_2_30(data):
+    # random keys, and the first and last key of sampled rows (rows 0 and
+    # h - 2 always among them), with nothing of size h allocated
+    h = data.draw(st.sampled_from([2, 3, 2**30 - 1, 2**30]) | st.integers(2, 2**30), label="h")
+    total = h * (h - 1) // 2
+    rows = [0, h - 2] + data.draw(st.lists(st.integers(0, h - 2), max_size=8), label="rows")
+    starts = [r * (2 * h - r - 1) // 2 for r in rows]
+    keys = data.draw(st.lists(st.integers(0, total - 1), max_size=16), label="keys")
+    keys += starts + [s + h - r - 2 for s, r in zip(starts, rows)]
+    i, j = _pair_decode(np.array(keys, dtype=np.int64), h)
+    expected = []
+    for k in keys:
+        r = _pair_row(k, h)
+        expected.append((r, k - r * (2 * h - r - 1) // 2 + r + 1))
+    assert list(zip(i.tolist(), j.tolist())) == expected
+
+
+@pytest.mark.parametrize("params, edges, digest", [
+    # p = 1 within (a = n, the arange path) and no cross edges (b = 0), at
+    # rho in {0, 1}, where a pair decode at h = 1 or 2 would show an off-by-one
+    (ModelParams(n=2, a=2, b=0, rho=0.0, seed=3), 0,
+     "a8d9e571a3f6f79da5fff4bda27926a1870031369ec137d6587305c8efec80d2"),
+    (ModelParams(n=2, a=2, b=2, rho=1.0, seed=4), 1,
+     "23b1ab76dd934ac9bc2c3f418554c36b5965e9ce01ae1d195b368ded4ecf2710"),
+    (ModelParams(n=4, a=4, b=0, rho=1.0, seed=5), 2,
+     "b2214487484a3f08e8dfce147541ae48582da09a3ec486d24c6d501d219db774"),
+    (ModelParams(n=4, a=4, b=4, rho=0.0, seed=6), 6,
+     "35bb024b56865bf8681b43b0b1028f1caa0195ec50532348f9f2572a106fd659"),
+    (ModelParams(n=4, a=3, b=0, rho=0.0, seed=7), 1,
+     "87430e8064e94e3f9c7aa5c7983df03d53b7c7504e8beb8845a79ec35f0d3972"),
+    (ModelParams(n=10, a=10, b=0, rho=0.0, seed=8), 20,
+     "05215141dab5ea6a5866d989b2d119950a51d5f2ed0f5a6e1ff005f9f85b7746"),
+    (ModelParams(n=10, a=10, b=10, rho=1.0, seed=9), 45,
+     "7ff9555dee47935ccab676be32b07096fdd43127db79cc8612dc91c41ce9071a"),
+    (ModelParams(n=10, a=10, b=3, rho=0.5, seed=10), 32,
+     "03e4e9178a3ce488f2ee3e22fc5630c06af243e96086a644686e38551f0b19ec"),
+    (ModelParams(n=10, a=6, b=0, rho=1.0, seed=2**64 - 1), 9,
+     "721305ea8f3cf99bf88a8b8e5200e7188e89e266bfb385c5df33a2ee4bbab9f1"),
+])
+def test_sampler_at_edge_sizes_is_bit_identical(params, edges, digest):
+    # SHA-256 over the raw bytes of ei, ej, labels and reveal, as in
+    # tests/test_fixed_seed_digests.py, recorded at commit 81b09da
+    g, rev = sample_instance(params)
+    assert g.num_edges == edges
+    h = hashlib.sha256()
+    for arr in (g.ei, g.ej, g.labels.values, rev.values):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_operator_dense_matches_matvec_against_basis():
