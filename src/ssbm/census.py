@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Graph, Labels, RevealedLabels, _indices, _store, snr
+from .model import Graph, Labels, RevealedLabels, _indices, _require_int, _store, snr
 from .rng import coins
 
 
@@ -54,6 +54,14 @@ _ALL_REVEALED = "all vertices are revealed; nothing to estimate"
 _VERTEX = (1 << 32) - 1  # the vertex field of a key shifted right by 1
 
 
+def _check_depth(t) -> None:
+    """Raise ValueError unless the census depth ``t`` is an integer >= 1
+    (numpy's included; bool is not one)."""
+    _require_int(t, "depth t")
+    if t < 1:
+        raise ValueError("depth t must be >= 1")
+
+
 def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> np.ndarray:
     """Signed vote sums at distance exactly t, for the vertices ``rows``.
 
@@ -72,10 +80,10 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> n
     neighbours of shell_s outside shell_{s-1} and shell_s (see
     :func:`_next_shell`).  The last level takes only the voter neighbours
     and excludes only the voter pairs; the tally of row i is the sum of
-    ``votes`` over its pairs in shell_t.
+    ``votes`` over its pairs in shell_t.  ValueError unless t is an integer
+    >= 1.
     """
-    if t < 1:
-        raise ValueError("depth t must be >= 1")
+    _check_depth(t)
     rows = _indices(rows, "rows")
     # a pair (i, x) is the key (i << 33) | (x << 1), so keys sort by (i, x)
     if t > 1 and (g.n > 1 << 32 or rows.size > 1 << 30):
@@ -149,10 +157,9 @@ def census_estimate(g: Graph, rev: RevealedLabels, t: int = 1, seed: int = 0) ->
     by the vertex index, so no vertex's coin perturbs another's; :func:`coins`
     draws them all in one array operation.  Revealed labels are copied through;
     overlap is computed on the unrevealed vertices only.  ValueError when the
-    reveal's length differs from the graph's.
+    reveal's length differs from the graph's, or on a depth that
+    :func:`margins_at_depth` refuses.
     """
-    if t < 1:
-        raise ValueError("depth t must be >= 1")
     if rev.n != g.n:
         raise ValueError(f"reveal length {rev.n} does not match the graph's {g.n} vertices")
     unrev = rev.unrevealed()
@@ -181,8 +188,7 @@ def predict_accuracy_erf(a: float, b: float, rho: float, t: int = 1) -> float:
     """Asymptotic per-vertex accuracy 1/2 + 1/2 erf(sqrt(rho SNR^t / 2))."""
     if not (0.0 <= rho <= 1.0):
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    if t < 1:
-        raise ValueError("depth t must be >= 1")
+    _check_depth(t)
     if rho == 0.0:
         return 0.5
     return 0.5 + 0.5 * math.erf(math.sqrt(rho * snr(a, b) ** t / 2.0))

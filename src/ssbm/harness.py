@@ -26,7 +26,8 @@ import numpy as np
 from .census import (_ALL_REVEALED, census_estimate, overlap, overlap_lower_curve,
                      predict_accuracy_erf)
 from .csdp import detection_test, estimate_unrevealed, sandwich_check, solve_csdp
-from .model import ModelParams, centered_adjacency, require_ints, sample_instance, snr
+from .model import (ModelParams, _check_seed, centered_adjacency, require_ints, sample_instance,
+                    snr)
 from .rng import derive_key
 from .sdp import SolverConfig, round_leading_eigvec, solve_elliptope
 
@@ -145,7 +146,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in SWEEP_KINDS:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
-        require_ints(self, ("reps", "seed", "t", "workers"))
+        require_ints(self, ("reps", "t", "workers"))
+        _check_seed(self.seed)
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.t < 1 or self.workers < 1:
@@ -221,85 +223,75 @@ def _cell_task(cfg: ExperimentConfig, ci: int, cell, rep: int):
     """
     n, a, b, rho = cell
     iseed = derive_key(cfg.seed, "sweep", ci, rep)
-    base = dict(rep=rep, n=n, a=a, b=b, rho=rho, snr=snr(a, b))
+    base = dict(seed=iseed, rep=rep, n=n, a=a, b=b, rho=rho, snr=snr(a, b), truth_model="sbm")
     try:
-        return _cell_task_inner(cfg, ci, cell, rep, iseed, base)
+        return _cell_task_inner(cfg, ci, rep, ModelParams(*cell, seed=iseed), base)
     except Exception as exc:
-        row = ResultRecord(seed=iseed, algorithm="error", truth_model="sbm",
-                           runtime_ms=0.0, **base)
+        row = ResultRecord(algorithm="error", runtime_ms=0.0, **base)
         return [row], {"type": "error", "cell": ci, "rep": rep, "error": str(exc)}
 
 
-def _cell_task_inner(cfg: ExperimentConfig, ci: int, cell, rep: int, iseed: int, base: dict):
-    p = ModelParams(*cell, seed=iseed)
+def _row(base: dict, t0: float, **values) -> ResultRecord:
+    """The record of ``base``'s replication holding ``values``, timed from ``t0``."""
+    return ResultRecord(**base, **values, runtime_ms=(time.perf_counter() - t0) * 1e3)
+
+
+def _solver(cfg: ExperimentConfig, seed: int) -> SolverConfig:
+    """The solver settings of a solve on the instance drawn from ``seed``."""
+    return dataclasses.replace(cfg.solver, seed=derive_key(seed, "solver"))
+
+
+def _cell_task_inner(cfg: ExperimentConfig, ci: int, rep: int, p: ModelParams, base: dict):
     if cfg.kind == "census-sweep":
         # the refusal census_estimate would raise, before any draw is made
         if p.m == p.n:
             raise ValueError(_ALL_REVEALED)
         g, rev = sample_instance(p)
         t0 = time.perf_counter()
-        report = census_estimate(g, rev, t=cfg.t, seed=iseed)
-        return [ResultRecord(
-            seed=iseed, algorithm=f"census-{cfg.t}", overlap_unrevealed=report.overlap,
-            truth_model="sbm", runtime_ms=(time.perf_counter() - t0) * 1e3, **base)], None
+        report = census_estimate(g, rev, t=cfg.t, seed=p.seed)
+        row = _row(base, t0, algorithm=f"census-{cfg.t}", overlap_unrevealed=report.overlap)
+        return [row], None
 
-    solver = dataclasses.replace(cfg.solver, seed=derive_key(iseed, "solver"))
-    records, extras = [], None
     g, rev = sample_instance(p)
+    if cfg.kind == "sandwich-audit":
+        t0 = time.perf_counter()
+        report = sandwich_check(g, rev, p.d, _solver(cfg, p.seed))
+        row = _row(base, t0, algorithm="csdp", sdp_value=report.upper, csdp_value=report.mid,
+                   margin00=report.margin00, test_decision=int(report.holds))
+        return [row], {"type": "sandwich", "cell": ci, "rep": rep, **dataclasses.asdict(report)}
 
-    if cfg.kind == "phase-grid":
-        records.extend(_solve_pair(g, rev, p, iseed, base, solver, "sbm"))
-
-    elif cfg.kind == "detection-boxes":
-        records.extend(_solve_pair(g, rev, p, iseed, base, solver, "sbm"))
+    records = _solve_pair(cfg, g, rev, p, base)
+    if cfg.kind == "detection-boxes":
         nseed = derive_key(cfg.seed, "sweep", ci, rep, "erm")
         g0, rev0 = sample_instance(dataclasses.replace(p, a=p.d, b=p.d, seed=nseed))
-        nsolver = dataclasses.replace(cfg.solver, seed=derive_key(nseed, "solver"))
-        records.extend(_solve_pair(g0, rev0, p, nseed, base, nsolver, "erm"))
-
-    elif cfg.kind == "sandwich-audit":
-        t0 = time.perf_counter()
-        report = sandwich_check(g, rev, p.d, solver)
-        records.append(ResultRecord(
-            seed=iseed, algorithm="csdp", sdp_value=report.upper, csdp_value=report.mid,
-            margin00=report.margin00, test_decision=int(report.holds), truth_model="sbm",
-            runtime_ms=(time.perf_counter() - t0) * 1e3, **base))
-        extras = {"type": "sandwich", "cell": ci, "rep": rep, **dataclasses.asdict(report)}
-
-    else:
-        raise ValueError(f"kind {cfg.kind!r} has no per-cell task")
-    return records, extras
+        records += _solve_pair(cfg, g0, rev0, p, {**base, "seed": nseed, "truth_model": "erm"})
+    return records, None
 
 
-def _solve_pair(g, rev, p, iseed, base, solver, truth_model):
+def _solve_pair(cfg: ExperimentConfig, g, rev, p, base):
     """Unsupervised SDP and constrained CSDP rows for one instance of a cell
-    whose parameters are ``p``."""
+    whose parameters are ``p``, drawn from the seed ``base["seed"]``."""
     M = centered_adjacency(g, p.d)
-    out = []
+    solver = _solver(cfg, base["seed"])
 
     t0 = time.perf_counter()
     sdp_sol = solve_elliptope(M, solver)
     est = round_leading_eigvec(sdp_sol)
-    out.append(ResultRecord(
-        seed=iseed, algorithm="sdp", overlap_unrevealed=overlap(est, g.labels, rev),
-        sdp_value=sdp_sol.value, truth_model=truth_model,
-        runtime_ms=(time.perf_counter() - t0) * 1e3, **base))
+    sdp_row = _row(base, t0, algorithm="sdp", overlap_unrevealed=overlap(est, g.labels, rev),
+                   sdp_value=sdp_sol.value)
 
     t0 = time.perf_counter()
     if rev.m == 0:
         # nothing revealed: solve_csdp would repeat this SDP solve bit for bit
         # and round it the same way, so the csdp row reuses both
-        value, overlap_csdp, margin00 = sdp_sol.value, out[0].overlap_unrevealed, None
+        value, overlap_csdp, margin00 = sdp_sol.value, sdp_row.overlap_unrevealed, None
     else:
         csol = solve_csdp(M, rev, solver)
         value, margin00 = csol.value, csol.margin00
-        overlap_csdp = estimate_unrevealed(csol, rev, g.labels, seed=iseed).overlap
+        overlap_csdp = estimate_unrevealed(csol, rev, g.labels, seed=base["seed"]).overlap
     decision = detection_test(value, p.n, p.a, p.b).decision if p.a > p.b else None
-    out.append(ResultRecord(
-        seed=iseed, algorithm="csdp", overlap_unrevealed=overlap_csdp,
-        csdp_value=value, margin00=margin00, test_decision=decision,
-        truth_model=truth_model, runtime_ms=(time.perf_counter() - t0) * 1e3, **base))
-    return out
+    return [sdp_row, _row(base, t0, algorithm="csdp", overlap_unrevealed=overlap_csdp,
+                          csdp_value=value, margin00=margin00, test_decision=decision)]
 
 
 @dataclass(frozen=True)

@@ -67,14 +67,27 @@ def _unpack(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys >> 32, keys & _LOW
 
 
+def _require_int(value, name: str) -> None:
+    """Raise ValueError unless ``value`` is an integer (numpy's included;
+    bool is not one), so that a config holding "2" is a usage error rather
+    than a failure deep inside a comparison."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer")
+
+
 def require_ints(obj, names) -> None:
-    """Raise ValueError unless every named field of ``obj`` is an integer
-    (numpy's included; bool is not one), so that a config holding "2" is a
-    usage error rather than a failure deep inside a comparison."""
+    """:func:`_require_int` on every named field of ``obj``."""
     for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer")
+        _require_int(getattr(obj, name), name)
+
+
+def _check_seed(seed) -> None:
+    """Raise ValueError unless ``seed`` is an integer in [0, 2**64), the one
+    rule for every seed a parameter set or config holds; outside that range
+    the streams would fold it onto another seed (-1 onto 2**64 - 1)."""
+    _require_int(seed, "seed")
+    if not 0 <= int(seed) < 1 << 64:
+        raise ValueError("seed must be an unsigned 64-bit integer")
 
 
 def snr(a: float, b: float) -> float:
@@ -95,11 +108,11 @@ class ModelParams:
     """Complete parameter set for one semi-supervised planted bisection instance.
 
     Attributes:
-        n: vertex count, a positive even integer.
+        n: vertex count, a positive even integer, at most 2**31.
         a: within-community rate; edge probability is a/n.
         b: cross-community rate, 0 <= b <= a; edge probability is b/n.
         rho: fraction of labels to reveal, in [0, 1].
-        seed: 64-bit unsigned integer seed; every random choice derives from it.
+        seed: integer in [0, 2**64); every random choice derives from it.
     """
 
     n: int
@@ -109,17 +122,17 @@ class ModelParams:
     seed: int = 0
 
     def __post_init__(self):
-        require_ints(self, ("n", "seed"))
+        require_ints(self, ("n",))
+        _check_seed(self.seed)
         if self.n <= 0 or self.n % 2:
             raise ValueError(f"n must be a positive even integer, got {self.n}")
+        _check_size(self.n, "vertex count")
         if not (0 <= self.b <= self.a):
             raise ValueError(f"rates must satisfy 0 <= b <= a, got a={self.a}, b={self.b}")
         if self.a > self.n:
             raise ValueError(f"invalid edge probability a/n = {self.a / self.n} > 1")
         if not (0.0 <= self.rho <= 1.0):
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValueError("seed must be an unsigned 64-bit integer")
 
     @property
     def d(self) -> float:
@@ -167,8 +180,9 @@ class Graph:
     order and orientation and raises ValueError on endpoint arrays that are
     not 1-D of equal length, an endpoint that is not an integer (2.2) or lies
     outside [0, n), a self-loop or a repeated edge (in either orientation),
-    so every Graph is simple by construction; and on n above 2**31, before
-    it reads the edges, since each edge is sorted as one packed int64 key.
+    so every Graph is simple by construction; and on an n that is not an
+    integer or is above 2**31, before it reads the edges, since each edge is
+    sorted as one packed int64 key.
     """
 
     n: int
@@ -177,6 +191,7 @@ class Graph:
     labels: Labels
 
     def __post_init__(self):
+        require_ints(self, ("n",))
         _check_size(self.n, "vertex count")
         ei, ej = _indices(self.ei, "edge endpoints"), _indices(self.ej, "edge endpoints")
         if ei.ndim != 1 or ei.shape != ej.shape:
@@ -259,8 +274,9 @@ class MatrixOperator:
     in read-only arrays of the operator's own, and ``rank1 = (u, c)``, which
     is (0, 0.0) when none is given.
     Duplicate entries in the input are summed in input order; exact zeros
-    are dropped.  ``dim`` is at most 2**31, checked first, since each pair
-    is coalesced as one packed int64 key.  Every product with M goes
+    are dropped.  ``dim`` is an integer of at most 2**31, checked first,
+    since each pair is coalesced as one packed int64 key; ``rows``, ``cols``
+    and ``weights`` are vectors of one length.  Every product with M goes
     through ``offdiag``, built once and cached: M S = offdiag @ [S; u^T S] +
     diag(M) S, in O((nnz + dim) k) for k columns; ``offdiag_radii`` gives
     the Gershgorin radii of its off-diagonal part.
@@ -276,6 +292,7 @@ class MatrixOperator:
     diag_shift: ClassVar[float] = 0.0
 
     def __post_init__(self):
+        require_ints(self, ("dim",))
         if self.dim < 0:
             raise ValueError("dimension must be nonnegative")
         _check_size(self.dim, "dimension")
@@ -284,6 +301,8 @@ class MatrixOperator:
         w = np.asarray(self.weights, dtype=np.float64)
         if not (r.shape == c.shape == w.shape):
             raise ValueError("rows/cols/weights must have equal length")
+        if r.ndim != 1:
+            raise ValueError(f"rows/cols/weights must be vectors, got shape {r.shape}")
         lo, hi = np.minimum(r, c), np.maximum(r, c)
         if r.size and (lo.min() < 0 or hi.max() >= self.dim):
             raise ValueError("sparse entry out of range")
@@ -406,12 +425,11 @@ def _bernoulli_hits(rng: np.random.Generator, count: int, p: float) -> np.ndarra
     """Positions in [0, count) selected by independent Bernoulli(p) trials.
 
     Geometric skip sampling: instead of testing every position, jump ahead by
-    Geometric(p) gaps, which takes O(count * p) expected time.
+    Geometric(p) gaps, which takes O(count * p) expected time (at p = 1
+    every gap is 1, so every position is hit).
     """
     if count <= 0 or p <= 0.0:
         return np.empty(0, dtype=np.int64)
-    if p >= 1.0:
-        return np.arange(count, dtype=np.int64)
     expected = count * p
     batch = int(expected + 10.0 * math.sqrt(expected) + 16.0)
     chunks = []

@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import MatrixOperator, require_ints
+from .model import MatrixOperator, _check_seed, require_ints
 from .rng import stream
 
 
@@ -69,8 +69,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_ints(self, ("max_sweeps", "restarts", "seed")
-                     + (() if self.rank is None else ("rank",)))
+        require_ints(self, ("max_sweeps", "restarts") + (() if self.rank is None else ("rank",)))
+        _check_seed(self.seed)
         if isinstance(self.tol, bool) or not isinstance(self.tol, (int, float)):
             raise ValueError("tol must be a number")
         if self.rank is not None and self.rank < 2:

@@ -1,0 +1,90 @@
+"""Bad input fails loudly: the census depth, the size cap of a parameter set,
+the seed range every config shares, and the size and index shapes of the
+graph and operator types."""
+
+import numpy as np
+import pytest
+
+from ssbm import (Graph, Labels, MatrixOperator, ModelParams, census_estimate,
+                  predict_accuracy_erf, sample_instance)
+from ssbm.census import margins_at_depth
+from ssbm.cli import main
+from ssbm.harness import ExperimentConfig
+from ssbm.sdp import SolverConfig
+
+
+def test_census_depth_must_be_an_integer_of_at_least_one():
+    g, rev = sample_instance(ModelParams(n=200, a=5, b=2, rho=0.25, seed=3))
+    unrev = rev.unrevealed()
+    for t in (1.5, 2.0, 2.5, True, "2"):
+        with pytest.raises(ValueError, match="depth t must be an integer"):
+            census_estimate(g, rev, t=t)
+        with pytest.raises(ValueError, match="depth t must be an integer"):
+            margins_at_depth(g, rev.values, t, unrev)
+        with pytest.raises(ValueError, match="depth t must be an integer"):
+            predict_accuracy_erf(5, 2, 0.5, t)
+    for t in (0, -1, np.int64(0)):
+        with pytest.raises(ValueError, match="depth t must be >= 1"):
+            census_estimate(g, rev, t=t)
+        with pytest.raises(ValueError, match="depth t must be >= 1"):
+            predict_accuracy_erf(5, 2, 0.5, t)
+    # a numpy integer is a depth like any other
+    for t in (1, 2, 3):
+        assert np.array_equal(census_estimate(g, rev, t=np.int64(t), seed=7).estimates,
+                              census_estimate(g, rev, t=t, seed=7).estimates)
+        assert predict_accuracy_erf(5, 2, 0.5, np.int32(t)) == predict_accuracy_erf(5, 2, 0.5, t)
+
+
+def test_params_cap_n_at_2_31(tmp_path):
+    # objects only: nothing is sampled at these sizes
+    for n in ((1 << 31) + 2, (1 << 32) + 2):
+        with pytest.raises(ValueError, match=r"vertex count must be at most 2\*\*31"):
+            ModelParams(n=n, a=1, b=1)
+    assert ModelParams(n=1 << 31, a=1, b=1).n == 1 << 31
+    cfg = ExperimentConfig(kind="census-sweep", n=(1 << 32,), a=(5.0,), b=(2.0,), rho=(0.5,),
+                           reps=1, solver=SolverConfig(), out_dir=str(tmp_path), seed=0)
+    with pytest.raises(ValueError, match=r"vertex count must be at most 2\*\*31"):
+        cfg.cells()
+
+
+def _configs(seed, tmp_path):
+    yield lambda: ModelParams(n=10, a=4, b=1, seed=seed)
+    yield lambda: SolverConfig(seed=seed)
+    yield lambda: ExperimentConfig(kind="census-sweep", n=(10,), a=(4.0,), b=(1.0,), rho=(0.5,),
+                                   reps=1, solver=SolverConfig(), out_dir=str(tmp_path),
+                                   seed=seed)
+
+
+def test_every_config_takes_seeds_in_0_to_2_64_only(tmp_path):
+    # outside the range a seed would fold onto another: -1 onto 2**64 - 1
+    for seed in (-1, 1 << 64, (1 << 64) + 5, np.int64(-1)):
+        for make in _configs(seed, tmp_path):
+            with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+                make()
+    for seed in (1.5, True, "5"):
+        for make in _configs(seed, tmp_path):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                make()
+    for seed in (0, (1 << 64) - 1, np.uint64((1 << 64) - 1), np.int64(5)):
+        for make in _configs(seed, tmp_path):
+            assert make().seed == seed
+    assert main(["sweep", "--kind", "census-sweep", "--n", "40", "--a", "6", "--b", "2",
+                 "--rho", "0.5", "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_graph_and_operator_take_integer_sizes_and_vector_indices():
+    labels = Labels([1, -1, 1, -1])
+    for n in (4.0, "4", True):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            Graph(n, [0], [1], labels)
+    for dim in (3.0, "3", True):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            MatrixOperator(dim, [0], [1], [1.0])
+    for r, c, w in (([[0, 1]], [[1, 2]], [[1.0, 2.0]]), ([[0], [1]], [[1], [2]], [[1.0], [2.0]]),
+                    (0, 1, 1.0)):
+        with pytest.raises(ValueError, match="rows/cols/weights must be vectors"):
+            MatrixOperator(3, r, c, w)
+    # numpy integers stay valid sizes
+    assert Graph(np.int64(4), [0], [1], labels).n == 4
+    assert MatrixOperator(np.int32(3), [0], [1], [1.0]).to_dense()[0, 1] == 1.0
