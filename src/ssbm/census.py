@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Graph, Labels, RevealedLabels, _indices, _require_int, _store, snr
+from .model import (_LOW, Graph, Labels, RevealedLabels, _check_rho, _check_seed, _check_size,
+                    _indices, _pack, _require_int, _store, snr)
 from .rng import coins
 
 
@@ -50,8 +51,6 @@ def overlap(estimates: np.ndarray, labels: Labels, rev: RevealedLabels) -> float
 # census_estimate's refusal when no vertex is unrevealed (a sweep's rho = 1
 # cell raises it before sampling)
 _ALL_REVEALED = "all vertices are revealed; nothing to estimate"
-
-_VERTEX = (1 << 32) - 1  # the vertex field of a key shifted right by 1
 
 
 def _check_depth(t) -> None:
@@ -85,10 +84,9 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> n
     """
     _check_depth(t)
     rows = _indices(rows, "rows")
-    # a pair (i, x) is the key (i << 33) | (x << 1), so keys sort by (i, x)
-    if t > 1 and (g.n > 1 << 32 or rows.size > 1 << 30):
-        raise ValueError("the t >= 2 census packs a row index below 2**30 and a "
-                         "vertex below 2**32 into one int64 key")
+    # a pair (i, x) is the key _pack(i, x << 1), so keys sort by (i, x)
+    if t > 1:
+        _check_size(max(g.n, rows.size), "the vertex and row counts")
     votes = np.asarray(votes)
     if votes.shape != (g.n,):
         raise ValueError(f"votes must be a vector of length {g.n}, got shape {votes.shape}")
@@ -104,7 +102,7 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> n
         return tally[rows].astype(np.int64)
     indptr, nbr = g.neighbours()
     voter = votes != 0
-    ids = np.arange(rows.size) << 33
+    ids = _pack(np.arange(rows.size), 0)  # the row field of row i's pair keys
     deg, pos = _segments(indptr, rows)
     prev, shell = ids | (rows << 1), np.repeat(ids, deg) | (nbr[pos] << 1)
     if t > 2:
@@ -115,10 +113,10 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> n
     on = voter[nbr]
     vptr = np.concatenate([[0], np.cumsum(on)])[indptr]
     excl = np.concatenate([prev, shell])
-    excl = np.compress(voter[(excl >> 1) & _VERTEX], excl)
+    excl = np.compress(voter[(excl & _LOW) >> 1], excl)
     last = _next_shell(shell, excl, vptr, (np.compress(on, nbr) << 1) | 1)
     # float sums of +-1 and 0, exact as at t = 1
-    tally = np.bincount(last >> 33, weights=votes[(last >> 1) & _VERTEX], minlength=rows.size)
+    tally = np.bincount(last >> 32, weights=votes[(last & _LOW) >> 1], minlength=rows.size)
     return tally.astype(np.int64)
 
 
@@ -141,8 +139,8 @@ def _next_shell(shell: np.ndarray, excl: np.ndarray, indptr: np.ndarray,
     ``excl``, which sort just before it; a candidate is kept when the key
     before it is of another pair.  That one sort both drops repeats and
     excludes ``excl``."""
-    deg, pos = _segments(indptr, (shell >> 1) & _VERTEX)
-    keys = np.concatenate([np.repeat(shell >> 33 << 33, deg) | tagged[pos], excl])
+    deg, pos = _segments(indptr, (shell & _LOW) >> 1)
+    keys = np.concatenate([np.repeat(shell & ~_LOW, deg) | tagged[pos], excl])
     keys.sort()  # in place: np.sort would copy
     keep = (keys & 1).astype(bool)
     keep[1:] &= (keys[:-1] | 1) != keys[1:]
@@ -174,7 +172,10 @@ def _vote_report(scores: np.ndarray, verts: np.ndarray, rev: RevealedLabels,
     """The vote rule both estimators share: the sorted unrevealed vertex
     ``verts[k]`` gets the sign of ``scores[k]``, or the fair coin
     ``coin(seed, purpose, verts[k])`` when that is zero; revealed labels are
-    copied through, and the overlap is taken on the unrevealed vertices."""
+    copied through, and the overlap is taken on the unrevealed vertices.
+    ValueError on a seed outside [0, 2**64), which the coins would fold
+    onto another."""
+    _check_seed(seed)
     signs = np.sign(scores).astype(np.int8)
     tied = signs == 0
     signs[tied] = coins(seed, purpose, verts[tied])
@@ -186,8 +187,7 @@ def _vote_report(scores: np.ndarray, verts: np.ndarray, rev: RevealedLabels,
 
 def predict_accuracy_erf(a: float, b: float, rho: float, t: int = 1) -> float:
     """Asymptotic per-vertex accuracy 1/2 + 1/2 erf(sqrt(rho SNR^t / 2))."""
-    if not (0.0 <= rho <= 1.0):
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    _check_rho(rho)
     _check_depth(t)
     if rho == 0.0:
         return 0.5
@@ -196,8 +196,7 @@ def predict_accuracy_erf(a: float, b: float, rho: float, t: int = 1) -> float:
 
 def overlap_lower_curve(a: float, b: float, rho: float) -> float:
     """Asymptotic expected-overlap lower bound (2/3) sqrt(rho SNR) at t = 1."""
-    if not (0.0 <= rho <= 1.0):
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    _check_rho(rho)
     if rho == 0.0:
         return 0.0
     return (2.0 / 3.0) * math.sqrt(rho * snr(a, b))

@@ -15,7 +15,6 @@ import datetime
 import itertools
 import json
 import math
-import numbers
 import os
 import time
 import typing
@@ -23,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import (_ALL_REVEALED, census_estimate, overlap, overlap_lower_curve,
-                     predict_accuracy_erf)
+from .census import (_ALL_REVEALED, _check_depth, census_estimate, overlap,
+                     overlap_lower_curve, predict_accuracy_erf)
 from .csdp import detection_test, estimate_unrevealed, sandwich_check, solve_csdp
-from .model import (ModelParams, _check_seed, centered_adjacency, require_ints, sample_instance,
-                    snr)
+from .model import (ModelParams, _check_seed, _require_int, _require_real, centered_adjacency,
+                    require_ints, sample_instance, snr)
 from .rng import derive_key
 from .sdp import SolverConfig, round_leading_eigvec, solve_elliptope
 
@@ -146,22 +145,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in SWEEP_KINDS:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
-        require_ints(self, ("reps", "t", "workers"))
+        require_ints(self, ("reps", "workers"))
         _check_seed(self.seed)
+        _check_depth(self.t)
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        if self.t < 1 or self.workers < 1:
-            raise ValueError("t and workers must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         # checked, not coerced: int() would sweep n = 200 for n = 200.5
         for name in ("n", "a", "b", "rho"):
-            kind = numbers.Integral if name == "n" else numbers.Real
-            bad = [v for v in getattr(self, name) if isinstance(v, bool) or not isinstance(v, kind)]
-            if bad:
-                raise ValueError(f"{name} values must be {kind.__name__.lower()} numbers, got {bad[0]!r}")
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
-        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
-        object.__setattr__(self, "b", tuple(float(v) for v in self.b))
-        object.__setattr__(self, "rho", tuple(float(v) for v in self.rho))
+            check, cast = (_require_int, int) if name == "n" else (_require_real, float)
+            for v in getattr(self, name):
+                check(v, f"{name} values")
+            object.__setattr__(self, name, tuple(map(cast, getattr(self, name))))
         if not (self.n and self.a and self.b and self.rho):
             raise ValueError("parameter grid must be non-empty")
 

@@ -14,6 +14,7 @@ is first built.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, ClassVar
@@ -72,7 +73,13 @@ def _require_int(value, name: str) -> None:
     bool is not one), so that a config holding "2" is a usage error rather
     than a failure deep inside a comparison."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer")
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_real(value, name: str) -> None:
+    """:func:`_require_int`'s rule for a real number (integers included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def require_ints(obj, names) -> None:
@@ -90,14 +97,28 @@ def _check_seed(seed) -> None:
         raise ValueError("seed must be an unsigned 64-bit integer")
 
 
+def _check_rho(rho) -> None:
+    """Raise ValueError unless the reveal ratio ``rho`` is a number in [0, 1]."""
+    _require_real(rho, "rho")
+    if not 0 <= rho <= 1:
+        raise ValueError(f"rho must lie in [0, 1], got {rho}")
+
+
+def _check_rates(a, b) -> None:
+    """Raise ValueError unless the rates a and b are numbers with a >= b >= 0."""
+    _require_real(a, "a")
+    _require_real(b, "b")
+    if not 0 <= b <= a:
+        raise ValueError(f"rates must satisfy a >= b >= 0, got a={a}, b={b}")
+
+
 def snr(a: float, b: float) -> float:
     """Signal-to-noise ratio (a - b)^2 / (2 (a + b)).
 
     Unsupervised weak recovery is feasible iff this exceeds 1 (the
     Kesten-Stigum threshold).
     """
-    if not (0 <= b <= a):
-        raise ValueError(f"rates must satisfy a >= b >= 0, got a={a}, b={b}")
+    _check_rates(a, b)
     if a + b == 0:
         raise ValueError("snr undefined for a + b = 0")
     return (a - b) ** 2 / (2.0 * (a + b))
@@ -127,12 +148,10 @@ class ModelParams:
         if self.n <= 0 or self.n % 2:
             raise ValueError(f"n must be a positive even integer, got {self.n}")
         _check_size(self.n, "vertex count")
-        if not (0 <= self.b <= self.a):
-            raise ValueError(f"rates must satisfy 0 <= b <= a, got a={self.a}, b={self.b}")
+        _check_rates(self.a, self.b)
         if self.a > self.n:
             raise ValueError(f"invalid edge probability a/n = {self.a / self.n} > 1")
-        if not (0.0 <= self.rho <= 1.0):
-            raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
+        _check_rho(self.rho)
 
     @property
     def d(self) -> float:
@@ -144,10 +163,6 @@ class ModelParams:
         """Number of revealed labels, 2*floor(rho*n/2); always even, balanced."""
         # epsilon guards against e.g. 0.3 * 1500 = 449.999... in binary floats
         return 2 * int(math.floor(self.rho * self.n / 2 + 1e-9))
-
-    @property
-    def snr(self) -> float:
-        return snr(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -514,6 +529,7 @@ def sample_instance(params: ModelParams) -> tuple[Graph, RevealedLabels]:
 def centered_adjacency(g: Graph, d: float) -> MatrixOperator:
     """The operator A - (d/n) 11^T: adjacency as the sparse part, a rank-one
     all-ones correction with coefficient -d/n."""
+    _require_real(d, "average degree d")
     if d < 0:
         raise ValueError("average degree d must be nonnegative")
     return MatrixOperator(

@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import MatrixOperator, _check_seed, require_ints
+from .model import MatrixOperator, _check_seed, _require_real, require_ints
 from .rng import stream
 
 
@@ -71,8 +71,8 @@ class SolverConfig:
     def __post_init__(self):
         require_ints(self, ("max_sweeps", "restarts") + (() if self.rank is None else ("rank",)))
         _check_seed(self.seed)
-        if isinstance(self.tol, bool) or not isinstance(self.tol, (int, float)):
-            raise ValueError("tol must be a number")
+        _require_real(self.tol, "tol")
+        object.__setattr__(self, "tol", float(self.tol))
         if self.rank is not None and self.rank < 2:
             raise ValueError("rank must be >= 2")
         if not 0 < self.tol < math.inf:

@@ -12,6 +12,7 @@ from scipy.sparse.csgraph import shortest_path
 from ssbm import (Graph, Labels, ModelParams, RevealedLabels, census_estimate,
                   overlap_lower_curve, predict_accuracy_erf, sample_instance)
 from ssbm.census import margins_at_depth
+from ssbm.model import _pack, _unpack
 from ssbm.cli import main
 from ssbm.rng import coin
 
@@ -130,6 +131,21 @@ def test_margins_at_depth_rejects_keys_wider_than_int64():
         n = (1 << 32) + 2
     with pytest.raises(ValueError, match="int64 key"):
         margins_at_depth(Huge(), np.zeros(4, dtype=np.int8), 2, np.arange(4))
+
+
+def test_census_key_holds_pairs_at_the_top_of_its_widths():
+    # a pair (row i, vertex x) with tag bit 0 is the key _pack(i, (x << 1) | tag);
+    # scalars only: at row and vertex 2**31 - 1 the key is still a non-negative
+    # int64 that sorts by (i, x, tag) and reads back
+    top = (1 << 31) - 1
+    pairs = [(i, x, tag) for i in (0, top) for x in (0, top) for tag in (0, 1)]
+    keys = [_pack(np.int64(i), (np.int64(x) << 1) | tag) for i, x, tag in pairs]
+    assert all(k.dtype == np.int64 and k >= 0 for k in keys)
+    assert sorted(keys) == keys
+    for (i, x, tag), key in zip(pairs, keys):
+        row, low = _unpack(key)
+        assert (row, low >> 1, low & 1) == (i, x, tag)
+    assert keys[-1] == np.iinfo(np.int64).max
 
 
 def test_margins_at_depth_rejects_bad_rows_and_votes():

@@ -1,16 +1,24 @@
 """Bad input fails loudly: the census depth, the size cap of a parameter set,
-the seed range every config shares, and the size and index shapes of the
-graph and operator types."""
+the seed range every config and tie coin shares, the number rule, and the
+size and index shapes of the graph and operator types."""
 
 import numpy as np
 import pytest
 
 from ssbm import (Graph, Labels, MatrixOperator, ModelParams, census_estimate,
-                  predict_accuracy_erf, sample_instance)
+                  centered_adjacency, estimate_unrevealed, overlap_lower_curve,
+                  predict_accuracy_erf, sample_instance, snr, solve_csdp)
 from ssbm.census import margins_at_depth
 from ssbm.cli import main
 from ssbm.harness import ExperimentConfig
 from ssbm.sdp import SolverConfig
+
+
+def _sweep(**over):
+    """A census sweep config, with the fields ``over`` in place of its own."""
+    fields = dict(n=(10,), a=(4.0,), b=(1.0,), rho=(0.5,), reps=1, solver=SolverConfig(),
+                  out_dir="out", seed=0)
+    return ExperimentConfig(kind="census-sweep", **{**fields, **over})
 
 
 def test_census_depth_must_be_an_integer_of_at_least_one():
@@ -23,11 +31,15 @@ def test_census_depth_must_be_an_integer_of_at_least_one():
             margins_at_depth(g, rev.values, t, unrev)
         with pytest.raises(ValueError, match="depth t must be an integer"):
             predict_accuracy_erf(5, 2, 0.5, t)
+        with pytest.raises(ValueError, match="depth t must be an integer"):
+            _sweep(t=t)
     for t in (0, -1, np.int64(0)):
         with pytest.raises(ValueError, match="depth t must be >= 1"):
             census_estimate(g, rev, t=t)
         with pytest.raises(ValueError, match="depth t must be >= 1"):
             predict_accuracy_erf(5, 2, 0.5, t)
+        with pytest.raises(ValueError, match="depth t must be >= 1"):
+            _sweep(t=t)
     # a numpy integer is a depth like any other
     for t in (1, 2, 3):
         assert np.array_equal(census_estimate(g, rev, t=np.int64(t), seed=7).estimates,
@@ -55,19 +67,29 @@ def _configs(seed, tmp_path):
                                    seed=seed)
 
 
+def _estimators(seed):
+    """Both estimators' tie coins, on an instance with a reveal to anchor them."""
+    g, rev = sample_instance(ModelParams(n=40, a=5, b=2, rho=0.25, seed=3))
+    sol = solve_csdp(centered_adjacency(g, 3.5), rev, SolverConfig(restarts=1))
+    yield lambda: census_estimate(g, rev, seed=seed)
+    yield lambda: estimate_unrevealed(sol, rev, g.labels, seed=seed)
+
+
 def test_every_config_takes_seeds_in_0_to_2_64_only(tmp_path):
     # outside the range a seed would fold onto another: -1 onto 2**64 - 1
     for seed in (-1, 1 << 64, (1 << 64) + 5, np.int64(-1)):
-        for make in _configs(seed, tmp_path):
+        for make in (*_configs(seed, tmp_path), *_estimators(seed)):
             with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
                 make()
     for seed in (1.5, True, "5"):
-        for make in _configs(seed, tmp_path):
+        for make in (*_configs(seed, tmp_path), *_estimators(seed)):
             with pytest.raises(ValueError, match="seed must be an integer"):
                 make()
     for seed in (0, (1 << 64) - 1, np.uint64((1 << 64) - 1), np.int64(5)):
         for make in _configs(seed, tmp_path):
             assert make().seed == seed
+        for make in _estimators(seed):
+            assert make().estimates.size == 40
     assert main(["sweep", "--kind", "census-sweep", "--n", "40", "--a", "6", "--b", "2",
                  "--rho", "0.5", "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
@@ -88,3 +110,32 @@ def test_graph_and_operator_take_integer_sizes_and_vector_indices():
     # numpy integers stay valid sizes
     assert Graph(np.int64(4), [0], [1], labels).n == 4
     assert MatrixOperator(np.int32(3), [0], [1], [1.0]).to_dense()[0, 1] == 1.0
+
+
+def test_numbers_are_checked_before_they_are_compared():
+    # each of these once raised a bare TypeError from a comparison
+    g, _ = sample_instance(ModelParams(n=10, a=4, b=1))
+    for call, match in ((lambda: ModelParams(n=200, a="5", b=2), "a must be a number"),
+                        (lambda: ModelParams(n=200, a=5, b=None), "b must be a number"),
+                        (lambda: ModelParams(n=200, a=5, b=2, rho="0.5"), "rho must be a number"),
+                        (lambda: predict_accuracy_erf(5, 2, "0.5"), "rho must be a number"),
+                        (lambda: overlap_lower_curve(5, 2, "0.5"), "rho must be a number"),
+                        (lambda: snr("5", 2), "a must be a number"),
+                        (lambda: centered_adjacency(g, "2"), "average degree d must be a number")):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+def test_tolerance_takes_any_real_number_and_grid_errors_name_the_value():
+    # a numpy float is a tolerance like any other, stored as a Python float
+    cfg = SolverConfig(tol=np.float32(1e-6))
+    assert type(cfg.tol) is float and cfg.tol == float(np.float32(1e-6))
+    for tol in ("1e-6", True, None):
+        with pytest.raises(ValueError, match="tol must be a number"):
+            SolverConfig(tol=tol)
+    # a refused grid value is named in the error
+    for key, value, match in (("n", 200.5, "n values must be an integer, got 200.5"),
+                              ("a", True, "a values must be a number, got True"),
+                              ("rho", "0.5", "rho values must be a number, got '0.5'")):
+        with pytest.raises(ValueError, match=match):
+            _sweep(**{key: (value,)})
