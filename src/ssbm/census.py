@@ -5,11 +5,13 @@ over the vertices at shortest-path distance exactly t from v (default t = 1),
 with a fair coin on ties.  The tallies cover the rows asked for (the
 unrevealed vertices), with no per-vertex search.  At t = 1 they are two
 bincounts over the edge list, one per orientation.  Above it they come from
-one breadth-first search over the pairs (row, vertex), a level at a time:
-the first level is the rows' neighbour lists as they stand, each later level
-one sort of packed int64 keys, and the last level reaches the voter
-(revealed) vertices only.  Alongside the estimator live its closed-form
-accuracy predictions.
+one breadth-first search over the pairs (row, vertex), a level at a time,
+on the edge list: the first level is the edges out of a row, with no sort;
+each middle level of t >= 3 is one sort of packed int64 keys over the
+neighbour lists; and the last level joins the edges into a voter (a
+revealed vertex).  The rows run in blocks that keep every level within a
+fixed key budget.  Alongside the estimator live its closed-form accuracy
+predictions.
 """
 
 from __future__ import annotations
@@ -56,9 +58,7 @@ _ALL_REVEALED = "all vertices are revealed; nothing to estimate"
 def _check_depth(t) -> None:
     """Raise ValueError unless the census depth ``t`` is an integer >= 1
     (numpy's included; bool is not one)."""
-    _require_int(t, "depth t")
-    if t < 1:
-        raise ValueError("depth t must be >= 1")
+    _require_int(t, "depth t", 1)
 
 
 def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> np.ndarray:
@@ -70,23 +70,25 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> n
     ValueError on a row that is not an integer in [0, n) or on votes of
     another length.  At t = 1 the tallies are A @ votes, taken on the edge
     list as two bincounts (one per orientation) with no adjacency matrix
-    built.  Above it a breadth-first search runs over the pairs (i, x), x at
-    distance s from ``rows[i]``, one shell_s of pairs per level, from
-    shell_0 = {(i, rows[i])}.  Shell_1 is the neighbour lists of the rows as
-    they stand: a simple graph's lists are sorted, hold no repeats and never
-    the vertex itself, so that level needs no sort.  A neighbour of a vertex
-    at distance s lies at distance s - 1, s or s + 1, so shell_{s+1} is the
-    neighbours of shell_s outside shell_{s-1} and shell_s (see
-    :func:`_next_shell`).  The last level takes only the voter neighbours
-    and excludes only the voter pairs; the tally of row i is the sum of
-    ``votes`` over its pairs in shell_t.  ValueError unless t is an integer
-    >= 1.
+    built.  Above it a breadth-first search runs over the pairs (v, x), x at
+    distance s from the row v, one shell_s of pairs per level, from
+    shell_0 = {(v, v)}.  Shell_1 is the edge list in both orientations,
+    kept where the first end is a row, with no sort.  A neighbour of a
+    vertex at distance s lies at distance s - 1, s or s + 1, so shell_{s+1}
+    is the neighbours of shell_s outside shell_{s-1} and shell_s (see
+    :func:`_next_shell`); the middle levels of t >= 3 read
+    ``Graph.neighbours()``.  The last level joins shell_{t-1} with the
+    edges into a voter only, and excludes only the voter pairs; the tally of
+    row v is the sum of ``votes`` over its pairs in shell_t.  The rows run
+    in one block when a bound on all of them fits ``_KEY_BUDGET`` keys (see
+    :func:`_fits`), and otherwise in blocks whose levels stay within it
+    (see :func:`_row_bounds`).  ValueError unless t is an integer >= 1.
     """
     _check_depth(t)
     rows = _indices(rows, "rows")
-    # a pair (i, x) is the key _pack(i, x << 1), so keys sort by (i, x)
+    # a pair (v, x) is the key _pack(v, x << 1), so keys sort by (v, x)
     if t > 1:
-        _check_size(max(g.n, rows.size), "the vertex and row counts")
+        _check_size(g.n, "the vertex count")
     votes = np.asarray(votes)
     if votes.shape != (g.n,):
         raise ValueError(f"votes must be a vector of length {g.n}, got shape {votes.shape}")
@@ -95,57 +97,170 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> n
     # float64 once, the weights' type for every bincount below
     votes = votes.astype(np.float64)
     if t == 1:
-        # each edge (i, j) once: j votes at i and i at j; the float sums are
-        # exact, |tally| <= n - 1 < 2**53
-        tally = np.bincount(g.ei, weights=votes[g.ej], minlength=g.n)
-        tally += np.bincount(g.ej, weights=votes[g.ei], minlength=g.n)
-        return tally[rows].astype(np.int64)
-    indptr, nbr = g.neighbours()
+        return _adjacency_product(g, votes)[rows].astype(np.int64)
+    # the pair key _pack(v, x << 1) of every edge (v, x), built in place, one
+    # array per orientation: (ei, ej) and (ej, ei)
+    fwd, bwd = g.ei << 32, g.ej << 32
+    fwd |= g.ej << 1
+    bwd |= g.ei << 1
+    # shell_1 of every row, with no sort: the edges out of a row
+    isrow = np.zeros(g.n, dtype=bool)
+    isrow[rows] = True
+    firsts = np.concatenate([np.compress(isrow[g.ei], fwd), np.compress(isrow[g.ej], bwd)])
+    # the edges into a voter, grouped by the vertex they leave: one sort
     voter = votes != 0
-    ids = _pack(np.arange(rows.size), 0)  # the row field of row i's pair keys
-    deg, pos = _segments(indptr, rows)
-    prev, shell = ids | (rows << 1), np.repeat(ids, deg) | (nbr[pos] << 1)
+    tagged = np.concatenate([np.compress(voter[g.ej], fwd), np.compress(voter[g.ei], bwd)])
+    del fwd, bwd
+    tagged.sort()  # in place: np.sort would copy
+    count = np.bincount(tagged >> 32, minlength=g.n)
+    tagged &= _LOW
+    tagged |= 1
+    voters = np.cumsum(count) - count, count, tagged
+    nbrs = None
     if t > 2:
-        tagged = (nbr << 1) | 1
-        for _ in range(t - 2):
-            prev, shell = shell, _next_shell(shell, np.concatenate([prev, shell]), indptr, tagged)
-    # the last level on the voter neighbour lists, against the voter pairs
-    on = voter[nbr]
-    vptr = np.concatenate([[0], np.cumsum(on)])[indptr]
-    excl = np.concatenate([prev, shell])
-    excl = np.compress(voter[(excl & _LOW) >> 1], excl)
-    last = _next_shell(shell, excl, vptr, (np.compress(on, nbr) << 1) | 1)
+        indptr, nbr = g.neighbours()
+        nbrs = indptr[:-1], np.diff(indptr), (nbr << 1) | 1
+    if _fits(t, rows.size, firsts.size, nbrs, voters):
+        return _block_tally(_pack(rows, rows << 1), firsts, t, nbrs, voters,
+                            votes)[rows].astype(np.int64)
+    # blocks of the sorted distinct rows, each one run of the sorted shell_1;
+    # the tallies are put back in the order of rows
+    rows, back = np.unique(rows, return_inverse=True)
+    bounds = _row_bounds(g, t, rows)
+    firsts.sort()
+    cuts = np.searchsorted(firsts, rows[bounds[:-1]] << 32).tolist() + [firsts.size]
+    parts = []
+    for k in range(len(bounds) - 1):
+        own = rows[bounds[k]:bounds[k + 1]]
+        parts.append(_block_tally(_pack(own, own << 1), firsts[cuts[k]:cuts[k + 1]], t, nbrs,
+                                  voters, votes)[own].astype(np.int64))
+    return np.concatenate(parts)[back]
+
+
+# the most keys that one level of the t >= 2 census holds at once (32 MB)
+_KEY_BUDGET = 1 << 22
+
+
+def _adjacency_product(g: Graph, x: np.ndarray) -> np.ndarray:
+    """A @ x for the float vector x, taken on the edge list as two bincounts
+    (one per orientation: j adds to i and i to j) with no matrix built; for
+    integer x of magnitude below 2**53 / n the sums are exact."""
+    y = np.bincount(g.ei, weights=x[g.ej], minlength=g.n)
+    y += np.bincount(g.ej, weights=x[g.ei], minlength=g.n)
+    return y
+
+
+def _fits(t: int, rows: int, first: int, nbrs, voters) -> bool:
+    """Whether the depth-t census of ``rows`` rows, whose shell_1 holds
+    ``first`` pairs, fits ``_KEY_BUDGET`` in one block, with no pass over
+    the rows; ``nbrs`` (t >= 3) and ``voters`` are the lists that
+    :func:`_block_tally` reads.
+
+    A level holds a shell of pairs, or the candidates for the next one, and
+    the two shells before it.  So all rows together hold at most
+    rows + first (1 + dmax + ... + dmax**(t - 2) (1 + vmax)) keys, for dmax
+    the largest degree and vmax the most voter neighbours of a vertex."""
+    dmax = int(nbrs[1].max(initial=0)) if nbrs else 0
+    level, bound = first, rows + first
+    for _ in range(t - 2):
+        level *= dmax
+        bound += level
+        if bound > _KEY_BUDGET:
+            return False
+    return bound + level * int(voters[1].max(initial=0)) <= _KEY_BUDGET
+
+
+def _row_bounds(g: Graph, t: int, rows: np.ndarray) -> list[int]:
+    """The bounds of the depth-t census's row blocks: block k is
+    ``rows[bounds[k]:bounds[k + 1]]``, cut by :func:`_blocks` on a bound per
+    row of the keys a level holds for it: w_0 + ... + w_t, for w_s the walks
+    of length s from the row (a shortest path is one), and at most
+    2 |E| + n."""
+    walks = _adjacency_product(g, np.ones(g.n))
+    cost = 1.0 + walks[rows]
+    for _ in range(t - 1):
+        walks = _adjacency_product(g, walks)
+        cost += walks[rows]
+    return _blocks(np.minimum(cost, 2 * g.num_edges + g.n), _KEY_BUDGET)
+
+
+def _blocks(cost: np.ndarray, budget: float) -> list[int]:
+    """The bounds 0 = b_0 < ... < b_k = cost.size of runs of items, taken in
+    order, each as long as its summed ``cost`` stays within ``budget``; an
+    item that alone exceeds it is a run of its own."""
+    ends = np.cumsum(cost)
+    bounds = [0]
+    while bounds[-1] < cost.size:
+        start = bounds[-1]
+        base = ends[start - 1] if start else 0.0
+        bounds.append(max(int(np.searchsorted(ends, base + budget, side="right")), start + 1))
+    return bounds
+
+
+def _block_tally(prev: np.ndarray, shell: np.ndarray, t: int, nbrs, voters,
+                 votes: np.ndarray) -> np.ndarray:
+    """The depth-t tallies of one block of rows, as a float vector over all
+    n vertices, from the keys of its shell_0 ``prev`` and shell_1 ``shell``.
+    The middle levels read the neighbour lists ``nbrs``, the last level the
+    voter lists ``voters``, both ``(start, count, tagged)`` as
+    :func:`_next_shell` takes them."""
+    for _ in range(t - 2):
+        prev, shell = shell, _next_shell(shell, (prev, shell), *nbrs)
+    # the last level on the voter edges, against the voter pairs
+    voter = votes != 0
+    last = _next_shell(shell, [np.compress(voter[_far_end(x)], x) for x in (prev, shell)],
+                       *voters)
+    far = _far_end(last)
+    last >>= 32
     # float sums of +-1 and 0, exact as at t = 1
-    tally = np.bincount(last >> 32, weights=votes[(last & _LOW) >> 1], minlength=rows.size)
-    return tally.astype(np.int64)
+    return np.bincount(last, weights=votes[far], minlength=votes.size)
 
 
-def _segments(indptr: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The segment lengths ``deg[k] = indptr[x[k] + 1] - indptr[x[k]]`` and
-    the positions of the segments ``indptr[x[k]]:indptr[x[k] + 1]``, laid end
+def _far_end(keys: np.ndarray) -> np.ndarray:
+    """The vertex x of each pair key ``_pack(v, (x << 1) | tag)``."""
+    return (keys & _LOW) >> 1
+
+
+def _segments(start: np.ndarray, count: np.ndarray,
+              x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lengths ``deg = count[x]`` of the segments
+    ``start[x[k]]:start[x[k]] + count[x[k]]`` and their positions, laid end
     to end in the order of ``x``."""
-    start, deg = indptr[x], indptr[x + 1] - indptr[x]
-    pos = np.arange(deg.sum()) + np.repeat(start - np.cumsum(deg) + deg, deg)
+    deg, pos = count[x], start[x]
+    # each segment's start less its place in the output, then one ramp
+    pos += deg
+    pos -= np.cumsum(deg)
+    pos = np.repeat(pos, deg)
+    pos += np.arange(pos.size)
     return deg, pos
 
 
-def _next_shell(shell: np.ndarray, excl: np.ndarray, indptr: np.ndarray,
+def _next_shell(shell: np.ndarray, excl, start: np.ndarray, count: np.ndarray,
                 tagged: np.ndarray) -> np.ndarray:
-    """The sorted keys of the pairs (i, y) outside ``excl``, for (i, x) in
-    ``shell`` and y a neighbour of x, whose key fields (y << 1) | 1 are
-    ``tagged[indptr[x]:indptr[x + 1]]``.
+    """The sorted keys of the pairs (v, y) outside the key arrays ``excl``,
+    for (v, x) in ``shell`` and y a neighbour of x, whose key fields
+    (y << 1) | 1 are ``tagged[start[x]:start[x] + count[x]]``.
 
     Each candidate is tagged 1 in bit 0 and sorted with the tag-0 keys of
     ``excl``, which sort just before it; a candidate is kept when the key
     before it is of another pair.  That one sort both drops repeats and
     excludes ``excl``."""
-    deg, pos = _segments(indptr, (shell & _LOW) >> 1)
-    keys = np.concatenate([np.repeat(shell & ~_LOW, deg) | tagged[pos], excl])
+    deg, pos = _segments(start, count, _far_end(shell))
+    cand = np.repeat(shell & ~_LOW, deg)
+    cand |= tagged[pos]
+    del pos
+    keys = np.concatenate([cand, *excl])
+    del cand
     keys.sort()  # in place: np.sort would copy
-    keep = (keys & 1).astype(bool)
-    keep[1:] &= (keys[:-1] | 1) != keys[1:]
+    # the tag bit, cast to bool with no int64 array between; the key before
+    # a candidate k is of another pair when it is below k - 1
+    keep = np.empty(keys.size, dtype=bool)
+    np.bitwise_and(keys, 1, out=keep, casting="unsafe")
+    keep[1:] &= np.diff(keys) > 1
     # np.compress: about twice as fast as a boolean index here
-    return np.compress(keep, keys) ^ 1
+    keys = np.compress(keep, keys)
+    keys ^= 1
+    return keys
 
 
 def census_estimate(g: Graph, rev: RevealedLabels, t: int = 1, seed: int = 0) -> EstimateReport:
@@ -155,9 +270,11 @@ def census_estimate(g: Graph, rev: RevealedLabels, t: int = 1, seed: int = 0) ->
     by the vertex index, so no vertex's coin perturbs another's; :func:`coins`
     draws them all in one array operation.  Revealed labels are copied through;
     overlap is computed on the unrevealed vertices only.  ValueError when the
-    reveal's length differs from the graph's, or on a depth that
-    :func:`margins_at_depth` refuses.
+    reveal's length differs from the graph's, on a depth that
+    :func:`margins_at_depth` refuses, or on a seed outside [0, 2**64), which
+    the coins would fold onto another.
     """
+    _check_seed(seed)
     if rev.n != g.n:
         raise ValueError(f"reveal length {rev.n} does not match the graph's {g.n} vertices")
     unrev = rev.unrevealed()
@@ -173,9 +290,7 @@ def _vote_report(scores: np.ndarray, verts: np.ndarray, rev: RevealedLabels,
     ``verts[k]`` gets the sign of ``scores[k]``, or the fair coin
     ``coin(seed, purpose, verts[k])`` when that is zero; revealed labels are
     copied through, and the overlap is taken on the unrevealed vertices.
-    ValueError on a seed outside [0, 2**64), which the coins would fold
-    onto another."""
-    _check_seed(seed)
+    Both callers check the seed first."""
     signs = np.sign(scores).astype(np.int8)
     tied = signs == 0
     signs[tied] = coins(seed, purpose, verts[tied])

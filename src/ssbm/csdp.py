@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .census import EstimateReport, _vote_report, overlap
-from .model import Graph, Labels, MatrixOperator, RevealedLabels, centered_adjacency
+from .model import (Graph, Labels, MatrixOperator, RevealedLabels, _check_seed,
+                    centered_adjacency)
 from .sdp import SdpSolution, SolverConfig, round_leading_eigvec, solve_elliptope
 
 
@@ -117,8 +118,10 @@ def estimate_unrevealed(
     ``coin(seed, "csdp-tie", v)`` of the original vertex v, all drawn at once
     as in the census.  With an empty reveal the
     unsupervised rounding is used instead, whose overall sign is arbitrary
-    (overlap takes the absolute value either way).
+    (overlap takes the absolute value either way).  ValueError on a seed
+    outside [0, 2**64), with or without a reveal.
     """
+    _check_seed(seed)
     if sol.aggregated is None:
         estimates = round_leading_eigvec(sol.inner)
         return EstimateReport(estimates=estimates, ties_broken=0,

@@ -145,13 +145,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in SWEEP_KINDS:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
-        require_ints(self, ("reps", "workers"))
+        require_ints(self, ("reps", "workers"), 1)
         _check_seed(self.seed)
         _check_depth(self.t)
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         # checked, not coerced: int() would sweep n = 200 for n = 200.5
         for name in ("n", "a", "b", "rho"):
             check, cast = (_require_int, int) if name == "n" else (_require_real, float)

@@ -5,10 +5,13 @@ edges with probability a/n, cross pairs with probability b/n, and a balanced
 subset of m = 2*floor(rho*n/2) true labels is revealed.  This module holds the
 parameter/instance types, the seeded sampler, and the centered adjacency
 operator A - (d/n) 11^T used by the SDP machinery.  It is the one module that
-knows how a graph (a sorted edge list) and an operator are stored; the others
-reach the graph through ``Graph.neighbours`` and ``centered_adjacency``.  The
-one CSR matrix, ``MatrixOperator.offdiag``, imports ``scipy.sparse`` when it
-is first built.
+knows how an operator is stored, and it keeps a graph as a sorted edge list,
+which the census reads as it stands (its middle levels at t >= 3 read
+``Graph.neighbours``).  The one CSR matrix, ``MatrixOperator.offdiag``,
+imports ``scipy.sparse`` when it is first built.  The input rules live here
+too, each written once: integers with an optional floor for counts, real
+numbers, seeds, the key width of packed index pairs (``_check_size``, on a
+vertex count or a dimension), reveal ratios and rates.
 """
 
 from __future__ import annotations
@@ -68,12 +71,16 @@ def _unpack(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys >> 32, keys & _LOW
 
 
-def _require_int(value, name: str) -> None:
+def _require_int(value, name: str, floor: int | None = None) -> None:
     """Raise ValueError unless ``value`` is an integer (numpy's included;
     bool is not one), so that a config holding "2" is a usage error rather
-    than a failure deep inside a comparison."""
+    than a failure deep inside a comparison; and, given a ``floor``, unless
+    it is at least that (``<name> must be >= <floor>``), the one rule for a
+    count such as a depth, a replication count or a rank."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if floor is not None and value < floor:
+        raise ValueError(f"{name} must be >= {floor}")
 
 
 def _require_real(value, name: str) -> None:
@@ -82,10 +89,11 @@ def _require_real(value, name: str) -> None:
         raise ValueError(f"{name} must be a number, got {value!r}")
 
 
-def require_ints(obj, names) -> None:
-    """:func:`_require_int` on every named field of ``obj``."""
+def require_ints(obj, names, floor: int | None = None) -> None:
+    """:func:`_require_int` on every named field of ``obj``, each held to
+    ``floor`` when one is given."""
     for name in names:
-        _require_int(getattr(obj, name), name)
+        _require_int(getattr(obj, name), name, floor)
 
 
 def _check_seed(seed) -> None:

@@ -69,16 +69,14 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_ints(self, ("max_sweeps", "restarts") + (() if self.rank is None else ("rank",)))
+        require_ints(self, ("max_sweeps", "restarts"), 1)
+        if self.rank is not None:
+            require_ints(self, ("rank",), 2)
         _check_seed(self.seed)
         _require_real(self.tol, "tol")
         object.__setattr__(self, "tol", float(self.tol))
-        if self.rank is not None and self.rank < 2:
-            raise ValueError("rank must be >= 2")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
-        if self.max_sweeps < 1 or self.restarts < 1:
-            raise ValueError("max_sweeps and restarts must be >= 1")
 
     def rank_for(self, dim: int) -> int:
         if self.rank is not None:

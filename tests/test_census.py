@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, getcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from ssbm import (Graph, Labels, ModelParams, RevealedLabels, census_estimate,
                   overlap_lower_curve, predict_accuracy_erf, sample_instance)
+from ssbm import census
 from ssbm.census import margins_at_depth
 from ssbm.model import _pack, _unpack
 from ssbm.cli import main
@@ -124,9 +129,9 @@ def test_margins_at_depth_over_rows_match_distances(data):
 
 
 def test_margins_at_depth_rejects_keys_wider_than_int64():
-    # above t = 1 a pair (row index, vertex) packs into one int64 key, which
-    # needs vertices below 2**32 and row indices below 2**30; a stand-in graph
-    # reaches the guard without 2**32 labels in memory
+    # above t = 1 a pair (row, vertex) of vertices packs into one int64 key,
+    # which needs vertices below 2**31; a stand-in graph reaches the guard
+    # without 2**32 labels in memory
     class Huge:
         n = (1 << 32) + 2
     with pytest.raises(ValueError, match="int64 key"):
@@ -146,6 +151,75 @@ def test_census_key_holds_pairs_at_the_top_of_its_widths():
         row, low = _unpack(key)
         assert (row, low >> 1, low & 1) == (i, x, tag)
     assert keys[-1] == np.iinfo(np.int64).max
+
+
+def test_margins_at_depth_in_row_blocks_match_distances(monkeypatch):
+    # a key budget of a few dozen keys cuts the rows into blocks of a few
+    # rows each (one row where a row alone exceeds it); the tallies must not
+    # move, on every row set, voters among the rows included, and rows out
+    # of order or repeated come back in their order
+    monkeypatch.setattr(census, "_KEY_BUDGET", 40)
+    plans = []
+    plan = census._row_bounds
+    monkeypatch.setattr(census, "_row_bounds", lambda *args: plans.append(plan(*args)) or plans[-1])
+    for seed in range(3):
+        g, rev = sample_instance(ModelParams(n=120, a=3, b=1, rho=0.5, seed=seed))
+        for t in (2, 3, 4):
+            for v in (rev.values, np.abs(rev.values)):
+                want = _margins_by_distance(g, v, t)
+                for rows in (np.arange(g.n), rev.unrevealed(), rev.revealed_set, np.array([7]),
+                             np.array([90, 3, 90, 41, 3])):
+                    assert np.array_equal(margins_at_depth(g, v, t, rows), want[rows])
+    sizes = [b - a for bounds in plans for a, b in zip(bounds, bounds[1:])]
+    assert max(sizes) <= 10 and min(len(bounds) for bounds in plans if bounds[-1] > 10) > 10
+
+
+@given(st.lists(st.integers(0, 60), max_size=40), st.integers(1, 100))
+def test_row_blocks_cover_the_rows_in_order_within_budget(cost, budget):
+    # the runs are consecutive, each within budget unless it is one item, and
+    # each as long as it can be
+    bounds = census._blocks(np.array(cost, dtype=np.float64), budget)
+    assert bounds[0] == 0 and bounds[-1] == len(cost)
+    for a, b in zip(bounds, bounds[1:]):
+        assert a < b and (b - a == 1 or sum(cost[a:b]) <= budget)
+        assert b == len(cost) or sum(cost[a:b + 1]) > budget
+
+
+def test_census_at_bench_size_is_one_block(monkeypatch):
+    # at n = 3000, t = 2 the bound on all rows at once fits the key budget, so
+    # no per-row bound is taken and the rows are not cut
+    def cut(*args):
+        raise AssertionError("the rows were cut into blocks")
+    monkeypatch.setattr(census, "_blocks", cut)
+    for rho in (0.1, 0.5, 0.9):
+        g, rev = sample_instance(ModelParams(n=3000, a=5, b=2, rho=rho, seed=1))
+        census_estimate(g, rev, t=2)
+
+
+# SHA-256 of the int64 t = 4 tallies of the slow test below, recorded from
+# the whole-graph breadth-first search before the rows ran in blocks
+_T4_N1E5_DIGEST = "9236cae739f8bc79b1e193e38923fa38f2b5866292d8630c0a9bca58a497b129"
+
+
+@pytest.mark.slow
+def test_t4_census_at_n_1e5_runs_under_200_mb():
+    # n = 10**5, (9, 2), rho = 0.25, seed 1, over the unrevealed rows: a
+    # fresh process, so that ru_maxrss is this census's peak (the whole-graph
+    # search peaked at about 940 MB)
+    script = (
+        "import hashlib, resource, numpy as np\n"
+        "from ssbm import ModelParams, sample_instance\n"
+        "from ssbm.census import margins_at_depth\n"
+        "g, rev = sample_instance(ModelParams(n=100_000, a=9, b=2, rho=0.25, seed=1))\n"
+        "m = margins_at_depth(g, rev.values, 4, rev.unrevealed())\n"
+        "print(hashlib.sha256(np.ascontiguousarray(m, dtype=np.int64).tobytes()).hexdigest(),\n"
+        "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    digest, peak_mb = out.stdout.split()
+    assert digest == _T4_N1E5_DIGEST
+    assert float(peak_mb) < 200
 
 
 def test_margins_at_depth_rejects_bad_rows_and_votes():

@@ -68,11 +68,17 @@ def _configs(seed, tmp_path):
 
 
 def _estimators(seed):
-    """Both estimators' tie coins, on an instance with a reveal to anchor them."""
+    """Both estimators' tie coins, on an instance with a reveal to anchor them,
+    and the CSDP estimate of an instance with nothing revealed, whose
+    unsupervised rounding draws no coin but takes the seed all the same."""
     g, rev = sample_instance(ModelParams(n=40, a=5, b=2, rho=0.25, seed=3))
     sol = solve_csdp(centered_adjacency(g, 3.5), rev, SolverConfig(restarts=1))
     yield lambda: census_estimate(g, rev, seed=seed)
     yield lambda: estimate_unrevealed(sol, rev, g.labels, seed=seed)
+    g0, rev0 = sample_instance(ModelParams(n=40, a=5, b=2, rho=0.0, seed=3))
+    sol0 = solve_csdp(centered_adjacency(g0, 3.5), rev0, SolverConfig(restarts=1))
+    assert sol0.aggregated is None
+    yield lambda: estimate_unrevealed(sol0, rev0, g0.labels, seed=seed)
 
 
 def test_every_config_takes_seeds_in_0_to_2_64_only(tmp_path):
@@ -93,6 +99,23 @@ def test_every_config_takes_seeds_in_0_to_2_64_only(tmp_path):
     assert main(["sweep", "--kind", "census-sweep", "--n", "40", "--a", "6", "--b", "2",
                  "--rho", "0.5", "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_counts_are_held_to_their_floors():
+    # one rule, model.require_ints with a floor: "<name> must be >= <floor>"
+    for field, floor in (("reps", 1), ("workers", 1)):
+        for value in (floor - 1, -1, np.int64(floor - 1)):
+            with pytest.raises(ValueError, match=f"^{field} must be >= {floor}$"):
+                _sweep(**{field: value})
+        assert getattr(_sweep(**{field: np.int32(floor)}), field) == floor
+    for field, floor in (("max_sweeps", 1), ("restarts", 1), ("rank", 2)):
+        for value in (floor - 1, -1, np.int64(floor - 1)):
+            with pytest.raises(ValueError, match=f"^{field} must be >= {floor}$"):
+                SolverConfig(**{field: value})
+        assert getattr(SolverConfig(**{field: np.int32(floor)}), field) == floor
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got 2.0$"):
+            SolverConfig(**{field: 2.0})
+    assert SolverConfig(rank=None).rank is None
 
 
 def test_graph_and_operator_take_integer_sizes_and_vector_indices():
