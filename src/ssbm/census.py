@@ -80,9 +80,9 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> n
     ``Graph.neighbours()``.  The last level joins shell_{t-1} with the
     edges into a voter only, and excludes only the voter pairs; the tally of
     row v is the sum of ``votes`` over its pairs in shell_t.  The rows run
-    in one block when a bound on all of them fits ``_KEY_BUDGET`` keys (see
-    :func:`_fits`), and otherwise in blocks whose levels stay within it
-    (see :func:`_row_bounds`).  ValueError unless t is an integer >= 1.
+    in blocks, ranges of vertices whose levels stay within ``_KEY_BUDGET``
+    keys (see :func:`_block_bounds`), and a block's tally is one bincount
+    over its range.  ValueError unless t is an integer >= 1.
     """
     _check_depth(t)
     rows = _indices(rows, "rows")
@@ -98,14 +98,14 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> n
     votes = votes.astype(np.float64)
     if t == 1:
         return _adjacency_product(g, votes)[rows].astype(np.int64)
+    isrow = np.zeros(g.n, dtype=bool)
+    isrow[rows] = True
     # the pair key _pack(v, x << 1) of every edge (v, x), built in place, one
     # array per orientation: (ei, ej) and (ej, ei)
     fwd, bwd = g.ei << 32, g.ej << 32
     fwd |= g.ej << 1
     bwd |= g.ei << 1
     # shell_1 of every row, with no sort: the edges out of a row
-    isrow = np.zeros(g.n, dtype=bool)
-    isrow[rows] = True
     firsts = np.concatenate([np.compress(isrow[g.ei], fwd), np.compress(isrow[g.ej], bwd)])
     # the edges into a voter, grouped by the vertex they leave: one sort
     voter = votes != 0
@@ -120,21 +120,19 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> n
     if t > 2:
         indptr, nbr = g.neighbours()
         nbrs = indptr[:-1], np.diff(indptr), (nbr << 1) | 1
-    if _fits(t, rows.size, firsts.size, nbrs, voters):
-        return _block_tally(_pack(rows, rows << 1), firsts, t, nbrs, voters,
-                            votes)[rows].astype(np.int64)
-    # blocks of the sorted distinct rows, each one run of the sorted shell_1;
-    # the tallies are put back in the order of rows
-    rows, back = np.unique(rows, return_inverse=True)
-    bounds = _row_bounds(g, t, rows)
-    firsts.sort()
-    cuts = np.searchsorted(firsts, rows[bounds[:-1]] << 32).tolist() + [firsts.size]
-    parts = []
-    for k in range(len(bounds) - 1):
-        own = rows[bounds[k]:bounds[k + 1]]
-        parts.append(_block_tally(_pack(own, own << 1), firsts[cuts[k]:cuts[k + 1]], t, nbrs,
-                                  voters, votes)[own].astype(np.int64))
-    return np.concatenate(parts)[back]
+    # blocks of vertices, each a range whose rows keep every level within the
+    # key budget; the tallies are taken at every vertex and read at rows.
+    # Block k's shell_1 is firsts[cuts[k]:cuts[k + 1]], one run of it sorted
+    # (one block takes it all, unsorted)
+    bounds = _block_bounds(g, t, isrow, firsts.size, nbrs, voters)
+    cuts = [0, firsts.size]
+    if len(bounds) > 2:
+        firsts.sort()
+        cuts[1:1] = np.searchsorted(firsts, np.array(bounds[1:-1]) << 32).tolist()
+    tally = np.concatenate([
+        _block_tally(bounds[k], bounds[k + 1], isrow, firsts[cuts[k]:cuts[k + 1]], t, nbrs,
+                     voters, voter, votes) for k in range(len(bounds) - 1)])
+    return tally[rows].astype(np.int64)
 
 
 # the most keys that one level of the t >= 2 census holds at once (32 MB)
@@ -150,38 +148,37 @@ def _adjacency_product(g: Graph, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _fits(t: int, rows: int, first: int, nbrs, voters) -> bool:
-    """Whether the depth-t census of ``rows`` rows, whose shell_1 holds
-    ``first`` pairs, fits ``_KEY_BUDGET`` in one block, with no pass over
-    the rows; ``nbrs`` (t >= 3) and ``voters`` are the lists that
-    :func:`_block_tally` reads.
+def _block_bounds(g: Graph, t: int, isrow: np.ndarray, first: int, nbrs, voters) -> list[int]:
+    """The bounds of the depth-t census's blocks: block k is the vertices
+    ``bounds[k]:bounds[k + 1]`` and the rows among them (``isrow``), whose
+    shell_1 holds ``first`` pairs in all; ``nbrs`` (t >= 3) and ``voters``
+    are the lists that :func:`_block_tally` reads.
 
     A level holds a shell of pairs, or the candidates for the next one, and
     the two shells before it.  So all rows together hold at most
     rows + first (1 + dmax + ... + dmax**(t - 2) (1 + vmax)) keys, for dmax
-    the largest degree and vmax the most voter neighbours of a vertex."""
-    dmax = int(nbrs[1].max(initial=0)) if nbrs else 0
-    level, bound = first, rows + first
+    the largest degree and vmax the most voter neighbours of a vertex; when
+    that fits ``_KEY_BUDGET``, all vertices are one block, with no pass over
+    the edges (the per-row bound below costs t products over them, about a
+    fifth of the census at n = 3000, t = 2).  Otherwise :func:`_blocks` cuts
+    them on a bound per row: w_0 + ... + w_t, for w_s the walks of length s
+    from the row (a shortest path is one), and at most 2 |E| + n."""
+    dmax = float(nbrs[1].max(initial=0)) if nbrs else 0.0
+    level = float(first)
+    total = np.count_nonzero(isrow) + level
     for _ in range(t - 2):
         level *= dmax
-        bound += level
-        if bound > _KEY_BUDGET:
-            return False
-    return bound + level * int(voters[1].max(initial=0)) <= _KEY_BUDGET
-
-
-def _row_bounds(g: Graph, t: int, rows: np.ndarray) -> list[int]:
-    """The bounds of the depth-t census's row blocks: block k is
-    ``rows[bounds[k]:bounds[k + 1]]``, cut by :func:`_blocks` on a bound per
-    row of the keys a level holds for it: w_0 + ... + w_t, for w_s the walks
-    of length s from the row (a shortest path is one), and at most
-    2 |E| + n."""
+        total += level
+    if total + level * float(voters[1].max(initial=0)) <= _KEY_BUDGET:
+        return [0, g.n]
     walks = _adjacency_product(g, np.ones(g.n))
-    cost = 1.0 + walks[rows]
+    cost = 1.0 + walks
     for _ in range(t - 1):
         walks = _adjacency_product(g, walks)
-        cost += walks[rows]
-    return _blocks(np.minimum(cost, 2 * g.num_edges + g.n), _KEY_BUDGET)
+        cost += walks
+    np.minimum(cost, 2 * g.num_edges + g.n, out=cost)
+    cost *= isrow  # a vertex that is not a row holds no keys
+    return _blocks(cost, _KEY_BUDGET)
 
 
 def _blocks(cost: np.ndarray, budget: float) -> list[int]:
@@ -197,23 +194,27 @@ def _blocks(cost: np.ndarray, budget: float) -> list[int]:
     return bounds
 
 
-def _block_tally(prev: np.ndarray, shell: np.ndarray, t: int, nbrs, voters,
-                 votes: np.ndarray) -> np.ndarray:
-    """The depth-t tallies of one block of rows, as a float vector over all
-    n vertices, from the keys of its shell_0 ``prev`` and shell_1 ``shell``.
+def _block_tally(lo: int, hi: int, isrow: np.ndarray, shell: np.ndarray, t: int, nbrs,
+                 voters, voter: np.ndarray, votes: np.ndarray) -> np.ndarray:
+    """The float depth-t tallies of the vertices ``lo:hi``, zero but at the
+    rows among them (``isrow``), from the keys of their shell_1 ``shell``.
     The middle levels read the neighbour lists ``nbrs``, the last level the
     voter lists ``voters``, both ``(start, count, tagged)`` as
-    :func:`_next_shell` takes them."""
+    :func:`_next_shell` takes them, against the pairs whose far end is in
+    the mask ``voter``."""
+    own = np.flatnonzero(isrow[lo:hi])
+    own += lo
+    prev = _pack(own, own << 1)
     for _ in range(t - 2):
         prev, shell = shell, _next_shell(shell, (prev, shell), *nbrs)
     # the last level on the voter edges, against the voter pairs
-    voter = votes != 0
     last = _next_shell(shell, [np.compress(voter[_far_end(x)], x) for x in (prev, shell)],
                        *voters)
     far = _far_end(last)
     last >>= 32
+    last -= lo
     # float sums of +-1 and 0, exact as at t = 1
-    return np.bincount(last, weights=votes[far], minlength=votes.size)
+    return np.bincount(last, weights=votes[far], minlength=hi - lo)
 
 
 def _far_end(keys: np.ndarray) -> np.ndarray:
@@ -271,10 +272,9 @@ def census_estimate(g: Graph, rev: RevealedLabels, t: int = 1, seed: int = 0) ->
     draws them all in one array operation.  Revealed labels are copied through;
     overlap is computed on the unrevealed vertices only.  ValueError when the
     reveal's length differs from the graph's, on a depth that
-    :func:`margins_at_depth` refuses, or on a seed outside [0, 2**64), which
-    the coins would fold onto another.
+    :func:`margins_at_depth` refuses, or on a seed that :func:`_vote_report`
+    refuses.
     """
-    _check_seed(seed)
     if rev.n != g.n:
         raise ValueError(f"reveal length {rev.n} does not match the graph's {g.n} vertices")
     unrev = rev.unrevealed()
@@ -290,7 +290,9 @@ def _vote_report(scores: np.ndarray, verts: np.ndarray, rev: RevealedLabels,
     ``verts[k]`` gets the sign of ``scores[k]``, or the fair coin
     ``coin(seed, purpose, verts[k])`` when that is zero; revealed labels are
     copied through, and the overlap is taken on the unrevealed vertices.
-    Both callers check the seed first."""
+    ValueError on a seed outside [0, 2**64), which the coins would fold
+    onto another."""
+    _check_seed(seed)
     signs = np.sign(scores).astype(np.int8)
     tied = signs == 0
     signs[tied] = coins(seed, purpose, verts[tied])

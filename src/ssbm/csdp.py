@@ -121,8 +121,9 @@ def estimate_unrevealed(
     (overlap takes the absolute value either way).  ValueError on a seed
     outside [0, 2**64), with or without a reveal.
     """
-    _check_seed(seed)
     if sol.aggregated is None:
+        # no coin is drawn here, but the seed rule is the vote rule's
+        _check_seed(seed)
         estimates = round_leading_eigvec(sol.inner)
         return EstimateReport(estimates=estimates, ties_broken=0,
                               overlap=overlap(estimates, labels, rev))

@@ -160,8 +160,13 @@ def test_margins_at_depth_in_row_blocks_match_distances(monkeypatch):
     # of order or repeated come back in their order
     monkeypatch.setattr(census, "_KEY_BUDGET", 40)
     plans = []
-    plan = census._row_bounds
-    monkeypatch.setattr(census, "_row_bounds", lambda *args: plans.append(plan(*args)) or plans[-1])
+    plan = census._block_bounds
+
+    def rows_per_block(g, t, isrow, *lists):
+        bounds = plan(g, t, isrow, *lists)
+        plans.append([int(isrow[a:b].sum()) for a, b in zip(bounds, bounds[1:])])
+        return bounds
+    monkeypatch.setattr(census, "_block_bounds", rows_per_block)
     for seed in range(3):
         g, rev = sample_instance(ModelParams(n=120, a=3, b=1, rho=0.5, seed=seed))
         for t in (2, 3, 4):
@@ -170,8 +175,11 @@ def test_margins_at_depth_in_row_blocks_match_distances(monkeypatch):
                 for rows in (np.arange(g.n), rev.unrevealed(), rev.revealed_set, np.array([7]),
                              np.array([90, 3, 90, 41, 3])):
                     assert np.array_equal(margins_at_depth(g, v, t, rows), want[rows])
-    sizes = [b - a for bounds in plans for a, b in zip(bounds, bounds[1:])]
-    assert max(sizes) <= 10 and min(len(bounds) for bounds in plans if bounds[-1] > 10) > 10
+    assert max(max(sizes) for sizes in plans) <= 10
+    assert min(len(sizes) for sizes in plans if sum(sizes) > 10) > 10
+    # a vertex that is not a row costs nothing: a lone row is one block,
+    # with at most a range of no rows on either side
+    assert max(len(sizes) for sizes in plans if sum(sizes) == 1) <= 3
 
 
 @given(st.lists(st.integers(0, 60), max_size=40), st.integers(1, 100))
@@ -186,22 +194,21 @@ def test_row_blocks_cover_the_rows_in_order_within_budget(cost, budget):
 
 
 def test_census_at_bench_size_is_one_block(monkeypatch):
-    # at n = 3000, t = 2 the bound on all rows at once fits the key budget, so
-    # no per-row bound is taken and the rows are not cut
+    # at n = 3000, (5, 2), t = 2 the bound on all rows at once fits the key
+    # budget, so the vertices are one block and no per-row bound is taken
     def cut(*args):
-        raise AssertionError("the rows were cut into blocks")
+        raise AssertionError("a per-row bound was taken")
     monkeypatch.setattr(census, "_blocks", cut)
     for rho in (0.1, 0.5, 0.9):
         g, rev = sample_instance(ModelParams(n=3000, a=5, b=2, rho=rho, seed=1))
         census_estimate(g, rev, t=2)
 
 
-# SHA-256 of the int64 t = 4 tallies of the slow test below, recorded from
-# the whole-graph breadth-first search before the rows ran in blocks
+# SHA-256 of the int64 t = 4 tallies of the test below, recorded from the
+# whole-graph breadth-first search before the rows ran in blocks
 _T4_N1E5_DIGEST = "9236cae739f8bc79b1e193e38923fa38f2b5866292d8630c0a9bca58a497b129"
 
 
-@pytest.mark.slow
 def test_t4_census_at_n_1e5_runs_under_200_mb():
     # n = 10**5, (9, 2), rho = 0.25, seed 1, over the unrevealed rows: a
     # fresh process, so that ru_maxrss is this census's peak (the whole-graph
