@@ -9,9 +9,9 @@ one breadth-first search over the pairs (row, vertex), a level at a time,
 on the edge list: the first level is the edges out of a row, with no sort;
 each middle level of t >= 3 is one sort of packed int64 keys over the
 neighbour lists; and the last level joins the edges into a voter (a
-revealed vertex).  The rows run in blocks that keep every level within a
-fixed key budget.  Alongside the estimator live its closed-form accuracy
-predictions.
+revealed vertex).  Both lists are built here from the edge list.  The rows
+run in blocks that keep every level within a fixed key budget.  Alongside
+the estimator live its closed-form accuracy predictions.
 """
 
 from __future__ import annotations
@@ -66,23 +66,24 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> n
 
     ``votes`` is any length-n vector in {+1, 0, -1}; zeros do not vote, and
     ``np.abs(votes)`` gives the voter counts instead.  ``rows`` are the
-    sorted vertices whose tallies are wanted, returned in that order;
-    ValueError on a row that is not an integer in [0, n) or on votes of
-    another length.  At t = 1 the tallies are A @ votes, taken on the edge
-    list as two bincounts (one per orientation) with no adjacency matrix
-    built.  Above it a breadth-first search runs over the pairs (v, x), x at
-    distance s from the row v, one shell_s of pairs per level, from
-    shell_0 = {(v, v)}.  Shell_1 is the edge list in both orientations,
-    kept where the first end is a row, with no sort.  A neighbour of a
-    vertex at distance s lies at distance s - 1, s or s + 1, so shell_{s+1}
-    is the neighbours of shell_s outside shell_{s-1} and shell_s (see
-    :func:`_next_shell`); the middle levels of t >= 3 read
-    ``Graph.neighbours()``.  The last level joins shell_{t-1} with the
-    edges into a voter only, and excludes only the voter pairs; the tally of
-    row v is the sum of ``votes`` over its pairs in shell_t.  The rows run
-    in blocks, ranges of vertices whose levels stay within ``_KEY_BUDGET``
-    keys (see :func:`_block_bounds`), and a block's tally is one bincount
-    over its range.  ValueError unless t is an integer >= 1.
+    vertices whose tallies are wanted, in any order and with repeats,
+    returned in that order; ValueError on a row that is not an integer in
+    [0, n) or on votes of another length.  At t = 1 the tallies are
+    A @ votes, taken on the edge list as two bincounts (one per
+    orientation) with no adjacency matrix built.  Above it a breadth-first
+    search runs over the pairs (v, x), x at distance s from the row v, one
+    shell_s of pairs per level, from shell_0 = {(v, v)}.  Shell_1 is the
+    edge list in both orientations, kept where the first end is a row, with
+    no sort.  A neighbour of a vertex at distance s lies at distance s - 1,
+    s or s + 1, so shell_{s+1} is the vertices next to shell_s outside
+    shell_{s-1} and shell_s (see :func:`_next_shell`); the middle levels of
+    t >= 3 read the neighbour lists, every edge grouped by the vertex it
+    leaves (see :func:`_lists`).  The last level joins shell_{t-1} with the
+    edges into a voter only, and excludes only the voter pairs; the tally
+    of row v is the sum of ``votes`` over its pairs in shell_t.  The rows
+    run in blocks, ranges of vertices whose levels stay within
+    ``_KEY_BUDGET`` keys (see :func:`_block_bounds`), and a block's tally
+    is one bincount over its range.  ValueError unless t is an integer >= 1.
     """
     _check_depth(t)
     rows = _indices(rows, "rows")
@@ -107,19 +108,12 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> n
     bwd |= g.ei << 1
     # shell_1 of every row, with no sort: the edges out of a row
     firsts = np.concatenate([np.compress(isrow[g.ei], fwd), np.compress(isrow[g.ej], bwd)])
-    # the edges into a voter, grouped by the vertex they leave: one sort
+    # the edges into a voter, and at t >= 3 all edges, by the vertex left
     voter = votes != 0
-    tagged = np.concatenate([np.compress(voter[g.ej], fwd), np.compress(voter[g.ei], bwd)])
+    voters = _lists(np.concatenate([np.compress(voter[g.ej], fwd),
+                                    np.compress(voter[g.ei], bwd)]), g.n)
+    nbrs = _lists(np.concatenate([fwd, bwd]), g.n) if t > 2 else None
     del fwd, bwd
-    tagged.sort()  # in place: np.sort would copy
-    count = np.bincount(tagged >> 32, minlength=g.n)
-    tagged &= _LOW
-    tagged |= 1
-    voters = np.cumsum(count) - count, count, tagged
-    nbrs = None
-    if t > 2:
-        indptr, nbr = g.neighbours()
-        nbrs = indptr[:-1], np.diff(indptr), (nbr << 1) | 1
     # blocks of vertices, each a range whose rows keep every level within the
     # key budget; the tallies are taken at every vertex and read at rows.
     # Block k's shell_1 is firsts[cuts[k]:cuts[k + 1]], one run of it sorted
@@ -157,7 +151,7 @@ def _block_bounds(g: Graph, t: int, isrow: np.ndarray, first: int, nbrs, voters)
     A level holds a shell of pairs, or the candidates for the next one, and
     the two shells before it.  So all rows together hold at most
     rows + first (1 + dmax + ... + dmax**(t - 2) (1 + vmax)) keys, for dmax
-    the largest degree and vmax the most voter neighbours of a vertex; when
+    the largest degree and vmax the most voters next to one vertex; when
     that fits ``_KEY_BUDGET``, all vertices are one block, with no pass over
     the edges (the per-row bound below costs t products over them, about a
     fifth of the census at n = 3000, t = 2).  Otherwise :func:`_blocks` cuts
@@ -199,9 +193,8 @@ def _block_tally(lo: int, hi: int, isrow: np.ndarray, shell: np.ndarray, t: int,
     """The float depth-t tallies of the vertices ``lo:hi``, zero but at the
     rows among them (``isrow``), from the keys of their shell_1 ``shell``.
     The middle levels read the neighbour lists ``nbrs``, the last level the
-    voter lists ``voters``, both ``(start, count, tagged)`` as
-    :func:`_next_shell` takes them, against the pairs whose far end is in
-    the mask ``voter``."""
+    voter lists ``voters``, both built by :func:`_lists`, against the pairs
+    whose far end is in the mask ``voter``."""
     own = np.flatnonzero(isrow[lo:hi])
     own += lo
     prev = _pack(own, own << 1)
@@ -222,18 +215,16 @@ def _far_end(keys: np.ndarray) -> np.ndarray:
     return (keys & _LOW) >> 1
 
 
-def _segments(start: np.ndarray, count: np.ndarray,
-              x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The lengths ``deg = count[x]`` of the segments
-    ``start[x[k]]:start[x[k]] + count[x[k]]`` and their positions, laid end
-    to end in the order of ``x``."""
-    deg, pos = count[x], start[x]
-    # each segment's start less its place in the output, then one ramp
-    pos += deg
-    pos -= np.cumsum(deg)
-    pos = np.repeat(pos, deg)
-    pos += np.arange(pos.size)
-    return deg, pos
+def _lists(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lists ``(start, count, tagged)`` of the pair keys ``_pack(v, x << 1)``
+    of vertices below ``n``, which it sorts and tags in place: the far ends
+    of v's pairs, as key fields (x << 1) | 1, are
+    ``tagged[start[v]:start[v] + count[v]]``, ascending."""
+    keys.sort()  # in place: np.sort would copy
+    count = np.bincount(keys >> 32, minlength=n)
+    keys &= _LOW
+    keys |= 1
+    return np.cumsum(count) - count, count, keys
 
 
 def _next_shell(shell: np.ndarray, excl, start: np.ndarray, count: np.ndarray,
@@ -246,7 +237,15 @@ def _next_shell(shell: np.ndarray, excl, start: np.ndarray, count: np.ndarray,
     ``excl``, which sort just before it; a candidate is kept when the key
     before it is of another pair.  That one sort both drops repeats and
     excludes ``excl``."""
-    deg, pos = _segments(start, count, _far_end(shell))
+    # the segments' lengths and positions, laid end to end: each segment's
+    # start less its place in the output, then one ramp
+    x = _far_end(shell)
+    deg, pos = count[x], start[x]
+    del x
+    pos += deg
+    pos -= np.cumsum(deg)
+    pos = np.repeat(pos, deg)
+    pos += np.arange(pos.size)
     cand = np.repeat(shell & ~_LOW, deg)
     cand |= tagged[pos]
     del pos

@@ -146,6 +146,8 @@ class ExperimentConfig:
         if self.kind not in SWEEP_KINDS:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
         require_ints(self, ("reps", "workers"), 1)
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
         _check_seed(self.seed)
         _check_depth(self.t)
         # checked, not coerced: int() would sweep n = 200 for n = 200.5

@@ -5,13 +5,12 @@ edges with probability a/n, cross pairs with probability b/n, and a balanced
 subset of m = 2*floor(rho*n/2) true labels is revealed.  This module holds the
 parameter/instance types, the seeded sampler, and the centered adjacency
 operator A - (d/n) 11^T used by the SDP machinery.  It is the one module that
-knows how an operator is stored, and it keeps a graph as a sorted edge list,
-which the census reads as it stands (its middle levels at t >= 3 read
-``Graph.neighbours``).  The one CSR matrix, ``MatrixOperator.offdiag``,
-imports ``scipy.sparse`` when it is first built.  The input rules live here
-too, each written once: integers with an optional floor for counts, real
-numbers, seeds, the key width of packed index pairs (``_check_size``, on a
-vertex count or a dimension), reveal ratios and rates.
+knows how an operator is stored, and a graph is its sorted edge list and
+nothing else, which the census reads as it stands.  The one CSR matrix,
+``MatrixOperator.offdiag``, imports ``scipy.sparse`` when it is first built.
+The input rules live here too, each written once: integers with an optional
+floor for counts, real numbers, seeds, the key width of packed index pairs
+(``_check_size``, on a vertex count or a dimension), reveal ratios and rates.
 """
 
 from __future__ import annotations
@@ -239,16 +238,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return self.ei.size
-
-    def neighbours(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted neighbour lists as ``(indptr, nbr)``: the neighbours of v
-        are ``nbr[indptr[v]:indptr[v + 1]]``, ascending, both arrays int64.
-        One sort of the packed pairs (v, w) of the edges in both orientations;
-        the degrees are two bincounts of the edge list."""
-        keys = np.concatenate([_pack(self.ei, self.ej), _pack(self.ej, self.ei)])
-        keys.sort()  # in place: np.sort would copy
-        deg = np.bincount(self.ei, minlength=self.n) + np.bincount(self.ej, minlength=self.n)
-        return np.concatenate([[0], np.cumsum(deg)]), keys & _LOW
 
 
 @dataclass(frozen=True)
@@ -577,11 +566,11 @@ def _int_rows(rows: list[list[str]], first: int, message: str) -> np.ndarray:
 def read_instance(path) -> tuple[Graph, RevealedLabels]:
     """Parse the plain-text exchange format written by :func:`write_instance`.
 
-    Rejects edge lines that are not ``i j`` with 0 <= i < j < n, naming the
-    first, repeated edges (through the :class:`Graph` constructor), label or
-    reveal lines of the wrong length or outside {+1, 0, -1}, untruthful
-    reveals, and any non-empty line after the ``R`` line.  A token that is
-    not an integer is reported with its line.
+    Rejects a header with a negative count, edge lines that are not ``i j``
+    with 0 <= i < j < n, naming the first, repeated edges (through the
+    :class:`Graph` constructor), label or reveal lines of the wrong length or
+    outside {+1, 0, -1}, untruthful reveals, and any non-empty line after the
+    ``R`` line.  A token that is not an integer is reported with its line.
     """
     with open(path) as fh:
         lines = fh.read().split("\n")
@@ -589,6 +578,8 @@ def read_instance(path) -> tuple[Graph, RevealedLabels]:
     if len(header) != 2:
         raise ValueError("bad header, expected 'n m_edges'")
     n, m_edges = _int_rows([header], 1, "bad header, expected 'n m_edges'")[0].tolist()
+    if n < 0 or m_edges < 0:
+        raise ValueError("line 1: bad header, expected 'n m_edges'")
     if len(lines) < m_edges + 3:
         raise ValueError("header does not match the file length")
     rows = [ln.split() for ln in lines[1:1 + m_edges]]

@@ -102,7 +102,7 @@ def test_margins_at_depth_uses_exact_distance():
     # breadth-first distances, at every depth the census sweeps use
     for seed in range(3):
         g, rev = sample_instance(ModelParams(n=120, a=3, b=1, rho=0.5, seed=seed))
-        assert np.any(np.diff(g.neighbours()[0]) == 0)
+        assert np.any(np.bincount(g.ei, minlength=g.n) + np.bincount(g.ej, minlength=g.n) == 0)
         for t in (1, 2, 3):
             for v in (rev.values, np.abs(rev.values)):
                 assert np.array_equal(margins_at_depth(g, v, t, np.arange(g.n)),
@@ -112,7 +112,8 @@ def test_margins_at_depth_uses_exact_distance():
 @given(st.data())
 def test_margins_at_depth_over_rows_match_distances(data):
     # any simple graph, votes in {-1, 0, 1} (all zero included) and sorted
-    # rows (empty, or holding voters, whose I[rows] entries lie in the ball)
+    # rows (empty, or holding voters, whose I[rows] entries lie in the ball),
+    # and rows in any order with repeats, which come back in their order
     half = data.draw(st.integers(1, 20))
     n = 2 * half
     pairs = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
@@ -123,9 +124,13 @@ def test_margins_at_depth_over_rows_match_distances(data):
     if data.draw(st.booleans()):
         votes[:] = 0
     rows = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
+    shuffled = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)),
+                        dtype=np.int64)
     t = data.draw(st.integers(1, 4))
     for v in (votes, np.abs(votes)):
-        assert np.array_equal(margins_at_depth(g, v, t, rows), _margins_by_distance(g, v, t)[rows])
+        want = _margins_by_distance(g, v, t)
+        for r in (rows, shuffled):
+            assert np.array_equal(margins_at_depth(g, v, t, r), want[r])
 
 
 def test_margins_at_depth_rejects_keys_wider_than_int64():
@@ -180,6 +185,30 @@ def test_margins_at_depth_in_row_blocks_match_distances(monkeypatch):
     # a vertex that is not a row costs nothing: a lone row is one block,
     # with at most a range of no rows on either side
     assert max(len(sizes) for sizes in plans if sum(sizes) == 1) <= 3
+
+
+def test_census_levels_stay_within_the_key_budget(monkeypatch):
+    # every level's sort holds the candidates, count[x] for each far end x of
+    # the shell, and the exclusion arrays: at most the key budget, unless the
+    # shell is one row's, which is a block of its own
+    calls = []
+    step = census._next_shell
+
+    def checked(shell, excl, start, count, tagged):
+        calls.append((int(count[census._far_end(shell)].sum()) + sum(x.size for x in excl),
+                      np.unique(shell >> 32).size))
+        return step(shell, excl, start, count, tagged)
+    monkeypatch.setattr(census, "_next_shell", checked)
+    for budget in (40, 200, 1000):
+        monkeypatch.setattr(census, "_KEY_BUDGET", budget)
+        for n in (120, 400):
+            g, rev = sample_instance(ModelParams(n=n, a=3, b=1, rho=0.5, seed=n))
+            for t in (2, 3, 4):
+                for rows in (np.arange(g.n), rev.unrevealed()):
+                    calls.clear()
+                    margins_at_depth(g, rev.values, t, rows)
+                    assert calls and all(keys <= budget or owners <= 1
+                                         for keys, owners in calls), (budget, n, t)
 
 
 @given(st.lists(st.integers(0, 60), max_size=40), st.integers(1, 100))

@@ -1,6 +1,9 @@
 """Bad input fails loudly: the census depth, the size cap of a parameter set,
 the seed range every config and tie coin shares, the number rule, and the
-size and index shapes of the graph and operator types."""
+size and index shapes of the graph and operator types, and a sweep's output
+directory."""
+
+import json
 
 import numpy as np
 import pytest
@@ -116,6 +119,20 @@ def test_counts_are_held_to_their_floors():
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got 2.0$"):
             SolverConfig(**{field: 2.0})
     assert SolverConfig(rank=None).rank is None
+
+
+def test_out_dir_must_be_a_path(tmp_path, capsys):
+    # a config's out_dir of null or 7 once reached os.makedirs and exited 2
+    for out_dir in (None, 7):
+        with pytest.raises(ValueError, match=f"^out_dir must be a path, got {out_dir}$"):
+            _sweep(out_dir=out_dir)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"kind": "census-sweep", "out_dir": out_dir,
+                                    "params": {"n": [10], "a": [4.0], "b": [1.0],
+                                               "rho": [0.5]}}))
+        assert main(["sweep", "--config", str(path)]) == 1
+        assert "out_dir must be a path" in capsys.readouterr().err
+    assert _sweep(out_dir=tmp_path).out_dir == tmp_path
 
 
 def test_graph_and_operator_take_integer_sizes_and_vector_indices():

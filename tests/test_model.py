@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from ssbm import (EstimateReport, Graph, Labels, MatrixOperator, ModelParams, RevealedLabels,
                   centered_adjacency, read_instance, sample_instance, snr,
                   write_instance)
-from ssbm.model import _bernoulli_hits, _pair_decode
+from ssbm import census
+from ssbm.model import _bernoulli_hits, _pack, _pair_decode
 from ssbm.rng import stream
 
 
@@ -448,7 +449,8 @@ def test_serialization_round_trip_on_drawn_instances(half, a_frac, b_frac, rho, 
 
 
 def _lexsort_csr(n, ei, ej, w):
-    """A stable two-key symmetric CSR builder, the reference for ``neighbours``."""
+    """A stable two-key symmetric CSR builder, the reference for the census's
+    lists."""
     heads = np.concatenate([ei, ej])
     tails = np.concatenate([ej, ei])
     order = np.lexsort((tails, heads))
@@ -471,14 +473,27 @@ def test_adjacency_matches_lexsort_builder():
         cases.append(Graph(n, [], [], labels[n]))
     cases += [sample_instance(ModelParams(n=300, a=9, b=2, seed=s))[0] for s in range(3)]
     for g in cases:
-        indptr, nbr = g.neighbours()
-        got = scipy.sparse.csr_matrix((np.ones(nbr.size, dtype=bool), nbr, indptr),
-                                      shape=(g.n, g.n))
         ref = _lexsort_csr(g.n, g.ei, g.ej, np.ones(g.num_edges, dtype=bool))
-        assert got.shape == (g.n, g.n)
-        for name in ("indptr", "indices", "data"):
-            x, y = getattr(got, name), getattr(ref, name)
-            assert x.dtype == y.dtype and np.array_equal(x, y), (g.n, name)
+        keys = np.concatenate([_pack(g.ei, g.ej << 1), _pack(g.ej, g.ei << 1)])
+        _assert_lists(census._lists(keys, g.n), np.diff(ref.indptr), ref.indices)
+    # the edges into a voter, on the last sampled graph: the reference lists
+    # without the other far ends
+    voter = rng.random(g.n) < 0.3
+    keep = voter[ref.indices]
+    heads = np.repeat(np.arange(g.n), np.diff(ref.indptr))
+    keys = np.concatenate([_pack(g.ei, g.ej << 1)[voter[g.ej]],
+                           _pack(g.ej, g.ei << 1)[voter[g.ei]]])
+    _assert_lists(census._lists(keys, g.n), np.bincount(heads[keep], minlength=g.n),
+                  ref.indices[keep])
+
+
+def _assert_lists(lists, count, nbr):
+    """``(start, count, tagged)`` are int64 lists holding, for each vertex v,
+    ``count[v]`` far ends (nbr, tagged 1) laid end to end in vertex order."""
+    start, got, tagged = lists
+    assert all(x.dtype == np.int64 for x in lists)
+    assert np.array_equal(got, count) and np.array_equal(start, np.cumsum(count) - count)
+    assert np.array_equal(tagged >> 1, nbr) and np.all(tagged & 1 == 1)
 
 
 @given(st.data())
@@ -494,13 +509,6 @@ def test_graph_canonicalises_any_order_and_orientation(data):
     _assert_simple(g)
     assert g.ei.tolist() == [i for i, _ in pairs] and g.ej.tolist() == [j for _, j in pairs]
     assert g.num_edges == len(pairs)
-    dense = np.zeros((n, n), dtype=bool)
-    for i, j in pairs:
-        dense[i, j] = dense[j, i] = True
-    indptr, nbr = g.neighbours()
-    got = np.zeros((n, n), dtype=bool)
-    got[np.repeat(np.arange(n), np.diff(indptr)), nbr] = True
-    assert indptr.dtype == nbr.dtype == np.int64 and np.array_equal(got, dense)
 
 
 def test_graph_rejects_self_loops_and_repeated_edges():
@@ -606,6 +614,9 @@ def test_read_instance_names_a_bad_edge_line(tmp_path):
     for text, message in (
             ("4 2\n0 1\n0 x\nL 1 1 -1 -1\nR 0 0 0 0\n", "line 3: bad edge line, expected 'i j'"),
             ("4 1.5\n0 1\nL 1 1 -1 -1\nR 0 0 0 0\n", "line 1: bad header, expected 'n m_edges'"),
+            # a negative count, once read as a short or empty edge list
+            *((f"{head}\n0 1\nL 1 1 -1 -1\nR 0 0 0 0\n", "line 1: bad header, expected 'n m_edges'")
+              for head in ("4 -1", "4 -2", "4 -3", "-4 1")),
             ("4 1\n0 1\nL 1 1 -1 one\nR 0 0 0 0\n", "line 3: bad label line, expected integers"),
             ("4 1\n0 1\nL 1 1 -1 -1\nR 0 0.0 0 0\n", "line 4: bad reveal line, expected integers")):
         path.write_text(text)
