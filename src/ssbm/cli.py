@@ -2,6 +2,8 @@
 
 Subcommands: generate, census, sdp, csdp, test, sweep.  Exit codes: 0 success,
 1 usage error, 2 numeric/solver failure (and a sweep with failed replications).
+``--seed`` is the instance seed, and a run draws and solves by a sweep's rules,
+so given a ``records.csv`` row's n, a, b, rho, seed and model it prints that row.
 """
 
 from __future__ import annotations
@@ -32,37 +34,43 @@ def _add_model_args(p):
     p.add_argument("--a", type=float, required=True, help="within-community rate")
     p.add_argument("--b", type=float, required=True, help="cross-community rate")
     p.add_argument("--rho", type=float, default=0.0, help="reveal ratio in [0,1]")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--seed", type=int, default=0, help="instance seed, as a sweep row's")
+
+
+_SOLVER_FLAGS = ("rank", "tol", "max_sweeps", "restarts")
 
 
 def _add_solver_args(p):
-    defaults = SolverConfig()
-    p.add_argument("--rank", type=int, default=defaults.rank,
+    p.add_argument("--rank", type=int, default=argparse.SUPPRESS,
                    help="factor width (default: sqrt rule)")
-    p.add_argument("--tol", type=float, default=defaults.tol,
+    p.add_argument("--tol", type=float, default=argparse.SUPPRESS,
                    help=f"stop a restart when the objective moves by at most this "
                         f"(relative) over {STALL_WINDOW} steps; up to dim "
                         f"{DENSE_CERT_MAX} it stops sooner once a check proves the dual "
                         f"gap within {CERT_GAP:g} * min(1, tol / 1e-6) (relative)")
-    p.add_argument("--max-sweeps", type=int, default=defaults.max_sweeps,
+    p.add_argument("--max-sweeps", type=int, default=argparse.SUPPRESS,
                    help="operator products per restart at most (one per step, and one "
                         "per rejected mixed candidate)")
-    p.add_argument("--restarts", type=int, default=defaults.restarts,
+    p.add_argument("--restarts", type=int, default=argparse.SUPPRESS,
                    help=f"independent restarts at most: the next one runs only while the "
                         f"dual-certified relative gap exceeds {CERT_GAP:g}")
 
 
 def _solver_from(args) -> SolverConfig:
-    return SolverConfig(rank=args.rank, tol=args.tol, max_sweeps=args.max_sweeps,
-                        restarts=args.restarts, seed=args.seed)
+    return SolverConfig(**{k: v for k, v in vars(args).items() if k in _SOLVER_FLAGS})
 
 
-def _params_from(args, erm=False) -> ModelParams:
-    a, b = (args.a, args.b)
-    if erm:
-        d = 0.5 * (a + b)
-        a = b = d
-    return ModelParams(n=args.n, a=a, b=b, rho=args.rho, seed=args.seed)
+def _params_from(args) -> ModelParams:
+    return ModelParams(n=args.n, a=args.a, b=args.b, rho=args.rho, seed=args.seed)
+
+
+def _instance(args, params: ModelParams):
+    """A sweep row's instance of the validated planted ``params`` (or of its matched
+    null under ``--model erm``), its centred operator and its solver settings."""
+    if args.model == "erm":
+        params = params.null(params.seed)
+    g, rev = sample_instance(params)
+    return g, rev, centered_adjacency(g, params.d), _solver_from(args).for_instance(params.seed)
 
 
 def _solution_payload(sol) -> dict:
@@ -101,24 +109,24 @@ def build_parser() -> _Parser:
         _add_model_args(p)
         _add_solver_args(p)
         p.add_argument("--model", choices=("sbm", "erm"), default="sbm",
-                       help="generative law of the sampled graph")
+                       help="the planted model, or its matched null a = b = (a+b)/2")
         p.add_argument("--out", default=None)
         if name == "test":
             p.add_argument("--delta", type=float, default=None,
                            help="test margin, in (0, (a-b)/2) (default (a-b)/40)")
 
-    p = sub.add_parser("sweep", help="run a Monte Carlo sweep")
-    p.add_argument("--config", default=None, help="JSON config file (overrides flags)")
-    p.add_argument("--kind", choices=SWEEP_KINDS, default=None)
-    p.add_argument("--n", type=int, nargs="+", default=None)
-    p.add_argument("--a", type=float, nargs="+", default=None)
-    p.add_argument("--b", type=float, nargs="+", default=None)
-    p.add_argument("--rho", type=float, nargs="+", default=None)
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--t", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default=None, help="output directory")
+    # a flag left out stays absent: ExperimentConfig and SolverConfig hold the defaults
+    p = sub.add_parser("sweep", help="run a Monte Carlo sweep",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--config", default=None, help="JSON config file; takes no other flag")
+    p.add_argument("--kind", choices=SWEEP_KINDS)
+    for flag, kind in (("--n", int), ("--a", float), ("--b", float), ("--rho", float)):
+        p.add_argument(flag, type=kind, nargs="+")
+    p.add_argument("--reps", type=int, help="replications per cell")
+    p.add_argument("--seed", type=int, help="master seed")
+    p.add_argument("--t", type=int, help="census depth")
+    p.add_argument("--workers", type=int, help="worker processes")
+    p.add_argument("--out", help="output directory")
     _add_solver_args(p)
     return top
 
@@ -139,18 +147,16 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_sdp(args) -> int:
-    params = _params_from(args, erm=args.model == "erm")
-    g, rev = sample_instance(params)
-    sol = solve_elliptope(centered_adjacency(g, params.d), _solver_from(args))
+    g, rev, M, solver = _instance(args, _params_from(args))
+    sol = solve_elliptope(M, solver)
     est = round_leading_eigvec(sol)
     _emit(args, {**_solution_payload(sol), "overlap_unrevealed": overlap(est, g.labels, rev)})
     return 0
 
 
 def _cmd_csdp(args) -> int:
-    params = _params_from(args, erm=args.model == "erm")
-    g, rev = sample_instance(params)
-    csol = solve_csdp(centered_adjacency(g, params.d), rev, _solver_from(args))
+    g, rev, M, solver = _instance(args, _params_from(args))
+    csol = solve_csdp(M, rev, solver)
     report = estimate_unrevealed(csol, rev, g.labels, seed=args.seed)
     _emit(args, {
         **_solution_payload(csol.inner),
@@ -161,10 +167,10 @@ def _cmd_csdp(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    params = _params_from(args, erm=args.model == "erm")
+    params = _params_from(args)  # the model's refusals come first, as in sdp and csdp
     delta = detection_margin(args.a, args.b, args.delta)  # before any sampling or solving
-    g, rev = sample_instance(params)
-    csol = solve_csdp(centered_adjacency(g, params.d), rev, _solver_from(args))
+    g, rev, M, solver = _instance(args, params)
+    csol = solve_csdp(M, rev, solver)
     outcome = detection_test(csol.value, args.n, args.a, args.b, delta=delta)
     _emit(args, {"statistic": outcome.statistic, "threshold": outcome.threshold,
                  "decision": outcome.decision, "delta": outcome.delta_used,
@@ -173,19 +179,19 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.config:
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    if args.config is not None:
+        if given:
+            flags = ", ".join("--" + k.replace("_", "-") for k in sorted(given))
+            raise ValueError(f"--config takes no other sweep flag; it would ignore {flags}")
         with open(args.config) as fh:
             cfg = ExperimentConfig.from_json(fh.read())
     else:
-        missing = [f for f in ("kind", "out", "n", "a", "b", "rho") if getattr(args, f) is None]
+        missing = [f for f in ("kind", "out", "n", "a", "b", "rho") if f not in given]
         if missing:
             raise ValueError(f"sweep needs --config or flags: missing {', '.join('--' + f for f in missing)}")
-        cfg = ExperimentConfig(
-            kind=args.kind,
-            n=tuple(args.n), a=tuple(args.a), b=tuple(args.b), rho=tuple(args.rho),
-            reps=args.reps, solver=_solver_from(args), out_dir=args.out,
-            seed=args.seed, t=args.t, workers=args.workers,
-        )
+        cfg = ExperimentConfig(out_dir=given.pop("out"), solver=_solver_from(args),
+                               **{k: v for k, v in given.items() if k not in _SOLVER_FLAGS})
     result = run_sweep(cfg)
     print(f"wrote {len(result.records)} records to {result.csv_path}")
     print(f"summary: {result.summary_path}")

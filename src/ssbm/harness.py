@@ -123,22 +123,23 @@ def read_csv(path) -> list[ResultRecord]:
     return records
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """A sweep: kind, parameter grid (cartesian product of the lists),
-    replications per cell, solver settings, output directory, master seed.
-    A sweep ignores ``solver.seed``: each solve's seed derives from the
-    master seed, cell and replication (the matched-null graph's too)."""
+    replications per cell, solver settings, output directory, master seed;
+    the fields hold the defaults.  A sweep ignores ``solver.seed``: each
+    instance's seed derives from the master seed, cell and replication (the
+    matched null's too), and its solves' by :meth:`SolverConfig.for_instance`."""
 
     kind: str
     n: tuple[int, ...]
     a: tuple[float, ...]
     b: tuple[float, ...]
     rho: tuple[float, ...]
-    reps: int
+    reps: int = 1
     solver: SolverConfig
     out_dir: str
-    seed: int
+    seed: int = 0
     t: int = 1
     workers: int = 1
 
@@ -197,16 +198,8 @@ class ExperimentConfig:
             unknown = sorted(given.keys() - known)
             if unknown:
                 raise ValueError(f"unknown {what}: {', '.join(unknown)}")
-        return cls(
-            kind=raw["kind"],
-            **{key: tuple(values) for key, values in grid.items()},
-            reps=raw.get("reps", 1),
-            solver=SolverConfig(**solver),
-            out_dir=raw["out_dir"],
-            seed=raw.get("seed", 0),
-            t=raw.get("t", 1),
-            workers=raw.get("workers", 1),
-        )
+        given = {key: value for key, value in raw.items() if key not in ("params", "solver")}
+        return cls(**given, **grid, solver=SolverConfig(**solver))
 
 
 def _cell_task(cfg: ExperimentConfig, ci: int, cell, rep: int):
@@ -230,11 +223,6 @@ def _row(base: dict, t0: float, **values) -> ResultRecord:
     return ResultRecord(**base, **values, runtime_ms=(time.perf_counter() - t0) * 1e3)
 
 
-def _solver(cfg: ExperimentConfig, seed: int) -> SolverConfig:
-    """The solver settings of a solve on the instance drawn from ``seed``."""
-    return dataclasses.replace(cfg.solver, seed=derive_key(seed, "solver"))
-
-
 def _cell_task_inner(cfg: ExperimentConfig, ci: int, rep: int, p: ModelParams, base: dict):
     if cfg.kind == "census-sweep":
         # the refusal census_estimate would raise, before any draw is made
@@ -249,7 +237,7 @@ def _cell_task_inner(cfg: ExperimentConfig, ci: int, rep: int, p: ModelParams, b
     g, rev = sample_instance(p)
     if cfg.kind == "sandwich-audit":
         t0 = time.perf_counter()
-        report = sandwich_check(g, rev, p.d, _solver(cfg, p.seed))
+        report = sandwich_check(g, rev, p.d, cfg.solver.for_instance(p.seed))
         row = _row(base, t0, algorithm="csdp", sdp_value=report.upper, csdp_value=report.mid,
                    margin00=report.margin00, test_decision=int(report.holds))
         return [row], {"type": "sandwich", "cell": ci, "rep": rep, **dataclasses.asdict(report)}
@@ -257,7 +245,7 @@ def _cell_task_inner(cfg: ExperimentConfig, ci: int, rep: int, p: ModelParams, b
     records = _solve_pair(cfg, g, rev, p, base)
     if cfg.kind == "detection-boxes":
         nseed = derive_key(cfg.seed, "sweep", ci, rep, "erm")
-        g0, rev0 = sample_instance(dataclasses.replace(p, a=p.d, b=p.d, seed=nseed))
+        g0, rev0 = sample_instance(p.null(nseed))
         records += _solve_pair(cfg, g0, rev0, p, {**base, "seed": nseed, "truth_model": "erm"})
     return records, None
 
@@ -266,7 +254,7 @@ def _solve_pair(cfg: ExperimentConfig, g, rev, p, base):
     """Unsupervised SDP and constrained CSDP rows for one instance of a cell
     whose parameters are ``p``, drawn from the seed ``base["seed"]``."""
     M = centered_adjacency(g, p.d)
-    solver = _solver(cfg, base["seed"])
+    solver = cfg.solver.for_instance(base["seed"])
 
     t0 = time.perf_counter()
     sdp_sol = solve_elliptope(M, solver)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, ClassVar
 
@@ -164,6 +164,10 @@ class ModelParams:
     def d(self) -> float:
         """Average degree (a + b) / 2."""
         return 0.5 * (self.a + self.b)
+
+    def null(self, seed: int) -> ModelParams:
+        """The matched Erdős–Rényi null drawn from ``seed``: a = b = d, same n, rho."""
+        return replace(self, a=self.d, b=self.d, seed=seed)
 
     @property
     def m(self) -> int:

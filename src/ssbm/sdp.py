@@ -31,13 +31,13 @@ exact leading eigenvector of S S^T off the k x k matrix S^T S.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .model import MatrixOperator, _check_seed, _require_real, require_ints
-from .rng import stream
+from .rng import derive_key, stream
 
 
 class NumericError(RuntimeError):
@@ -77,6 +77,11 @@ class SolverConfig:
         object.__setattr__(self, "tol", float(self.tol))
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
+
+    def for_instance(self, seed: int) -> SolverConfig:
+        """These settings seeded for the instance drawn from ``seed``, by the one
+        rule of every sweep and CLI solve (``self.seed`` is not read)."""
+        return replace(self, seed=derive_key(seed, "solver"))
 
     def rank_for(self, dim: int) -> int:
         if self.rank is not None:

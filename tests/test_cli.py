@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssbm import read_instance
-from ssbm import cli
+from ssbm import ExperimentConfig, SolverConfig, read_instance, run_sweep, sample_instance
+from ssbm import cli, harness
 from ssbm.cli import main
 from ssbm.sdp import CERT_GAP
 
@@ -168,6 +168,49 @@ def test_sweep_missing_flags_is_usage_error():
     assert main(["sweep", "--kind", "census-sweep"]) == 1
 
 
+def test_sweep_config_refuses_every_other_flag(tmp_path, capsys):
+    cfg = {"kind": "census-sweep", "params": {"n": [40], "a": [6.0], "b": [2.0], "rho": [0.5]},
+           "out_dir": str(tmp_path / "out")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for flags, named in ((["--workers", "4"], "--workers"),
+                         (["--seed", "0"], "--seed"),
+                         (["--max-sweeps", "10", "--n", "60"], "--max-sweeps, --n")):
+        assert main(["sweep", "--config", str(path)] + flags) == 1
+        err = capsys.readouterr().err
+        assert "--config takes no other sweep flag" in err and err.rstrip().endswith(named)
+    assert not (tmp_path / "out").exists()
+    assert main(["sweep", "--config", str(path)]) == 0
+
+
+def test_flag_and_config_sweeps_build_equal_configs(tmp_path, monkeypatch):
+    # the flags and the JSON reader leave every default to ExperimentConfig
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        return run_sweep(cfg)
+
+    monkeypatch.setattr(cli, "run_sweep", capture)
+    out = str(tmp_path / "out")
+    grid = ["--kind", "census-sweep", "--n", "40", "--a", "6", "--b", "2", "--rho", "0.5"]
+    params = {"n": [40], "a": [6.0], "b": [2.0], "rho": [0.5]}
+    given = ["--reps", "2", "--seed", "5", "--t", "2", "--workers", "1",
+             "--restarts", "1", "--tol", "1e-5", "--max-sweeps", "300", "--rank", "4"]
+    keys = {"reps": 2, "seed": 5, "t": 2, "workers": 1,
+            "solver": {"restarts": 1, "tol": 1e-5, "max_sweeps": 300, "rank": 4}}
+    path = tmp_path / "cfg.json"
+    for flags, extra in (([], {}), (given, keys)):
+        assert main(["sweep"] + grid + flags + ["--out", out]) == 0
+        path.write_text(json.dumps({"kind": "census-sweep", "params": params,
+                                    "out_dir": out, **extra}))
+        assert main(["sweep", "--config", str(path)]) == 0
+        assert seen[-2] == seen[-1]
+    assert seen[0] == ExperimentConfig(kind="census-sweep", n=(40,), a=(6.0,), b=(2.0,),
+                                       rho=(0.5,), solver=SolverConfig(), out_dir=out)
+    assert (seen[0].reps, seen[0].seed, seen[0].t, seen[0].workers) == (1, 0, 1, 1)
+
+
 def test_sweep_malformed_config_is_usage_error(tmp_path):
     cfg = {"kind": "census-sweep", "params": {"n": 60, "a": [6.0], "b": [2.0], "rho": [0.5]},
            "out_dir": str(tmp_path / "out")}
@@ -186,11 +229,84 @@ def test_sweep_malformed_config_is_usage_error(tmp_path):
         assert main(["sweep", "--config", str(path)]) == 1
 
 
-def test_sdp_command_erm_model(capsys):
-    code = main(["sdp", "--n", "60", "--a", "8", "--b", "2", "--seed", "1",
-                 "--restarts", "1", "--model", "erm"])
+def test_sdp_command_erm_model(tmp_path, monkeypatch, capsys):
+    # the CLI's erm instance is the detection-boxes null drawn from the same seed
+    drawn = []
+
+    def recording(params):
+        drawn.append(sample_instance(params))
+        return drawn[-1]
+
+    monkeypatch.setattr(harness, "sample_instance", recording)
+    monkeypatch.setattr(cli, "sample_instance", recording)
+    cfg = ExperimentConfig(kind="detection-boxes", n=(60,), a=(8.0,), b=(2.0,), rho=(0.25,),
+                           solver=SolverConfig(restarts=1), out_dir=str(tmp_path), seed=1)
+    null_row = next(r for r in run_sweep(cfg).records if r.truth_model == "erm")
+    sweep_null, _ = drawn[1]  # the planted instance first, then its null
+    code = main(["sdp", "--n", "60", "--a", "8", "--b", "2", "--rho", "0.25",
+                 "--seed", str(null_row.seed), "--restarts", "1", "--model", "erm"])
     assert code == 0
-    assert "value" in json.loads(capsys.readouterr().out)
+    assert json.loads(capsys.readouterr().out)["value"] == null_row.sdp_value
+    cli_null, _ = drawn[2]
+    assert np.array_equal(cli_null.ei, sweep_null.ei)
+    assert np.array_equal(cli_null.ej, sweep_null.ej)
+
+
+@pytest.mark.parametrize("command", ["sdp", "csdp", "test"])
+@pytest.mark.parametrize("rates", [("2", "9"), ("50", "0")], ids=["a<b", "a/n>1"])
+def test_erm_model_refuses_what_the_planted_model_refuses(capsys, command, rates):
+    # the matched null is drawn only for planted rates that are valid
+    argv = [command, "--n", "40", "--a", rates[0], "--b", rates[1]]
+    messages = []
+    for model in ("sbm", "erm"):
+        assert main(argv + ["--model", model]) == 1
+        messages.append(capsys.readouterr().err)
+    assert messages[0] == messages[1] and "ssbm: error:" in messages[0]
+
+
+def _payload(capsys, argv):
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _model_argv(row):
+    return ["--n", str(row.n), "--a", repr(row.a), "--b", repr(row.b),
+            "--rho", repr(row.rho), "--seed", str(row.seed)]
+
+
+@pytest.mark.parametrize("kind, grid", [
+    ("detection-boxes", dict(a=(9.0, 5.0), b=(2.0,), rho=(0.25,))),
+    ("phase-grid", dict(a=(6.0,), b=(1.0, 2.0), rho=(0.0, 0.25))),
+])
+def test_cli_runs_reproduce_their_sweep_rows(tmp_path, capsys, kind, grid):
+    # a row's n, a, b, rho, seed and model, with the sweep's solver flags,
+    # make ssbm sdp|csdp|test print that row's value, overlap and decision
+    cfg = ExperimentConfig(kind=kind, n=(40,), **grid, reps=3,
+                           solver=SolverConfig(restarts=2), out_dir=str(tmp_path), seed=5)
+    rows = [r for r in run_sweep(cfg).records if r.algorithm in ("sdp", "csdp")]
+    assert len(rows) == 24 and {r.truth_model for r in rows} == (
+        {"sbm", "erm"} if kind == "detection-boxes" else {"sbm"})
+    for row in rows:
+        argv = _model_argv(row) + ["--model", row.truth_model, "--restarts", "2"]
+        payload = _payload(capsys, [row.algorithm] + argv)
+        assert payload["overlap_unrevealed"] == row.overlap_unrevealed
+        if row.algorithm == "sdp":
+            assert payload["value"] == row.sdp_value
+            continue
+        assert payload["value"] == row.csdp_value
+        outcome = _payload(capsys, ["test"] + argv)
+        assert (outcome["statistic"], outcome["decision"]) == (row.csdp_value, row.test_decision)
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_census_runs_reproduce_their_sweep_rows(tmp_path, capsys, t):
+    cfg = ExperimentConfig(kind="census-sweep", n=(200,), a=(5.0,), b=(2.0,), rho=(0.1, 0.5),
+                           reps=2, solver=SolverConfig(), out_dir=str(tmp_path), seed=5, t=t)
+    rows = run_sweep(cfg).records
+    assert len(rows) == 4
+    for row in rows:
+        payload = _payload(capsys, ["census"] + _model_argv(row) + ["--t", str(t)])
+        assert payload["overlap"] == row.overlap_unrevealed
 
 
 def test_numeric_failures_exit_two(monkeypatch, capsys):

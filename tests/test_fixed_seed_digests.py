@@ -15,18 +15,23 @@ one BLAS thread; another build may round them differently.
 
 Each figure digest is SHA-256 over the ``figure.svg`` of the census and
 detection-boxes sweeps above, and each CLI digest SHA-256 over the stdout of
-one ``ssbm census|sdp|csdp|test`` run through ``cli.main``, as computed at
-commit f294300.  The ``ssbm sdp`` run at n = 1200 is above
+one ``python -m ssbm census|sdp|csdp|test`` run: the census digests as
+computed at commit f294300, the solve commands' as computed once they seeded
+each solve by the sweep's rule.  Each run is a subprocess at one BLAS thread,
+the package default, whatever the caller set: at two threads the printed
+certificate sums in another order.  The ``ssbm sdp`` run at n = 1200 is above
 ``DENSE_CERT_MAX``, so its certificate comes from the Lanczos path.
 """
 
 import hashlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ssbm import cli
 from ssbm import (ExperimentConfig, ModelParams, SolverConfig, census_estimate, run_sweep,
                   sample_instance)
 
@@ -107,14 +112,20 @@ def test_fixed_seed_figures_are_byte_identical(tmp_path, kind, grid, t, digest):
     ("census --n 3000 --a 5 --b 2 --rho 0.1 --seed 11 --t 2",
      "e7f84aa3d116c2ebe958e53916b87481e32f6660a8228dd9886f91cbe0636132"),
     ("sdp --n 1200 --a 5 --b 2 --rho 0.25 --seed 1",
-     "169a4a59069839ce1f16c7a953759f293410236eb0137a5e803b0f2522880b14"),
+     "4923305ea73b7365b04468b5145f5504de5d52b23abe22f4d848f08b1161d486"),
     ("csdp --n 200 --a 5 --b 2 --rho 0.25 --seed 3",
-     "da8701a43cecf13d8a0984b7aae5485e8c77cb7e80106f88f8f693ae4114644b"),
+     "20f3fe65833168ae96a308675330bca0130f62d6580b8998b63dfe4aa5e57b56"),
     ("csdp --n 200 --a 5 --b 2 --rho 0 --seed 3",
-     "bdfc238345d43d43a1663715f99fec7c7f354cffa65375fe458e9945c440cdce"),
+     "20e18b7dc95fd71dc272d44633d0d498d76536c8df1b699e563e952a0e6c50a3"),
     ("test --n 200 --a 9 --b 2 --rho 0.25 --seed 3",
-     "4f395914fa944b01a59fbfebf9fa59deadf3e6842d5afccce5e888d2e5957679"),
+     "d6ba9d9294bb11232e642f0edf02d5546d35a7c87e71d4b2aca7d973559bce71"),
 ], ids=["census-t1", "census-t2", "sdp-n1200", "csdp-rho0.25", "csdp-rho0", "test"])
-def test_fixed_seed_cli_output_is_byte_identical(capsys, argv, digest):
-    assert cli.main(argv.split()) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+def test_fixed_seed_cli_output_is_byte_identical(argv, digest):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-m", "ssbm", *argv.split()], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert hashlib.sha256(run.stdout.encode()).hexdigest() == digest
