@@ -9,9 +9,10 @@ one breadth-first search over the pairs (row, vertex), a level at a time,
 on the edge list: the first level is the edges out of a row, with no sort;
 each middle level of t >= 3 is one sort of packed int64 keys over the
 neighbour lists; and the last level joins the edges into a voter (a
-revealed vertex).  Both lists are built here from the edge list.  The rows
-run in blocks that keep every level within a fixed key budget.  Alongside
-the estimator live its closed-form accuracy predictions.
+revealed vertex).  Both lists are built here from the edge list.  A level
+that would pass a fixed key budget is cut in two by rows, on the sizes it
+would build.  Alongside the estimator live its closed-form accuracy
+predictions.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (_LOW, Graph, Labels, RevealedLabels, _check_rho, _check_seed, _check_size,
-                    _indices, _pack, _require_int, _store, snr)
+                    _indices, _pack, _require_int, _store, _ternary, snr)
 from .rng import coins
 
 
@@ -68,22 +69,25 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> n
     ``np.abs(votes)`` gives the voter counts instead.  ``rows`` are the
     vertices whose tallies are wanted, in any order and with repeats,
     returned in that order; ValueError on a row that is not an integer in
-    [0, n) or on votes of another length.  At t = 1 the tallies are
-    A @ votes, taken on the edge list as two bincounts (one per
-    orientation) with no adjacency matrix built.  Above it a breadth-first
-    search runs over the pairs (v, x), x at distance s from the row v, one
-    shell_s of pairs per level, from shell_0 = {(v, v)}.  Shell_1 is the
-    edge list in both orientations, kept where the first end is a row, with
-    no sort.  A neighbour of a vertex at distance s lies at distance s - 1,
-    s or s + 1, so shell_{s+1} is the vertices next to shell_s outside
-    shell_{s-1} and shell_s (see :func:`_next_shell`); the middle levels of
-    t >= 3 read the neighbour lists, every edge grouped by the vertex it
-    leaves (see :func:`_lists`).  The last level joins shell_{t-1} with the
-    edges into a voter only, and excludes only the voter pairs; the tally
-    of row v is the sum of ``votes`` over its pairs in shell_t.  The rows
-    run in blocks, ranges of vertices whose levels stay within
-    ``_KEY_BUDGET`` keys (see :func:`_block_bounds`), and a block's tally
-    is one bincount over its range.  ValueError unless t is an integer >= 1.
+    [0, n), on votes of another length or on a vote outside {+1, 0, -1}
+    (``model``'s rule for a reveal).  At t = 1 the tallies are A @ votes,
+    taken on the edge list as two bincounts (one per orientation) with no
+    adjacency matrix built.  Above it a breadth-first search runs over the
+    pairs (v, x), x at distance s from the row v, one shell_s of pairs per
+    level, from shell_0 = {(v, v)}.  Shell_1 is the edge list in both
+    orientations, kept where the first end is a row, with no sort.  A
+    neighbour of a vertex at distance s lies at distance s - 1, s or s + 1,
+    so shell_{s+1} is the vertices next to shell_s outside shell_{s-1} and
+    shell_s (see :func:`_next_shell`); the middle levels of t >= 3 read the
+    neighbour lists, every edge grouped by the vertex it leaves (see
+    :func:`_lists`).  The last level joins shell_{t-1} with the edges into
+    a voter only, and excludes only the voter pairs; the tally of row v is
+    the sum of ``votes`` over its pairs in shell_t.  A depth-first work
+    list holds blocks (shell_{s-1}, shell_s) of rows.  A level whose sort
+    would pass ``_KEY_BUDGET`` keys is refused before it is built, unless
+    its shell is one row's, and its block is cut in two by rows; a block
+    with an empty shell ends there.  The last level adds its bincount into
+    one tally.  ValueError unless t is an integer >= 1.
     """
     _check_depth(t)
     rows = _indices(rows, "rows")
@@ -96,9 +100,12 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> n
     if rows.size and (rows.min() < 0 or rows.max() >= g.n):
         raise ValueError(f"row out of range [0, {g.n})")
     # float64 once, the weights' type for every bincount below
-    votes = votes.astype(np.float64)
+    votes = _ternary(votes, "votes").astype(np.float64)
     if t == 1:
-        return _adjacency_product(g, votes)[rows].astype(np.int64)
+        # A @ votes, one bincount per orientation: j adds to i and i to j
+        tally = np.bincount(g.ei, weights=votes[g.ej], minlength=g.n)
+        tally += np.bincount(g.ej, weights=votes[g.ei], minlength=g.n)
+        return tally[rows].astype(np.int64)
     isrow = np.zeros(g.n, dtype=bool)
     isrow[rows] = True
     # the pair key _pack(v, x << 1) of every edge (v, x), built in place, one
@@ -114,100 +121,38 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> n
                                     np.compress(voter[g.ei], bwd)]), g.n)
     nbrs = _lists(np.concatenate([fwd, bwd]), g.n) if t > 2 else None
     del fwd, bwd
-    # blocks of vertices, each a range whose rows keep every level within the
-    # key budget; the tallies are taken at every vertex and read at rows.
-    # Block k's shell_1 is firsts[cuts[k]:cuts[k + 1]], one run of it sorted
-    # (one block takes it all, unsorted)
-    bounds = _block_bounds(g, t, isrow, firsts.size, nbrs, voters)
-    cuts = [0, firsts.size]
-    if len(bounds) > 2:
-        firsts.sort()
-        cuts[1:1] = np.searchsorted(firsts, np.array(bounds[1:-1]) << 32).tolist()
-    tally = np.concatenate([
-        _block_tally(bounds[k], bounds[k + 1], isrow, firsts[cuts[k]:cuts[k + 1]], t, nbrs,
-                     voters, voter, votes) for k in range(len(bounds) - 1)])
+    own = np.flatnonzero(isrow)
+    tally = np.zeros(g.n)
+    work = [(_pack(own, own << 1), firsts, 1)]
+    while work:
+        prev, shell, s = work.pop()
+        if not shell.size:
+            continue
+        last, excl = s == t - 1, (prev, shell)
+        if last:  # the last level on the voter edges, against the voter pairs
+            excl = [np.compress(voter[_far_end(x)], x) for x in excl]
+        nxt = _next_shell(shell, excl, *(voters if last else nbrs), _KEY_BUDGET)
+        if nxt is None:
+            # refused: sorted in place (only shell_1 comes unsorted) and cut
+            # in two at the row of the middle key, or the row after the first
+            prev.sort()
+            shell.sort()
+            cut = max(shell[shell.size // 2] >> 32, (shell[0] >> 32) + 1) << 32
+            i, j = np.searchsorted(prev, cut), np.searchsorted(shell, cut)
+            work += [(prev[i:], shell[j:], s), (prev[:i], shell[:j], s)]
+        elif not last:
+            work.append((shell, nxt, s + 1))
+        else:
+            # float sums of +-1 and 0, exact below 2**53
+            part = np.bincount(nxt >> 32, weights=votes[_far_end(nxt)])
+            tally[:part.size] += part
     return tally[rows].astype(np.int64)
 
 
-# the most keys that one level of the t >= 2 census holds at once (32 MB)
-_KEY_BUDGET = 1 << 22
-
-
-def _adjacency_product(g: Graph, x: np.ndarray) -> np.ndarray:
-    """A @ x for the float vector x, taken on the edge list as two bincounts
-    (one per orientation: j adds to i and i to j) with no matrix built; for
-    integer x of magnitude below 2**53 / n the sums are exact."""
-    y = np.bincount(g.ei, weights=x[g.ej], minlength=g.n)
-    y += np.bincount(g.ej, weights=x[g.ei], minlength=g.n)
-    return y
-
-
-def _block_bounds(g: Graph, t: int, isrow: np.ndarray, first: int, nbrs, voters) -> list[int]:
-    """The bounds of the depth-t census's blocks: block k is the vertices
-    ``bounds[k]:bounds[k + 1]`` and the rows among them (``isrow``), whose
-    shell_1 holds ``first`` pairs in all; ``nbrs`` (t >= 3) and ``voters``
-    are the lists that :func:`_block_tally` reads.
-
-    A level holds a shell of pairs, or the candidates for the next one, and
-    the two shells before it.  So all rows together hold at most
-    rows + first (1 + dmax + ... + dmax**(t - 2) (1 + vmax)) keys, for dmax
-    the largest degree and vmax the most voters next to one vertex; when
-    that fits ``_KEY_BUDGET``, all vertices are one block, with no pass over
-    the edges (the per-row bound below costs t products over them, about a
-    fifth of the census at n = 3000, t = 2).  Otherwise :func:`_blocks` cuts
-    them on a bound per row: w_0 + ... + w_t, for w_s the walks of length s
-    from the row (a shortest path is one), and at most 2 |E| + n."""
-    dmax = float(nbrs[1].max(initial=0)) if nbrs else 0.0
-    level = float(first)
-    total = np.count_nonzero(isrow) + level
-    for _ in range(t - 2):
-        level *= dmax
-        total += level
-    if total + level * float(voters[1].max(initial=0)) <= _KEY_BUDGET:
-        return [0, g.n]
-    walks = _adjacency_product(g, np.ones(g.n))
-    cost = 1.0 + walks
-    for _ in range(t - 1):
-        walks = _adjacency_product(g, walks)
-        cost += walks
-    np.minimum(cost, 2 * g.num_edges + g.n, out=cost)
-    cost *= isrow  # a vertex that is not a row holds no keys
-    return _blocks(cost, _KEY_BUDGET)
-
-
-def _blocks(cost: np.ndarray, budget: float) -> list[int]:
-    """The bounds 0 = b_0 < ... < b_k = cost.size of runs of items, taken in
-    order, each as long as its summed ``cost`` stays within ``budget``; an
-    item that alone exceeds it is a run of its own."""
-    ends = np.cumsum(cost)
-    bounds = [0]
-    while bounds[-1] < cost.size:
-        start = bounds[-1]
-        base = ends[start - 1] if start else 0.0
-        bounds.append(max(int(np.searchsorted(ends, base + budget, side="right")), start + 1))
-    return bounds
-
-
-def _block_tally(lo: int, hi: int, isrow: np.ndarray, shell: np.ndarray, t: int, nbrs,
-                 voters, voter: np.ndarray, votes: np.ndarray) -> np.ndarray:
-    """The float depth-t tallies of the vertices ``lo:hi``, zero but at the
-    rows among them (``isrow``), from the keys of their shell_1 ``shell``.
-    The middle levels read the neighbour lists ``nbrs``, the last level the
-    voter lists ``voters``, both built by :func:`_lists`, against the pairs
-    whose far end is in the mask ``voter``."""
-    own = np.flatnonzero(isrow[lo:hi])
-    own += lo
-    prev = _pack(own, own << 1)
-    for _ in range(t - 2):
-        prev, shell = shell, _next_shell(shell, (prev, shell), *nbrs)
-    # the last level on the voter edges, against the voter pairs
-    last = _next_shell(shell, [np.compress(voter[_far_end(x)], x) for x in (prev, shell)],
-                       *voters)
-    far = _far_end(last)
-    last >>= 32
-    last -= lo
-    # float sums of +-1 and 0, exact as at t = 1
-    return np.bincount(last, weights=votes[far], minlength=hi - lo)
+# the most keys (2 MB) that one level of the t >= 2 census sorts, unless its
+# shell is one row's; at n = 10**5, t = 4 more keys raise the peak, from
+# 68 MB here to 79 MB at 2**19 and 220 MB at 2**22
+_KEY_BUDGET = 1 << 18
 
 
 def _far_end(keys: np.ndarray) -> np.ndarray:
@@ -228,19 +173,24 @@ def _lists(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def _next_shell(shell: np.ndarray, excl, start: np.ndarray, count: np.ndarray,
-                tagged: np.ndarray) -> np.ndarray:
+                tagged: np.ndarray, budget: int) -> np.ndarray | None:
     """The sorted keys of the pairs (v, y) outside the key arrays ``excl``,
     for (v, x) in ``shell`` and y a neighbour of x, whose key fields
-    (y << 1) | 1 are ``tagged[start[x]:start[x] + count[x]]``.
+    (y << 1) | 1 are ``tagged[start[x]:start[x] + count[x]]``; None, with
+    nothing built, when the candidates and ``excl`` hold more than
+    ``budget`` keys and ``shell`` is more than one row's.
 
     Each candidate is tagged 1 in bit 0 and sorted with the tag-0 keys of
     ``excl``, which sort just before it; a candidate is kept when the key
     before it is of another pair.  That one sort both drops repeats and
     excludes ``excl``."""
+    x = _far_end(shell)
+    deg = count[x]
+    if deg.sum() + sum(e.size for e in excl) > budget and np.ptp(shell >> 32):
+        return None
     # the segments' lengths and positions, laid end to end: each segment's
     # start less its place in the output, then one ramp
-    x = _far_end(shell)
-    deg, pos = count[x], start[x]
+    pos = start[x]
     del x
     pos += deg
     pos -= np.cumsum(deg)

@@ -9,7 +9,8 @@ knows how an operator is stored, and a graph is its sorted edge list and
 nothing else, which the census reads as it stands.  The one CSR matrix,
 ``MatrixOperator.offdiag``, imports ``scipy.sparse`` when it is first built.
 The input rules live here too, each written once: integers with an optional
-floor for counts, real numbers, seeds, the key width of packed index pairs
+floor for counts, real numbers, seeds, votes in {+1, 0, -1} (``_ternary``, on
+a reveal or the census's votes), the key width of packed index pairs
 (``_check_size``, on a vertex count or a dimension), reveal ratios and rates.
 """
 
@@ -46,6 +47,15 @@ def _indices(values, what: str) -> np.ndarray:
     if raw.dtype.kind not in "biu" and not np.array_equal(idx, raw):
         raise ValueError(f"{what} must be integers")
     return idx
+
+
+def _ternary(values, what: str) -> np.ndarray:
+    """``values`` as a fresh int8 array; ValueError unless each is +1, 0 or -1."""
+    raw = np.asarray(values)
+    v = raw.astype(np.int8)
+    if not np.array_equal(v, raw) or np.any((v < -1) | (v > 1)):
+        raise ValueError(f"{what} must lie in {{+1, 0, -1}}")
+    return v
 
 
 _LOW = (1 << 32) - 1  # the hi field of a key made by _pack
@@ -254,11 +264,9 @@ class RevealedLabels:
 
     def __post_init__(self):
         raw = np.asarray(self.values)
-        v = _store(self, "values", raw.astype(np.int8))
-        if v.ndim != 1:
-            raise ValueError(f"reveal values must be a vector, got shape {v.shape}")
-        if not np.array_equal(v, raw) or np.any((v < -1) | (v > 1)):
-            raise ValueError("reveal values must lie in {+1, 0, -1}")
+        if raw.ndim != 1:
+            raise ValueError(f"reveal values must be a vector, got shape {raw.shape}")
+        v = _store(self, "values", _ternary(raw, "reveal values"))
         _store(self, "revealed_set", np.flatnonzero(v))
         if int(v.sum(dtype=np.int64)) != 0:
             raise ValueError("reveal must be balanced across communities")
