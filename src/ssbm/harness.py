@@ -360,8 +360,9 @@ def summarize(records: list[ResultRecord], t: int = 1) -> dict:
     """Per-cell statistics over every value column each group carries: the
     ``float | None`` fields of :class:`ResultRecord`, in field order.
 
-    Each cell with a + b > 0 carries the depth-t erf accuracy as a reference,
-    and at t = 1 also the overlap lower curve, a bound for t = 1 only.
+    Each cell carries the depth-t erf accuracy as a reference, and at t = 1
+    also the overlap lower curve, a bound for t = 1 only (a record with
+    a + b = 0 cannot exist: its snr check raises).
     Detection cells (both truth models present) additionally report the
     separation score min(SBM) - max(ERM) and the best-threshold accuracy for
     each solver statistic, plus the test threshold, rho0 and ``test_proven``
@@ -381,10 +382,9 @@ def summarize(records: list[ResultRecord], t: int = 1) -> dict:
             "snr": snr(a, b),
             "groups": [],
         }
-        if a + b > 0:
-            reference = {"overlap_lower_curve": overlap_lower_curve(a, b, rho)} if t == 1 else {}
-            reference["erf_accuracy"] = predict_accuracy_erf(a, b, rho, t)
-            entry["reference"] = reference
+        reference = {"overlap_lower_curve": overlap_lower_curve(a, b, rho)} if t == 1 else {}
+        reference["erf_accuracy"] = predict_accuracy_erf(a, b, rho, t)
+        entry["reference"] = reference
         for (algorithm, truth_model), recs in sorted(groups.items()):
             gstat = {"algorithm": algorithm, "truth_model": truth_model, "count": len(recs)}
             for field in _VALUE_FIELDS:

@@ -7,7 +7,8 @@ parameter/instance types, the seeded sampler, and the centered adjacency
 operator A - (d/n) 11^T used by the SDP machinery.  It is the one module that
 knows how an operator is stored, and a graph is its sorted edge list and
 nothing else, which the census reads as it stands.  The one CSR matrix,
-``MatrixOperator.offdiag``, imports ``scipy.sparse`` when it is first built.
+``MatrixOperator.offdiag``, imports ``scipy.sparse`` when it is first built,
+and ``MatrixOperator.offdiag_product`` is the one product with it.
 The input rules live here too, each written once: integers with an optional
 floor for counts, real numbers, seeds, votes in {+1, 0, -1} (``_ternary``, on
 a reveal or the census's votes), the key width of packed index pairs
@@ -300,10 +301,11 @@ class MatrixOperator:
     Duplicate entries in the input are summed in input order; exact zeros
     are dropped.  ``dim`` is an integer of at most 2**31, checked first,
     since each pair is coalesced as one packed int64 key; ``rows``, ``cols``
-    and ``weights`` are vectors of one length.  Every product with M goes
-    through ``offdiag``, built once and cached: M S = offdiag @ [S; u^T S] +
-    diag(M) S, in O((nnz + dim) k) for k columns; ``offdiag_radii`` gives
-    the Gershgorin radii of its off-diagonal part.
+    and ``weights`` are vectors of one length, and every entry (the weights,
+    u and c) is finite.  Every product with M's off-diagonal part B goes
+    through ``offdiag_product``, one product with the cached CSR matrix
+    ``offdiag``: M S = B S + diag(M) S, in O((nnz + dim) k) for k columns;
+    ``offdiag_radii`` gives the Gershgorin radii of B.
     """
 
     dim: int
@@ -345,6 +347,9 @@ class MatrixOperator:
         u = _store(self, "rank1", np.array(u, dtype=np.float64), float(coeff))
         if u.size != self.dim:
             raise ValueError("rank-one vector length does not match dim")
+        if not (np.isfinite(self.weights).all() and np.isfinite(u).all()
+                and math.isfinite(self.rank1[1])):
+            raise ValueError("operator entries must be finite")
 
     @classmethod
     def from_dense(cls, M) -> "MatrixOperator":
@@ -377,6 +382,15 @@ class MatrixOperator:
         import scipy.sparse
         entries = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
         return scipy.sparse.csr_matrix(entries, shape=(n, n + 1))
+
+    def offdiag_product(self, stack: np.ndarray) -> np.ndarray:
+        """B X for the off-diagonal part B of M, where ``stack`` holds X in all
+        but its last row (its last entry, for a vector X): that spare row is
+        overwritten with u^T X, and ``offdiag @ stack`` returned.  The one
+        product with B, so a caller that keeps its stack allocates nothing
+        but the result."""
+        np.matmul(self.rank1[0], stack[:-1], out=stack[-1, ...])
+        return self.offdiag @ stack
 
     def diagonal(self) -> np.ndarray:
         """Full matrix diagonal: sparse + rank-one contributions."""

@@ -2,9 +2,10 @@
 
 Solves max{ <M, X> : X >= 0, X_ii = 1 } through the factorization X = S S^T
 with unit-norm rows.  The plain step F moves every row at once to its
-normalized shifted gradient: one CSR product of the operator's cached
-``MatrixOperator.offdiag``, which folds the rank-one part in, with
-[S; u^T S], and a per-row shift recomputed from the gradient every step.
+normalized shifted gradient: one ``MatrixOperator.offdiag_product``, the
+operator's one product with its off-diagonal part (a CSR product that folds
+the rank-one part in), and a per-row shift recomputed from the gradient
+every step; how the operator is stored is ``model``'s alone.
 That is O((nnz + dim) k) work, and a monotone ascent: a row's shift is at
 least half its Gershgorin radius less half its alignment with its
 gradient, which is all ascent needs (the batch form of the low-rank coordinate scheme of the
@@ -41,7 +42,9 @@ from .rng import derive_key, stream
 
 
 class NumericError(RuntimeError):
-    """Non-finite input or numerical breakdown inside the solver."""
+    """Numerical breakdown inside the solver: an objective that diverged to
+    a non-finite value.  A non-finite operator never gets here: the
+    ``MatrixOperator`` constructor refuses it with ValueError."""
 
 
 @dataclass(frozen=True)
@@ -158,11 +161,11 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
     per-row shift sigma_i = max((lam_i - t_i) / 2, lam_i / 4) of
     :func:`_ascent_step`, lam = ``M.offdiag_radii()`` the Gershgorin radii
     of B summed over its sparse and rank-one parts apart.
-    G is one CSR product W [S; u^T S] with W = ``M.offdiag``, built once per
-    operator and cached on it; t also gives the objective,
-    sum_i t_i + sum_i M_ii.  No plain step can lower the objective (the proof
-    is in :func:`_ascent_step`), and the fixed points are those of the
-    Gershgorin shift, rows with g_i parallel to s_i.  Each step mixes F by
+    G is ``M.offdiag_product`` of the solver's one preallocated buffer
+    [S; spare row], whose spare row the product fills; t also gives the
+    objective, sum_i t_i + sum_i M_ii.  No plain step can lower the
+    objective (the proof is in :func:`_ascent_step`), and the fixed points
+    are those of the Gershgorin shift, rows with g_i parallel to s_i.  Each step mixes F by
     type-II Anderson acceleration (:class:`_Mixing`): with the differences
     dF and dR of the F-values and residuals R = F(S) - S of the last
     ``ANDERSON_MEMORY`` + 1 steps, gamma = argmin |R - dR gamma| and the
@@ -190,25 +193,24 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
     exceeds ``CERT_GAP`` relative (to max(1, |value|)), up to
     ``cfg.restarts`` in all.  Returns the best restart run; its exact
     ``certificate`` is computed on first read, or was already computed for
-    the restart rule.
+    the restart rule.  Raises ValueError on an empty operator, and
+    :class:`NumericError` where the objective diverges; every operator's
+    entries are finite, since its constructor refuses any other.
     """
     cfg = cfg or SolverConfig()
     n = M.dim
     if n == 0:
         raise ValueError("cannot solve an empty (dimension-zero) problem")
-    u, c = M.rank1
-    if not (np.all(np.isfinite(M.weights)) and np.all(np.isfinite(u)) and math.isfinite(c)):
-        raise NumericError("operator has non-finite entries")
 
     k = cfg.rank_for(n)
-    W, lam = M.offdiag, M.offdiag_radii()
+    lam = M.offdiag_radii()
     # Every row of S stays unit: the draw is normalised once an all-zero row
     # (an event of probability zero) is set to e_1, a plain step normalises
     # each row or, where its shifted gradient is exactly zero, keeps it, and a
     # mixed candidate normalises each row it moves.  So
     # <M, S S^T> = sum_i t_i + sum_i M_ii with t_i = <s_i, g_i>.
     diag_sum = float(M.diagonal().sum())
-    buf = np.zeros((n + 1, k))  # [S; u^T S]
+    buf = np.zeros((n + 1, k))  # S and the spare row of M.offdiag_product
     S = buf[:n]
     certifier = _Certifier(M)
     target = CERT_GAP * min(1.0, cfg.tol / 1e-6)
@@ -228,8 +230,7 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
         # half the budget, which schedules the first Cholesky check
         check = 0
         for sweeps in range(cfg.max_sweeps + 1):
-            np.matmul(u, S, out=buf[n])
-            G = W @ buf
+            G = M.offdiag_product(buf)
             t = np.einsum("ij,ij->i", S, G)
             val = float(t.sum()) + diag_sum
             if mixed and not val >= history[-1]:
@@ -389,7 +390,8 @@ def certify_dual(M: MatrixOperator, sol: SdpSolution) -> DualCertificate:
     ``power_converged`` then says whether that residual met
     ``LANCZOS_TOL * max(1, |theta|)``, and where it did not, the Gershgorin
     bound caps lambda_min, so the upper bound stays valid.  The row
-    gradients come from one product with ``M.offdiag``.
+    gradients come from one ``M.offdiag_product``, as the solver's do, and
+    the Lanczos iteration's products with B go through it too.
     """
     return _Certifier(M).certify(sol)
 
@@ -401,7 +403,6 @@ class _Certifier:
 
     def __init__(self, M: MatrixOperator):
         self.M = M
-        self.u = M.rank1[0]
         self.negM = None  # -M, whose diagonal each method overwrites
         if M.dim <= DENSE_CERT_MAX:
             self.negM = M.to_dense()
@@ -427,8 +428,8 @@ class _Certifier:
     def certify(self, sol: SdpSolution) -> DualCertificate:
         """:func:`certify_dual` of ``sol``: by ``eigvalsh`` on -M with y added
         to its diagonal, or by :meth:`_lanczos` above ``DENSE_CERT_MAX``."""
-        M, n, S = self.M, self.M.dim, sol.factor
-        y = np.linalg.norm(M.offdiag @ np.vstack([S, self.u @ S]), axis=1) + M.diagonal()
+        M, n, stack = self.M, self.M.dim, np.pad(sol.factor, ((0, 1), (0, 0)))  # a spare row
+        y = np.linalg.norm(M.offdiag_product(stack), axis=1) + M.diagonal()
         if self.negM is not None:
             # the dense diagonal plus y: y - M.diagonal() rounds apart on a general u
             self.negM[np.diag_indices(n)] = self.negdiag + y
@@ -446,11 +447,11 @@ class _Certifier:
         # ~8.5 MB to `import ssbm`, which every sweep worker and CLI call pays
         from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-        M, n, u = self.M, self.M.dim, self.u
+        M, n = self.M, self.M.dim
         shift = y - M.diagonal()
 
         def bmat(v):  # (diag(y) - M) v = (y - diag M) v - B v; y - diag M is >= 0
-            return shift * v - M.offdiag @ np.append(v, u @ v)
+            return shift * v - M.offdiag_product(np.pad(v, (0, 1)))  # v and a spare entry
 
         v = stream(0, "dual-init").standard_normal(n)
         if n > 1:  # ARPACK needs dim > 1; at dim 1 any unit vector is exact

@@ -278,7 +278,7 @@ def test_operator_dense_matches_matvec_against_basis():
     op = MatrixOperator(n, op.rows, op.cols, op.weights, rank1=(u, 0.7))
     ref = dense + 0.7 * np.outer(u, u)
     assert np.allclose(op.to_dense(), ref, atol=1e-12)
-    cols = op.offdiag @ np.vstack([np.eye(n), u]) + np.diag(op.diagonal())
+    cols = op.offdiag_product(np.vstack([np.eye(n), np.zeros(n)])) + np.diag(op.diagonal())
     assert np.allclose(cols, ref, atol=1e-12)
 
 
@@ -298,17 +298,26 @@ def test_operator_products_and_restrict_match_dense(data):
     assert np.array_equal(dense, dense.T)
     u = op.rank1[0]
     v = np.array(data.draw(st.lists(st.floats(-5, 5, allow_nan=False), min_size=n, max_size=n)))
-    product = op.offdiag @ np.append(v, u @ v) + op.diagonal() * v
-    assert np.allclose(product, dense @ v, rtol=0, atol=1e-9)
-    # offdiag @ [S; u^T S] = B S for the off-diagonal part B, up to rounding
-    # bounded by the row sums of the sparse part and of the rest taken apart
     k = data.draw(st.integers(1, 4))
     S = np.array(data.draw(st.lists(st.floats(-2, 2, allow_nan=False),
                                     min_size=n * k, max_size=n * k))).reshape(n, k)
+    # offdiag_product of a stack whose spare last row (entry, for a vector)
+    # holds NaN writes u^T X there and nothing else, and is offdiag @ [X; u^T X]
+    # bit for bit
+    products = []
+    for X in (v, S):
+        stack = np.concatenate([X, np.full_like(X[:1], np.nan)])
+        products.append(op.offdiag_product(stack))
+        assert np.array_equal(stack[:-1], X) and np.array_equal(stack[-1], u @ X)
+        assert np.array_equal(products[-1], op.offdiag @ np.concatenate([X, (u @ X)[None]]))
+    assert np.allclose(products[0] + op.diagonal() * v, dense @ v, rtol=0, atol=1e-9)
+    # offdiag_product([S; spare]) = B S for the off-diagonal part B, up to
+    # rounding bounded by the row sums of the sparse part and of the rest
+    # taken apart
     sparse = MatrixOperator(n, op.rows, op.cols, op.weights).to_dense()
     scale = max(1.0, float((np.abs(sparse).sum(axis=1) + np.abs(dense - sparse).sum(axis=1)).max()))
     assert op.offdiag.shape == (n, n + 1)
-    assert np.allclose(op.offdiag @ np.vstack([S, u @ S]), (dense - np.diag(np.diag(dense))) @ S,
+    assert np.allclose(products[1], (dense - np.diag(np.diag(dense))) @ S,
                        rtol=0, atol=1e-12 * scale)
     assert np.allclose(op.diagonal(), np.diag(dense), rtol=0, atol=1e-12 * scale)
     keep = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
@@ -342,6 +351,15 @@ def test_operator_rejects_malformed_input():
             MatrixOperator(3, r, c, [1.0])
     with pytest.raises(ValueError, match="rank-one vector length does not match dim"):
         MatrixOperator(3, [0], [1], [1.0], rank1=(np.ones(2), 1.0))
+    # the weights, u and c are finite, including a sum of duplicate weights
+    for bad in (np.nan, np.inf, -np.inf):
+        for kwargs in ({"weights": [1.0, bad]}, {"rank1": (np.array([1.0, bad, 0.0]), 1.0)},
+                       {"rank1": (np.ones(3), bad)}):
+            args = {"weights": [1.0, 2.0], **kwargs}
+            with pytest.raises(ValueError, match="operator entries must be finite"):
+                MatrixOperator(3, [0, 1], [1, 2], **args)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="entries must be finite"):
+        MatrixOperator(3, [0, 0], [1, 1], [1e308, 1e308])
 
 
 def test_value_types_keep_their_own_arrays():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
-from ssbm import (MatrixOperator, ModelParams, NumericError, SolverConfig, aggregate,
+from ssbm import (MatrixOperator, ModelParams, SolverConfig, aggregate,
                   centered_adjacency, certify_dual, solve_csdp, round_leading_eigvec,
                   sample_instance, solve_elliptope)
 from ssbm import sdp
@@ -62,9 +62,9 @@ def test_rank_one_spike_reaches_global_optimum():
 def test_empty_and_nonfinite_inputs():
     with pytest.raises(ValueError):
         solve_elliptope(MatrixOperator(0, [], [], []), SolverConfig())
-    bad = MatrixOperator(2, [0], [1], [np.nan])
-    with pytest.raises(NumericError):
-        solve_elliptope(bad, SolverConfig())
+    # a non-finite operator is refused where it is built, before any solve
+    with pytest.raises(ValueError, match="operator entries must be finite"):
+        MatrixOperator(2, [0], [1], [np.nan])
 
 
 def test_objective_history_is_monotone():
@@ -82,8 +82,9 @@ def _offdiag(A):
 
 
 def _gradient(M, S):
-    """G = B S for the off-diagonal part B of M: one product with M.offdiag."""
-    return M.offdiag @ np.vstack([S, M.rank1[0] @ S])
+    """G = B S for the off-diagonal part B of M: one M.offdiag_product of S
+    with a spare row."""
+    return M.offdiag_product(np.vstack([S, np.zeros(S.shape[1])]))
 
 
 def _dense_shift(M):
@@ -501,8 +502,8 @@ def _random_operator(rng, n):
 
 
 def _dense_by_products(M):
-    """The dense matrix through M.offdiag and diagonal(), not to_dense."""
-    return M.offdiag @ np.vstack([np.eye(M.dim), M.rank1[0]]) + np.diag(M.diagonal())
+    """The dense matrix through M.offdiag_product and diagonal(), not to_dense."""
+    return M.offdiag_product(np.vstack([np.eye(M.dim), np.zeros(M.dim)])) + np.diag(M.diagonal())
 
 
 def test_dense_certificate_is_exact_on_small_operators():
