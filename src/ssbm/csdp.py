@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import EstimateReport, _vote_report, overlap
-from .model import (Graph, Labels, MatrixOperator, RevealedLabels, _check_seed,
-                    centered_adjacency)
+from .census import EstimateReport, _vote_report
+from .model import Graph, Labels, MatrixOperator, RevealedLabels, centered_adjacency
 from .sdp import SdpSolution, SolverConfig, round_leading_eigvec, solve_elliptope
 
 
@@ -116,17 +115,15 @@ def estimate_unrevealed(
     revealed +1 vertex, so the signs are anchored and no global-flip alignment
     is needed.  A zero dot product falls to the fair coin
     ``coin(seed, "csdp-tie", v)`` of the original vertex v, all drawn at once
-    as in the census.  With an empty reveal the
-    unsupervised rounding is used instead, whose overall sign is arbitrary
-    (overlap takes the absolute value either way).  ValueError on a seed
-    outside [0, 2**64), with or without a reveal.
+    as in the census.  With an empty reveal the votes are the unsupervised
+    rounding's signs instead, whose overall sign is arbitrary (overlap takes
+    the absolute value either way); they are never zero, so no coin is drawn.
+    Both go through the census's vote rule, so ValueError on a seed outside
+    [0, 2**64), with or without a reveal.
     """
     if sol.aggregated is None:
-        # no coin is drawn here, but the seed rule is the vote rule's
-        _check_seed(seed)
-        estimates = round_leading_eigvec(sol.inner)
-        return EstimateReport(estimates=estimates, ties_broken=0,
-                              overlap=overlap(estimates, labels, rev))
+        return _vote_report(round_leading_eigvec(sol.inner), rev.unrevealed(), rev, labels,
+                            seed, "csdp-tie")
     dots = sol.inner.factor[1:] @ sol.inner.factor[0]
     return _vote_report(dots, sol.aggregated.index_map, rev, labels, seed, "csdp-tie")
 

@@ -10,6 +10,7 @@ produced the graph.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import datetime
 import itertools
@@ -61,15 +62,6 @@ class ResultRecord:
         if abs(self.snr - snr(self.a, self.b)) > 1e-12:
             raise ValueError("snr column disagrees with (a, b)")
 
-    def csv_row(self) -> str:
-        def fmt(v):
-            if v is None:
-                return ""
-            if isinstance(v, float):
-                return repr(v)
-            return str(v)
-        return ",".join(fmt(getattr(self, f)) for f in RESULT_FIELDS)
-
 
 RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(ResultRecord))
 
@@ -90,35 +82,40 @@ _VALUE_FIELDS = tuple(name for name in RESULT_FIELDS if _HINTS[name] == float | 
 
 
 def write_csv(path, records: list[ResultRecord]) -> None:
-    """Rows in the declared field order; the leading comment line carries the
-    creation timestamp and is outside the determinism contract."""
+    """Rows in the declared field order, in the stdlib's CSV dialect: None is
+    an empty column and a float its repr.  The leading comment line carries
+    the creation timestamp and is outside the determinism contract."""
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     with open(path, "w") as fh:
         fh.write(f"# created {stamp}\n")
-        fh.write(",".join(RESULT_FIELDS) + "\n")
-        for rec in records:
-            fh.write(rec.csv_row() + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(RESULT_FIELDS)
+        writer.writerows([getattr(rec, f) for f in RESULT_FIELDS] for rec in records)
 
 
 def read_csv(path) -> list[ResultRecord]:
     """Records from a file written by :func:`write_csv`, each column parsed
-    by the type of its field.  A file without the header, or a row that is
-    cut short, overlong or unparsable, raises ValueError naming its line."""
+    by the type of its field.  Each line is read by the stdlib's CSV reader on
+    its own, so a stray quote cannot join it to the lines after it.  A file
+    without the header, or a row that is cut short, overlong or unparsable,
+    raises ValueError naming its line."""
     with open(path) as fh:
         lines = [(no, ln) for no, ln in enumerate(fh.read().splitlines(), 1)
                  if ln and not ln.startswith("#")]
-    if not lines or tuple(lines[0][1].split(",")) != RESULT_FIELDS:
-        where = f"line {lines[0][0]}" if lines else "end of file"
-        raise ValueError(f"{path}, {where}: expected the CSV header")
+    if not lines:
+        raise ValueError(f"{path}, end of file: expected the CSV header")
     records = []
-    for no, ln in lines[1:]:
-        parts = ln.split(",")
+    for no, ln in lines:
         try:
+            parts = next(csv.reader([ln]))
+            if no == lines[0][0] and tuple(parts) != RESULT_FIELDS:
+                raise ValueError("expected the CSV header")
             if len(parts) != len(RESULT_FIELDS):
                 raise ValueError(f"{len(parts)} fields, expected {len(RESULT_FIELDS)}")
-            records.append(ResultRecord(**{
-                name: parse(text) for name, parse, text in zip(RESULT_FIELDS, _PARSERS, parts)}))
-        except ValueError as err:
+            if no > lines[0][0]:
+                records.append(ResultRecord(**{name: parse(text) for name, parse, text
+                                               in zip(RESULT_FIELDS, _PARSERS, parts)}))
+        except (ValueError, csv.Error) as err:
             raise ValueError(f"{path}, line {no}: {err}") from err
     return records
 
@@ -309,19 +306,13 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     else:
         results = [_cell_task(cfg, ci, cell, rep) for ci, cell, rep in tasks]
 
-    records, extras = [], []
+    records, sections = [], {"sandwich": [], "errors": []}
     for recs, extra in results:
         records.extend(recs)
         if extra is not None:
-            extras.append(extra)
-
+            sections["errors" if extra["type"] == "error" else "sandwich"].append(extra)
     summary = summarize(records, t=cfg.t)
-    sandwich_extras = [e for e in extras if e.get("type") == "sandwich"]
-    error_extras = [e for e in extras if e.get("type") == "error"]
-    if sandwich_extras:
-        summary["sandwich"] = sandwich_extras
-    if error_extras:
-        summary["errors"] = error_extras
+    summary.update((key, found) for key, found in sections.items() if found)
     write_csv(csv_path, records)
     # one write: json.dump would make about a thousand small ones
     with open(summary_path, "w") as fh:

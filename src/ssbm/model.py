@@ -10,8 +10,9 @@ nothing else, which the census reads as it stands.  The one CSR matrix,
 ``MatrixOperator.offdiag``, imports ``scipy.sparse`` when it is first built,
 and ``MatrixOperator.offdiag_product`` is the one product with it.
 The input rules live here too, each written once: integers with an optional
-floor for counts, real numbers, seeds, votes in {+1, 0, -1} (``_ternary``, on
-a reveal or the census's votes), the key width of packed index pairs
+floor for counts, real numbers and arrays of them (``_floats``, on an
+operator's weights, u and dense matrix), seeds, votes in {+1, 0, -1} (``_ternary``, on a
+reveal, the census's votes or labels), the key width of packed index pairs
 (``_check_size``, on a vertex count or a dimension), reveal ratios and rates.
 """
 
@@ -57,6 +58,15 @@ def _ternary(values, what: str) -> np.ndarray:
     if not np.array_equal(v, raw) or np.any((v < -1) | (v > 1)):
         raise ValueError(f"{what} must lie in {{+1, 0, -1}}")
     return v
+
+
+def _floats(values, what: str) -> np.ndarray:
+    """``values`` as a fresh float64 array; ValueError unless they are held
+    as integers or floats (a string, an object or a bool is not a number)."""
+    raw = np.asarray(values)
+    if raw.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be numbers, got dtype {raw.dtype}")
+    return raw.astype(np.float64)
 
 
 _LOW = (1 << 32) - 1  # the hi field of a key made by _pack
@@ -194,10 +204,8 @@ class Labels:
     values: np.ndarray
 
     def __post_init__(self):
-        raw = np.asarray(self.values)
-        v = _store(self, "values", raw.astype(np.int8))
-        # compared with the input, so a value that int8 wraps or truncates fails
-        if v.ndim != 1 or v.size == 0 or not np.array_equal(v, raw) or not np.all(np.abs(v) == 1):
+        v = _store(self, "values", _ternary(self.values, "labels"))
+        if v.ndim != 1 or v.size == 0 or not v.all():
             raise ValueError("labels must be a nonempty vector with entries +-1")
         if int(v.sum(dtype=np.int64)) != 0:
             raise ValueError("labels must be balanced (equal community sizes)")
@@ -302,10 +310,12 @@ class MatrixOperator:
     are dropped.  ``dim`` is an integer of at most 2**31, checked first,
     since each pair is coalesced as one packed int64 key; ``rows``, ``cols``
     and ``weights`` are vectors of one length, and every entry (the weights,
-    u and c) is finite.  Every product with M's off-diagonal part B goes
-    through ``offdiag_product``, one product with the cached CSR matrix
-    ``offdiag``: M S = B S + diag(M) S, in O((nnz + dim) k) for k columns;
-    ``offdiag_radii`` gives the Gershgorin radii of B.
+    u and c) is a finite number, the weights and u held as integers or
+    floats (a string or a bool is refused, not cast).  Every product with
+    M's off-diagonal part B goes through ``offdiag_product``, one product
+    with the cached CSR matrix ``offdiag``: M S = B S + diag(M) S, in
+    O((nnz + dim) k) for k columns; ``offdiag_radii`` gives the Gershgorin
+    radii of B.
     """
 
     dim: int
@@ -324,7 +334,7 @@ class MatrixOperator:
         _check_size(self.dim, "dimension")
         r = _indices(self.rows, "sparse indices")
         c = _indices(self.cols, "sparse indices")
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = _floats(self.weights, "weights")
         if not (r.shape == c.shape == w.shape):
             raise ValueError("rows/cols/weights must have equal length")
         if r.ndim != 1:
@@ -337,14 +347,16 @@ class MatrixOperator:
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         first = np.flatnonzero(np.diff(keys, prepend=-1))  # group starts; keys >= 0
-        w = np.add.reduceat(w[order], first)
+        with np.errstate(over="ignore"):  # an inf sum is refused below
+            w = np.add.reduceat(w[order], first)
         nz = w != 0.0
         lo, hi = _unpack(keys[first[nz]])
         _store(self, "rows", lo)
         _store(self, "cols", hi)
         _store(self, "weights", w[nz])
         u, coeff = self.rank1 or (np.zeros(self.dim), 0)
-        u = _store(self, "rank1", np.array(u, dtype=np.float64), float(coeff))
+        _require_real(coeff, "rank-one coefficient")
+        u = _store(self, "rank1", _floats(u, "rank-one vector"), float(coeff))
         if u.size != self.dim:
             raise ValueError("rank-one vector length does not match dim")
         if not (np.isfinite(self.weights).all() and np.isfinite(u).all()
@@ -354,7 +366,7 @@ class MatrixOperator:
     @classmethod
     def from_dense(cls, M) -> "MatrixOperator":
         """Operator view of a dense symmetric matrix (upper triangle stored)."""
-        M = np.asarray(M, dtype=np.float64)
+        M = _floats(M, "matrix entries")
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("expected a square matrix")
         if not np.allclose(M, M.T, atol=1e-12, rtol=0):

@@ -2,6 +2,7 @@ import hashlib
 import math
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +78,7 @@ def test_labels_and_reveals_validate():
     with pytest.raises(ValueError):
         RevealedLabels(np.array([1, 1, 0, 0], dtype=np.int8))  # unbalanced
     # out-of-range values are refused, not wrapped through int8
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"labels must lie in \{\+1, 0, -1\}"):
         Labels(np.array([257, 1, -1, -1]))  # 257 would wrap to 1
     with pytest.raises(ValueError):
         RevealedLabels(np.array([255, 0, 1, 0]))  # 255 would wrap to -1
@@ -358,8 +359,21 @@ def test_operator_rejects_malformed_input():
             args = {"weights": [1.0, 2.0], **kwargs}
             with pytest.raises(ValueError, match="operator entries must be finite"):
                 MatrixOperator(3, [0, 1], [1, 2], **args)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="entries must be finite"):
-        MatrixOperator(3, [0, 0], [1, 1], [1e308, 1e308])
+    # refused without an overflow warning first: warnings here are errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="entries must be finite"):
+            MatrixOperator(3, [0, 0], [1, 1], [1e308, 1e308])
+    # the weights, u and c are numbers: no string, object or bool is cast to one
+    for kwargs, match in (({"weights": ["1.5"]}, "weights must be numbers"),
+                          ({"weights": [True]}, "weights must be numbers"),
+                          ({"weights": np.array([1.5], dtype=object)}, "weights must be numbers"),
+                          ({"rank1": (["1", "2"], 0.5)}, "rank-one vector must be numbers"),
+                          ({"rank1": ([True, False], 0.5)}, "rank-one vector must be numbers"),
+                          ({"rank1": ([1, 2], "0.5")}, "rank-one coefficient must be a number"),
+                          ({"rank1": ([1, 2], True)}, "rank-one coefficient must be a number")):
+        with pytest.raises(ValueError, match=match):
+            MatrixOperator(2, [0], [1], **{"weights": [1.5], **kwargs})
 
 
 def test_value_types_keep_their_own_arrays():
@@ -663,3 +677,7 @@ def test_from_dense_requires_symmetry():
         MatrixOperator.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         MatrixOperator.from_dense(np.zeros(3))
+    # the constructor's number rule: no string or bool matrix is cast
+    for dense in ([["0", "1.5"], ["1.5", "0"]], [[False, True], [True, False]]):
+        with pytest.raises(ValueError, match="matrix entries must be numbers"):
+            MatrixOperator.from_dense(dense)
