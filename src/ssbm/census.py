@@ -46,7 +46,7 @@ class EstimateReport:
 
 def overlap(estimates: np.ndarray, labels: Labels, rev: RevealedLabels) -> float:
     """|<x, x_hat>| / (n - m) over the unrevealed vertices (0 if there are none)."""
-    unrev = rev.unrevealed()
+    unrev = rev.unrevealed_set
     truth = labels.values[unrev].astype(np.int64)
     return abs(int(truth @ estimates[unrev].astype(np.int64))) / max(unrev.size, 1)
 
@@ -214,50 +214,55 @@ def _next_shell(shell: np.ndarray, excl, start: np.ndarray, count: np.ndarray,
 
 
 def census_estimate(g: Graph, rev: RevealedLabels, t: int = 1, seed: int = 0) -> EstimateReport:
-    """Estimate every unrevealed label by its depth-t census.
+    """Estimate every unrevealed label, ``rev.unrevealed_set``, by its
+    depth-t census.
 
     Ties (zero margin) get the fair coin ``coin(seed, "census-tie", v)`` keyed
     by the vertex index, so no vertex's coin perturbs another's; :func:`coins`
     draws them all in one array operation.  Revealed labels are copied through;
     overlap is computed on the unrevealed vertices only.  ValueError when the
-    reveal's length differs from the graph's, on a depth that
-    :func:`margins_at_depth` refuses, or on a seed that :func:`_vote_report`
-    refuses.
+    reveal's length differs from the graph's, when every vertex is revealed
+    (m = n), on a depth that :func:`margins_at_depth` refuses, or on a seed
+    that :func:`_vote_report` refuses.
     """
     if rev.n != g.n:
         raise ValueError(f"reveal length {rev.n} does not match the graph's {g.n} vertices")
-    unrev = rev.unrevealed()
-    if unrev.size == 0:
+    if rev.m == rev.n:
         raise ValueError(_ALL_REVEALED)
-    margins = margins_at_depth(g, rev.values, t, unrev)
-    return _vote_report(margins, unrev, rev, g.labels, seed, "census-tie")
+    margins = margins_at_depth(g, rev.values, t, rev.unrevealed_set)
+    return _vote_report(margins, rev, g.labels, seed, "census-tie")
 
 
-def _vote_report(scores: np.ndarray, verts: np.ndarray, rev: RevealedLabels,
-                 labels: Labels, seed: int, purpose: str) -> EstimateReport:
-    """The vote rule both estimators share: the sorted unrevealed vertex
-    ``verts[k]`` gets the sign of ``scores[k]``, or the fair coin
-    ``coin(seed, purpose, verts[k])`` when that is zero; revealed labels are
-    copied through, and the overlap is taken on the unrevealed vertices.
-    ValueError on a seed outside [0, 2**64), which the coins would fold
-    onto another."""
+def _vote_report(scores: np.ndarray, rev: RevealedLabels, labels: Labels, seed: int,
+                 purpose: str) -> EstimateReport:
+    """The vote rule both estimators share: score k belongs to the unrevealed
+    vertex v = ``rev.unrevealed_set[k]``, which gets the sign of
+    ``scores[k]``, or the fair coin ``coin(seed, purpose, v)`` when that is
+    zero; revealed labels are copied through, and the overlap is taken on
+    the unrevealed vertices.  ValueError on a seed outside [0, 2**64), which
+    the coins would fold onto another."""
     _check_seed(seed)
     signs = np.sign(scores).astype(np.int8)
     tied = signs == 0
-    signs[tied] = coins(seed, purpose, verts[tied])
+    signs[tied] = coins(seed, purpose, rev.unrevealed_set[tied])
     estimates = rev.values.copy()
-    estimates[verts] = signs
+    estimates[rev.unrevealed_set] = signs
     return EstimateReport(estimates=estimates, ties_broken=int(np.count_nonzero(tied)),
                           overlap=overlap(estimates, labels, rev))
 
 
 def predict_accuracy_erf(a: float, b: float, rho: float, t: int = 1) -> float:
-    """Asymptotic per-vertex accuracy 1/2 + 1/2 erf(sqrt(rho SNR^t / 2))."""
+    """Asymptotic per-vertex accuracy 1/2 + 1/2 erf(sqrt(rho SNR^t / 2)),
+    or erf's limit 1.0 where rho SNR^t / 2 overflows a float (SNR > 1 at a
+    large depth t)."""
     _check_rho(rho)
     _check_depth(t)
     if rho == 0.0:
         return 0.5
-    return 0.5 + 0.5 * math.erf(math.sqrt(rho * snr(a, b) ** t / 2.0))
+    try:
+        return 0.5 + 0.5 * math.erf(math.sqrt(rho * snr(a, b) ** t / 2.0))
+    except OverflowError:
+        return 1.0
 
 
 def overlap_lower_curve(a: float, b: float, rho: float) -> float:

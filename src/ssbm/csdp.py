@@ -25,11 +25,10 @@ from .sdp import SdpSolution, SolverConfig, round_leading_eigvec, solve_elliptop
 @dataclass(frozen=True)
 class AggregatedOperator:
     """The reduced matrix: index 0 is the aggregated revealed margin, and
-    ``index_map[j]`` is the original vertex behind row j+1 (sorted unrevealed
-    order)."""
+    row j+1 is the unrevealed vertex ``rev.unrevealed_set[j]`` of the reveal
+    it was aggregated on (sorted order)."""
 
     op: MatrixOperator
-    index_map: np.ndarray
 
     @property
     def margin00(self) -> float:
@@ -73,22 +72,22 @@ def aggregate(M: MatrixOperator, rev: RevealedLabels) -> AggregatedOperator:
 
     This is the congruence P^T M P (:meth:`MatrixOperator.congruence`) for the
     assignment P that sends every revealed vertex i to index 0 with sign x_i
-    and the unrevealed vertices, in sorted order, to indices 1..n-m.  So the
-    reduction is exact entrywise, and a rank-one part c u u^T maps to
-    c v v^T with v = (sum_{i in R} x_i u_i, u restricted to unrevealed
-    vertices).  Requires a balanced reveal (sum of revealed labels zero); that
-    is what cancels the all-ones rank-one part out of the margin row for
-    centered adjacency input.
+    and the unrevealed vertices, ``rev.unrevealed_set`` in its sorted order,
+    to indices 1..n-m.  So the reduction is exact entrywise, and a rank-one
+    part c u u^T maps to c v v^T with v = (sum_{i in R} x_i u_i, u
+    restricted to unrevealed vertices).  Requires a balanced reveal (sum of
+    revealed labels zero); that is what cancels the all-ones rank-one part
+    out of the margin row for centered adjacency input.
     """
     if M.dim != rev.n:
         raise ValueError("operator and reveal dimensions differ")
     if int(rev.values.sum(dtype=np.int64)) != 0:
         raise ValueError("aggregation requires a balanced reveal")
-    unrev = rev.unrevealed()
+    unrev = rev.unrevealed_set
     col = np.zeros(M.dim, dtype=np.int64)
     col[unrev] = 1 + np.arange(unrev.size)
     op = M.congruence(col, np.where(rev.values == 0, 1, rev.values), unrev.size + 1)
-    return AggregatedOperator(op=op, index_map=unrev)
+    return AggregatedOperator(op=op)
 
 
 def solve_csdp(
@@ -109,7 +108,8 @@ def solve_csdp(
 def estimate_unrevealed(
     sol: CsdpSolution, rev: RevealedLabels, labels: Labels, seed: int = 0
 ) -> EstimateReport:
-    """Labels from the factor: x_hat_j = sign(sigma_0 . sigma_j).
+    """Labels from the factor: x_hat_j = sign(sigma_0 . sigma_j) for the
+    unrevealed vertex ``rev.unrevealed_set[j - 1]``.
 
     sigma_0, row 0 of the inner factor, is the direction shared by every
     revealed +1 vertex, so the signs are anchored and no global-flip alignment
@@ -118,14 +118,15 @@ def estimate_unrevealed(
     as in the census.  With an empty reveal the votes are the unsupervised
     rounding's signs instead, whose overall sign is arbitrary (overlap takes
     the absolute value either way); they are never zero, so no coin is drawn.
-    Both go through the census's vote rule, so ValueError on a seed outside
-    [0, 2**64), with or without a reveal.
+    The branches only choose the scores, and one call to the census's vote
+    rule labels them, so ValueError on a seed outside [0, 2**64), with or
+    without a reveal.
     """
     if sol.aggregated is None:
-        return _vote_report(round_leading_eigvec(sol.inner), rev.unrevealed(), rev, labels,
-                            seed, "csdp-tie")
-    dots = sol.inner.factor[1:] @ sol.inner.factor[0]
-    return _vote_report(dots, sol.aggregated.index_map, rev, labels, seed, "csdp-tie")
+        scores = round_leading_eigvec(sol.inner)
+    else:
+        scores = sol.inner.factor[1:] @ sol.inner.factor[0]
+    return _vote_report(scores, rev, labels, seed, "csdp-tie")
 
 
 def detection_margin(a: float, b: float, delta: float | None = None) -> float:
@@ -191,13 +192,13 @@ def sandwich_check(
 ) -> SandwichReport:
     """Solve all three programs on one instance and audit the inequalities."""
     M = centered_adjacency(g, d)
-    unrev = rev.unrevealed()
     csol = solve_csdp(M, rev, cfg)
     if rev.m == 0:
         # nothing revealed: all three programs are the SDP of M, solved once
         lower = upper = csol.value
     else:
-        lower = solve_elliptope(M.restrict(unrev), cfg).value if unrev.size else 0.0
+        lower = (solve_elliptope(M.restrict(rev.unrevealed_set), cfg).value
+                 if rev.m < rev.n else 0.0)
         upper = solve_elliptope(M, cfg).value
     margin00 = csol.margin00
     tau = 1e-3 * g.n * math.sqrt(max(d, 1.0))

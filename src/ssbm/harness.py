@@ -286,7 +286,9 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
 
     Deterministic: every (cell, rep) task derives its seeds from
     (cfg.seed, cell index, rep index), so any worker count yields the same
-    records, serialized in (cell, rep) order.
+    records, serialized in (cell, rep) order.  records.csv is written
+    before anything is summarised, so a summary that fails loses no
+    replication.
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "records.csv")
@@ -311,9 +313,9 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         records.extend(recs)
         if extra is not None:
             sections["errors" if extra["type"] == "error" else "sandwich"].append(extra)
+    write_csv(csv_path, records)
     summary = summarize(records, t=cfg.t)
     summary.update((key, found) for key, found in sections.items() if found)
-    write_csv(csv_path, records)
     # one write: json.dump would make about a thousand small ones
     with open(summary_path, "w") as fh:
         fh.write(json.dumps(summary, indent=2))

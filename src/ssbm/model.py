@@ -192,9 +192,11 @@ class ModelParams:
 
     @property
     def m(self) -> int:
-        """Number of revealed labels, 2*floor(rho*n/2); always even, balanced."""
-        # epsilon guards against e.g. 0.3 * 1500 = 449.999... in binary floats
-        return 2 * int(math.floor(self.rho * self.n / 2 + 1e-9))
+        """Number of revealed labels, 2*floor(rho*n/2); always even, balanced.
+        Counted in integers, with rho read to nine decimals, so it is exact
+        for every n up to 2**31: in floats 0.3 * 1500 is 449.999..., and
+        above n ~ 4e7 rho * n / 2 can fall a unit below its floor."""
+        return 2 * (round(self.rho * 10**9) * self.n // (2 * 10**9))
 
 
 @dataclass(frozen=True)
@@ -265,11 +267,14 @@ class Graph:
 
 @dataclass(frozen=True)
 class RevealedLabels:
-    """Ternary reveal vector: +-1 on the revealed set, 0 elsewhere.  The
-    revealed set is derived: the sorted nonzero positions, read-only int64."""
+    """Ternary reveal vector: +-1 on the revealed set, 0 elsewhere.  Both
+    index sets are derived from it, as read-only int64 arrays:
+    ``revealed_set``, the sorted nonzero positions, and ``unrevealed_set``,
+    the sorted zeros, which every estimator labels and the overlap scores."""
 
     values: np.ndarray
     revealed_set: np.ndarray = field(init=False)
+    unrevealed_set: np.ndarray = field(init=False)
 
     def __post_init__(self):
         raw = np.asarray(self.values)
@@ -277,6 +282,7 @@ class RevealedLabels:
             raise ValueError(f"reveal values must be a vector, got shape {raw.shape}")
         v = _store(self, "values", _ternary(raw, "reveal values"))
         _store(self, "revealed_set", np.flatnonzero(v))
+        _store(self, "unrevealed_set", np.flatnonzero(v == 0))
         if int(v.sum(dtype=np.int64)) != 0:
             raise ValueError("reveal must be balanced across communities")
 
@@ -287,10 +293,6 @@ class RevealedLabels:
     @property
     def m(self) -> int:
         return self.revealed_set.size
-
-    def unrevealed(self) -> np.ndarray:
-        """Sorted indices of the unrevealed vertices."""
-        return np.flatnonzero(self.values == 0)
 
     def check_truthful(self, labels: Labels) -> None:
         r = self.revealed_set

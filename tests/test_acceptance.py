@@ -169,7 +169,7 @@ def _solve_constrained_direct(Md, rev, k, seed, max_sweeps=3000, tol=1e-10):
     rng = np.random.default_rng(seed)
     n = Md.shape[0]
     x = rev.values.astype(float)
-    R, U = rev.revealed_set, rev.unrevealed()
+    R, U = rev.revealed_set, rev.unrevealed_set
     Moff = Md - np.diag(np.diag(Md))
     S = rng.standard_normal((n, k))
     S /= np.linalg.norm(S, axis=1, keepdims=True)
@@ -213,7 +213,7 @@ def test_criterion_07_embedding_identity_and_solver_agreement():
         rev = RevealedLabels(rv)
         agg = aggregate(MatrixOperator.from_dense(Md), rev)
         agg_dense = agg.op.to_dense()
-        unrev = rev.unrevealed()
+        unrev = rev.unrevealed_set
         # mapped feasible points give identical objectives
         for _ in range(5):
             tau = rng.standard_normal((n - m + 1, 4))

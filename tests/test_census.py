@@ -188,7 +188,7 @@ def test_margins_at_depth_in_row_blocks_match_distances(monkeypatch):
         for t in (2, 3, 4):
             for v in (rev.values, np.abs(rev.values)):
                 want = _margins_by_distance(g, v, t)
-                for rows in (np.arange(g.n), rev.unrevealed(), rev.revealed_set, np.array([7]),
+                for rows in (np.arange(g.n), rev.unrevealed_set, rev.revealed_set, np.array([7]),
                              np.array([90, 3, 90, 41, 3])):
                     levels.clear()
                     assert np.array_equal(margins_at_depth(g, v, t, rows), want[rows])
@@ -213,7 +213,7 @@ def test_census_levels_stay_within_the_key_budget(monkeypatch):
         for n in (120, 400):
             g, rev = sample_instance(ModelParams(n=n, a=3, b=1, rho=0.5, seed=n))
             for t in (2, 3, 4):
-                for rows in (np.arange(g.n), rev.unrevealed()):
+                for rows in (np.arange(g.n), rev.unrevealed_set):
                     levels.clear()
                     margins_at_depth(g, rev.values, t, rows)
                     calls = [(keys, owners) for ok, keys, owners in levels if ok]
@@ -266,7 +266,7 @@ def test_census_at_n_1e5_runs_under_100_mb(t):
         "from ssbm import ModelParams, sample_instance\n"
         "from ssbm.census import margins_at_depth\n"
         "g, rev = sample_instance(ModelParams(n=100_000, a=9, b=2, rho=0.25, seed=1))\n"
-        "m = margins_at_depth(g, rev.values, int(sys.argv[1]), rev.unrevealed())\n"
+        "m = margins_at_depth(g, rev.values, int(sys.argv[1]), rev.unrevealed_set)\n"
         "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM'))\n"
         "print(hashlib.sha256(np.ascontiguousarray(m, dtype=np.int64).tobytes()).hexdigest(),\n"
         "      int(hwm.split()[1]) / 1024)\n")
@@ -361,7 +361,7 @@ def test_census_ties_match_scalar_coin_loop():
             g, rev = sample_instance(ModelParams(n=3000, a=5, b=2, rho=rho, seed=31))
             margins = margins_at_depth(g, rev.values, t, np.arange(g.n))
             expected, ties = rev.values.copy(), 0
-            for v in rev.unrevealed().tolist():
+            for v in rev.unrevealed_set.tolist():
                 if margins[v] == 0:
                     expected[v] = coin(17, "census-tie", v)
                     ties += 1
@@ -453,6 +453,9 @@ def test_predict_accuracy_erf():
     assert predict_accuracy_erf(5, 2, 1.0, 100) < 0.5 + 1e-9
     diffs = [predict_accuracy_erf(5, 2, 1.0, t) for t in (1, 2, 3, 4)]
     assert all(x > y for x, y in zip(diffs, diffs[1:]))
+    # SNR > 1 at a large depth: SNR^t overflows a float, and the prediction
+    # is erf's limit (it raised OverflowError, which failed a finished sweep)
+    assert predict_accuracy_erf(9, 2, 0.25, 1000) == 1.0
 
 
 def test_census_success_bound():
@@ -546,7 +549,7 @@ def test_monte_carlo_matches_exact_dp_accuracy():
     for s in range(30):
         g, rev = sample_instance(ModelParams(n=n, a=a, b=b, rho=rho, seed=s))
         report = census_estimate(g, rev, t=1, seed=s)
-        unrev = rev.unrevealed()
+        unrev = rev.unrevealed_set
         correct += int(np.sum(report.estimates[unrev] == g.labels.values[unrev]))
         total += unrev.size
     emp = correct / total

@@ -46,7 +46,10 @@ def test_aggregate_four_vertex_example():
     assert dense[0, 0] == -2.0
     assert np.allclose(dense[0, 1:], 0.0)
     assert np.allclose(dense[1:, 1:], 0.0)
-    assert np.array_equal(agg.index_map, [1, 3])
+    # row j+1 of the aggregated operator is the vertex rev.unrevealed_set[j]
+    assert np.array_equal(rev.unrevealed_set, [1, 3])
+    marked = MatrixOperator(4, [1, 3], [1, 3], [5.0, 7.0])
+    assert aggregate(marked, rev).op.diagonal().tolist() == [0.0, 5.0, 7.0]
 
 
 def test_aggregate_fully_revealed_is_scalar():
@@ -71,7 +74,9 @@ def test_aggregate_rejects_unbalanced_reveal():
     bad = object.__new__(RevealedLabels)
     object.__setattr__(bad, "values", values)
     object.__setattr__(bad, "revealed_set", np.array([0, 1]))
-    with pytest.raises(ValueError):
+    # refused by the balance check, before aggregate reads the unrevealed set
+    # that the bypass never derived
+    with pytest.raises(ValueError, match="requires a balanced reveal"):
         aggregate(MatrixOperator(4, [0], [1], [1.0]), bad)
 
 
@@ -134,7 +139,7 @@ def test_embedding_identity_on_random_feasible_points():
     agg_dense = agg.op.to_dense()
     tampered = agg_dense.copy()  # the canary: a margin off by 1e-3 must show
     tampered[0, 0] += 1e-3
-    unrev = rev.unrevealed()
+    unrev = rev.unrevealed_set
     for _ in range(100):
         tau = rng.standard_normal((n - m + 1, k))
         tau /= np.linalg.norm(tau, axis=1, keepdims=True)
@@ -169,7 +174,7 @@ def test_witness_and_submatrix_bounds_on_sbm():
         x = g.labels.values.astype(float)
         witness = float(x @ M.to_dense() @ x)
         assert csol.value >= witness - tau
-        lower = solve_elliptope(M.restrict(rev.unrevealed()), cfg).value
+        lower = solve_elliptope(M.restrict(rev.unrevealed_set), cfg).value
         assert lower <= csol.value - csol.aggregated.margin00 + tau
 
 
@@ -179,7 +184,7 @@ def test_estimate_aligned_factor_gives_overlap_one():
     rv = np.array([1, 1, 0, 0, -1, -1, 0, 0], dtype=np.int8)
     rev = _reveal(rv)
     sigma0 = np.array([1.0, 0.0])
-    factor = np.vstack([sigma0] + [labels.values[v] * sigma0 for v in rev.unrevealed()])
+    factor = np.vstack([sigma0] + [labels.values[v] * sigma0 for v in rev.unrevealed_set])
     agg = aggregate(MatrixOperator(n, [0], [1], [1.0]), rev)
     inner = SdpSolution(factor=factor, value=0.0, sweeps_used=1, converged=True,
                         best_of=0, objective_history=np.array([0.0]))
@@ -210,7 +215,7 @@ def test_estimate_orthogonal_factor_resolves_by_coin():
     report = estimate_unrevealed(sol, rev, labels, seed=3)
     assert report.ties_broken == n - 2
     # each tied vertex gets the coin keyed by its original index
-    unrev = rev.unrevealed()
+    unrev = rev.unrevealed_set
     assert report.estimates[unrev].tolist() == [coin(3, "csdp-tie", v) for v in unrev.tolist()]
     assert report.overlap <= 6.0 / math.sqrt(n - 2)  # O(1/sqrt) fluctuation
 
@@ -258,7 +263,7 @@ def test_sandwich_solves_once_when_nothing_is_revealed(monkeypatch):
     g, rev = sample_instance(p)
     cfg = SolverConfig(restarts=2, seed=1)
     M = centered_adjacency(g, p.d)
-    lower = solve_elliptope(M.restrict(rev.unrevealed()), cfg).value
+    lower = solve_elliptope(M.restrict(rev.unrevealed_set), cfg).value
     upper = solve_elliptope(M, cfg).value
     calls = []
 

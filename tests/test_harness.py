@@ -143,6 +143,24 @@ def test_csv_round_trip(tmp_path):
     assert back == result.records
 
 
+def test_records_survive_a_failing_summary(tmp_path, monkeypatch):
+    # records.csv is written before the summary, so a summary that raises
+    # loses no replication
+    expected = run_sweep(_cfg(tmp_path / "ok")).records
+
+    def failing(records, t=1):
+        raise OverflowError("summary failed")
+
+    monkeypatch.setattr(ssbm.harness, "summarize", failing)
+    with pytest.raises(OverflowError, match="summary failed"):
+        run_sweep(_cfg(tmp_path))
+    back = read_csv(tmp_path / "out" / "records.csv")
+    assert not (tmp_path / "out" / "summary.json").exists()
+    assert len(back) == len(expected) == 6
+    assert ([dataclasses.replace(r, runtime_ms=0.0) for r in back]
+            == [dataclasses.replace(r, runtime_ms=0.0) for r in expected])
+
+
 def test_result_fields_pin_the_csv_columns():
     # the columns are ResultRecord's fields in order, so reordering the
     # fields would reorder every records.csv unseen

@@ -26,7 +26,7 @@ def _sweep(**over):
 
 def test_census_depth_must_be_an_integer_of_at_least_one():
     g, rev = sample_instance(ModelParams(n=200, a=5, b=2, rho=0.25, seed=3))
-    unrev = rev.unrevealed()
+    unrev = rev.unrevealed_set
     for t in (1.5, 2.0, 2.5, True, "2"):
         with pytest.raises(ValueError, match="depth t must be an integer"):
             census_estimate(g, rev, t=t)

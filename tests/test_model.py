@@ -51,6 +51,10 @@ def test_params_validation():
     assert p.d == 3.5
     assert p.m == 900  # guards against 0.3*1500 rounding down in floats
     assert ModelParams(n=10, a=1, b=0, rho=0.99).m == 8
+    # above n ~ 4e7 rho * n / 2 in floats fell below the exact count, which
+    # once lost two revealed labels here
+    assert ModelParams(n=732_467_800, a=5, b=2, rho=0.7).m == 512_727_460
+    assert ModelParams(n=1_403_457_000, a=5, b=2, rho=0.7).m == 982_419_900
 
 
 @pytest.mark.parametrize("kwargs", [dict(n=200.0), dict(n="200"), dict(n=200, seed=1.5),
@@ -390,6 +394,9 @@ def test_value_types_keep_their_own_arrays():
     ints[:], pairs[:], floats[:] = 0, 0, 7.0
     assert labels.values.tolist() == report.estimates.tolist() == [1, -1, 1, -1]
     assert rev.values.tolist() == [1, 0, 0, -1] and rev.revealed_set.tolist() == [0, 3]
+    assert rev.unrevealed_set.tolist() == [1, 2]
+    for derived in (rev.revealed_set, rev.unrevealed_set):
+        assert derived.dtype == np.int64 and not derived.flags.writeable
     assert op.rows.tolist() == [0, 1] and op.cols.tolist() == [1, 1]
     assert op.weights.tolist() == [2.0, 3.0] and op.rank1[0].tolist() == [1.0, 1.0]
     assert op.diagonal().tolist() == [0.5, 3.5]
