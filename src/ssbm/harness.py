@@ -1,8 +1,9 @@
 """Experiment harness: seeded Monte Carlo sweeps, statistics, figure data.
 
 A sweep walks the cartesian grid of model parameters, runs ``reps``
-replications per cell (optionally across worker processes), and emits one CSV
-row per (cell, rep, algorithm) plus a JSON summary with per-cell statistics
+replications per cell (optionally across worker processes), the rho cells of
+one (n, a, b, rep) on one shared graph, and emits one CSV row per (cell, rep,
+algorithm) plus a JSON summary with per-cell statistics
 and reference curves.  Rows carry the cell's nominal (a, b) even for the
 matched-degree null model; the truth_model column says which generative law
 produced the graph.
@@ -27,7 +28,7 @@ from .census import (_ALL_REVEALED, _check_depth, census_estimate, overlap,
                      overlap_lower_curve, predict_accuracy_erf)
 from .csdp import detection_test, estimate_unrevealed, sandwich_check, solve_csdp
 from .model import (ModelParams, _check_seed, _require_int, _require_real, centered_adjacency,
-                    require_ints, sample_instance, snr)
+                    require_ints, sample_instance, sample_reveal, snr)
 from .rng import derive_key
 from .sdp import SolverConfig, round_leading_eigvec, solve_elliptope
 
@@ -122,11 +123,13 @@ def read_csv(path) -> list[ResultRecord]:
 
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """A sweep: kind, parameter grid (cartesian product of the lists),
-    replications per cell, solver settings, output directory, master seed;
-    the fields hold the defaults.  A sweep ignores ``solver.seed``: each
-    instance's seed derives from the master seed, cell and replication (the
-    matched null's too), and its solves' by :meth:`SolverConfig.for_instance`."""
+    """A sweep: kind, parameter grid (cartesian product of the lists, rho
+    innermost), replications per cell, solver settings, output directory,
+    master seed; the fields hold the defaults.  A sweep ignores
+    ``solver.seed``: each instance's seed derives from the master seed, the
+    replication and the first cell of its group, the cells of one (n, a, b)
+    (the matched null's too), and its solves' by
+    :meth:`SolverConfig.for_instance`."""
 
     kind: str
     n: tuple[int, ...]
@@ -158,8 +161,10 @@ class ExperimentConfig:
             raise ValueError("parameter grid must be non-empty")
 
     def cells(self) -> list[tuple[int, float, float, float]]:
-        """Grid cells (n, a, b, rho).  The phase-grid kind skips its b > a
-        combinations; every other invalid cell raises ValueError."""
+        """Grid cells (n, a, b, rho), rho innermost, so the cells of one
+        (n, a, b) are consecutive: run_sweep's groups.  The phase-grid kind
+        skips its b > a combinations, whole groups; every other invalid
+        cell raises ValueError."""
         out = []
         for n, a, b, rho in itertools.product(self.n, self.a, self.b, self.rho):
             if self.kind == "phase-grid" and b > a:
@@ -199,20 +204,68 @@ class ExperimentConfig:
         return cls(**given, **grid, solver=SolverConfig(**solver))
 
 
-def _cell_task(cfg: ExperimentConfig, ci: int, cell, rep: int):
-    """All records (and summary extras) for one (cell, rep) replication.
+class _Draw:
+    """One instance seed of a (group, rep), shared by the group's cells: its
+    graph is drawn at the first cell that draws, through
+    :func:`sample_instance`, and every later cell draws only its reveal;
+    its SDP is solved and rounded at the first cell that solves one.  The
+    matched null's draw (``null``) samples ``ModelParams.null`` of a cell."""
 
-    A failing replication (e.g. the census has nothing to estimate at
-    rho = 1) is recorded as a single 'error' row and the sweep continues.
+    def __init__(self, seed: int, null: bool = False):
+        self.seed, self.null = seed, null
+        self.graph = None
+        self._sdp = None
+
+    def instance(self, p: ModelParams):
+        """``sample_instance`` of the cell ``p``, whose seed is this draw's
+        (of its matched null, for the null's draw)."""
+        if self.null:
+            p = p.null(self.seed)
+        if self.graph is None:
+            self.graph, rev = sample_instance(p)
+            return self.graph, rev
+        return self.graph, sample_reveal(p, self.graph.labels)
+
+    def sdp(self, solver: SolverConfig, d: float):
+        """(operator, solve settings, solution, rounding, ms) of the SDP of
+        the drawn graph at average degree ``d``, solved at the first call."""
+        if self._sdp is None:
+            M = centered_adjacency(self.graph, d)
+            settings = solver.for_instance(self.seed)
+            t0 = time.perf_counter()
+            sol = solve_elliptope(M, settings)
+            est = round_leading_eigvec(sol)
+            self._sdp = M, settings, sol, est, (time.perf_counter() - t0) * 1e3
+        return self._sdp
+
+
+def _group_task(cfg: ExperimentConfig, ci0: int, cells, rep: int) -> list:
+    """One replication of a group: ``cells``, the consecutive cells ci0,
+    ci0 + 1, ... of one (n, a, b), which differ only in rho.  Returns the
+    (records, summary extra) of each cell, in cell order.
+
+    Every cell of the group reads the instance seed
+    derive_key(cfg.seed, "sweep", ci0, rep) (with "erm" appended for the
+    matched null), so the cells share one graph and one SDP solve, and a
+    contrast across rho is paired on it (common random numbers).  A failing
+    cell (e.g. the census has nothing to estimate at rho = 1) is recorded as
+    a single 'error' row and the group's other cells go on.
     """
-    n, a, b, rho = cell
-    iseed = derive_key(cfg.seed, "sweep", ci, rep)
-    base = dict(seed=iseed, rep=rep, n=n, a=a, b=b, rho=rho, snr=snr(a, b), truth_model="sbm")
-    try:
-        return _cell_task_inner(cfg, ci, rep, ModelParams(*cell, seed=iseed), base)
-    except Exception as exc:
-        row = ResultRecord(algorithm="error", runtime_ms=0.0, **base)
-        return [row], {"type": "error", "cell": ci, "rep": rep, "error": str(exc)}
+    seed = derive_key(cfg.seed, "sweep", ci0, rep)
+    planted = _Draw(seed)
+    null = (_Draw(derive_key(cfg.seed, "sweep", ci0, rep, "erm"), null=True)
+            if cfg.kind == "detection-boxes" else None)
+    out = []
+    for ci, cell in enumerate(cells, ci0):
+        n, a, b, rho = cell
+        base = dict(seed=seed, rep=rep, n=n, a=a, b=b, rho=rho, snr=snr(a, b), truth_model="sbm")
+        try:
+            out.append(_cell_rows(cfg, ci, rep, ModelParams(*cell, seed=seed), base,
+                                  planted, null))
+        except Exception as exc:
+            row = ResultRecord(algorithm="error", runtime_ms=0.0, **base)
+            out.append(([row], {"type": "error", "cell": ci, "rep": rep, "error": str(exc)}))
+    return out
 
 
 def _row(base: dict, t0: float, **values) -> ResultRecord:
@@ -220,54 +273,52 @@ def _row(base: dict, t0: float, **values) -> ResultRecord:
     return ResultRecord(**base, **values, runtime_ms=(time.perf_counter() - t0) * 1e3)
 
 
-def _cell_task_inner(cfg: ExperimentConfig, ci: int, rep: int, p: ModelParams, base: dict):
+def _cell_rows(cfg: ExperimentConfig, ci: int, rep: int, p: ModelParams, base: dict,
+               planted: _Draw, null: _Draw | None):
     if cfg.kind == "census-sweep":
         # the refusal census_estimate would raise, before any draw is made
         if p.m == p.n:
             raise ValueError(_ALL_REVEALED)
-        g, rev = sample_instance(p)
+        g, rev = planted.instance(p)
         t0 = time.perf_counter()
         report = census_estimate(g, rev, t=cfg.t, seed=p.seed)
         row = _row(base, t0, algorithm=f"census-{cfg.t}", overlap_unrevealed=report.overlap)
         return [row], None
 
-    g, rev = sample_instance(p)
     if cfg.kind == "sandwich-audit":
+        g, rev = planted.instance(p)
         t0 = time.perf_counter()
         report = sandwich_check(g, rev, p.d, cfg.solver.for_instance(p.seed))
         row = _row(base, t0, algorithm="csdp", sdp_value=report.upper, csdp_value=report.mid,
                    margin00=report.margin00, test_decision=int(report.holds))
         return [row], {"type": "sandwich", "cell": ci, "rep": rep, **dataclasses.asdict(report)}
 
-    records = _solve_pair(cfg, g, rev, p, base)
-    if cfg.kind == "detection-boxes":
-        nseed = derive_key(cfg.seed, "sweep", ci, rep, "erm")
-        g0, rev0 = sample_instance(p.null(nseed))
-        records += _solve_pair(cfg, g0, rev0, p, {**base, "seed": nseed, "truth_model": "erm"})
+    records = _solve_pair(cfg, planted, p, base)
+    if null is not None:
+        records += _solve_pair(cfg, null, p, {**base, "seed": null.seed, "truth_model": "erm"})
     return records, None
 
 
-def _solve_pair(cfg: ExperimentConfig, g, rev, p, base):
-    """Unsupervised SDP and constrained CSDP rows for one instance of a cell
-    whose parameters are ``p``, drawn from the seed ``base["seed"]``."""
-    M = centered_adjacency(g, p.d)
-    solver = cfg.solver.for_instance(base["seed"])
-
-    t0 = time.perf_counter()
-    sdp_sol = solve_elliptope(M, solver)
-    est = round_leading_eigvec(sdp_sol)
-    sdp_row = _row(base, t0, algorithm="sdp", overlap_unrevealed=overlap(est, g.labels, rev),
-                   sdp_value=sdp_sol.value)
+def _solve_pair(cfg: ExperimentConfig, draw: _Draw, p: ModelParams, base):
+    """Unsupervised SDP and constrained CSDP rows for the instance that
+    ``draw`` gives the cell whose parameters are ``p``.  The SDP reads
+    neither rho nor the reveal, so it is solved and rounded once per graph;
+    a cell recomputes only its overlap on its own unrevealed set, and its
+    SDP row's runtime_ms is the time of that shared solve."""
+    g, rev = draw.instance(p)
+    M, solver, sdp_sol, est, sdp_ms = draw.sdp(cfg.solver, p.d)
+    sdp_row = ResultRecord(**base, algorithm="sdp", overlap_unrevealed=overlap(est, g.labels, rev),
+                           sdp_value=sdp_sol.value, runtime_ms=sdp_ms)
 
     t0 = time.perf_counter()
     if rev.m == 0:
-        # nothing revealed: solve_csdp would repeat this SDP solve bit for bit
+        # nothing revealed: solve_csdp would repeat the SDP solve bit for bit
         # and round it the same way, so the csdp row reuses both
         value, overlap_csdp, margin00 = sdp_sol.value, sdp_row.overlap_unrevealed, None
     else:
         csol = solve_csdp(M, rev, solver)
         value, margin00 = csol.value, csol.margin00
-        overlap_csdp = estimate_unrevealed(csol, rev, g.labels, seed=base["seed"]).overlap
+        overlap_csdp = estimate_unrevealed(csol, rev, g.labels, seed=draw.seed).overlap
     decision = detection_test(value, p.n, p.a, p.b).decision if p.a > p.b else None
     return [sdp_row, _row(base, t0, algorithm="csdp", overlap_unrevealed=overlap_csdp,
                           csdp_value=value, margin00=margin00, test_decision=decision)]
@@ -284,18 +335,21 @@ class SweepResult:
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Execute a sweep and write records.csv + summary.json (+ figure SVG).
 
-    Deterministic: every (cell, rep) task derives its seeds from
-    (cfg.seed, cell index, rep index), so any worker count yields the same
-    records, serialized in (cell, rep) order.  records.csv is written
-    before anything is summarised, so a summary that fails loses no
-    replication.
+    The unit of work is one (group, rep): a group is the consecutive cells
+    of one (n, a, b), which differ only in rho, the grid's innermost axis
+    (phase-grid skips whole groups).  Deterministic: every task derives its
+    seeds from (cfg.seed, the group's first cell index, rep), so any worker
+    count yields the same records, serialized in (cell, rep) order.
+    records.csv is written before anything is summarised, so a summary
+    that fails loses no replication.
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "records.csv")
     summary_path = os.path.join(cfg.out_dir, "summary.json")
 
-    cells = cfg.cells()
-    tasks = [(ci, cell, rep) for ci, cell in enumerate(cells) for rep in range(cfg.reps)]
+    cells, size = cfg.cells(), len(cfg.rho)
+    starts = range(0, len(cells), size)
+    tasks = [(ci0, cells[ci0:ci0 + size], rep) for ci0 in starts for rep in range(cfg.reps)]
     if cfg.workers > 1:
         # imported here: a run at workers = 1, and every worker process,
         # needs no process pool
@@ -303,10 +357,13 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         from concurrent.futures import ProcessPoolExecutor
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=cfg.workers, mp_context=spawn) as pool:
-            results = list(pool.map(_cell_task, itertools.repeat(cfg), *zip(*tasks),
+            results = list(pool.map(_group_task, itertools.repeat(cfg), *zip(*tasks),
                                     chunksize=1))
     else:
-        results = [_cell_task(cfg, ci, cell, rep) for ci, cell, rep in tasks]
+        results = [_group_task(cfg, ci0, group, rep) for ci0, group, rep in tasks]
+    # back into (cell, rep) order: task (group, rep) holds each cell of its group
+    results = [results[g * cfg.reps + rep][j] for g, j, rep
+               in itertools.product(range(len(starts)), range(size), range(cfg.reps))]
 
     records, sections = [], {"sandwich": [], "errors": []}
     for recs, extra in results:

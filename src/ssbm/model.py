@@ -3,7 +3,8 @@
 Two balanced hidden communities over n vertices; within-community pairs are
 edges with probability a/n, cross pairs with probability b/n, and a balanced
 subset of m = 2*floor(rho*n/2) true labels is revealed.  This module holds the
-parameter/instance types, the seeded sampler, and the centered adjacency
+parameter/instance types, the seeded sampler (a graph draw, then a reveal
+draw, which alone reads rho), and the centered adjacency
 operator A - (d/n) 11^T used by the SDP machinery.  It is the one module that
 knows how an operator is stored, and a graph is its sorted edge list and
 nothing else, which the census reads as it stands.  The one CSR matrix,
@@ -517,14 +518,12 @@ def _pair_decode(k: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
     return i, k - (i * (b - i) >> 1) + i + 1
 
 
-def sample_instance(params: ModelParams) -> tuple[Graph, RevealedLabels]:
-    """Draw one (graph, revealed labels) realization, deterministic in the seed.
-
-    The partition is a uniform balanced bisection; edges are sampled per block
-    (within each community, and across) by geometric skip sampling; the reveal
-    set picks m/2 vertices uniformly from each community, independent of the
-    edges given the partition.
-    """
+def sample_graph(params: ModelParams) -> Graph:
+    """Draw the graph of one realization, deterministic in the seed: a
+    uniform balanced bisection, and each block's edges (within each
+    community, and across) by geometric skip sampling.  It reads neither
+    rho nor the ``"reveal"`` stream, so every rho of one seed draws this
+    graph."""
     n, a, b = params.n, params.a, params.b
     half = n // 2
 
@@ -534,7 +533,6 @@ def sample_instance(params: ModelParams) -> tuple[Graph, RevealedLabels]:
     # each community's vertices in ascending order, read off the label mask
     in_first = values > 0
     s1, s2 = np.flatnonzero(in_first), np.flatnonzero(~in_first)
-    labels = Labels(values)
 
     pairs_within = half * (half - 1) // 2
     ei_chunks, ej_chunks = [], []
@@ -549,18 +547,32 @@ def sample_instance(params: ModelParams) -> tuple[Graph, RevealedLabels]:
     ej_chunks.append(s2[lj])
     ei = np.concatenate(ei_chunks)
     ej = np.concatenate(ej_chunks)
+    return Graph(n, ei, ej, Labels(values))
 
-    graph = Graph(n, ei, ej, labels)
 
+def sample_reveal(params: ModelParams, labels: Labels) -> RevealedLabels:
+    """Draw the reveal of one realization given its ``labels``: m/2
+    vertices uniformly from each community, from the ``"reveal"`` stream of
+    the seed.  It reads nothing of ``params`` but m and the seed."""
+    in_first = labels.values > 0
+    s1, s2 = np.flatnonzero(in_first), np.flatnonzero(~in_first)
     m = params.m
     rng = stream(params.seed, "reveal")
     revealed = np.concatenate([
         rng.choice(s1, size=m // 2, replace=False),
         rng.choice(s2, size=m // 2, replace=False),
     ])
-    rv = np.zeros(n, dtype=np.int8)
+    rv = np.zeros(labels.n, dtype=np.int8)
     rv[revealed] = labels.values[revealed]
-    return graph, RevealedLabels(rv)
+    return RevealedLabels(rv)
+
+
+def sample_instance(params: ModelParams) -> tuple[Graph, RevealedLabels]:
+    """Draw one (graph, revealed labels) realization, deterministic in the
+    seed: :func:`sample_graph`, then :func:`sample_reveal` on its labels.
+    The reveal is independent of the edges given the partition."""
+    graph = sample_graph(params)
+    return graph, sample_reveal(params, graph.labels)
 
 
 def centered_adjacency(g: Graph, d: float) -> MatrixOperator:

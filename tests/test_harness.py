@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -12,8 +13,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ssbm
-from ssbm import (ExperimentConfig, ResultRecord, SolverConfig,
-                  best_threshold_accuracy, run_sweep, snr, summarize)
+from ssbm import (ExperimentConfig, ModelParams, ResultRecord, SolverConfig,
+                  best_threshold_accuracy, census_estimate, centered_adjacency,
+                  detection_test, estimate_unrevealed, round_leading_eigvec, run_sweep,
+                  snr, solve_csdp, solve_elliptope, summarize)
+from ssbm.census import overlap
 from ssbm.harness import RESULT_FIELDS, read_csv, write_csv
 from ssbm.model import sample_instance
 from ssbm.rng import derive_key
@@ -121,7 +125,7 @@ def test_census_sweep_samples_nothing_for_a_rho_one_cell(tmp_path, monkeypatch):
                                      for rep in range(2)]
     errors = [r for r in res.records if r.algorithm == "error"]
     assert [(r.rho, r.rep, r.seed, r.runtime_ms, r.truth_model) for r in errors] == [
-        (1.0, rep, derive_key(11, "sweep", 1, rep), 0.0, "sbm") for rep in range(2)]
+        (1.0, rep, derive_key(11, "sweep", 0, rep), 0.0, "sbm") for rep in range(2)]
     assert all(getattr(r, f) is None for r in errors
                for f in ("overlap_unrevealed", "sdp_value", "csdp_value", "margin00",
                          "test_decision"))
@@ -355,14 +359,144 @@ def test_unsupervised_cell_sdp_equals_csdp(tmp_path, monkeypatch):
     monkeypatch.setattr(ssbm.harness, "solve_elliptope", counting)
     monkeypatch.setattr(ssbm.csdp, "solve_elliptope", counting)
     result = run_sweep(_cfg(tmp_path, kind="phase-grid", rho=(0.0, 0.2), reps=2))
-    # two reps at rho = 0 solve once each; two at rho = 0.2 solve SDP and CSDP
-    assert sorted(dims) == [49] * 2 + [60] * 4
+    # each rep solves one SDP, which both rho cells share, and a CSDP at rho = 0.2
+    assert sorted(dims) == [49] * 2 + [60] * 2
     rows = {(r.rho, r.rep, r.algorithm): r for r in result.records}
     for rep in range(2):
         sdp_row, csdp_row = rows[0.0, rep, "sdp"], rows[0.0, rep, "csdp"]
         assert csdp_row.csdp_value == sdp_row.sdp_value  # bit-identical degenerate cell
         assert csdp_row.overlap_unrevealed == sdp_row.overlap_unrevealed
         assert csdp_row.margin00 is None
+
+
+def _recomputed(row, cfg):
+    """What ``row`` holds, rebuilt from its own seed, one cell at a time:
+    sample_instance(ModelParams(n, a, b, rho, seed=row.seed)) (its matched
+    null for an erm row) and that row's estimator."""
+    p = ModelParams(n=row.n, a=row.a, b=row.b, rho=row.rho, seed=row.seed)
+    g, rev = sample_instance(p.null(row.seed) if row.truth_model == "erm" else p)
+    if row.algorithm.startswith("census"):
+        return dict(overlap_unrevealed=census_estimate(g, rev, t=cfg.t, seed=row.seed).overlap)
+    M = centered_adjacency(g, p.d)
+    solver = cfg.solver.for_instance(row.seed)
+    sol = solve_elliptope(M, solver)
+    sdp = dict(overlap_unrevealed=overlap(round_leading_eigvec(sol), g.labels, rev),
+               sdp_value=sol.value)
+    if row.algorithm == "sdp":
+        return sdp
+    if rev.m == 0:
+        value, got = sol.value, dict(overlap_unrevealed=sdp["overlap_unrevealed"], margin00=None)
+    else:
+        csol = solve_csdp(M, rev, solver)
+        value = csol.value
+        got = dict(overlap_unrevealed=estimate_unrevealed(csol, rev, g.labels,
+                                                          seed=row.seed).overlap,
+                   margin00=csol.margin00)
+    return dict(got, csdp_value=value,
+                test_decision=detection_test(value, p.n, p.a, p.b).decision)
+
+
+@pytest.mark.parametrize("over", [
+    dict(kind="census-sweep", rho=(0.1, 0.5, 0.9), t=1),
+    dict(kind="census-sweep", rho=(0.1, 0.5, 0.9), t=2),
+    dict(kind="phase-grid", n=(40,), b=(1.0, 2.0), rho=(0.0, 0.25)),
+    dict(kind="detection-boxes", n=(40,), rho=(0.1, 0.25)),
+], ids=["census-t1", "census-t2", "phase-grid", "detection-boxes"])
+def test_multi_rho_rows_equal_their_per_cell_instances(tmp_path, over):
+    # the cells of one (n, a, b, rep) share the seed of the group's first
+    # cell, and each row is what that seed's instance and estimator give
+    cfg = _cfg(tmp_path, **{"reps": 2, **over})
+    cells = cfg.cells()
+    records = run_sweep(cfg).records
+    per_cell = len(records) // (len(cells) * cfg.reps)
+    for k, row in enumerate(records):
+        ci, rep = divmod(k // per_cell, cfg.reps)
+        ci0 = ci - ci % len(cfg.rho)
+        key = ("sweep", ci0, rep) + (("erm",) if row.truth_model == "erm" else ())
+        assert (row.n, row.a, row.b, row.rho, row.rep) == (*cells[ci], rep)
+        assert row.seed == derive_key(cfg.seed, *key)
+        got = _recomputed(row, cfg)
+        assert {f: getattr(row, f) for f in got} == got
+
+
+def test_census_sweep_draws_one_graph_per_group_and_rep(tmp_path, monkeypatch):
+    import ssbm.model
+
+    graphs = []
+    real = ssbm.model.sample_graph
+
+    def counting(p):
+        graphs.append((p.a, p.rho))
+        return real(p)
+
+    monkeypatch.setattr(ssbm.model, "sample_graph", counting)
+    # two (n, a, b) groups of four rho cells, three of which draw
+    res = run_sweep(_cfg(tmp_path, a=(6.0, 8.0), rho=(0.2, 0.5, 0.8, 1.0), reps=3))
+    assert graphs == [(6.0, 0.2)] * 3 + [(8.0, 0.2)] * 3
+    assert sum(r.algorithm == "census-1" for r in res.records) == 2 * 3 * 3
+
+
+def test_phase_grid_solves_one_sdp_per_group_and_rep(tmp_path, monkeypatch):
+    import ssbm.harness
+
+    solves = []
+    real = ssbm.harness.solve_elliptope
+
+    def counting(M, cfg=None):
+        solves.append(M.dim)
+        return real(M, cfg)
+
+    monkeypatch.setattr(ssbm.harness, "solve_elliptope", counting)
+    res = run_sweep(_cfg(tmp_path, kind="phase-grid", b=(1.0, 2.0), rho=(0.1, 0.25), reps=2))
+    assert solves == [60] * 2 * 2
+    # the sdp rows of one (group, rep) carry that one solve's value
+    for (a, b, rep), rows in itertools.groupby(
+            sorted((r for r in res.records if r.algorithm == "sdp"),
+                   key=lambda r: (r.a, r.b, r.rep, r.rho)), key=lambda r: (r.a, r.b, r.rep)):
+        assert len({r.sdp_value for r in rows}) == 1
+
+
+@pytest.mark.parametrize("over", [
+    dict(kind="phase-grid", b=(1.0, 2.0), rho=(0.0, 0.25), reps=2),
+    dict(kind="census-sweep", t=2, rho=(0.2, 0.5, 1.0), reps=3),
+], ids=["phase-grid", "census-t2"])
+def test_multi_rho_records_equal_at_any_worker_count(tmp_path, over):
+    strip = lambda recs: [dataclasses.replace(r, runtime_ms=0.0) for r in recs]
+    serial = run_sweep(_cfg(tmp_path / "s", workers=1, **over))
+    parallel = run_sweep(_cfg(tmp_path / "p", workers=3, **over))
+    assert strip(serial.records) == strip(parallel.records)
+    assert serial.summary == parallel.summary
+
+
+@pytest.mark.parametrize("kind, name", [("census-sweep", "census_estimate"),
+                                        ("phase-grid", "solve_csdp")])
+def test_a_failing_rho_cell_leaves_its_group_rows(tmp_path, monkeypatch, kind, name):
+    import ssbm.harness
+
+    over = dict(kind=kind, a=(6.0, 8.0), rho=(0.2, 0.5, 0.8), reps=2)
+    expected = run_sweep(_cfg(tmp_path / "ok", **over)).records
+    real = getattr(ssbm.harness, name)
+
+    def failing_at_half(*args, **kwargs):
+        if args[1].m == 30:  # rho = 0.5 at n = 60
+            raise ValueError("synthetic failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ssbm.harness, name, failing_at_half)
+    res = run_sweep(_cfg(tmp_path / "bad", **over))
+    # only the rho = 0.5 cells, indices 1 and 4, turn into one error row per rep
+    assert res.summary["errors"] == [{"type": "error", "cell": ci, "rep": rep,
+                                      "error": "synthetic failure"}
+                                     for ci in (1, 4) for rep in range(2)]
+    # the cell index is the summary's, which the benchmark reads the rho of
+    assert all(res.summary["cells"][e["cell"]]["cell"]["rho"] == 0.5
+               for e in res.summary["errors"])
+    strip = lambda recs: [dataclasses.replace(r, runtime_ms=0.0) for r in recs]
+    errors = [r for r in res.records if r.algorithm == "error"]
+    assert [(r.a, r.rho, r.rep) for r in errors] == [(a, 0.5, rep) for a in (6.0, 8.0)
+                                                    for rep in range(2)]
+    assert strip(r for r in res.records if r.rho != 0.5) == strip(
+        r for r in expected if r.rho != 0.5)
 
 
 def test_sandwich_audit_sweep(tmp_path):

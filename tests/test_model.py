@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tempfile
@@ -15,7 +16,7 @@ from ssbm import (EstimateReport, Graph, Labels, MatrixOperator, ModelParams, Re
                   centered_adjacency, read_instance, sample_instance, snr,
                   write_instance)
 from ssbm import census
-from ssbm.model import _bernoulli_hits, _pack, _pair_decode
+from ssbm.model import _bernoulli_hits, _pack, _pair_decode, sample_graph, sample_reveal
 from ssbm.rng import stream
 
 
@@ -121,6 +122,23 @@ def test_instance_structure_and_determinism():
     assert np.array_equal(g.ej, g2.ej)
     assert np.array_equal(g.labels.values, g2.labels.values)
     assert np.array_equal(rev.revealed_set, rev2.revealed_set)
+
+
+@pytest.mark.parametrize("p", [ModelParams(n=300, a=8, b=3, rho=0.4, seed=99),
+                               ModelParams(n=60, a=6, b=2, rho=0.0, seed=2**64 - 1),
+                               ModelParams(n=4, a=4, b=4, rho=1.0, seed=1)])
+def test_sample_instance_is_the_graph_draw_then_the_reveal_draw(p):
+    g, rev = sample_instance(p)
+    g2 = sample_graph(p)
+    rev2 = sample_reveal(p, g2.labels)
+    for x, y in ((g.ei, g2.ei), (g.ej, g2.ej), (g.labels.values, g2.labels.values),
+                 (rev.values, rev2.values), (rev.revealed_set, rev2.revealed_set),
+                 (rev.unrevealed_set, rev2.unrevealed_set)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    # the graph draw reads no rho, so every rho of one seed draws this graph
+    other = sample_graph(dataclasses.replace(p, rho=0.5))
+    assert np.array_equal(g.ei, other.ei) and np.array_equal(g.ej, other.ej)
+    assert np.array_equal(g.labels.values, other.labels.values)
 
 
 def test_edge_counts_match_binomial_moments():
