@@ -23,8 +23,7 @@ from .csdp import (AggregatedOperator, CsdpSolution, SandwichReport, TestOutcome
 from .harness import (ExperimentConfig, ResultRecord, best_threshold_accuracy,
                       run_sweep, summarize)
 from .model import (Graph, Labels, MatrixOperator, ModelParams, RevealedLabels,
-                    centered_adjacency, read_instance, sample_instance, snr,
-                    write_instance)
+                    centered_adjacency, sample_instance, snr, write_instance)
 from .sdp import (DualCertificate, NumericError, SdpSolution, SolverConfig,
                   certify_dual, round_leading_eigvec, solve_elliptope)
 
@@ -37,7 +36,7 @@ __all__ = [
     "SdpSolution", "SolverConfig", "TestOutcome", "aggregate",
     "best_threshold_accuracy", "census_estimate", "centered_adjacency",
     "certify_dual", "detection_test", "estimate_unrevealed",
-    "overlap_lower_curve", "predict_accuracy_erf", "read_instance",
+    "overlap_lower_curve", "predict_accuracy_erf",
     "round_leading_eigvec", "run_sweep", "sample_instance", "sandwich_check",
     "snr", "solve_csdp", "solve_elliptope", "summarize", "write_instance",
 ]

@@ -95,7 +95,8 @@ def build_parser() -> _Parser:
     top = _Parser(prog="ssbm", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="sample an instance and write the edge-list file")
+    p = sub.add_parser("generate", help="sample an instance and export it as an edge-list "
+                                         "file for other tools (no ssbm command reads it)")
     _add_model_args(p)
     p.add_argument("--out", required=True, help="output path for the edge-list file")
 

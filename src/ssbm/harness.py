@@ -123,12 +123,12 @@ def read_csv(path) -> list[ResultRecord]:
 
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """A sweep: kind, parameter grid (cartesian product of the lists, rho
-    innermost), replications per cell, solver settings, output directory,
-    master seed; the fields hold the defaults.  A sweep ignores
-    ``solver.seed``: each instance's seed derives from the master seed, the
-    replication and the first cell of its group, the cells of one (n, a, b)
-    (the matched null's too), and its solves' by
+    """A sweep: kind, parameter grid (cartesian product of the lists, each
+    of distinct values, rho innermost), replications per cell, solver
+    settings, output directory, master seed; the fields hold the defaults.
+    A sweep ignores ``solver.seed``: each instance's seed derives from the
+    master seed, the replication and the first cell of its group, the cells
+    of one (n, a, b) (the matched null's too), and its solves' by
     :meth:`SolverConfig.for_instance`."""
 
     kind: str
@@ -156,7 +156,11 @@ class ExperimentConfig:
             check, cast = (_require_int, int) if name == "n" else (_require_real, float)
             for v in getattr(self, name):
                 check(v, f"{name} values")
-            object.__setattr__(self, name, tuple(map(cast, getattr(self, name))))
+            values = tuple(map(cast, getattr(self, name)))
+            # a repeated value reruns its cells' draws, which summarize counts twice
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} values must be distinct")
+            object.__setattr__(self, name, values)
         if not (self.n and self.a and self.b and self.rho):
             raise ValueError("parameter grid must be non-empty")
 

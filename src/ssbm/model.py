@@ -295,11 +295,6 @@ class RevealedLabels:
     def m(self) -> int:
         return self.revealed_set.size
 
-    def check_truthful(self, labels: Labels) -> None:
-        r = self.revealed_set
-        if not np.array_equal(self.values[r], labels.values[r]):
-            raise ValueError("revealed labels disagree with ground truth")
-
 
 @dataclass(frozen=True)
 class MatrixOperator:
@@ -588,7 +583,8 @@ def centered_adjacency(g: Graph, d: float) -> MatrixOperator:
 
 
 def write_instance(path, g: Graph, rev: RevealedLabels) -> None:
-    """Serialize to the plain-text exchange format.
+    """Export to the plain-text edge-list format, for other tools: no
+    ``ssbm`` command reads it back.
 
     Line 1: ``n m_edges``; one ``i j`` edge per line (0-based, i < j); then an
     ``L`` line with the n ground-truth labels and an ``R`` line with the n
@@ -600,60 +596,3 @@ def write_instance(path, g: Graph, rev: RevealedLabels) -> None:
         fh.write("L " + " ".join(map(str, g.labels.values.tolist())) + "\n")
         fh.write("R " + " ".join(map(str, rev.values.tolist())) + "\n")
 
-
-def _int_rows(rows: list[list[str]], first: int, message: str) -> np.ndarray:
-    """The token rows (equal lengths, the first on line ``first``) as one
-    int64 array; a token that int() rejects raises ``line N: message``."""
-    try:
-        return np.array(rows, dtype=np.int64)
-    except ValueError:
-        for no, row in enumerate(rows, first):
-            try:
-                list(map(int, row))
-            except ValueError:
-                raise ValueError(f"line {no}: {message}") from None
-        raise
-
-
-def read_instance(path) -> tuple[Graph, RevealedLabels]:
-    """Parse the plain-text exchange format written by :func:`write_instance`.
-
-    Rejects a header with a negative count, edge lines that are not ``i j``
-    with 0 <= i < j < n, naming the first, repeated edges (through the
-    :class:`Graph` constructor), label or reveal lines of the wrong length or
-    outside {+1, 0, -1}, untruthful reveals, and any non-empty line after the
-    ``R`` line.  A token that is not an integer is reported with its line.
-    """
-    with open(path) as fh:
-        lines = fh.read().split("\n")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError("bad header, expected 'n m_edges'")
-    n, m_edges = _int_rows([header], 1, "bad header, expected 'n m_edges'")[0].tolist()
-    if n < 0 or m_edges < 0:
-        raise ValueError("line 1: bad header, expected 'n m_edges'")
-    if len(lines) < m_edges + 3:
-        raise ValueError("header does not match the file length")
-    rows = [ln.split() for ln in lines[1:1 + m_edges]]
-    ragged = [no for no, row in enumerate(rows, 2) if len(row) != 2]
-    if ragged:
-        raise ValueError(f"line {ragged[0]}: bad edge line, expected 'i j'")
-    edges = _int_rows(rows, 2, "bad edge line, expected 'i j'").reshape(m_edges, 2)
-    ei, ej = edges[:, 0], edges[:, 1]
-    bad = np.flatnonzero((ei < 0) | (ei >= ej) | (ej >= n))
-    if bad.size:
-        raise ValueError(f"line {bad[0] + 2}: bad edge line, expected 0 <= i < j < n")
-    label_line = lines[1 + m_edges].split()
-    reveal_line = lines[2 + m_edges].split()
-    if label_line[:1] != ["L"] or reveal_line[:1] != ["R"]:
-        raise ValueError("missing L/R companion lines")
-    if any(ln.strip() for ln in lines[3 + m_edges:]):
-        raise ValueError("unexpected content after the R line")
-    lv = _int_rows([label_line[1:]], 2 + m_edges, "bad label line, expected integers")[0]
-    rv = _int_rows([reveal_line[1:]], 3 + m_edges, "bad reveal line, expected integers")[0]
-    if lv.size != n or rv.size != n:
-        raise ValueError("label/reveal line length does not match n")
-    g = Graph(n, ei, ej, Labels(lv))
-    rev = RevealedLabels(rv)
-    rev.check_truthful(g.labels)
-    return g, rev

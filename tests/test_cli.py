@@ -7,20 +7,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssbm import ExperimentConfig, SolverConfig, read_instance, run_sweep, sample_instance
+from ssbm import ExperimentConfig, ModelParams, SolverConfig, run_sweep, sample_instance
 from ssbm import cli, harness
 from ssbm.cli import main
 from ssbm.sdp import CERT_GAP
 
 
-def test_generate_writes_readable_instance(tmp_path):
+def test_generate_exports_the_drawn_instance(tmp_path):
     out = tmp_path / "g.txt"
     code = main(["generate", "--n", "40", "--a", "8", "--b", "3",
                  "--rho", "0.5", "--seed", "4", "--out", str(out)])
     assert code == 0
-    g, rev = read_instance(out)
-    assert g.n == 40 and rev.m == 20
-    assert np.all(g.ei < g.ej) and np.all(np.diff(g.ei * g.n + g.ej) > 0)
+    g, rev = sample_instance(ModelParams(n=40, a=8, b=3, rho=0.5, seed=4))
+    assert rev.m == 20
+    # line for line: header, every edge in the graph's order, then L and R
+    header, *edges, labels, reveal = out.read_text().splitlines()
+    assert header == f"40 {g.num_edges}"
+    pairs = np.array([ln.split() for ln in edges], dtype=np.int64).reshape(-1, 2)
+    assert np.array_equal(pairs, np.column_stack([g.ei, g.ej]))
+    assert labels.split() == ["L", *map(str, g.labels.values.tolist())]
+    assert reveal.split() == ["R", *map(str, rev.values.tolist())]
 
 
 def test_census_command_json(tmp_path, capsys):

@@ -18,6 +18,7 @@ from ssbm import (ExperimentConfig, ModelParams, ResultRecord, SolverConfig,
                   detection_test, estimate_unrevealed, round_leading_eigvec, run_sweep,
                   snr, solve_csdp, solve_elliptope, summarize)
 from ssbm.census import overlap
+from ssbm.cli import main
 from ssbm.harness import RESULT_FIELDS, read_csv, write_csv
 from ssbm.model import sample_instance
 from ssbm.rng import derive_key
@@ -84,6 +85,27 @@ def test_config_validation(tmp_path):
     for bad in ({k: v for k, v in good.items() if k not in ("kind", "out_dir")}, [good]):
         with pytest.raises(ValueError, match="kind, out_dir|JSON object"):
             ExperimentConfig.from_json(json.dumps(bad))
+
+
+def test_config_refuses_a_repeated_grid_value(tmp_path, capsys):
+    # a repeated value would rerun its cells on the same seeds, and summarize
+    # would merge the copies into one cell of twice the count
+    for name, values in (("n", (60, 60)), ("a", (6.0, 6.0)), ("b", (2.0, 2.0)),
+                         ("rho", (0.25, 0.25)), ("rho", (0.25, 0.5, 0.25))):
+        with pytest.raises(ValueError, match=f"^{name} values must be distinct$"):
+            _cfg(tmp_path, **{name: values})
+    raw = {"kind": "census-sweep", "out_dir": str(tmp_path / "out"),
+           "params": {"n": [60], "a": [6.0], "b": [2.0], "rho": [0.3, 0.3]}}
+    with pytest.raises(ValueError, match="^rho values must be distinct$"):
+        ExperimentConfig.from_json(json.dumps(raw))
+    # equal once cast: a = 6 and a = 6.0 are one cell
+    with pytest.raises(ValueError, match="^a values must be distinct$"):
+        _cfg(tmp_path, a=(6, 6.0))
+    out = tmp_path / "cli"
+    assert main(["sweep", "--kind", "census-sweep", "--n", "200", "--a", "5", "--b", "2",
+                 "--rho", "0.25", "0.25", "--reps", "3", "--out", str(out)]) == 1
+    assert "rho values must be distinct" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_census_sweep_records_and_summary(tmp_path):
