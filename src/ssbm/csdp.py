@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .census import EstimateReport, _vote_report
-from .model import Graph, Labels, MatrixOperator, RevealedLabels, centered_adjacency
+from .model import Labels, MatrixOperator, RevealedLabels
 from .sdp import SdpSolution, SolverConfig, round_leading_eigvec, solve_elliptope
 
 
@@ -188,27 +188,29 @@ class SandwichReport:
 
 
 def sandwich_check(
-    g: Graph, rev: RevealedLabels, d: float, cfg: SolverConfig | None = None
+    sdp: SdpSolution, rev: RevealedLabels, d: float, cfg: SolverConfig | None = None
 ) -> SandwichReport:
-    """Solve all three programs on one instance and audit the inequalities."""
-    M = centered_adjacency(g, d)
-    csol = solve_csdp(M, rev, cfg)
-    if rev.m == 0:
-        # nothing revealed: all three programs are the SDP of M, solved once
-        lower = upper = csol.value
-    else:
-        lower = (solve_elliptope(M.restrict(rev.unrevealed_set), cfg).value
-                 if rev.m < rev.n else 0.0)
-        upper = solve_elliptope(M, cfg).value
+    """Audit the inequalities given ``sdp``, the solved SDP of M (``sdp.operator``):
+    solve only the CSDP and the SDP of M's unrevealed block, so nothing at m = 0.
+    ValueError when ``sdp`` holds no operator, or ``rev`` does not fit M."""
+    M = sdp.operator
+    if M is None:
+        raise ValueError("the SDP solution holds no operator to audit")
+    if M.dim != rev.n:
+        raise ValueError("operator and reveal dimensions differ")
+    # nothing revealed: the CSDP and the unrevealed block's SDP are the given solve
+    csol = CsdpSolution(inner=sdp, aggregated=None) if rev.m == 0 else solve_csdp(M, rev, cfg)
+    lower = (sdp.value if rev.m == 0 else 0.0 if rev.m == rev.n
+             else solve_elliptope(M.restrict(rev.unrevealed_set), cfg).value)
     margin00 = csol.margin00
-    tau = 1e-3 * g.n * math.sqrt(max(d, 1.0))
+    tau = 1e-3 * M.dim * math.sqrt(max(d, 1.0))
     return SandwichReport(
         lower=float(lower),
         mid=float(csol.value),
-        upper=float(upper),
+        upper=float(sdp.value),
         margin00=margin00,
         tau=tau,
-        holds=bool(lower - tau <= csol.value <= upper + tau),
+        holds=bool(lower - tau <= csol.value <= sdp.value + tau),
         margin_nonneg=bool(margin00 >= 0.0),
         submatrix_ok=bool(lower <= csol.value - margin00 + tau),
     )

@@ -149,14 +149,19 @@ class ExperimentConfig:
         require_ints(self, ("reps", "workers"), 1)
         if not isinstance(self.out_dir, (str, os.PathLike)):
             raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
+        if not isinstance(self.solver, SolverConfig):
+            raise ValueError(f"solver must be a SolverConfig, got {self.solver!r}")
         _check_seed(self.seed)
         _check_depth(self.t)
         # checked, not coerced: int() would sweep n = 200 for n = 200.5
         for name in ("n", "a", "b", "rho"):
             check, cast = (_require_int, int) if name == "n" else (_require_real, float)
-            for v in getattr(self, name):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"{name} values must be a list or tuple, got {values!r}")
+            for v in values:
                 check(v, f"{name} values")
-            values = tuple(map(cast, getattr(self, name)))
+            values = tuple(map(cast, values))
             # a repeated value reruns its cells' draws, which summarize counts twice
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} values must be distinct")
@@ -193,9 +198,6 @@ class ExperimentConfig:
         if not (isinstance(params, dict) and isinstance(solver, dict)):
             raise ValueError("'params' and 'solver' must be JSON objects")
         grid = {key: params.get(key, []) for key in ("n", "a", "b", "rho")}
-        bad = sorted(key for key, values in grid.items() if not isinstance(values, list))
-        if bad:
-            raise ValueError(f"params must be lists: {', '.join(bad)}")
         # a misspelt key would otherwise fall back to its default unseen
         top = {f.name for f in dataclasses.fields(cls)} - set(grid) | {"params"}
         solver_keys = {f.name for f in dataclasses.fields(SolverConfig)}
@@ -212,8 +214,8 @@ class _Draw:
     """One instance seed of a (group, rep), shared by the group's cells: its
     graph is drawn at the first cell that draws, through
     :func:`sample_instance`, and every later cell draws only its reveal;
-    its SDP is solved and rounded at the first cell that solves one.  The
-    matched null's draw (``null``) samples ``ModelParams.null`` of a cell."""
+    its SDP is solved and rounded once, for every solver kind (the sandwich
+    audit's upper side too).  The null's draw samples ``ModelParams.null``."""
 
     def __init__(self, seed: int, null: bool = False):
         self.seed, self.null = seed, null
@@ -231,15 +233,15 @@ class _Draw:
         return self.graph, sample_reveal(p, self.graph.labels)
 
     def sdp(self, solver: SolverConfig, d: float):
-        """(operator, solve settings, solution, rounding, ms) of the SDP of
-        the drawn graph at average degree ``d``, solved at the first call."""
+        """(solve settings, solution, rounding, ms) of the SDP of the drawn graph at average
+        degree ``d``, solved at the first call; M is the solution's ``operator``."""
         if self._sdp is None:
             M = centered_adjacency(self.graph, d)
             settings = solver.for_instance(self.seed)
             t0 = time.perf_counter()
             sol = solve_elliptope(M, settings)
             est = round_leading_eigvec(sol)
-            self._sdp = M, settings, sol, est, (time.perf_counter() - t0) * 1e3
+            self._sdp = settings, sol, est, (time.perf_counter() - t0) * 1e3
         return self._sdp
 
 
@@ -250,10 +252,10 @@ def _group_task(cfg: ExperimentConfig, ci0: int, cells, rep: int) -> list:
 
     Every cell of the group reads the instance seed
     derive_key(cfg.seed, "sweep", ci0, rep) (with "erm" appended for the
-    matched null), so the cells share one graph and one SDP solve, and a
-    contrast across rho is paired on it (common random numbers).  A failing
-    cell (e.g. the census has nothing to estimate at rho = 1) is recorded as
-    a single 'error' row and the group's other cells go on.
+    matched null), so the cells share one graph and, in every solver kind,
+    one SDP solve, and a contrast across rho is paired on it (common random
+    numbers).  A failing cell (e.g. the census has nothing to estimate at
+    rho = 1) is one 'error' row, and the group's other cells go on.
     """
     seed = derive_key(cfg.seed, "sweep", ci0, rep)
     planted = _Draw(seed)
@@ -290,9 +292,10 @@ def _cell_rows(cfg: ExperimentConfig, ci: int, rep: int, p: ModelParams, base: d
         return [row], None
 
     if cfg.kind == "sandwich-audit":
-        g, rev = planted.instance(p)
-        t0 = time.perf_counter()
-        report = sandwich_check(g, rev, p.d, cfg.solver.for_instance(p.seed))
+        _, rev = planted.instance(p)
+        solver, sdp_sol, _, sdp_ms = planted.sdp(cfg.solver, p.d)
+        t0 = time.perf_counter() - sdp_ms / 1e3  # the row times the shared solve too
+        report = sandwich_check(sdp_sol, rev, p.d, solver)
         row = _row(base, t0, algorithm="csdp", sdp_value=report.upper, csdp_value=report.mid,
                    margin00=report.margin00, test_decision=int(report.holds))
         return [row], {"type": "sandwich", "cell": ci, "rep": rep, **dataclasses.asdict(report)}
@@ -310,7 +313,7 @@ def _solve_pair(cfg: ExperimentConfig, draw: _Draw, p: ModelParams, base):
     a cell recomputes only its overlap on its own unrevealed set, and its
     SDP row's runtime_ms is the time of that shared solve."""
     g, rev = draw.instance(p)
-    M, solver, sdp_sol, est, sdp_ms = draw.sdp(cfg.solver, p.d)
+    solver, sdp_sol, est, sdp_ms = draw.sdp(cfg.solver, p.d)
     sdp_row = ResultRecord(**base, algorithm="sdp", overlap_unrevealed=overlap(est, g.labels, rev),
                            sdp_value=sdp_sol.value, runtime_ms=sdp_ms)
 
@@ -320,7 +323,7 @@ def _solve_pair(cfg: ExperimentConfig, draw: _Draw, p: ModelParams, base):
         # and round it the same way, so the csdp row reuses both
         value, overlap_csdp, margin00 = sdp_sol.value, sdp_row.overlap_unrevealed, None
     else:
-        csol = solve_csdp(M, rev, solver)
+        csol = solve_csdp(sdp_sol.operator, rev, solver)
         value, margin00 = csol.value, csol.margin00
         overlap_csdp = estimate_unrevealed(csol, rev, g.labels, seed=draw.seed).overlap
     decision = detection_test(value, p.n, p.a, p.b).decision if p.a > p.b else None

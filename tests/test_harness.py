@@ -16,7 +16,7 @@ import ssbm
 from ssbm import (ExperimentConfig, ModelParams, ResultRecord, SolverConfig,
                   best_threshold_accuracy, census_estimate, centered_adjacency,
                   detection_test, estimate_unrevealed, round_leading_eigvec, run_sweep,
-                  snr, solve_csdp, solve_elliptope, summarize)
+                  sandwich_check, snr, solve_csdp, solve_elliptope, summarize)
 from ssbm.census import overlap
 from ssbm.cli import main
 from ssbm.harness import RESULT_FIELDS, read_csv, write_csv
@@ -72,6 +72,13 @@ def test_config_validation(tmp_path):
     for key, value in (("params", {**raw["params"], "n": 3000}), ("solver", None)):
         with pytest.raises(ValueError):
             ExperimentConfig.from_json(json.dumps({**raw, "solver": {}, key: value}))
+    # the constructor refuses an axis that is not a list (a scalar, or a
+    # string it would iterate) and a solver that is not a SolverConfig
+    for over, match in (({"n": 200}, "n values must be a list"),
+                        ({"rho": "0.3"}, "rho values must be a list"),
+                        ({"solver": {"restarts": 1}}, "solver must be a SolverConfig")):
+        with pytest.raises(ValueError, match=match):
+            _cfg(tmp_path, **over)
     # and a count that is not an integer, or a tolerance that is not a number
     for key, value in (("reps", "2"), ("solver", {"restarts": "2"}), ("solver", {"tol": "1e-6"})):
         with pytest.raises(ValueError, match="must be an integer|must be a number"):
@@ -402,6 +409,10 @@ def _recomputed(row, cfg):
     M = centered_adjacency(g, p.d)
     solver = cfg.solver.for_instance(row.seed)
     sol = solve_elliptope(M, solver)
+    if cfg.kind == "sandwich-audit":
+        report = sandwich_check(sol, rev, p.d, solver)
+        return dict(sdp_value=report.upper, csdp_value=report.mid, margin00=report.margin00,
+                    test_decision=int(report.holds), overlap_unrevealed=None)
     sdp = dict(overlap_unrevealed=overlap(round_leading_eigvec(sol), g.labels, rev),
                sdp_value=sol.value)
     if row.algorithm == "sdp":
@@ -423,7 +434,8 @@ def _recomputed(row, cfg):
     dict(kind="census-sweep", rho=(0.1, 0.5, 0.9), t=2),
     dict(kind="phase-grid", n=(40,), b=(1.0, 2.0), rho=(0.0, 0.25)),
     dict(kind="detection-boxes", n=(40,), rho=(0.1, 0.25)),
-], ids=["census-t1", "census-t2", "phase-grid", "detection-boxes"])
+    dict(kind="sandwich-audit", rho=(0.0, 0.25)),
+], ids=["census-t1", "census-t2", "phase-grid", "detection-boxes", "sandwich-audit"])
 def test_multi_rho_rows_equal_their_per_cell_instances(tmp_path, over):
     # the cells of one (n, a, b, rep) share the seed of the group's first
     # cell, and each row is what that seed's instance and estimator give
@@ -458,7 +470,9 @@ def test_census_sweep_draws_one_graph_per_group_and_rep(tmp_path, monkeypatch):
     assert sum(r.algorithm == "census-1" for r in res.records) == 2 * 3 * 3
 
 
-def test_phase_grid_solves_one_sdp_per_group_and_rep(tmp_path, monkeypatch):
+@pytest.mark.parametrize("kind", ["phase-grid", "sandwich-audit"])
+def test_sweep_solves_one_sdp_per_group_and_rep(tmp_path, monkeypatch, kind):
+    import ssbm.csdp
     import ssbm.harness
 
     solves = []
@@ -468,12 +482,14 @@ def test_phase_grid_solves_one_sdp_per_group_and_rep(tmp_path, monkeypatch):
         solves.append(M.dim)
         return real(M, cfg)
 
-    monkeypatch.setattr(ssbm.harness, "solve_elliptope", counting)
-    res = run_sweep(_cfg(tmp_path, kind="phase-grid", b=(1.0, 2.0), rho=(0.1, 0.25), reps=2))
-    assert solves == [60] * 2 * 2
-    # the sdp rows of one (group, rep) carry that one solve's value
+    for module in (ssbm.harness, ssbm.csdp):
+        monkeypatch.setattr(module, "solve_elliptope", counting)
+    res = run_sweep(_cfg(tmp_path, kind=kind, b=(1.0, 2.0), rho=(0.1, 0.25), reps=2))
+    # the full-dimension (n = 60) solves; every other one reads a reveal
+    assert solves.count(60) == 2 * 2
+    # the rows of one (group, rep) carry that one solve's value
     for (a, b, rep), rows in itertools.groupby(
-            sorted((r for r in res.records if r.algorithm == "sdp"),
+            sorted((r for r in res.records if r.sdp_value is not None),
                    key=lambda r: (r.a, r.b, r.rep, r.rho)), key=lambda r: (r.a, r.b, r.rep)):
         assert len({r.sdp_value for r in rows}) == 1
 
