@@ -45,10 +45,12 @@ class EstimateReport:
 
 
 def overlap(estimates: np.ndarray, labels: Labels, rev: RevealedLabels) -> float:
-    """|<x, x_hat>| / (n - m) over the unrevealed vertices (0 if there are none)."""
+    """|<x, x_hat>| / (n - m) over the unrevealed vertices (0 if there are
+    none), for ``estimates`` of +-1 there: with u = n - m of them and
+    ``agree`` matching their labels, <x, x_hat> = 2 agree - u."""
     unrev = rev.unrevealed_set
-    truth = labels.values[unrev].astype(np.int64)
-    return abs(int(truth @ estimates[unrev].astype(np.int64))) / max(unrev.size, 1)
+    agree = np.count_nonzero(estimates[unrev] == labels.values[unrev])
+    return abs(2 * agree - unrev.size) / max(unrev.size, 1)
 
 
 # census_estimate's refusal when no vertex is unrevealed (a sweep's rho = 1
@@ -266,7 +268,9 @@ def predict_accuracy_erf(a: float, b: float, rho: float, t: int = 1) -> float:
 
 
 def overlap_lower_curve(a: float, b: float, rho: float) -> float:
-    """Asymptotic expected-overlap lower bound (2/3) sqrt(rho SNR) at t = 1."""
+    """Asymptotic expected-overlap lower bound (2/3) sqrt(rho SNR) at t = 1.
+    It bounds an overlap only where it is at most 1, that is where
+    rho SNR <= 9/4; :func:`~ssbm.harness.summarize` reports it only there."""
     _check_rho(rho)
     if rho == 0.0:
         return 0.0

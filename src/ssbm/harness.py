@@ -17,6 +17,7 @@ import datetime
 import itertools
 import json
 import math
+import operator
 import os
 import time
 import typing
@@ -91,7 +92,7 @@ def write_csv(path, records: list[ResultRecord]) -> None:
         fh.write(f"# created {stamp}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RESULT_FIELDS)
-        writer.writerows([getattr(rec, f) for f in RESULT_FIELDS] for rec in records)
+        writer.writerows(map(operator.attrgetter(*RESULT_FIELDS), records))
 
 
 def read_csv(path) -> list[ResultRecord]:
@@ -261,10 +262,11 @@ def _group_task(cfg: ExperimentConfig, ci0: int, cells, rep: int) -> list:
     planted = _Draw(seed)
     null = (_Draw(derive_key(cfg.seed, "sweep", ci0, rep, "erm"), null=True)
             if cfg.kind == "detection-boxes" else None)
+    n, a, b, _ = cells[0]
+    group = dict(seed=seed, rep=rep, n=n, a=a, b=b, snr=snr(a, b), truth_model="sbm")
     out = []
     for ci, cell in enumerate(cells, ci0):
-        n, a, b, rho = cell
-        base = dict(seed=seed, rep=rep, n=n, a=a, b=b, rho=rho, snr=snr(a, b), truth_model="sbm")
+        base = {**group, "rho": cell[3]}
         try:
             out.append(_cell_rows(cfg, ci, rep, ModelParams(*cell, seed=seed), base,
                                   planted, null))
@@ -418,8 +420,9 @@ def summarize(records: list[ResultRecord], t: int = 1) -> dict:
     ``float | None`` fields of :class:`ResultRecord`, in field order.
 
     Each cell carries the depth-t erf accuracy as a reference, and at t = 1
-    also the overlap lower curve, a bound for t = 1 only (a record with
-    a + b = 0 cannot exist: its snr check raises).
+    also the overlap lower curve, a bound for t = 1 only, where it is at
+    most 1, that is where rho SNR <= 9/4: above, it bounds no overlap (a
+    record with a + b = 0 cannot exist: its snr check raises).
     Detection cells (both truth models present) additionally report the
     separation score min(SBM) - max(ERM) and the best-threshold accuracy for
     each solver statistic, plus the test threshold, rho0 and ``test_proven``
@@ -439,7 +442,9 @@ def summarize(records: list[ResultRecord], t: int = 1) -> dict:
             "snr": snr(a, b),
             "groups": [],
         }
-        reference = {"overlap_lower_curve": overlap_lower_curve(a, b, rho)} if t == 1 else {}
+        reference = {}
+        if t == 1 and (curve := overlap_lower_curve(a, b, rho)) <= 1.0:
+            reference["overlap_lower_curve"] = curve
         reference["erf_accuracy"] = predict_accuracy_erf(a, b, rho, t)
         entry["reference"] = reference
         for (algorithm, truth_model), recs in sorted(groups.items()):

@@ -35,8 +35,11 @@ if TYPE_CHECKING:
 
 def _store(obj, name: str, arr: np.ndarray, *rest) -> np.ndarray:
     """Store ``arr``, a fresh array no caller holds, read-only as the field
-    ``name`` of the frozen dataclass ``obj`` (as ``(arr, *rest)`` given ``rest``)."""
-    arr.setflags(write=False)
+    ``name`` of the frozen dataclass ``obj`` (as ``(arr, *rest)`` given
+    ``rest``, whose arrays are made read-only too)."""
+    for held in (arr, *rest):
+        if isinstance(held, np.ndarray):
+            held.setflags(write=False)
     object.__setattr__(obj, name, (arr, *rest) if rest else arr)
     return arr
 
@@ -53,10 +56,12 @@ def _indices(values, what: str) -> np.ndarray:
 
 
 def _ternary(values, what: str) -> np.ndarray:
-    """``values`` as a fresh int8 array; ValueError unless each is +1, 0 or -1."""
+    """``values`` as a fresh int8 array; ValueError unless each is +1, 0 or -1.
+    The cast is compared with the input only when that is not int8 already,
+    where it is exact, so re-checking a validated vector costs one range test."""
     raw = np.asarray(values)
     v = raw.astype(np.int8)
-    if not np.array_equal(v, raw) or np.any((v < -1) | (v > 1)):
+    if (raw.dtype != np.int8 and not np.array_equal(v, raw)) or np.any((v < -1) | (v > 1)):
         raise ValueError(f"{what} must lie in {{+1, 0, -1}}")
     return v
 
@@ -202,9 +207,13 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Labels:
-    """Ground-truth community assignment: a balanced vector of +-1."""
+    """Ground-truth community assignment: a balanced vector of +-1.  Its two
+    communities are derived from it once, as read-only int64 arrays:
+    ``communities`` holds the sorted positions of the +1 labels, then of
+    the -1 labels, which the graph and every reveal draw read."""
 
     values: np.ndarray
+    communities: tuple[np.ndarray, np.ndarray] = field(init=False)
 
     def __post_init__(self):
         v = _store(self, "values", _ternary(self.values, "labels"))
@@ -212,6 +221,7 @@ class Labels:
             raise ValueError("labels must be a nonempty vector with entries +-1")
         if int(v.sum(dtype=np.int64)) != 0:
             raise ValueError("labels must be balanced (equal community sizes)")
+        _store(self, "communities", np.flatnonzero(v > 0), np.flatnonzero(v < 0))
 
     @property
     def n(self) -> int:
@@ -525,9 +535,8 @@ def sample_graph(params: ModelParams) -> Graph:
     perm = stream(params.seed, "partition").permutation(n)
     values = np.full(n, -1, dtype=np.int8)
     values[perm[:half]] = 1
-    # each community's vertices in ascending order, read off the label mask
-    in_first = values > 0
-    s1, s2 = np.flatnonzero(in_first), np.flatnonzero(~in_first)
+    labels = Labels(values)
+    s1, s2 = labels.communities
 
     pairs_within = half * (half - 1) // 2
     ei_chunks, ej_chunks = [], []
@@ -542,23 +551,19 @@ def sample_graph(params: ModelParams) -> Graph:
     ej_chunks.append(s2[lj])
     ei = np.concatenate(ei_chunks)
     ej = np.concatenate(ej_chunks)
-    return Graph(n, ei, ej, Labels(values))
+    return Graph(n, ei, ej, labels)
 
 
 def sample_reveal(params: ModelParams, labels: Labels) -> RevealedLabels:
     """Draw the reveal of one realization given its ``labels``: m/2
-    vertices uniformly from each community, from the ``"reveal"`` stream of
-    the seed.  It reads nothing of ``params`` but m and the seed."""
-    in_first = labels.values > 0
-    s1, s2 = np.flatnonzero(in_first), np.flatnonzero(~in_first)
-    m = params.m
+    vertices uniformly from each of ``labels.communities``, the +1 one
+    first, from the ``"reveal"`` stream of the seed, each revealed as its
+    community's sign.  It reads nothing of ``params`` but m and the seed."""
+    half = params.m // 2
     rng = stream(params.seed, "reveal")
-    revealed = np.concatenate([
-        rng.choice(s1, size=m // 2, replace=False),
-        rng.choice(s2, size=m // 2, replace=False),
-    ])
     rv = np.zeros(labels.n, dtype=np.int8)
-    rv[revealed] = labels.values[revealed]
+    for sign, community in zip((1, -1), labels.communities):
+        rv[rng.choice(community, size=half, replace=False)] = sign
     return RevealedLabels(rv)
 
 

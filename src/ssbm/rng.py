@@ -9,6 +9,8 @@ A fair coin is one bit of the key itself; :func:`coins` draws the coins of
 many last indices at once, folding them in numpy uint64 arithmetic.
 """
 
+from __future__ import annotations
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1

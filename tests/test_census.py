@@ -292,7 +292,9 @@ def test_margins_at_depth_rejects_bad_rows_and_votes():
         for bad in (votes[:3], np.zeros(5, dtype=np.int8), votes.reshape(2, 2)):
             with pytest.raises(ValueError, match="votes must be a vector of length 4"):
                 margins_at_depth(g, bad, t, [0])
-        for bad in (0.5 * votes, 2 * votes, votes - 2):
+        # int8 votes skip the exactness check, so 2 * votes (int8) meets the
+        # range check; 257 and 255 (int64) cast to 1 and -1, and 0.5 to 0
+        for bad in (0.5 * votes, 2 * votes, votes - 2, votes + np.int64(256)):
             with pytest.raises(ValueError, match=r"votes must lie in \{\+1, 0, -1\}"):
                 margins_at_depth(g, bad, t, [0])
         assert margins_at_depth(g, votes, t, np.array([], dtype=np.int64)).size == 0
@@ -324,6 +326,21 @@ def test_estimate_trivial_overlaps():
     report2 = census_estimate(g2, rev, t=1, seed=0)
     assert list(report2.estimates) == [1, 1, -1, -1]
     assert report2.overlap == 1.0
+
+
+@given(st.data())
+def test_overlap_is_the_normalised_inner_product_on_the_unrevealed(data):
+    # the agreement count against |<x, x_hat>| / (n - m) in int64, on drawn
+    # instances (every vertex revealed included) and +-1 estimates
+    half = data.draw(st.integers(1, 40))
+    p = ModelParams(n=2 * half, a=0, b=0, rho=data.draw(st.floats(0, 1)),
+                    seed=data.draw(st.integers(0, 2**64 - 1)))
+    g, rev = sample_instance(p)
+    est = np.array(data.draw(st.lists(st.sampled_from([1, -1]), min_size=p.n, max_size=p.n)),
+                   dtype=np.int8)
+    unrev = rev.unrevealed_set
+    inner = int(g.labels.values[unrev].astype(np.int64) @ est[unrev].astype(np.int64))
+    assert census.overlap(est, g.labels, rev) == abs(inner) / max(p.n - p.m, 1)
 
 
 def test_estimate_errors_when_everything_revealed():

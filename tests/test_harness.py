@@ -17,7 +17,7 @@ from ssbm import (ExperimentConfig, ModelParams, ResultRecord, SolverConfig,
                   best_threshold_accuracy, census_estimate, centered_adjacency,
                   detection_test, estimate_unrevealed, round_leading_eigvec, run_sweep,
                   sandwich_check, snr, solve_csdp, solve_elliptope, summarize)
-from ssbm.census import overlap
+from ssbm.census import overlap, overlap_lower_curve
 from ssbm.cli import main
 from ssbm.harness import RESULT_FIELDS, read_csv, write_csv
 from ssbm.model import sample_instance
@@ -158,6 +158,18 @@ def test_census_sweep_samples_nothing_for_a_rho_one_cell(tmp_path, monkeypatch):
     assert all(getattr(r, f) is None for r in errors
                for f in ("overlap_unrevealed", "sdp_value", "csdp_value", "margin00",
                          "test_decision"))
+
+
+@pytest.mark.parametrize("a, b, rho, reported", [(12, 0, 0.5, False), (5, 2, 0.2, True)])
+def test_summary_reports_the_lower_curve_only_where_it_bounds_an_overlap(a, b, rho, reported):
+    # (2/3) sqrt(rho SNR) passes 1 where rho SNR > 9/4: 1.1547 at (12, 0, 0.5)
+    assert (overlap_lower_curve(a, b, rho) <= 1) == reported
+    rec = ResultRecord(seed=0, rep=0, n=100, a=a, b=b, rho=rho, snr=snr(a, b),
+                       algorithm="census-1", overlap_unrevealed=0.5, truth_model="sbm",
+                       runtime_ms=0.0)
+    (cell,) = summarize([rec], t=1)["cells"]
+    assert ("overlap_lower_curve" in cell["reference"]) == reported
+    assert "erf_accuracy" in cell["reference"]
 
 
 def test_census_sweep_at_depth_two_draws_no_t1_lower_curve(tmp_path):

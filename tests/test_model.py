@@ -397,6 +397,28 @@ def test_operator_rejects_malformed_input():
             MatrixOperator(2, [0], [1], **{"weights": [1.5], **kwargs})
 
 
+@pytest.mark.parametrize("p", [ModelParams(n=300, a=8, b=3, rho=0.4, seed=99),
+                               ModelParams(n=4, a=4, b=4, rho=1.0, seed=1)])
+def test_labels_hold_their_communities_and_reveals_draw_from_them(p):
+    g, rev = sample_instance(p)
+    plus, minus = g.labels.communities
+    for c in (plus, minus):
+        assert c.dtype == np.int64 and not c.flags.writeable
+        assert np.all(np.diff(c) > 0)  # sorted, each vertex once
+    assert plus.size == minus.size == p.n // 2
+    # disjoint and covering: together they are range(n) once each
+    assert np.array_equal(np.sort(np.concatenate([plus, minus])), np.arange(p.n))
+    assert np.all(g.labels.values[plus] == 1) and np.all(g.labels.values[minus] == -1)
+    for sign, c in ((1, plus), (-1, minus)):
+        drawn = np.flatnonzero(rev.values == sign)
+        assert drawn.size == p.m // 2 and np.isin(drawn, c).all()
+    # built from a caller's vector, which it does not hold
+    values = np.array([-1, 1, 1, -1, -1, 1], dtype=np.int8)
+    labels = Labels(values)
+    values[:] = 1
+    assert [c.tolist() for c in labels.communities] == [[1, 2, 5], [0, 3, 4]]
+
+
 def test_value_types_keep_their_own_arrays():
     # each type stores a copy: writing to the caller's arrays afterwards
     # changes none of them, and leaves those arrays writable
