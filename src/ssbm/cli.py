@@ -4,6 +4,8 @@ Subcommands: generate, census, sdp, csdp, test, sweep.  Exit codes: 0 success,
 1 usage error, 2 numeric/solver failure (and a sweep with failed replications).
 ``--seed`` is the instance seed, and a run draws and solves by a sweep's rules,
 so given a ``records.csv`` row's n, a, b, rho, seed and model it prints that row.
+A sweep is described by its JSON config file alone, and every report goes to
+stdout.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 
 from .census import census_estimate, overlap
 from .csdp import detection_margin, detection_test, estimate_unrevealed, solve_csdp
-from .harness import SWEEP_KINDS, ExperimentConfig, run_sweep
+from .harness import ExperimentConfig, run_sweep
 from .model import ModelParams, centered_adjacency, sample_instance, write_instance
 from .sdp import (CERT_GAP, DENSE_CERT_MAX, STALL_WINDOW, NumericError, SolverConfig,
                   round_leading_eigvec, solve_elliptope)
@@ -25,8 +27,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        sys.exit(1)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _add_model_args(p):
@@ -41,6 +42,7 @@ _SOLVER_FLAGS = ("rank", "tol", "max_sweeps", "restarts")
 
 
 def _add_solver_args(p):
+    # a flag left out stays absent, so SolverConfig holds its default
     p.add_argument("--rank", type=int, default=argparse.SUPPRESS,
                    help="factor width (default: sqrt rule)")
     p.add_argument("--tol", type=float, default=argparse.SUPPRESS,
@@ -83,12 +85,8 @@ def _solution_payload(sol) -> dict:
     }
 
 
-def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+def _emit(payload: dict) -> None:
+    print(json.dumps(payload, indent=2))
 
 
 def build_parser() -> _Parser:
@@ -103,7 +101,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("census", help="run the census estimator on a sampled instance")
     _add_model_args(p)
     p.add_argument("--t", type=int, default=1, help="census depth")
-    p.add_argument("--out", default=None, help="also write the JSON report here")
 
     for name in ("sdp", "csdp", "test"):
         p = sub.add_parser(name)
@@ -111,24 +108,14 @@ def build_parser() -> _Parser:
         _add_solver_args(p)
         p.add_argument("--model", choices=("sbm", "erm"), default="sbm",
                        help="the planted model, or its matched null a = b = (a+b)/2")
-        p.add_argument("--out", default=None)
         if name == "test":
             p.add_argument("--delta", type=float, default=None,
                            help="test margin, in (0, (a-b)/2) (default (a-b)/40)")
 
-    # a flag left out stays absent: ExperimentConfig and SolverConfig hold the defaults
-    p = sub.add_parser("sweep", help="run a Monte Carlo sweep",
-                       argument_default=argparse.SUPPRESS)
-    p.add_argument("--config", default=None, help="JSON config file; takes no other flag")
-    p.add_argument("--kind", choices=SWEEP_KINDS)
-    for flag, kind in (("--n", int), ("--a", float), ("--b", float), ("--rho", float)):
-        p.add_argument(flag, type=kind, nargs="+")
-    p.add_argument("--reps", type=int, help="replications per cell")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--t", type=int, help="census depth")
-    p.add_argument("--workers", type=int, help="worker processes")
-    p.add_argument("--out", help="output directory")
-    _add_solver_args(p)
+    p = sub.add_parser("sweep", help="run the Monte Carlo sweep a JSON config file describes")
+    p.add_argument("--config", required=True,
+                   help="JSON config file, as in configs/: kind, params (n, a, b, rho) and "
+                        "out_dir, and reps, seed, t, workers and solver, each optional")
     return top
 
 
@@ -142,8 +129,8 @@ def _cmd_generate(args) -> int:
 def _cmd_census(args) -> int:
     g, rev = sample_instance(_params_from(args))
     report = census_estimate(g, rev, t=args.t, seed=args.seed)
-    _emit(args, {"overlap": report.overlap, "ties": report.ties_broken,
-                 "estimates": report.estimates.tolist()})
+    _emit({"overlap": report.overlap, "ties": report.ties_broken,
+           "estimates": report.estimates.tolist()})
     return 0
 
 
@@ -151,7 +138,7 @@ def _cmd_sdp(args) -> int:
     g, rev, M, solver = _instance(args, _params_from(args))
     sol = solve_elliptope(M, solver)
     est = round_leading_eigvec(sol)
-    _emit(args, {**_solution_payload(sol), "overlap_unrevealed": overlap(est, g.labels, rev)})
+    _emit({**_solution_payload(sol), "overlap_unrevealed": overlap(est, g.labels, rev)})
     return 0
 
 
@@ -159,7 +146,7 @@ def _cmd_csdp(args) -> int:
     g, rev, M, solver = _instance(args, _params_from(args))
     csol = solve_csdp(M, rev, solver)
     report = estimate_unrevealed(csol, rev, g.labels, seed=args.seed)
-    _emit(args, {
+    _emit({
         **_solution_payload(csol.inner),
         "margin00": csol.margin00,
         "overlap_unrevealed": report.overlap,
@@ -173,26 +160,15 @@ def _cmd_test(args) -> int:
     g, rev, M, solver = _instance(args, params)
     csol = solve_csdp(M, rev, solver)
     outcome = detection_test(csol.value, args.n, args.a, args.b, delta=delta)
-    _emit(args, {"statistic": outcome.statistic, "threshold": outcome.threshold,
-                 "decision": outcome.decision, "delta": outcome.delta_used,
-                 "rho0": outcome.rho0, "model": args.model})
+    _emit({"statistic": outcome.statistic, "threshold": outcome.threshold,
+           "decision": outcome.decision, "delta": outcome.delta_used,
+           "rho0": outcome.rho0, "model": args.model})
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    given = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-    if args.config is not None:
-        if given:
-            flags = ", ".join("--" + k.replace("_", "-") for k in sorted(given))
-            raise ValueError(f"--config takes no other sweep flag; it would ignore {flags}")
-        with open(args.config) as fh:
-            cfg = ExperimentConfig.from_json(fh.read())
-    else:
-        missing = [f for f in ("kind", "out", "n", "a", "b", "rho") if f not in given]
-        if missing:
-            raise ValueError(f"sweep needs --config or flags: missing {', '.join('--' + f for f in missing)}")
-        cfg = ExperimentConfig(out_dir=given.pop("out"), solver=_solver_from(args),
-                               **{k: v for k, v in given.items() if k not in _SOLVER_FLAGS})
+    with open(args.config) as fh:
+        cfg = ExperimentConfig.from_json(fh.read())
     result = run_sweep(cfg)
     print(f"wrote {len(result.records)} records to {result.csv_path}")
     print(f"summary: {result.summary_path}")
@@ -215,7 +191,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # from argparse: 1 for a usage error, 0 for --help
+        return exc.code
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

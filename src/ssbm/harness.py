@@ -342,7 +342,8 @@ class SweepResult:
 
 
 def run_sweep(cfg: ExperimentConfig) -> SweepResult:
-    """Execute a sweep and write records.csv + summary.json (+ figure SVG).
+    """Execute a sweep and write records.csv + summary.json (+ figure.svg, or,
+    for a kind that draws no figure, remove a figure.svg left in out_dir).
 
     The unit of work is one (group, rep): a group is the consecutive cells
     of one (n, a, b), which differ only in rho, the grid's innermost axis
@@ -352,11 +353,11 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     records.csv is written before anything is summarised, so a summary
     that fails loses no replication.
     """
+    cells, size = cfg.cells(), len(cfg.rho)  # a grid it refuses creates no out_dir
     os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "records.csv")
     summary_path = os.path.join(cfg.out_dir, "summary.json")
 
-    cells, size = cfg.cells(), len(cfg.rho)
     starts = range(0, len(cells), size)
     tasks = [(ci0, cells[ci0:ci0 + size], rep) for ci0 in starts for rep in range(cfg.reps)]
     if cfg.workers > 1:
@@ -386,9 +387,12 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     with open(summary_path, "w") as fh:
         fh.write(json.dumps(summary, indent=2))
     svg = _figure_svg(cfg, summary)
+    figure_path = os.path.join(cfg.out_dir, "figure.svg")
     if svg is not None:
-        with open(os.path.join(cfg.out_dir, "figure.svg"), "w") as fh:
+        with open(figure_path, "w") as fh:
             fh.write(svg)
+    elif os.path.exists(figure_path):  # another kind's figure, not this sweep's
+        os.remove(figure_path)
     return SweepResult(records, summary, csv_path, summary_path)
 
 

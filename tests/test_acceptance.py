@@ -299,9 +299,9 @@ def test_criterion_09_detection_above_and_below_threshold(tmp_path):
     # is promised, and separation is checked with the one-sided KS test; for
     # equal arms its statistic is 2 (best-threshold accuracy - 1/2).
     # Ground truth, master seeds 1-8 pooled (400+400 reps per cell):
-    #   for s in 1 2 3 4 5 6 7 8; do PYTHONPATH=src python -m ssbm.cli sweep \
-    #     --kind detection-boxes --n 200 --a 9 5 --b 2 --rho 0.25 --reps 50 \
-    #     --restarts 2 --seed $s --out c9-seed$s; done
+    # configs/detection-boxes.json (n 200, a 9 and 5, b 2, rho 0.25, 50 reps,
+    # 2 restarts) run by `ssbm sweep --config` with its "seed" set to each of 1-8,
+    # and its "out_dir" to c9-seed1, ..., c9-seed8,
     # gives best-threshold accuracies csdp(5,2) 0.811 (p 4e-73), sdp(5,2)
     # 0.524 (p 0.41), sdp(9,2) 0.820 (p 1e-77), csdp(9,2) 0.999, the same with
     # the row-by-row solver, the batch solver, its gradient-aware shift and

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -29,16 +30,13 @@ def test_generate_exports_the_drawn_instance(tmp_path):
     assert reveal.split() == ["R", *map(str, rev.values.tolist())]
 
 
-def test_census_command_json(tmp_path, capsys):
+def test_census_command_json(capsys):
     code = main(["census", "--n", "60", "--a", "7", "--b", "2",
-                 "--rho", "0.4", "--seed", "1", "--t", "1",
-                 "--out", str(tmp_path / "r.json")])
+                 "--rho", "0.4", "--seed", "1", "--t", "1"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"overlap", "ties", "estimates"}
     assert len(payload["estimates"]) == 60
-    on_disk = json.loads((tmp_path / "r.json").read_text())
-    assert on_disk == payload
 
 
 def test_payload_keys_and_order(capsys):
@@ -119,29 +117,25 @@ def test_test_command_checks_the_margin_before_solving(monkeypatch, capsys):
 
 
 def test_usage_errors_exit_one(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["census", "--n", "60"])  # missing --a/--b
-    assert exc.value.code == 1
+    # main returns argparse's refusals as it returns every other exit code
+    assert main(["census", "--n", "60"]) == 1  # missing --a/--b
+    assert "the following arguments are required: --a, --b" in capsys.readouterr().err
     # bad parameter values are usage errors too (exit 1, no traceback)
     assert main(["census", "--n", "61", "--a", "7", "--b", "2"]) == 1
     assert main(["sdp", "--n", "40", "--a", "3", "--b", "5"]) == 1
     # the retired `oracles` subcommand is an unknown choice
-    with pytest.raises(SystemExit) as exc:
-        main(["oracles"])
-    assert exc.value.code == 1
+    assert main(["oracles"]) == 1
+    assert "invalid choice: 'oracles'" in capsys.readouterr().err
+    # a report goes to stdout only
+    for command in ("census", "sdp", "csdp", "test"):
+        assert main([command, "--n", "40", "--a", "6", "--b", "2", "--out", "r.json"]) == 1
+        assert "unrecognized arguments: --out r.json" in capsys.readouterr().err
+    # and --help is a success
+    assert main(["sweep", "--help"]) == 0
+    assert "--config CONFIG" in capsys.readouterr().out
 
 
-def test_sweep_with_flags(tmp_path, capsys):
-    out = tmp_path / "sweepout"
-    code = main(["sweep", "--kind", "census-sweep", "--n", "60", "--a", "6",
-                 "--b", "2", "--rho", "0.3", "0.6", "--reps", "2",
-                 "--seed", "5", "--out", str(out), "--restarts", "1"])
-    assert code == 0
-    assert (out / "records.csv").exists()
-    assert (out / "summary.json").exists()
-
-
-def test_sweep_with_config_file(tmp_path):
+def test_sweep_with_config_file(tmp_path, capsys):
     cfg = {
         "kind": "detection-boxes",
         "params": {"n": [40], "a": [8.0], "b": [2.0], "rho": [0.25]},
@@ -154,43 +148,43 @@ def test_sweep_with_config_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["sweep", "--config", str(path)]) == 0
-    rows = (tmp_path / "cfgout" / "records.csv").read_text().splitlines()
+    out = tmp_path / "cfgout"
+    rows = (out / "records.csv").read_text().splitlines()
     assert len(rows) == 2 + 4  # comment, header, 4 records
+    assert capsys.readouterr().out == (f"wrote 4 records to {out / 'records.csv'}\n"
+                                       f"summary: {out / 'summary.json'}\n")
+    assert json.loads((out / "summary.json").read_text())["cells"]
 
 
-def test_sweep_with_error_rows_exits_two(tmp_path, capsys):
+def test_sweep_with_error_rows_exits_two(tmp_path, capsys, sweep_config):
     # at rho = 1 the census has nothing to estimate, so each replication fails
-    out = tmp_path / "errout"
-    code = main(["sweep", "--kind", "census-sweep", "--n", "40", "--a", "6", "--b", "2",
-                 "--rho", "0.5", "1.0", "--reps", "2", "--out", str(out)])
-    assert code == 2
+    out = tmp_path / "out"
+    assert main(sweep_config(params={"rho": [0.5, 1.0]}, reps=2)) == 2
     err = capsys.readouterr().err
     assert "2 replication(s) failed" in err and "nothing to estimate" in err
     rows = (out / "records.csv").read_text().splitlines()
     assert sum(row.count(",error,") for row in rows) == 2
 
 
-def test_sweep_missing_flags_is_usage_error():
-    assert main(["sweep", "--kind", "census-sweep"]) == 1
+def test_sweep_missing_flags_is_usage_error(capsys):
+    # the config file is the one way into a sweep
+    for argv in (["sweep"], ["sweep", "--kind", "census-sweep"]):
+        assert main(argv) == 1
+        assert "the following arguments are required: --config" in capsys.readouterr().err
 
 
-def test_sweep_config_refuses_every_other_flag(tmp_path, capsys):
-    cfg = {"kind": "census-sweep", "params": {"n": [40], "a": [6.0], "b": [2.0], "rho": [0.5]},
-           "out_dir": str(tmp_path / "out")}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    for flags, named in ((["--workers", "4"], "--workers"),
-                         (["--seed", "0"], "--seed"),
-                         (["--max-sweeps", "10", "--n", "60"], "--max-sweeps, --n")):
-        assert main(["sweep", "--config", str(path)] + flags) == 1
-        err = capsys.readouterr().err
-        assert "--config takes no other sweep flag" in err and err.rstrip().endswith(named)
+def test_sweep_config_refuses_every_other_flag(tmp_path, capsys, sweep_config):
+    argv = sweep_config()
+    for flags in (["--workers", "4"], ["--seed", "0"], ["--max-sweeps", "10", "--n", "60"],
+                  ["--out", str(tmp_path / "out")]):
+        assert main(argv + flags) == 1
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-    assert main(["sweep", "--config", str(path)]) == 0
+    assert main(argv) == 0
 
 
-def test_flag_and_config_sweeps_build_equal_configs(tmp_path, monkeypatch):
-    # the flags and the JSON reader leave every default to ExperimentConfig
+def test_config_keys_left_out_take_their_defaults(tmp_path, monkeypatch, sweep_config):
+    # the JSON reader leaves every default to ExperimentConfig and SolverConfig
     seen = []
 
     def capture(cfg):
@@ -198,23 +192,45 @@ def test_flag_and_config_sweeps_build_equal_configs(tmp_path, monkeypatch):
         return run_sweep(cfg)
 
     monkeypatch.setattr(cli, "run_sweep", capture)
-    out = str(tmp_path / "out")
-    grid = ["--kind", "census-sweep", "--n", "40", "--a", "6", "--b", "2", "--rho", "0.5"]
-    params = {"n": [40], "a": [6.0], "b": [2.0], "rho": [0.5]}
-    given = ["--reps", "2", "--seed", "5", "--t", "2", "--workers", "1",
-             "--restarts", "1", "--tol", "1e-5", "--max-sweeps", "300", "--rank", "4"]
+    assert main(sweep_config()) == 0
+    assert seen[0] == ExperimentConfig(kind="census-sweep", n=(40,), a=(6.0,), b=(2.0,),
+                                       rho=(0.5,), solver=SolverConfig(),
+                                       out_dir=str(tmp_path / "out"))
+    assert (seen[0].reps, seen[0].seed, seen[0].t, seen[0].workers) == (1, 0, 1, 1)
     keys = {"reps": 2, "seed": 5, "t": 2, "workers": 1,
             "solver": {"restarts": 1, "tol": 1e-5, "max_sweeps": 300, "rank": 4}}
-    path = tmp_path / "cfg.json"
-    for flags, extra in (([], {}), (given, keys)):
-        assert main(["sweep"] + grid + flags + ["--out", out]) == 0
-        path.write_text(json.dumps({"kind": "census-sweep", "params": params,
-                                    "out_dir": out, **extra}))
-        assert main(["sweep", "--config", str(path)]) == 0
-        assert seen[-2] == seen[-1]
-    assert seen[0] == ExperimentConfig(kind="census-sweep", n=(40,), a=(6.0,), b=(2.0,),
-                                       rho=(0.5,), solver=SolverConfig(), out_dir=out)
-    assert (seen[0].reps, seen[0].seed, seen[0].t, seen[0].workers) == (1, 0, 1, 1)
+    assert main(sweep_config(**keys)) == 0
+    assert seen[1] == dataclasses.replace(seen[0], reps=2, seed=5, t=2, solver=SolverConfig(
+        restarts=1, tol=1e-5, max_sweeps=300, rank=4))
+
+
+def test_sweep_refuses_a_bad_grid_before_creating_out_dir(tmp_path, capsys, sweep_config):
+    # an odd n, and a phase grid whose every cell has b > a, are refused
+    # before anything is written
+    for keys, message in (({"params": {"n": [61]}}, "n must be a positive even integer, got 61"),
+                          ({"kind": "phase-grid", "params": {"a": [1.0], "b": [2.0, 3.0]}},
+                           "parameter grid contains no valid cell")):
+        assert main(sweep_config(**keys)) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("shipped", _CONFIGS, ids=[p.name for p in _CONFIGS])
+def test_shipped_configs_run(tmp_path, shipped):
+    # each file in configs/ runs through `ssbm sweep --config`, with only its
+    # n, replications, workers and out_dir made small
+    cfg = json.loads(shipped.read_text())
+    cfg["params"]["n"] = [40]
+    cfg.update(reps=1, workers=1, out_dir=str(tmp_path / "out"))
+    path = tmp_path / shipped.name
+    path.write_text(json.dumps(cfg))
+    # the census sweep's rho = 1 cell has nothing to estimate: its documented exit 2
+    expected = 2 if shipped.name == "census-sweep.json" else 0
+    assert main(["sweep", "--config", str(path)]) == expected
+    assert (tmp_path / "out" / "records.csv").exists()
 
 
 def test_sweep_malformed_config_is_usage_error(tmp_path):
@@ -327,10 +343,9 @@ def test_numeric_failures_exit_two(monkeypatch, capsys):
     assert code == 2
 
 
-def test_sweep_unwritable_out_dir_is_io_error(tmp_path):
+def test_sweep_unwritable_out_dir_is_io_error(tmp_path, capsys, sweep_config):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory")
-    code = main(["sweep", "--kind", "census-sweep", "--n", "40", "--a", "6",
-                 "--b", "2", "--rho", "0.5", "--reps", "1",
-                 "--out", str(blocker / "sub")])
-    assert code == 1
+    assert main(sweep_config(out_dir=str(blocker / "sub"))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ssbm: error: [Errno") and str(blocker / "sub") in err

@@ -94,7 +94,7 @@ def test_config_validation(tmp_path):
             ExperimentConfig.from_json(json.dumps(bad))
 
 
-def test_config_refuses_a_repeated_grid_value(tmp_path, capsys):
+def test_config_refuses_a_repeated_grid_value(tmp_path, capsys, sweep_config):
     # a repeated value would rerun its cells on the same seeds, and summarize
     # would merge the copies into one cell of twice the count
     for name, values in (("n", (60, 60)), ("a", (6.0, 6.0)), ("b", (2.0, 2.0)),
@@ -108,11 +108,9 @@ def test_config_refuses_a_repeated_grid_value(tmp_path, capsys):
     # equal once cast: a = 6 and a = 6.0 are one cell
     with pytest.raises(ValueError, match="^a values must be distinct$"):
         _cfg(tmp_path, a=(6, 6.0))
-    out = tmp_path / "cli"
-    assert main(["sweep", "--kind", "census-sweep", "--n", "200", "--a", "5", "--b", "2",
-                 "--rho", "0.25", "0.25", "--reps", "3", "--out", str(out)]) == 1
+    assert main(sweep_config(params={"rho": [0.25, 0.25]}, reps=3)) == 1
     assert "rho values must be distinct" in capsys.readouterr().err
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_census_sweep_records_and_summary(tmp_path):
@@ -180,6 +178,18 @@ def test_census_sweep_at_depth_two_draws_no_t1_lower_curve(tmp_path):
         assert "erf_accuracy" in cell["reference"]
     svg = (tmp_path / "out" / "figure.svg").read_text()
     assert svg.count("<polyline") == 1
+
+
+def test_a_kind_that_draws_no_figure_removes_a_stale_one(tmp_path):
+    # a phase grid run into a census sweep's out_dir leaves no census figure
+    # beside its own records, and a rerun finds nothing to remove
+    figure = tmp_path / "out" / "figure.svg"
+    run_sweep(_cfg(tmp_path))
+    assert figure.exists()
+    for _ in range(2):
+        result = run_sweep(_cfg(tmp_path, kind="phase-grid", rho=(0.0,), reps=1))
+        assert not figure.exists()
+        assert read_csv(result.csv_path) == result.records
 
 
 def test_csv_round_trip(tmp_path):

@@ -84,7 +84,7 @@ def _estimators(seed):
     yield lambda: estimate_unrevealed(sol0, rev0, g0.labels, seed=seed)
 
 
-def test_every_config_takes_seeds_in_0_to_2_64_only(tmp_path):
+def test_every_config_takes_seeds_in_0_to_2_64_only(tmp_path, capsys, sweep_config):
     # outside the range a seed would fold onto another: -1 onto 2**64 - 1
     for seed in (-1, 1 << 64, (1 << 64) + 5, np.int64(-1)):
         for make in (*_configs(seed, tmp_path), *_estimators(seed)):
@@ -99,8 +99,8 @@ def test_every_config_takes_seeds_in_0_to_2_64_only(tmp_path):
             assert make().seed == seed
         for make in _estimators(seed):
             assert make().estimates.size == 40
-    assert main(["sweep", "--kind", "census-sweep", "--n", "40", "--a", "6", "--b", "2",
-                 "--rho", "0.5", "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+    assert main(sweep_config(seed=-1)) == 1
+    assert "seed must be an unsigned 64-bit integer" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
