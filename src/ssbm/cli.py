@@ -15,7 +15,7 @@ import json
 import sys
 
 from .census import census_estimate, overlap
-from .csdp import detection_margin, detection_test, estimate_unrevealed, solve_csdp
+from .csdp import detection_test, estimate_unrevealed, solve_csdp
 from .harness import ExperimentConfig, run_sweep
 from .model import ModelParams, centered_adjacency, sample_instance, write_instance
 from .sdp import (CERT_GAP, DENSE_CERT_MAX, STALL_WINDOW, NumericError, SolverConfig,
@@ -108,9 +108,6 @@ def build_parser() -> _Parser:
         _add_solver_args(p)
         p.add_argument("--model", choices=("sbm", "erm"), default="sbm",
                        help="the planted model, or its matched null a = b = (a+b)/2")
-        if name == "test":
-            p.add_argument("--delta", type=float, default=None,
-                           help="test margin, in (0, (a-b)/2) (default (a-b)/40)")
 
     p = sub.add_parser("sweep", help="run the Monte Carlo sweep a JSON config file describes")
     p.add_argument("--config", required=True,
@@ -156,10 +153,10 @@ def _cmd_csdp(args) -> int:
 
 def _cmd_test(args) -> int:
     params = _params_from(args)  # the model's refusals come first, as in sdp and csdp
-    delta = detection_margin(args.a, args.b, args.delta)  # before any sampling or solving
+    detection_test(0.0, args.n, args.a, args.b)  # refuses a <= b before any draw or solve
     g, rev, M, solver = _instance(args, params)
     csol = solve_csdp(M, rev, solver)
-    outcome = detection_test(csol.value, args.n, args.a, args.b, delta=delta)
+    outcome = detection_test(csol.value, args.n, args.a, args.b)
     _emit({"statistic": outcome.statistic, "threshold": outcome.threshold,
            "decision": outcome.decision, "delta": outcome.delta_used,
            "rho0": outcome.rho0, "model": args.model})

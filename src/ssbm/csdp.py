@@ -58,7 +58,7 @@ class CsdpSolution:
 @dataclass(frozen=True)
 class TestOutcome:
     """Decision of the CSDP detection test: flag community structure when the
-    statistic reaches n ((a-b)/2 - delta)."""
+    statistic reaches n ((a-b)/2 - delta), with delta_used the paper's (a-b)/40."""
 
     statistic: float
     threshold: float
@@ -129,33 +129,18 @@ def estimate_unrevealed(
     return _vote_report(scores, rev, labels, seed, "csdp-tie")
 
 
-def detection_margin(a: float, b: float, delta: float | None = None) -> float:
-    """The margin :func:`detection_test` uses: (a-b)/40 by default, or
-    ``delta``, which must be finite with 0 < delta < (a-b)/2.  Raises
-    ValueError unless a > b and the margin is valid, so that a caller can
-    check its arguments before it samples or solves anything."""
-    if a <= b:
-        raise ValueError("detection test requires a > b")
-    if delta is None:
-        return (a - b) / 40.0
-    if not (0.0 < delta < (a - b) / 2.0):  # also False for nan
-        raise ValueError(f"margin delta must lie in (0, (a-b)/2) = (0, {(a - b) / 2.0:g}), "
-                         f"got {delta}")
-    return delta
+def detection_test(stat: float, n: int, a: float, b: float) -> TestOutcome:
+    """The paper's threshold test for community structure given the model rates.
 
-
-def detection_test(
-    stat: float, n: int, a: float, b: float, delta: float | None = None
-) -> TestOutcome:
-    """Threshold test for community structure given the model rates.
-
-    Declares a planted bisection (decision 1) iff stat >= n ((a-b)/2 - delta);
-    the default margin is delta = (a-b)/40, and any other must be finite with
-    0 < delta < (a-b)/2, so that the threshold is positive.  Also reports
-    rho0, the reveal ratio at which the test is proven to work:
-    1 - (a-b)/(30 (1+d)).
+    Declares a planted bisection (decision 1) iff stat >= n ((a-b)/2 - delta),
+    at the paper's margin delta = (a-b)/40.  Also reports rho0, the reveal
+    ratio above which the test is proven to work: 1 - (a-b)/(30 (1+d)).
+    Raises ValueError unless a > b, so that a caller can probe its arguments
+    before it samples or solves anything.
     """
-    delta = detection_margin(a, b, delta)
+    if not a > b:
+        raise ValueError("detection test requires a > b")
+    delta = (a - b) / 40.0
     d = 0.5 * (a + b)
     threshold = n * ((a - b) / 2.0 - delta)
     return TestOutcome(

@@ -440,7 +440,7 @@ def summarize(records: list[ResultRecord], t: int = 1) -> dict:
             setdefault((rec.algorithm, rec.truth_model), []).append(rec)
 
     out_cells = []
-    for (n, a, b, rho), groups in sorted(cells.items()):
+    for (n, a, b, rho), groups in cells.items():  # first seen: the grid's order
         entry = {
             "cell": {"n": n, "a": a, "b": b, "rho": rho},
             "snr": snr(a, b),
@@ -501,16 +501,15 @@ def _figure_svg(cfg: ExperimentConfig, summary) -> str | None:
 
 
 def _census_svg(summary, t) -> str:
-    pts, ref = [], []
+    lines = {}  # (n, a, b) -> its (data, reference) points, one line each
     for cell in summary["cells"]:
-        rho = cell["cell"]["rho"]
+        c, rho = cell["cell"], cell["cell"]["rho"]
+        pts, ref = lines.setdefault((c["n"], c["a"], c["b"]), ([], []))
         for grp in cell["groups"]:
             if grp["algorithm"].startswith("census") and "overlap_unrevealed" in grp:
                 pts.append((rho, grp["overlap_unrevealed"]["mean"]))
         if "overlap_lower_curve" in cell.get("reference", {}):
             ref.append((rho, cell["reference"]["overlap_lower_curve"]))
-    pts.sort()
-    ref.sort()
     w, h, pad = 480, 320, 46
 
     def xmap(rho):
@@ -526,12 +525,15 @@ def _census_svg(summary, t) -> str:
     svg = _svg_header(w, h, f"census t={t}: mean unrevealed overlap vs reveal ratio")
     svg += f'<line x1="{pad}" y1="{h-pad}" x2="{w-pad}" y2="{h-pad}" stroke="black"/>\n'
     svg += f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{h-pad}" stroke="black"/>\n'
-    if pts:
-        svg += path(pts, "#1f66b0")
-        svg += "".join(f'<circle cx="{xmap(x):.1f}" cy="{ymap(y):.1f}" r="2.5" fill="#1f66b0"/>\n'
-                       for x, y in pts)
-    if ref:
-        svg += path(ref, "#8043a3", dash=' stroke-dasharray="6 4"')
+    for pts, ref in lines.values():
+        pts.sort()
+        ref.sort()
+        if pts:
+            svg += path(pts, "#1f66b0")
+            svg += "".join(f'<circle cx="{xmap(x):.1f}" cy="{ymap(y):.1f}" r="2.5" '
+                           f'fill="#1f66b0"/>\n' for x, y in pts)
+        if ref:
+            svg += path(ref, "#8043a3", dash=' stroke-dasharray="6 4"')
     return svg + "</svg>\n"
 
 

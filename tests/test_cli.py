@@ -100,20 +100,36 @@ def test_test_command_reports_decision(capsys):
     assert payload["threshold"] == 80 * (3.5 - 7 / 40)
     assert payload["decision"] in (0, 1)
     assert payload["model"] == "sbm"
-    # a margin that makes the threshold NaN or non-positive is a usage error
-    assert main(["test", "--n", "80", "--a", "9", "--b", "2", "--rho", "0.25",
-                 "--restarts", "1", "--delta", "nan"]) == 1
 
 
 def test_test_command_checks_the_margin_before_solving(monkeypatch, capsys):
-    # an invalid margin exits 1 before any sample or solve is paid for
+    # the paper's margin (a-b)/40 needs a > b: a = b exits 1 before any solve is
+    # paid for, though the model itself takes a = b
     def refuse(*args, **kwargs):
         raise RuntimeError("solve_csdp ran")
 
     monkeypatch.setattr(cli, "solve_csdp", refuse)
-    assert main(["test", "--n", "2000", "--a", "9", "--b", "2", "--rho", "0.25",
-                 "--restarts", "1", "--delta", "nan"]) == 1
-    assert "margin delta must lie in" in capsys.readouterr().err
+    assert main(["test", "--n", "2000", "--a", "4", "--b", "4", "--rho", "0.25",
+                 "--restarts", "1"]) == 1
+    assert "detection test requires a > b" in capsys.readouterr().err
+    # the margin is the paper's alone: there is no flag to set it
+    assert main(["test", "--n", "80", "--a", "9", "--b", "2", "--delta", "1.0"]) == 1
+    assert "unrecognized arguments: --delta" in capsys.readouterr().err
+
+
+def test_every_run_option_names_a_sweep_value():
+    # a run reproduces a sweep row from values the row or its config holds, so
+    # each option of census|sdp|csdp|test must name one: a records.csv column,
+    # the truth_model column (--model), the config key t, or a solver setting
+    # (a solver's own seed is derived from the instance seed, never set)
+    assert {"n", "a", "b", "rho", "seed", "truth_model"} <= set(harness.RESULT_FIELDS)
+    assert "t" in {f.name for f in dataclasses.fields(ExperimentConfig)}
+    allowed = ({"n", "a", "b", "rho", "seed", "model", "t"}
+               | {f.name for f in dataclasses.fields(SolverConfig)} - {"seed"})
+    (commands,) = [act for act in cli.build_parser()._actions if act.dest == "command"]
+    for name in ("census", "sdp", "csdp", "test"):
+        dests = {act.dest for act in commands.choices[name]._actions if act.dest != "help"}
+        assert dests <= allowed, (name, dests - allowed)
 
 
 def test_usage_errors_exit_one(capsys):

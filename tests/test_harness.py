@@ -158,6 +158,30 @@ def test_census_sweep_samples_nothing_for_a_rho_one_cell(tmp_path, monkeypatch):
                          "test_decision"))
 
 
+def test_summary_lists_cells_in_grid_order(tmp_path):
+    # an error's cell indexes cfg.cells(), and so the summary's cells, on any grid
+    res = run_sweep(_cfg(tmp_path / "rho", rho=(1.0, 0.5), reps=2))
+    assert [e["cell"] for e in res.summary["errors"]] == [0, 0]
+    assert all(res.summary["cells"][e["cell"]]["cell"]["rho"] == 1.0
+               for e in res.summary["errors"])
+    res = run_sweep(_cfg(tmp_path / "a", a=(9.0, 5.0), rho=(0.3,), reps=1))
+    assert [cell["cell"]["a"] for cell in res.summary["cells"]] == [9.0, 5.0]
+
+
+def test_census_figure_draws_one_line_per_group(tmp_path):
+    # two (n, a, b) groups are two data lines and two reference lines, each
+    # rising in rho, though the grid lists rho descending
+    run_sweep(_cfg(tmp_path, a=(6.0, 12.0), rho=(0.6, 0.3), reps=1))
+    svg = (tmp_path / "out" / "figure.svg").read_text()
+    lines = [ln for ln in svg.splitlines() if ln.startswith("<polyline")]
+    assert len(lines) == 4
+    data = [ln for ln in lines if 'stroke="#1f66b0"' in ln]
+    assert len(data) == 2
+    for ln in data:
+        xs = [float(pt.split(",")[0]) for pt in ln.split('points="')[1].split('"')[0].split()]
+        assert len(xs) == 2 and xs[0] < xs[1]
+
+
 @pytest.mark.parametrize("a, b, rho, reported", [(12, 0, 0.5, False), (5, 2, 0.2, True)])
 def test_summary_reports_the_lower_curve_only_where_it_bounds_an_overlap(a, b, rho, reported):
     # (2/3) sqrt(rho SNR) passes 1 where rho SNR > 9/4: 1.1547 at (12, 0, 0.5)
