@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: generate, census, sdp, csdp, test, sweep.  Exit codes: 0 success,
+Subcommands: generate, census, sdp, csdp, sweep.  Exit codes: 0 success,
 1 usage error, 2 numeric/solver failure (and a sweep with failed replications).
-``--seed`` is the instance seed, and a run draws and solves by a sweep's rules,
-so given a ``records.csv`` row's n, a, b, rho, seed and model it prints that row.
+``--seed`` is the instance seed, and ``sdp`` and ``csdp`` compute their values
+by the functions a sweep's rows come from, so given a ``records.csv`` row's n,
+a, b, rho, seed and model a run prints that row.
 A sweep is described by its JSON config file alone, and every report goes to
 stdout.
 """
@@ -14,12 +15,10 @@ import argparse
 import json
 import sys
 
-from .census import census_estimate, overlap
-from .csdp import detection_test, estimate_unrevealed, solve_csdp
-from .harness import ExperimentConfig, run_sweep
-from .model import ModelParams, centered_adjacency, sample_instance, write_instance
-from .sdp import (CERT_GAP, DENSE_CERT_MAX, STALL_WINDOW, NumericError, SolverConfig,
-                  round_leading_eigvec, solve_elliptope)
+from .census import census_estimate
+from .harness import ExperimentConfig, _csdp_values, _Draw, _sdp_values, run_sweep
+from .model import ModelParams, sample_instance, write_instance
+from .sdp import CERT_GAP, DENSE_CERT_MAX, STALL_WINDOW, NumericError, SolverConfig
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,13 +65,14 @@ def _params_from(args) -> ModelParams:
     return ModelParams(n=args.n, a=args.a, b=args.b, rho=args.rho, seed=args.seed)
 
 
-def _instance(args, params: ModelParams):
-    """A sweep row's instance of the validated planted ``params`` (or of its matched
-    null under ``--model erm``), its centred operator and its solver settings."""
-    if args.model == "erm":
-        params = params.null(params.seed)
-    g, rev = sample_instance(params)
-    return g, rev, centered_adjacency(g, params.d), _solver_from(args).for_instance(params.seed)
+def _solve_row(args, values_of):
+    """``values_of`` (``harness._sdp_values`` or ``_csdp_values``) on a sweep
+    row's instance of the planted parameters (of its matched null under
+    ``--model erm``): the row's value columns and the solution behind them."""
+    params = _params_from(args)
+    draw = _Draw(params.seed, null=args.model == "erm")
+    _, rev = draw.instance(params)
+    return values_of(draw, rev, _solver_from(args), params)
 
 
 def _solution_payload(sol) -> dict:
@@ -102,7 +102,7 @@ def build_parser() -> _Parser:
     _add_model_args(p)
     p.add_argument("--t", type=int, default=1, help="census depth")
 
-    for name in ("sdp", "csdp", "test"):
+    for name in ("sdp", "csdp"):
         p = sub.add_parser(name)
         _add_model_args(p)
         _add_solver_args(p)
@@ -132,34 +132,16 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_sdp(args) -> int:
-    g, rev, M, solver = _instance(args, _params_from(args))
-    sol = solve_elliptope(M, solver)
-    est = round_leading_eigvec(sol)
-    _emit({**_solution_payload(sol), "overlap_unrevealed": overlap(est, g.labels, rev)})
+    values, sol = _solve_row(args, _sdp_values)
+    _emit({**_solution_payload(sol), "overlap_unrevealed": values["overlap_unrevealed"]})
     return 0
 
 
 def _cmd_csdp(args) -> int:
-    g, rev, M, solver = _instance(args, _params_from(args))
-    csol = solve_csdp(M, rev, solver)
-    report = estimate_unrevealed(csol, rev, g.labels, seed=args.seed)
-    _emit({
-        **_solution_payload(csol.inner),
-        "margin00": csol.margin00,
-        "overlap_unrevealed": report.overlap,
-    })
-    return 0
-
-
-def _cmd_test(args) -> int:
-    params = _params_from(args)  # the model's refusals come first, as in sdp and csdp
-    detection_test(0.0, args.n, args.a, args.b)  # refuses a <= b before any draw or solve
-    g, rev, M, solver = _instance(args, params)
-    csol = solve_csdp(M, rev, solver)
-    outcome = detection_test(csol.value, args.n, args.a, args.b)
-    _emit({"statistic": outcome.statistic, "threshold": outcome.threshold,
-           "decision": outcome.decision, "delta": outcome.delta_used,
-           "rho0": outcome.rho0, "model": args.model})
+    values, sol = _solve_row(args, _csdp_values)
+    _emit({**_solution_payload(sol), "margin00": values["margin00"],
+           "overlap_unrevealed": values["overlap_unrevealed"],
+           "test_decision": values["test_decision"]})
     return 0
 
 
@@ -182,7 +164,6 @@ _COMMANDS = {
     "census": _cmd_census,
     "sdp": _cmd_sdp,
     "csdp": _cmd_csdp,
-    "test": _cmd_test,
     "sweep": _cmd_sweep,
 }
 

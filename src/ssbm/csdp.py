@@ -58,12 +58,10 @@ class CsdpSolution:
 @dataclass(frozen=True)
 class TestOutcome:
     """Decision of the CSDP detection test: flag community structure when the
-    statistic reaches n ((a-b)/2 - delta), with delta_used the paper's (a-b)/40."""
+    statistic reaches the threshold n ((a-b)/2 - delta), delta the paper's (a-b)/40."""
 
-    statistic: float
     threshold: float
     decision: int
-    delta_used: float
     rho0: float
 
 
@@ -135,21 +133,14 @@ def detection_test(stat: float, n: int, a: float, b: float) -> TestOutcome:
     Declares a planted bisection (decision 1) iff stat >= n ((a-b)/2 - delta),
     at the paper's margin delta = (a-b)/40.  Also reports rho0, the reveal
     ratio above which the test is proven to work: 1 - (a-b)/(30 (1+d)).
-    Raises ValueError unless a > b, so that a caller can probe its arguments
-    before it samples or solves anything.
+    Raises ValueError unless a > b.
     """
     if not a > b:
         raise ValueError("detection test requires a > b")
     delta = (a - b) / 40.0
-    d = 0.5 * (a + b)
     threshold = n * ((a - b) / 2.0 - delta)
-    return TestOutcome(
-        statistic=float(stat),
-        threshold=threshold,
-        decision=int(stat >= threshold),
-        delta_used=delta,
-        rho0=1.0 - (a - b) / (30.0 * (1.0 + d)),
-    )
+    return TestOutcome(threshold=threshold, decision=int(stat >= threshold),
+                       rho0=1.0 - (a - b) / (30.0 * (1.0 + 0.5 * (a + b))))
 
 
 @dataclass(frozen=True)

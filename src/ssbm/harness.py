@@ -40,7 +40,10 @@ SWEEP_KINDS = ("census-sweep", "phase-grid", "detection-boxes", "sandwich-audit"
 class ResultRecord:
     """One measurement row, and the records.csv schema: the columns are the
     fields in this order.  The optional value columns default to None, for
-    the rows they do not apply to."""
+    the rows they do not apply to.  A ``sandwich-audit`` row is filed as
+    ``csdp`` but holds the audit: ``sdp_value`` is its upper SDP and
+    ``test_decision`` is 1 iff the sandwich holds, so ``ssbm csdp``
+    reproduces the csdp rows of ``detection-boxes`` and ``phase-grid`` only."""
 
     seed: int
     rep: int
@@ -215,12 +218,14 @@ class _Draw:
     """One instance seed of a (group, rep), shared by the group's cells: its
     graph is drawn at the first cell that draws, through
     :func:`sample_instance`, and every later cell draws only its reveal;
-    its SDP is solved and rounded once, for every solver kind (the sandwich
-    audit's upper side too).  The null's draw samples ``ModelParams.null``."""
+    its centred operator is built once, and its SDP solved and rounded
+    once, for every solver kind (the sandwich audit's upper side too).  The
+    null's draw samples ``ModelParams.null``."""
 
     def __init__(self, seed: int, null: bool = False):
         self.seed, self.null = seed, null
         self.graph = None
+        self._M = None
         self._sdp = None
 
     def instance(self, p: ModelParams):
@@ -233,14 +238,19 @@ class _Draw:
             return self.graph, rev
         return self.graph, sample_reveal(p, self.graph.labels)
 
+    def operator(self, d: float):
+        """The drawn graph's centred adjacency at average degree ``d``, built at the first call."""
+        if self._M is None:
+            self._M = centered_adjacency(self.graph, d)
+        return self._M
+
     def sdp(self, solver: SolverConfig, d: float):
         """(solve settings, solution, rounding, ms) of the SDP of the drawn graph at average
         degree ``d``, solved at the first call; M is the solution's ``operator``."""
         if self._sdp is None:
-            M = centered_adjacency(self.graph, d)
             settings = solver.for_instance(self.seed)
             t0 = time.perf_counter()
-            sol = solve_elliptope(M, settings)
+            sol = solve_elliptope(self.operator(d), settings)
             est = round_leading_eigvec(sol)
             self._sdp = settings, sol, est, (time.perf_counter() - t0) * 1e3
         return self._sdp
@@ -314,23 +324,35 @@ def _solve_pair(cfg: ExperimentConfig, draw: _Draw, p: ModelParams, base):
     neither rho nor the reveal, so it is solved and rounded once per graph;
     a cell recomputes only its overlap on its own unrevealed set, and its
     SDP row's runtime_ms is the time of that shared solve."""
-    g, rev = draw.instance(p)
-    solver, sdp_sol, est, sdp_ms = draw.sdp(cfg.solver, p.d)
-    sdp_row = ResultRecord(**base, algorithm="sdp", overlap_unrevealed=overlap(est, g.labels, rev),
-                           sdp_value=sdp_sol.value, runtime_ms=sdp_ms)
-
+    _, rev = draw.instance(p)
+    sdp_row = ResultRecord(**base, algorithm="sdp", **_sdp_values(draw, rev, cfg.solver, p)[0],
+                           runtime_ms=draw.sdp(cfg.solver, p.d)[3])
     t0 = time.perf_counter()
+    return [sdp_row, _row(base, t0, algorithm="csdp", **_csdp_values(draw, rev, cfg.solver, p)[0])]
+
+
+def _sdp_values(draw: _Draw, rev, solver: SolverConfig, p: ModelParams):
+    """The value columns of the sdp row of ``draw``'s graph under the reveal
+    ``rev`` of the cell ``p``, and the SdpSolution behind them."""
+    _, sol, est, _ = draw.sdp(solver, p.d)
+    return dict(overlap_unrevealed=overlap(est, draw.graph.labels, rev), sdp_value=sol.value), sol
+
+
+def _csdp_values(draw: _Draw, rev, solver: SolverConfig, p: ModelParams):
+    """The value columns of the csdp row of ``draw``'s graph under the reveal
+    ``rev`` of the cell ``p``, and the SdpSolution behind them (the inner
+    solve).  The test decision is empty unless a > b."""
     if rev.m == 0:
-        # nothing revealed: solve_csdp would repeat the SDP solve bit for bit
-        # and round it the same way, so the csdp row reuses both
-        value, overlap_csdp, margin00 = sdp_sol.value, sdp_row.overlap_unrevealed, None
+        # nothing revealed: solve_csdp would repeat the SDP solve and its rounding bit for bit
+        values, sol = _sdp_values(draw, rev, solver, p)
+        margin00, overlap_csdp = None, values["overlap_unrevealed"]
     else:
-        csol = solve_csdp(sdp_sol.operator, rev, solver)
-        value, margin00 = csol.value, csol.margin00
-        overlap_csdp = estimate_unrevealed(csol, rev, g.labels, seed=draw.seed).overlap
-    decision = detection_test(value, p.n, p.a, p.b).decision if p.a > p.b else None
-    return [sdp_row, _row(base, t0, algorithm="csdp", overlap_unrevealed=overlap_csdp,
-                          csdp_value=value, margin00=margin00, test_decision=decision)]
+        csol = solve_csdp(draw.operator(p.d), rev, solver.for_instance(draw.seed))
+        sol, margin00 = csol.inner, csol.margin00
+        overlap_csdp = estimate_unrevealed(csol, rev, draw.graph.labels, seed=draw.seed).overlap
+    decision = detection_test(sol.value, p.n, p.a, p.b).decision if p.a > p.b else None
+    return dict(overlap_unrevealed=overlap_csdp, csdp_value=sol.value, margin00=margin00,
+                test_decision=decision), sol
 
 
 @dataclass(frozen=True)
@@ -525,13 +547,16 @@ def _census_svg(summary, t) -> str:
     svg = _svg_header(w, h, f"census t={t}: mean unrevealed overlap vs reveal ratio")
     svg += f'<line x1="{pad}" y1="{h-pad}" x2="{w-pad}" y2="{h-pad}" stroke="black"/>\n'
     svg += f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{h-pad}" stroke="black"/>\n'
-    for pts, ref in lines.values():
+    for (n, a, b), (pts, ref) in lines.items():
         pts.sort()
         ref.sort()
         if pts:
             svg += path(pts, "#1f66b0")
             svg += "".join(f'<circle cx="{xmap(x):.1f}" cy="{ymap(y):.1f}" r="2.5" '
                            f'fill="#1f66b0"/>\n' for x, y in pts)
+            x, y = pts[-1]  # the group's label ends at its line's last point
+            svg += (f'<text x="{xmap(x):.1f}" y="{ymap(y) - 6:.1f}" text-anchor="end" '
+                    f'font-size="9" fill="#1f66b0">n={n} a={a:g} b={b:g}</text>\n')
         if ref:
             svg += path(ref, "#8043a3", dash=' stroke-dasharray="6 4"')
     return svg + "</svg>\n"
@@ -540,11 +565,13 @@ def _census_svg(summary, t) -> str:
 def _boxes_svg(summary) -> str:
     boxes = []
     for cell in summary["cells"]:
-        tag = f'a={cell["cell"]["a"]:g},b={cell["cell"]["b"]:g}'
+        c = cell["cell"]
         for grp in cell["groups"]:
             field = "sdp_value" if grp["algorithm"] == "sdp" else "csdp_value"
             if field in grp:
-                boxes.append((f'{tag} {grp["algorithm"]}/{grp["truth_model"]}', grp[field]))
+                label = (f'{grp["algorithm"]}/{grp["truth_model"]}', f'a={c["a"]:g} b={c["b"]:g}',
+                         f'n={c["n"]} rho={c["rho"]:g}')
+                boxes.append((label, grp[field]))
     if not boxes:
         return _svg_header(320, 80, "no solver values") + "</svg>\n"
     w, h, pad = 120 + 90 * len(boxes), 360, 52
@@ -566,6 +593,7 @@ def _boxes_svg(summary) -> str:
                 f'fill="#9ec5e8" stroke="black"/>\n')
         svg += (f'<line x1="{cx-bw/2}" y1="{ymap(st["median"]):.1f}" x2="{cx+bw/2}" '
                 f'y2="{ymap(st["median"]):.1f}" stroke="black" stroke-width="2"/>\n')
-        svg += (f'<text x="{cx}" y="{h-20}" text-anchor="middle" font-size="9" '
-                f'transform="rotate(25 {cx} {h-20})">{label}</text>\n')
+        rows = "".join(f'<tspan x="{cx}" dy="{11 if k else 0}">{text}</tspan>'
+                       for k, text in enumerate(label))
+        svg += f'<text x="{cx}" y="{h-pad+14}" text-anchor="middle" font-size="9">{rows}</text>\n'
     return svg + "</svg>\n"

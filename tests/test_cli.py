@@ -48,15 +48,14 @@ def test_payload_keys_and_order(capsys):
     for argv, keys in ((["census", "--rho", "0.4"] + model, ["overlap", "ties", "estimates"]),
                        (["sdp"] + solve, solution + ["overlap_unrevealed"]),
                        (["csdp", "--rho", "0.2"] + solve,
-                        solution + ["margin00", "overlap_unrevealed"]),
-                       (["csdp"] + solve, solution + ["margin00", "overlap_unrevealed"]),
-                       (["test", "--rho", "0.25"] + solve,
-                        ["statistic", "threshold", "decision", "delta", "rho0", "model"])):
+                        solution + ["margin00", "overlap_unrevealed", "test_decision"]),
+                       (["csdp"] + solve,
+                        solution + ["margin00", "overlap_unrevealed", "test_decision"])):
         assert main(argv) == 0
         payloads.append(json.loads(capsys.readouterr().out))
         assert list(payloads[-1]) == keys
-    assert payloads[3]["margin00"] == 0.0  # at rho = 0 nothing is aggregated
-    assert payloads[4]["delta"] == 6 / 40 and payloads[4]["model"] == "sbm"
+    # at rho = 0 nothing is aggregated: the row's margin00 column is empty
+    assert payloads[2]["margin00"] is not None and payloads[3]["margin00"] is None
 
 
 def test_python_dash_m_runs_the_cli():
@@ -92,43 +91,34 @@ def test_sdp_and_csdp_commands(capsys):
     assert csdp_payload["value"] <= sdp_payload["value"] + 1e-3 * 60 * 3
 
 
-def test_test_command_reports_decision(capsys):
-    code = main(["test", "--n", "80", "--a", "9", "--b", "2", "--rho", "0.25",
-                 "--seed", "3", "--restarts", "1", "--model", "sbm"])
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["threshold"] == 80 * (3.5 - 7 / 40)
-    assert payload["decision"] in (0, 1)
-    assert payload["model"] == "sbm"
+def test_csdp_command_reports_the_test_decision(capsys):
+    # the paper's test needs a > b: at a = b, which the model takes, the
+    # decision is null, as the row's test_decision column is empty
+    argv = ["csdp", "--n", "80", "--rho", "0.25", "--seed", "3", "--restarts", "1"]
+    planted = _payload(capsys, argv + ["--a", "9", "--b", "2"])
+    assert planted["test_decision"] in (0, 1)
+    assert _payload(capsys, argv + ["--a", "4", "--b", "4"])["test_decision"] is None
 
 
-def test_test_command_checks_the_margin_before_solving(monkeypatch, capsys):
-    # the paper's margin (a-b)/40 needs a > b: a = b exits 1 before any solve is
-    # paid for, though the model itself takes a = b
-    def refuse(*args, **kwargs):
-        raise RuntimeError("solve_csdp ran")
-
-    monkeypatch.setattr(cli, "solve_csdp", refuse)
-    assert main(["test", "--n", "2000", "--a", "4", "--b", "4", "--rho", "0.25",
-                 "--restarts", "1"]) == 1
-    assert "detection test requires a > b" in capsys.readouterr().err
-    # the margin is the paper's alone: there is no flag to set it
-    assert main(["test", "--n", "80", "--a", "9", "--b", "2", "--delta", "1.0"]) == 1
-    assert "unrecognized arguments: --delta" in capsys.readouterr().err
+def _run_commands():
+    """The subcommands that run one instance: every one but generate and sweep."""
+    (commands,) = [act for act in cli.build_parser()._actions if act.dest == "command"]
+    return {name: p for name, p in commands.choices.items() if name not in ("generate", "sweep")}
 
 
 def test_every_run_option_names_a_sweep_value():
     # a run reproduces a sweep row from values the row or its config holds, so
-    # each option of census|sdp|csdp|test must name one: a records.csv column,
+    # each option of census|sdp|csdp must name one: a records.csv column,
     # the truth_model column (--model), the config key t, or a solver setting
     # (a solver's own seed is derived from the instance seed, never set)
     assert {"n", "a", "b", "rho", "seed", "truth_model"} <= set(harness.RESULT_FIELDS)
     assert "t" in {f.name for f in dataclasses.fields(ExperimentConfig)}
     allowed = ({"n", "a", "b", "rho", "seed", "model", "t"}
                | {f.name for f in dataclasses.fields(SolverConfig)} - {"seed"})
-    (commands,) = [act for act in cli.build_parser()._actions if act.dest == "command"]
-    for name in ("census", "sdp", "csdp", "test"):
-        dests = {act.dest for act in commands.choices[name]._actions if act.dest != "help"}
+    commands = _run_commands()
+    assert set(commands) == {"census", "sdp", "csdp"}
+    for name, parser in commands.items():
+        dests = {act.dest for act in parser._actions if act.dest != "help"}
         assert dests <= allowed, (name, dests - allowed)
 
 
@@ -139,11 +129,12 @@ def test_usage_errors_exit_one(capsys):
     # bad parameter values are usage errors too (exit 1, no traceback)
     assert main(["census", "--n", "61", "--a", "7", "--b", "2"]) == 1
     assert main(["sdp", "--n", "40", "--a", "3", "--b", "5"]) == 1
-    # the retired `oracles` subcommand is an unknown choice
-    assert main(["oracles"]) == 1
-    assert "invalid choice: 'oracles'" in capsys.readouterr().err
+    # the retired `oracles` and `test` subcommands are unknown choices
+    for retired in ("oracles", "test"):
+        assert main([retired, "--n", "40", "--a", "6", "--b", "2"]) == 1
+        assert f"invalid choice: '{retired}'" in capsys.readouterr().err
     # a report goes to stdout only
-    for command in ("census", "sdp", "csdp", "test"):
+    for command in _run_commands():
         assert main([command, "--n", "40", "--a", "6", "--b", "2", "--out", "r.json"]) == 1
         assert "unrecognized arguments: --out r.json" in capsys.readouterr().err
     # and --help is a success
@@ -276,7 +267,6 @@ def test_sdp_command_erm_model(tmp_path, monkeypatch, capsys):
         return drawn[-1]
 
     monkeypatch.setattr(harness, "sample_instance", recording)
-    monkeypatch.setattr(cli, "sample_instance", recording)
     cfg = ExperimentConfig(kind="detection-boxes", n=(60,), a=(8.0,), b=(2.0,), rho=(0.25,),
                            solver=SolverConfig(restarts=1), out_dir=str(tmp_path), seed=1)
     null_row = next(r for r in run_sweep(cfg).records if r.truth_model == "erm")
@@ -290,7 +280,7 @@ def test_sdp_command_erm_model(tmp_path, monkeypatch, capsys):
     assert np.array_equal(cli_null.ej, sweep_null.ej)
 
 
-@pytest.mark.parametrize("command", ["sdp", "csdp", "test"])
+@pytest.mark.parametrize("command", ["sdp", "csdp"])
 @pytest.mark.parametrize("rates", [("2", "9"), ("50", "0")], ids=["a<b", "a/n>1"])
 def test_erm_model_refuses_what_the_planted_model_refuses(capsys, command, rates):
     # the matched null is drawn only for planted rates that are valid
@@ -318,7 +308,7 @@ def _model_argv(row):
 ])
 def test_cli_runs_reproduce_their_sweep_rows(tmp_path, capsys, kind, grid):
     # a row's n, a, b, rho, seed and model, with the sweep's solver flags,
-    # make ssbm sdp|csdp|test print that row's value, overlap and decision
+    # make ssbm sdp|csdp print that row's value columns
     cfg = ExperimentConfig(kind=kind, n=(40,), **grid, reps=3,
                            solver=SolverConfig(restarts=2), out_dir=str(tmp_path), seed=5)
     rows = [r for r in run_sweep(cfg).records if r.algorithm in ("sdp", "csdp")]
@@ -331,9 +321,8 @@ def test_cli_runs_reproduce_their_sweep_rows(tmp_path, capsys, kind, grid):
         if row.algorithm == "sdp":
             assert payload["value"] == row.sdp_value
             continue
-        assert payload["value"] == row.csdp_value
-        outcome = _payload(capsys, ["test"] + argv)
-        assert (outcome["statistic"], outcome["decision"]) == (row.csdp_value, row.test_decision)
+        assert (payload["value"], payload["margin00"], payload["test_decision"]) == (
+            row.csdp_value, row.margin00, row.test_decision)
 
 
 @pytest.mark.parametrize("t", [1, 2])
@@ -348,15 +337,16 @@ def test_census_runs_reproduce_their_sweep_rows(tmp_path, capsys, t):
 
 
 def test_numeric_failures_exit_two(monkeypatch, capsys):
-    import ssbm.cli as cli
     from ssbm import NumericError
 
-    def boom(params):
+    def boom(self, params):
         raise NumericError("synthetic solver breakdown")
 
-    monkeypatch.setattr(cli, "sample_instance", boom)
-    code = main(["sdp", "--n", "40", "--a", "4", "--b", "1"])
-    assert code == 2
+    # the draw sdp and csdp go through, as a sweep's rows do
+    monkeypatch.setattr(harness._Draw, "instance", boom)
+    for command in ("sdp", "csdp"):
+        assert main([command, "--n", "40", "--a", "4", "--b", "1"]) == 2
+        assert "synthetic solver breakdown" in capsys.readouterr().err
 
 
 def test_sweep_unwritable_out_dir_is_io_error(tmp_path, capsys, sweep_config):

@@ -232,7 +232,6 @@ def test_estimate_empty_reveal_falls_back_to_rounding():
 def test_detection_test_paper_constants():
     out = detection_test(700.0, 200, 9, 2)
     assert out.threshold == 665.0
-    assert out.delta_used == 7 / 40
     assert abs(out.rho0 - (1 - 7 / 195)) < 1e-15
     assert abs(out.rho0 - 0.9641) < 6e-5
     assert out.decision == 1

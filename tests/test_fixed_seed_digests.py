@@ -16,10 +16,14 @@ shared one graph: their second rho cells draw the first's graph.  The solver swe
 one BLAS thread; another build may round them differently.
 
 Each figure digest is SHA-256 over the ``figure.svg`` of the census and
-detection-boxes sweeps above, and each CLI digest SHA-256 over the stdout of
-one ``python -m ssbm census|sdp|csdp|test`` run: the census digests as
-computed at commit f294300, the solve commands' as computed once they seeded
-each solve by the sweep's rule.  Each run is a subprocess at one BLAS thread,
+detection-boxes sweeps above, as recorded once each census data line and
+each box was labelled with its whole cell.  Each CLI digest is SHA-256 over
+the stdout of one ``python -m ssbm census|sdp|csdp`` run: the census digests
+as computed at commit f294300, the ``sdp`` digest as computed once the solve
+commands seeded each solve by the sweep's rule, and the ``csdp`` digests as
+recorded once ``ssbm csdp`` printed the whole csdp row (its
+``test_decision``, and ``margin00`` null at rho = 0, as the row's column is
+empty there).  Each run is a subprocess at one BLAS thread,
 the package default, whatever the caller set: at two threads the printed
 certificate sums in another order.  The ``ssbm sdp`` run at n = 1200 is above
 ``DENSE_CERT_MAX``, so its certificate comes from the Lanczos path.
@@ -94,11 +98,11 @@ def test_fixed_seed_sweeps_are_byte_identical(tmp_path, kind, grid, t, digest):
 
 @pytest.mark.parametrize("kind, grid, t, digest", [
     ("census-sweep", dict(n=(200,), a=(5.0,), b=(2.0,), rho=(0.3, 1.0)), 1,
-     "dc70ff9768769d6ad201c3dad0347171f27f4d22a04d3a71c0ca1ae91bf69724"),
+     "4c52dde6b5b02dbd0ae7c50ddf1d9856754de8da8a82df52f9c264bfb0f340e0"),
     ("census-sweep", dict(n=(200,), a=(5.0,), b=(2.0,), rho=(0.3,)), 2,
-     "f5ae30d7fa65be3eff2e9e99ce2a95cfa014d80c30b11159b432656cd2984298"),
+     "19d316c0458fbf50d1c58ab75e2f75eac2ae62d71958901b7a03ad17d23ef24f"),
     ("detection-boxes", dict(n=(40,), a=(9.0,), b=(2.0,), rho=(0.25,)), 1,
-     "902fdbb1d28ff8d77d09ff9484141fd04a893e8f4b3c2735ac95e9561782cfc1"),
+     "8c503dbe758d579f2322000537a01d51112ba219e9bf406c5dd9dd5dfb579f60"),
 ], ids=["census-t1", "census-t2", "detection-boxes"])
 def test_fixed_seed_figures_are_byte_identical(tmp_path, kind, grid, t, digest):
     cfg = ExperimentConfig(kind=kind, **grid, reps=2, solver=SolverConfig(restarts=2),
@@ -116,12 +120,10 @@ def test_fixed_seed_figures_are_byte_identical(tmp_path, kind, grid, t, digest):
     ("sdp --n 1200 --a 5 --b 2 --rho 0.25 --seed 1",
      "4923305ea73b7365b04468b5145f5504de5d52b23abe22f4d848f08b1161d486"),
     ("csdp --n 200 --a 5 --b 2 --rho 0.25 --seed 3",
-     "20f3fe65833168ae96a308675330bca0130f62d6580b8998b63dfe4aa5e57b56"),
+     "7fd6e2600f5cbb4969d337ab4f65aa29d5b4b33b0b5d6720bb7a49a22a444f4e"),
     ("csdp --n 200 --a 5 --b 2 --rho 0 --seed 3",
-     "20e18b7dc95fd71dc272d44633d0d498d76536c8df1b699e563e952a0e6c50a3"),
-    ("test --n 200 --a 9 --b 2 --rho 0.25 --seed 3",
-     "d6ba9d9294bb11232e642f0edf02d5546d35a7c87e71d4b2aca7d973559bce71"),
-], ids=["census-t1", "census-t2", "sdp-n1200", "csdp-rho0.25", "csdp-rho0", "test"])
+     "82dde5fc2131d92fe861eabd3f0949c4a5775d0da80686be60f65dc44a082409"),
+], ids=["census-t1", "census-t2", "sdp-n1200", "csdp-rho0.25", "csdp-rho0"])
 def test_fixed_seed_cli_output_is_byte_identical(argv, digest):
     src = str(Path(__file__).resolve().parents[1] / "src")
     paths = [src, os.environ.get("PYTHONPATH")]

@@ -180,6 +180,25 @@ def test_census_figure_draws_one_line_per_group(tmp_path):
     for ln in data:
         xs = [float(pt.split(",")[0]) for pt in ln.split('points="')[1].split('"')[0].split()]
         assert len(xs) == 2 and xs[0] < xs[1]
+    # each data line is labelled with its group, at the line's last point
+    labels = [ln for ln in svg.splitlines() if ln.startswith("<text") and 'fill="#1f66b0"' in ln]
+    assert [ln.split(">")[1].split("<")[0] for ln in labels] == ["n=60 a=6 b=2", "n=60 a=12 b=2"]
+    for ln, line in zip(labels, data):
+        last = line.split('points="')[1].split('"')[0].split()[-1]
+        assert f'x="{last.split(",")[0]}"' in ln
+
+
+def test_boxes_figure_labels_each_box_with_its_cell(tmp_path):
+    # two n by two rho: 16 boxes, each label naming its group and its whole cell
+    run_sweep(_cfg(tmp_path, kind="detection-boxes", n=(40, 60), a=(9.0,), rho=(0.1, 0.25),
+                   reps=2))
+    svg = (tmp_path / "out" / "figure.svg").read_text()
+    labels = [ln for ln in svg.splitlines() if "<tspan" in ln]
+    texts = {" ".join(part.rsplit(">", 1)[1] for part in ln.split("</tspan>")[:-1])
+             for ln in labels}
+    assert len(labels) == len(texts) == 16
+    for n, rho in itertools.product((40, 60), (0.1, 0.25)):
+        assert sum(f"n={n} rho={rho:g}" in text for text in texts) == 4
 
 
 @pytest.mark.parametrize("a, b, rho, reported", [(12, 0, 0.5, False), (5, 2, 0.2, True)])
