@@ -268,9 +268,10 @@ def predict_accuracy_erf(a: float, b: float, rho: float, t: int = 1) -> float:
 
 
 def overlap_lower_curve(a: float, b: float, rho: float) -> float:
-    """Asymptotic expected-overlap lower bound (2/3) sqrt(rho SNR) at t = 1.
-    It bounds an overlap only where it is at most 1, that is where
-    rho SNR <= 9/4; :func:`~ssbm.harness.summarize` reports it only there."""
+    """The paper's asymptotic overlap curve (2/3) sqrt(rho SNR) at t = 1, not
+    a bound at finite degree: at n = 3000, (a, b) = (5, 2), rho = 0.2 the
+    t = 1 census's mean overlap is 0.2220, 37 standard errors below the
+    curve's 0.2390, and past rho SNR = 9/4 the curve exceeds 1."""
     _check_rho(rho)
     if rho == 0.0:
         return 0.0

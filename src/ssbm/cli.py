@@ -138,8 +138,8 @@ def _cmd_sdp(args) -> int:
 
 
 def _cmd_csdp(args) -> int:
-    values, sol = _solve_row(args, _csdp_values)
-    _emit({**_solution_payload(sol), "margin00": values["margin00"],
+    values, csol = _solve_row(args, _csdp_values)
+    _emit({**_solution_payload(csol.inner), "margin00": values["margin00"],
            "overlap_unrevealed": values["overlap_unrevealed"],
            "test_decision": values["test_decision"]})
     return 0

@@ -164,29 +164,32 @@ class SandwichReport:
 
 
 def sandwich_check(
-    sdp: SdpSolution, rev: RevealedLabels, d: float, cfg: SolverConfig | None = None
+    sdp: SdpSolution, csdp: CsdpSolution, rev: RevealedLabels, d: float,
+    cfg: SolverConfig | None = None,
 ) -> SandwichReport:
-    """Audit the inequalities given ``sdp``, the solved SDP of M (``sdp.operator``):
-    solve only the CSDP and the SDP of M's unrevealed block, so nothing at m = 0.
-    ValueError when ``sdp`` holds no operator, or ``rev`` does not fit M."""
+    """Audit the inequalities given ``sdp``, the solved SDP of M (``sdp.operator``),
+    and ``csdp``, the solved CSDP of M under ``rev``: solve only the SDP of M's
+    unrevealed block, so nothing at m = 0 or m = n.  ValueError when ``sdp``
+    holds no operator, ``rev`` does not fit M, or ``csdp`` is of another size
+    than the CSDP under ``rev``."""
     M = sdp.operator
     if M is None:
         raise ValueError("the SDP solution holds no operator to audit")
     if M.dim != rev.n:
         raise ValueError("operator and reveal dimensions differ")
-    # nothing revealed: the CSDP and the unrevealed block's SDP are the given solve
-    csol = CsdpSolution(inner=sdp, aggregated=None) if rev.m == 0 else solve_csdp(M, rev, cfg)
+    if csdp.inner.factor.shape[0] != (rev.n - rev.m + 1 if rev.m else rev.n):
+        raise ValueError("the CSDP solution does not fit the reveal")
     lower = (sdp.value if rev.m == 0 else 0.0 if rev.m == rev.n
              else solve_elliptope(M.restrict(rev.unrevealed_set), cfg).value)
-    margin00 = csol.margin00
+    margin00 = csdp.margin00
     tau = 1e-3 * M.dim * math.sqrt(max(d, 1.0))
     return SandwichReport(
         lower=float(lower),
-        mid=float(csol.value),
+        mid=float(csdp.value),
         upper=float(sdp.value),
         margin00=margin00,
         tau=tau,
-        holds=bool(lower - tau <= csol.value <= sdp.value + tau),
+        holds=bool(lower - tau <= csdp.value <= sdp.value + tau),
         margin_nonneg=bool(margin00 >= 0.0),
-        submatrix_ok=bool(lower <= csol.value - margin00 + tau),
+        submatrix_ok=bool(lower <= csdp.value - margin00 + tau),
     )

@@ -4,7 +4,7 @@ A sweep walks the cartesian grid of model parameters, runs ``reps``
 replications per cell (optionally across worker processes), the rho cells of
 one (n, a, b, rep) on one shared graph, and emits one CSV row per (cell, rep,
 algorithm) plus a JSON summary with per-cell statistics
-and reference curves.  Rows carry the cell's nominal (a, b) even for the
+and the erf reference.  Rows carry the cell's nominal (a, b) even for the
 matched-degree null model; the truth_model column says which generative law
 produced the graph.
 """
@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import (_ALL_REVEALED, _check_depth, census_estimate, overlap,
-                     overlap_lower_curve, predict_accuracy_erf)
-from .csdp import detection_test, estimate_unrevealed, sandwich_check, solve_csdp
+from .census import _ALL_REVEALED, _check_depth, census_estimate, overlap, predict_accuracy_erf
+from .csdp import (CsdpSolution, detection_test, estimate_unrevealed, sandwich_check,
+                   solve_csdp)
 from .model import (ModelParams, _check_seed, _require_int, _require_real, centered_adjacency,
                     require_ints, sample_instance, sample_reveal, snr)
 from .rng import derive_key
@@ -40,10 +40,7 @@ SWEEP_KINDS = ("census-sweep", "phase-grid", "detection-boxes", "sandwich-audit"
 class ResultRecord:
     """One measurement row, and the records.csv schema: the columns are the
     fields in this order.  The optional value columns default to None, for
-    the rows they do not apply to.  A ``sandwich-audit`` row is filed as
-    ``csdp`` but holds the audit: ``sdp_value`` is its upper SDP and
-    ``test_decision`` is 1 iff the sandwich holds, so ``ssbm csdp``
-    reproduces the csdp rows of ``detection-boxes`` and ``phase-grid`` only."""
+    the rows they do not apply to."""
 
     seed: int
     rep: int
@@ -219,8 +216,8 @@ class _Draw:
     graph is drawn at the first cell that draws, through
     :func:`sample_instance`, and every later cell draws only its reveal;
     its centred operator is built once, and its SDP solved and rounded
-    once, for every solver kind (the sandwich audit's upper side too).  The
-    null's draw samples ``ModelParams.null``."""
+    once, for every solver kind.  The null's draw samples
+    ``ModelParams.null``."""
 
     def __init__(self, seed: int, null: bool = False):
         self.seed, self.null = seed, null
@@ -303,32 +300,30 @@ def _cell_rows(cfg: ExperimentConfig, ci: int, rep: int, p: ModelParams, base: d
         row = _row(base, t0, algorithm=f"census-{cfg.t}", overlap_unrevealed=report.overlap)
         return [row], None
 
+    records, rev, csol = _solve_pair(cfg, planted, p, base)
+    audit = None
     if cfg.kind == "sandwich-audit":
-        _, rev = planted.instance(p)
-        solver, sdp_sol, _, sdp_ms = planted.sdp(cfg.solver, p.d)
-        t0 = time.perf_counter() - sdp_ms / 1e3  # the row times the shared solve too
-        report = sandwich_check(sdp_sol, rev, p.d, solver)
-        row = _row(base, t0, algorithm="csdp", sdp_value=report.upper, csdp_value=report.mid,
-                   margin00=report.margin00, test_decision=int(report.holds))
-        return [row], {"type": "sandwich", "cell": ci, "rep": rep, **dataclasses.asdict(report)}
-
-    records = _solve_pair(cfg, planted, p, base)
+        settings, sol, _, _ = planted.sdp(cfg.solver, p.d)
+        report = sandwich_check(sol, csol, rev, p.d, settings)
+        audit = {"type": "sandwich", "cell": ci, "rep": rep, **dataclasses.asdict(report)}
     if null is not None:
-        records += _solve_pair(cfg, null, p, {**base, "seed": null.seed, "truth_model": "erm"})
-    return records, None
+        records += _solve_pair(cfg, null, p, {**base, "seed": null.seed, "truth_model": "erm"})[0]
+    return records, audit
 
 
 def _solve_pair(cfg: ExperimentConfig, draw: _Draw, p: ModelParams, base):
     """Unsupervised SDP and constrained CSDP rows for the instance that
-    ``draw`` gives the cell whose parameters are ``p``.  The SDP reads
-    neither rho nor the reveal, so it is solved and rounded once per graph;
-    a cell recomputes only its overlap on its own unrevealed set, and its
-    SDP row's runtime_ms is the time of that shared solve."""
+    ``draw`` gives the cell whose parameters are ``p``, with that reveal and
+    the CsdpSolution behind the csdp row.  The SDP reads neither rho nor the
+    reveal, so it is solved and rounded once per graph; a cell recomputes
+    only its overlap on its own unrevealed set, and its SDP row's
+    runtime_ms is the time of that shared solve."""
     _, rev = draw.instance(p)
     sdp_row = ResultRecord(**base, algorithm="sdp", **_sdp_values(draw, rev, cfg.solver, p)[0],
                            runtime_ms=draw.sdp(cfg.solver, p.d)[3])
     t0 = time.perf_counter()
-    return [sdp_row, _row(base, t0, algorithm="csdp", **_csdp_values(draw, rev, cfg.solver, p)[0])]
+    values, csol = _csdp_values(draw, rev, cfg.solver, p)
+    return [sdp_row, _row(base, t0, algorithm="csdp", **values)], rev, csol
 
 
 def _sdp_values(draw: _Draw, rev, solver: SolverConfig, p: ModelParams):
@@ -340,19 +335,20 @@ def _sdp_values(draw: _Draw, rev, solver: SolverConfig, p: ModelParams):
 
 def _csdp_values(draw: _Draw, rev, solver: SolverConfig, p: ModelParams):
     """The value columns of the csdp row of ``draw``'s graph under the reveal
-    ``rev`` of the cell ``p``, and the SdpSolution behind them (the inner
-    solve).  The test decision is empty unless a > b."""
+    ``rev`` of the cell ``p``, and the CsdpSolution behind them.  The test
+    decision is empty unless a > b."""
     if rev.m == 0:
         # nothing revealed: solve_csdp would repeat the SDP solve and its rounding bit for bit
         values, sol = _sdp_values(draw, rev, solver, p)
+        csol = CsdpSolution(inner=sol, aggregated=None)
         margin00, overlap_csdp = None, values["overlap_unrevealed"]
     else:
         csol = solve_csdp(draw.operator(p.d), rev, solver.for_instance(draw.seed))
-        sol, margin00 = csol.inner, csol.margin00
+        margin00 = csol.margin00
         overlap_csdp = estimate_unrevealed(csol, rev, draw.graph.labels, seed=draw.seed).overlap
-    decision = detection_test(sol.value, p.n, p.a, p.b).decision if p.a > p.b else None
-    return dict(overlap_unrevealed=overlap_csdp, csdp_value=sol.value, margin00=margin00,
-                test_decision=decision), sol
+    decision = detection_test(csol.value, p.n, p.a, p.b).decision if p.a > p.b else None
+    return dict(overlap_unrevealed=overlap_csdp, csdp_value=csol.value, margin00=margin00,
+                test_decision=decision), csol
 
 
 @dataclass(frozen=True)
@@ -445,10 +441,7 @@ def summarize(records: list[ResultRecord], t: int = 1) -> dict:
     """Per-cell statistics over every value column each group carries: the
     ``float | None`` fields of :class:`ResultRecord`, in field order.
 
-    Each cell carries the depth-t erf accuracy as a reference, and at t = 1
-    also the overlap lower curve, a bound for t = 1 only, where it is at
-    most 1, that is where rho SNR <= 9/4: above, it bounds no overlap (a
-    record with a + b = 0 cannot exist: its snr check raises).
+    Each cell carries the depth-t erf accuracy as a reference.
     Detection cells (both truth models present) additionally report the
     separation score min(SBM) - max(ERM) and the best-threshold accuracy for
     each solver statistic, plus the test threshold, rho0 and ``test_proven``
@@ -468,11 +461,7 @@ def summarize(records: list[ResultRecord], t: int = 1) -> dict:
             "snr": snr(a, b),
             "groups": [],
         }
-        reference = {}
-        if t == 1 and (curve := overlap_lower_curve(a, b, rho)) <= 1.0:
-            reference["overlap_lower_curve"] = curve
-        reference["erf_accuracy"] = predict_accuracy_erf(a, b, rho, t)
-        entry["reference"] = reference
+        entry["reference"] = {"erf_accuracy": predict_accuracy_erf(a, b, rho, t)}
         for (algorithm, truth_model), recs in sorted(groups.items()):
             gstat = {"algorithm": algorithm, "truth_model": truth_model, "count": len(recs)}
             for field in _VALUE_FIELDS:
@@ -523,15 +512,13 @@ def _figure_svg(cfg: ExperimentConfig, summary) -> str | None:
 
 
 def _census_svg(summary, t) -> str:
-    lines = {}  # (n, a, b) -> its (data, reference) points, one line each
+    lines = {}  # (n, a, b) -> its data points, one line each
     for cell in summary["cells"]:
         c, rho = cell["cell"], cell["cell"]["rho"]
-        pts, ref = lines.setdefault((c["n"], c["a"], c["b"]), ([], []))
+        pts = lines.setdefault((c["n"], c["a"], c["b"]), [])
         for grp in cell["groups"]:
             if grp["algorithm"].startswith("census") and "overlap_unrevealed" in grp:
                 pts.append((rho, grp["overlap_unrevealed"]["mean"]))
-        if "overlap_lower_curve" in cell.get("reference", {}):
-            ref.append((rho, cell["reference"]["overlap_lower_curve"]))
     w, h, pad = 480, 320, 46
 
     def xmap(rho):
@@ -540,25 +527,19 @@ def _census_svg(summary, t) -> str:
     def ymap(v):
         return h - pad - v * (h - 2 * pad)
 
-    def path(seq, color, dash=""):
-        d = " ".join(f"{xmap(x):.1f},{ymap(y):.1f}" for x, y in seq)
-        return f'<polyline points="{d}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>\n'
-
     svg = _svg_header(w, h, f"census t={t}: mean unrevealed overlap vs reveal ratio")
     svg += f'<line x1="{pad}" y1="{h-pad}" x2="{w-pad}" y2="{h-pad}" stroke="black"/>\n'
     svg += f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{h-pad}" stroke="black"/>\n'
-    for (n, a, b), (pts, ref) in lines.items():
+    for (n, a, b), pts in lines.items():
         pts.sort()
-        ref.sort()
         if pts:
-            svg += path(pts, "#1f66b0")
+            d = " ".join(f"{xmap(x):.1f},{ymap(y):.1f}" for x, y in pts)
+            svg += f'<polyline points="{d}" fill="none" stroke="#1f66b0" stroke-width="1.5"/>\n'
             svg += "".join(f'<circle cx="{xmap(x):.1f}" cy="{ymap(y):.1f}" r="2.5" '
                            f'fill="#1f66b0"/>\n' for x, y in pts)
             x, y = pts[-1]  # the group's label ends at its line's last point
             svg += (f'<text x="{xmap(x):.1f}" y="{ymap(y) - 6:.1f}" text-anchor="end" '
                     f'font-size="9" fill="#1f66b0">n={n} a={a:g} b={b:g}</text>\n')
-        if ref:
-            svg += path(ref, "#8043a3", dash=' stroke-dasharray="6 4"')
     return svg + "</svg>\n"
 
 

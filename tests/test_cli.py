@@ -305,6 +305,7 @@ def _model_argv(row):
 @pytest.mark.parametrize("kind, grid", [
     ("detection-boxes", dict(a=(9.0, 5.0), b=(2.0,), rho=(0.25,))),
     ("phase-grid", dict(a=(6.0,), b=(1.0, 2.0), rho=(0.0, 0.25))),
+    ("sandwich-audit", dict(a=(8.0, 5.0), b=(2.0,), rho=(0.0, 0.25))),
 ])
 def test_cli_runs_reproduce_their_sweep_rows(tmp_path, capsys, kind, grid):
     # a row's n, a, b, rho, seed and model, with the sweep's solver flags,

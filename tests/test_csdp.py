@@ -241,26 +241,8 @@ def test_detection_test_paper_constants():
         detection_test(1.0, 200, 2, 2)
 
 
-def test_sandwich_unsupervised_collapses():
-    p = ModelParams(n=80, a=8, b=3, rho=0.0, seed=3)
-    g, rev = sample_instance(p)
-    cfg = SolverConfig(restarts=2, seed=1)
-    rep = sandwich_check(solve_elliptope(centered_adjacency(g, p.d), cfg), rev, p.d, cfg)
-    assert rep.margin00 == 0.0
-    assert rep.holds
-    assert abs(rep.lower - rep.upper) <= 2 * rep.tau
-    assert abs(rep.mid - rep.upper) <= 2 * rep.tau
-
-
-def test_sandwich_solves_nothing_when_nothing_is_revealed(monkeypatch):
-    # at rho = 0 the lower, middle and upper programs are all the given SDP of M
-    p = ModelParams(n=80, a=8, b=3, rho=0.0, seed=3)
-    g, rev = sample_instance(p)
-    cfg = SolverConfig(restarts=2, seed=1)
-    M = centered_adjacency(g, p.d)
-    lower = solve_elliptope(M.restrict(rev.unrevealed_set), cfg).value
-    sdp = solve_elliptope(M, cfg)
-    upper = sdp.value
+def _count_audit_solves(monkeypatch):
+    """The dimension of every solve ``sandwich_check`` makes from here on."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -268,18 +250,49 @@ def test_sandwich_solves_nothing_when_nothing_is_revealed(monkeypatch):
         return solve_elliptope(*args, **kwargs)
 
     monkeypatch.setattr(csdp, "solve_elliptope", counted)
-    rep = sandwich_check(sdp, rev, p.d, cfg)
+    return calls
+
+
+def test_sandwich_unsupervised_collapses():
+    p = ModelParams(n=80, a=8, b=3, rho=0.0, seed=3)
+    g, rev = sample_instance(p)
+    cfg = SolverConfig(restarts=2, seed=1)
+    M = centered_adjacency(g, p.d)
+    rep = sandwich_check(solve_elliptope(M, cfg), solve_csdp(M, rev, cfg), rev, p.d, cfg)
+    assert rep.margin00 == 0.0
+    assert rep.holds
+    assert abs(rep.lower - rep.upper) <= 2 * rep.tau
+    assert abs(rep.mid - rep.upper) <= 2 * rep.tau
+
+
+def test_sandwich_solves_nothing_when_nothing_is_revealed(monkeypatch):
+    # at rho = 0 the lower and upper programs are both the given SDP of M
+    p = ModelParams(n=80, a=8, b=3, rho=0.0, seed=3)
+    g, rev = sample_instance(p)
+    cfg = SolverConfig(restarts=2, seed=1)
+    M = centered_adjacency(g, p.d)
+    lower = solve_elliptope(M.restrict(rev.unrevealed_set), cfg).value
+    sdp = solve_elliptope(M, cfg)
+    upper = sdp.value
+    csol = solve_csdp(M, rev, cfg)
+    calls = _count_audit_solves(monkeypatch)
+    rep = sandwich_check(sdp, csol, rev, p.d, cfg)
     assert calls == []
     # the report, field for field, against the separately solved programs
     assert (rep.lower, rep.mid, rep.upper) == (lower, upper, upper)
     assert (rep.margin00, rep.holds, rep.margin_nonneg, rep.submatrix_ok) == (0.0, True, True, True)
 
 
-def test_sandwich_fully_revealed():
+def test_sandwich_fully_revealed(monkeypatch):
+    # at m = n the unrevealed block is empty, so its SDP is 0 and nothing is solved
     p = ModelParams(n=40, a=10, b=2, rho=1.0, seed=6)
     g, rev = sample_instance(p)
     cfg = SolverConfig(seed=0)
-    rep = sandwich_check(solve_elliptope(centered_adjacency(g, p.d), cfg), rev, p.d, cfg)
+    M = centered_adjacency(g, p.d)
+    sdp, csol = solve_elliptope(M, cfg), solve_csdp(M, rev, cfg)
+    calls = _count_audit_solves(monkeypatch)
+    rep = sandwich_check(sdp, csol, rev, p.d, cfg)
+    assert calls == []
     assert rep.lower == 0.0
     assert abs(rep.mid - rep.margin00) < 1e-9
     assert rep.submatrix_ok
@@ -289,17 +302,23 @@ def test_sandwich_check_refuses_a_solution_it_cannot_audit():
     p = ModelParams(n=40, a=8, b=3, rho=0.5, seed=2)
     g, rev = sample_instance(p)
     cfg = SolverConfig(restarts=1, seed=0)
-    sdp = solve_elliptope(centered_adjacency(g, p.d), cfg)
+    M = centered_adjacency(g, p.d)
+    sdp, csol = solve_elliptope(M, cfg), solve_csdp(M, rev, cfg)
     # a hand-built solution holds no operator M to audit against
     bare = SdpSolution(factor=sdp.factor, value=sdp.value, sweeps_used=0, converged=True,
                        best_of=1, objective_history=np.array([sdp.value]))
     with pytest.raises(ValueError, match="no operator"):
-        sandwich_check(bare, rev, p.d, cfg)
+        sandwich_check(bare, csol, rev, p.d, cfg)
     # a reveal of another length, with or without revealed vertices
     for other in (sample_instance(ModelParams(n=42, a=8, b=3, rho=0.5, seed=2))[1],
                   _empty_reveal(42)):
         with pytest.raises(ValueError, match="dimensions differ"):
-            sandwich_check(sdp, other, p.d, cfg)
+            sandwich_check(sdp, csol, other, p.d, cfg)
+    # a CSDP solved under another reveal of M, with or without revealed vertices
+    for other in (sample_instance(ModelParams(n=40, a=8, b=3, rho=0.25, seed=2))[1],
+                  _empty_reveal(40)):
+        with pytest.raises(ValueError, match="does not fit the reveal"):
+            sandwich_check(sdp, solve_csdp(M, other, cfg), rev, p.d, cfg)
 
 
 def test_csdp_value_per_vertex_reaches_half_gap_at_scale():

@@ -8,16 +8,21 @@ sampled edge, estimate or coin fails here; a speed-up must leave them all in
 place.
 
 Each sweep digest is SHA-256 over the ``records.csv`` and ``summary.json``
-of one small sweep, as computed at commit 8c44982: the CSV without its
-timestamp comment and its wall-clock ``runtime_ms`` column, the summary
-whole.  The three sweeps over two rho values (census-t1, phase-grid and
-sandwich-audit) were re-recorded once the cells of one (n, a, b, rep)
-shared one graph: their second rho cells draw the first's graph.  The solver sweeps' floats are those of one numpy and BLAS build at
-one BLAS thread; another build may round them differently.
+of one small sweep: the CSV without its timestamp comment and its
+wall-clock ``runtime_ms`` column, the summary whole.  They were recorded
+once summaries stopped reporting the overlap lower curve, which is the
+paper's asymptotic curve and no bound at finite degree, and once a
+sandwich-audit sweep wrote the sdp and csdp rows a phase-grid sweep writes
+for its cells, its audit kept in the summary's ``sandwich`` section alone.
+The census-t2 digest, which reports no curve, is as computed at commit
+8c44982.  The sweeps over two rho values draw one graph for both of their
+rho cells.  The solver sweeps' floats are those of one numpy and BLAS build
+at one BLAS thread; another build may round them differently.
 
 Each figure digest is SHA-256 over the ``figure.svg`` of the census and
 detection-boxes sweeps above, as recorded once each census data line and
-each box was labelled with its whole cell.  Each CLI digest is SHA-256 over
+each box was labelled with its whole cell; the census-t1 figure's was
+re-recorded once its dashed lower-curve line went.  Each CLI digest is SHA-256 over
 the stdout of one ``python -m ssbm census|sdp|csdp`` run: the census digests
 as computed at commit f294300, the ``sdp`` digest as computed once the solve
 commands seeded each solve by the sweep's rule, and the ``csdp`` digests as
@@ -71,15 +76,15 @@ def test_fixed_seed_instances_and_census_are_bit_identical(params, sample_digest
 @pytest.mark.parametrize("kind, grid, t, digest", [
     # the rho = 1.0 cell's replications are error rows: nothing to estimate
     ("census-sweep", dict(n=(200,), a=(5.0,), b=(2.0,), rho=(0.3, 1.0)), 1,
-     "c29bf2ea208cb7d58182e6faabb2be00334303a196f944849a24777db4d46784"),
+     "cc08effa0645b98ff31d36681cb594ea5a08f36a4d4b9288a0a6736d0bf53ab6"),
     ("census-sweep", dict(n=(200,), a=(5.0,), b=(2.0,), rho=(0.3,)), 2,
      "89b50b2c3a94b138f903462986138c0d11fce672f30d439a2eb22a25f7115c1e"),
     ("detection-boxes", dict(n=(40,), a=(9.0,), b=(2.0,), rho=(0.25,)), 1,
-     "d67e58c46aa0793d257f582d3f26a446f7416b566b88bebcedd1c2e8069fc251"),
+     "2711e921d3a416fd88ee5d2f7b333539b5fabd7b2298638dad1c47e8f5b6c7b9"),
     ("phase-grid", dict(n=(40,), a=(6.0,), b=(1.0, 2.0), rho=(0.0, 0.25)), 1,
-     "5d5ca6baebc12a9103b5ff5990024906b8076df22e8d68e8c61440a2db869011"),
+     "160ee97aad39d140361392aa971bfe8b144df1cb506b50e0e8268a621c0c55bd"),
     ("sandwich-audit", dict(n=(40,), a=(8.0,), b=(2.0,), rho=(0.0, 0.25)), 1,
-     "8623f175ebdeacfbf45d2b23f6c23ed73d2ddf131337f3327ecee3b125de750b"),
+     "fb459faee80e770964ea47ea7e0bf93a535ee1070ee9c08a04a92caf77c6e25a"),
 ], ids=["census-t1", "census-t2", "detection-boxes", "phase-grid", "sandwich-audit"])
 def test_fixed_seed_sweeps_are_byte_identical(tmp_path, kind, grid, t, digest):
     cfg = ExperimentConfig(kind=kind, **grid, reps=2, solver=SolverConfig(restarts=2),
@@ -98,7 +103,7 @@ def test_fixed_seed_sweeps_are_byte_identical(tmp_path, kind, grid, t, digest):
 
 @pytest.mark.parametrize("kind, grid, t, digest", [
     ("census-sweep", dict(n=(200,), a=(5.0,), b=(2.0,), rho=(0.3, 1.0)), 1,
-     "4c52dde6b5b02dbd0ae7c50ddf1d9856754de8da8a82df52f9c264bfb0f340e0"),
+     "b5d99353a1c2ee1f46a2322425fe710421c9ab0f2143c28784111fbbb7ff24db"),
     ("census-sweep", dict(n=(200,), a=(5.0,), b=(2.0,), rho=(0.3,)), 2,
      "19d316c0458fbf50d1c58ab75e2f75eac2ae62d71958901b7a03ad17d23ef24f"),
     ("detection-boxes", dict(n=(40,), a=(9.0,), b=(2.0,), rho=(0.25,)), 1,

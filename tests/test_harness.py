@@ -16,8 +16,8 @@ import ssbm
 from ssbm import (ExperimentConfig, ModelParams, ResultRecord, SolverConfig,
                   best_threshold_accuracy, census_estimate, centered_adjacency,
                   detection_test, estimate_unrevealed, round_leading_eigvec, run_sweep,
-                  sandwich_check, snr, solve_csdp, solve_elliptope, summarize)
-from ssbm.census import overlap, overlap_lower_curve
+                  snr, solve_csdp, solve_elliptope, summarize)
+from ssbm.census import overlap
 from ssbm.cli import main
 from ssbm.harness import RESULT_FIELDS, read_csv, write_csv
 from ssbm.model import sample_instance
@@ -125,8 +125,8 @@ def test_census_sweep_records_and_summary(tmp_path):
     cells = result.summary["cells"]
     assert len(cells) == 2
     for cell in cells:
-        assert "overlap_lower_curve" in cell["reference"]
-        assert "erf_accuracy" in cell["reference"]
+        # the paper's asymptotic curve is no bound at finite degree, so no cell reports it
+        assert list(cell["reference"]) == ["erf_accuracy"]
         grp = cell["groups"][0]
         assert grp["count"] == 3
         assert "overlap_unrevealed" in grp
@@ -134,7 +134,7 @@ def test_census_sweep_records_and_summary(tmp_path):
     assert (tmp_path / "out" / "summary.json").exists()
     assert (tmp_path / "out" / "figure.svg").exists()
     svg = (tmp_path / "out" / "figure.svg").read_text()
-    assert svg.startswith("<svg") and svg.count("<polyline") == 2
+    assert svg.startswith("<svg") and svg.count("<polyline") == 1
 
 
 def test_census_sweep_samples_nothing_for_a_rho_one_cell(tmp_path, monkeypatch):
@@ -169,14 +169,12 @@ def test_summary_lists_cells_in_grid_order(tmp_path):
 
 
 def test_census_figure_draws_one_line_per_group(tmp_path):
-    # two (n, a, b) groups are two data lines and two reference lines, each
-    # rising in rho, though the grid lists rho descending
+    # two (n, a, b) groups are two data lines, each rising in rho, though
+    # the grid lists rho descending
     run_sweep(_cfg(tmp_path, a=(6.0, 12.0), rho=(0.6, 0.3), reps=1))
     svg = (tmp_path / "out" / "figure.svg").read_text()
-    lines = [ln for ln in svg.splitlines() if ln.startswith("<polyline")]
-    assert len(lines) == 4
-    data = [ln for ln in lines if 'stroke="#1f66b0"' in ln]
-    assert len(data) == 2
+    data = [ln for ln in svg.splitlines() if ln.startswith("<polyline")]
+    assert len(data) == 2 and all('stroke="#1f66b0"' in ln for ln in data)
     for ln in data:
         xs = [float(pt.split(",")[0]) for pt in ln.split('points="')[1].split('"')[0].split()]
         assert len(xs) == 2 and xs[0] < xs[1]
@@ -199,28 +197,6 @@ def test_boxes_figure_labels_each_box_with_its_cell(tmp_path):
     assert len(labels) == len(texts) == 16
     for n, rho in itertools.product((40, 60), (0.1, 0.25)):
         assert sum(f"n={n} rho={rho:g}" in text for text in texts) == 4
-
-
-@pytest.mark.parametrize("a, b, rho, reported", [(12, 0, 0.5, False), (5, 2, 0.2, True)])
-def test_summary_reports_the_lower_curve_only_where_it_bounds_an_overlap(a, b, rho, reported):
-    # (2/3) sqrt(rho SNR) passes 1 where rho SNR > 9/4: 1.1547 at (12, 0, 0.5)
-    assert (overlap_lower_curve(a, b, rho) <= 1) == reported
-    rec = ResultRecord(seed=0, rep=0, n=100, a=a, b=b, rho=rho, snr=snr(a, b),
-                       algorithm="census-1", overlap_unrevealed=0.5, truth_model="sbm",
-                       runtime_ms=0.0)
-    (cell,) = summarize([rec], t=1)["cells"]
-    assert ("overlap_lower_curve" in cell["reference"]) == reported
-    assert "erf_accuracy" in cell["reference"]
-
-
-def test_census_sweep_at_depth_two_draws_no_t1_lower_curve(tmp_path):
-    # the lower curve bounds the t = 1 census only: a t = 2 figure draws the data alone
-    result = run_sweep(_cfg(tmp_path, t=2))
-    for cell in result.summary["cells"]:
-        assert "overlap_lower_curve" not in cell["reference"]
-        assert "erf_accuracy" in cell["reference"]
-    svg = (tmp_path / "out" / "figure.svg").read_text()
-    assert svg.count("<polyline") == 1
 
 
 def test_a_kind_that_draws_no_figure_removes_a_stale_one(tmp_path):
@@ -474,10 +450,6 @@ def _recomputed(row, cfg):
     M = centered_adjacency(g, p.d)
     solver = cfg.solver.for_instance(row.seed)
     sol = solve_elliptope(M, solver)
-    if cfg.kind == "sandwich-audit":
-        report = sandwich_check(sol, rev, p.d, solver)
-        return dict(sdp_value=report.upper, csdp_value=report.mid, margin00=report.margin00,
-                    test_decision=int(report.holds), overlap_unrevealed=None)
     sdp = dict(overlap_unrevealed=overlap(round_leading_eigvec(sol), g.labels, rev),
                sdp_value=sol.value)
     if row.algorithm == "sdp":
@@ -547,11 +519,23 @@ def test_sweep_solves_one_sdp_per_group_and_rep(tmp_path, monkeypatch, kind):
         solves.append(M.dim)
         return real(M, cfg)
 
+    csdp_solves = []
+    real_csdp = ssbm.harness.solve_csdp
+
+    def counting_csdp(M, rev, cfg=None):
+        csdp_solves.append(rev.m)
+        return real_csdp(M, rev, cfg)
+
     for module in (ssbm.harness, ssbm.csdp):
         monkeypatch.setattr(module, "solve_elliptope", counting)
+    monkeypatch.setattr(ssbm.harness, "solve_csdp", counting_csdp)
     res = run_sweep(_cfg(tmp_path, kind=kind, b=(1.0, 2.0), rho=(0.1, 0.25), reps=2))
     # the full-dimension (n = 60) solves; every other one reads a reveal
     assert solves.count(60) == 2 * 2
+    # one CSDP solve per (cell, rep), the csdp row's, which the audit reuses:
+    # besides it the audit solves only its unrevealed block
+    assert sorted(csdp_solves) == [6] * 4 + [14] * 4
+    assert len(solves) == 2 * 2 + 8 * (2 if kind == "sandwich-audit" else 1)
     # the rows of one (group, rep) carry that one solve's value
     for (a, b, rep), rows in itertools.groupby(
             sorted((r for r in res.records if r.sdp_value is not None),
@@ -604,11 +588,30 @@ def test_a_failing_rho_cell_leaves_its_group_rows(tmp_path, monkeypatch, kind, n
 
 def test_sandwich_audit_sweep(tmp_path):
     result = run_sweep(_cfg(tmp_path, kind="sandwich-audit", rho=(0.3,), reps=2))
-    assert len(result.records) == 2
-    assert all(r.test_decision == 1 for r in result.records)  # sandwich holds
-    assert "sandwich" in result.summary
-    assert len(result.summary["sandwich"]) == 2
-    assert {"lower", "mid", "upper", "margin00", "holds"} <= set(result.summary["sandwich"][0])
+    # the rows are the solver pair's, and the audit lives in the summary alone
+    rows = result.records
+    assert [r.algorithm for r in rows] == ["sdp", "csdp"] * 2
+    audits = result.summary["sandwich"]
+    assert [(e["cell"], e["rep"]) for e in audits] == [(0, 0), (0, 1)]
+    assert all(e["holds"] for e in audits)
+    assert {"lower", "mid", "upper", "margin00", "holds"} <= set(audits[0])
+    # its upper and middle programs are the solves behind the rep's two rows
+    for rep, e in enumerate(audits):
+        sdp_row, csdp_row = rows[2 * rep:2 * rep + 2]
+        assert (e["upper"], e["mid"], e["margin00"]) == (
+            sdp_row.sdp_value, csdp_row.csdp_value, csdp_row.margin00)
+
+
+def test_sandwich_audit_writes_the_phase_grid_rows(tmp_path):
+    # on a grid with b <= a the two kinds write the same records and cells;
+    # the audit adds only its summary section
+    over = dict(b=(1.0, 2.0), rho=(0.0, 0.25, 1.0), reps=2)
+    audit = run_sweep(_cfg(tmp_path / "audit", kind="sandwich-audit", **over))
+    grid = run_sweep(_cfg(tmp_path / "grid", kind="phase-grid", **over))
+    strip = lambda recs: [dataclasses.replace(r, runtime_ms=0.0) for r in recs]
+    assert len(audit.records) == 2 * 3 * 2 * 2
+    assert strip(audit.records) == strip(grid.records)
+    assert audit.summary.pop("sandwich") and audit.summary == grid.summary
 
 
 def test_summarize_conventions():
