@@ -415,14 +415,32 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
 
 
 def _stats(values: list[float]) -> dict:
+    """Count, mean, standard error and five-number summary of ``values``.
+
+    The five numbers are numpy's ``linear`` quantiles, bit for bit, without
+    the import of ``numpy.ma`` that numpy's quantile functions make: the
+    rule (position q·(n−1), its lower and upper neighbours, numpy's
+    two-sided lerp, five NaN for any NaN) runs on one partial sort at
+    numpy's own points, which places ±0.0 as numpy does.
+    """
     arr = np.asarray(values, dtype=np.float64)
-    qs = np.percentile(arr, [0, 25, 50, 75, 100])
+    top = arr.size - 1
+    pos = [top * q for q in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    lo = [math.floor(p) if p < top else -1 for p in pos]
+    hi = [i + 1 if i >= 0 else -1 for i in lo]
+    # sorted(set()), not np.unique, which imports numpy.ma too
+    ranked = np.partition(arr, sorted({0, -1, *lo, *hi})).tolist()
+    quartiles = []
+    for p, i, j in zip(pos, lo, hi):
+        a, b, t = ranked[i], ranked[j], p - i
+        quartiles.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    if math.isnan(ranked[-1]):  # NaN sorts last
+        quartiles = [ranked[-1]] * 5
     return {
         "count": int(arr.size),
         "mean": float(arr.mean()),
         "stderr": float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0,
-        "min": float(qs[0]), "q1": float(qs[1]), "median": float(qs[2]),
-        "q3": float(qs[3]), "max": float(qs[4]),
+        **dict(zip(("min", "q1", "median", "q3", "max"), quartiles)),
     }
 
 

@@ -19,7 +19,7 @@ from ssbm import (ExperimentConfig, ModelParams, ResultRecord, SolverConfig,
                   snr, solve_csdp, solve_elliptope, summarize)
 from ssbm.census import overlap
 from ssbm.cli import main
-from ssbm.harness import RESULT_FIELDS, read_csv, write_csv
+from ssbm.harness import RESULT_FIELDS, _stats, read_csv, write_csv
 from ssbm.model import sample_instance
 from ssbm.rng import derive_key
 
@@ -630,6 +630,20 @@ def test_summarize_conventions():
                          "csdp_value", "margin00", "decision_rate"]
     with pytest.raises(ValueError):
         summarize([])
+
+
+_SUMMARY_VALUES = (st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan])
+                   | st.floats())
+
+
+@given(st.lists(_SUMMARY_VALUES, min_size=1, max_size=12))
+def test_five_number_summary_equals_numpy_percentile(values):
+    # repr tells NaN from a number and -0.0 from 0.0, which == does not
+    with np.errstate(all="ignore"):
+        stats = _stats(values)
+        expected = np.percentile(values, [0, 25, 50, 75, 100])
+    got = [stats[k] for k in ("min", "q1", "median", "q3", "max")]
+    assert list(map(repr, got)) == [repr(float(q)) for q in expected]
 
 
 def test_record_validation():

@@ -696,14 +696,17 @@ def test_import_and_a_config_leave_numpy_random_unloaded():
 def test_census_sweep_loads_neither_scipy_nor_a_process_pool(tmp_path, t):
     # `import scipy.sparse` was 0.12 s of a 0.27 s `import ssbm` and 13 MB of
     # a t = 2 census sweep's peak RSS when measured, and no census builds a
-    # CSR matrix; a sweep at workers = 1 starts no pool.  The solve afterwards
-    # shows the import is deferred to the first CSR build, not lost.
+    # CSR matrix; a sweep at workers = 1 starts no pool.  `numpy.ma`, which
+    # `np.percentile` and `np.unique` import, was about 1.1 MB of the census
+    # benchmarks' peak RSS, loaded for the summary quartiles.  The solve
+    # afterwards shows the import is deferred to the first CSR build, not lost.
     code = ("import sys, ssbm\n"
             "cfg = ssbm.ExperimentConfig(kind='census-sweep', n=(200,), a=(5.0,), b=(2.0,),\n"
             "    rho=(0.1, 0.5), reps=2, solver=ssbm.SolverConfig(), out_dir=sys.argv[1],\n"
             f"    seed=3, t={t}, workers=1)\n"
             "ssbm.run_sweep(cfg)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "             or m.split('.')[:2] == ['numpy', 'ma']\n"
             "             or m == 'concurrent.futures.process'))\n"
             "p = ssbm.ModelParams(n=40, a=8, b=2, seed=1)\n"
             "g, rev = ssbm.sample_instance(p)\n"
