@@ -21,14 +21,6 @@ from .model import ModelParams, sample_instance, write_instance
 from .sdp import CERT_GAP, DENSE_CERT_MAX, STALL_WINDOW, NumericError, SolverConfig
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage failures exit with code 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def _add_model_args(p):
     p.add_argument("--n", type=int, required=True, help="vertex count (even)")
     p.add_argument("--a", type=float, required=True, help="within-community rate")
@@ -89,8 +81,8 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def build_parser() -> _Parser:
-    top = _Parser(prog="ssbm", description=__doc__)
+def build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(prog="ssbm", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="sample an instance and export it as an edge-list "
@@ -171,8 +163,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # from argparse: 1 for a usage error, 0 for --help
-        return exc.code
+    except SystemExit as exc:  # from argparse: 2 for a usage error, 0 for --help
+        return 1 if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

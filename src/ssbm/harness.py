@@ -216,8 +216,8 @@ class _Draw:
     graph is drawn at the first cell that draws, through
     :func:`sample_instance`, and every later cell draws only its reveal;
     its centred operator is built once, and its SDP solved and rounded
-    once, for every solver kind.  The null's draw samples
-    ``ModelParams.null``."""
+    once, for every solver kind, and the sdp and csdp rows of every cell
+    read that one solve.  The null's draw samples ``ModelParams.null``."""
 
     def __init__(self, seed: int, null: bool = False):
         self.seed, self.null = seed, null
@@ -242,14 +242,12 @@ class _Draw:
         return self._M
 
     def sdp(self, solver: SolverConfig, d: float):
-        """(solve settings, solution, rounding, ms) of the SDP of the drawn graph at average
+        """(solution, rounding, ms) of the SDP of the drawn graph at average
         degree ``d``, solved at the first call; M is the solution's ``operator``."""
         if self._sdp is None:
-            settings = solver.for_instance(self.seed)
             t0 = time.perf_counter()
-            sol = solve_elliptope(self.operator(d), settings)
-            est = round_leading_eigvec(sol)
-            self._sdp = settings, sol, est, (time.perf_counter() - t0) * 1e3
+            sol = solve_elliptope(self.operator(d), solver.for_instance(self.seed))
+            self._sdp = sol, round_leading_eigvec(sol), (time.perf_counter() - t0) * 1e3
         return self._sdp
 
 
@@ -266,17 +264,16 @@ def _group_task(cfg: ExperimentConfig, ci0: int, cells, rep: int) -> list:
     rho = 1) is one 'error' row, and the group's other cells go on.
     """
     seed = derive_key(cfg.seed, "sweep", ci0, rep)
-    planted = _Draw(seed)
-    null = (_Draw(derive_key(cfg.seed, "sweep", ci0, rep, "erm"), null=True)
-            if cfg.kind == "detection-boxes" else None)
+    draws = [_Draw(seed)]
+    if cfg.kind == "detection-boxes":
+        draws.append(_Draw(derive_key(cfg.seed, "sweep", ci0, rep, "erm"), null=True))
     n, a, b, _ = cells[0]
     group = dict(seed=seed, rep=rep, n=n, a=a, b=b, snr=snr(a, b), truth_model="sbm")
     out = []
     for ci, cell in enumerate(cells, ci0):
         base = {**group, "rho": cell[3]}
         try:
-            out.append(_cell_rows(cfg, ci, rep, ModelParams(*cell, seed=seed), base,
-                                  planted, null))
+            out.append(_cell_rows(cfg, ci, rep, ModelParams(*cell, seed=seed), base, draws))
         except Exception as exc:
             row = ResultRecord(algorithm="error", runtime_ms=0.0, **base)
             out.append(([row], {"type": "error", "cell": ci, "rep": rep, "error": str(exc)}))
@@ -289,66 +286,58 @@ def _row(base: dict, t0: float, **values) -> ResultRecord:
 
 
 def _cell_rows(cfg: ExperimentConfig, ci: int, rep: int, p: ModelParams, base: dict,
-               planted: _Draw, null: _Draw | None):
+               draws: list[_Draw]):
+    """The census row of the planted draw, ``draws[0]``, or for a solver kind
+    each draw's sdp row (timed by the draw's shared solve) and csdp row, a
+    null's under its own seed as truth model "erm"; ``sandwich-audit`` audits
+    its one draw's pair of solutions."""
     if cfg.kind == "census-sweep":
         # the refusal census_estimate would raise, before any draw is made
         if p.m == p.n:
             raise ValueError(_ALL_REVEALED)
-        g, rev = planted.instance(p)
+        g, rev = draws[0].instance(p)
         t0 = time.perf_counter()
         report = census_estimate(g, rev, t=cfg.t, seed=p.seed)
         row = _row(base, t0, algorithm=f"census-{cfg.t}", overlap_unrevealed=report.overlap)
         return [row], None
 
-    records, rev, csol = _solve_pair(cfg, planted, p, base)
-    audit = None
-    if cfg.kind == "sandwich-audit":
-        settings, sol, _, _ = planted.sdp(cfg.solver, p.d)
-        report = sandwich_check(sol, csol, rev, p.d, settings)
-        audit = {"type": "sandwich", "cell": ci, "rep": rep, **dataclasses.asdict(report)}
-    if null is not None:
-        records += _solve_pair(cfg, null, p, {**base, "seed": null.seed, "truth_model": "erm"})[0]
-    return records, audit
-
-
-def _solve_pair(cfg: ExperimentConfig, draw: _Draw, p: ModelParams, base):
-    """Unsupervised SDP and constrained CSDP rows for the instance that
-    ``draw`` gives the cell whose parameters are ``p``, with that reveal and
-    the CsdpSolution behind the csdp row.  The SDP reads neither rho nor the
-    reveal, so it is solved and rounded once per graph; a cell recomputes
-    only its overlap on its own unrevealed set, and its SDP row's
-    runtime_ms is the time of that shared solve."""
-    _, rev = draw.instance(p)
-    sdp_row = ResultRecord(**base, algorithm="sdp", **_sdp_values(draw, rev, cfg.solver, p)[0],
-                           runtime_ms=draw.sdp(cfg.solver, p.d)[3])
-    t0 = time.perf_counter()
-    values, csol = _csdp_values(draw, rev, cfg.solver, p)
-    return [sdp_row, _row(base, t0, algorithm="csdp", **values)], rev, csol
+    records = []
+    for draw in draws:
+        row = {**base, "seed": draw.seed, "truth_model": "erm"} if draw.null else base
+        _, rev = draw.instance(p)
+        values, sol = _sdp_values(draw, rev, cfg.solver, p)
+        records.append(ResultRecord(**row, algorithm="sdp", **values,
+                                    runtime_ms=draw.sdp(cfg.solver, p.d)[2]))
+        t0 = time.perf_counter()
+        values, csol = _csdp_values(draw, rev, cfg.solver, p)
+        records.append(_row(row, t0, algorithm="csdp", **values))
+    if cfg.kind != "sandwich-audit":
+        return records, None
+    report = sandwich_check(sol, csol, rev, p.d, cfg.solver.for_instance(p.seed))
+    return records, {"type": "sandwich", "cell": ci, "rep": rep, **dataclasses.asdict(report)}
 
 
 def _sdp_values(draw: _Draw, rev, solver: SolverConfig, p: ModelParams):
     """The value columns of the sdp row of ``draw``'s graph under the reveal
     ``rev`` of the cell ``p``, and the SdpSolution behind them."""
-    _, sol, est, _ = draw.sdp(solver, p.d)
+    sol, est, _ = draw.sdp(solver, p.d)
     return dict(overlap_unrevealed=overlap(est, draw.graph.labels, rev), sdp_value=sol.value), sol
 
 
 def _csdp_values(draw: _Draw, rev, solver: SolverConfig, p: ModelParams):
     """The value columns of the csdp row of ``draw``'s graph under the reveal
-    ``rev`` of the cell ``p``, and the CsdpSolution behind them.  The test
-    decision is empty unless a > b."""
-    if rev.m == 0:
-        # nothing revealed: solve_csdp would repeat the SDP solve and its rounding bit for bit
-        values, sol = _sdp_values(draw, rev, solver, p)
-        csol = CsdpSolution(inner=sol, aggregated=None)
-        margin00, overlap_csdp = None, values["overlap_unrevealed"]
-    else:
+    ``rev`` of the cell ``p``, and the CsdpSolution behind them, which
+    :func:`estimate_unrevealed` scores.  With nothing revealed it is the
+    draw's own SDP solve, for solve_csdp would repeat it bit for bit, and the
+    margin is empty.  The test decision is empty unless a > b."""
+    if rev.m:
         csol = solve_csdp(draw.operator(p.d), rev, solver.for_instance(draw.seed))
-        margin00 = csol.margin00
-        overlap_csdp = estimate_unrevealed(csol, rev, draw.graph.labels, seed=draw.seed).overlap
+    else:
+        csol = CsdpSolution(inner=draw.sdp(solver, p.d)[0], aggregated=None)
+    report = estimate_unrevealed(csol, rev, draw.graph.labels, seed=draw.seed)
     decision = detection_test(csol.value, p.n, p.a, p.b).decision if p.a > p.b else None
-    return dict(overlap_unrevealed=overlap_csdp, csdp_value=csol.value, margin00=margin00,
-                test_decision=decision), csol
+    return dict(overlap_unrevealed=report.overlap, csdp_value=csol.value,
+                margin00=csol.margin00 if rev.m else None, test_decision=decision), csol
 
 
 @dataclass(frozen=True)

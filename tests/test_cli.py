@@ -123,7 +123,7 @@ def test_every_run_option_names_a_sweep_value():
 
 
 def test_usage_errors_exit_one(capsys):
-    # main returns argparse's refusals as it returns every other exit code
+    # main returns 1 for every argparse refusal (argparse itself exits 2)
     assert main(["census", "--n", "60"]) == 1  # missing --a/--b
     assert "the following arguments are required: --a, --b" in capsys.readouterr().err
     # bad parameter values are usage errors too (exit 1, no traceback)
@@ -348,6 +348,16 @@ def test_numeric_failures_exit_two(monkeypatch, capsys):
     for command in ("sdp", "csdp"):
         assert main([command, "--n", "40", "--a", "4", "--b", "1"]) == 2
         assert "synthetic solver breakdown" in capsys.readouterr().err
+
+
+def test_other_failures_exit_two(monkeypatch, capsys):
+    # neither a usage error nor a numeric one: the last handler's report
+    def boom(self, params):
+        raise RuntimeError("synthetic breakdown")
+
+    monkeypatch.setattr(harness._Draw, "instance", boom)
+    assert main(["sdp", "--n", "40", "--a", "4", "--b", "1"]) == 2
+    assert capsys.readouterr().err == "ssbm: failure: synthetic breakdown\n"
 
 
 def test_sweep_unwritable_out_dir_is_io_error(tmp_path, capsys, sweep_config):

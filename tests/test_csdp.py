@@ -314,6 +314,8 @@ def test_sandwich_check_refuses_a_solution_it_cannot_audit():
                   _empty_reveal(42)):
         with pytest.raises(ValueError, match="dimensions differ"):
             sandwich_check(sdp, csol, other, p.d, cfg)
+        with pytest.raises(ValueError, match="dimensions differ"):
+            aggregate(M, other)
     # a CSDP solved under another reveal of M, with or without revealed vertices
     for other in (sample_instance(ModelParams(n=40, a=8, b=3, rho=0.25, seed=2))[1],
                   _empty_reveal(40)):

@@ -199,6 +199,17 @@ def test_boxes_figure_labels_each_box_with_its_cell(tmp_path):
         assert sum(f"n={n} rho={rho:g}" in text for text in texts) == 4
 
 
+def test_boxes_figure_of_a_sweep_whose_every_cell_fails(tmp_path, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("synthetic CSDP breakdown")
+
+    monkeypatch.setattr(ssbm.harness, "solve_csdp", boom)
+    result = run_sweep(_cfg(tmp_path, kind="detection-boxes", a=(9.0,), rho=(0.25,), reps=2))
+    assert [r.algorithm for r in result.records] == ["error"] * 2
+    svg = (tmp_path / "out" / "figure.svg").read_text()
+    assert ">no solver values</text>" in svg and "<rect x=" not in svg
+
+
 def test_a_kind_that_draws_no_figure_removes_a_stale_one(tmp_path):
     # a phase grid run into a census sweep's out_dir leaves no census figure
     # beside its own records, and a rerun finds nothing to remove
@@ -285,6 +296,7 @@ def test_read_csv_names_the_malformed_line(tmp_path):
     path = tmp_path / "bad.csv"
     cases = (
         (lines[:1], "end of file: expected the CSV header"),  # comment line only
+        (lines[:1] + lines[2:], "line 2: expected the CSV header"),  # a row where the header goes
         (lines[:3] + [lines[3].rsplit(",", 2)[0]], "line 4: 13 fields, expected 15"),  # cut off
         (lines[:2] + [lines[2] + ",7"], "line 3: 16 fields, expected 15"),  # one field too many
         # a stray quote runs to the end of its own line, not into the next
@@ -415,22 +427,29 @@ def test_detection_sweep_shape(tmp_path):
 
 
 def test_unsupervised_cell_sdp_equals_csdp(tmp_path, monkeypatch):
-    # with nothing revealed the csdp row reuses the sdp solve and its rounding
+    # with nothing revealed the csdp row reuses the sdp solve, and the
+    # estimator scores every csdp row, the rho = 0 ones too
     import ssbm.csdp
     import ssbm.harness
 
-    dims = []
-    real = ssbm.harness.solve_elliptope
+    dims, scored = [], []
+    real, real_estimate = ssbm.harness.solve_elliptope, ssbm.harness.estimate_unrevealed
 
     def counting(M, cfg=None):
         dims.append(M.dim)
         return real(M, cfg)
 
+    def counting_estimate(sol, rev, labels, seed=0):
+        scored.append(rev.m)
+        return real_estimate(sol, rev, labels, seed=seed)
+
     monkeypatch.setattr(ssbm.harness, "solve_elliptope", counting)
     monkeypatch.setattr(ssbm.csdp, "solve_elliptope", counting)
+    monkeypatch.setattr(ssbm.harness, "estimate_unrevealed", counting_estimate)
     result = run_sweep(_cfg(tmp_path, kind="phase-grid", rho=(0.0, 0.2), reps=2))
     # each rep solves one SDP, which both rho cells share, and a CSDP at rho = 0.2
     assert sorted(dims) == [49] * 2 + [60] * 2
+    assert len(scored) == 4 and scored.count(0) == 2  # 2 reps x 2 rho cells
     rows = {(r.rho, r.rep, r.algorithm): r for r in result.records}
     for rep in range(2):
         sdp_row, csdp_row = rows[0.0, rep, "sdp"], rows[0.0, rep, "csdp"]

@@ -489,6 +489,9 @@ def test_empty_graph_zero_operator():
     g, _ = sample_instance(ModelParams(n=4, a=0, b=0, seed=0))
     M = centered_adjacency(g, 0.0)
     assert np.allclose(M.to_dense(), 0.0)
+    # d = 0 is the least average degree
+    with pytest.raises(ValueError, match="average degree d must be nonnegative"):
+        centered_adjacency(g, -1.0)
 
 
 def _assert_exports(path, p):

@@ -65,6 +65,11 @@ def test_empty_and_nonfinite_inputs():
     # a non-finite operator is refused where it is built, before any solve
     with pytest.raises(ValueError, match="operator entries must be finite"):
         MatrixOperator(2, [0], [1], [np.nan])
+    # finite weights whose objective overflows break the solve down
+    huge = MatrixOperator(3, [0, 0, 1], [1, 2, 2], [1.5e308] * 3)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(sdp.NumericError, match="diverged to a non-finite value"):
+        solve_elliptope(huge, SolverConfig(max_sweeps=20))
 
 
 def test_objective_history_is_monotone():
@@ -746,6 +751,10 @@ def test_round_leading_eigvec_conventions():
     est2 = round_leading_eigvec(eye_sol)
     assert set(np.unique(est1)) <= {-1, 1}
     assert np.array_equal(est1, est2)
+    # a zero factor has no leading direction
+    zero = replace(eye_sol, factor=np.zeros_like(eye_sol.factor))
+    with pytest.raises(ValueError, match="zero factor cannot be rounded"):
+        round_leading_eigvec(zero)
 
 
 def test_rounding_recovers_plant_in_easy_regime():
