@@ -29,7 +29,7 @@ def _add_model_args(p):
     p.add_argument("--seed", type=int, default=0, help="instance seed, as a sweep row's")
 
 
-_SOLVER_FLAGS = ("rank", "tol", "max_sweeps", "restarts")
+_SOLVER_FLAGS = ("rank", "tol", "max_sweeps")
 
 
 def _add_solver_args(p):
@@ -37,16 +37,13 @@ def _add_solver_args(p):
     p.add_argument("--rank", type=int, default=argparse.SUPPRESS,
                    help="factor width (default: sqrt rule)")
     p.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                   help=f"stop a restart when the objective moves by at most this "
+                   help=f"stop a solve when the objective moves by at most this "
                         f"(relative) over {STALL_WINDOW} steps; up to dim "
                         f"{DENSE_CERT_MAX} it stops sooner once a check proves the dual "
                         f"gap within {CERT_GAP:g} * min(1, tol / 1e-6) (relative)")
     p.add_argument("--max-sweeps", type=int, default=argparse.SUPPRESS,
-                   help="operator products per restart at most (one per step, and one "
+                   help="operator products per solve at most (one per step, and one "
                         "per rejected mixed candidate)")
-    p.add_argument("--restarts", type=int, default=argparse.SUPPRESS,
-                   help=f"independent restarts at most: the next one runs only while the "
-                        f"dual-certified relative gap exceeds {CERT_GAP:g}")
 
 
 def _solver_from(args) -> SolverConfig:

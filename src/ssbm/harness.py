@@ -198,6 +198,8 @@ class ExperimentConfig:
         solver = raw.get("solver", {})
         if not (isinstance(params, dict) and isinstance(solver, dict)):
             raise ValueError("'params' and 'solver' must be JSON objects")
+        # a key retired when every solve became one start; older config files still load
+        solver = {key: value for key, value in solver.items() if key != "restarts"}
         grid = {key: params.get(key, []) for key in ("n", "a", "b", "rho")}
         # a misspelt key would otherwise fall back to its default unseen
         top = {f.name for f in dataclasses.fields(cls)} - set(grid) | {"params"}

@@ -15,18 +15,17 @@ up by type-II Anderson mixing over its last ``ANDERSON_MEMORY`` steps
 O'Donoghue & Boyd (2020): a mixed candidate is kept only where it does not
 lower the objective, and the plain step is taken instead where it would.
 A sweep is one operator product, a rejected candidate's included.  A solve
-certifies through one private certifier built from M.  Up to
-``DENSE_CERT_MAX`` rows it holds the solve's one dense -M: a Cholesky check
-on it, scheduled in the loop, stops a restart once it proves the dual gap
-within target, and ``eigvalsh`` on it certifies exactly.  Above, Lanczos
-iteration certifies, and a restart stops on a stall or at ``max_sweeps``.
-The solver stops at the first restart whose certified gap is within
-``CERT_GAP``: at rank >= sqrt(2 dim) the factorized problem has no spurious
-second-order critical points for generic costs (Boumal, Voroninski &
-Bandeira 2016), so further restarts only hedge a risk the certificate rules
-out instance by instance.  ``SdpSolution.certificate`` is exact, computed
-on first read unless the restart rule already has.  Rounding reads the
-exact leading eigenvector of S S^T off the k x k matrix S^T S.
+checks its gap through one private certifier built from M.  Up to
+``DENSE_CERT_MAX`` rows it holds a dense -M: a Cholesky check on it,
+scheduled in the loop, stops the solve once it proves the dual gap within
+target.  Above, the solve stops on a stall or at ``max_sweeps``.
+Each solve makes one start: at rank >= sqrt(2 dim) the factorized problem
+has no spurious second-order critical points for generic costs (Boumal,
+Voroninski & Bandeira 2016), so a solve left above ``CERT_GAP`` is slow,
+not trapped, and its certificate flags it.  ``SdpSolution.certificate`` is
+exact (``eigvalsh`` up to ``DENSE_CERT_MAX`` rows, Lanczos above), computed
+on first read.  Rounding reads the exact leading eigenvector of S S^T off
+the k x k matrix S^T S.
 """
 
 from __future__ import annotations
@@ -55,24 +54,22 @@ class SolverConfig:
     Barvinok-Pataki width at which the factorized problem admits the SDP
     optimum.  A sweep is one product with the operator: one step, plain or
     mixed, or one rejected mixed candidate; ``max_sweeps`` caps the sweeps
-    of each restart.  A restart stops at the first of two tests.  The stall
+    of the solve.  A solve stops at the first of two tests.  The stall
     test: the objective moved by at most ``tol`` (relative) over
     ``STALL_WINDOW`` steps.  The certified stop, up to ``DENSE_CERT_MAX``
     rows: a scheduled in-loop check proves the certified relative gap within
     ``CERT_GAP * min(1, tol / 1e-6)``, so ``CERT_GAP`` at the default ``tol``
     and proportionally tighter below it.  ``tol`` is not itself a target
-    gap.  ``restarts`` is a cap: restart r+1 runs only when restart r's
-    certified relative gap exceeds ``CERT_GAP``.
+    gap.
     """
 
     rank: int | None = None
     tol: float = 1e-6
     max_sweeps: int = 2000
-    restarts: int = 3
     seed: int = 0
 
     def __post_init__(self):
-        require_ints(self, ("max_sweeps", "restarts"), 1)
+        require_ints(self, ("max_sweeps",), 1)
         if self.rank is not None:
             require_ints(self, ("rank",), 2)
         _check_seed(self.seed)
@@ -98,11 +95,11 @@ class SdpSolution:
 
     Every row of ``factor`` has unit norm; ``value`` equals
     <M, factor factor^T>; ``objective_history`` holds the objective at the
-    start and after every step of the winning restart, and is monotone
-    nondecreasing, since a mixed candidate that would lower it is rejected.
-    ``sweeps_used`` counts that restart's operator products after the one at
-    its start, rejected candidates included.  ``converged`` says that
-    the restart stopped on a certificate or a stall, not on ``max_sweeps``.
+    start and after every step, and is monotone nondecreasing, since a
+    mixed candidate that would lower it is rejected.  ``sweeps_used`` counts
+    the operator products after the one at the start, rejected candidates
+    included.  ``converged`` says that the solve stopped on a certificate or
+    a stall, not on ``max_sweeps``.
     ``operator`` is the M that :func:`solve_elliptope` solved (None on
     solutions built by hand), kept so that ``certificate`` can be computed.
     """
@@ -111,7 +108,6 @@ class SdpSolution:
     value: float
     sweeps_used: int
     converged: bool
-    best_of: int
     objective_history: np.ndarray
     operator: MatrixOperator | None = field(default=None, repr=False, compare=False)
 
@@ -120,8 +116,7 @@ class SdpSolution:
         """The exact dual certificate :func:`certify_dual` gives ``factor``,
         computed on first read and kept (None without an ``operator``), so a
         caller can flag a value whose gap is too wide without certifying
-        again.  The solver fills it in, through its own certifier, for each
-        restart that its in-loop check did not certify."""
+        again."""
         return None if self.operator is None else certify_dual(self.operator, self)
 
 
@@ -142,7 +137,7 @@ class DualCertificate:
 
 STALL_WINDOW = 10  # the stall test compares objectives this many steps apart
 ANDERSON_MEMORY = 4  # differences the mixing keeps (m)
-CERT_GAP = 1e-3  # certified relative gap at which no further restart runs
+CERT_GAP = 1e-3  # certified relative gap the in-loop check targets, at the default tol
 # The certifier's dense path up to this dim.  On one core of a 2-CPU Xeon VM a
 # certificate takes ~2 ms at dim 200 and ~100-125 ms at 1000, where a one-solve
 # process peaks at 74 MB RSS if it certifies exactly (-M, eigvalsh's copy) and
@@ -174,26 +169,21 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
     value.  Otherwise the memory is cleared and the plain step F(S) taken,
     at one more product; so the objective history is monotone, and a sweep
     is one product, rejected candidates included.  The last step before
-    ``cfg.max_sweeps`` is plain, so no fallback runs past it.  Each restart
-    starts from a sphere-uniform factor and stops at the first of two tests.
+    ``cfg.max_sweeps`` is plain, so no fallback runs past it.  The solve
+    starts from one sphere-uniform factor, drawn from
+    ``stream(cfg.seed, "sdp-init", 0)``, and stops at the first of two tests.
     The certified stop, up to ``DENSE_CERT_MAX`` rows: once the free
     first-order gap sum_i (|g_i| - t_i) at a sweep s is within half the
     target ``CERT_GAP * min(1, cfg.tol / 1e-6)`` (relative to
     max(1, |value|)), the certifier's Cholesky check runs on the sweep's G
     at sweep max(s + max(10, dim // 16), floor(1.25 s)), and again that far
     after each check that fails while the first-order gap stays within half
-    the target; the restart stops at the first check that proves the
+    the target; the solve stops at the first check that proves the
     certified gap within the target.  The schedule depends on sweep counts
     and dim only, so solves stay deterministic.  The stall test, at every
     dim: the objective moved by at most ``cfg.tol`` (relative) over
-    ``STALL_WINDOW`` steps.  A restart that stops on a passing check ends
-    the restarts, since the check proves its certified gap within the
-    target, at most ``CERT_GAP``.  Any other restart is certified exactly by
-    the same certifier, and the next restart runs only while that gap
-    exceeds ``CERT_GAP`` relative (to max(1, |value|)), up to
-    ``cfg.restarts`` in all.  Returns the best restart run; its exact
-    ``certificate`` is computed on first read, or was already computed for
-    the restart rule.  Raises ValueError on an empty operator, and
+    ``STALL_WINDOW`` steps.  The solution's exact ``certificate`` is
+    computed on first read.  Raises ValueError on an empty operator, and
     :class:`NumericError` where the objective diverges; every operator's
     entries are finite, since its constructor refuses any other.
     """
@@ -217,69 +207,56 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
     spacing = max(10, n // 16)  # a check at dim 1000 costs about 30 sweeps
     mixing = _Mixing(n * k)
     flat = S.reshape(-1)  # a view: S is the leading rows of buf
-
-    best = None
-    for r in range(cfg.restarts):
-        S[:] = stream(cfg.seed, "sdp-init", r).standard_normal((n, k))
-        S[~S.any(axis=1), 0] = 1.0
-        S /= np.linalg.norm(S, axis=1, keepdims=True)
-        mixing.reset()
-        history = []
-        converged = certified = mixed = False
-        # next sweep to test: 0 until the first-order gap first falls within
-        # half the budget, which schedules the first Cholesky check
-        check = 0
-        for sweeps in range(cfg.max_sweeps + 1):
-            G = M.offdiag_product(buf)
-            t = np.einsum("ij,ij->i", S, G)
-            val = float(t.sum()) + diag_sum
-            if mixed and not val >= history[-1]:
-                # a rejected candidate: back to the plain step, whose product
-                # is the next sweep
-                S[:] = mixing.F.reshape(n, k)
-                mixing.reset()
-                mixed = False
-                continue
-            history.append(val)
-            if len(history) > STALL_WINDOW and (
-                    abs(val - history[-1 - STALL_WINDOW]) <= cfg.tol * max(1.0, abs(val))):
-                converged = True
-                break
-            if certifier.negM is not None and sweeps >= check:
-                g = np.sqrt(np.einsum("ij,ij->i", G, G))
-                budget = target * max(1.0, abs(val))
-                slack = budget - float((g - t).sum())
-                if slack >= budget / 2:
-                    if check and certifier.check(g, slack):
-                        converged = certified = True
-                        break
-                    check = max(sweeps + spacing, int(1.25 * sweeps))
-            if sweeps == cfg.max_sweeps:
-                break
-            mixing.start[:] = flat
-            _ascent_step(S, G, t, lam)
-            mixing.push(flat)
-            # a candidate rejected at the cap would need one sweep past it
-            mixed = sweeps + 2 <= cfg.max_sweeps and mixing.extrapolate(S)
-        if not math.isfinite(val):
-            raise NumericError("objective diverged to a non-finite value")
-        sol = SdpSolution(
-            factor=S.copy(),
-            value=val,
-            sweeps_used=sweeps,
-            converged=converged,
-            best_of=r,
-            objective_history=np.asarray(history),
-            operator=M,
-        )
-        if best is None or sol.value > best.value:
-            best = sol
-        if certified:  # the check has proved the gap within target <= CERT_GAP
+    S[:] = stream(cfg.seed, "sdp-init", 0).standard_normal((n, k))
+    S[~S.any(axis=1), 0] = 1.0
+    S /= np.linalg.norm(S, axis=1, keepdims=True)
+    history = []
+    converged = mixed = False
+    # next sweep to test: 0 until the first-order gap first falls within
+    # half the budget, which schedules the first Cholesky check
+    check = 0
+    for sweeps in range(cfg.max_sweeps + 1):
+        G = M.offdiag_product(buf)
+        t = np.einsum("ij,ij->i", S, G)
+        val = float(t.sum()) + diag_sum
+        if mixed and not val >= history[-1]:
+            # a rejected candidate: back to the plain step, whose product
+            # is the next sweep
+            S[:] = mixing.F.reshape(n, k)
+            mixing.reset()
+            mixed = False
+            continue
+        history.append(val)
+        if len(history) > STALL_WINDOW and (
+                abs(val - history[-1 - STALL_WINDOW]) <= cfg.tol * max(1.0, abs(val))):
+            converged = True
             break
-        cert = vars(sol)["certificate"] = certifier.certify(sol)  # the cached property
-        if cert.gap <= CERT_GAP * max(1.0, abs(val)):
+        if certifier.negM is not None and sweeps >= check:
+            g = np.sqrt(np.einsum("ij,ij->i", G, G))
+            budget = target * max(1.0, abs(val))
+            slack = budget - float((g - t).sum())
+            if slack >= budget / 2:
+                if check and certifier.check(g, slack):
+                    converged = True
+                    break
+                check = max(sweeps + spacing, int(1.25 * sweeps))
+        if sweeps == cfg.max_sweeps:
             break
-    return best
+        mixing.start[:] = flat
+        _ascent_step(S, G, t, lam)
+        mixing.push(flat)
+        # a candidate rejected at the cap would need one sweep past it
+        mixed = sweeps + 2 <= cfg.max_sweeps and mixing.extrapolate(S)
+    if not math.isfinite(val):
+        raise NumericError("objective diverged to a non-finite value")
+    return SdpSolution(
+        factor=S.copy(),
+        value=val,
+        sweeps_used=sweeps,
+        converged=converged,
+        objective_history=np.asarray(history),
+        operator=M,
+    )
 
 
 class _Mixing:
@@ -399,7 +376,8 @@ def certify_dual(M: MatrixOperator, sol: SdpSolution) -> DualCertificate:
 class _Certifier:
     """The dual certificates of one operator M.  Up to ``DENSE_CERT_MAX``
     rows its in-loop :meth:`check` and its exact :meth:`certify` share one
-    dense -M, the only dense copy of M a solve makes; above, it holds none."""
+    dense -M; above, it holds none.  A solve builds one for its checks, and
+    :func:`certify_dual` another."""
 
     def __init__(self, M: MatrixOperator):
         self.M = M

@@ -137,7 +137,7 @@ def test_criterion_05_grothendieck_bound():
     for trial in range(50):
         M = rng.choice([-1.0, 1.0], size=(10, 10))
         M = np.triu(M) + np.triu(M, 1).T
-        rep = grothendieck_check(M, SolverConfig(restarts=2, seed=trial))
+        rep = grothendieck_check(M, SolverConfig(seed=trial))
         violations += not rep.passed
         if math.isfinite(rep.ratio):
             worst_ratio = max(worst_ratio, rep.ratio)
@@ -225,7 +225,7 @@ def test_criterion_07_embedding_identity_and_solver_agreement():
             obj_agg = float(np.einsum("ij,ik,jk->", agg_dense, tau, tau))
             worst_obj = max(worst_obj, abs(obj_full - obj_agg))
         # the two solved formulations agree on the optimum
-        via_agg = solve_elliptope(agg.op, SolverConfig(restarts=3, tol=1e-9, seed=trial)).value
+        via_agg = solve_elliptope(agg.op, SolverConfig(tol=1e-9, seed=trial)).value
         k = SolverConfig().rank_for(n - m + 1)
         direct = max(_solve_constrained_direct(Md, rev, k, seed=1000 * trial + r)
                      for r in range(3))
@@ -244,7 +244,7 @@ def test_criterion_08_sandwich_and_submatrix(tmp_path):
     t0 = time.time()
     cfg = ExperimentConfig(
         kind="sandwich-audit", n=(400,), a=(9.0,), b=(2.0,), rho=(0.3,),
-        reps=20, solver=SolverConfig(restarts=2), out_dir=str(tmp_path / "c8"),
+        reps=20, solver=SolverConfig(), out_dir=str(tmp_path / "c8"),
         seed=SEED, workers=WORKERS,
     )
     result = run_sweep(cfg)
@@ -275,7 +275,7 @@ def test_criterion_09_detection_above_and_below_threshold(tmp_path):
     t0 = time.time()
     cfg = ExperimentConfig(
         kind="detection-boxes", n=(200,), a=(9.0, 5.0), b=(2.0,), rho=(0.25,),
-        reps=50, solver=SolverConfig(restarts=2), out_dir=str(tmp_path / "c9"),
+        reps=50, solver=SolverConfig(), out_dir=str(tmp_path / "c9"),
         seed=SEED, workers=WORKERS,
     )
     result = run_sweep(cfg)
@@ -300,14 +300,14 @@ def test_criterion_09_detection_above_and_below_threshold(tmp_path):
     # equal arms its statistic is 2 (best-threshold accuracy - 1/2).
     # Ground truth, master seeds 1-8 pooled (400+400 reps per cell):
     # configs/detection-boxes.json (n 200, a 9 and 5, b 2, rho 0.25, 50 reps,
-    # 2 restarts) run by `ssbm sweep --config` with its "seed" set to each of 1-8,
-    # and its "out_dir" to c9-seed1, ..., c9-seed8,
+    # one start per solve) run by `ssbm sweep --config` with its "seed" set
+    # to each of 1-8, and its "out_dir" to c9-seed1, ..., c9-seed8,
     # gives best-threshold accuracies csdp(5,2) 0.811 (p 4e-73), sdp(5,2)
     # 0.524 (p 0.41), sdp(9,2) 0.820 (p 1e-77), csdp(9,2) 0.999, the same with
     # the row-by-row solver, the batch solver, its gradient-aware shift and
     # the certified stop.  With the batch solver every value lies within
     # 0.12% of its certify_dual bound, within 0.087% with the gradient-aware
-    # shift, and within 0.090% with the certified stop, which ends a restart
+    # shift, and within 0.090% with the certified stop, which ends a solve
     # once its gap is proven within 0.1% and halves the sweeps (1.05 M to
     # 0.50 M over the 3200 solves); 1.5% with the row-by-row solver and the
     # old certificate, where raising each planted value to its bound lifted
@@ -343,7 +343,7 @@ def test_criterion_10_phase_transition_disappears(tmp_path):
         a, b = d + gap / 2.0, d - gap / 2.0
         cfg = ExperimentConfig(
             kind="phase-grid", n=(1000,), a=(a,), b=(b,), rho=(0.2,),
-            reps=20, solver=SolverConfig(restarts=1),
+            reps=20, solver=SolverConfig(),
             out_dir=str(tmp_path / f"c10-{snr_target}"), seed=SEED, workers=WORKERS,
         )
         result = run_sweep(cfg)

@@ -42,14 +42,13 @@ def test_census_command_json(capsys):
 def test_payload_keys_and_order(capsys):
     # each subcommand's JSON report, key for key and in order
     model = ["--n", "60", "--a", "8", "--b", "2", "--seed", "2"]
-    solve = model + ["--restarts", "1"]
     solution = ["value", "sweeps", "converged", "certified_rel_gap"]
     payloads = []
     for argv, keys in ((["census", "--rho", "0.4"] + model, ["overlap", "ties", "estimates"]),
-                       (["sdp"] + solve, solution + ["overlap_unrevealed"]),
-                       (["csdp", "--rho", "0.2"] + solve,
+                       (["sdp"] + model, solution + ["overlap_unrevealed"]),
+                       (["csdp", "--rho", "0.2"] + model,
                         solution + ["margin00", "overlap_unrevealed", "test_decision"]),
-                       (["csdp"] + solve,
+                       (["csdp"] + model,
                         solution + ["margin00", "overlap_unrevealed", "test_decision"])):
         assert main(argv) == 0
         payloads.append(json.loads(capsys.readouterr().out))
@@ -75,7 +74,7 @@ def test_python_dash_m_runs_the_cli():
 
 def test_sdp_and_csdp_commands(capsys):
     code = main(["sdp", "--n", "60", "--a", "8", "--b", "2", "--rho", "0.2",
-                 "--seed", "2", "--restarts", "1"])
+                 "--seed", "2"])
     assert code == 0
     sdp_payload = json.loads(capsys.readouterr().out)
     assert {"value", "sweeps", "converged", "certified_rel_gap",
@@ -83,7 +82,7 @@ def test_sdp_and_csdp_commands(capsys):
     assert 0 <= sdp_payload["certified_rel_gap"] <= CERT_GAP
 
     code = main(["csdp", "--n", "60", "--a", "8", "--b", "2", "--rho", "0.2",
-                 "--seed", "2", "--restarts", "1"])
+                 "--seed", "2"])
     assert code == 0
     csdp_payload = json.loads(capsys.readouterr().out)
     assert "margin00" in csdp_payload
@@ -94,7 +93,7 @@ def test_sdp_and_csdp_commands(capsys):
 def test_csdp_command_reports_the_test_decision(capsys):
     # the paper's test needs a > b: at a = b, which the model takes, the
     # decision is null, as the row's test_decision column is empty
-    argv = ["csdp", "--n", "80", "--rho", "0.25", "--seed", "3", "--restarts", "1"]
+    argv = ["csdp", "--n", "80", "--rho", "0.25", "--seed", "3"]
     planted = _payload(capsys, argv + ["--a", "9", "--b", "2"])
     assert planted["test_decision"] in (0, 1)
     assert _payload(capsys, argv + ["--a", "4", "--b", "4"])["test_decision"] is None
@@ -133,6 +132,10 @@ def test_usage_errors_exit_one(capsys):
     for retired in ("oracles", "test"):
         assert main([retired, "--n", "40", "--a", "6", "--b", "2"]) == 1
         assert f"invalid choice: '{retired}'" in capsys.readouterr().err
+    # the retired restart cap is no flag: each solve makes one start
+    assert main(["sdp", "--n", "40", "--a", "6", "--b", "2", "--restarts", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --restarts 2" in captured.err
     # a report goes to stdout only
     for command in _run_commands():
         assert main([command, "--n", "40", "--a", "6", "--b", "2", "--out", "r.json"]) == 1
@@ -147,7 +150,7 @@ def test_sweep_with_config_file(tmp_path, capsys):
         "kind": "detection-boxes",
         "params": {"n": [40], "a": [8.0], "b": [2.0], "rho": [0.25]},
         "reps": 1,
-        "solver": {"restarts": 1, "tol": 1e-6, "max_sweeps": 2000, "seed": 0},
+        "solver": {"tol": 1e-6, "max_sweeps": 2000, "seed": 0},
         "out_dir": str(tmp_path / "cfgout"),
         "seed": 9,
         "workers": 1,
@@ -205,10 +208,10 @@ def test_config_keys_left_out_take_their_defaults(tmp_path, monkeypatch, sweep_c
                                        out_dir=str(tmp_path / "out"))
     assert (seen[0].reps, seen[0].seed, seen[0].t, seen[0].workers) == (1, 0, 1, 1)
     keys = {"reps": 2, "seed": 5, "t": 2, "workers": 1,
-            "solver": {"restarts": 1, "tol": 1e-5, "max_sweeps": 300, "rank": 4}}
+            "solver": {"tol": 1e-5, "max_sweeps": 300, "rank": 4}}
     assert main(sweep_config(**keys)) == 0
     assert seen[1] == dataclasses.replace(seen[0], reps=2, seed=5, t=2, solver=SolverConfig(
-        restarts=1, tol=1e-5, max_sweeps=300, rank=4))
+        tol=1e-5, max_sweeps=300, rank=4))
 
 
 def test_sweep_refuses_a_bad_grid_before_creating_out_dir(tmp_path, capsys, sweep_config):
@@ -252,7 +255,7 @@ def test_sweep_malformed_config_is_usage_error(tmp_path):
         path.write_text(json.dumps(bad))
         assert main(["sweep", "--config", str(path)]) == 1
     # and so is a count that is not an integer, or a grid n that is not one
-    for bad in ({**cfg, "reps": "2"}, {**cfg, "solver": {"restarts": "2"}},
+    for bad in ({**cfg, "reps": "2"}, {**cfg, "solver": {"max_sweeps": "2"}},
                 {**cfg, "params": {**cfg["params"], "n": [60.5]}}):
         path.write_text(json.dumps(bad))
         assert main(["sweep", "--config", str(path)]) == 1
@@ -268,11 +271,11 @@ def test_sdp_command_erm_model(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(harness, "sample_instance", recording)
     cfg = ExperimentConfig(kind="detection-boxes", n=(60,), a=(8.0,), b=(2.0,), rho=(0.25,),
-                           solver=SolverConfig(restarts=1), out_dir=str(tmp_path), seed=1)
+                           solver=SolverConfig(), out_dir=str(tmp_path), seed=1)
     null_row = next(r for r in run_sweep(cfg).records if r.truth_model == "erm")
     sweep_null, _ = drawn[1]  # the planted instance first, then its null
     code = main(["sdp", "--n", "60", "--a", "8", "--b", "2", "--rho", "0.25",
-                 "--seed", str(null_row.seed), "--restarts", "1", "--model", "erm"])
+                 "--seed", str(null_row.seed), "--model", "erm"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["value"] == null_row.sdp_value
     cli_null, _ = drawn[2]
@@ -311,12 +314,12 @@ def test_cli_runs_reproduce_their_sweep_rows(tmp_path, capsys, kind, grid):
     # a row's n, a, b, rho, seed and model, with the sweep's solver flags,
     # make ssbm sdp|csdp print that row's value columns
     cfg = ExperimentConfig(kind=kind, n=(40,), **grid, reps=3,
-                           solver=SolverConfig(restarts=2), out_dir=str(tmp_path), seed=5)
+                           solver=SolverConfig(), out_dir=str(tmp_path), seed=5)
     rows = [r for r in run_sweep(cfg).records if r.algorithm in ("sdp", "csdp")]
     assert len(rows) == 24 and {r.truth_model for r in rows} == (
         {"sbm", "erm"} if kind == "detection-boxes" else {"sbm"})
     for row in rows:
-        argv = _model_argv(row) + ["--model", row.truth_model, "--restarts", "2"]
+        argv = _model_argv(row) + ["--model", row.truth_model]
         payload = _payload(capsys, [row.algorithm] + argv)
         assert payload["overlap_unrevealed"] == row.overlap_unrevealed
         if row.algorithm == "sdp":

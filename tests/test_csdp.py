@@ -155,7 +155,7 @@ def test_embedding_identity_on_random_feasible_points():
 def test_solve_csdp_unsupervised_special_case_is_bitwise():
     p = ModelParams(n=120, a=8, b=3, rho=0.0, seed=5)
     g, rev = sample_instance(p)
-    cfg = SolverConfig(restarts=2, seed=9)
+    cfg = SolverConfig(seed=9)
     direct = solve_elliptope(centered_adjacency(g, p.d), cfg)
     via_csdp = solve_csdp(centered_adjacency(g, p.d), rev, cfg)
     assert via_csdp.value == direct.value
@@ -167,7 +167,7 @@ def test_witness_and_submatrix_bounds_on_sbm():
     for seed in range(4):
         p = ModelParams(n=150, a=9, b=2, rho=0.3, seed=seed)
         g, rev = sample_instance(p)
-        cfg = SolverConfig(restarts=2, seed=seed)
+        cfg = SolverConfig(seed=seed)
         M = centered_adjacency(g, p.d)
         csol = solve_csdp(M, rev, cfg)
         tau = 1e-3 * g.n * math.sqrt(max(p.d, 1.0))
@@ -187,7 +187,7 @@ def test_estimate_aligned_factor_gives_overlap_one():
     factor = np.vstack([sigma0] + [labels.values[v] * sigma0 for v in rev.unrevealed_set])
     agg = aggregate(MatrixOperator(n, [0], [1], [1.0]), rev)
     inner = SdpSolution(factor=factor, value=0.0, sweeps_used=1, converged=True,
-                        best_of=0, objective_history=np.array([0.0]))
+                        objective_history=np.array([0.0]))
     # a hand-built solution has no operator, so nothing to certify
     assert inner.certificate is None
     sol = CsdpSolution(inner=inner, aggregated=agg)
@@ -210,7 +210,7 @@ def test_estimate_orthogonal_factor_resolves_by_coin():
     factor = np.vstack([sigma0] + [perp for _ in range(n - 2)])
     agg = aggregate(MatrixOperator(n, [0], [1], [1.0]), rev)
     inner = SdpSolution(factor=factor, value=0.0, sweeps_used=1, converged=True,
-                        best_of=0, objective_history=np.array([0.0]))
+                        objective_history=np.array([0.0]))
     sol = CsdpSolution(inner=inner, aggregated=agg)
     report = estimate_unrevealed(sol, rev, labels, seed=3)
     assert report.ties_broken == n - 2
@@ -223,7 +223,7 @@ def test_estimate_orthogonal_factor_resolves_by_coin():
 def test_estimate_empty_reveal_falls_back_to_rounding():
     p = ModelParams(n=200, a=12, b=3, rho=0.0, seed=2)
     g, rev = sample_instance(p)
-    csol = solve_csdp(centered_adjacency(g, p.d), rev, SolverConfig(restarts=1, seed=0))
+    csol = solve_csdp(centered_adjacency(g, p.d), rev, SolverConfig(seed=0))
     report = estimate_unrevealed(csol, rev, g.labels, seed=0)
     assert set(np.unique(report.estimates)) <= {-1, 1}
     assert 0.0 <= report.overlap <= 1.0
@@ -256,7 +256,7 @@ def _count_audit_solves(monkeypatch):
 def test_sandwich_unsupervised_collapses():
     p = ModelParams(n=80, a=8, b=3, rho=0.0, seed=3)
     g, rev = sample_instance(p)
-    cfg = SolverConfig(restarts=2, seed=1)
+    cfg = SolverConfig(seed=1)
     M = centered_adjacency(g, p.d)
     rep = sandwich_check(solve_elliptope(M, cfg), solve_csdp(M, rev, cfg), rev, p.d, cfg)
     assert rep.margin00 == 0.0
@@ -269,7 +269,7 @@ def test_sandwich_solves_nothing_when_nothing_is_revealed(monkeypatch):
     # at rho = 0 the lower and upper programs are both the given SDP of M
     p = ModelParams(n=80, a=8, b=3, rho=0.0, seed=3)
     g, rev = sample_instance(p)
-    cfg = SolverConfig(restarts=2, seed=1)
+    cfg = SolverConfig(seed=1)
     M = centered_adjacency(g, p.d)
     lower = solve_elliptope(M.restrict(rev.unrevealed_set), cfg).value
     sdp = solve_elliptope(M, cfg)
@@ -301,12 +301,12 @@ def test_sandwich_fully_revealed(monkeypatch):
 def test_sandwich_check_refuses_a_solution_it_cannot_audit():
     p = ModelParams(n=40, a=8, b=3, rho=0.5, seed=2)
     g, rev = sample_instance(p)
-    cfg = SolverConfig(restarts=1, seed=0)
+    cfg = SolverConfig(seed=0)
     M = centered_adjacency(g, p.d)
     sdp, csol = solve_elliptope(M, cfg), solve_csdp(M, rev, cfg)
     # a hand-built solution holds no operator M to audit against
     bare = SdpSolution(factor=sdp.factor, value=sdp.value, sweeps_used=0, converged=True,
-                       best_of=1, objective_history=np.array([sdp.value]))
+                       objective_history=np.array([sdp.value]))
     with pytest.raises(ValueError, match="no operator"):
         sandwich_check(bare, csol, rev, p.d, cfg)
     # a reveal of another length, with or without revealed vertices
@@ -327,7 +327,7 @@ def test_csdp_value_per_vertex_reaches_half_gap_at_scale():
     # the ground-truth witness keeps value/n near (a-b)/2 on a planted graph
     p = ModelParams(n=1000, a=12, b=5, rho=0.2, seed=17)
     g, rev = sample_instance(p)
-    csol = solve_csdp(centered_adjacency(g, p.d), rev, SolverConfig(restarts=1, seed=1))
+    csol = solve_csdp(centered_adjacency(g, p.d), rev, SolverConfig(seed=1))
     eps = 0.35  # witness fluctuation, std sqrt((a+b)/n) ~ 0.13
     assert csol.value / p.n >= (p.a - p.b) / 2 - eps
 

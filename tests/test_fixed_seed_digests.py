@@ -87,7 +87,7 @@ def test_fixed_seed_instances_and_census_are_bit_identical(params, sample_digest
      "fb459faee80e770964ea47ea7e0bf93a535ee1070ee9c08a04a92caf77c6e25a"),
 ], ids=["census-t1", "census-t2", "detection-boxes", "phase-grid", "sandwich-audit"])
 def test_fixed_seed_sweeps_are_byte_identical(tmp_path, kind, grid, t, digest):
-    cfg = ExperimentConfig(kind=kind, **grid, reps=2, solver=SolverConfig(restarts=2),
+    cfg = ExperimentConfig(kind=kind, **grid, reps=2, solver=SolverConfig(),
                            out_dir=str(tmp_path), seed=5, t=t)
     run_sweep(cfg)
     with open(os.path.join(tmp_path, "records.csv")) as fh:
@@ -110,7 +110,7 @@ def test_fixed_seed_sweeps_are_byte_identical(tmp_path, kind, grid, t, digest):
      "8c503dbe758d579f2322000537a01d51112ba219e9bf406c5dd9dd5dfb579f60"),
 ], ids=["census-t1", "census-t2", "detection-boxes"])
 def test_fixed_seed_figures_are_byte_identical(tmp_path, kind, grid, t, digest):
-    cfg = ExperimentConfig(kind=kind, **grid, reps=2, solver=SolverConfig(restarts=2),
+    cfg = ExperimentConfig(kind=kind, **grid, reps=2, solver=SolverConfig(),
                            out_dir=str(tmp_path), seed=5, t=t)
     run_sweep(cfg)
     with open(os.path.join(tmp_path, "figure.svg"), "rb") as fh:

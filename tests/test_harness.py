@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -27,7 +28,7 @@ from ssbm.rng import derive_key
 def _cfg(tmp_path, **over):
     base = dict(
         kind="census-sweep", n=(60,), a=(6.0,), b=(2.0,), rho=(0.3, 0.6),
-        reps=3, solver=SolverConfig(restarts=1, seed=0), out_dir=str(tmp_path / "out"),
+        reps=3, solver=SolverConfig(seed=0), out_dir=str(tmp_path / "out"),
         seed=11, t=1, workers=1,
     )
     base.update(over)
@@ -55,11 +56,15 @@ def test_config_validation(tmp_path):
             _cfg(tmp_path, kind="phase-grid", a=(3.0, 6.0), b=(4.0,), **over).cells()
     # an unknown solver setting is a config error, not a crash
     good = {"kind": "census-sweep", "params": {"n": [60], "a": [6.0], "b": [2.0], "rho": [0.3, 0.6]},
-            "reps": 3, "solver": {"restarts": 1, "seed": 0}, "out_dir": str(tmp_path / "out"),
+            "reps": 3, "solver": {"seed": 0}, "out_dir": str(tmp_path / "out"),
             "seed": 11, "t": 1, "workers": 1}
     assert ExperimentConfig.from_json(json.dumps(good)) == _cfg(tmp_path)
-    raw = {**good, "solver": {"restarts": 1, "max_sweep": 10}}
-    with pytest.raises(ValueError):
+    # the retired restart cap of older config files is accepted and dropped,
+    # and masks no misspelt setting beside it
+    legacy = {**good, "solver": {"restarts": 2, "seed": 0}}
+    assert ExperimentConfig.from_json(json.dumps(legacy)) == _cfg(tmp_path)
+    raw = {**good, "solver": {"restarts": 2, "max_sweep": 10}}
+    with pytest.raises(ValueError, match="^unknown solver settings: max_sweep$"):
         ExperimentConfig.from_json(json.dumps(raw))
     # and so is a misspelt top-level or params key, which would otherwise run
     # with the default in its place
@@ -76,11 +81,11 @@ def test_config_validation(tmp_path):
     # string it would iterate) and a solver that is not a SolverConfig
     for over, match in (({"n": 200}, "n values must be a list"),
                         ({"rho": "0.3"}, "rho values must be a list"),
-                        ({"solver": {"restarts": 1}}, "solver must be a SolverConfig")):
+                        ({"solver": {"max_sweeps": 1}}, "solver must be a SolverConfig")):
         with pytest.raises(ValueError, match=match):
             _cfg(tmp_path, **over)
     # and a count that is not an integer, or a tolerance that is not a number
-    for key, value in (("reps", "2"), ("solver", {"restarts": "2"}), ("solver", {"tol": "1e-6"})):
+    for key, value in (("reps", "2"), ("solver", {"max_sweeps": "2"}), ("solver", {"tol": "1e-6"})):
         with pytest.raises(ValueError, match="must be an integer|must be a number"):
             ExperimentConfig.from_json(json.dumps({**raw, "solver": {}, key: value}))
     # grid values are checked, not coerced: n = 200.5 would sweep n = 200
@@ -345,7 +350,7 @@ def test_sweep_ignores_the_solver_seed(tmp_path):
     # every solve, the matched null's included, seeds from the master seed
     for name, seed in (("a", 0), ("b", 12345)):
         run_sweep(_cfg(tmp_path / name, kind="detection-boxes", rho=(0.25,), reps=2,
-                       solver=SolverConfig(restarts=1, seed=seed)))
+                       solver=SolverConfig(seed=seed)))
     text1 = _strip_volatile(tmp_path / "a" / "out" / "records.csv")
     text2 = _strip_volatile(tmp_path / "b" / "out" / "records.csv")
     assert text1 == text2
@@ -642,6 +647,10 @@ def test_summarize_conventions():
     grp = summary["cells"][0]["groups"][0]
     assert grp["overlap_unrevealed"]["stderr"] == 0.0
     assert grp["overlap_unrevealed"]["mean"] == 0.5
+    # the standard error is the sample standard deviation (ddof = 1) over √count
+    values = [0.1, 0.4, 0.35, 0.8, 0.2]
+    expected = statistics.stdev(values) / math.sqrt(len(values))
+    assert math.isclose(_stats(values)["stderr"], expected, rel_tol=1e-12)
     # every float | None column is rolled up, in field order; an int column is not
     full = dataclasses.replace(rec, sdp_value=1.0, csdp_value=1.0, margin00=1.0, test_decision=1)
     grp = summarize([full])["cells"][0]["groups"][0]
@@ -682,6 +691,8 @@ def test_best_threshold_accuracy():
     assert best_threshold_accuracy([2.0, 3.0], [0.0, 1.0]) == 1.0
     assert best_threshold_accuracy([1.0], [1.0]) == 0.5
     assert abs(best_threshold_accuracy([1.0, 2.0, 3.0], [0.5, 1.5, 2.5]) - 4 / 6) < 1e-12
+    # every positive below every negative: declaring nothing gets the negatives right
+    assert best_threshold_accuracy([0.0], [1.0, 2.0]) == 2 / 3
     with pytest.raises(ValueError):
         best_threshold_accuracy([], [1.0])
 

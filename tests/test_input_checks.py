@@ -75,11 +75,11 @@ def _estimators(seed):
     and the CSDP estimate of an instance with nothing revealed, whose
     unsupervised rounding draws no coin but takes the seed all the same."""
     g, rev = sample_instance(ModelParams(n=40, a=5, b=2, rho=0.25, seed=3))
-    sol = solve_csdp(centered_adjacency(g, 3.5), rev, SolverConfig(restarts=1))
+    sol = solve_csdp(centered_adjacency(g, 3.5), rev, SolverConfig())
     yield lambda: census_estimate(g, rev, seed=seed)
     yield lambda: estimate_unrevealed(sol, rev, g.labels, seed=seed)
     g0, rev0 = sample_instance(ModelParams(n=40, a=5, b=2, rho=0.0, seed=3))
-    sol0 = solve_csdp(centered_adjacency(g0, 3.5), rev0, SolverConfig(restarts=1))
+    sol0 = solve_csdp(centered_adjacency(g0, 3.5), rev0, SolverConfig())
     assert sol0.aggregated is None
     yield lambda: estimate_unrevealed(sol0, rev0, g0.labels, seed=seed)
 
@@ -111,7 +111,7 @@ def test_counts_are_held_to_their_floors():
             with pytest.raises(ValueError, match=f"^{field} must be >= {floor}$"):
                 _sweep(**{field: value})
         assert getattr(_sweep(**{field: np.int32(floor)}), field) == floor
-    for field, floor in (("max_sweeps", 1), ("restarts", 1), ("rank", 2)):
+    for field, floor in (("max_sweeps", 1), ("rank", 2)):
         for value in (floor - 1, -1, np.int64(floor - 1)):
             with pytest.raises(ValueError, match=f"^{field} must be >= {floor}$"):
                 SolverConfig(**{field: value})

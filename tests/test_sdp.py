@@ -36,7 +36,10 @@ def test_config_validation():
         with pytest.raises(ValueError):
             SolverConfig(tol=tol)
     with pytest.raises(ValueError):
-        SolverConfig(restarts=0)
+        SolverConfig(max_sweeps=0)
+    # each solve makes one start: the retired restart cap is no setting
+    with pytest.raises(TypeError):
+        SolverConfig(restarts=2)
     assert SolverConfig().rank_for(50) == math.ceil(math.sqrt(100)) + 1
     assert SolverConfig().rank_for(3) == 3
     assert SolverConfig(rank=4).rank_for(100) == 4
@@ -74,7 +77,7 @@ def test_empty_and_nonfinite_inputs():
 
 def test_objective_history_is_monotone():
     for seed in range(5):
-        sol = solve_elliptope(_wigner(30, seed), SolverConfig(restarts=1, seed=seed))
+        sol = solve_elliptope(_wigner(30, seed), SolverConfig(seed=seed))
         h = sol.objective_history
         drops = np.diff(h) < -1e-12 * np.maximum(1.0, np.abs(h[1:]))
         assert not drops.any()
@@ -103,7 +106,7 @@ def _dense_shift(M):
 
 
 def _dense_replay(M, cfg, steps, shifted=True):
-    """Objectives of the solver's first restart, one batch step at a time, from
+    """Objectives of the solve, one batch step at a time, from
     dense algebra: S <- rownormalise(G + diag(sigma) S), with G = B S for B the
     off-diagonal part of M, sigma_i = max((lam_i - t_i) / 2, lam_i / 4) for the
     solver's Gershgorin radii lam and t_i = <s_i, g_i> (sigma = 0 if not
@@ -142,7 +145,7 @@ def test_every_batch_step_is_nondecreasing():
     # the plain step, the mixing's fallback, never lowers the objective in a
     # dense replay; _ascent_step is that step; and the solver's own history,
     # plain and mixed steps alike, is nondecreasing and ends at its value
-    cfg = SolverConfig(restarts=1, seed=0)
+    cfg = SolverConfig(seed=0)
     for M in _replay_instances():
         sol = solve_elliptope(M, cfg)
         values, _ = _dense_replay(M, cfg, sol.sweeps_used)
@@ -164,52 +167,52 @@ def test_unshifted_batch_step_can_decrease_the_objective():
     # on the aggregated operator).  On the centered adjacency the start of
     # seed 0 climbs for 3000 steps, while that of seed 2 falls at once.
     for M, seed in zip(_replay_instances(), (0, 2, 0)):
-        values, _ = _dense_replay(M, SolverConfig(restarts=1, seed=seed), 300, shifted=False)
+        values, _ = _dense_replay(M, SolverConfig(seed=seed), 300, shifted=False)
         assert _drops(values).any()
 
 
 def test_factor_rows_unit_norm():
-    sol = solve_elliptope(_wigner(40, 1), SolverConfig(restarts=2, seed=5))
+    sol = solve_elliptope(_wigner(40, 1), SolverConfig(seed=5))
     norms = np.linalg.norm(sol.factor, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-9
 
 
 def test_value_matches_dense_recompute():
     M = _wigner(25, 9)
-    sol = solve_elliptope(M, SolverConfig(restarts=1, seed=2))
+    sol = solve_elliptope(M, SolverConfig(seed=2))
     ref = float(np.einsum("ij,ik,jk->", M.to_dense(), sol.factor, sol.factor))
     assert abs(sol.value - ref) <= 1e-6 * max(1.0, abs(ref))
 
 
 def test_solve_is_deterministic_given_config():
     M = _wigner(30, 12)
-    cfg = SolverConfig(restarts=2, seed=77)
+    cfg = SolverConfig(seed=77)
     a = solve_elliptope(M, cfg)
     b = solve_elliptope(M, cfg)
     assert a.value == b.value
     assert np.array_equal(a.factor, b.factor)
-    assert a.sweeps_used == b.sweeps_used and a.best_of == b.best_of
+    assert a.sweeps_used == b.sweeps_used
 
 
 def test_value_at_most_n_lambda_max():
     for seed in range(4):
         M = _wigner(25, seed + 10)
-        sol = solve_elliptope(M, SolverConfig(restarts=2, seed=seed))
+        sol = solve_elliptope(M, SolverConfig(seed=seed))
         lam1 = float(np.linalg.eigvalsh(M.to_dense()).max())
         assert sol.value <= 25 * lam1 + 1e-6
     g, _ = sample_instance(ModelParams(n=400, a=8, b=3, seed=2))
     M = centered_adjacency(g, 5.5)
-    sol = solve_elliptope(M, SolverConfig(restarts=1, seed=0))
+    sol = solve_elliptope(M, SolverConfig(seed=0))
     assert sol.value <= 400 * float(np.linalg.eigvalsh(M.to_dense()).max()) + 1e-6
 
 
 def test_restart_stability_at_overparameterized_rank():
-    # above the Barvinok-Pataki width all restarts land on the same value
+    # above the Barvinok-Pataki width solves from five starts land on the same value
     rng = np.random.default_rng(7)
     for trial in range(100):
         n = int(rng.integers(6, 17))
         M = _wigner(n, 1000 + trial)
-        vals = [solve_elliptope(M, SolverConfig(restarts=1, tol=1e-9, seed=100 * trial + r)).value
+        vals = [solve_elliptope(M, SolverConfig(tol=1e-9, seed=100 * trial + r)).value
                 for r in range(5)]
         spread = (max(vals) - min(vals)) / max(1.0, abs(max(vals)))
         assert spread < 1e-3
@@ -218,8 +221,8 @@ def test_restart_stability_at_overparameterized_rank():
 def test_scaling_equivariance():
     M = _wigner(20, 2)
     scaled = MatrixOperator(20, M.rows, M.cols, 3.0 * M.weights)
-    v1 = solve_elliptope(M, SolverConfig(restarts=2, seed=3)).value
-    v3 = solve_elliptope(scaled, SolverConfig(restarts=2, seed=3)).value
+    v1 = solve_elliptope(M, SolverConfig(seed=3)).value
+    v3 = solve_elliptope(scaled, SolverConfig(seed=3)).value
     assert abs(v3 - 3.0 * v1) < 1e-9 * max(1.0, abs(v3))
 
 
@@ -319,7 +322,7 @@ def test_zero_gradient_rows_stay_put():
     for M, isolated in cases:
         sol = solve_elliptope(M, cfg)
         assert np.max(np.abs(np.linalg.norm(sol.factor, axis=1) - 1.0)) < 1e-12
-        S0 = stream(cfg.seed, "sdp-init", sol.best_of).standard_normal(sol.factor.shape)
+        S0 = stream(cfg.seed, "sdp-init", 0).standard_normal(sol.factor.shape)
         S0 /= np.linalg.norm(S0, axis=1, keepdims=True)
         assert np.array_equal(sol.factor[isolated], S0[isolated])
 
@@ -331,7 +334,7 @@ def test_mixing_keeps_the_rows_it_does_not_move():
     M = MatrixOperator(4, [0, 1, 2, 0], [1, 3, 2, 3], [1.0, -2.0, 4.0, 0.5])
     for seed in range(8):
         sol = solve_elliptope(M, SolverConfig(seed=seed))
-        S0 = stream(seed, "sdp-init", sol.best_of).standard_normal(sol.factor.shape)
+        S0 = stream(seed, "sdp-init", 0).standard_normal(sol.factor.shape)
         S0 /= np.linalg.norm(S0, axis=1, keepdims=True)
         assert np.array_equal(sol.factor[2], S0[2])
 
@@ -340,7 +343,7 @@ def test_dual_certificate_on_wigner_ensemble():
     # regression bound recorded from pilot runs: relative gap stays below 1e-2
     for seed in range(5):
         M = _wigner(30, 40 + seed)
-        sol = solve_elliptope(M, SolverConfig(restarts=5, seed=seed))
+        sol = solve_elliptope(M, SolverConfig(seed=seed))
         cert = certify_dual(M, sol)
         assert cert.upper_bound >= sol.value - 1e-9
         assert cert.gap <= 1e-2 * abs(sol.value)
@@ -351,7 +354,7 @@ def test_dual_certificate_converges_on_detection_instance():
     # plain SDP and the aggregated CSDP solve get a converged certificate
     p = ModelParams(n=200, a=5, b=2, rho=0.25, seed=3)
     g, rev = sample_instance(p)
-    cfg = SolverConfig(restarts=2, seed=3)
+    cfg = SolverConfig(seed=3)
     M = centered_adjacency(g, p.d)
     csol = solve_csdp(M, rev, cfg)
     for op, sol in ((M, solve_elliptope(M, cfg)), (csol.aggregated.op, csol.inner)):
@@ -393,8 +396,8 @@ def _count_certificates(monkeypatch):
     return values
 
 
-def _count_restarts(monkeypatch):
-    """Keys of the "sdp-init" streams the solver draws, one per restart run."""
+def _count_starts(monkeypatch):
+    """Keys of the "sdp-init" streams the solver draws."""
     keys = []
     real = sdp.stream
 
@@ -407,15 +410,15 @@ def _count_restarts(monkeypatch):
     return keys
 
 
-def test_restarts_stop_at_the_first_certified_restart(monkeypatch):
-    # the first restart stops on the in-loop check, whose proof ends the
-    # restarts; the exact certificate is computed once, when first read
-    restarts, values = _count_restarts(monkeypatch), _count_certificates(monkeypatch)
+def test_a_solve_makes_one_start_and_certifies_when_read(monkeypatch):
+    # the one start stops on the in-loop check; the exact certificate is
+    # computed once, when first read
+    starts, values = _count_starts(monkeypatch), _count_certificates(monkeypatch)
     for M in _detection_operators():
-        restarts.clear()
+        starts.clear()
         values.clear()
-        sol = solve_elliptope(M, SolverConfig(restarts=3, seed=3))
-        assert len(restarts) == 1 and sol.best_of == 0
+        sol = solve_elliptope(M, SolverConfig(seed=3))
+        assert starts == [("sdp-init", 0)]
         assert values == []
         cert = sol.certificate
         assert sol.certificate is cert and values == [sol.value]
@@ -426,26 +429,27 @@ def test_restarts_stop_at_the_first_certified_restart(monkeypatch):
         assert cert.gap <= CERT_GAP * abs(sol.value)
 
 
-def test_every_restart_runs_while_uncertified(monkeypatch):
-    # three sweeps leave the gap far above target: the cap is reached, and the
-    # best restart is returned with its own factor and certificate
-    values = _count_certificates(monkeypatch)
+def test_an_uncertified_solve_makes_one_start_and_is_flagged(monkeypatch):
+    # three sweeps leave the gap far above target: no second start runs, and
+    # the solve returns its own factor, certified only when read
+    starts, values = _count_starts(monkeypatch), _count_certificates(monkeypatch)
     M, _ = _detection_operators()
-    for seed in (3, 4):  # the best restart is the last one, then the first
+    for seed in (3, 4):
+        starts.clear()
         values.clear()
-        sol = solve_elliptope(M, SolverConfig(restarts=3, max_sweeps=3, seed=seed))
-        assert len(values) == 3
-        assert sol.value == max(values) and sol.best_of == values.index(max(values))
+        sol = solve_elliptope(M, SolverConfig(max_sweeps=3, seed=seed))
+        assert starts == [("sdp-init", 0)] and values == []
         ref = float(np.einsum("ij,ik,jk->", M.to_dense(), sol.factor, sol.factor))
         assert abs(sol.value - ref) <= 1e-9 * abs(sol.value)
         assert sol.certificate.gap > CERT_GAP * abs(sol.value)
         assert sol.certificate.gap == sol.certificate.upper_bound - sol.value
+        assert values == [sol.value]
 
 
 def test_a_solve_densifies_the_operator_once(monkeypatch):
-    # the in-loop check and the exact certificates of the three uncertified
-    # restarts share one dense copy of M
-    calls, restarts = [], _count_restarts(monkeypatch)
+    # the solve's in-loop check holds one dense copy of M; reading the
+    # certificate afterwards goes through certify_dual, which makes one more
+    calls, starts = [], _count_starts(monkeypatch)
     real = MatrixOperator.to_dense
 
     def counting(self):
@@ -457,15 +461,15 @@ def test_a_solve_densifies_the_operator_once(monkeypatch):
         p = ModelParams(n=n, a=5, b=2, rho=0.25, seed=3)
         M = centered_adjacency(sample_instance(p)[0], p.d)
         calls.clear()
-        restarts.clear()
-        sol = solve_elliptope(M, SolverConfig(restarts=3, max_sweeps=3))
-        assert len(restarts) == 3 and calls == [n]
+        starts.clear()
+        sol = solve_elliptope(M, SolverConfig(max_sweeps=3))
+        assert starts == [("sdp-init", 0)] and calls == [n]
         assert sol.certificate.gap > CERT_GAP * abs(sol.value)
+        assert calls == [n, n]
 
 
 def _count_rejections(monkeypatch):
-    """Calls that clear the mixing's memory: one per restart run, and one per
-    rejected candidate."""
+    """Calls that clear the mixing's memory, one per rejected candidate."""
     calls = []
     real = sdp._Mixing.reset
 
@@ -485,12 +489,12 @@ def test_rejected_candidates_fall_back_to_the_plain_step(monkeypatch):
     randoms = [_random_operator(rng, int(rng.integers(2, 61))) for _ in range(6)]
     cases = ((MatrixOperator.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]])), 1),
              (randoms[5], 7))
-    resets, restarts = _count_rejections(monkeypatch), _count_restarts(monkeypatch)
+    resets, starts = _count_rejections(monkeypatch), _count_starts(monkeypatch)
     for M, seed in cases:
         resets.clear()
-        restarts.clear()
+        starts.clear()
         sol = solve_elliptope(M, SolverConfig(seed=seed))
-        assert len(resets) > len(restarts)
+        assert resets and starts == [("sdp-init", 0)]
         assert np.allclose(np.linalg.norm(sol.factor, axis=1), 1.0, rtol=0, atol=1e-12)
         assert not _drops(sol.objective_history).any()
         assert sol.objective_history[-1] == sol.value
@@ -525,7 +529,7 @@ def test_dense_certificate_is_exact_on_small_operators():
     rng = np.random.default_rng(2024)
     for trial in range(300):
         M = _random_operator(rng, int(rng.integers(1, 13)))
-        sol = solve_elliptope(M, SolverConfig(restarts=1, seed=trial))
+        sol = solve_elliptope(M, SolverConfig(seed=trial))
         cert = sol.certificate
         dense = _dense_by_products(M)
         scale = max(1.0, float(np.abs(dense).sum()))
@@ -541,7 +545,7 @@ def test_lanczos_certificate_agrees_with_dense(monkeypatch):
     rng = np.random.default_rng(7)
     ops = list(_detection_operators())
     ops += [_random_operator(rng, int(rng.integers(2, 61))) for _ in range(60)]
-    sols = [solve_elliptope(M, SolverConfig(restarts=1, seed=i)) for i, M in enumerate(ops)]
+    sols = [solve_elliptope(M, SolverConfig(seed=i)) for i, M in enumerate(ops)]
     denses = [sol.certificate for sol in sols]  # read before the cutoff moves
     monkeypatch.setattr(sdp, "DENSE_CERT_MAX", 0)
     for M, sol, dense in zip(ops, sols, denses):
@@ -551,6 +555,21 @@ def test_lanczos_certificate_agrees_with_dense(monkeypatch):
         assert lanczos.upper_bound >= sol.value - 1e-9 * max(1.0, abs(sol.value))
 
 
+def test_lanczos_certificate_bounds_lambda_min_from_below(monkeypatch):
+    # above DENSE_CERT_MAX lambda_min is ARPACK's Ritz value theta less its
+    # residual; at a tolerance this loose theta lies measurably above the
+    # lowest eigenvalue, and only the residual keeps the bound below it
+    ops = _detection_operators()
+    sols = [solve_elliptope(M, SolverConfig(seed=i)) for i, M in enumerate(ops)]
+    monkeypatch.setattr(sdp, "DENSE_CERT_MAX", 0)
+    monkeypatch.setattr(sdp, "LANCZOS_TOL", 1e-2)
+    for M, sol in zip(ops, sols):
+        cert = certify_dual(M, sol)
+        exact = float(np.linalg.eigvalsh(np.diag(cert.y) - _dense_by_products(M))[0])
+        assert cert.power_converged
+        assert cert.lambda_min <= exact
+
+
 def test_unconverged_lanczos_still_bounds_lambda_min(monkeypatch):
     # when ARPACK gives up, theta - res of a stale Ritz vector (or of the
     # start) need not bound the lowest eigenvalue; the bound falls back to
@@ -558,7 +577,7 @@ def test_unconverged_lanczos_still_bounds_lambda_min(monkeypatch):
     import scipy.sparse.linalg
 
     ops = _detection_operators()
-    sols = [solve_elliptope(M, SolverConfig(restarts=1, seed=0)) for M in ops]
+    sols = [solve_elliptope(M, SolverConfig(seed=0)) for M in ops]
     denses = [sol.certificate for sol in sols]  # read before the cutoff moves
     monkeypatch.setattr(sdp, "DENSE_CERT_MAX", 0)
     for M, sol, dense in zip(ops, sols, denses):
@@ -634,8 +653,8 @@ def _solve_all(ops, cfg, checks):
 
 
 def test_certified_stop_is_within_target(monkeypatch):
-    # every solve that stops on the in-loop check is certified by its first
-    # restart, exactly within the target; the two detection operators and
+    # every solve that stops on the in-loop check is certified exactly
+    # within the target; the two detection operators and
     # most random ones stop that way
     rng = np.random.default_rng(7)
     ops = list(_detection_operators())
@@ -644,7 +663,7 @@ def test_certified_stop_is_within_target(monkeypatch):
     assert stopped[:2] == [True, True] and sum(stopped) >= 50
     for sol, checked in zip(sols, stopped):
         if checked:
-            assert sol.converged and sol.best_of == 0
+            assert sol.converged
             assert sol.certificate.power_converged
             assert sol.certificate.gap <= CERT_GAP * max(1.0, abs(sol.value))
 
@@ -671,7 +690,7 @@ def test_import_leaves_heavy_scipy_modules_unloaded():
     code = ("import sys, ssbm\n"
             "p = ssbm.ModelParams(n=40, a=8, b=2, rho=0.25, seed=1)\n"
             "g, rev = ssbm.sample_instance(p)\n"
-            "cfg = ssbm.SolverConfig(restarts=1)\n"
+            "cfg = ssbm.SolverConfig()\n"
             "M = ssbm.centered_adjacency(g, p.d)\n"
             "ssbm.solve_elliptope(M, cfg)\n"
             "ssbm.solve_csdp(M, rev, cfg)\n"
@@ -715,7 +734,7 @@ def test_census_sweep_loads_neither_scipy_nor_a_process_pool(tmp_path, t):
             "             or m == 'concurrent.futures.process'))\n"
             "p = ssbm.ModelParams(n=40, a=8, b=2, seed=1)\n"
             "g, rev = ssbm.sample_instance(p)\n"
-            "ssbm.solve_elliptope(ssbm.centered_adjacency(g, p.d), ssbm.SolverConfig(restarts=1))\n"
+            "ssbm.solve_elliptope(ssbm.centered_adjacency(g, p.d), ssbm.SolverConfig())\n"
             "print('scipy.sparse' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
                          text=True, check=True,
@@ -762,7 +781,7 @@ def test_rounding_recovers_plant_in_easy_regime():
     overlaps = []
     for s in range(6):
         g, _ = sample_instance(ModelParams(n=1000, a=12, b=5, seed=s))
-        sol = solve_elliptope(centered_adjacency(g, 8.5), SolverConfig(restarts=1, seed=s))
+        sol = solve_elliptope(centered_adjacency(g, 8.5), SolverConfig(seed=s))
         est = round_leading_eigvec(sol)
         overlaps.append(abs(int(est.astype(int) @ g.labels.values.astype(int))) / 1000)
     assert float(np.mean(overlaps)) > 0.5
@@ -815,7 +834,7 @@ def test_grothendieck_random_sign_matrices():
     for trial in range(15):
         M = rng.choice([-1.0, 1.0], size=(10, 10))
         M = np.triu(M) + np.triu(M, 1).T
-        rep = grothendieck_check(M, SolverConfig(restarts=2, seed=trial))
+        rep = grothendieck_check(M, SolverConfig(seed=trial))
         assert rep.passed
         assert rep.ratio <= GROTHENDIECK_BOUND + 1e-9
 
