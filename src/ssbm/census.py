@@ -17,6 +17,7 @@ predictions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,7 +94,6 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> n
     """
     _check_depth(t)
     rows = _indices(rows, "rows")
-    # a pair (v, x) is the key _pack(v, x << 1), so keys sort by (v, x)
     if t > 1:
         _check_size(g.n, "the vertex count")
     votes = np.asarray(votes)
@@ -102,16 +102,23 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> n
     if rows.size and (rows.min() < 0 or rows.max() >= g.n):
         raise ValueError(f"row out of range [0, {g.n})")
     # float64 once, the weights' type for every bincount below
-    votes = _ternary(votes, "votes").astype(np.float64)
+    return _tally(g, _ternary(votes, "votes").astype(np.float64), t, rows).astype(np.int64)
+
+
+def _tally(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> np.ndarray:
+    """:func:`margins_at_depth`'s tallies, as float64, with nothing checked:
+    ``votes`` are float64 in {+1, 0, -1} of length n, ``rows`` are integers
+    in [0, n), t is an integer >= 1 and, above 1, n is at most 2**31."""
     if t == 1:
         # A @ votes, one bincount per orientation: j adds to i and i to j
         tally = np.bincount(g.ei, weights=votes[g.ej], minlength=g.n)
         tally += np.bincount(g.ej, weights=votes[g.ei], minlength=g.n)
-        return tally[rows].astype(np.int64)
+        return tally[rows]
     isrow = np.zeros(g.n, dtype=bool)
     isrow[rows] = True
-    # the pair key _pack(v, x << 1) of every edge (v, x), built in place, one
-    # array per orientation: (ei, ej) and (ej, ei)
+    # a pair (v, x) is the key _pack(v, x << 1), so keys sort by (v, x): the
+    # key of every edge (v, x), built in place, one array per orientation:
+    # (ei, ej) and (ej, ei)
     fwd, bwd = g.ei << 32, g.ej << 32
     fwd |= g.ej << 1
     bwd |= g.ei << 1
@@ -148,7 +155,7 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> n
             # float sums of +-1 and 0, exact below 2**53
             part = np.bincount(nxt >> 32, weights=votes[_far_end(nxt)])
             tally[:part.size] += part
-    return tally[rows].astype(np.int64)
+    return tally[rows]
 
 
 # the most keys (2 MB) that one level of the t >= 2 census sorts, unless its
@@ -219,20 +226,36 @@ def census_estimate(g: Graph, rev: RevealedLabels, t: int = 1, seed: int = 0) ->
     """Estimate every unrevealed label, ``rev.unrevealed_set``, by its
     depth-t census.
 
-    Ties (zero margin) get the fair coin ``coin(seed, "census-tie", v)`` keyed
-    by the vertex index, so no vertex's coin perturbs another's; :func:`coins`
-    draws them all in one array operation.  Revealed labels are copied through;
-    overlap is computed on the unrevealed vertices only.  ValueError when the
-    reveal's length differs from the graph's, when every vertex is revealed
-    (m = n), on a depth that :func:`margins_at_depth` refuses, or on a seed
-    that :func:`_vote_report` refuses.
+    The tallies are :func:`margins_at_depth`'s, taken without its checks of
+    the votes and rows: a ``RevealedLabels`` already holds them ternary, of
+    length n and in range, so the reveal is not re-checked.  Ties (zero
+    margin) get the fair coin ``coin(seed, "census-tie", v)`` keyed by the
+    vertex index, so no vertex's coin perturbs another's; :func:`_vote_report`
+    reads them from one array per (seed, purpose, n).  Revealed labels are
+    copied through; overlap is computed on the unrevealed vertices only.
+    ValueError when the reveal's length differs from the graph's, when every
+    vertex is revealed (m = n), on a depth that :func:`margins_at_depth`
+    refuses, or on a seed that :func:`_vote_report` refuses.
     """
     if rev.n != g.n:
         raise ValueError(f"reveal length {rev.n} does not match the graph's {g.n} vertices")
     if rev.m == rev.n:
         raise ValueError(_ALL_REVEALED)
-    margins = margins_at_depth(g, rev.values, t, rev.unrevealed_set)
+    _check_depth(t)
+    if t > 1:
+        _check_size(g.n, "the vertex count")
+    margins = _tally(g, rev.values.astype(np.float64), t, rev.unrevealed_set)
     return _vote_report(margins, rev, g.labels, seed, "census-tie")
+
+
+@functools.lru_cache(maxsize=2)
+def _coin_table(seed: int, purpose: str, n: int) -> np.ndarray:
+    """``coins(seed, purpose, v)`` at index v, for every vertex v < n, read-only.
+    Two are kept: each rho cell of a census group reads its group's one seed,
+    and a detection cell alternates its planted and null draws' seeds."""
+    table = coins(seed, purpose, np.arange(n))
+    table.flags.writeable = False
+    return table
 
 
 def _vote_report(scores: np.ndarray, rev: RevealedLabels, labels: Labels, seed: int,
@@ -241,15 +264,19 @@ def _vote_report(scores: np.ndarray, rev: RevealedLabels, labels: Labels, seed: 
     vertex v = ``rev.unrevealed_set[k]``, which gets the sign of
     ``scores[k]``, or the fair coin ``coin(seed, purpose, v)`` when that is
     zero; revealed labels are copied through, and the overlap is taken on
-    the unrevealed vertices.  ValueError on a seed outside [0, 2**64), which
-    the coins would fold onto another."""
+    the unrevealed vertices.  The coins are computed once per (seed,
+    purpose, n), for every vertex, and read by vertex, only when a score
+    ties.  ValueError on a seed outside [0, 2**64), which the coins would
+    fold onto another."""
     _check_seed(seed)
     signs = np.sign(scores).astype(np.int8)
     tied = signs == 0
-    signs[tied] = coins(seed, purpose, rev.unrevealed_set[tied])
+    ties = int(np.count_nonzero(tied))
+    if ties:
+        signs[tied] = _coin_table(seed, purpose, rev.n)[rev.unrevealed_set[tied]]
     estimates = rev.values.copy()
     estimates[rev.unrevealed_set] = signs
-    return EstimateReport(estimates=estimates, ties_broken=int(np.count_nonzero(tied)),
+    return EstimateReport(estimates=estimates, ties_broken=ties,
                           overlap=overlap(estimates, labels, rev))
 
 

@@ -73,14 +73,13 @@ def aggregate(M: MatrixOperator, rev: RevealedLabels) -> AggregatedOperator:
     and the unrevealed vertices, ``rev.unrevealed_set`` in its sorted order,
     to indices 1..n-m.  So the reduction is exact entrywise, and a rank-one
     part c u u^T maps to c v v^T with v = (sum_{i in R} x_i u_i, u
-    restricted to unrevealed vertices).  Requires a balanced reveal (sum of
-    revealed labels zero); that is what cancels the all-ones rank-one part
-    out of the margin row for centered adjacency input.
+    restricted to unrevealed vertices).  The reveal is balanced (sum of
+    revealed labels zero), which ``RevealedLabels`` guarantees; that is what
+    cancels the all-ones rank-one part out of the margin row for centered
+    adjacency input.
     """
     if M.dim != rev.n:
         raise ValueError("operator and reveal dimensions differ")
-    if int(rev.values.sum(dtype=np.int64)) != 0:
-        raise ValueError("aggregation requires a balanced reveal")
     unrev = rev.unrevealed_set
     col = np.zeros(M.dim, dtype=np.int64)
     col[unrev] = 1 + np.arange(unrev.size)

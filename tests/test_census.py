@@ -19,7 +19,7 @@ from ssbm import census
 from ssbm.census import margins_at_depth
 from ssbm.model import _pack, _unpack
 from ssbm.cli import main
-from ssbm.rng import coin
+from ssbm.rng import coin, coins
 
 from oracles import (binomial_difference_stats, binomial_gap_oracle, binomial_pmf,
                      census_success_bound, delta_gap, vote_accuracy_exact)
@@ -388,6 +388,44 @@ def test_census_ties_match_scalar_coin_loop():
             assert ties > 0
             assert report.ties_broken == ties
             assert np.array_equal(report.estimates, expected)
+
+
+def test_census_estimate_equals_the_public_composition():
+    # census_estimate tallies without margins_at_depth's checks of the reveal
+    # and reads its coins from a cached table: on graphs with ties at every
+    # depth it must equal the checked margins fed to the vote rule
+    cases = [(_graph_from_edges(6, [], [1, 1, 1, -1, -1, -1]), _reveal([1, 0, 0, 0, 0, -1]))]
+    for seed, rho in ((2, 0.2), (5, 0.5)):
+        cases.append(sample_instance(ModelParams(n=60, a=3, b=1, rho=rho, seed=seed)))
+    for g, rev in cases:
+        for t in (1, 2, 3):
+            for seed in (0, (1 << 64) - 1):
+                got = census_estimate(g, rev, t=t, seed=seed)
+                want = census._vote_report(margins_at_depth(g, rev.values, t, rev.unrevealed_set),
+                                           rev, g.labels, seed, "census-tie")
+                assert got.ties_broken > 0
+                assert (got.ties_broken, got.overlap) == (want.ties_broken, want.overlap)
+                assert np.array_equal(got.estimates, want.estimates)
+
+
+def test_tie_coin_table_is_read_only_and_equals_the_coins(monkeypatch):
+    for seed, purpose, n in ((0, "census-tie", 1), (17, "census-tie", 3000),
+                             ((1 << 64) - 1, "csdp-tie", 200)):
+        table = census._coin_table(seed, purpose, n)
+        assert table.dtype == np.int8 and table.shape == (n,)
+        assert np.array_equal(table, coins(seed, purpose, np.arange(n)))
+        assert table.tolist()[:50] == [coin(seed, purpose, v) for v in range(min(n, 50))]
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+    # a refused seed raises before any coin is computed, cached or not
+    drawn = []
+    monkeypatch.setattr(census, "coins", lambda *args: drawn.append(args))
+    census._coin_table.cache_clear()
+    g = _graph_from_edges(6, [], [1, 1, 1, -1, -1, -1])
+    for seed in (-1, 1 << 64, 1.5, True):
+        with pytest.raises(ValueError, match="seed must be"):
+            census_estimate(g, _reveal([1, 0, 0, 0, 0, -1]), t=1, seed=seed)
+    assert drawn == [] and census._coin_table.cache_info().currsize == 0
 
 
 def test_delta_gap_values():

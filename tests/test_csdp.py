@@ -65,21 +65,6 @@ def test_aggregate_fully_revealed_is_scalar():
     assert abs(sol.value - expected) < 1e-12
 
 
-def test_aggregate_rejects_unbalanced_reveal():
-    # the type itself refuses unbalanced vectors; aggregate double-checks a
-    # hand-built bypass
-    values = np.array([1, 1, 0, 0], dtype=np.int8)
-    with pytest.raises(ValueError):
-        _reveal(values)
-    bad = object.__new__(RevealedLabels)
-    object.__setattr__(bad, "values", values)
-    object.__setattr__(bad, "revealed_set", np.array([0, 1]))
-    # refused by the balance check, before aggregate reads the unrevealed set
-    # that the bypass never derived
-    with pytest.raises(ValueError, match="requires a balanced reveal"):
-        aggregate(MatrixOperator(4, [0], [1], [1.0]), bad)
-
-
 def test_aggregate_matches_dense_reference_with_rank_one():
     # centered adjacency: the all-ones rank-one part must cancel in row 0 and
     # survive on the interior block
@@ -321,6 +306,43 @@ def test_sandwich_check_refuses_a_solution_it_cannot_audit():
                   _empty_reveal(40)):
         with pytest.raises(ValueError, match="does not fit the reveal"):
             sandwich_check(sdp, solve_csdp(M, other, cfg), rev, p.d, cfg)
+
+
+def _audited_instance():
+    """A planted instance with a reveal, the centered adjacency M and the
+    SDP of M, which the two breach tests audit against."""
+    p = ModelParams(n=80, a=9, b=2, rho=0.3, seed=4)
+    g, rev = sample_instance(p)
+    cfg = SolverConfig(seed=0)
+    M = centered_adjacency(g, p.d)
+    return p, rev, cfg, M, solve_elliptope(M, cfg)
+
+
+def test_sandwich_holds_fails_when_the_csdp_exceeds_the_sdp():
+    # the CSDP of 2M sits about SDP(M) above the SDP of M, far outside any
+    # solver slack, while its lower side still holds: only CSDP <= SDP breaks
+    p, rev, cfg, M, sdp = _audited_instance()
+    twice = MatrixOperator(M.dim, M.rows, M.cols, 2 * M.weights,
+                           rank1=(M.rank1[0], 2 * M.rank1[1]))
+    rep = sandwich_check(sdp, solve_csdp(twice, rev, cfg), rev, p.d, cfg)
+    assert rep.mid - rep.upper > 0.5 * rep.upper > 0
+    assert rep.lower <= rep.mid
+    assert not rep.holds
+
+
+def test_sandwich_submatrix_bound_fails_when_margin00_carries_the_breach():
+    # the CSDP of c x_R x_R^T, supported on the revealed block: its value is
+    # its margin00 = c m^2, so CSDP - margin00 = 0 lies SDP(M's unrevealed
+    # block) below the bound, while CSDP alone is far above it
+    p, rev, cfg, M, sdp = _audited_instance()
+    c = 10.0
+    revealed_block = MatrixOperator(M.dim, [], [], [], rank1=(rev.values, c))
+    csol = solve_csdp(revealed_block, rev, cfg)
+    rep = sandwich_check(sdp, csol, rev, p.d, cfg)
+    assert rep.margin00 == c * rev.m ** 2
+    assert abs(rep.mid - rep.margin00) <= 1e-9 * rep.margin00
+    assert rep.mid > 2 * rep.lower > 0
+    assert not rep.submatrix_ok
 
 
 def test_csdp_value_per_vertex_reaches_half_gap_at_scale():
