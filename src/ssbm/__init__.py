@@ -15,8 +15,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .census import (EstimateReport, census_estimate, overlap_lower_curve,
-                     predict_accuracy_erf)
+from .census import EstimateReport, census_estimate, predict_accuracy_erf
 from .csdp import (AggregatedOperator, CsdpSolution, SandwichReport, TestOutcome,
                    aggregate, detection_test, estimate_unrevealed,
                    sandwich_check, solve_csdp)
@@ -35,8 +34,7 @@ __all__ = [
     "NumericError", "ResultRecord", "RevealedLabels", "SandwichReport",
     "SdpSolution", "SolverConfig", "TestOutcome", "aggregate",
     "best_threshold_accuracy", "census_estimate", "centered_adjacency",
-    "certify_dual", "detection_test", "estimate_unrevealed",
-    "overlap_lower_curve", "predict_accuracy_erf",
+    "certify_dual", "detection_test", "estimate_unrevealed", "predict_accuracy_erf",
     "round_leading_eigvec", "run_sweep", "sample_instance", "sandwich_check",
     "snr", "solve_csdp", "solve_elliptope", "summarize", "write_instance",
 ]

@@ -11,8 +11,8 @@ each middle level of t >= 3 is one sort of packed int64 keys over the
 neighbour lists; and the last level joins the edges into a voter (a
 revealed vertex).  Both lists are built here from the edge list.  A level
 that would pass a fixed key budget is cut in two by rows, on the sizes it
-would build.  Alongside the estimator live its closed-form accuracy
-predictions.
+would build.  Alongside the estimator lives its closed-form accuracy
+prediction, the erf formula.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (_LOW, Graph, Labels, RevealedLabels, _check_rho, _check_seed, _check_size,
-                    _indices, _pack, _require_int, _store, _ternary, snr)
+from .model import (_LOW, Graph, Labels, RevealedLabels, _check_rho, _check_seed, _indices,
+                    _pack, _require_int, _store, _ternary, snr)
 from .rng import coins
 
 
@@ -94,8 +94,6 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> n
     """
     _check_depth(t)
     rows = _indices(rows, "rows")
-    if t > 1:
-        _check_size(g.n, "the vertex count")
     votes = np.asarray(votes)
     if votes.shape != (g.n,):
         raise ValueError(f"votes must be a vector of length {g.n}, got shape {votes.shape}")
@@ -108,7 +106,7 @@ def margins_at_depth(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> n
 def _tally(g: Graph, votes: np.ndarray, t: int, rows: np.ndarray) -> np.ndarray:
     """:func:`margins_at_depth`'s tallies, as float64, with nothing checked:
     ``votes`` are float64 in {+1, 0, -1} of length n, ``rows`` are integers
-    in [0, n), t is an integer >= 1 and, above 1, n is at most 2**31."""
+    in [0, n) and t is an integer >= 1 (n is at most 2**31, as in every Graph)."""
     if t == 1:
         # A @ votes, one bincount per orientation: j adds to i and i to j
         tally = np.bincount(g.ei, weights=votes[g.ej], minlength=g.n)
@@ -242,8 +240,6 @@ def census_estimate(g: Graph, rev: RevealedLabels, t: int = 1, seed: int = 0) ->
     if rev.m == rev.n:
         raise ValueError(_ALL_REVEALED)
     _check_depth(t)
-    if t > 1:
-        _check_size(g.n, "the vertex count")
     margins = _tally(g, rev.values.astype(np.float64), t, rev.unrevealed_set)
     return _vote_report(margins, rev, g.labels, seed, "census-tie")
 
@@ -293,13 +289,3 @@ def predict_accuracy_erf(a: float, b: float, rho: float, t: int = 1) -> float:
     except OverflowError:
         return 1.0
 
-
-def overlap_lower_curve(a: float, b: float, rho: float) -> float:
-    """The paper's asymptotic overlap curve (2/3) sqrt(rho SNR) at t = 1, not
-    a bound at finite degree: at n = 3000, (a, b) = (5, 2), rho = 0.2 the
-    t = 1 census's mean overlap is 0.2220, 37 standard errors below the
-    curve's 0.2390, and past rho SNR = 9/4 the curve exceeds 1."""
-    _check_rho(rho)
-    if rho == 0.0:
-        return 0.0
-    return (2.0 / 3.0) * math.sqrt(rho * snr(a, b))

@@ -59,9 +59,9 @@ def _solve_row(args, values_of):
     row's instance of the planted parameters (of its matched null under
     ``--model erm``): the row's value columns and the solution behind them."""
     params = _params_from(args)
-    draw = _Draw(params.seed, null=args.model == "erm")
+    draw = _Draw(params.seed, _solver_from(args), params.d, null=args.model == "erm")
     _, rev = draw.instance(params)
-    return values_of(draw, rev, _solver_from(args), params)
+    return values_of(draw, rev, params)
 
 
 def _solution_payload(sol) -> dict:

@@ -29,7 +29,7 @@ from .census import _ALL_REVEALED, _check_depth, census_estimate, overlap, predi
 from .csdp import (CsdpSolution, detection_test, estimate_unrevealed, sandwich_check,
                    solve_csdp)
 from .model import (ModelParams, _check_seed, _require_int, _require_real, centered_adjacency,
-                    require_ints, sample_instance, sample_reveal, snr)
+                    sample_instance, sample_reveal, snr)
 from .rng import derive_key
 from .sdp import SolverConfig, round_leading_eigvec, solve_elliptope
 
@@ -147,7 +147,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in SWEEP_KINDS:
             raise ValueError(f"unknown sweep kind {self.kind!r}")
-        require_ints(self, ("reps", "workers"), 1)
+        _require_int(self.reps, "reps", 1)
+        _require_int(self.workers, "workers", 1)
         if not isinstance(self.out_dir, (str, os.PathLike)):
             raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
         if not isinstance(self.solver, SolverConfig):
@@ -217,15 +218,14 @@ class _Draw:
     """One instance seed of a (group, rep), shared by the group's cells: its
     graph is drawn at the first cell that draws, through
     :func:`sample_instance`, and every later cell draws only its reveal;
-    its centred operator is built once, and its SDP solved and rounded
-    once, for every solver kind, and the sdp and csdp rows of every cell
-    read that one solve.  The null's draw samples ``ModelParams.null``."""
+    its centred operator at the average degree ``d`` is built once, and its
+    SDP solved and rounded once under ``solver`` seeded for this draw, and
+    the sdp and csdp rows of every cell read that one solve.  The null's
+    draw samples ``ModelParams.null``."""
 
-    def __init__(self, seed: int, null: bool = False):
-        self.seed, self.null = seed, null
-        self.graph = None
-        self._M = None
-        self._sdp = None
+    def __init__(self, seed: int, solver: SolverConfig, d: float, null: bool = False):
+        self.seed, self.solver, self.d, self.null = seed, solver.for_instance(seed), d, null
+        self.graph = self._M = self._sdp = None
 
     def instance(self, p: ModelParams):
         """``sample_instance`` of the cell ``p``, whose seed is this draw's
@@ -237,18 +237,18 @@ class _Draw:
             return self.graph, rev
         return self.graph, sample_reveal(p, self.graph.labels)
 
-    def operator(self, d: float):
-        """The drawn graph's centred adjacency at average degree ``d``, built at the first call."""
+    def operator(self):
+        """The drawn graph's centred adjacency, built at the first call."""
         if self._M is None:
-            self._M = centered_adjacency(self.graph, d)
+            self._M = centered_adjacency(self.graph, self.d)
         return self._M
 
-    def sdp(self, solver: SolverConfig, d: float):
-        """(solution, rounding, ms) of the SDP of the drawn graph at average
-        degree ``d``, solved at the first call; M is the solution's ``operator``."""
+    def sdp(self):
+        """(solution, rounding, ms) of the SDP of the drawn graph, solved at
+        the first call; M is the solution's ``operator``."""
         if self._sdp is None:
             t0 = time.perf_counter()
-            sol = solve_elliptope(self.operator(d), solver.for_instance(self.seed))
+            sol = solve_elliptope(self.operator(), self.solver)
             self._sdp = sol, round_leading_eigvec(sol), (time.perf_counter() - t0) * 1e3
         return self._sdp
 
@@ -266,11 +266,12 @@ def _group_task(cfg: ExperimentConfig, ci0: int, cells, rep: int) -> list:
     rho = 1) is one 'error' row, and the group's other cells go on.
     """
     seed = derive_key(cfg.seed, "sweep", ci0, rep)
-    draws = [_Draw(seed)]
+    p0 = ModelParams(*cells[0])
+    draws = [_Draw(seed, cfg.solver, p0.d)]
     if cfg.kind == "detection-boxes":
-        draws.append(_Draw(derive_key(cfg.seed, "sweep", ci0, rep, "erm"), null=True))
-    n, a, b, _ = cells[0]
-    group = dict(seed=seed, rep=rep, n=n, a=a, b=b, snr=snr(a, b), truth_model="sbm")
+        erm = derive_key(cfg.seed, "sweep", ci0, rep, "erm")
+        draws.append(_Draw(erm, cfg.solver, p0.d, null=True))
+    group = dict(seed=seed, rep=rep, n=p0.n, a=p0.a, b=p0.b, snr=snr(p0.a, p0.b), truth_model="sbm")
     out = []
     for ci, cell in enumerate(cells, ci0):
         base = {**group, "rho": cell[3]}
@@ -307,35 +308,34 @@ def _cell_rows(cfg: ExperimentConfig, ci: int, rep: int, p: ModelParams, base: d
     for draw in draws:
         row = {**base, "seed": draw.seed, "truth_model": "erm"} if draw.null else base
         _, rev = draw.instance(p)
-        values, sol = _sdp_values(draw, rev, cfg.solver, p)
-        records.append(ResultRecord(**row, algorithm="sdp", **values,
-                                    runtime_ms=draw.sdp(cfg.solver, p.d)[2]))
+        values, sol = _sdp_values(draw, rev, p)
+        records.append(ResultRecord(**row, algorithm="sdp", **values, runtime_ms=draw.sdp()[2]))
         t0 = time.perf_counter()
-        values, csol = _csdp_values(draw, rev, cfg.solver, p)
+        values, csol = _csdp_values(draw, rev, p)
         records.append(_row(row, t0, algorithm="csdp", **values))
     if cfg.kind != "sandwich-audit":
         return records, None
-    report = sandwich_check(sol, csol, rev, p.d, cfg.solver.for_instance(p.seed))
+    report = sandwich_check(sol, csol, rev, p.d, draws[0].solver)
     return records, {"type": "sandwich", "cell": ci, "rep": rep, **dataclasses.asdict(report)}
 
 
-def _sdp_values(draw: _Draw, rev, solver: SolverConfig, p: ModelParams):
+def _sdp_values(draw: _Draw, rev, p: ModelParams):
     """The value columns of the sdp row of ``draw``'s graph under the reveal
     ``rev`` of the cell ``p``, and the SdpSolution behind them."""
-    sol, est, _ = draw.sdp(solver, p.d)
+    sol, est, _ = draw.sdp()
     return dict(overlap_unrevealed=overlap(est, draw.graph.labels, rev), sdp_value=sol.value), sol
 
 
-def _csdp_values(draw: _Draw, rev, solver: SolverConfig, p: ModelParams):
+def _csdp_values(draw: _Draw, rev, p: ModelParams):
     """The value columns of the csdp row of ``draw``'s graph under the reveal
     ``rev`` of the cell ``p``, and the CsdpSolution behind them, which
     :func:`estimate_unrevealed` scores.  With nothing revealed it is the
     draw's own SDP solve, for solve_csdp would repeat it bit for bit, and the
     margin is empty.  The test decision is empty unless a > b."""
     if rev.m:
-        csol = solve_csdp(draw.operator(p.d), rev, solver.for_instance(draw.seed))
+        csol = solve_csdp(draw.operator(), rev, draw.solver)
     else:
-        csol = CsdpSolution(inner=draw.sdp(solver, p.d)[0], aggregated=None)
+        csol = CsdpSolution(inner=draw.sdp()[0], aggregated=None)
     report = estimate_unrevealed(csol, rev, draw.graph.labels, seed=draw.seed)
     decision = detection_test(csol.value, p.n, p.a, p.b).decision if p.a > p.b else None
     return dict(overlap_unrevealed=report.overlap, csdp_value=csol.value,

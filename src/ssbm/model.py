@@ -10,11 +10,13 @@ knows how an operator is stored, and a graph is its sorted edge list and
 nothing else, which the census reads as it stands.  The one CSR matrix,
 ``MatrixOperator.offdiag``, imports ``scipy.sparse`` when it is first built,
 and ``MatrixOperator.offdiag_product`` is the one product with it.
-The input rules live here too, each written once: integers with an optional
-floor for counts, real numbers and arrays of them (``_floats``, on an
-operator's weights, u and dense matrix), seeds, votes in {+1, 0, -1} (``_ternary``, on a
-reveal, the census's votes or labels), the key width of packed index pairs
-(``_check_size``, on a vertex count or a dimension), reveal ratios and rates.
+The input rules live here too, each written once, as one function each:
+integers with an optional floor for counts (``_require_int``, on every count
+and size field), real numbers (``_require_real``) and arrays of them
+(``_floats``, on an operator's weights, u and dense matrix), seeds, votes in
+{+1, 0, -1} (``_ternary``, on a reveal, the census's votes or labels), the
+key width of packed index pairs (``_check_size``, on a vertex count or a
+dimension, and so on every key the census packs), reveal ratios and rates.
 """
 
 from __future__ import annotations
@@ -115,13 +117,6 @@ def _require_real(value, name: str) -> None:
         raise ValueError(f"{name} must be a number, got {value!r}")
 
 
-def require_ints(obj, names, floor: int | None = None) -> None:
-    """:func:`_require_int` on every named field of ``obj``, each held to
-    ``floor`` when one is given."""
-    for name in names:
-        _require_int(getattr(obj, name), name, floor)
-
-
 def _check_seed(seed) -> None:
     """Raise ValueError unless ``seed`` is an integer in [0, 2**64), the one
     rule for every seed a parameter set or config holds; outside that range
@@ -177,7 +172,7 @@ class ModelParams:
     seed: int = 0
 
     def __post_init__(self):
-        require_ints(self, ("n",))
+        _require_int(self.n, "n")
         _check_seed(self.seed)
         if self.n <= 0 or self.n % 2:
             raise ValueError(f"n must be a positive even integer, got {self.n}")
@@ -249,7 +244,7 @@ class Graph:
     labels: Labels
 
     def __post_init__(self):
-        require_ints(self, ("n",))
+        _require_int(self.n, "n")
         _check_size(self.n, "vertex count")
         ei, ej = _indices(self.ei, "edge endpoints"), _indices(self.ej, "edge endpoints")
         if ei.ndim != 1 or ei.shape != ej.shape:
@@ -336,7 +331,7 @@ class MatrixOperator:
     diag_shift: ClassVar[float] = 0.0
 
     def __post_init__(self):
-        require_ints(self, ("dim",))
+        _require_int(self.dim, "dim")
         if self.dim < 0:
             raise ValueError("dimension must be nonnegative")
         _check_size(self.dim, "dimension")

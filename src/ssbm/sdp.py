@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import MatrixOperator, _check_seed, _require_real, require_ints
+from .model import MatrixOperator, _check_seed, _require_int, _require_real
 from .rng import derive_key, stream
 
 
@@ -69,9 +69,9 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_ints(self, ("max_sweeps",), 1)
+        _require_int(self.max_sweeps, "max_sweeps", 1)
         if self.rank is not None:
-            require_ints(self, ("rank",), 2)
+            _require_int(self.rank, "rank", 2)
         _check_seed(self.seed)
         _require_real(self.tol, "tol")
         object.__setattr__(self, "tol", float(self.tol))

@@ -6,8 +6,8 @@ the estimators rely on.
 
 - Binomial gap: the closed-form constant (a - b) / (2 e^{a+b}) of
   :func:`delta_gap`, the exact gap P(X > Y) - P(X < Y) by a pmf convolution
-  (:func:`binomial_gap_oracle`), the exact accuracy of one signed vote and
-  the t = 1 census success bound.
+  (:func:`binomial_gap_oracle`), the exact accuracy of one signed vote, the
+  t = 1 census success bound and the paper's asymptotic overlap curve.
 - Cut norm: the infinity-to-one norm by enumeration (dim <= 20), the
   Grothendieck check SDP <= 1.783 ||M||_{inf->1}, and the concentration
   trial ||A - E A||_{inf->1} <= 6 (1 + d) n on Erdos-Renyi graphs.
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ssbm import MatrixOperator, SolverConfig, solve_elliptope
+from ssbm import MatrixOperator, SolverConfig, snr, solve_elliptope
 from ssbm.rng import stream
 
 # ------------------------------------------------------------ binomial gap --
@@ -116,6 +116,14 @@ def census_success_bound(a: float, b: float, rho: float, n: int) -> tuple[float,
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
     delta = delta_gap(rho * a, rho * b)
     return delta / 2.0, 1.0 - math.exp(-(delta ** 2) * (1.0 - rho) * n / 8.0)
+
+
+def overlap_lower_curve(a: float, b: float, rho: float) -> float:
+    """The paper's asymptotic overlap curve (2/3) sqrt(rho SNR) at t = 1, not
+    a bound at finite degree: at n = 3000, (a, b) = (5, 2), rho = 0.2 the
+    t = 1 census's mean overlap is 0.2220, 37 standard errors below the
+    curve's 0.2390, and past rho SNR = 9/4 the curve exceeds 1."""
+    return (2.0 / 3.0) * math.sqrt(rho * snr(a, b))
 
 
 # ---------------------------------------------------------------- cut norm --

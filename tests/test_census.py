@@ -14,7 +14,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from ssbm import (Graph, Labels, ModelParams, RevealedLabels, census_estimate,
-                  overlap_lower_curve, predict_accuracy_erf, sample_instance)
+                  predict_accuracy_erf, sample_instance)
 from ssbm import census
 from ssbm.census import margins_at_depth
 from ssbm.model import _pack, _unpack
@@ -22,7 +22,8 @@ from ssbm.cli import main
 from ssbm.rng import coin, coins
 
 from oracles import (binomial_difference_stats, binomial_gap_oracle, binomial_pmf,
-                     census_success_bound, delta_gap, vote_accuracy_exact)
+                     census_success_bound, delta_gap, overlap_lower_curve,
+                     vote_accuracy_exact)
 
 
 def _graph_from_edges(n, edges, labels):
@@ -131,16 +132,6 @@ def test_margins_at_depth_over_rows_match_distances(data):
         want = _margins_by_distance(g, v, t)
         for r in (rows, shuffled):
             assert np.array_equal(margins_at_depth(g, v, t, r), want[r])
-
-
-def test_margins_at_depth_rejects_keys_wider_than_int64():
-    # above t = 1 a pair (row, vertex) of vertices packs into one int64 key,
-    # which needs vertices below 2**31; a stand-in graph reaches the guard
-    # without 2**32 labels in memory
-    class Huge:
-        n = (1 << 32) + 2
-    with pytest.raises(ValueError, match="int64 key"):
-        margins_at_depth(Huge(), np.zeros(4, dtype=np.int8), 2, np.arange(4))
 
 
 def test_census_key_holds_pairs_at_the_top_of_its_widths():

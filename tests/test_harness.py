@@ -624,6 +624,12 @@ def test_sandwich_audit_sweep(tmp_path):
         sdp_row, csdp_row = rows[2 * rep:2 * rep + 2]
         assert (e["upper"], e["mid"], e["margin00"]) == (
             sdp_row.sdp_value, csdp_row.csdp_value, csdp_row.margin00)
+        # and its lower program is the SDP of the unrevealed block of the
+        # rep's redrawn instance, solved under the solver settings of its seed
+        p = ModelParams(60, 6.0, 2.0, 0.3, seed=sdp_row.seed)
+        g, rev = sample_instance(p)
+        block = centered_adjacency(g, p.d).restrict(rev.unrevealed_set)
+        assert e["lower"] == solve_elliptope(block, SolverConfig().for_instance(p.seed)).value
 
 
 def test_sandwich_audit_writes_the_phase_grid_rows(tmp_path):

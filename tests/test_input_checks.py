@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from ssbm import (Graph, Labels, MatrixOperator, ModelParams, census_estimate,
-                  centered_adjacency, estimate_unrevealed, overlap_lower_curve,
-                  predict_accuracy_erf, sample_instance, snr, solve_csdp)
+                  centered_adjacency, estimate_unrevealed, predict_accuracy_erf,
+                  sample_instance, snr, solve_csdp)
 from ssbm.census import margins_at_depth
 from ssbm.cli import main
 from ssbm.harness import ExperimentConfig
@@ -105,7 +105,7 @@ def test_every_config_takes_seeds_in_0_to_2_64_only(tmp_path, capsys, sweep_conf
 
 
 def test_counts_are_held_to_their_floors():
-    # one rule, model.require_ints with a floor: "<name> must be >= <floor>"
+    # one rule, model._require_int with a floor: "<name> must be >= <floor>"
     for field, floor in (("reps", 1), ("workers", 1)):
         for value in (floor - 1, -1, np.int64(floor - 1)):
             with pytest.raises(ValueError, match=f"^{field} must be >= {floor}$"):
@@ -159,7 +159,6 @@ def test_numbers_are_checked_before_they_are_compared():
                         (lambda: ModelParams(n=200, a=5, b=None), "b must be a number"),
                         (lambda: ModelParams(n=200, a=5, b=2, rho="0.5"), "rho must be a number"),
                         (lambda: predict_accuracy_erf(5, 2, "0.5"), "rho must be a number"),
-                        (lambda: overlap_lower_curve(5, 2, "0.5"), "rho must be a number"),
                         (lambda: snr("5", 2), "a must be a number"),
                         (lambda: centered_adjacency(g, "2"), "average degree d must be a number")):
         with pytest.raises(ValueError, match=match):
