@@ -3,8 +3,9 @@
 Subcommands: generate, census, sdp, csdp, sweep.  Exit codes: 0 success,
 1 usage error, 2 numeric/solver failure (and a sweep with failed replications).
 ``--seed`` is the instance seed, and ``sdp`` and ``csdp`` compute their values
-by the functions a sweep's rows come from, so given a ``records.csv`` row's n,
-a, b, rho, seed and model a run prints that row.
+by the functions a sweep's rows come from, at the one solver setting every
+sweep solves at, so given a ``records.csv`` row's n, a, b, rho, seed and model
+a run prints that row.
 A sweep is described by its JSON config file alone, and every report goes to
 stdout.
 """
@@ -18,7 +19,7 @@ import sys
 from .census import census_estimate
 from .harness import ExperimentConfig, _csdp_values, _Draw, _sdp_values, run_sweep
 from .model import ModelParams, sample_instance, write_instance
-from .sdp import CERT_GAP, DENSE_CERT_MAX, STALL_WINDOW, NumericError, SolverConfig
+from .sdp import NumericError
 
 
 def _add_model_args(p):
@@ -27,27 +28,6 @@ def _add_model_args(p):
     p.add_argument("--b", type=float, required=True, help="cross-community rate")
     p.add_argument("--rho", type=float, default=0.0, help="reveal ratio in [0,1]")
     p.add_argument("--seed", type=int, default=0, help="instance seed, as a sweep row's")
-
-
-_SOLVER_FLAGS = ("rank", "tol", "max_sweeps")
-
-
-def _add_solver_args(p):
-    # a flag left out stays absent, so SolverConfig holds its default
-    p.add_argument("--rank", type=int, default=argparse.SUPPRESS,
-                   help="factor width (default: sqrt rule)")
-    p.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                   help=f"stop a solve when the objective moves by at most this "
-                        f"(relative) over {STALL_WINDOW} steps; up to dim "
-                        f"{DENSE_CERT_MAX} it stops sooner once a check proves the dual "
-                        f"gap within {CERT_GAP:g} * min(1, tol / 1e-6) (relative)")
-    p.add_argument("--max-sweeps", type=int, default=argparse.SUPPRESS,
-                   help="operator products per solve at most (one per step, and one "
-                        "per rejected mixed candidate)")
-
-
-def _solver_from(args) -> SolverConfig:
-    return SolverConfig(**{k: v for k, v in vars(args).items() if k in _SOLVER_FLAGS})
 
 
 def _params_from(args) -> ModelParams:
@@ -59,7 +39,7 @@ def _solve_row(args, values_of):
     row's instance of the planted parameters (of its matched null under
     ``--model erm``): the row's value columns and the solution behind them."""
     params = _params_from(args)
-    draw = _Draw(params.seed, _solver_from(args), params.d, null=args.model == "erm")
+    draw = _Draw(params.seed, params.d, null=args.model == "erm")
     _, rev = draw.instance(params)
     return values_of(draw, rev, params)
 
@@ -94,14 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("sdp", "csdp"):
         p = sub.add_parser(name)
         _add_model_args(p)
-        _add_solver_args(p)
         p.add_argument("--model", choices=("sbm", "erm"), default="sbm",
                        help="the planted model, or its matched null a = b = (a+b)/2")
 
     p = sub.add_parser("sweep", help="run the Monte Carlo sweep a JSON config file describes")
     p.add_argument("--config", required=True,
                    help="JSON config file, as in configs/: kind, params (n, a, b, rho) and "
-                        "out_dir, and reps, seed, t, workers and solver, each optional")
+                        "out_dir, and reps, seed, t and workers, each optional")
     return top
 
 

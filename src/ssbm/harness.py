@@ -125,12 +125,12 @@ def read_csv(path) -> list[ResultRecord]:
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """A sweep: kind, parameter grid (cartesian product of the lists, each
-    of distinct values, rho innermost), replications per cell, solver
-    settings, output directory, master seed; the fields hold the defaults.
-    A sweep ignores ``solver.seed``: each instance's seed derives from the
-    master seed, the replication and the first cell of its group, the cells
-    of one (n, a, b) (the matched null's too), and its solves' by
-    :meth:`SolverConfig.for_instance`."""
+    of distinct values, rho innermost), replications per cell, output
+    directory, master seed; the fields hold the defaults.  Each instance's
+    seed derives from the master seed, the replication and the first cell
+    of its group, the cells of one (n, a, b) (the matched null's too), and
+    every solve runs at the default :class:`SolverConfig` seeded for its
+    instance by :meth:`SolverConfig.for_instance`."""
 
     kind: str
     n: tuple[int, ...]
@@ -138,7 +138,6 @@ class ExperimentConfig:
     b: tuple[float, ...]
     rho: tuple[float, ...]
     reps: int = 1
-    solver: SolverConfig
     out_dir: str
     seed: int = 0
     t: int = 1
@@ -151,8 +150,6 @@ class ExperimentConfig:
         _require_int(self.workers, "workers", 1)
         if not isinstance(self.out_dir, (str, os.PathLike)):
             raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
-        if not isinstance(self.solver, SolverConfig):
-            raise ValueError(f"solver must be a SolverConfig, got {self.solver!r}")
         _check_seed(self.seed)
         _check_depth(self.t)
         # checked, not coerced: int() would sweep n = 200 for n = 200.5
@@ -199,19 +196,26 @@ class ExperimentConfig:
         solver = raw.get("solver", {})
         if not (isinstance(params, dict) and isinstance(solver, dict)):
             raise ValueError("'params' and 'solver' must be JSON objects")
-        # a key retired when every solve became one start; older config files still load
-        solver = {key: value for key, value in solver.items() if key != "restarts"}
         grid = {key: params.get(key, []) for key in ("n", "a", "b", "rho")}
         # a misspelt key would otherwise fall back to its default unseen
-        top = {f.name for f in dataclasses.fields(cls)} - set(grid) | {"params"}
-        solver_keys = {f.name for f in dataclasses.fields(SolverConfig)}
+        top = {f.name for f in dataclasses.fields(cls)} - set(grid) | {"params", "solver"}
+        solver_keys = {f.name for f in dataclasses.fields(SolverConfig)} | {"restarts"}
         for what, given, known in (("config keys", raw, top), ("params", params, grid),
                                    ("solver settings", solver, solver_keys)):
             unknown = sorted(given.keys() - known)
             if unknown:
                 raise ValueError(f"unknown {what}: {', '.join(unknown)}")
+        # An older file's solver object loads if it holds the settings every
+        # solve runs at: its seed is checked and ignored, as each solve's
+        # derives from its instance's, and the retired restart cap is dropped
+        solver = SolverConfig(**{key: value for key, value in solver.items() if key != "restarts"})
+        moved = [f.name for f in dataclasses.fields(SolverConfig) if f.name != "seed"
+                 and getattr(solver, f.name) != getattr(SolverConfig(), f.name)]
+        if moved:
+            raise ValueError(f"every sweep solves at the default solver settings, "
+                             f"which the config changes: {', '.join(moved)}")
         given = {key: value for key, value in raw.items() if key not in ("params", "solver")}
-        return cls(**given, **grid, solver=SolverConfig(**solver))
+        return cls(**given, **grid)
 
 
 class _Draw:
@@ -219,12 +223,12 @@ class _Draw:
     graph is drawn at the first cell that draws, through
     :func:`sample_instance`, and every later cell draws only its reveal;
     its centred operator at the average degree ``d`` is built once, and its
-    SDP solved and rounded once under ``solver`` seeded for this draw, and
-    the sdp and csdp rows of every cell read that one solve.  The null's
-    draw samples ``ModelParams.null``."""
+    SDP solved and rounded once at the default solver settings seeded for
+    this draw, ``solver``, and the sdp and csdp rows of every cell read that
+    one solve.  The null's draw samples ``ModelParams.null``."""
 
-    def __init__(self, seed: int, solver: SolverConfig, d: float, null: bool = False):
-        self.seed, self.solver, self.d, self.null = seed, solver.for_instance(seed), d, null
+    def __init__(self, seed: int, d: float, null: bool = False):
+        self.seed, self.solver, self.d, self.null = seed, SolverConfig().for_instance(seed), d, null
         self.graph = self._M = self._sdp = None
 
     def instance(self, p: ModelParams):
@@ -267,10 +271,10 @@ def _group_task(cfg: ExperimentConfig, ci0: int, cells, rep: int) -> list:
     """
     seed = derive_key(cfg.seed, "sweep", ci0, rep)
     p0 = ModelParams(*cells[0])
-    draws = [_Draw(seed, cfg.solver, p0.d)]
+    draws = [_Draw(seed, p0.d)]
     if cfg.kind == "detection-boxes":
         erm = derive_key(cfg.seed, "sweep", ci0, rep, "erm")
-        draws.append(_Draw(erm, cfg.solver, p0.d, null=True))
+        draws.append(_Draw(erm, p0.d, null=True))
     group = dict(seed=seed, rep=rep, n=p0.n, a=p0.a, b=p0.b, snr=snr(p0.a, p0.b), truth_model="sbm")
     out = []
     for ci, cell in enumerate(cells, ci0):

@@ -148,6 +148,9 @@ DENSE_CERT_MAX = 1000
 LANCZOS_TOL = 1e-6
 
 
+# a diverging solve raises NumericError at its first non-finite objective,
+# with no overflow warnings from the radii or the sweeps before it
+@np.errstate(over="ignore", invalid="ignore")
 def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSolution:
     """Maximize <M, X> over the elliptope by the mixed shifted batch iteration.
 
@@ -184,8 +187,10 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
     dim: the objective moved by at most ``cfg.tol`` (relative) over
     ``STALL_WINDOW`` steps.  The solution's exact ``certificate`` is
     computed on first read.  Raises ValueError on an empty operator, and
-    :class:`NumericError` where the objective diverges; every operator's
-    entries are finite, since its constructor refuses any other.
+    :class:`NumericError` at the first objective that is not finite, unless
+    it is a mixed candidate's that is rejected; every operator's entries are
+    finite, since its constructor refuses any other, but their sums can
+    overflow.
     """
     cfg = cfg or SolverConfig()
     n = M.dim
@@ -226,6 +231,8 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
             mixing.reset()
             mixed = False
             continue
+        if not math.isfinite(val):
+            raise NumericError("objective diverged to a non-finite value")
         history.append(val)
         if len(history) > STALL_WINDOW and (
                 abs(val - history[-1 - STALL_WINDOW]) <= cfg.tol * max(1.0, abs(val))):
@@ -247,8 +254,6 @@ def solve_elliptope(M: MatrixOperator, cfg: SolverConfig | None = None) -> SdpSo
         mixing.push(flat)
         # a candidate rejected at the cap would need one sweep past it
         mixed = sweeps + 2 <= cfg.max_sweeps and mixing.extrapolate(S)
-    if not math.isfinite(val):
-        raise NumericError("objective diverged to a non-finite value")
     return SdpSolution(
         factor=S.copy(),
         value=val,

@@ -6,16 +6,25 @@ outcomes are reproducible bit for bit.
 
 A change that redraws graphs (a seed layout, the sampler, a solver change
 that moves roundings) re-rolls every statistical gate.  Criteria 1, 10
-and 11 print each gate's margin in its own standard errors.  The odds that
-a redraw fails a gate with nothing wrong, measured on independent seeds or
-from an exact law:
+and 11 print each gate's margin in its own standard errors; criterion 9
+prints each KS p-value's distance below its level in decades,
+log10(alpha / p), and each accuracy pin's distance from its bound.  The
+odds that a redraw fails a gate with nothing wrong, measured on independent
+seeds or from an exact law (criterion 9 on master seeds 101-108, 50 reps
+each, accuracies as mean and sd over the eight; each of its gates passed
+on all eight):
 
 | gate | bound | true value | odds of failing a redraw |
 |---|---|---|---|
 | criterion 1, rho = 0.3 cell | mean >= 0.2928 - se (se 0.0027) | 0.2950, the exact law | about 3.5% |
 | criterion 10, SDP at SNR 0.25 | mean <= 0.05 | 0.0425, sd 0.0063 over seeds 101-108 | about 12% |
 | criterion 11, exact DP | abs(empirical - exact) <= 3 sigma | exact, if the sampler is unbiased | 0.27% |
-| criterion 9, KS tests | p <= 1e-3 | p 2.4e-6 and 9.9e-30 at seed 0 | not measured |
+| criterion 9, KS test of CSDP(5,2) | p <= 1e-3: accuracy >= 0.69 | 0.824, sd 0.051; worst p 2.4e-6 | about 0.4% |
+| criterion 9, KS test of SDP(9,2) | p <= 1e-3: accuracy >= 0.69 | 0.834, sd 0.042; worst p 7.9e-7 | about 0.03% |
+| criterion 9, SDP(5,2) | accuracy <= 0.75 | 0.584, sd 0.049 | about 0.04% |
+| criterion 9, CSDP(9,2) | accuracy >= 0.95 | 1.000 on all eight seeds | not seen |
+| criterion 9, contrast at (5,2) | CSDP accuracy > SDP accuracy | 0.824 against 0.584 | not seen |
+| criterion 9, all five gates | | | about 0.5%, almost all the CSDP(5,2) KS test |
 """
 
 import math
@@ -51,7 +60,7 @@ def test_criterion_01_census_overlap_above_lower_curve(tmp_path):
     rhos = tuple(round(0.1 * k, 1) for k in range(1, 11))
     cfg = ExperimentConfig(
         kind="census-sweep", n=(3000,), a=(5.0,), b=(2.0,), rho=rhos,
-        reps=60, solver=SolverConfig(), out_dir=str(tmp_path / "c1"),
+        reps=60, out_dir=str(tmp_path / "c1"),
         seed=SEED, t=1, workers=WORKERS,
     )
     result = run_sweep(cfg)
@@ -258,7 +267,7 @@ def test_criterion_08_sandwich_and_submatrix(tmp_path):
     t0 = time.time()
     cfg = ExperimentConfig(
         kind="sandwich-audit", n=(400,), a=(9.0,), b=(2.0,), rho=(0.3,),
-        reps=20, solver=SolverConfig(), out_dir=str(tmp_path / "c8"),
+        reps=20, out_dir=str(tmp_path / "c8"),
         seed=SEED, workers=WORKERS,
     )
     result = run_sweep(cfg)
@@ -289,7 +298,7 @@ def test_criterion_09_detection_above_and_below_threshold(tmp_path):
     t0 = time.time()
     cfg = ExperimentConfig(
         kind="detection-boxes", n=(200,), a=(9.0, 5.0), b=(2.0,), rho=(0.25,),
-        reps=50, solver=SolverConfig(), out_dir=str(tmp_path / "c9"),
+        reps=50, out_dir=str(tmp_path / "c9"),
         seed=SEED, workers=WORKERS,
     )
     result = run_sweep(cfg)
@@ -332,13 +341,21 @@ def test_criterion_09_detection_above_and_below_threshold(tmp_path):
     above_csdp = acc[9.0]["csdp"] >= 0.95
     above_sdp = pval[9.0, "sdp"] <= C9_ALPHA
     ok = below_csdp and below_sdp and contrast and above_csdp and above_sdp and elapsed <= 600
+
+    def decades(p):
+        """A KS gate's margin: its p-value's distance below the level, in decades."""
+        return math.log10(C9_ALPHA / p) if p > 0 else math.inf
+
     _report(9, ok, elapsed,
             f"below(5,2): csdp={acc[5.0]['csdp']:.3f} p={pval[5.0, 'csdp']:.2g} "
-            f"(p<={C9_ALPHA:g} {below_csdp}), sdp={acc[5.0]['sdp']:.3f} "
-            f"p={pval[5.0, 'sdp']:.2g} (<=0.75 {below_sdp}; csdp>sdp {contrast}); "
+            f"(p<={C9_ALPHA:g} {below_csdp}, log10(alpha/p)={decades(pval[5.0, 'csdp']):+.2f}), "
+            f"sdp={acc[5.0]['sdp']:.3f} p={pval[5.0, 'sdp']:.2g} "
+            f"(<=0.75 {below_sdp}, 0.75-sdp={0.75 - acc[5.0]['sdp']:+.3f}; csdp>sdp {contrast}, "
+            f"csdp-sdp={acc[5.0]['csdp'] - acc[5.0]['sdp']:+.3f}); "
             f"above(9,2): csdp={acc[9.0]['csdp']:.3f} p={pval[9.0, 'csdp']:.2g} "
-            f"(>=0.95 {above_csdp}), sdp={acc[9.0]['sdp']:.3f} "
-            f"p={pval[9.0, 'sdp']:.2g} (p<={C9_ALPHA:g} {above_sdp})")
+            f"(>=0.95 {above_csdp}, csdp-0.95={acc[9.0]['csdp'] - 0.95:+.3f}), "
+            f"sdp={acc[9.0]['sdp']:.3f} p={pval[9.0, 'sdp']:.2g} "
+            f"(p<={C9_ALPHA:g} {above_sdp}, log10(alpha/p)={decades(pval[9.0, 'sdp']):+.2f})")
     assert below_sdp and above_csdp, acc
     assert below_csdp, f"csdp_value does not separate at (5,2): p = {pval[5.0, 'csdp']:.3g}"
     assert contrast, f"csdp does not beat sdp at (5,2): {acc[5.0]}"
@@ -357,7 +374,7 @@ def test_criterion_10_phase_transition_disappears(tmp_path):
         a, b = d + gap / 2.0, d - gap / 2.0
         cfg = ExperimentConfig(
             kind="phase-grid", n=(1000,), a=(a,), b=(b,), rho=(0.2,),
-            reps=20, solver=SolverConfig(),
+            reps=20,
             out_dir=str(tmp_path / f"c10-{snr_target}"), seed=SEED, workers=WORKERS,
         )
         result = run_sweep(cfg)

@@ -99,26 +99,43 @@ def test_csdp_command_reports_the_test_decision(capsys):
     assert _payload(capsys, argv + ["--a", "4", "--b", "4"])["test_decision"] is None
 
 
+def _subcommands():
+    """Each subcommand's parser, by name."""
+    (commands,) = [act for act in cli.build_parser()._actions if act.dest == "command"]
+    return commands.choices
+
+
 def _run_commands():
     """The subcommands that run one instance: every one but generate and sweep."""
-    (commands,) = [act for act in cli.build_parser()._actions if act.dest == "command"]
-    return {name: p for name, p in commands.choices.items() if name not in ("generate", "sweep")}
+    return {name: p for name, p in _subcommands().items() if name not in ("generate", "sweep")}
+
+
+def _options(parser):
+    """The destinations of a parser's settable options."""
+    return {act.dest for act in parser._actions if act.dest != "help"}
 
 
 def test_every_run_option_names_a_sweep_value():
     # a run reproduces a sweep row from values the row or its config holds, so
     # each option of census|sdp|csdp must name one: a records.csv column,
-    # the truth_model column (--model), the config key t, or a solver setting
-    # (a solver's own seed is derived from the instance seed, never set)
+    # the truth_model column (--model) or the config key t; every solve runs
+    # at the one solver setting, seeded from the instance seed
     assert {"n", "a", "b", "rho", "seed", "truth_model"} <= set(harness.RESULT_FIELDS)
     assert "t" in {f.name for f in dataclasses.fields(ExperimentConfig)}
-    allowed = ({"n", "a", "b", "rho", "seed", "model", "t"}
-               | {f.name for f in dataclasses.fields(SolverConfig)} - {"seed"})
+    allowed = {"n", "a", "b", "rho", "seed", "model", "t"}
     commands = _run_commands()
     assert set(commands) == {"census", "sdp", "csdp"}
     for name, parser in commands.items():
-        dests = {act.dest for act in parser._actions if act.dest != "help"}
-        assert dests <= allowed, (name, dests - allowed)
+        assert _options(parser) <= allowed, (name, _options(parser) - allowed)
+
+
+def test_the_number_of_settings():
+    # every setting a user can reach, counted: a change that adds one
+    # changes these counts, and ROADMAP's state block, on purpose
+    counts = {name: len(_options(parser)) for name, parser in _subcommands().items()}
+    assert counts == {"generate": 6, "census": 6, "sdp": 6, "csdp": 6, "sweep": 1}
+    assert len(dataclasses.fields(ExperimentConfig)) == 10
+    assert len(dataclasses.fields(SolverConfig)) == 4
 
 
 def test_usage_errors_exit_one(capsys):
@@ -132,10 +149,14 @@ def test_usage_errors_exit_one(capsys):
     for retired in ("oracles", "test"):
         assert main([retired, "--n", "40", "--a", "6", "--b", "2"]) == 1
         assert f"invalid choice: '{retired}'" in capsys.readouterr().err
-    # the retired restart cap is no flag: each solve makes one start
-    assert main(["sdp", "--n", "40", "--a", "6", "--b", "2", "--restarts", "2"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and "unrecognized arguments: --restarts 2" in captured.err
+    # the retired solver settings are no flags: each solve makes one start,
+    # at the one rank, tolerance and sweep cap
+    for flag, value in (("--restarts", "2"), ("--rank", "8"), ("--tol", "1e-5"),
+                        ("--max-sweeps", "300")):
+        for command in ("sdp", "csdp"):
+            assert main([command, "--n", "40", "--a", "6", "--b", "2", flag, value]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"unrecognized arguments: {flag} {value}" in captured.err
     # a report goes to stdout only
     for command in _run_commands():
         assert main([command, "--n", "40", "--a", "6", "--b", "2", "--out", "r.json"]) == 1
@@ -193,8 +214,8 @@ def test_sweep_config_refuses_every_other_flag(tmp_path, capsys, sweep_config):
     assert main(argv) == 0
 
 
-def test_config_keys_left_out_take_their_defaults(tmp_path, monkeypatch, sweep_config):
-    # the JSON reader leaves every default to ExperimentConfig and SolverConfig
+def test_config_keys_left_out_take_their_defaults(tmp_path, monkeypatch, capsys, sweep_config):
+    # the JSON reader leaves every default to ExperimentConfig
     seen = []
 
     def capture(cfg):
@@ -204,14 +225,27 @@ def test_config_keys_left_out_take_their_defaults(tmp_path, monkeypatch, sweep_c
     monkeypatch.setattr(cli, "run_sweep", capture)
     assert main(sweep_config()) == 0
     assert seen[0] == ExperimentConfig(kind="census-sweep", n=(40,), a=(6.0,), b=(2.0,),
-                                       rho=(0.5,), solver=SolverConfig(),
+                                       rho=(0.5,),
                                        out_dir=str(tmp_path / "out"))
     assert (seen[0].reps, seen[0].seed, seen[0].t, seen[0].workers) == (1, 0, 1, 1)
-    keys = {"reps": 2, "seed": 5, "t": 2, "workers": 1,
-            "solver": {"tol": 1e-5, "max_sweeps": 300, "rank": 4}}
+    keys = {"reps": 2, "seed": 5, "t": 2, "workers": 1}
     assert main(sweep_config(**keys)) == 0
-    assert seen[1] == dataclasses.replace(seen[0], reps=2, seed=5, t=2, solver=SolverConfig(
-        tol=1e-5, max_sweeps=300, rank=4))
+    assert seen[1] == dataclasses.replace(seen[0], reps=2, seed=5, t=2)
+    # an older file's solver object loads where it holds the settings every
+    # solve runs at, whatever its seed and retired restart cap
+    legacy = {"rank": None, "tol": 1e-6, "max_sweeps": 2000, "restarts": 3, "seed": 7}
+    assert main(sweep_config(**keys, solver=legacy)) == 0
+    assert seen[2] == seen[1]
+    # any other setting, or an unknown key, exits 1 before out_dir exists
+    capsys.readouterr()
+    refused = str(tmp_path / "refused")
+    for solver, message in (({"tol": 1e-5}, "changes: tol"), ({"rank": 4}, "changes: rank"),
+                            ({**legacy, "max_sweeps": 300}, "changes: max_sweeps"),
+                            ({"bogus": 1}, "unknown solver settings: bogus")):
+        assert main(sweep_config(solver=solver, out_dir=refused)) == 1
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(refused)
+    assert len(seen) == 3
 
 
 def test_sweep_refuses_a_bad_grid_before_creating_out_dir(tmp_path, capsys, sweep_config):
@@ -271,7 +305,7 @@ def test_sdp_command_erm_model(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(harness, "sample_instance", recording)
     cfg = ExperimentConfig(kind="detection-boxes", n=(60,), a=(8.0,), b=(2.0,), rho=(0.25,),
-                           solver=SolverConfig(), out_dir=str(tmp_path), seed=1)
+                           out_dir=str(tmp_path), seed=1)
     null_row = next(r for r in run_sweep(cfg).records if r.truth_model == "erm")
     sweep_null, _ = drawn[1]  # the planted instance first, then its null
     code = main(["sdp", "--n", "60", "--a", "8", "--b", "2", "--rho", "0.25",
@@ -311,10 +345,10 @@ def _model_argv(row):
     ("sandwich-audit", dict(a=(8.0, 5.0), b=(2.0,), rho=(0.0, 0.25))),
 ])
 def test_cli_runs_reproduce_their_sweep_rows(tmp_path, capsys, kind, grid):
-    # a row's n, a, b, rho, seed and model, with the sweep's solver flags,
-    # make ssbm sdp|csdp print that row's value columns
+    # a row's n, a, b, rho, seed and model make ssbm sdp|csdp print that
+    # row's value columns
     cfg = ExperimentConfig(kind=kind, n=(40,), **grid, reps=3,
-                           solver=SolverConfig(), out_dir=str(tmp_path), seed=5)
+                           out_dir=str(tmp_path), seed=5)
     rows = [r for r in run_sweep(cfg).records if r.algorithm in ("sdp", "csdp")]
     assert len(rows) == 24 and {r.truth_model for r in rows} == (
         {"sbm", "erm"} if kind == "detection-boxes" else {"sbm"})
@@ -332,7 +366,7 @@ def test_cli_runs_reproduce_their_sweep_rows(tmp_path, capsys, kind, grid):
 @pytest.mark.parametrize("t", [1, 2])
 def test_census_runs_reproduce_their_sweep_rows(tmp_path, capsys, t):
     cfg = ExperimentConfig(kind="census-sweep", n=(200,), a=(5.0,), b=(2.0,), rho=(0.1, 0.5),
-                           reps=2, solver=SolverConfig(), out_dir=str(tmp_path), seed=5, t=t)
+                           reps=2, out_dir=str(tmp_path), seed=5, t=t)
     rows = run_sweep(cfg).records
     assert len(rows) == 4
     for row in rows:

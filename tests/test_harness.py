@@ -28,7 +28,7 @@ from ssbm.rng import derive_key
 def _cfg(tmp_path, **over):
     base = dict(
         kind="census-sweep", n=(60,), a=(6.0,), b=(2.0,), rho=(0.3, 0.6),
-        reps=3, solver=SolverConfig(seed=0), out_dir=str(tmp_path / "out"),
+        reps=3, out_dir=str(tmp_path / "out"),
         seed=11, t=1, workers=1,
     )
     base.update(over)
@@ -54,15 +54,22 @@ def test_config_validation(tmp_path):
     for over, match in (({"n": (60, 61)}, "even"), ({"rho": (0.2, 1.5)}, "rho")):
         with pytest.raises(ValueError, match=match):
             _cfg(tmp_path, kind="phase-grid", a=(3.0, 6.0), b=(4.0,), **over).cells()
-    # an unknown solver setting is a config error, not a crash
     good = {"kind": "census-sweep", "params": {"n": [60], "a": [6.0], "b": [2.0], "rho": [0.3, 0.6]},
-            "reps": 3, "solver": {"seed": 0}, "out_dir": str(tmp_path / "out"),
-            "seed": 11, "t": 1, "workers": 1}
+            "reps": 3, "out_dir": str(tmp_path / "out"), "seed": 11, "t": 1, "workers": 1}
     assert ExperimentConfig.from_json(json.dumps(good)) == _cfg(tmp_path)
-    # the retired restart cap of older config files is accepted and dropped,
-    # and masks no misspelt setting beside it
-    legacy = {**good, "solver": {"restarts": 2, "seed": 0}}
-    assert ExperimentConfig.from_json(json.dumps(legacy)) == _cfg(tmp_path)
+    # an older file's solver object, the bench's among them, loads where it
+    # holds the default settings: its seed is ignored and the retired
+    # restart cap dropped
+    for solver in ({"seed": 0}, {"restarts": 2, "seed": 12345},
+                   {"rank": None, "tol": 1e-6, "max_sweeps": 2000, "restarts": 3, "seed": 0}):
+        assert ExperimentConfig.from_json(json.dumps({**good, "solver": solver})) == _cfg(tmp_path)
+    # any other setting is refused, since every solve runs at the defaults
+    for solver, name in (({"tol": 1e-5}, "tol"), ({"rank": 4}, "rank"),
+                         ({"max_sweeps": 300, "restarts": 2}, "max_sweeps")):
+        with pytest.raises(ValueError, match=f"which the config changes: {name}$"):
+            ExperimentConfig.from_json(json.dumps({**good, "solver": solver}))
+    # an unknown solver setting is a config error, not a crash, and the
+    # restart cap masks no misspelt setting beside it
     raw = {**good, "solver": {"restarts": 2, "max_sweep": 10}}
     with pytest.raises(ValueError, match="^unknown solver settings: max_sweep$"):
         ExperimentConfig.from_json(json.dumps(raw))
@@ -78,15 +85,16 @@ def test_config_validation(tmp_path):
         with pytest.raises(ValueError):
             ExperimentConfig.from_json(json.dumps({**raw, "solver": {}, key: value}))
     # the constructor refuses an axis that is not a list (a scalar, or a
-    # string it would iterate) and a solver that is not a SolverConfig
+    # string it would iterate)
     for over, match in (({"n": 200}, "n values must be a list"),
-                        ({"rho": "0.3"}, "rho values must be a list"),
-                        ({"solver": {"max_sweeps": 1}}, "solver must be a SolverConfig")):
+                        ({"rho": "0.3"}, "rho values must be a list")):
         with pytest.raises(ValueError, match=match):
             _cfg(tmp_path, **over)
-    # and a count that is not an integer, or a tolerance that is not a number
-    for key, value in (("reps", "2"), ("solver", {"max_sweeps": "2"}), ("solver", {"tol": "1e-6"})):
-        with pytest.raises(ValueError, match="must be an integer|must be a number"):
+    # and a count that is not an integer, a tolerance that is not a number,
+    # or a solver seed out of range
+    for key, value in (("reps", "2"), ("solver", {"max_sweeps": "2"}), ("solver", {"tol": "1e-6"}),
+                       ("solver", {"seed": -1})):
+        with pytest.raises(ValueError, match="must be an integer|must be a number|seed"):
             ExperimentConfig.from_json(json.dumps({**raw, "solver": {}, key: value}))
     # grid values are checked, not coerced: n = 200.5 would sweep n = 200
     for key, value in (("n", [200.5]), ("n", ["300"]), ("rho", ["0.5"]), ("a", [True])):
@@ -347,10 +355,13 @@ def test_reproducibility_byte_identical_modulo_volatile(tmp_path):
 
 
 def test_sweep_ignores_the_solver_seed(tmp_path):
-    # every solve, the matched null's included, seeds from the master seed
+    # every solve, the matched null's included, seeds from the master seed,
+    # so the seed an older config file's solver object holds moves no record
     for name, seed in (("a", 0), ("b", 12345)):
-        run_sweep(_cfg(tmp_path / name, kind="detection-boxes", rho=(0.25,), reps=2,
-                       solver=SolverConfig(seed=seed)))
+        raw = {"kind": "detection-boxes", "out_dir": str(tmp_path / name / "out"),
+               "params": {"n": [60], "a": [6.0], "b": [2.0], "rho": [0.25]},
+               "reps": 2, "solver": {"seed": seed}, "seed": 11}
+        run_sweep(ExperimentConfig.from_json(json.dumps(raw)))
     text1 = _strip_volatile(tmp_path / "a" / "out" / "records.csv")
     text2 = _strip_volatile(tmp_path / "b" / "out" / "records.csv")
     assert text1 == text2
@@ -472,7 +483,7 @@ def _recomputed(row, cfg):
     if row.algorithm.startswith("census"):
         return dict(overlap_unrevealed=census_estimate(g, rev, t=cfg.t, seed=row.seed).overlap)
     M = centered_adjacency(g, p.d)
-    solver = cfg.solver.for_instance(row.seed)
+    solver = SolverConfig().for_instance(row.seed)
     sol = solve_elliptope(M, solver)
     sdp = dict(overlap_unrevealed=overlap(round_leading_eigvec(sol), g.labels, rev),
                sdp_value=sol.value)

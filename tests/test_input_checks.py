@@ -19,7 +19,7 @@ from ssbm.sdp import SolverConfig
 
 def _sweep(**over):
     """A census sweep config, with the fields ``over`` in place of its own."""
-    fields = dict(n=(10,), a=(4.0,), b=(1.0,), rho=(0.5,), reps=1, solver=SolverConfig(),
+    fields = dict(n=(10,), a=(4.0,), b=(1.0,), rho=(0.5,), reps=1,
                   out_dir="out", seed=0)
     return ExperimentConfig(kind="census-sweep", **{**fields, **over})
 
@@ -57,7 +57,7 @@ def test_params_cap_n_at_2_31(tmp_path):
             ModelParams(n=n, a=1, b=1)
     assert ModelParams(n=1 << 31, a=1, b=1).n == 1 << 31
     cfg = ExperimentConfig(kind="census-sweep", n=(1 << 32,), a=(5.0,), b=(2.0,), rho=(0.5,),
-                           reps=1, solver=SolverConfig(), out_dir=str(tmp_path), seed=0)
+                           reps=1, out_dir=str(tmp_path), seed=0)
     with pytest.raises(ValueError, match=r"vertex count must be at most 2\*\*31"):
         cfg.cells()
 
@@ -66,7 +66,7 @@ def _configs(seed, tmp_path):
     yield lambda: ModelParams(n=10, a=4, b=1, seed=seed)
     yield lambda: SolverConfig(seed=seed)
     yield lambda: ExperimentConfig(kind="census-sweep", n=(10,), a=(4.0,), b=(1.0,), rho=(0.5,),
-                                   reps=1, solver=SolverConfig(), out_dir=str(tmp_path),
+                                   reps=1, out_dir=str(tmp_path),
                                    seed=seed)
 
 

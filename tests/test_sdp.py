@@ -62,17 +62,23 @@ def test_rank_one_spike_reaches_global_optimum():
     assert cert.upper_bound >= sol.value
 
 
-def test_empty_and_nonfinite_inputs():
+def test_empty_and_nonfinite_inputs(monkeypatch):
     with pytest.raises(ValueError):
         solve_elliptope(MatrixOperator(0, [], [], []), SolverConfig())
     # a non-finite operator is refused where it is built, before any solve
     with pytest.raises(ValueError, match="operator entries must be finite"):
         MatrixOperator(2, [0], [1], [np.nan])
-    # finite weights whose objective overflows break the solve down
+    # finite weights whose objective overflows break the solve down at its
+    # first product, with no warning (the suite turns RuntimeWarning into an
+    # error), not at the sweep cap
+    products = []
+    product = MatrixOperator.offdiag_product
+    monkeypatch.setattr(MatrixOperator, "offdiag_product",
+                        lambda self, stack: products.append(1) or product(self, stack))
     huge = MatrixOperator(3, [0, 0, 1], [1, 2, 2], [1.5e308] * 3)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(sdp.NumericError, match="diverged to a non-finite value"):
-        solve_elliptope(huge, SolverConfig(max_sweeps=20))
+    with pytest.raises(sdp.NumericError, match="diverged to a non-finite value"):
+        solve_elliptope(huge, SolverConfig())
+    assert len(products) == 1
 
 
 def test_objective_history_is_monotone():
@@ -726,7 +732,7 @@ def test_census_sweep_loads_neither_scipy_nor_a_process_pool(tmp_path, t):
     # afterwards shows the import is deferred to the first CSR build, not lost.
     code = ("import sys, ssbm\n"
             "cfg = ssbm.ExperimentConfig(kind='census-sweep', n=(200,), a=(5.0,), b=(2.0,),\n"
-            "    rho=(0.1, 0.5), reps=2, solver=ssbm.SolverConfig(), out_dir=sys.argv[1],\n"
+            "    rho=(0.1, 0.5), reps=2, out_dir=sys.argv[1],\n"
             f"    seed=3, t={t}, workers=1)\n"
             "ssbm.run_sweep(cfg)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
